@@ -70,7 +70,6 @@ from .sampling import (
     OracleScorer,
     SensingPlan,
     draw_anomaly_sample,
-    oracle_select,
     score_variables,
     select_top_m,
     synthesize_anomaly_signal,
@@ -79,7 +78,6 @@ from .simgen import (
     Scenario,
     gen_stream,
     load_stream_csv,
-    partial_view,
     save_stream_csv,
 )
 
@@ -121,7 +119,6 @@ __all__ = [
     "synthesize_anomaly_signal",
     "score_variables",
     "select_top_m",
-    "oracle_select",
     # engine
     "EngineState",
     "StepOutcome",
@@ -136,7 +133,6 @@ __all__ = [
     # simgen
     "Scenario",
     "gen_stream",
-    "partial_view",
     "save_stream_csv",
     "load_stream_csv",
     # errors

@@ -10,6 +10,7 @@ are to mutual orthogonality under subsampled observation.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -39,14 +40,18 @@ class BasisDictionary:
     """Background basis ``b_b`` (p×k_b) and anomaly basis ``b_a`` (p×k_a).
 
     ``k_b = 0`` (no background) is allowed; ``b_b`` is then a p×0 matrix.
+    Both matrices are private read-only copies, so ``content_key``, a digest
+    of their shapes and bytes, names the content for as long as it lives:
+    equal dictionaries share cached per-subset geometry, whatever object
+    (or unpickled copy) carries them.
     """
 
     b_b: np.ndarray
     b_a: np.ndarray
 
     def __post_init__(self):
-        b_b = np.ascontiguousarray(np.atleast_2d(self.b_b), dtype=np.float64)
-        b_a = np.ascontiguousarray(np.atleast_2d(self.b_a), dtype=np.float64)
+        b_b = np.array(np.atleast_2d(self.b_b), dtype=np.float64, order="C")
+        b_a = np.array(np.atleast_2d(self.b_a), dtype=np.float64, order="C")
         object.__setattr__(self, "b_b", b_b)
         object.__setattr__(self, "b_a", b_a)
         if b_b.ndim != 2 or b_a.ndim != 2:
@@ -64,6 +69,18 @@ class BasisDictionary:
         col_norms = np.linalg.norm(b_a, axis=0)
         if np.any(col_norms == 0.0):
             raise DimensionError("anomaly basis contains an all-zero column")
+        digest = hashlib.blake2b(digest_size=16)
+        for mat in (b_b, b_a):
+            mat.flags.writeable = False
+            digest.update(np.array(mat.shape, dtype=np.int64).tobytes())
+            digest.update(mat.tobytes())
+        object.__setattr__(self, "content_key", digest.digest())
+
+    def __setstate__(self, state):
+        # Unpickled arrays come back writable; keep the content fixed.
+        self.__dict__.update(state)
+        self.b_b.flags.writeable = False
+        self.b_a.flags.writeable = False
 
     @property
     def p(self) -> int:

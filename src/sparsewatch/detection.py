@@ -20,6 +20,7 @@ from scipy.special import logsumexp
 
 from .bases import BasisDictionary
 from .errors import CapabilityError, DimensionError
+from .geometry import SubsetGeometry, subset_geometry
 from .inference import BackgroundPosterior, ModelConfig, SpikeSlabPosterior
 
 __all__ = [
@@ -67,28 +68,16 @@ class DetectionInputs:
         object.__setattr__(self, "z", z)
 
 
-def _gather(inp: DetectionInputs, dictionary: BasisDictionary):
-    z = inp.z
-    if z.min() < 0 or z.max() >= dictionary.p:
-        raise IndexError("observation subset index out of range")
+def _gather(
+    inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig
+) -> SubsetGeometry:
     if inp.post.k_a != dictionary.k_a or inp.bg.k_b != dictionary.k_b:
         raise DimensionError("posterior dimensions disagree with the dictionary")
-    return dictionary.b_a[z], dictionary.b_b[z]
+    return subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, inp.z)
 
 
 def _logdet_from_factor(factor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-
-
-def _prior_background_mean(
-    x_z: np.ndarray, b_b_z: np.ndarray, signal: np.ndarray, cfg: ModelConfig
-) -> np.ndarray:
-    """Background mean refit from this observation alone (fresh sigma_b prior)."""
-    k_b = b_b_z.shape[1]
-    h = b_b_z.T @ b_b_z / cfg.sigma_e2 + np.eye(k_b) / cfg.sigma_b2
-    return cho_solve(
-        cho_factor(h, lower=True), b_b_z.T @ (x_z - signal) / cfg.sigma_e2
-    )
 
 
 # ── Exact marginals ───────────────────────────────────────────────────────
@@ -105,13 +94,15 @@ def marginal_h0(
     """
     x = inp.x_z
     m = x.size
-    b_a_z, b_b_z = _gather(inp, dictionary)
+    geo = _gather(inp, dictionary, cfg)
+    b_b_z = geo.b_b_z
     se2 = cfg.sigma_e2
     base = -0.5 * m * (_LOG_2PI + math.log(se2))
     if dictionary.k_b == 0:
         return base - 0.5 * float(x @ x) / se2
 
-    theta0 = _prior_background_mean(x, b_b_z, np.zeros(m), cfg)
+    # Anomaly-free background refit from this observation alone.
+    theta0 = geo.g @ x
     cov_factor = cho_factor(inp.bg.cov_b, lower=True)
     logdet_cov = _logdet_from_factor(cov_factor)
     cov_inv = cho_solve(cov_factor, np.eye(dictionary.k_b))
@@ -144,7 +135,8 @@ def _h1_pattern_terms(
             f"(got {k_a}); use lambda_stat for monitoring at this size"
         )
     x = inp.x_z
-    b_a_z, b_b_z = _gather(inp, dictionary)
+    geo = _gather(inp, dictionary, cfg)
+    b_a_z, b_b_z = geo.b_a_z, geo.b_b_z
     k_b = dictionary.k_b
     se2 = cfg.sigma_e2
     post = inp.post
@@ -226,12 +218,13 @@ def log_pbf_exact(
     quadratic x'x and the flat Gaussian constants never enter.
     """
     x = inp.x_z
-    b_a_z, b_b_z = _gather(inp, dictionary)
+    geo = _gather(inp, dictionary, cfg)
+    b_b_z = geo.b_b_z
     se2 = cfg.sigma_e2
     k_b = dictionary.k_b
 
     if k_b:
-        theta0 = _prior_background_mean(x, b_b_z, np.zeros(x.size), cfg)
+        theta0 = geo.g @ x
         cov_factor = cho_factor(inp.bg.cov_b, lower=True)
         cov_inv = cho_solve(cov_factor, np.eye(k_b))
         h = b_b_z.T @ b_b_z / se2 + cov_inv
@@ -253,32 +246,6 @@ def log_pbf_exact(
 # ── Monitoring statistic ──────────────────────────────────────────────────
 
 
-def _project_onto_background(b_b_z: np.ndarray, vectors: list[np.ndarray]):
-    """Orthogonal projections of each vector onto the column space of B_bZ.
-
-    Prefers a Cholesky solve of the Gram matrix; falls back to an SVD range
-    basis when the observed rows leave the background columns dependent.
-    """
-    if b_b_z.shape[1] == 0:
-        return [np.zeros_like(v) for v in vectors]
-    gram = b_b_z.T @ b_b_z
-    scale = float(np.max(np.diag(gram)))
-    try:
-        if scale <= 0.0:
-            raise np.linalg.LinAlgError
-        chol = np.linalg.cholesky(gram)
-        if float(np.min(np.diag(chol))) <= math.sqrt(scale) * 1e-8:
-            raise np.linalg.LinAlgError
-        rhs = b_b_z.T @ np.column_stack(vectors)
-        sol = cho_solve((chol, True), rhs, check_finite=False)
-        return [b_b_z @ sol[:, i] for i in range(len(vectors))]
-    except np.linalg.LinAlgError:
-        u_mat, svals, _ = np.linalg.svd(b_b_z, full_matrices=False)
-        cutoff = max(b_b_z.shape) * np.finfo(np.float64).eps * (svals[0] if svals.size else 0.0)
-        u_r = u_mat[:, svals > cutoff]
-        return [u_r @ (u_r.T @ v) for v in vectors]
-
-
 def lambda_stat(
     inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig
 ) -> float:
@@ -291,20 +258,22 @@ def lambda_stat(
         2·mu_tilde'B_aZ'(I − P)(x_Z − B_bZ·theta_n)
         − mu_a'(B_aZ'B_aZ ∘ moments)·mu_a + y'P y
 
-    evaluated without forming the projection matrix.  Exactly zero when the
-    posterior anomaly mean vanishes.
+    with P·y = basis·(basis'·y) from the subset's shared geometry, whose
+    orthonormal basis of the observed background columns stays exact when
+    those rows are rank-deficient.  Exactly zero when the posterior anomaly
+    mean vanishes.
     """
     x = inp.x_z
-    b_a_z, b_b_z = _gather(inp, dictionary)
+    geo = _gather(inp, dictionary, cfg)
     post = inp.post
     mu_t = post.mu_tilde
 
-    y = b_a_z @ mu_t
-    resid = x - b_b_z @ inp.bg.theta_n if dictionary.k_b else x
-    p_y, p_resid = _project_onto_background(b_b_z, [y, resid])
+    y = geo.b_a_z @ mu_t
+    resid = x - geo.b_b_z @ inp.bg.theta_n
+    p_y = geo.basis @ (geo.basis.T @ y)
 
     spread = post.alpha * (1.0 - post.alpha) * post.mu_a * post.mu_a
-    quad = float(y @ y) + float((b_a_z * b_a_z).sum(axis=0) @ spread)
+    quad = float(y @ y) + float(geo.col_sq @ spread)
     term1 = 2.0 * (float(y @ resid) - float(p_y @ resid))
     term3 = float(y @ p_y)
     return term1 - quad + term3

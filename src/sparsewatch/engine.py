@@ -80,7 +80,12 @@ class EngineState:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Result of processing one observation."""
+    """Result of processing one observation.
+
+    ``n_iters`` is the number of VB sweeps the step's fit ran, in
+    [1, ``fit_max_iters``]; ``converged`` says whether the last one moved
+    the posterior by less than ``fit_tol``.
+    """
 
     step: int
     stat: float
@@ -88,6 +93,7 @@ class StepOutcome:
     z: np.ndarray
     next_plan: SensingPlan | None
     converged: bool
+    n_iters: int
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ def init(
         raise DimensionError("sensing budget exceeds the number of variables")
     rng = np.random.default_rng(seed)
     z0 = rng.choice(dictionary.p, size=cfg.m, replace=False)
-    scorer = OracleScorer(dictionary, cfg, cfg.m) if sampler == "oracle" else None
+    scorer = OracleScorer.shared(dictionary, cfg, cfg.m) if sampler == "oracle" else None
     return EngineState(
         cfg=cfg,
         dictionary=dictionary,
@@ -220,6 +226,7 @@ def step(state: EngineState, observation) -> StepOutcome:
             z=z,
             next_plan=None,
             converged=res.converged,
+            n_iters=res.n_iters,
         )
 
     theta_hat = draw_anomaly_sample(state.post, state.cfg, state.rng)
@@ -237,6 +244,7 @@ def step(state: EngineState, observation) -> StepOutcome:
         z=z,
         next_plan=plan,
         converged=res.converged,
+        n_iters=res.n_iters,
     )
 
 

@@ -21,20 +21,24 @@ forgetting factor: a fresh stream carries little weight and the effective
 sample size grows toward 1/decay.  The variational family matches the
 prior's structure: per coordinate, inclusion probability alpha_j, slab
 component N(mu_aj, s_j^2), spike component N(0, v·s_j^2).
+
+Everything that depends on the observed subset alone (the complement solve,
+the whitened M contribution, the background covariance) comes from one
+shared ``SubsetGeometry``, so a step pays for it once and a repeated subset
+costs only matrix-vector products.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .bases import BasisDictionary
 from .errors import DimensionError, StateError
+from .geometry import subset_geometry
 
 __all__ = [
     "ALPHA_CLAMP",
@@ -49,7 +53,6 @@ __all__ = [
     "update_background",
     "fit",
     "posterior_record",
-    "append_jsonl",
 ]
 
 # Inclusion probabilities live in [ALPHA_CLAMP, 1 - ALPHA_CLAMP] so logits and
@@ -175,6 +178,20 @@ class SpikeSlabPosterior:
         object.__setattr__(self, "s2", s2)
         object.__setattr__(self, "alpha", alpha)
 
+    @classmethod
+    def _trusted(cls, mu_a, s2, alpha) -> "SpikeSlabPosterior":
+        """Posterior from fields that already satisfy every check.
+
+        For the sweep, whose alpha is clamped and whose s2 is positive by
+        construction; the values are exactly those the checked constructor
+        would store.
+        """
+        post = object.__new__(cls)
+        object.__setattr__(post, "mu_a", np.array(mu_a, dtype=np.float64))
+        object.__setattr__(post, "s2", np.array(s2, dtype=np.float64))
+        object.__setattr__(post, "alpha", np.array(alpha, dtype=np.float64))
+        return post
+
     @property
     def k_a(self) -> int:
         return self.mu_a.size
@@ -267,39 +284,16 @@ class FitResult(NamedTuple):
 # ── Internal helpers ──────────────────────────────────────────────────────
 
 
-def _check_subset(z, p: int, m: int) -> np.ndarray:
+def _geometry(z, x_z, dictionary: BasisDictionary, cfg: ModelConfig):
+    """Checked (x_z, geometry) of one observation on the budgeted subset z."""
     z = np.asarray(z, dtype=np.intp).ravel()
-    if z.size != m:
-        raise DimensionError(f"observation subset has {z.size} indices, budget is {m}")
-    if z.size and (z.min() < 0 or z.max() >= p):
-        raise IndexError("observation subset index out of range")
-    if np.unique(z).size != z.size:
-        raise DimensionError("observation subset indices must be distinct")
-    return z
-
-
-def _background_solve(
-    x_z: np.ndarray,
-    b_b_z: np.ndarray,
-    mu_tilde_signal: np.ndarray,
-    cfg: ModelConfig,
-):
-    """Posterior mean/covariance of the background coefficient on rows Z.
-
-    Solves (B_bZ' B_bZ / sigma_e^2 + I / sigma_b^2) theta = B_bZ'(x − signal)
-    / sigma_e^2 through a Cholesky factorization.  ``mu_tilde_signal`` is the
-    anomaly-mean contribution B_aZ·mu_tilde already evaluated on Z.
-    """
-    k_b = b_b_z.shape[1]
-    if k_b == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    h = b_b_z.T @ b_b_z / cfg.sigma_e2 + np.eye(k_b) / cfg.sigma_b2
-    factor = cho_factor(h, lower=True)
-    rhs = b_b_z.T @ (x_z - mu_tilde_signal) / cfg.sigma_e2
-    theta = cho_solve(factor, rhs)
-    cov = cho_solve(factor, np.eye(k_b))
-    cov = 0.5 * (cov + cov.T)
-    return theta, cov
+    if z.size != cfg.m:
+        raise DimensionError(f"observation subset has {z.size} indices, budget is {cfg.m}")
+    geo = subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, z)
+    x_z = np.asarray(x_z, dtype=np.float64).ravel()
+    if x_z.size != z.size:
+        raise DimensionError("x_z length must match the observation subset")
+    return x_z, geo
 
 
 # ── Operations ────────────────────────────────────────────────────────────
@@ -320,49 +314,25 @@ def absorb_sample(
         W = I − B_bZ (B_bZ'B_bZ + (sigma_e^2/sigma_b^2) I)^{-1} B_bZ'
 
     and each accumulator follows raw ← (1 − decay)·raw + contribution (the
-    newest step always enters at weight one).  The complement is solved at
-    size k_b; the m×m matrix W is never formed.
+    newest step always enters at weight one).  The subset's B_aZ'·W·B_aZ and
+    ln det W come from its shared geometry; the data enter through
+    W·x = x − B_bZ·(G·x), so the m×m matrix W is never formed.
 
     Returns a new DecayedStats; the input is not modified.
     """
-    z = _check_subset(z, dictionary.p, cfg.m)
-    x_z = np.asarray(x_z, dtype=np.float64).ravel()
-    if x_z.size != z.size:
-        raise DimensionError("x_z length must match the observation subset")
+    x_z, geo = _geometry(z, x_z, dictionary, cfg)
     if stats.k_a != dictionary.k_a:
         raise DimensionError("stats and dictionary disagree on basis sizes")
 
-    b_a_z = dictionary.b_a[z]
-    b_b_z = dictionary.b_b[z]
-    k_b = dictionary.k_b
-    if k_b:
-        h = b_b_z.T @ b_b_z / cfg.sigma_e2 + np.eye(k_b) / cfg.sigma_b2
-        factor = cho_factor(h, lower=True)
-        # Rows of B_a and x with the background component shrunk away:
-        # W·v = v − B_bZ·(B_bZ'B_bZ + ridge)^{-1}·B_bZ'v.
-        g = cho_solve(factor, b_b_z.T / cfg.sigma_e2, check_finite=False)
-        w_a = b_a_z - b_b_z @ (g @ b_a_z)
-        w_x = x_z - b_b_z @ (g @ x_z)
-        # ln det W = −k_b·ln sigma_b^2 − ln det h (matrix determinant lemma
-        # applied to the rank-k_b complement).
-        logdet_w = -k_b * math.log(cfg.sigma_b2) - 2.0 * float(
-            np.sum(np.log(np.diag(factor[0])))
-        )
-    else:
-        w_a = b_a_z
-        w_x = x_z
-        logdet_w = 0.0
-
-    m_c = b_a_z.T @ w_a
-    m_c = 0.5 * (m_c + m_c.T)
-    u_c = b_a_z.T @ w_x
+    w_x = x_z - geo.b_b_z @ (geo.g @ x_z)
+    u_c = geo.b_a_z.T @ w_x
     q_c = float(x_z @ w_x)
     # ln det of the marginal covariance is m·ln sigma_e^2 − ln det W.
-    norm_c = -0.5 * (x_z.size * (_LOG_2PI + math.log(cfg.sigma_e2)) - logdet_w)
+    norm_c = -0.5 * (x_z.size * (_LOG_2PI + math.log(cfg.sigma_e2)) - geo.logdet_w)
 
     keep = 1.0 - cfg.decay
     return DecayedStats(
-        raw_M=keep * stats.raw_M + m_c,
+        raw_M=keep * stats.raw_M + geo.m_c,
         raw_u=keep * stats.raw_u + u_c,
         raw_q=keep * stats.raw_q + q_c,
         raw_norm=keep * stats.raw_norm + norm_c,
@@ -433,7 +403,7 @@ def vb_coordinate_sweep(
         s2[j] = s2_j
         alpha[j] = a_j
         mu_t[j] = mu_j * a_j
-    return SpikeSlabPosterior(mu_a=mu, s2=s2, alpha=alpha)
+    return SpikeSlabPosterior._trusted(mu, s2, alpha)
 
 
 def elbo(
@@ -500,15 +470,12 @@ def update_background(
         theta = (B_bZ' B_bZ/sigma_e^2 + I/sigma_b^2)^{-1} B_bZ' (x − B_aZ mu_tilde)/sigma_e^2
         cov   = (B_bZ' B_bZ/sigma_e^2 + I/sigma_b^2)^{-1}
 
-    computed through a Cholesky factorization of the precision matrix.
+    read from the subset's shared geometry: theta = G·(x − B_aZ mu_tilde).
+    The covariance is that geometry's read-only array.
     """
-    z = _check_subset(z, dictionary.p, cfg.m)
-    x_z = np.asarray(x_z, dtype=np.float64).ravel()
-    if x_z.size != z.size:
-        raise DimensionError("x_z length must match the observation subset")
-    signal = dictionary.b_a[z] @ post.mu_tilde
-    theta, cov = _background_solve(x_z, dictionary.b_b[z], signal, cfg)
-    return BackgroundPosterior(theta_n=theta, cov_b=cov)
+    x_z, geo = _geometry(z, x_z, dictionary, cfg)
+    theta = geo.g @ (x_z - geo.b_a_z @ post.mu_tilde)
+    return BackgroundPosterior(theta_n=theta, cov_b=geo.cov_b)
 
 
 def fit(
@@ -573,9 +540,3 @@ def posterior_record(
         "theta_n": [float(x) for x in bg.theta_n],
         "converged": bool(converged),
     }
-
-
-def append_jsonl(path, record: dict) -> None:
-    """Append one record to a JSON-lines file (sorted keys, one line)."""
-    with open(path, "a", encoding="ascii") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .errors import CapabilityError, DimensionError
-from .inference import BackgroundPosterior, ModelConfig, SpikeSlabPosterior
+from .inference import ModelConfig, SpikeSlabPosterior
 
 __all__ = [
     "ORACLE_SUBSET_LIMIT",
@@ -29,8 +29,6 @@ __all__ = [
     "score_variables",
     "select_top_m",
     "OracleScorer",
-    "oracle_select",
-    "sensing_record",
 ]
 
 ORACLE_SUBSET_LIMIT = 10**6
@@ -155,9 +153,27 @@ class OracleScorer:
     Building the scorer enumerates all p-choose-m subsets and, when a
     background basis is present, factors each subset's projection onto its
     observed background columns.  Construction is therefore expensive and
-    meant to be reused across steps; ``oracle_select`` wraps a fresh one for
-    single calls.
+    meant to be reused across steps and streams: ``shared`` hands out one
+    scorer per process per (dictionary content, m).  The scores depend on
+    the dictionary and m alone; ``cfg`` is accepted for symmetry with the
+    sampling strategy and not kept.
     """
+
+    # ((dictionary content key, m), scorer) of the latest ``shared`` build.
+    _shared: tuple | None = None
+
+    @classmethod
+    def shared(cls, dictionary: BasisDictionary, cfg: ModelConfig, m: int) -> "OracleScorer":
+        """This process's scorer for the dictionary's content and m.
+
+        Keyed on content, not identity, so replications whose pool task
+        unpickled a fresh copy of the dictionary share one build; a scorer
+        is never modified after it is built.
+        """
+        key = (dictionary.content_key, m)
+        if cls._shared is None or cls._shared[0] != key:
+            cls._shared = (key, cls(dictionary, cfg, m))
+        return cls._shared[1]
 
     def __init__(self, dictionary: BasisDictionary, cfg: ModelConfig, m: int):
         p = dictionary.p
@@ -171,7 +187,6 @@ class OracleScorer:
                 "strategy at this size"
             )
         self.dictionary = dictionary
-        self.cfg = cfg
         self.m = m
         self.subsets = np.array(
             list(combinations(range(p), m)), dtype=np.intp
@@ -221,6 +236,15 @@ class OracleScorer:
         post: SpikeSlabPosterior,
         rng: np.random.Generator | None = None,
     ) -> SensingPlan:
+        """Best subset Z by the statistic the synthesized signal would give there,
+
+            2·mu_tilde'B_aZ'(I − P_Z)·x1_hat_Z − mu_a'(B_aZ'B_aZ ∘ moments)·mu_a
+            + (B_aZ mu_tilde)'P_Z(B_aZ mu_tilde),
+
+        with P_Z the projection onto the subset's background columns.  Exact
+        ties, such as the all-zero posterior mean where every subset scores
+        zero, are broken uniformly at random.
+        """
         scores = self.subset_scores(x1_hat, post)
         best = scores.max()
         ties = np.flatnonzero(scores == best)
@@ -231,38 +255,3 @@ class OracleScorer:
         else:
             pick = int(ties[0])
         return SensingPlan(z=self.subsets[pick].copy(), scores=None)
-
-
-def oracle_select(
-    x1_hat: np.ndarray,
-    post: SpikeSlabPosterior,
-    bg: BackgroundPosterior,
-    dictionary: BasisDictionary,
-    cfg: ModelConfig,
-    m: int,
-    rng: np.random.Generator | None = None,
-) -> SensingPlan:
-    """Best observation subset by exhaustive evaluation of the statistic.
-
-    Scores every p-choose-m subset Z by the monitoring statistic the
-    synthesized signal would produce there,
-
-        2·mu_tilde'B_aZ'(I − P_Z)·x1_hat_Z − mu_a'(B_aZ'B_aZ ∘ moments)·mu_a
-        + (B_aZ mu_tilde)'P_Z(B_aZ mu_tilde),
-
-    with P_Z the projection onto the subset's background columns (the
-    projection depends on the dictionary only; ``bg`` is accepted for
-    interface symmetry with the sampling strategy).  Exact ties, including
-    the all-zero posterior mean where every subset scores zero, are broken
-    uniformly at random.  Refuses problems with more than 10^6 subsets.
-    """
-    del bg
-    return OracleScorer(dictionary, cfg, m).select(x1_hat, post, rng)
-
-
-def sensing_record(step: int, plan: SensingPlan) -> dict:
-    """JSON-serializable log entry for one selection decision."""
-    return {
-        "step": int(step),
-        "z": [int(i) for i in plan.z],
-    }

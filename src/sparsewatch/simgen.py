@@ -4,8 +4,8 @@ A scenario fixes the generating model: background coefficients redrawn
 i.i.d. N(0, sigma_b^2) every step, isotropic N(0, sigma_e^2) observation
 noise, and, after an optional change point tau, a constant anomaly term
 B_a·theta_a added to every subsequent step.  Streams are materialized as
-full (horizon, p) arrays; the monitor sees only the coordinates it asks
-for via ``partial_view``.
+full (horizon, p) arrays; the monitor reads only the coordinates it
+planned to observe.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "Scenario",
     "realize_change_coefficient",
     "gen_stream",
-    "partial_view",
     "save_stream_csv",
     "load_stream_csv",
 ]
@@ -123,15 +122,6 @@ def gen_stream(scenario: Scenario, rep_seed) -> np.ndarray:
     if scenario.tau is not None:
         stream[scenario.tau :] += dictionary.b_a @ theta_a
     return stream
-
-
-def partial_view(x: np.ndarray, z) -> np.ndarray:
-    """Coordinates of a full observation at the given indices, sorted order."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    z = np.sort(np.asarray(z, dtype=np.intp).ravel())
-    if z.size and (z.min() < 0 or z.max() >= x.size):
-        raise IndexError("view index out of range")
-    return x[z]
 
 
 # ── CSV interchange ───────────────────────────────────────────────────────

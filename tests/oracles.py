@@ -63,6 +63,29 @@ def stats_from_history(history, lam: float, sigma_e: float, sigma_b: float):
     return out
 
 
+def whitened_subset_terms(a_rows, b_rows, x, sigma_e: float, sigma_b: float):
+    """One step's whitened moments and background projection, dense m×m route.
+
+    W = sigma_e^2·inv(sigma_b^2·B_b·B_b' + sigma_e^2·I) is formed and its log
+    determinant taken outright; the projection onto the observed background
+    columns comes from the pseudoinverse.  Returns a dict with M, u, q,
+    logdet_w and P.
+    """
+    m = x.size
+    cov = sigma_b**2 * b_rows @ b_rows.T + sigma_e**2 * np.eye(m)
+    white = sigma_e**2 * np.linalg.inv(cov)
+    sign, logdet_w = np.linalg.slogdet(white)
+    assert sign > 0
+    proj = b_rows @ np.linalg.pinv(b_rows) if b_rows.shape[1] else np.zeros((m, m))
+    return {
+        "M": a_rows.T @ white @ a_rows,
+        "u": a_rows.T @ white @ x,
+        "q": float(x @ white @ x),
+        "logdet_w": float(logdet_w),
+        "P": proj,
+    }
+
+
 # ── Evidence bound via KL decomposition ───────────────────────────────────
 
 

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import sparsewatch.geometry as geometry
 from sparsewatch import (
+    BasisDictionary,
     CalibrationError,
     DataError,
     DimensionError,
@@ -17,6 +19,7 @@ from sparsewatch import (
     calibrate_threshold,
     collect_h0_trajectories,
     evaluate,
+    fit,
     gen_stream,
     init,
     replay_run_lengths,
@@ -61,6 +64,24 @@ class TestInit:
         )
         assert state.scorer is not None
         assert init(small_config, small_dictionary, h=5.0, seed=0).scorer is None
+
+    def test_oracle_scorer_built_once_per_dictionary_content(
+        self, small_dictionary, small_config
+    ):
+        """Engines on equal dictionaries (even separate objects, as a pool
+        task unpickles them) share one scorer; other content gets its own."""
+        first = init(small_config, small_dictionary, h=5.0, seed=0, sampler="oracle")
+        twin = BasisDictionary(
+            b_b=small_dictionary.b_b.copy(), b_a=small_dictionary.b_a.copy()
+        )
+        second = init(small_config, twin, h=5.0, seed=1, sampler="oracle")
+        assert second.scorer is first.scorer
+        other = BasisDictionary(
+            b_b=small_dictionary.b_b, b_a=2.0 * small_dictionary.b_a
+        )
+        third = init(small_config, other, h=5.0, seed=0, sampler="oracle")
+        assert third.scorer is not first.scorer
+        assert third.scorer.dictionary is other
 
     def test_budget_beyond_p_rejected(self, small_dictionary):
         cfg = ModelConfig.homogeneous(
@@ -133,6 +154,20 @@ class TestStep:
             assert outcome.next_plan is state.plan
             assert outcome.converged
 
+    def test_outcome_carries_the_fits_sweep_count(
+        self, small_dictionary, small_config, rng
+    ):
+        state = init(small_config, small_dictionary, h=math.inf, seed=6, fit_max_iters=3)
+        for _ in range(8):
+            x = rng.normal(size=6)
+            res = fit(
+                x[state.plan.z], state.plan.z, state.post, state.stats,
+                small_dictionary, small_config, tol=state.fit_tol, max_iters=3,
+            )
+            outcome = step(state, x)
+            assert outcome.n_iters == res.n_iters
+            assert 1 <= outcome.n_iters <= state.fit_max_iters
+
     def test_trajectories_reproducible(self, small_dictionary, small_config):
         scenario = _null_scenario(small_dictionary, small_config, 30)
         one = collect_h0_trajectories(
@@ -143,6 +178,28 @@ class TestStep:
         )
         np.testing.assert_array_equal(one, two)
         assert one.shape == (2, 30)
+
+    def test_trajectories_independent_of_geometry_cache(
+        self, small_dictionary, small_config
+    ):
+        """Cold, warm and uncached geometry give byte-identical statistics."""
+        def run():
+            return collect_h0_trajectories(
+                small_config, small_dictionary, n_reps=2, horizon=40, seed=12
+            ).tobytes()
+
+        geometry.clear_geometry_cache()
+        cold = run()
+        warm = run()
+        budget = geometry._CACHE.budget
+        geometry._CACHE.clear()
+        geometry._CACHE.budget = 0
+        try:
+            uncached = run()
+        finally:
+            geometry._CACHE.budget = budget
+            geometry.clear_geometry_cache()
+        assert cold == warm == uncached
 
 
 class TestReplay:

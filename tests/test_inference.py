@@ -25,7 +25,7 @@ from sparsewatch import (
     update_background,
     vb_coordinate_sweep,
 )
-from sparsewatch.inference import posterior_record
+from sparsewatch.inference import ALPHA_CLAMP, posterior_record
 
 
 def _random_step(dictionary, cfg, rng):
@@ -205,6 +205,25 @@ class TestAbsorbSample:
 
 
 class TestCoordinateSweep:
+    def test_sweep_output_equals_checked_construction(
+        self, default_dictionary, default_config, rng
+    ):
+        """The sweep skips the constructor's checks; what it returns must be
+        exactly what the checked constructor stores from the same values,
+        including inclusion probabilities pushed to the clamp."""
+        stats, _ = _random_stats(default_dictionary, default_config, rng)
+        stats = DecayedStats(
+            raw_M=stats.raw_M, raw_u=1e6 * stats.raw_u, raw_q=stats.raw_q,
+            raw_norm=stats.raw_norm, mass=stats.mass, n=stats.n,
+        )
+        post = vb_coordinate_sweep(SpikeSlabPosterior.prior(default_config), stats, default_config)
+        checked = SpikeSlabPosterior(mu_a=post.mu_a, s2=post.s2, alpha=post.alpha)
+        for field in ("mu_a", "s2", "alpha"):
+            got, want = getattr(post, field), getattr(checked, field)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.any(post.alpha == 1.0 - ALPHA_CLAMP)
+
     def test_single_coordinate_frozen_values(self):
         """Hand-derived fixed step: M=2, u=1, unit noise and slab, w=1/2,
         v=1/2 give s^2=1/3, mu=1/3, alpha=1/2 exactly.

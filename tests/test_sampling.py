@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from oracles import reference_subset_score
 from sparsewatch import (
-    BackgroundPosterior,
     BasisDictionary,
     CapabilityError,
     DimensionError,
@@ -19,12 +17,10 @@ from sparsewatch import (
     SensingPlan,
     SpikeSlabPosterior,
     draw_anomaly_sample,
-    oracle_select,
     score_variables,
     select_top_m,
     synthesize_anomaly_signal,
 )
-from sparsewatch.sampling import sensing_record
 
 
 def _cfg(k_a, m, v=1e-6, sigma_e=0.3):
@@ -231,11 +227,7 @@ class TestOracleScorer:
         for _ in range(20):
             d, post, x1 = self._problem(rng, p=8, k_a=3, k_b=0)
             plan_fast = select_top_m(score_variables(x1, post, d), 3, rng)
-            plan_oracle = oracle_select(
-                x1, post,
-                BackgroundPosterior(theta_n=np.zeros(0), cov_b=np.zeros((0, 0))),
-                d, _cfg(3, 3), 3, rng,
-            )
+            plan_oracle = OracleScorer(d, _cfg(3, 3), 3).select(x1, post, rng)
             np.testing.assert_array_equal(plan_oracle.z, plan_fast.z)
 
     def test_null_posterior_ties_break_uniformly(self):
@@ -265,14 +257,15 @@ class TestOracleScorer:
         with pytest.raises(CapabilityError):
             OracleScorer(d, _cfg(2, 25), 25)
 
-    def test_wrapper_equals_reused_scorer(self, rng):
+    def test_shared_scorer_equals_fresh_scorer(self, rng):
+        """The process-wide scorer for an equal dictionary picks what a
+        freshly built one picks, and equal content shares one build."""
         d, post, x1 = self._problem(rng)
         cfg = _cfg(3, 3)
-        plan_a = oracle_select(
-            x1, post,
-            BackgroundPosterior(theta_n=np.zeros(2), cov_b=np.eye(2)),
-            d, cfg, 3, np.random.default_rng(1),
-        )
+        twin = BasisDictionary(b_b=d.b_b.copy(), b_a=d.b_a.copy())
+        shared = OracleScorer.shared(d, cfg, 3)
+        assert OracleScorer.shared(twin, cfg, 3) is shared
+        plan_a = shared.select(x1, post, np.random.default_rng(1))
         plan_b = OracleScorer(d, cfg, 3).select(x1, post, np.random.default_rng(1))
         np.testing.assert_array_equal(plan_a.z, plan_b.z)
 
@@ -290,8 +283,3 @@ class TestSensingPlan:
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             SensingPlan(z=[])
-
-    def test_record_round_trips_through_json(self):
-        rec = sensing_record(12, SensingPlan(z=[4, 0, 9]))
-        back = json.loads(json.dumps(rec, sort_keys=True))
-        assert back == {"step": 12, "z": [0, 4, 9]}

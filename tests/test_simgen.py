@@ -1,11 +1,9 @@
-"""Stream generation: moments, change injection, views, CSV round-trips."""
+"""Stream generation: moments, change injection, CSV round-trips."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sparsewatch import (
     BasisDictionary,
@@ -16,7 +14,6 @@ from sparsewatch import (
     fourier_basis,
     gen_stream,
     load_stream_csv,
-    partial_view,
     save_stream_csv,
 )
 from sparsewatch.simgen import realize_change_coefficient
@@ -163,32 +160,6 @@ class TestGenStream:
         stream = gen_stream(sc, 11)
         sample_cov = np.cov(stream.T, bias=True)
         assert np.max(np.abs(sample_cov - np.eye(15))) < 0.12
-
-
-class TestPartialView:
-    def test_gathers_in_sorted_order(self):
-        x = np.array([10.0, 11.0, 12.0, 13.0])
-        np.testing.assert_array_equal(partial_view(x, [3, 0]), [10.0, 13.0])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            partial_view(np.zeros(4), [0, 4])
-
-    @given(st.integers(min_value=1, max_value=30), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_view_is_subset_in_order(self, p, data):
-        x = np.arange(p, dtype=float) * 2.0
-        m = data.draw(st.integers(min_value=1, max_value=p))
-        z = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=p - 1),
-                min_size=m,
-                max_size=m,
-                unique=True,
-            )
-        )
-        view = partial_view(x, z)
-        np.testing.assert_array_equal(view, x[np.sort(z)])
 
 
 class TestStreamCsv:
