@@ -51,6 +51,7 @@ from .errors import (
     CapabilityError,
     DataError,
     DimensionError,
+    NumericalError,
     SparsewatchError,
     StateError,
 )
@@ -142,4 +143,5 @@ __all__ = [
     "StateError",
     "CapabilityError",
     "CalibrationError",
+    "NumericalError",
 ]

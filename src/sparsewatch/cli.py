@@ -347,6 +347,7 @@ def _cmd_evaluate(args) -> int:
                 "n_reps": summary.n_reps,
                 "n_censored": summary.n_censored,
                 "n_false_alarm": summary.n_false_alarm,
+                "n_nonconverged": summary.n_nonconverged,
                 "manifest": manifest,
             }
         ),

@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from .bases import BasisDictionary
-from .errors import CapabilityError, DimensionError
+from .errors import CapabilityError, DataError, DimensionError
 from .geometry import SubsetGeometry, subset_geometry
 from .inference import BackgroundPosterior, ModelConfig, SpikeSlabPosterior
 
@@ -46,14 +46,17 @@ class DetectionInputs:
     """One step's observation and fitted posteriors, as the statistics see them.
 
     ``x_z`` holds the observed values in the same order as the index vector
-    ``z``; ``post`` and ``bg`` are the step's fitted anomaly and background
-    posteriors.
+    ``z``; ``post`` is the step's fitted anomaly posterior.  ``bg``, the
+    background posterior (``inference.update_background``), is read only by
+    the exact routes, which raise DataError without it; ``lambda_stat``
+    never reads it.  The subset itself is checked (range, distinct) when its
+    geometry is built.
     """
 
     x_z: np.ndarray
     z: np.ndarray
     post: SpikeSlabPosterior
-    bg: BackgroundPosterior
+    bg: BackgroundPosterior | None = None
 
     def __post_init__(self):
         x_z = np.asarray(self.x_z, dtype=np.float64).ravel()
@@ -62,8 +65,6 @@ class DetectionInputs:
             raise DimensionError("x_z and z must have equal length")
         if z.size == 0:
             raise DimensionError("detection needs at least one observed variable")
-        if np.unique(z).size != z.size:
-            raise DimensionError("observation subset indices must be distinct")
         object.__setattr__(self, "x_z", x_z)
         object.__setattr__(self, "z", z)
 
@@ -71,16 +72,52 @@ class DetectionInputs:
 def _gather(
     inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig
 ) -> SubsetGeometry:
-    if inp.post.k_a != dictionary.k_a or inp.bg.k_b != dictionary.k_b:
+    if inp.post.k_a != dictionary.k_a:
         raise DimensionError("posterior dimensions disagree with the dictionary")
     return subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, inp.z)
+
+
+def _background(inp: DetectionInputs, dictionary: BasisDictionary) -> BackgroundPosterior:
+    """The caller-supplied background posterior the exact routes integrate against."""
+    if inp.bg is None:
+        raise DataError(
+            "the exact routes need the step's background posterior: pass "
+            "DetectionInputs(bg=update_background(...))"
+        )
+    if inp.bg.k_b != dictionary.k_b:
+        raise DimensionError("background posterior disagrees with the dictionary")
+    return inp.bg
 
 
 def _logdet_from_factor(factor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
 
 
+def _inverse(cov: np.ndarray):
+    """(inverse, ln det) of a symmetric positive definite matrix, by Cholesky."""
+    factor = cho_factor(cov, lower=True)
+    return cho_solve(factor, np.eye(cov.shape[0])), _logdet_from_factor(factor)
+
+
 # ── Exact marginals ───────────────────────────────────────────────────────
+
+
+def _h0_terms(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig):
+    """(ln det cov_b, ln det H, quadratic part without x'x/sigma_e^2) of
+    ``marginal_h0``'s integral, H = B_bZ'B_bZ/sigma_e^2 + cov_b^{-1} its
+    conditional precision; all zero without a background basis."""
+    bg = _background(inp, dictionary)
+    if dictionary.k_b == 0:
+        return 0.0, 0.0, 0.0
+    x = inp.x_z
+    geo = _gather(inp, dictionary, cfg)
+    b_b_z, se2 = geo.b_b_z, cfg.sigma_e2
+    theta0 = geo.g @ x
+    cov_inv, logdet_cov = _inverse(bg.cov_b)
+    h_factor = cho_factor(b_b_z.T @ b_b_z / se2 + cov_inv, lower=True)
+    g = x @ b_b_z / se2 + theta0 @ cov_inv
+    quad = float(theta0 @ cov_inv @ theta0) - float(g @ cho_solve(h_factor, g))
+    return logdet_cov, _logdet_from_factor(h_factor), quad
 
 
 def marginal_h0(
@@ -93,28 +130,10 @@ def marginal_h0(
     closed form via a Cholesky factorization of the conditional precision.
     """
     x = inp.x_z
-    m = x.size
-    geo = _gather(inp, dictionary, cfg)
-    b_b_z = geo.b_b_z
     se2 = cfg.sigma_e2
-    base = -0.5 * m * (_LOG_2PI + math.log(se2))
-    if dictionary.k_b == 0:
-        return base - 0.5 * float(x @ x) / se2
-
-    # Anomaly-free background refit from this observation alone.
-    theta0 = geo.g @ x
-    cov_factor = cho_factor(inp.bg.cov_b, lower=True)
-    logdet_cov = _logdet_from_factor(cov_factor)
-    cov_inv = cho_solve(cov_factor, np.eye(dictionary.k_b))
-    h = b_b_z.T @ b_b_z / se2 + cov_inv
-    h_factor = cho_factor(h, lower=True)
-    g = x @ b_b_z / se2 + theta0 @ cov_inv
-    quad = (
-        float(theta0 @ cov_inv @ theta0)
-        + float(x @ x) / se2
-        - float(g @ cho_solve(h_factor, g))
-    )
-    return base - 0.5 * (logdet_cov + _logdet_from_factor(h_factor)) - 0.5 * quad
+    logdet_cov, logdet_h, quad = _h0_terms(inp, dictionary, cfg)
+    base = -0.5 * x.size * (_LOG_2PI + math.log(se2))
+    return base - 0.5 * (logdet_cov + logdet_h) - 0.5 * (quad + float(x @ x) / se2)
 
 
 def _h1_pattern_terms(
@@ -135,6 +154,7 @@ def _h1_pattern_terms(
             f"(got {k_a}); use lambda_stat for monitoring at this size"
         )
     x = inp.x_z
+    bg = _background(inp, dictionary)
     geo = _gather(inp, dictionary, cfg)
     b_a_z, b_b_z = geo.b_a_z, geo.b_b_z
     k_b = dictionary.k_b
@@ -147,9 +167,8 @@ def _h1_pattern_terms(
     log_one_minus = np.log1p(-post.alpha)
 
     if k_b:
-        cov_factor = cho_factor(inp.bg.cov_b, lower=True)
-        cov_inv = cho_solve(cov_factor, np.eye(k_b))
-        theta1 = inp.bg.theta_n
+        cov_inv, _ = _inverse(bg.cov_b)
+        theta1 = bg.theta_n
         c_mat = b_b_z.T @ b_a_z / se2
         h = b_b_z.T @ b_b_z / se2 + cov_inv
         g1 = x @ b_b_z / se2 + theta1 @ cov_inv
@@ -198,9 +217,9 @@ def marginal_h1_exact(
     m = x.size
     se2 = cfg.sigma_e2
     base = -0.5 * m * (_LOG_2PI + math.log(se2)) - 0.5 * float(x @ x) / se2
+    bg = _background(inp, dictionary)
     if dictionary.k_b:
-        cov_factor = cho_factor(inp.bg.cov_b, lower=True)
-        base -= 0.5 * _logdet_from_factor(cov_factor)
+        base -= 0.5 * _inverse(bg.cov_b)[1]
     terms = [
         lw - 0.5 * logdet - 0.5 * quad
         for lw, logdet, quad in _h1_pattern_terms(inp, dictionary, cfg)
@@ -217,25 +236,7 @@ def log_pbf_exact(
     assembled from the shared-constant cancellation, so the observation
     quadratic x'x and the flat Gaussian constants never enter.
     """
-    x = inp.x_z
-    geo = _gather(inp, dictionary, cfg)
-    b_b_z = geo.b_b_z
-    se2 = cfg.sigma_e2
-    k_b = dictionary.k_b
-
-    if k_b:
-        theta0 = geo.g @ x
-        cov_factor = cho_factor(inp.bg.cov_b, lower=True)
-        cov_inv = cho_solve(cov_factor, np.eye(k_b))
-        h = b_b_z.T @ b_b_z / se2 + cov_inv
-        h_factor = cho_factor(h, lower=True)
-        g0 = x @ b_b_z / se2 + theta0 @ cov_inv
-        logdet_h = _logdet_from_factor(h_factor)
-        quad0 = float(theta0 @ cov_inv @ theta0) - float(g0 @ cho_solve(h_factor, g0))
-    else:
-        logdet_h = 0.0
-        quad0 = 0.0
-
+    _, logdet_h, quad0 = _h0_terms(inp, dictionary, cfg)
     terms = [
         lw + 0.5 * (logdet_h - logdet) - 0.5 * (quad - quad0)
         for lw, logdet, quad in _h1_pattern_terms(inp, dictionary, cfg)
@@ -258,7 +259,9 @@ def lambda_stat(
         2·mu_tilde'B_aZ'(I − P)(x_Z − B_bZ·theta_n)
         − mu_a'(B_aZ'B_aZ ∘ moments)·mu_a + y'P y
 
-    with P·y = basis·(basis'·y) from the subset's shared geometry, whose
+    Since (I − P)·B_bZ = 0, no background estimate theta_n enters: the
+    first term is 2·(y'x_Z − (P y)'x_Z), and ``inp.bg`` is not read.  P·y =
+    basis·(basis'·y) comes from the subset's shared geometry, whose
     orthonormal basis of the observed background columns stays exact when
     those rows are rank-deficient.  Exactly zero when the posterior anomaly
     mean vanishes.
@@ -269,12 +272,11 @@ def lambda_stat(
     mu_t = post.mu_tilde
 
     y = geo.b_a_z @ mu_t
-    resid = x - geo.b_b_z @ inp.bg.theta_n
     p_y = geo.basis @ (geo.basis.T @ y)
 
     spread = post.alpha * (1.0 - post.alpha) * post.mu_a * post.mu_a
     quad = float(y @ y) + float(geo.col_sq @ spread)
-    term1 = 2.0 * (float(y @ resid) - float(p_y @ resid))
+    term1 = 2.0 * (float(y @ x) - float(p_y @ x))
     term3 = float(y @ p_y)
     return term1 - quad + term3
 

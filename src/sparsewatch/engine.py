@@ -21,9 +21,8 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .detection import DetectionInputs, alarm_check, lambda_stat
-from .errors import CalibrationError, DataError, DimensionError, StateError
+from .errors import CalibrationError, DataError, DimensionError, NumericalError, StateError
 from .inference import (
-    BackgroundPosterior,
     DecayedStats,
     ModelConfig,
     SpikeSlabPosterior,
@@ -67,7 +66,6 @@ class EngineState:
     h: float
     rng: np.random.Generator
     post: SpikeSlabPosterior
-    bg: BackgroundPosterior
     stats: DecayedStats
     plan: SensingPlan
     sampler: str = "thompson"
@@ -104,7 +102,9 @@ class RunLengthSummary:
     average detection delay over replications that alarmed after the change.
     Undefined fields are NaN.  ``n_censored`` counts replications that never
     alarmed within the horizon; ``n_false_alarm`` counts alarms at or before
-    the change point.
+    the change point; ``n_nonconverged`` counts the steps, over all
+    replications, whose VB fit ended without converging (``fit_max_iters``
+    sweeps, or a NaN change).
     """
 
     arl0: float
@@ -115,6 +115,7 @@ class RunLengthSummary:
     n_reps: int
     n_censored: int
     n_false_alarm: int
+    n_nonconverged: int
 
 
 # ── Monitoring loop ───────────────────────────────────────────────────────
@@ -152,7 +153,6 @@ def init(
         h=float(h),
         rng=rng,
         post=SpikeSlabPosterior.prior(cfg),
-        bg=BackgroundPosterior.prior(cfg, dictionary.k_b),
         stats=DecayedStats.empty(cfg.k_a),
         plan=SensingPlan(z=z0),
         sampler=sampler,
@@ -192,7 +192,9 @@ def step(state: EngineState, observation) -> StepOutcome:
 
     ``observation`` is a full length-p vector, a length-m vector matching
     the current plan, or a callable mapping the planned indices to values.
-    An alarmed engine is absorbing and refuses further steps.
+    An alarmed engine is absorbing and refuses further steps.  A finite
+    observation whose statistic is not finite (it overflowed the fit)
+    raises NumericalError and leaves the engine as it was.
     """
     if state.alarmed:
         raise StateError("engine has alarmed; start a new engine to continue")
@@ -200,47 +202,35 @@ def step(state: EngineState, observation) -> StepOutcome:
     x_z = _extract_observation(state, observation)
 
     res = fit(
-        x_z,
-        z,
-        state.post,
-        state.stats,
-        state.dictionary,
-        state.cfg,
-        tol=state.fit_tol,
-        max_iters=state.fit_max_iters,
+        x_z, z, state.post, state.stats, state.dictionary, state.cfg,
+        tol=state.fit_tol, max_iters=state.fit_max_iters,
     )
-    state.post, state.bg, state.stats = res.post, res.bg, res.stats
-    state.step += 1
-
     stat = lambda_stat(
-        DetectionInputs(x_z=x_z, z=z, post=state.post, bg=state.bg),
-        state.dictionary,
-        state.cfg,
+        DetectionInputs(x_z=x_z, z=z, post=res.post), state.dictionary, state.cfg
     )
+    if not math.isfinite(stat):
+        raise NumericalError(
+            f"monitoring statistic is {stat} at step {state.step + 1} "
+            f"(observed variables {z.tolist()}, fit ran {res.n_iters} sweeps)"
+        )
+    state.post, state.stats = res.post, res.stats
+    state.step += 1
+    plan = None
     if alarm_check(stat, state.h):
         state.alarmed = True
-        return StepOutcome(
-            step=state.step,
-            stat=stat,
-            alarmed=True,
-            z=z,
-            next_plan=None,
-            converged=res.converged,
-            n_iters=res.n_iters,
-        )
-
-    theta_hat = draw_anomaly_sample(state.post, state.cfg, state.rng)
-    x1_hat = synthesize_anomaly_signal(theta_hat, state.dictionary, state.cfg, state.rng)
-    if state.sampler == "oracle":
-        plan = state.scorer.select(x1_hat, state.post, state.rng)
     else:
-        scores = score_variables(x1_hat, state.post, state.dictionary)
-        plan = select_top_m(scores, state.cfg.m, state.rng)
-    state.plan = plan
+        theta_hat = draw_anomaly_sample(state.post, state.cfg, state.rng)
+        x1_hat = synthesize_anomaly_signal(theta_hat, state.dictionary, state.cfg, state.rng)
+        if state.sampler == "oracle":
+            plan = state.scorer.select(x1_hat, state.post, state.rng)
+        else:
+            scores = score_variables(x1_hat, state.post, state.dictionary)
+            plan = select_top_m(scores, state.cfg.m, state.rng)
+        state.plan = plan
     return StepOutcome(
         step=state.step,
         stat=stat,
-        alarmed=False,
+        alarmed=state.alarmed,
         z=z,
         next_plan=plan,
         converged=res.converged,
@@ -258,10 +248,10 @@ def _rep_rngs(seed: int, rep: int):
 
 
 def _run_one(args):
-    """One replication; returns (rep, alarm step or horizon+1, alarmed, stats).
+    """One replication; returns (rep, alarm step or horizon+1, alarmed, non-converged fits).
 
-    Top-level so process pools can pickle it.  With ``collect=True`` the
-    per-step statistic trajectory is returned in place of the run length.
+    Top-level so process pools can pickle it.  With ``collect=True`` it
+    returns (rep, per-step statistic trajectory) instead.
     """
     (scenario, h, seed, rep, sampler, collect) = args
     stream_ss, engine_ss = _rep_rngs(seed, rep)
@@ -278,10 +268,13 @@ def _run_one(args):
         for t in range(scenario.horizon):
             traj[t] = step(state, stream[t]).stat
         return rep, traj
+    nonconverged = 0
     for t in range(scenario.horizon):
-        if step(state, stream[t]).alarmed:
-            return rep, t + 1, True
-    return rep, scenario.horizon + 1, False
+        outcome = step(state, stream[t])
+        nonconverged += not outcome.converged
+        if outcome.alarmed:
+            return rep, t + 1, True, nonconverged
+    return rep, scenario.horizon + 1, False, nonconverged
 
 
 def _map_reps(worklist, workers: int):
@@ -463,7 +456,7 @@ def evaluate(
 
     tau = scenario.tau
     records = []
-    for rep, t_alarm, alarmed in results:
+    for rep, t_alarm, alarmed, _ in results:
         false_alarm = bool(alarmed and tau is not None and t_alarm <= tau)
         delay = (
             t_alarm - tau if (alarmed and tau is not None and t_alarm > tau) else None
@@ -477,7 +470,7 @@ def evaluate(
             }
         )
 
-    n_censored = sum(1 for _, _, alarmed in results if not alarmed)
+    n_censored = sum(1 for _, _, alarmed, _ in results if not alarmed)
     n_false = sum(1 for rec in records if rec["false_alarm"])
     if tau is None:
         lengths = np.array(
@@ -514,6 +507,7 @@ def evaluate(
         n_reps=n_reps,
         n_censored=n_censored,
         n_false_alarm=n_false,
+        n_nonconverged=sum(r[3] for r in results),
     )
     if return_records:
         return summary, records

@@ -9,6 +9,7 @@ __all__ = [
     "StateError",
     "CapabilityError",
     "CalibrationError",
+    "NumericalError",
 ]
 
 
@@ -34,3 +35,7 @@ class CapabilityError(SparsewatchError, RuntimeError):
 
 class CalibrationError(SparsewatchError, RuntimeError):
     """Threshold calibration cannot meet its target within tolerance."""
+
+
+class NumericalError(SparsewatchError, ArithmeticError):
+    """A computation on finite inputs produced a non-finite result."""

@@ -1,7 +1,7 @@
 """Geometry of one observed subset, built once and shared by every layer.
 
-The absorb, the background refit and the monitoring statistic of a step all
-read the same m observed rows, and what they need from them depends on
+A step's absorb and monitoring statistic, the background refit and the exact
+routes all read the same m observed rows, and what they need depends on
 (dictionary, sigma_e^2, sigma_b^2, z) alone.  A process keeps those
 geometries in a cache keyed on content: the dictionary's digest
 (``BasisDictionary.content_key``), the two variances and the subset's

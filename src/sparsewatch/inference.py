@@ -52,7 +52,6 @@ __all__ = [
     "elbo",
     "update_background",
     "fit",
-    "posterior_record",
 ]
 
 # Inclusion probabilities live in [ALPHA_CLAMP, 1 - ALPHA_CLAMP] so logits and
@@ -268,14 +267,9 @@ class BackgroundPosterior:
     def k_b(self) -> int:
         return self.theta_n.size
 
-    @classmethod
-    def prior(cls, cfg: ModelConfig, k_b: int) -> "BackgroundPosterior":
-        return cls(theta_n=np.zeros(k_b), cov_b=cfg.sigma_b2 * np.eye(k_b))
-
 
 class FitResult(NamedTuple):
     post: SpikeSlabPosterior
-    bg: BackgroundPosterior
     stats: DecayedStats
     converged: bool
     n_iters: int
@@ -341,6 +335,70 @@ def absorb_sample(
     )
 
 
+def _sweep_setup(post: SpikeSlabPosterior, stats: DecayedStats, cfg: ModelConfig):
+    """Plain-float state of coordinate sweeps at fixed stats.
+
+    Returns (terms, mu, alpha, mu_tilde): ``terms[j]`` holds coordinate j's
+    row of M and every factor of its update that depends only on the stats,
+    each computed by the same expression the update reads it from, and the
+    three lists are the posterior the sweeps update in place.  Boxing numpy
+    scalars per coordinate would otherwise dominate the monitoring step.
+    """
+    if stats.n == 0:
+        raise StateError("cannot sweep before any sample has been absorbed")
+    if stats.k_a != post.k_a or post.k_a != cfg.k_a:
+        raise DimensionError("posterior, stats, and config disagree on k_a")
+    se2, v = cfg.sigma_e2, cfg.v
+    sj2, logit_w = cfg.sigma_j2.tolist(), cfg.logit_w.tolist()
+    terms = []
+    for j, (row, u_j) in enumerate(zip(stats.raw_M.tolist(), stats.raw_u.tolist())):
+        m_jj = row[j]
+        s2_j = 1.0 / (m_jj / se2 + 1.0 / sj2[j])
+        terms.append((row, m_jj, u_j, s2_j, s2_j / se2, v * s2_j,
+                      logit_w[j], 2.0 * sj2[j], m_jj / (2.0 * se2)))
+    mu = post.mu_a.tolist()
+    alpha = post.alpha.tolist()
+    return terms, mu, alpha, [m * a for m, a in zip(mu, alpha)]
+
+
+def _sweep(terms, mu, alpha, mu_t) -> float:
+    """One in-order pass over ``_sweep_setup``'s lists, updated in place.
+
+    Returns the largest |change| of any mu_j or alpha_j, NaN if any change
+    is NaN, so a NaN never reads as convergence.
+    """
+    exp = math.exp
+    lo, hi = ALPHA_CLAMP, 1.0 - ALPHA_CLAMP
+    delta = 0.0
+    for j, (row, m_jj, u_j, s2_j, scale, v_s2, logit_w, two_sj2, half_m) in enumerate(terms):
+        cross = -m_jj * mu_t[j]
+        for a, b in zip(row, mu_t):
+            cross += a * b
+        mu_j = scale * (u_j - cross)
+        sq = mu_j * mu_j
+        logit = logit_w + sq / two_sj2 + half_m * (sq - s2_j + v_s2)
+        if logit >= 0.0:
+            a_j = 1.0 / (1.0 + exp(-logit if logit < 700.0 else -700.0))
+        else:
+            e = exp(logit if logit > -700.0 else -700.0)
+            a_j = e / (1.0 + e)
+        a_j = min(max(a_j, lo), hi)
+        d = abs(mu_j - mu[j])
+        if d > delta or d != d:
+            delta = d
+        d = abs(a_j - alpha[j])
+        if d > delta or d != d:
+            delta = d
+        mu[j] = mu_j
+        alpha[j] = a_j
+        mu_t[j] = mu_j * a_j
+    return delta
+
+
+def _posterior(terms, mu, alpha) -> SpikeSlabPosterior:
+    return SpikeSlabPosterior._trusted(mu, [t[3] for t in terms], alpha)
+
+
 def vb_coordinate_sweep(
     post: SpikeSlabPosterior,
     stats: DecayedStats,
@@ -358,52 +416,12 @@ def vb_coordinate_sweep(
 
     The slab variance depends only on the stats, so repeated sweeps at fixed
     stats move only (mu_a, alpha), each to its exact conditional maximizer;
-    the evidence bound is therefore non-decreasing across sweeps.
+    the evidence bound is therefore non-decreasing across sweeps.  ``fit``
+    runs the same pass, without building a posterior between sweeps.
     """
-    if stats.n == 0:
-        raise StateError("cannot sweep before any sample has been absorbed")
-    if stats.k_a != post.k_a or post.k_a != cfg.k_a:
-        raise DimensionError("posterior, stats, and config disagree on k_a")
-
-    # The loop below runs on plain floats; boxing numpy scalars per
-    # coordinate dominates the cost of the whole monitoring step otherwise.
-    m_rows = stats.raw_M.tolist()
-    u = stats.raw_u.tolist()
-    se2 = cfg.sigma_e2
-    sj2 = cfg.sigma_j2.tolist()
-    logit_w = cfg.logit_w.tolist()
-    v = cfg.v
-    exp = math.exp
-
-    mu = post.mu_a.tolist()
-    alpha = post.alpha.tolist()
-    s2 = [0.0] * len(mu)
-    mu_t = [mu[j] * alpha[j] for j in range(len(mu))]
-    lo, hi = ALPHA_CLAMP, 1.0 - ALPHA_CLAMP
-    for j in range(len(mu)):
-        row = m_rows[j]
-        m_jj = row[j]
-        s2_j = 1.0 / (m_jj / se2 + 1.0 / sj2[j])
-        cross = -m_jj * mu_t[j]
-        for a, b in zip(row, mu_t):
-            cross += a * b
-        mu_j = s2_j / se2 * (u[j] - cross)
-        logit = (
-            logit_w[j]
-            + mu_j * mu_j / (2.0 * sj2[j])
-            + m_jj / (2.0 * se2) * (mu_j * mu_j - s2_j + v * s2_j)
-        )
-        if logit >= 0.0:
-            a_j = 1.0 / (1.0 + exp(-logit if logit < 700.0 else -700.0))
-        else:
-            e = exp(logit if logit > -700.0 else -700.0)
-            a_j = e / (1.0 + e)
-        a_j = min(max(a_j, lo), hi)
-        mu[j] = mu_j
-        s2[j] = s2_j
-        alpha[j] = a_j
-        mu_t[j] = mu_j * a_j
-    return SpikeSlabPosterior._trusted(mu, s2, alpha)
+    terms, mu, alpha, mu_t = _sweep_setup(post, stats, cfg)
+    _sweep(terms, mu, alpha, mu_t)
+    return _posterior(terms, mu, alpha)
 
 
 def elbo(
@@ -471,7 +489,9 @@ def update_background(
         cov   = (B_bZ' B_bZ/sigma_e^2 + I/sigma_b^2)^{-1}
 
     read from the subset's shared geometry: theta = G·(x − B_aZ mu_tilde).
-    The covariance is that geometry's read-only array.
+    The covariance is that geometry's read-only array.  The monitoring step
+    does not call it, since the statistic does not depend on theta; the
+    exact routes in ``detection`` read it through ``DetectionInputs.bg``.
     """
     x_z, geo = _geometry(z, x_z, dictionary, cfg)
     theta = geo.g @ (x_z - geo.b_a_z @ post.mu_tilde)
@@ -494,49 +514,21 @@ def fit(
     background never enters the anomaly iteration (it is integrated out of
     the moments), so the loop is plain coordinate sweeps at fixed stats,
     stopping when the largest absolute change across (mu_a, alpha) falls
-    below ``tol``.  The returned background posterior conditions on the
-    current observation alone with the converged anomaly mean subtracted;
-    it feeds the monitoring statistic but carries no weight in the history.
+    below ``tol``.  The sweeps are ``vb_coordinate_sweep``'s pass on one set
+    of plain-float lists; the posterior is built once, at the end.
 
-    Non-convergence within ``max_iters`` returns the best iterate with
-    ``converged=False`` rather than raising.
+    Non-convergence within ``max_iters``, or a NaN change, returns the last
+    iterate with ``converged=False`` rather than raising.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     stats = absorb_sample(prev_stats, x_z, z, dictionary, cfg)
-
-    post = prev_posterior
+    terms, mu, alpha, mu_t = _sweep_setup(prev_posterior, stats, cfg)
     converged = False
-    iters = 0
     for iters in range(1, max_iters + 1):
-        post_new = vb_coordinate_sweep(post, stats, cfg)
-        delta = max(
-            float(np.max(np.abs(post_new.mu_a - post.mu_a))),
-            float(np.max(np.abs(post_new.alpha - post.alpha))),
-        )
-        post = post_new
-        if delta < tol:
+        if _sweep(terms, mu, alpha, mu_t) < tol:
             converged = True
             break
-
-    bg = update_background(x_z, z, post, dictionary, cfg)
-    return FitResult(post=post, bg=bg, stats=stats, converged=converged, n_iters=iters)
-
-
-# ── Serialization ─────────────────────────────────────────────────────────
-
-
-def posterior_record(
-    step: int, post: SpikeSlabPosterior, bg: BackgroundPosterior, converged: bool
-) -> dict:
-    """JSON-serializable snapshot of one step's fitted posterior."""
-    return {
-        "step": int(step),
-        "mu_a": [float(x) for x in post.mu_a],
-        "s2": [float(x) for x in post.s2],
-        "alpha": [float(x) for x in post.alpha],
-        "theta_n": [float(x) for x in bg.theta_n],
-        "converged": bool(converged),
-    }
+    return FitResult(_posterior(terms, mu, alpha), stats, converged, iters)

@@ -49,7 +49,7 @@ class SensingPlan:
         z = np.sort(np.asarray(self.z, dtype=np.intp).ravel())
         if z.size == 0:
             raise DimensionError("a sensing plan must observe at least one variable")
-        if np.unique(z).size != z.size:
+        if np.any(z[1:] == z[:-1]):
             raise DimensionError("sensing plan indices must be distinct")
         object.__setattr__(self, "z", z)
         if self.scores is not None:

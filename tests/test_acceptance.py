@@ -435,7 +435,7 @@ def test_criterion_09_delays_shrink_with_signal_and_budget(delay_grid):
 def _summary(add: float, add_stderr: float) -> eng.RunLengthSummary:
     return eng.RunLengthSummary(
         arl0=math.nan, arl0_stderr=math.nan, add=add, add_stderr=add_stderr,
-        std_dd=math.nan, n_reps=200, n_censored=0, n_false_alarm=0,
+        std_dd=math.nan, n_reps=200, n_censored=0, n_false_alarm=0, n_nonconverged=0,
     )
 
 

@@ -20,6 +20,7 @@ from sparsewatch import (
     BackgroundPosterior,
     BasisDictionary,
     CapabilityError,
+    DataError,
     DetectionInputs,
     DimensionError,
     ModelConfig,
@@ -270,9 +271,26 @@ class TestAlarmAndRecords:
 
 class TestValidation:
     def test_duplicate_subset_rejected(self, rng):
+        """The subset is checked once, when its geometry is built."""
         d, cfg, post, bg, z, x_z = _setup(rng)
+        inp = DetectionInputs(x_z=x_z, z=[0, 0, 1, 2, 3, 4], post=post, bg=bg)
         with pytest.raises(DimensionError):
-            DetectionInputs(x_z=x_z, z=[0, 0, 1, 2, 3, 4], post=post, bg=bg)
+            lambda_stat(inp, d, cfg)
+
+    @pytest.mark.parametrize("route", [marginal_h0, marginal_h1_exact, log_pbf_exact])
+    @pytest.mark.parametrize("k_b", [0, 2])
+    def test_exact_routes_need_a_background(self, rng, route, k_b):
+        d, cfg, post, bg, z, x_z = _setup(rng, k_b=k_b)
+        with pytest.raises(DataError, match="background posterior"):
+            route(DetectionInputs(x_z=x_z, z=z, post=post), d, cfg)
+
+    def test_statistic_does_not_read_the_background(self, rng):
+        d, cfg, post, bg, z, x_z = _setup(rng)
+        without = DetectionInputs(x_z=x_z, z=z, post=post)
+        assert without.bg is None
+        assert lambda_stat(without, d, cfg) == lambda_stat(
+            DetectionInputs(x_z=x_z, z=z, post=post, bg=bg), d, cfg
+        )
 
     def test_length_mismatch_rejected(self, rng):
         d, cfg, post, bg, z, x_z = _setup(rng)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import sparsewatch.engine as engine
 import sparsewatch.geometry as geometry
 from sparsewatch import (
     BasisDictionary,
@@ -14,12 +15,15 @@ from sparsewatch import (
     DataError,
     DimensionError,
     ModelConfig,
+    NumericalError,
     Scenario,
     StateError,
+    bspline_basis,
     calibrate_threshold,
     collect_h0_trajectories,
     evaluate,
     fit,
+    fourier_basis,
     gen_stream,
     init,
     replay_run_lengths,
@@ -138,6 +142,26 @@ class TestStep:
         x[unplanned[0]] = math.nan
         outcome = step(state, x)
         assert math.isfinite(outcome.stat)
+
+    def test_non_finite_statistic_raises_and_leaves_state(self):
+        """A finite but huge observation overflows the fit; the step names
+        itself and the statistic instead of returning a NaN that can never
+        alarm, and the engine keeps its last good state."""
+        d = BasisDictionary(
+            b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14, normalize_columns=True)
+        )
+        cfg = ModelConfig.homogeneous(
+            k_a=10, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7, decay=0.1, m=5
+        )
+        state = init(cfg, d, h=0.003, seed=1)
+        step(state, np.zeros(15))
+        post, stats, plan = state.post, state.stats, state.plan
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match=r"statistic is nan at step 2"
+        ):
+            step(state, np.full(15, 1e200))
+        assert state.step == 1 and not state.alarmed
+        assert state.post is post and state.stats is stats and state.plan is plan
 
     def test_wrong_size_observation_rejected(self, small_dictionary, small_config):
         state = init(small_config, small_dictionary, h=math.inf, seed=4)
@@ -343,6 +367,32 @@ class TestCalibrateAndEvaluate:
             else:
                 assert rec["T"] == 61
         assert math.isnan(summary.arl0)
+
+    def test_nonconverged_fits_counted(self, small_dictionary, small_config, monkeypatch):
+        """evaluate sums the steps whose fit did not converge, equal to a
+        direct engine.step replay of each replication."""
+        def capped_init(*args, **kwargs):
+            return original_init(*args, **kwargs, fit_max_iters=3)
+
+        original_init = engine.init
+        monkeypatch.setattr(engine, "init", capped_init)
+        scenario = Scenario(
+            dictionary=small_dictionary, cfg=small_config, tau=10,
+            change=((1, 1.5),), horizon=40,
+        )
+        summary = evaluate(small_config, small_dictionary, 0.5, scenario, n_reps=5, seed=21)
+        expected = 0
+        for rep in range(5):
+            stream_ss, engine_ss = engine._rep_rngs(21, rep)
+            stream = gen_stream(scenario, stream_ss)
+            state = capped_init(small_config, small_dictionary, h=0.5, seed=engine_ss)
+            for x in stream:
+                outcome = step(state, x)
+                expected += not outcome.converged
+                if outcome.alarmed:
+                    break
+        assert expected > 0
+        assert summary.n_nonconverged == expected
 
     def test_config_mismatch_rejected(self, small_dictionary, small_config):
         other = ModelConfig.homogeneous(

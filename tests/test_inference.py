@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from oracles import reference_elbo, stats_from_history
 from sparsewatch import (
-    BackgroundPosterior,
     BasisDictionary,
     DecayedStats,
     DimensionError,
@@ -25,7 +23,7 @@ from sparsewatch import (
     update_background,
     vb_coordinate_sweep,
 )
-from sparsewatch.inference import ALPHA_CLAMP, posterior_record
+from sparsewatch.inference import ALPHA_CLAMP, _sweep, _sweep_setup
 
 
 def _random_step(dictionary, cfg, rng):
@@ -416,7 +414,7 @@ class TestFit:
     def test_single_iteration_composition(
         self, default_dictionary, default_config, rng
     ):
-        """One fit iteration equals absorb, one sweep, one background refresh."""
+        """One fit iteration equals absorb followed by one sweep."""
         x_z, z = _random_step(default_dictionary, default_config, rng)
         prior = SpikeSlabPosterior.prior(default_config)
         empty = DecayedStats.empty(10)
@@ -426,13 +424,74 @@ class TestFit:
         )
         stats1 = absorb_sample(empty, x_z, z, default_dictionary, default_config)
         p1 = vb_coordinate_sweep(prior, stats1, default_config)
-        bg1 = update_background(x_z, z, p1, default_dictionary, default_config)
 
         np.testing.assert_allclose(res.post.mu_a, p1.mu_a, atol=1e-14)
         np.testing.assert_allclose(res.post.alpha, p1.alpha, atol=1e-14)
-        np.testing.assert_allclose(res.bg.theta_n, bg1.theta_n, atol=1e-14)
-        np.testing.assert_allclose(res.bg.cov_b, bg1.cov_b, atol=1e-14)
         assert res.n_iters == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fit_equals_k_public_sweeps_byte_for_byte(
+        self, default_dictionary, default_config, rng, k
+    ):
+        """fit's loop and the public sweep are one code path: k fit sweeps
+        store exactly what k public sweeps return, from a posterior mid-stream."""
+        stats, _ = _random_stats(default_dictionary, default_config, rng)
+        start = SpikeSlabPosterior(
+            mu_a=rng.normal(size=10), s2=np.full(10, 0.5), alpha=rng.uniform(0.05, 0.95, 10)
+        )
+        x_z, z = _random_step(default_dictionary, default_config, rng)
+        res = fit(
+            x_z, z, start, stats, default_dictionary, default_config,
+            tol=1e-300, max_iters=k,
+        )
+        post = start
+        for _ in range(k):
+            post = vb_coordinate_sweep(post, res.stats, default_config)
+        assert res.n_iters == k and not res.converged
+        for field in ("mu_a", "s2", "alpha"):
+            assert getattr(res.post, field).tobytes() == getattr(post, field).tobytes()
+
+    def test_kernel_change_equals_numpy_max(self, default_dictionary, default_config, rng):
+        """The change a sweep reports is max(|delta mu|, |delta alpha|) as numpy
+        computes it from the posteriors before and after."""
+        for _ in range(25):
+            stats, _ = _random_stats(default_dictionary, default_config, rng, n_steps=3)
+            post = SpikeSlabPosterior(
+                mu_a=rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=10),
+                s2=np.full(10, 0.5),
+                alpha=rng.uniform(0.0, 1.0, size=10),
+            )
+            terms, mu, alpha, mu_t = _sweep_setup(post, stats, default_config)
+            delta = _sweep(terms, mu, alpha, mu_t)
+            after = vb_coordinate_sweep(post, stats, default_config)
+            want = max(
+                float(np.max(np.abs(after.mu_a - post.mu_a))),
+                float(np.max(np.abs(after.alpha - post.alpha))),
+            )
+            assert delta == want
+
+    @pytest.mark.parametrize("where", ["u_first", "u_last", "M_diag"])
+    def test_nan_in_moments_never_converges(self, default_dictionary, default_config, rng, where):
+        """A NaN change is not a small change, wherever it enters the sweep."""
+        stats, _ = _random_stats(default_dictionary, default_config, rng)
+        raw_u, raw_m = stats.raw_u.copy(), stats.raw_M.copy()
+        if where == "u_first":
+            raw_u[0] = np.nan
+        elif where == "u_last":
+            raw_u[-1] = np.nan
+        else:
+            raw_m[4, 4] = np.nan
+        bad = DecayedStats(
+            raw_M=raw_m, raw_u=raw_u, raw_q=stats.raw_q,
+            raw_norm=stats.raw_norm, mass=stats.mass, n=stats.n,
+        )
+        x_z, z = _random_step(default_dictionary, default_config, rng)
+        res = fit(
+            x_z, z, SpikeSlabPosterior.prior(default_config), bad,
+            default_dictionary, default_config, max_iters=20,
+        )
+        assert not res.converged
+        assert res.n_iters == 20
 
     def test_stats_carry_no_posterior_dependence(
         self, default_dictionary, default_config, rng
@@ -546,14 +605,3 @@ class TestTypes:
                     k_a=2, sigma_e=1.0, sigma_b=1.0, sigma_j=1.0, w=bad,
                     v=0.5, decay=0.1, m=1,
                 )
-
-    def test_posterior_record_is_json_ready(self, default_config):
-        post = SpikeSlabPosterior.prior(default_config)
-        bg = BackgroundPosterior.prior(default_config, 3)
-        rec = posterior_record(7, post, bg, True)
-        text = json.dumps(rec, sort_keys=True)
-        back = json.loads(text)
-        assert back["step"] == 7
-        assert back["converged"] is True
-        assert len(back["mu_a"]) == 10
-        assert len(back["theta_n"]) == 3
