@@ -501,6 +501,7 @@ def _cmd_table1(args) -> int:
                         summary.n_censored,
                         summary.n_false_alarm,
                         summary.n_reps,
+                        summary.n_nonconverged,
                     )
                 )
                 print(f"{name} phi={phi:g}: {cells[(phi, name)]}", flush=True)
@@ -517,7 +518,8 @@ def _cmd_table1(args) -> int:
 
     lines = [
         mline,
-        "sampler,m,phi,h,add,add_stderr,std_dd,n_censored,n_false_alarm,n_reps",
+        "sampler,m,phi,h,add,add_stderr,std_dd,n_censored,n_false_alarm,n_reps,"
+        "n_nonconverged",
     ]
     for row in sweep_rows:
         lines.append(",".join("" if v is None else str(v) for v in row))

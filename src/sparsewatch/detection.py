@@ -77,8 +77,10 @@ def _gather(
     return subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, inp.z)
 
 
-def _background(inp: DetectionInputs, dictionary: BasisDictionary) -> BackgroundPosterior:
-    """The caller-supplied background posterior the exact routes integrate against."""
+def _background(inp: DetectionInputs, dictionary: BasisDictionary):
+    """(theta_n, cov_b^{-1}, ln det cov_b) of the caller-supplied background
+    posterior the exact routes integrate against, factored once per call;
+    None without a background basis."""
     if inp.bg is None:
         raise DataError(
             "the exact routes need the step's background posterior: pass "
@@ -86,34 +88,32 @@ def _background(inp: DetectionInputs, dictionary: BasisDictionary) -> Background
         )
     if inp.bg.k_b != dictionary.k_b:
         raise DimensionError("background posterior disagrees with the dictionary")
-    return inp.bg
+    if dictionary.k_b == 0:
+        return None
+    factor = cho_factor(inp.bg.cov_b, lower=True)
+    cov_inv = cho_solve(factor, np.eye(dictionary.k_b))
+    return inp.bg.theta_n, cov_inv, _logdet_from_factor(factor)
 
 
 def _logdet_from_factor(factor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
 
 
-def _inverse(cov: np.ndarray):
-    """(inverse, ln det) of a symmetric positive definite matrix, by Cholesky."""
-    factor = cho_factor(cov, lower=True)
-    return cho_solve(factor, np.eye(cov.shape[0])), _logdet_from_factor(factor)
-
-
 # ── Exact marginals ───────────────────────────────────────────────────────
 
 
-def _h0_terms(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig):
+def _h0_terms(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig, bg):
     """(ln det cov_b, ln det H, quadratic part without x'x/sigma_e^2) of
     ``marginal_h0``'s integral, H = B_bZ'B_bZ/sigma_e^2 + cov_b^{-1} its
-    conditional precision; all zero without a background basis."""
-    bg = _background(inp, dictionary)
-    if dictionary.k_b == 0:
+    conditional precision, with ``bg`` from ``_background``; all zero
+    without a background basis."""
+    if bg is None:
         return 0.0, 0.0, 0.0
+    _, cov_inv, logdet_cov = bg
     x = inp.x_z
     geo = _gather(inp, dictionary, cfg)
     b_b_z, se2 = geo.b_b_z, cfg.sigma_e2
     theta0 = geo.g @ x
-    cov_inv, logdet_cov = _inverse(bg.cov_b)
     h_factor = cho_factor(b_b_z.T @ b_b_z / se2 + cov_inv, lower=True)
     g = x @ b_b_z / se2 + theta0 @ cov_inv
     quad = float(theta0 @ cov_inv @ theta0) - float(g @ cho_solve(h_factor, g))
@@ -131,13 +131,14 @@ def marginal_h0(
     """
     x = inp.x_z
     se2 = cfg.sigma_e2
-    logdet_cov, logdet_h, quad = _h0_terms(inp, dictionary, cfg)
+    bg = _background(inp, dictionary)
+    logdet_cov, logdet_h, quad = _h0_terms(inp, dictionary, cfg, bg)
     base = -0.5 * x.size * (_LOG_2PI + math.log(se2))
     return base - 0.5 * (logdet_cov + logdet_h) - 0.5 * (quad + float(x @ x) / se2)
 
 
 def _h1_pattern_terms(
-    inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig
+    inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig, bg
 ):
     """Per-inclusion-pattern log weights and log likelihood pieces.
 
@@ -145,7 +146,7 @@ def _h1_pattern_terms(
     (log q(r), log-likelihood term without the shared −(m/2)ln(2π sigma_e^2)
     − x'x/(2 sigma_e^2) − (1/2)logdet cov_b constant, quadratic part), so
     callers can assemble either the marginal or the Bayes factor without
-    duplicating the enumeration.
+    duplicating the enumeration; ``bg`` comes from ``_background``.
     """
     k_a = dictionary.k_a
     if k_a > EXACT_KA_LIMIT:
@@ -154,7 +155,6 @@ def _h1_pattern_terms(
             f"(got {k_a}); use lambda_stat for monitoring at this size"
         )
     x = inp.x_z
-    bg = _background(inp, dictionary)
     geo = _gather(inp, dictionary, cfg)
     b_a_z, b_b_z = geo.b_a_z, geo.b_b_z
     k_b = dictionary.k_b
@@ -167,8 +167,7 @@ def _h1_pattern_terms(
     log_one_minus = np.log1p(-post.alpha)
 
     if k_b:
-        cov_inv, _ = _inverse(bg.cov_b)
-        theta1 = bg.theta_n
+        theta1, cov_inv, _ = bg
         c_mat = b_b_z.T @ b_a_z / se2
         h = b_b_z.T @ b_b_z / se2 + cov_inv
         g1 = x @ b_b_z / se2 + theta1 @ cov_inv
@@ -218,11 +217,11 @@ def marginal_h1_exact(
     se2 = cfg.sigma_e2
     base = -0.5 * m * (_LOG_2PI + math.log(se2)) - 0.5 * float(x @ x) / se2
     bg = _background(inp, dictionary)
-    if dictionary.k_b:
-        base -= 0.5 * _inverse(bg.cov_b)[1]
+    if bg is not None:
+        base -= 0.5 * bg[2]
     terms = [
         lw - 0.5 * logdet - 0.5 * quad
-        for lw, logdet, quad in _h1_pattern_terms(inp, dictionary, cfg)
+        for lw, logdet, quad in _h1_pattern_terms(inp, dictionary, cfg, bg)
     ]
     return float(logsumexp(terms)) + base
 
@@ -236,10 +235,11 @@ def log_pbf_exact(
     assembled from the shared-constant cancellation, so the observation
     quadratic x'x and the flat Gaussian constants never enter.
     """
-    _, logdet_h, quad0 = _h0_terms(inp, dictionary, cfg)
+    bg = _background(inp, dictionary)
+    _, logdet_h, quad0 = _h0_terms(inp, dictionary, cfg, bg)
     terms = [
         lw + 0.5 * (logdet_h - logdet) - 0.5 * (quad - quad0)
-        for lw, logdet, quad in _h1_pattern_terms(inp, dictionary, cfg)
+        for lw, logdet, quad in _h1_pattern_terms(inp, dictionary, cfg, bg)
     ]
     return float(logsumexp(terms))
 

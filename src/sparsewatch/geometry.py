@@ -94,6 +94,20 @@ def _layout(row: np.ndarray, m: int, k_a: int, k_b: int):
     )
 
 
+def column_bases(b_b_z: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the column spaces of one m×k_b block or a stack of them.
+
+    Left singular vectors past the rank cut max(m, k_b)·eps·(largest singular
+    value) are zeroed, so basis·basis' projects onto the block's columns at
+    any rank.  A stack is one SVD call, which factors block by block.
+    """
+    u_mat, svals, _ = np.linalg.svd(b_b_z, full_matrices=False)
+    cut = max(b_b_z.shape[-2:]) * np.finfo(np.float64).eps * svals[..., :1]
+    basis = np.zeros(b_b_z.shape)
+    basis[..., : svals.shape[-1]] = np.where((svals > cut)[..., None, :], u_mat, 0.0)
+    return basis
+
+
 def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z, row) -> None:
     """Check the subset, factor its background rows once, and fill the packed row."""
     if z.size and (z.min() < 0 or z.max() >= dictionary.p):
@@ -117,10 +131,7 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z, row
         logdet_out[0] = -k_b * math.log(sigma_b2) - 2.0 * float(
             np.sum(np.log(np.diag(factor[0])))
         )
-        u_mat, svals, _ = np.linalg.svd(b_b_z, full_matrices=False)
-        rank = int(np.count_nonzero(svals > max(m, k_b) * np.finfo(np.float64).eps * svals[0]))
-        basis_out[...] = 0.0
-        basis_out[:, :rank] = u_mat[:, :rank]
+        basis_out[...] = column_bases(b_b_z)
     m_c = b_a_z.T @ w_a
     m_out[...] = (0.5 * (m_c + m_c.T))[_triangle(dictionary.k_a)[0]]
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .errors import CapabilityError, DimensionError
+from .geometry import column_bases
 from .inference import ModelConfig, SpikeSlabPosterior
 
 __all__ = [
@@ -148,15 +149,28 @@ def select_top_m(
 
 
 class OracleScorer:
-    """Exhaustive subset scorer with the subset geometry precomputed.
+    """Exhaustive subset scorer over two tables built once.
 
-    Building the scorer enumerates all p-choose-m subsets and, when a
-    background basis is present, factors each subset's projection onto its
-    observed background columns.  Construction is therefore expensive and
-    meant to be reused across steps and streams: ``shared`` hands out one
-    scorer per process per (dictionary content, m).  The scores depend on
-    the dictionary and m alone; ``cfg`` is accepted for symmetry with the
-    sampling strategy and not kept.
+    A subset Z's statistic (see ``select``) splits into a separable part,
+    the sum over Z of ``score_variables``, and a background part
+    Σ_k c_y·(c_y − 2·c_x), where (c_y, c_x) = U_Z'·(y_Z, x1_hat_Z),
+    y = B_a·mu_tilde and U_Z is the orthonormal basis of Z's observed
+    background columns, bitwise ``SubsetGeometry.basis`` (one stacked
+    ``column_bases`` call).  With C = C(p, m) subsets in ``subsets`` order,
+    each part is one dense product over a table:
+
+        incidence  p×C, 1 where subset i observes the variable, else 0
+        bases      p×(k_b·C), k-major: column k·C + i holds column k of
+                   subset i's U_Z at its variables' rows, zeros elsewhere;
+                   None without a background basis
+
+    so without background columns a subset scores the sum of its variables'
+    scores.  The tables take 8·(k_b+1)·p·C bytes: 1.44 MB at p = 15, m = 5,
+    k_b = 3, against 8·m²·C = 0.6 MB for stacked m×m projections.  That
+    ratio, (k_b+1)·p/m², grows with p at small m.  Construction is meant to
+    be reused across steps and streams: ``shared`` hands out one scorer per
+    process per (dictionary content, m).  ``cfg`` is accepted for symmetry
+    with the sampling strategy and not kept.
     """
 
     # ((dictionary content key, m), scorer) of the latest ``shared`` build.
@@ -176,7 +190,7 @@ class OracleScorer:
         return cls._shared[1]
 
     def __init__(self, dictionary: BasisDictionary, cfg: ModelConfig, m: int):
-        p = dictionary.p
+        p, k_b = dictionary.p, dictionary.k_b
         if not 1 <= m <= p:
             raise DimensionError(f"budget m={m} must lie in [1, {p}]")
         n_subsets = comb(p, m)
@@ -188,53 +202,32 @@ class OracleScorer:
             )
         self.dictionary = dictionary
         self.m = m
-        self.subsets = np.array(
-            list(combinations(range(p), m)), dtype=np.intp
-        )
-        if dictionary.k_b:
-            # Per-subset projection matrices onto the observed background
-            # columns, stacked for batched application.
-            proj = np.empty((n_subsets, m, m))
-            for i, z in enumerate(self.subsets):
-                b = dictionary.b_b[z]
-                u_mat, svals, _ = np.linalg.svd(b, full_matrices=False)
-                cutoff = (
-                    max(b.shape)
-                    * np.finfo(np.float64).eps
-                    * (svals[0] if svals.size else 0.0)
-                )
-                u_r = u_mat[:, svals > cutoff]
-                proj[i] = u_r @ u_r.T
-            self._proj = proj
-        else:
-            self._proj = None
+        self.subsets = np.array(list(combinations(range(p), m)), dtype=np.intp)
+        cols = np.arange(n_subsets)
+        self.incidence = np.zeros((p, n_subsets))
+        self.incidence[self.subsets, cols[:, None]] = 1.0
+        self.bases = None
+        if k_b:
+            bases = np.zeros((p, k_b, n_subsets))
+            bases[self.subsets[:, :, None], np.arange(k_b), cols[:, None, None]] = (
+                column_bases(dictionary.b_b[self.subsets])
+            )
+            self.bases = bases.reshape(p, k_b * n_subsets)
 
-    def subset_scores(
-        self, x1_hat: np.ndarray, post: SpikeSlabPosterior
-    ) -> np.ndarray:
+    def subset_scores(self, x1_hat: np.ndarray, post: SpikeSlabPosterior) -> np.ndarray:
         """Monitoring-statistic value of every candidate subset."""
         x1_hat = np.asarray(x1_hat, dtype=np.float64).ravel()
-        if x1_hat.size != self.dictionary.p:
-            raise DimensionError("x1_hat must cover all p variables")
-        y = self.dictionary.b_a @ post.mu_tilde
-        spread = post.alpha * (1.0 - post.alpha) * post.mu_a * post.mu_a
-        quad = y * y + (self.dictionary.b_a * self.dictionary.b_a) @ spread
-
-        y_sub = y[self.subsets]
-        x_sub = x1_hat[self.subsets]
-        scores = 2.0 * np.einsum("ij,ij->i", y_sub, x_sub) - quad[self.subsets].sum(
-            axis=1
-        )
-        if self._proj is not None:
-            py = np.einsum("ijk,ik->ij", self._proj, y_sub)
-            scores += np.einsum("ij,ij->i", py, y_sub - 2.0 * x_sub)
+        scores = score_variables(x1_hat, post, self.dictionary) @ self.incidence
+        if self.bases is not None:
+            y = self.dictionary.b_a @ post.mu_tilde
+            c_y, c_x = np.stack([y, x1_hat]) @ self.bases
+            c_y *= c_y - 2.0 * c_x
+            for block in c_y.reshape(-1, scores.size):
+                scores += block
         return scores
 
     def select(
-        self,
-        x1_hat: np.ndarray,
-        post: SpikeSlabPosterior,
-        rng: np.random.Generator | None = None,
+        self, x1_hat: np.ndarray, post: SpikeSlabPosterior, rng: np.random.Generator
     ) -> SensingPlan:
         """Best subset Z by the statistic the synthesized signal would give there,
 
@@ -243,15 +236,9 @@ class OracleScorer:
 
         with P_Z the projection onto the subset's background columns.  Exact
         ties, such as the all-zero posterior mean where every subset scores
-        zero, are broken uniformly at random.
+        zero, are broken uniformly at random by ``rng``.
         """
         scores = self.subset_scores(x1_hat, post)
-        best = scores.max()
-        ties = np.flatnonzero(scores == best)
-        if ties.size > 1:
-            if rng is None:
-                rng = np.random.default_rng()
-            pick = int(ties[rng.integers(ties.size)])
-        else:
-            pick = int(ties[0])
+        ties = np.flatnonzero(scores == scores.max())
+        pick = int(ties[rng.integers(ties.size)]) if ties.size > 1 else int(ties[0])
         return SensingPlan(z=self.subsets[pick].copy(), scores=None)

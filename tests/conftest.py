@@ -56,5 +56,23 @@ def small_config(small_dictionary) -> ModelConfig:
 
 
 @pytest.fixture()
+def degenerate_dictionary():
+    """Builder of a p=8, k_b=3 dictionary whose background rows 0-2 span one
+    direction (a duplicate and a multiple of row 0) and rows 3-4 are zero,
+    so many subsets observe rank-deficient background rows and some observe
+    none at all."""
+
+    def build(seed: int) -> BasisDictionary:
+        rng = np.random.default_rng(seed)
+        b_b = rng.normal(size=(8, 3))
+        b_b[1] = b_b[0]
+        b_b[2] = -2.0 * b_b[0]
+        b_b[3:5] = 0.0
+        return BasisDictionary(b_b=b_b, b_a=rng.normal(size=(8, 3)))
+
+    return build
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

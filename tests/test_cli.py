@@ -453,11 +453,14 @@ class TestTable1:
         assert lines[1] == "phi,thompson_m2,thompson_m3"
         assert [row.split(",")[0] for row in lines[2:]] == ["0", "2", "3"]
         sweep = (out / "sweep.csv").read_text().strip().split("\n")
-        assert (
-            sweep[1]
-            == "sampler,m,phi,h,add,add_stderr,std_dd,n_censored,n_false_alarm,n_reps"
+        assert sweep[1] == (
+            "sampler,m,phi,h,add,add_stderr,std_dd,n_censored,n_false_alarm,n_reps,"
+            "n_nonconverged"
         )
         assert len(sweep) == 6
+        for row in sweep[2:]:
+            n_nonconverged = row.split(",")[-1]
+            assert n_nonconverged.isdigit(), row
         thresholds = json.loads((out / "thresholds.json").read_text())
         assert set(thresholds["thresholds"]) == {"thompson_m2", "thompson_m3"}
         for entry in thresholds["thresholds"].values():

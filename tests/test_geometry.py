@@ -18,8 +18,11 @@ from sparsewatch import (
     DecayedStats,
     DimensionError,
     ModelConfig,
+    OracleScorer,
     SpikeSlabPosterior,
     absorb_sample,
+    bspline_basis,
+    fourier_basis,
     update_background,
 )
 from sparsewatch.geometry import clear_geometry_cache, subset_geometry
@@ -240,3 +243,26 @@ class TestCache:
             clear_geometry_cache()
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
+
+
+class TestOracleBasis:
+    @pytest.mark.parametrize("case", ["study-p15", "rank-deficient", "k_b-above-m"])
+    def test_scorer_basis_is_the_geometry_basis(self, case, degenerate_dictionary):
+        """Each subset's block of the oracle's basis table holds the bytes of
+        its geometry's basis at the subset's rows, and zeros elsewhere."""
+        if case == "study-p15":
+            d, m = BasisDictionary(
+                b_b=fourier_basis(15, 3),
+                b_a=bspline_basis(15, 4, 14, normalize_columns=True),
+            ), 5
+        else:
+            d, m = degenerate_dictionary(6), 3 if case == "rank-deficient" else 2
+        scorer = OracleScorer(d, _cfg(d.k_a, m), m)
+        table = scorer.bases.reshape(d.p, d.k_b, len(scorer.subsets))
+        try:
+            for i, z in enumerate(scorer.subsets):
+                geo = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+                assert table[z, :, i].tobytes() == geo.basis.tobytes()
+                assert not np.delete(table[:, :, i], z, axis=0).any()
+        finally:
+            clear_geometry_cache()

@@ -212,6 +212,45 @@ class TestOracleScorer:
             )
             assert scores[i] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [3, 2], ids=["rank-deficient", "k_b-above-m"])
+    def test_scores_match_dense_route_on_degenerate_rows(
+        self, rng, degenerate_dictionary, m
+    ):
+        """Duplicated and all-zero background rows (observed ranks 0 to 3
+        across the two budgets), and fewer observed rows than background
+        columns."""
+        d = degenerate_dictionary(11)
+        post = SpikeSlabPosterior(
+            mu_a=rng.normal(size=3),
+            s2=rng.uniform(0.1, 1.0, size=3),
+            alpha=rng.uniform(0.1, 0.9, size=3),
+        )
+        x1 = rng.normal(size=d.p)
+        scorer = OracleScorer(d, _cfg(3, m), m)
+        scores = scorer.subset_scores(x1, post)
+        for i, z in enumerate(scorer.subsets):
+            ref = reference_subset_score(
+                z, x1, d.b_a, d.b_b, post.mu_a, post.s2, post.alpha
+            )
+            assert scores[i] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+    def test_scores_without_background_sum_variable_scores(self, rng):
+        """With k_b = 0 a subset's score is the sum of its variables'
+        ``score_variables`` scores."""
+        d, post, x1 = self._problem(rng, p=9, k_a=3, k_b=0)
+        scorer = OracleScorer(d, _cfg(3, 4), 4)
+        s = score_variables(x1, post, d)
+        sums = np.array([s[z].sum() for z in scorer.subsets])
+        np.testing.assert_allclose(
+            scorer.subset_scores(x1, post), sums, rtol=0, atol=1e-14 * np.abs(s).sum()
+        )
+        assert scorer.bases is None
+
+    def test_select_needs_a_generator(self, rng):
+        d, post, x1 = self._problem(rng)
+        with pytest.raises(TypeError):
+            OracleScorer(d, _cfg(3, 3), 3).select(x1, post)
+
     def test_select_returns_argmax_subset(self, rng):
         d, post, x1 = self._problem(rng)
         scorer = OracleScorer(d, _cfg(3, 3), 3)
