@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DataError, DimensionError
 
 __all__ = [
     "BasisDictionary",
@@ -40,10 +40,12 @@ class BasisDictionary:
     """Background basis ``b_b`` (p×k_b) and anomaly basis ``b_a`` (p×k_a).
 
     ``k_b = 0`` (no background) is allowed; ``b_b`` is then a p×0 matrix.
-    Both matrices are private read-only copies, so ``content_key``, a digest
-    of their shapes and bytes, names the content for as long as it lives:
-    equal dictionaries share cached per-subset geometry, whatever object
-    (or unpickled copy) carries them.
+    Every entry must be finite.  Both matrices are private read-only copies,
+    so ``content_key``, a digest of their shapes and bytes, names the content
+    for as long as it lives: equal dictionaries share cached per-subset
+    geometry, whatever object (or unpickled copy) carries them.  ``b_a_sq``
+    is the read-only entrywise square of ``b_a``, which sensing reads every
+    step; it follows from ``b_a``, so the digest leaves it out.
     """
 
     b_b: np.ndarray
@@ -62,6 +64,13 @@ class BasisDictionary:
             )
         if b_a.shape[1] == 0:
             raise DimensionError("anomaly basis must have at least one column")
+        for name, mat in (("background basis b_b", b_b), ("anomaly basis b_a", b_a)):
+            bad = np.argwhere(~np.isfinite(mat))
+            if bad.size:
+                row, col = bad[0]
+                raise DataError(
+                    f"{name} has a non-finite entry {mat[row, col]} at row {row}, column {col}"
+                )
         if b_b.shape[1] > b_b.shape[0]:
             raise DimensionError("background basis has more columns than rows")
         if b_b.shape[1] > 0 and np.linalg.matrix_rank(b_b) < b_b.shape[1]:
@@ -75,12 +84,15 @@ class BasisDictionary:
             digest.update(np.array(mat.shape, dtype=np.int64).tobytes())
             digest.update(mat.tobytes())
         object.__setattr__(self, "content_key", digest.digest())
+        b_a_sq = b_a * b_a
+        b_a_sq.flags.writeable = False
+        object.__setattr__(self, "b_a_sq", b_a_sq)
 
     def __setstate__(self, state):
         # Unpickled arrays come back writable; keep the content fixed.
         self.__dict__.update(state)
-        self.b_b.flags.writeable = False
-        self.b_a.flags.writeable = False
+        for mat in (self.b_b, self.b_a, self.b_a_sq):
+            mat.flags.writeable = False
 
     @property
     def p(self) -> int:

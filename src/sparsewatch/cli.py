@@ -74,11 +74,14 @@ def _build_basis(spec, p: int, role: str, allow_empty: bool) -> np.ndarray:
     if kind == "fourier":
         return fourier_basis(p, int(_require(spec, "k", f"{role} basis")))
     if kind == "bspline":
+        normalize = _require(spec, "normalize_columns", f"{role} basis")
+        if not isinstance(normalize, bool):
+            raise CliError(f"field 'normalize_columns' in {role} basis must be true or false")
         return bspline_basis(
             p,
             int(_require(spec, "order", f"{role} basis")),
             int(_require(spec, "n_knots", f"{role} basis")),
-            normalize_columns=bool(spec.get("normalize_columns", False)),
+            normalize_columns=normalize,
         )
     if kind == "identity":
         return identity_anomaly_basis(p)
@@ -126,8 +129,8 @@ def load_scenario(path):
     present; only behavioral switches carry documented defaults
     (sampler "thompson", random_change_basis false).
 
-    A ``bspline`` basis spec also takes ``normalize_columns`` (default
-    false).  True scales each column to unit Euclidean norm, so a change
+    A ``bspline`` basis spec also requires ``normalize_columns``, true or
+    false.  True scales each column to unit Euclidean norm, so a change
     magnitude phi is a mean shift of norm phi on any column.  The raw
     partition-of-unity columns differ widely in norm: the end columns of
     the order-4, 14-knot spline on p = 15 have squared norm 0.028, the

@@ -122,11 +122,11 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z, row
     w_a = b_a_z
     if k_b:
         h = b_b_z.T @ b_b_z / sigma_e2 + np.eye(k_b) / sigma_b2
-        factor = cho_factor(h, lower=True)
+        factor = cho_factor(h, lower=True, check_finite=False)
         g = cho_solve(factor, b_b_z.T / sigma_e2, check_finite=False)
         g_out[...] = g
         w_a = b_a_z - b_b_z @ (g @ b_a_z)
-        cov = cho_solve(factor, np.eye(k_b))
+        cov = cho_solve(factor, np.eye(k_b), check_finite=False)
         cov_out[...] = 0.5 * (cov + cov.T)
         logdet_out[0] = -k_b * math.log(sigma_b2) - 2.0 * float(
             np.sum(np.log(np.diag(factor[0])))

@@ -335,34 +335,56 @@ def absorb_sample(
     )
 
 
+# Coordinates per block of the sweep: one matrix-vector product per block
+# gives every cross term from the posterior at the block's start.
+_BLOCK = 12
+
+
 def _sweep_setup(post: SpikeSlabPosterior, stats: DecayedStats, cfg: ModelConfig):
     """Plain-float state of coordinate sweeps at fixed stats.
 
-    Returns (terms, mu, alpha, mu_tilde): ``terms[j]`` holds coordinate j's
-    row of M and every factor of its update that depends only on the stats,
-    each computed by the same expression the update reads it from, and the
-    three lists are the posterior the sweeps update in place.  Boxing numpy
+    Returns (blocks, mu, alpha, mu_tilde).  The coordinates are split evenly
+    into contiguous blocks (start, stop, off[start:stop], terms) of at most
+    ``_BLOCK``, with ``off`` the matrix M with its diagonal zeroed.
+    ``terms[t]`` holds the block's t-th coordinate's row of M within the
+    block and every factor of its update that depends only on the stats,
+    each computed by the same expression the update reads it from; the three
+    lists are the posterior the sweeps update in place.  Boxing numpy
     scalars per coordinate would otherwise dominate the monitoring step.
     """
     if stats.n == 0:
         raise StateError("cannot sweep before any sample has been absorbed")
     if stats.k_a != post.k_a or post.k_a != cfg.k_a:
         raise DimensionError("posterior, stats, and config disagree on k_a")
-    se2, v = cfg.sigma_e2, cfg.v
-    sj2, logit_w = cfg.sigma_j2.tolist(), cfg.logit_w.tolist()
-    terms = []
-    for j, (row, u_j) in enumerate(zip(stats.raw_M.tolist(), stats.raw_u.tolist())):
-        m_jj = row[j]
-        s2_j = 1.0 / (m_jj / se2 + 1.0 / sj2[j])
-        terms.append((row, m_jj, u_j, s2_j, s2_j / se2, v * s2_j,
-                      logit_w[j], 2.0 * sj2[j], m_jj / (2.0 * se2)))
+    se2, v, k_a = cfg.sigma_e2, cfg.v, cfg.k_a
+    sj2, logit_w, u = cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), stats.raw_u.tolist()
+    raw_m = stats.raw_M
+    off = raw_m.copy()
+    off.ravel()[:: k_a + 1] = 0.0  # the diagonal, more cheaply than np.fill_diagonal
+    n_blocks = -(-k_a // _BLOCK)
+    bounds = [i * k_a // n_blocks for i in range(n_blocks + 1)]
+    blocks = []
+    for start, stop in zip(bounds, bounds[1:]):
+        terms = []
+        for j, row in enumerate(raw_m[start:stop, start:stop].tolist(), start):
+            m_jj = row[j - start]
+            s2_j = 1.0 / (m_jj / se2 + 1.0 / sj2[j])
+            terms.append((row, u[j], s2_j, s2_j / se2, v * s2_j,
+                          logit_w[j], 2.0 * sj2[j], m_jj / (2.0 * se2)))
+        blocks.append((start, stop, off[start:stop], terms))
     mu = post.mu_a.tolist()
     alpha = post.alpha.tolist()
-    return terms, mu, alpha, [m * a for m, a in zip(mu, alpha)]
+    return blocks, mu, alpha, [m * a for m, a in zip(mu, alpha)]
 
 
-def _sweep(terms, mu, alpha, mu_t) -> float:
-    """One in-order pass over ``_sweep_setup``'s lists, updated in place.
+def _sweep(blocks, mu, alpha, mu_t) -> float:
+    """One in-order pass over ``_sweep_setup``'s state, updated in place.
+
+    A blocked Gauss-Seidel pass: at the start of each block one product
+    gives every coordinate's cross term Σ_{k≠j} M_jk·mu_tilde_k from the
+    current mu_tilde, and each coordinate then adds M_ji·Δmu_tilde_i for
+    the earlier coordinates of its block already updated in this pass.
+    That is the plain in-order update with the sums taken in another order.
 
     Returns the largest |change| of any mu_j or alpha_j, NaN if any change
     is NaN, so a NaN never reads as convergence.
@@ -370,33 +392,39 @@ def _sweep(terms, mu, alpha, mu_t) -> float:
     exp = math.exp
     lo, hi = ALPHA_CLAMP, 1.0 - ALPHA_CLAMP
     delta = 0.0
-    for j, (row, m_jj, u_j, s2_j, scale, v_s2, logit_w, two_sj2, half_m) in enumerate(terms):
-        cross = -m_jj * mu_t[j]
-        for a, b in zip(row, mu_t):
-            cross += a * b
-        mu_j = scale * (u_j - cross)
-        sq = mu_j * mu_j
-        logit = logit_w + sq / two_sj2 + half_m * (sq - s2_j + v_s2)
-        if logit >= 0.0:
-            a_j = 1.0 / (1.0 + exp(-logit if logit < 700.0 else -700.0))
-        else:
-            e = exp(logit if logit > -700.0 else -700.0)
-            a_j = e / (1.0 + e)
-        a_j = min(max(a_j, lo), hi)
-        d = abs(mu_j - mu[j])
-        if d > delta or d != d:
-            delta = d
-        d = abs(a_j - alpha[j])
-        if d > delta or d != d:
-            delta = d
-        mu[j] = mu_j
-        alpha[j] = a_j
-        mu_t[j] = mu_j * a_j
+    for start, stop, off_rows, terms in blocks:
+        steps = []
+        for j, cross, (row, u_j, s2_j, scale, v_s2, logit_w, two_sj2, half_m) in zip(
+            range(start, stop), off_rows.dot(mu_t).tolist(), terms
+        ):
+            for a, b in zip(row, steps):  # the block's earlier coordinates
+                cross += a * b
+            mu_j = scale * (u_j - cross)
+            sq = mu_j * mu_j
+            logit = logit_w + sq / two_sj2 + half_m * (sq - s2_j + v_s2)
+            if logit >= 0.0:
+                a_j = 1.0 / (1.0 + exp(-logit if logit < 700.0 else -700.0))
+            else:
+                e = exp(logit if logit > -700.0 else -700.0)
+                a_j = e / (1.0 + e)
+            a_j = min(max(a_j, lo), hi)
+            d = abs(mu_j - mu[j])
+            if d > delta or d != d:
+                delta = d
+            d = abs(a_j - alpha[j])
+            if d > delta or d != d:
+                delta = d
+            mu[j] = mu_j
+            alpha[j] = a_j
+            mt_j = mu_j * a_j
+            steps.append(mt_j - mu_t[j])
+            mu_t[j] = mt_j
     return delta
 
 
-def _posterior(terms, mu, alpha) -> SpikeSlabPosterior:
-    return SpikeSlabPosterior._trusted(mu, [t[3] for t in terms], alpha)
+def _posterior(blocks, mu, alpha) -> SpikeSlabPosterior:
+    s2 = [t[2] for block in blocks for t in block[3]]
+    return SpikeSlabPosterior._trusted(mu, s2, alpha)
 
 
 def vb_coordinate_sweep(
@@ -419,9 +447,9 @@ def vb_coordinate_sweep(
     the evidence bound is therefore non-decreasing across sweeps.  ``fit``
     runs the same pass, without building a posterior between sweeps.
     """
-    terms, mu, alpha, mu_t = _sweep_setup(post, stats, cfg)
-    _sweep(terms, mu, alpha, mu_t)
-    return _posterior(terms, mu, alpha)
+    blocks, mu, alpha, mu_t = _sweep_setup(post, stats, cfg)
+    _sweep(blocks, mu, alpha, mu_t)
+    return _posterior(blocks, mu, alpha)
 
 
 def elbo(
@@ -525,10 +553,10 @@ def fit(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     stats = absorb_sample(prev_stats, x_z, z, dictionary, cfg)
-    terms, mu, alpha, mu_t = _sweep_setup(prev_posterior, stats, cfg)
+    blocks, mu, alpha, mu_t = _sweep_setup(prev_posterior, stats, cfg)
     converged = False
     for iters in range(1, max_iters + 1):
-        if _sweep(terms, mu, alpha, mu_t) < tol:
+        if _sweep(blocks, mu, alpha, mu_t) < tol:
             converged = True
             break
-    return FitResult(_posterior(terms, mu, alpha), stats, converged, iters)
+    return FitResult(_posterior(blocks, mu, alpha), stats, converged, iters)

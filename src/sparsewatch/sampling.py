@@ -117,6 +117,11 @@ def score_variables(
     so the statistic of any subset (absent background correction) is the sum
     of its variables' scores.
     """
+    return _variable_scores(x1_hat, post, dictionary)[0]
+
+
+def _variable_scores(x1_hat, post: SpikeSlabPosterior, dictionary: BasisDictionary):
+    """(``score_variables``, x1_hat as a checked float64 vector, y = B_a·mu_tilde)."""
     x1_hat = np.asarray(x1_hat, dtype=np.float64).ravel()
     if x1_hat.size != dictionary.p:
         raise DimensionError("x1_hat must cover all p variables")
@@ -124,8 +129,8 @@ def score_variables(
         raise DimensionError("posterior and dictionary disagree on k_a")
     y = dictionary.b_a @ post.mu_tilde
     spread = post.alpha * (1.0 - post.alpha) * post.mu_a * post.mu_a
-    quad = y * y + (dictionary.b_a * dictionary.b_a) @ spread
-    return 2.0 * x1_hat * y - quad
+    quad = y * y + dictionary.b_a_sq @ spread
+    return 2.0 * x1_hat * y - quad, x1_hat, y
 
 
 def select_top_m(
@@ -216,10 +221,9 @@ class OracleScorer:
 
     def subset_scores(self, x1_hat: np.ndarray, post: SpikeSlabPosterior) -> np.ndarray:
         """Monitoring-statistic value of every candidate subset."""
-        x1_hat = np.asarray(x1_hat, dtype=np.float64).ravel()
-        scores = score_variables(x1_hat, post, self.dictionary) @ self.incidence
+        variable, x1_hat, y = _variable_scores(x1_hat, post, self.dictionary)
+        scores = variable @ self.incidence
         if self.bases is not None:
-            y = self.dictionary.b_a @ post.mu_tilde
             c_y, c_x = np.stack([y, x1_hat]) @ self.bases
             c_y *= c_y - 2.0 * c_x
             for block in c_y.reshape(-1, scores.size):

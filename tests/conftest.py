@@ -10,6 +10,7 @@ from sparsewatch import (
     ModelConfig,
     bspline_basis,
     fourier_basis,
+    kron_basis,
 )
 
 
@@ -33,6 +34,35 @@ def default_config(default_dictionary) -> ModelConfig:
         decay=0.1,
         m=5,
     )
+
+
+@pytest.fixture(scope="session")
+def kron_dictionary() -> BasisDictionary:
+    """p=400 on a 20×20 grid: Kronecker Fourier background (k_b=4) and
+    Kronecker unit-norm cubic splines (k_a=36)."""
+    spline = bspline_basis(20, 4, 10, normalize_columns=True)
+    fourier = fourier_basis(20, 2)
+    return BasisDictionary(
+        b_b=kron_basis(fourier, fourier), b_a=kron_basis(spline, spline)
+    )
+
+
+@pytest.fixture(scope="session")
+def sweep_cases(default_dictionary, default_config, kron_dictionary):
+    """(dictionary, config) pairs whose coordinate sweeps run in one block
+    (k_a=10), two uneven blocks (k_a=13) and three blocks (k_a=36)."""
+    def config(dictionary, m):
+        return ModelConfig.homogeneous(
+            k_a=dictionary.k_a, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0,
+            w=0.1, v=1e-7, decay=0.1, m=m,
+        )
+
+    d13 = BasisDictionary(b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 17))
+    return [
+        (default_dictionary, default_config),
+        (d13, config(d13, 5)),
+        (kron_dictionary, config(kron_dictionary, 20)),
+    ]
 
 
 @pytest.fixture()

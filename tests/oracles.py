@@ -125,6 +125,37 @@ def reference_elbo(mu, s2, alpha, m_mat, u, q, cfg_vals):
     return float(e_loglik - kl_total.sum())
 
 
+def reference_sweep(mu, alpha, m_mat, u, cfg_vals, clamp):
+    """One dense, plain in-order coordinate-ascent pass, one coordinate at a time.
+
+    Coordinate j reads the full row M_j against the current shrunken mean
+    (earlier coordinates already updated) and removes its own term:
+    mu_j = (s_j^2/sigma_e^2)(u_j − (M_j·mu_tilde − M_jj mu_tilde_j)), and
+    alpha_j is the logistic of its closed-form logit, clipped to
+    [clamp, 1 − clamp].  Returns (mu, s2, alpha).
+    """
+    mu = np.array(mu, dtype=float)
+    alpha = np.array(alpha, dtype=float)
+    se2 = cfg_vals["sigma_e"] ** 2
+    sj2 = np.asarray(cfg_vals["sigma_j"], dtype=float) ** 2
+    logit_w = np.log(cfg_vals["w"]) - np.log1p(-np.asarray(cfg_vals["w"], dtype=float))
+    v = cfg_vals["v"]
+    diag = np.diag(m_mat)
+    s2 = 1.0 / (diag / se2 + 1.0 / sj2)
+    mu_t = mu * alpha
+    for j in range(mu.size):
+        cross = m_mat[j] @ mu_t - diag[j] * mu_t[j]
+        mu[j] = s2[j] / se2 * (u[j] - cross)
+        logit = (
+            logit_w[j]
+            + mu[j] ** 2 / (2.0 * sj2[j])
+            + diag[j] / (2.0 * se2) * (mu[j] ** 2 - s2[j] + v * s2[j])
+        )
+        alpha[j] = np.clip(0.5 * (1.0 + math.tanh(0.5 * logit)), clamp, 1.0 - clamp)
+        mu_t[j] = mu[j] * alpha[j]
+    return mu, s2, alpha
+
+
 def grid_max_elbo_2d(m_mat, u, q, cfg_vals, mu_range=2.0, stages=6, grid=21):
     """Maximize the reference bound over (mu_1, mu_2, alpha_1, alpha_2).
 

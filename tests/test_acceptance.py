@@ -460,7 +460,9 @@ def test_criterion_10_outputs_identical_across_worker_counts(tmp_path):
         "m": 3,
         "basis": {
             "background": {"type": "fourier", "k": 2},
-            "anomaly": {"type": "bspline", "order": 2, "n_knots": 6},
+            "anomaly": {
+                "type": "bspline", "order": 2, "n_knots": 6, "normalize_columns": False,
+            },
         },
         "model": {
             "sigma_e": 0.1, "sigma_b": 0.5, "sigma_j": 2.0, "w": 0.2,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from sparsewatch import (
     BasisDictionary,
+    DataError,
     DimensionError,
     bspline_basis,
     check_orthogonality,
@@ -189,6 +191,29 @@ class TestBasisDictionary:
         b_a[:, 2] = 0.0
         with pytest.raises(DimensionError):
             BasisDictionary(b_b=np.zeros((5, 0)), b_a=b_a)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anomaly_entry_named(self, bad):
+        """A NaN anomaly row would otherwise score NaN and never be observed."""
+        b_a = bspline_basis(8, 2, 6)
+        b_a[5, 2] = bad
+        b_a[6, 0] = bad
+        with pytest.raises(DataError, match=r"anomaly basis b_a .* at row 5, column 2"):
+            BasisDictionary(b_b=fourier_basis(8, 2), b_a=b_a)
+
+    def test_non_finite_background_entry_is_not_called_rank_deficient(self):
+        b_b = fourier_basis(8, 2)
+        b_b[3, 1] = np.inf
+        with pytest.raises(DataError, match=r"background basis b_b .*inf at row 3, column 1"):
+            BasisDictionary(b_b=b_b, b_a=identity_anomaly_basis(8))
+
+    def test_squared_anomaly_basis_is_read_only_and_survives_pickling(self):
+        d = BasisDictionary(b_b=fourier_basis(8, 2), b_a=bspline_basis(8, 2, 6))
+        for each in (d, pickle.loads(pickle.dumps(d))):
+            assert each.b_a_sq.tobytes() == (d.b_a * d.b_a).tobytes()
+            assert not each.b_a_sq.flags.writeable
+            assert each.content_key == d.content_key
 
 
 class TestCheckOrthogonality:

@@ -18,7 +18,9 @@ def _scenario_doc(**over):
         "m": 3,
         "basis": {
             "background": {"type": "fourier", "k": 2},
-            "anomaly": {"type": "bspline", "order": 2, "n_knots": 6},
+            "anomaly": {
+                "type": "bspline", "order": 2, "n_knots": 6, "normalize_columns": False,
+            },
         },
         "model": {
             "sigma_e": 0.1,
@@ -77,6 +79,22 @@ class TestLoadScenario:
             path.write_text(json.dumps(doc))
             with pytest.raises(CliError, match=f"'{field}'"):
                 load_scenario(path)
+
+    def test_bspline_column_scaling_has_no_default(self, tmp_path):
+        doc = _scenario_doc()
+        del doc["basis"]["anomaly"]["normalize_columns"]
+        path = tmp_path / "missing_normalize_columns.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CliError, match="'normalize_columns' in anomaly basis"):
+            load_scenario(path)
+        doc["basis"]["anomaly"]["normalize_columns"] = "false"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CliError, match="must be true or false"):
+            load_scenario(path)
+        doc["basis"]["anomaly"]["normalize_columns"] = True
+        path.write_text(json.dumps(doc))
+        scenario, _, _ = load_scenario(path)
+        np.testing.assert_allclose(np.linalg.norm(scenario.dictionary.b_a, axis=0), 1.0)
 
     def test_vector_hyperparameters_broadcast_or_match(self, tmp_path):
         path = _write_scenario(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_elbo, stats_from_history
+from oracles import reference_elbo, reference_sweep, stats_from_history
 from sparsewatch import (
     BasisDictionary,
     DecayedStats,
@@ -273,6 +273,36 @@ class TestCoordinateSweep:
         assert post.mu_a[1] == pytest.approx(mu_1, rel=1e-14)
         assert post.alpha[1] == pytest.approx(a_1, rel=1e-14)
 
+    def test_blocked_pass_matches_dense_reference(self, sweep_cases, rng):
+        """One blocked sweep equals the plain per-coordinate pass that reads
+        each full row of M, within rounding, in one block or several."""
+        for dictionary, cfg in sweep_cases:
+            for _ in range(5):
+                stats, _ = _random_stats(dictionary, cfg, rng)
+                post = SpikeSlabPosterior(
+                    mu_a=rng.normal(size=cfg.k_a), s2=np.full(cfg.k_a, 0.5),
+                    alpha=rng.uniform(0.05, 0.95, cfg.k_a),
+                )
+                got = vb_coordinate_sweep(post, stats, cfg)
+                mu, s2, alpha = reference_sweep(
+                    post.mu_a, post.alpha, stats.raw_M, stats.raw_u,
+                    _cfg_vals(cfg, stats), ALPHA_CLAMP,
+                )
+                np.testing.assert_allclose(got.mu_a, mu, rtol=1e-12)
+                np.testing.assert_allclose(got.s2, s2, rtol=1e-12)
+                np.testing.assert_allclose(got.alpha, alpha, rtol=1e-12)
+
+    def test_blocks_split_coordinates_evenly(self, sweep_cases):
+        sizes = {}
+        for dictionary, cfg in sweep_cases:
+            stats = DecayedStats(
+                raw_M=np.eye(cfg.k_a), raw_u=np.zeros(cfg.k_a), raw_q=0.0,
+                raw_norm=0.0, mass=1.0, n=1,
+            )
+            blocks = _sweep_setup(SpikeSlabPosterior.prior(cfg), stats, cfg)[0]
+            sizes[cfg.k_a] = [stop - start for start, stop, _, _ in blocks]
+        assert sizes == {10: [10], 13: [6, 7], 36: [12, 12, 12]}
+
     def test_slab_variance_depends_only_on_stats(
         self, default_dictionary, default_config, rng
     ):
@@ -337,6 +367,19 @@ class TestElbo:
                 post = vb_coordinate_sweep(post, stats, default_config)
                 cur = elbo(post, stats, default_config)
                 assert cur >= prev - 1e-10
+                prev = cur
+
+    def test_nondecreasing_across_blocked_sweeps(self, sweep_cases, rng):
+        """The same at k_a = 36, where each sweep runs in three blocks."""
+        dictionary, cfg = sweep_cases[-1]
+        for _ in range(5):
+            stats, _ = _random_stats(dictionary, cfg, rng)
+            post = vb_coordinate_sweep(SpikeSlabPosterior.prior(cfg), stats, cfg)
+            prev = elbo(post, stats, cfg)
+            for _ in range(10):
+                post = vb_coordinate_sweep(post, stats, cfg)
+                cur = elbo(post, stats, cfg)
+                assert cur >= prev - 1e-10 * max(1.0, abs(prev))
                 prev = cur
 
     def test_fixed_point_is_coordinatewise_maximum(
@@ -430,68 +473,70 @@ class TestFit:
         assert res.n_iters == 1
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_fit_equals_k_public_sweeps_byte_for_byte(
-        self, default_dictionary, default_config, rng, k
-    ):
+    def test_fit_equals_k_public_sweeps_byte_for_byte(self, sweep_cases, rng, k):
         """fit's loop and the public sweep are one code path: k fit sweeps
-        store exactly what k public sweeps return, from a posterior mid-stream."""
-        stats, _ = _random_stats(default_dictionary, default_config, rng)
-        start = SpikeSlabPosterior(
-            mu_a=rng.normal(size=10), s2=np.full(10, 0.5), alpha=rng.uniform(0.05, 0.95, 10)
-        )
-        x_z, z = _random_step(default_dictionary, default_config, rng)
-        res = fit(
-            x_z, z, start, stats, default_dictionary, default_config,
-            tol=1e-300, max_iters=k,
-        )
-        post = start
-        for _ in range(k):
-            post = vb_coordinate_sweep(post, res.stats, default_config)
-        assert res.n_iters == k and not res.converged
-        for field in ("mu_a", "s2", "alpha"):
-            assert getattr(res.post, field).tobytes() == getattr(post, field).tobytes()
+        store exactly what k public sweeps return, from a posterior mid-stream,
+        in one sweep block or several."""
+        for dictionary, cfg in sweep_cases:
+            stats, _ = _random_stats(dictionary, cfg, rng)
+            start = SpikeSlabPosterior(
+                mu_a=rng.normal(size=cfg.k_a), s2=np.full(cfg.k_a, 0.5),
+                alpha=rng.uniform(0.05, 0.95, cfg.k_a),
+            )
+            x_z, z = _random_step(dictionary, cfg, rng)
+            res = fit(x_z, z, start, stats, dictionary, cfg, tol=1e-300, max_iters=k)
+            post = start
+            for _ in range(k):
+                post = vb_coordinate_sweep(post, res.stats, cfg)
+            assert res.n_iters == k and not res.converged
+            for field in ("mu_a", "s2", "alpha"):
+                assert getattr(res.post, field).tobytes() == getattr(post, field).tobytes()
 
-    def test_kernel_change_equals_numpy_max(self, default_dictionary, default_config, rng):
+    def test_kernel_change_equals_numpy_max(self, sweep_cases, rng):
         """The change a sweep reports is max(|delta mu|, |delta alpha|) as numpy
         computes it from the posteriors before and after."""
-        for _ in range(25):
-            stats, _ = _random_stats(default_dictionary, default_config, rng, n_steps=3)
-            post = SpikeSlabPosterior(
-                mu_a=rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=10),
-                s2=np.full(10, 0.5),
-                alpha=rng.uniform(0.0, 1.0, size=10),
-            )
-            terms, mu, alpha, mu_t = _sweep_setup(post, stats, default_config)
-            delta = _sweep(terms, mu, alpha, mu_t)
-            after = vb_coordinate_sweep(post, stats, default_config)
-            want = max(
-                float(np.max(np.abs(after.mu_a - post.mu_a))),
-                float(np.max(np.abs(after.alpha - post.alpha))),
-            )
-            assert delta == want
+        for dictionary, cfg in sweep_cases:
+            for _ in range(25):
+                stats, _ = _random_stats(dictionary, cfg, rng, n_steps=3)
+                post = SpikeSlabPosterior(
+                    mu_a=rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=cfg.k_a),
+                    s2=np.full(cfg.k_a, 0.5),
+                    alpha=rng.uniform(0.0, 1.0, size=cfg.k_a),
+                )
+                delta = _sweep(*_sweep_setup(post, stats, cfg))
+                after = vb_coordinate_sweep(post, stats, cfg)
+                want = max(
+                    float(np.max(np.abs(after.mu_a - post.mu_a))),
+                    float(np.max(np.abs(after.alpha - post.alpha))),
+                )
+                assert delta == want
 
-    @pytest.mark.parametrize("where", ["u_first", "u_last", "M_diag"])
-    def test_nan_in_moments_never_converges(self, default_dictionary, default_config, rng, where):
-        """A NaN change is not a small change, wherever it enters the sweep."""
-        stats, _ = _random_stats(default_dictionary, default_config, rng)
-        raw_u, raw_m = stats.raw_u.copy(), stats.raw_M.copy()
-        if where == "u_first":
-            raw_u[0] = np.nan
-        elif where == "u_last":
-            raw_u[-1] = np.nan
-        else:
-            raw_m[4, 4] = np.nan
-        bad = DecayedStats(
-            raw_M=raw_m, raw_u=raw_u, raw_q=stats.raw_q,
-            raw_norm=stats.raw_norm, mass=stats.mass, n=stats.n,
-        )
-        x_z, z = _random_step(default_dictionary, default_config, rng)
-        res = fit(
-            x_z, z, SpikeSlabPosterior.prior(default_config), bad,
-            default_dictionary, default_config, max_iters=20,
-        )
-        assert not res.converged
-        assert res.n_iters == 20
+    @pytest.mark.parametrize("where", ["u_first", "u_last", "M_diag", "M_last_block"])
+    def test_nan_in_moments_never_converges(self, sweep_cases, rng, where):
+        """A NaN change is not a small change, wherever it enters the sweep:
+        M_last_block puts it in the last coordinate's row of M inside its
+        block, which the block's product and the in-block update both read."""
+        for dictionary, cfg in sweep_cases:
+            stats, _ = _random_stats(dictionary, cfg, rng)
+            raw_u, raw_m = stats.raw_u.copy(), stats.raw_M.copy()
+            if where == "u_first":
+                raw_u[0] = np.nan
+            elif where == "u_last":
+                raw_u[-1] = np.nan
+            elif where == "M_diag":
+                raw_m[4, 4] = np.nan
+            else:
+                raw_m[-1, -2] = np.nan
+            bad = DecayedStats(
+                raw_M=raw_m, raw_u=raw_u, raw_q=stats.raw_q,
+                raw_norm=stats.raw_norm, mass=stats.mass, n=stats.n,
+            )
+            x_z, z = _random_step(dictionary, cfg, rng)
+            res = fit(
+                x_z, z, SpikeSlabPosterior.prior(cfg), bad, dictionary, cfg, max_iters=20,
+            )
+            assert not res.converged
+            assert res.n_iters == 20
 
     def test_stats_carry_no_posterior_dependence(
         self, default_dictionary, default_config, rng

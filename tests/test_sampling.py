@@ -246,6 +246,22 @@ class TestOracleScorer:
         )
         assert scorer.bases is None
 
+    def test_shared_terms_leave_scores_bitwise_unchanged(self, rng):
+        """Reading the dictionary's stored B_a∘B_a and computing y = B_a·mu_tilde
+        once per call give every score the bits of forming both afresh."""
+        d, post, x1 = self._problem(rng)
+        y = d.b_a @ post.mu_tilde
+        spread = post.alpha * (1.0 - post.alpha) * post.mu_a * post.mu_a
+        variable = 2.0 * x1 * y - (y * y + (d.b_a * d.b_a) @ spread)
+        assert score_variables(x1, post, d).tobytes() == variable.tobytes()
+        scorer = OracleScorer(d, _cfg(3, 3), 3)
+        want = variable @ scorer.incidence
+        c_y, c_x = np.stack([d.b_a @ post.mu_tilde, x1]) @ scorer.bases
+        c_y *= c_y - 2.0 * c_x
+        for block in c_y.reshape(-1, want.size):
+            want += block
+        assert scorer.subset_scores(x1, post).tobytes() == want.tobytes()
+
     def test_select_needs_a_generator(self, rng):
         d, post, x1 = self._problem(rng)
         with pytest.raises(TypeError):
