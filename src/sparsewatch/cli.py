@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -35,13 +35,7 @@ from .bases import (
     load_basis_csv,
 )
 from .detection import detection_record
-from .engine import (
-    collect_h0_trajectories,
-    evaluate,
-    init,
-    search_threshold,
-    step,
-)
+from .engine import SAMPLERS, calibrate_threshold, evaluate, init, step
 from .errors import SparsewatchError
 from .inference import ModelConfig
 from .simgen import Scenario, load_stream_csv
@@ -180,7 +174,7 @@ def load_scenario(path):
     except (SparsewatchError, ValueError) as exc:
         raise CliError(f"invalid scenario: {exc}") from exc
     sampler = raw.get("sampler", "thompson")
-    if sampler not in ("thompson", "oracle"):
+    if sampler not in SAMPLERS:
         raise CliError(f"unknown sampler '{sampler}'")
     return scenario, sampler, raw
 
@@ -268,27 +262,22 @@ def _positive_reps(args):
 def _cmd_calibrate(args) -> int:
     scenario, sampler, raw = load_scenario(args.scenario)
     _positive_reps(args)
-    if "arl0_target" not in raw:
-        raise CliError("scenario is missing required field 'arl0_target'")
-    target = float(raw["arl0_target"])
+    target = float(_require(raw, "arl0_target", "scenario"))
     horizon = args.horizon if args.horizon is not None else scenario.horizon
     out_path = os.path.join(args.out, "threshold.json")
     _refuse_overwrite([out_path], args.force)
 
-    if not target < horizon / 2:
-        raise CliError(
-            f"calibration horizon {horizon} must exceed twice the target ARL {target:g}"
-        )
-    traj = collect_h0_trajectories(
+    h, achieved = calibrate_threshold(
         scenario.cfg,
         scenario.dictionary,
+        target,
         args.reps,
         horizon,
+        args.tol_rel,
         args.seed,
         workers=args.workers,
         sampler=sampler,
     )
-    h, achieved = search_threshold(traj, target, args.tol_rel)
     doc = {
         "h": h,
         "achieved_arl": achieved,
@@ -337,24 +326,11 @@ def _cmd_evaluate(args) -> int:
     )
     manifest = _manifest("evaluate", args, raw, {"h": h})
     _write_text(delays_path, _delays_csv(records, manifest))
-    _write_text(
-        summary_path,
-        _json_text(
-            {
-                "h": h,
-                "arl0": _num(summary.arl0),
-                "arl0_stderr": _num(summary.arl0_stderr),
-                "add": _num(summary.add),
-                "add_stderr": _num(summary.add_stderr),
-                "std_dd": _num(summary.std_dd),
-                "n_reps": summary.n_reps,
-                "n_censored": summary.n_censored,
-                "n_false_alarm": summary.n_false_alarm,
-                "n_nonconverged": summary.n_nonconverged,
-                "manifest": manifest,
-            }
-        ),
-    )
+    doc = {
+        key: _num(value) if isinstance(value, float) else value
+        for key, value in asdict(summary).items()
+    }
+    _write_text(summary_path, _json_text({**doc, "h": h, "manifest": manifest}))
     if scenario.tau is None:
         print(f"ARL {summary.arl0:.2f} over {summary.n_reps} replications")
     else:
@@ -422,25 +398,20 @@ def _parse_float_list(text: str, flag: str):
 def _cmd_table1(args) -> int:
     scenario, _, raw = load_scenario(args.scenario)
     _positive_reps(args)
-    if "arl0_target" not in raw:
-        raise CliError("scenario is missing required field 'arl0_target'")
+    if args.calib_reps < 1:
+        raise CliError("--calib-reps must be a positive integer")
+    target = float(_require(raw, "arl0_target", "scenario"))
     if scenario.tau is None:
         raise CliError("the ADD table needs a scenario with a change point")
-    target = float(raw["arl0_target"])
     phis = _parse_float_list(args.phis, "--phis")
     ms = [int(v) for v in _parse_float_list(args.ms, "--ms")]
     samplers = [s.strip() for s in args.samplers.split(",") if s.strip()]
     for s in samplers:
-        if s not in ("thompson", "oracle"):
+        if s not in SAMPLERS:
             raise CliError(f"unknown sampler '{s}' in --samplers")
     calib_horizon = (
         args.calib_horizon if args.calib_horizon is not None else scenario.horizon
     )
-    if not target < calib_horizon / 2:
-        raise CliError(
-            f"calibration horizon {calib_horizon} must exceed twice the "
-            f"target ARL {target:g}"
-        )
 
     table_path = os.path.join(args.out, "table1.csv")
     sweep_path = os.path.join(args.out, "sweep.csv")
@@ -454,16 +425,17 @@ def _cmd_table1(args) -> int:
     for si, samp in enumerate(samplers):
         for mi, m in enumerate(ms):
             cfg_m = replace(scenario.cfg, m=m)
-            traj = collect_h0_trajectories(
+            h, achieved = calibrate_threshold(
                 cfg_m,
                 scenario.dictionary,
+                target,
                 args.calib_reps,
                 calib_horizon,
+                args.tol_rel,
                 _child_seed(args.seed, 0, si, mi),
                 workers=args.workers,
                 sampler=samp,
             )
-            h, achieved = search_threshold(traj, target, args.tol_rel)
             name = f"{samp}_m{m}"
             columns.append(name)
             thresholds[name] = {"h": h, "achieved_arl": achieved}
@@ -637,10 +609,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SparsewatchError, ValueError, OSError) as exc:
+    except (CliError, SparsewatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,8 +71,6 @@ class EngineState:
     sampler: str = "thompson"
     step: int = 0
     alarmed: bool = False
-    fit_tol: float = 1e-6
-    fit_max_iters: int = 100
     scorer: OracleScorer | None = field(default=None, repr=False)
 
 
@@ -81,8 +79,8 @@ class StepOutcome:
     """Result of processing one observation.
 
     ``n_iters`` is the number of VB sweeps the step's fit ran, in
-    [1, ``fit_max_iters``]; ``converged`` says whether the last one moved
-    the posterior by less than ``fit_tol``.
+    [1, ``max_iters``] of ``inference.fit``; ``converged`` says whether the
+    last one moved the posterior by less than its ``tol``.
     """
 
     step: int
@@ -103,8 +101,8 @@ class RunLengthSummary:
     Undefined fields are NaN.  ``n_censored`` counts replications that never
     alarmed within the horizon; ``n_false_alarm`` counts alarms at or before
     the change point; ``n_nonconverged`` counts the steps, over all
-    replications, whose VB fit ended without converging (``fit_max_iters``
-    sweeps, or a NaN change).
+    replications, whose VB fit ended without converging (``fit``'s
+    ``max_iters`` sweeps, or a NaN change).
     """
 
     arl0: float
@@ -127,8 +125,6 @@ def init(
     h: float,
     seed,
     sampler: str = "thompson",
-    fit_tol: float = 1e-6,
-    fit_max_iters: int = 100,
 ) -> EngineState:
     """Fresh engine at its priors with a uniformly random first subset.
 
@@ -146,7 +142,7 @@ def init(
         raise DimensionError("sensing budget exceeds the number of variables")
     rng = np.random.default_rng(seed)
     z0 = rng.choice(dictionary.p, size=cfg.m, replace=False)
-    scorer = OracleScorer.shared(dictionary, cfg, cfg.m) if sampler == "oracle" else None
+    scorer = OracleScorer.shared(dictionary, cfg.m) if sampler == "oracle" else None
     return EngineState(
         cfg=cfg,
         dictionary=dictionary,
@@ -156,8 +152,6 @@ def init(
         stats=DecayedStats.empty(cfg.k_a),
         plan=SensingPlan(z=z0),
         sampler=sampler,
-        fit_tol=fit_tol,
-        fit_max_iters=fit_max_iters,
         scorer=scorer,
     )
 
@@ -201,10 +195,7 @@ def step(state: EngineState, observation) -> StepOutcome:
     z = state.plan.z
     x_z = _extract_observation(state, observation)
 
-    res = fit(
-        x_z, z, state.post, state.stats, state.dictionary, state.cfg,
-        tol=state.fit_tol, max_iters=state.fit_max_iters,
-    )
+    res = fit(x_z, z, state.post, state.stats, state.dictionary, state.cfg)
     stat = lambda_stat(
         DetectionInputs(x_z=x_z, z=z, post=res.post), state.dictionary, state.cfg
     )
@@ -248,48 +239,34 @@ def _rep_rngs(seed: int, rep: int):
 
 
 def _run_one(args):
-    """One replication; returns (rep, alarm step or horizon+1, alarmed, non-converged fits).
+    """One replication, stopped at its alarm or the horizon.
 
-    Top-level so process pools can pickle it.  With ``collect=True`` it
-    returns (rep, per-step statistic trajectory) instead.
+    Returns (statistics of the steps run, alarmed, non-converged fits).
+    Top-level so process pools can pickle it.
     """
-    (scenario, h, seed, rep, sampler, collect) = args
+    (scenario, h, seed, rep, sampler) = args
     stream_ss, engine_ss = _rep_rngs(seed, rep)
     stream = gen_stream(scenario, stream_ss)
-    state = init(
-        scenario.cfg,
-        scenario.dictionary,
-        h=math.inf if collect else h,
-        seed=engine_ss,
-        sampler=sampler,
-    )
-    if collect:
-        traj = np.empty(scenario.horizon)
-        for t in range(scenario.horizon):
-            traj[t] = step(state, stream[t]).stat
-        return rep, traj
+    state = init(scenario.cfg, scenario.dictionary, h=h, seed=engine_ss, sampler=sampler)
+    stats = np.empty(scenario.horizon)
     nonconverged = 0
     for t in range(scenario.horizon):
         outcome = step(state, stream[t])
+        stats[t] = outcome.stat
         nonconverged += not outcome.converged
         if outcome.alarmed:
-            return rep, t + 1, True, nonconverged
-    return rep, scenario.horizon + 1, False, nonconverged
+            return stats[: t + 1], True, nonconverged
+    return stats, False, nonconverged
 
 
-def _map_reps(worklist, workers: int):
-    """Run replication tasks, inline or pooled, preserving submission order."""
+def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int, sampler: str):
+    """Run replications 0..n_reps-1, inline or pooled, in rep order."""
+    worklist = [(scenario, h, seed, rep, sampler) for rep in range(n_reps)]
     if workers <= 1:
         return [_run_one(args) for args in worklist]
     chunk = max(1, len(worklist) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, worklist, chunksize=chunk))
-
-
-def _null_scenario(cfg: ModelConfig, dictionary: BasisDictionary, horizon: int):
-    return Scenario(
-        dictionary=dictionary, cfg=cfg, tau=None, change=(), horizon=horizon
-    )
 
 
 def _same_config(a: ModelConfig, b: ModelConfig) -> bool:
@@ -322,11 +299,9 @@ def collect_h0_trajectories(
     at +inf), so a threshold can later be chosen by replaying these
     trajectories against candidate values.
     """
-    scenario = _null_scenario(cfg, dictionary, horizon)
-    worklist = [(scenario, math.inf, seed, rep, sampler, True) for rep in range(n_reps)]
-    results = _map_reps(worklist, workers)
-    results.sort(key=lambda r: r[0])
-    return np.vstack([traj for _, traj in results])
+    scenario = Scenario(dictionary=dictionary, cfg=cfg, tau=None, change=(), horizon=horizon)
+    results = _map_reps(scenario, math.inf, seed, n_reps, workers, sampler)
+    return np.vstack([stats for stats, _, _ in results])
 
 
 def replay_run_lengths(trajectories: np.ndarray, h: float) -> np.ndarray:
@@ -405,26 +380,36 @@ def calibrate_threshold(
     seed: int,
     workers: int = 1,
     sampler: str = "thompson",
-) -> float:
-    """Threshold achieving the target null average run length.
+) -> tuple[float, float]:
+    """Threshold achieving the target null average run length, and its ARL.
 
     Simulates ``n_reps`` null replications with adaptive sensing active and
     the threshold held at +inf, then replays their statistic trajectories
-    against candidate thresholds.  The horizon must exceed twice the target
-    so censoring cannot dominate the average.
+    against candidate thresholds (``search_threshold``), returning its
+    (h, achieved ARL).  The horizon must exceed twice the target so
+    censoring cannot dominate the average.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be positive")
     if not target_arl0 < horizon / 2:
         raise CalibrationError(
-            f"target ARL {target_arl0} needs a horizon above {2 * target_arl0:g} "
-            f"(got {horizon}) to keep censoring negligible"
+            f"calibration horizon {horizon} must exceed twice the target ARL "
+            f"{target_arl0:g} to keep censoring negligible"
         )
     traj = collect_h0_trajectories(
         cfg, dictionary, n_reps, horizon, seed, workers=workers, sampler=sampler
     )
-    h, _ = search_threshold(traj, target_arl0, tol_rel)
-    return h
+    return search_threshold(traj, target_arl0, tol_rel)
+
+
+def _mean_sd_stderr(values: np.ndarray) -> tuple[float, float, float]:
+    """Mean, sample standard deviation and standard error; NaN where undefined."""
+    if not values.size:
+        return math.nan, math.nan, math.nan
+    if values.size == 1:
+        return float(values.mean()), math.nan, math.nan
+    sd = float(values.std(ddof=1))
+    return float(values.mean()), sd, sd / math.sqrt(values.size)
 
 
 def evaluate(
@@ -447,56 +432,35 @@ def evaluate(
     """
     if n_reps < 1:
         raise ValueError("n_reps must be positive")
+    # The scenario carries the generating model; the monitor must match.
     if not _same_config(scenario.cfg, cfg):
-        # The scenario carries the generating model; the monitor must match.
         raise DimensionError("scenario and evaluate disagree on the model config")
-    worklist = [(scenario, h, seed, rep, sampler, False) for rep in range(n_reps)]
-    results = _map_reps(worklist, workers)
-    results.sort(key=lambda r: r[0])
+    if dictionary.content_key != scenario.dictionary.content_key:
+        raise DimensionError("scenario and evaluate disagree on the basis dictionary")
+    results = _map_reps(scenario, h, seed, n_reps, workers, sampler)
 
     tau = scenario.tau
     records = []
-    for rep, t_alarm, alarmed, _ in results:
+    for rep, (stats, alarmed, _) in enumerate(results):
+        t_alarm = stats.size if alarmed else scenario.horizon + 1
         false_alarm = bool(alarmed and tau is not None and t_alarm <= tau)
-        delay = (
-            t_alarm - tau if (alarmed and tau is not None and t_alarm > tau) else None
-        )
+        delay = t_alarm - tau if alarmed and not false_alarm and tau is not None else None
         records.append(
-            {
-                "rep": rep,
-                "T": int(t_alarm),
-                "false_alarm": false_alarm,
-                "delay": None if delay is None else int(delay),
-            }
+            {"rep": rep, "T": t_alarm, "false_alarm": false_alarm, "delay": delay}
         )
 
-    n_censored = sum(1 for _, _, alarmed, _ in results if not alarmed)
-    n_false = sum(1 for rec in records if rec["false_alarm"])
+    arl0 = arl0_stderr = add = add_stderr = std_dd = math.nan
     if tau is None:
         lengths = np.array(
             [min(rec["T"], scenario.horizon) for rec in records], dtype=np.float64
         )
-        arl0 = float(lengths.mean())
-        arl0_stderr = (
-            float(lengths.std(ddof=1) / math.sqrt(len(lengths)))
-            if len(lengths) > 1
-            else math.nan
-        )
-        add = add_stderr = std_dd = math.nan
+        arl0, _, arl0_stderr = _mean_sd_stderr(lengths)
     else:
         delays = np.array(
             [rec["delay"] for rec in records if rec["delay"] is not None],
             dtype=np.float64,
         )
-        arl0 = arl0_stderr = math.nan
-        if delays.size:
-            add = float(delays.mean())
-            std_dd = float(delays.std(ddof=1)) if delays.size > 1 else math.nan
-            add_stderr = (
-                std_dd / math.sqrt(delays.size) if delays.size > 1 else math.nan
-            )
-        else:
-            add = add_stderr = std_dd = math.nan
+        add, std_dd, add_stderr = _mean_sd_stderr(delays)
 
     summary = RunLengthSummary(
         arl0=arl0,
@@ -505,9 +469,9 @@ def evaluate(
         add_stderr=add_stderr,
         std_dd=std_dd,
         n_reps=n_reps,
-        n_censored=n_censored,
-        n_false_alarm=n_false,
-        n_nonconverged=sum(r[3] for r in results),
+        n_censored=sum(1 for _, alarmed, _ in results if not alarmed),
+        n_false_alarm=sum(1 for rec in records if rec["false_alarm"]),
+        n_nonconverged=sum(r[2] for r in results),
     )
     if return_records:
         return summary, records

@@ -174,15 +174,14 @@ class OracleScorer:
     k_b = 3, against 8·m²·C = 0.6 MB for stacked m×m projections.  That
     ratio, (k_b+1)·p/m², grows with p at small m.  Construction is meant to
     be reused across steps and streams: ``shared`` hands out one scorer per
-    process per (dictionary content, m).  ``cfg`` is accepted for symmetry
-    with the sampling strategy and not kept.
+    process per (dictionary content, m).
     """
 
     # ((dictionary content key, m), scorer) of the latest ``shared`` build.
     _shared: tuple | None = None
 
     @classmethod
-    def shared(cls, dictionary: BasisDictionary, cfg: ModelConfig, m: int) -> "OracleScorer":
+    def shared(cls, dictionary: BasisDictionary, m: int) -> "OracleScorer":
         """This process's scorer for the dictionary's content and m.
 
         Keyed on content, not identity, so replications whose pool task
@@ -191,10 +190,10 @@ class OracleScorer:
         """
         key = (dictionary.content_key, m)
         if cls._shared is None or cls._shared[0] != key:
-            cls._shared = (key, cls(dictionary, cfg, m))
+            cls._shared = (key, cls(dictionary, m))
         return cls._shared[1]
 
-    def __init__(self, dictionary: BasisDictionary, cfg: ModelConfig, m: int):
+    def __init__(self, dictionary: BasisDictionary, m: int):
         p, k_b = dictionary.p, dictionary.k_b
         if not 1 <= m <= p:
             raise DimensionError(f"budget m={m} must lie in [1, {p}]")

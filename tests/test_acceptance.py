@@ -316,7 +316,7 @@ def test_criterion_05_subset_search_equals_top_m_scores():
         k_a=8, sigma_e=0.2, sigma_b=1.0, sigma_j=1.0, w=0.2, v=1e-5,
         decay=0.1, m=3,
     )
-    scorer = OracleScorer(d, cfg, 3)
+    scorer = OracleScorer(d, 3)
     agree = 0
     for _ in range(100):
         post = SpikeSlabPosterior(

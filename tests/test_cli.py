@@ -256,6 +256,16 @@ class TestCalibrate:
         )
         assert code == 1
         assert "twice the target" in capsys.readouterr().err
+        path = _write_scenario(tmp_path, "change.json", tau=5, change=[[0, 1.0]])
+        code = main(
+            [
+                "table1", "--scenario", str(path), "--out", str(tmp_path / "t"),
+                "--phis", "1.0", "--ms", "2", "--calib-reps", "10",
+                "--calib-horizon", "20",
+            ]
+        )
+        assert code == 1
+        assert "twice the target" in capsys.readouterr().err
 
     def test_missing_target_rejected(self, tmp_path, capsys):
         doc = _scenario_doc()
@@ -504,6 +514,18 @@ class TestTable1:
         assert main(base + ["--phis", "1.0", "--ms", "2", "--samplers", "x"]) == 1
         err = capsys.readouterr().err
         assert "--phis" in err and "unknown sampler" in err
+
+    def test_nonpositive_calibration_reps_rejected(self, tmp_path, capsys):
+        path = _write_scenario(tmp_path, tau=5, change=[[0, 1.0]])
+        code = main(
+            [
+                "table1", "--scenario", str(path), "--out", str(tmp_path / "t"),
+                "--phis", "1.0", "--ms", "2", "--calib-reps", "0",
+            ]
+        )
+        assert code == 1
+        assert "--calib-reps" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
 
 class TestEntryPoint:

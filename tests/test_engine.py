@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -179,18 +180,19 @@ class TestStep:
             assert outcome.converged
 
     def test_outcome_carries_the_fits_sweep_count(
-        self, small_dictionary, small_config, rng
+        self, small_dictionary, small_config, rng, monkeypatch
     ):
-        state = init(small_config, small_dictionary, h=math.inf, seed=6, fit_max_iters=3)
+        monkeypatch.setattr(engine, "fit", partial(fit, max_iters=3))
+        state = init(small_config, small_dictionary, h=math.inf, seed=6)
         for _ in range(8):
             x = rng.normal(size=6)
             res = fit(
                 x[state.plan.z], state.plan.z, state.post, state.stats,
-                small_dictionary, small_config, tol=state.fit_tol, max_iters=3,
+                small_dictionary, small_config, max_iters=3,
             )
             outcome = step(state, x)
             assert outcome.n_iters == res.n_iters
-            assert 1 <= outcome.n_iters <= state.fit_max_iters
+            assert 1 <= outcome.n_iters <= 3
 
     def test_trajectories_reproducible(self, small_dictionary, small_config):
         scenario = _null_scenario(small_dictionary, small_config, 30)
@@ -288,17 +290,26 @@ class TestCalibrateAndEvaluate:
             small_config, small_dictionary, n_reps=30, horizon=80, seed=21
         )
         h, achieved = search_threshold(traj, target_arl0=15.0, tol_rel=0.2)
-        summary = evaluate(
+        assert calibrate_threshold(
+            small_config, small_dictionary, target_arl0=15.0,
+            n_reps=30, horizon=80, tol_rel=0.2, seed=21,
+        ) == (h, achieved)
+        summary, records = evaluate(
             small_config,
             small_dictionary,
             h,
             _null_scenario(small_dictionary, small_config, 80),
             n_reps=30,
             seed=21,
+            return_records=True,
         )
         assert summary.arl0 == achieved
         assert math.isnan(summary.add)
         assert summary.n_false_alarm == 0
+        # A censored record's T of horizon + 1 replays as the horizon.
+        np.testing.assert_array_equal(
+            [min(rec["T"], 80) for rec in records], replay_run_lengths(traj, h)
+        )
 
     def test_horizon_guard(self, small_dictionary, small_config):
         with pytest.raises(CalibrationError, match="horizon"):
@@ -371,11 +382,7 @@ class TestCalibrateAndEvaluate:
     def test_nonconverged_fits_counted(self, small_dictionary, small_config, monkeypatch):
         """evaluate sums the steps whose fit did not converge, equal to a
         direct engine.step replay of each replication."""
-        def capped_init(*args, **kwargs):
-            return original_init(*args, **kwargs, fit_max_iters=3)
-
-        original_init = engine.init
-        monkeypatch.setattr(engine, "init", capped_init)
+        monkeypatch.setattr(engine, "fit", partial(fit, max_iters=3))
         scenario = Scenario(
             dictionary=small_dictionary, cfg=small_config, tau=10,
             change=((1, 1.5),), horizon=40,
@@ -385,7 +392,7 @@ class TestCalibrateAndEvaluate:
         for rep in range(5):
             stream_ss, engine_ss = engine._rep_rngs(21, rep)
             stream = gen_stream(scenario, stream_ss)
-            state = capped_init(small_config, small_dictionary, h=0.5, seed=engine_ss)
+            state = init(small_config, small_dictionary, h=0.5, seed=engine_ss)
             for x in stream:
                 outcome = step(state, x)
                 expected += not outcome.converged
@@ -395,16 +402,21 @@ class TestCalibrateAndEvaluate:
         assert summary.n_nonconverged == expected
 
     def test_config_mismatch_rejected(self, small_dictionary, small_config):
+        """evaluate refuses a config or a dictionary other than the scenario's."""
         other = ModelConfig.homogeneous(
             k_a=4, sigma_e=0.2, sigma_b=0.5, sigma_j=2.0, w=0.2,
             v=1e-6, decay=0.1, m=3,
         )
-        with pytest.raises(DimensionError):
-            evaluate(
-                other, small_dictionary, 1.0,
-                _null_scenario(small_dictionary, small_config, 40),
-                n_reps=2, seed=0,
-            )
+        other_dictionary = BasisDictionary(
+            b_b=small_dictionary.b_b, b_a=2.0 * small_dictionary.b_a
+        )
+        scenario = _null_scenario(small_dictionary, small_config, 40)
+        for cfg, dictionary, match in [
+            (other, small_dictionary, "model config"),
+            (small_config, other_dictionary, "basis dictionary"),
+        ]:
+            with pytest.raises(DimensionError, match=match):
+                evaluate(cfg, dictionary, 1.0, scenario, n_reps=2, seed=0)
 
     def test_planted_change_is_detected_after_tau(
         self, small_dictionary, small_config

@@ -257,7 +257,7 @@ class TestOracleBasis:
             ), 5
         else:
             d, m = degenerate_dictionary(6), 3 if case == "rank-deficient" else 2
-        scorer = OracleScorer(d, _cfg(d.k_a, m), m)
+        scorer = OracleScorer(d, m)
         table = scorer.bases.reshape(d.p, d.k_b, len(scorer.subsets))
         try:
             for i, z in enumerate(scorer.subsets):

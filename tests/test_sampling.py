@@ -204,7 +204,7 @@ class TestOracleScorer:
 
     def test_scores_match_dense_route_with_background(self, rng):
         d, post, x1 = self._problem(rng)
-        scorer = OracleScorer(d, _cfg(3, 3), 3)
+        scorer = OracleScorer(d, 3)
         scores = scorer.subset_scores(x1, post)
         for i, z in enumerate(combinations(range(7), 3)):
             ref = reference_subset_score(
@@ -226,7 +226,7 @@ class TestOracleScorer:
             alpha=rng.uniform(0.1, 0.9, size=3),
         )
         x1 = rng.normal(size=d.p)
-        scorer = OracleScorer(d, _cfg(3, m), m)
+        scorer = OracleScorer(d, m)
         scores = scorer.subset_scores(x1, post)
         for i, z in enumerate(scorer.subsets):
             ref = reference_subset_score(
@@ -238,7 +238,7 @@ class TestOracleScorer:
         """With k_b = 0 a subset's score is the sum of its variables'
         ``score_variables`` scores."""
         d, post, x1 = self._problem(rng, p=9, k_a=3, k_b=0)
-        scorer = OracleScorer(d, _cfg(3, 4), 4)
+        scorer = OracleScorer(d, 4)
         s = score_variables(x1, post, d)
         sums = np.array([s[z].sum() for z in scorer.subsets])
         np.testing.assert_allclose(
@@ -254,7 +254,7 @@ class TestOracleScorer:
         spread = post.alpha * (1.0 - post.alpha) * post.mu_a * post.mu_a
         variable = 2.0 * x1 * y - (y * y + (d.b_a * d.b_a) @ spread)
         assert score_variables(x1, post, d).tobytes() == variable.tobytes()
-        scorer = OracleScorer(d, _cfg(3, 3), 3)
+        scorer = OracleScorer(d, 3)
         want = variable @ scorer.incidence
         c_y, c_x = np.stack([d.b_a @ post.mu_tilde, x1]) @ scorer.bases
         c_y *= c_y - 2.0 * c_x
@@ -265,11 +265,11 @@ class TestOracleScorer:
     def test_select_needs_a_generator(self, rng):
         d, post, x1 = self._problem(rng)
         with pytest.raises(TypeError):
-            OracleScorer(d, _cfg(3, 3), 3).select(x1, post)
+            OracleScorer(d, 3).select(x1, post)
 
     def test_select_returns_argmax_subset(self, rng):
         d, post, x1 = self._problem(rng)
-        scorer = OracleScorer(d, _cfg(3, 3), 3)
+        scorer = OracleScorer(d, 3)
         scores = scorer.subset_scores(x1, post)
         plan = scorer.select(x1, post, rng)
         np.testing.assert_array_equal(
@@ -282,7 +282,7 @@ class TestOracleScorer:
         for _ in range(20):
             d, post, x1 = self._problem(rng, p=8, k_a=3, k_b=0)
             plan_fast = select_top_m(score_variables(x1, post, d), 3, rng)
-            plan_oracle = OracleScorer(d, _cfg(3, 3), 3).select(x1, post, rng)
+            plan_oracle = OracleScorer(d, 3).select(x1, post, rng)
             np.testing.assert_array_equal(plan_oracle.z, plan_fast.z)
 
     def test_null_posterior_ties_break_uniformly(self):
@@ -295,7 +295,7 @@ class TestOracleScorer:
         post = SpikeSlabPosterior(
             mu_a=np.zeros(2), s2=np.ones(2), alpha=np.full(2, 0.3)
         )
-        scorer = OracleScorer(d, _cfg(2, 2), 2)
+        scorer = OracleScorer(d, 2)
         trials = 5000
         counts = {}
         for _ in range(trials):
@@ -310,18 +310,17 @@ class TestOracleScorer:
             b_b=np.zeros((50, 0)), b_a=rng.normal(size=(50, 2))
         )
         with pytest.raises(CapabilityError):
-            OracleScorer(d, _cfg(2, 25), 25)
+            OracleScorer(d, 25)
 
     def test_shared_scorer_equals_fresh_scorer(self, rng):
         """The process-wide scorer for an equal dictionary picks what a
         freshly built one picks, and equal content shares one build."""
         d, post, x1 = self._problem(rng)
-        cfg = _cfg(3, 3)
         twin = BasisDictionary(b_b=d.b_b.copy(), b_a=d.b_a.copy())
-        shared = OracleScorer.shared(d, cfg, 3)
-        assert OracleScorer.shared(twin, cfg, 3) is shared
+        shared = OracleScorer.shared(d, 3)
+        assert OracleScorer.shared(twin, 3) is shared
         plan_a = shared.select(x1, post, np.random.default_rng(1))
-        plan_b = OracleScorer(d, cfg, 3).select(x1, post, np.random.default_rng(1))
+        plan_b = OracleScorer(d, 3).select(x1, post, np.random.default_rng(1))
         np.testing.assert_array_equal(plan_a.z, plan_b.z)
 
 
