@@ -262,6 +262,7 @@ def _run_one(args):
 def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int, sampler: str):
     """Run replications 0..n_reps-1, inline or pooled, in rep order."""
     worklist = [(scenario, h, seed, rep, sampler) for rep in range(n_reps)]
+    workers = min(workers, n_reps)  # a pool starts all its processes at once
     if workers <= 1:
         return [_run_one(args) for args in worklist]
     chunk = max(1, len(worklist) // (workers * 4))

@@ -10,15 +10,14 @@ unpickle a fresh dictionary per task still share entries.  The cache holds
 one (dictionary, variances, m) combination at a time, and only when all
 C(p, m) of its subsets fit ``CACHE_BUDGET_BYTES``, a property of the input;
 larger subset spaces keep just the latest geometry, which the layers of one
-step share.  Every geometry, built or found, is read back from its packed
-float64 row, so a cached geometry equals a fresh one byte for byte.
+step share.  A hit returns the stored geometry itself, whose arrays are
+read-only, so a cached geometry equals a fresh one byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -60,40 +59,6 @@ class SubsetGeometry(NamedTuple):
     col_sq: np.ndarray
 
 
-@lru_cache(maxsize=8)
-def _triangle(k_a: int):
-    """(upper-triangle indices, k_a×k_a positions in the packed triangle).
-
-    m_c is exactly symmetric (the mean of a matrix and its transpose), so
-    its upper triangle holds it whole.
-    """
-    upper = np.triu_indices(k_a)
-    where = np.empty((k_a, k_a), dtype=np.intp)
-    where[upper] = np.arange(upper[0].size)
-    where.T[upper] = where[upper]
-    for arr in (*upper, where):
-        arr.flags.writeable = False
-    return upper, where
-
-
-def _layout(row: np.ndarray, m: int, k_a: int, k_b: int):
-    """Views (g, upper triangle of m_c, cov_b, basis, logdet slot) of a packed row.
-
-    ``g`` is laid out column-major, as the Cholesky solve returns it, so its
-    products sum in the same order however it was obtained.
-    """
-    a = m * k_b
-    b = a + k_a * (k_a + 1) // 2
-    c = b + k_b * k_b
-    return (
-        row[:a].reshape(m, k_b).T,
-        row[a:b],
-        row[b:c].reshape(k_b, k_b),
-        row[c : c + a].reshape(m, k_b),
-        row[c + a :],
-    )
-
-
 def column_bases(b_b_z: np.ndarray) -> np.ndarray:
     """Orthonormal bases of the column spaces of one m×k_b block or a stack of them.
 
@@ -108,8 +73,8 @@ def column_bases(b_b_z: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z, row) -> None:
-    """Check the subset, factor its background rows once, and fill the packed row."""
+def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> SubsetGeometry:
+    """Check the subset and factor its background rows once."""
     if z.size and (z.min() < 0 or z.max() >= dictionary.p):
         raise IndexError("observation subset index out of range")
     if np.unique(z).size != z.size:
@@ -117,45 +82,37 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z, row
     b_a_z = dictionary.b_a[z]
     b_b_z = dictionary.b_b[z]
     m, k_b = b_b_z.shape
-    g_out, m_out, cov_out, basis_out, logdet_out = _layout(row, m, dictionary.k_a, k_b)
-    logdet_out[0] = 0.0
+    # Fixed layouts (g column-major, as the Cholesky solve returns it), so
+    # products with them sum in one order at any k_b.
+    g = np.empty((k_b, m), order="F")
+    cov_b = np.empty((k_b, k_b))
+    basis = np.empty((m, k_b))
+    logdet_w = 0.0
     w_a = b_a_z
     if k_b:
         h = b_b_z.T @ b_b_z / sigma_e2 + np.eye(k_b) / sigma_b2
         factor = cho_factor(h, lower=True, check_finite=False)
-        g = cho_solve(factor, b_b_z.T / sigma_e2, check_finite=False)
-        g_out[...] = g
+        g[...] = cho_solve(factor, b_b_z.T / sigma_e2, check_finite=False)
         w_a = b_a_z - b_b_z @ (g @ b_a_z)
         cov = cho_solve(factor, np.eye(k_b), check_finite=False)
-        cov_out[...] = 0.5 * (cov + cov.T)
-        logdet_out[0] = -k_b * math.log(sigma_b2) - 2.0 * float(
-            np.sum(np.log(np.diag(factor[0])))
-        )
-        basis_out[...] = column_bases(b_b_z)
+        cov_b[...] = 0.5 * (cov + cov.T)
+        logdet_w = -k_b * math.log(sigma_b2) - 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+        basis[...] = column_bases(b_b_z)
     m_c = b_a_z.T @ w_a
-    m_out[...] = (0.5 * (m_c + m_c.T))[_triangle(dictionary.k_a)[0]]
-
-
-def _read(row: np.ndarray, dictionary: BasisDictionary, z: np.ndarray) -> SubsetGeometry:
-    row = row.view()
-    row.flags.writeable = False
-    g, m_upper, cov_b, basis, logdet = _layout(row, z.size, dictionary.k_a, dictionary.k_b)
-    b_a_z = dictionary.b_a[z]
-    b_b_z = dictionary.b_b[z]
+    m_c = 0.5 * (m_c + m_c.T)
     col_sq = (b_a_z * b_a_z).sum(axis=0)
-    m_c = m_upper[_triangle(dictionary.k_a)[1]]
-    for arr in (b_a_z, b_b_z, col_sq, m_c):
+    for arr in (b_a_z, b_b_z, g, m_c, cov_b, basis, col_sq):
         arr.flags.writeable = False
-    return SubsetGeometry(b_a_z, b_b_z, g, m_c, float(logdet[0]), cov_b, basis, col_sq)
+    return SubsetGeometry(b_a_z, b_b_z, g, m_c, logdet_w, cov_b, basis, col_sq)
 
 
 class _GeometryCache:
     """Per-process store behind ``subset_geometry``.
 
-    ``rows`` maps a subset's index bytes to its row of ``slab``, for the
-    current combination ``key``; ``slab`` is None when the combination's
-    subset space exceeds the budget.  ``last`` is the latest geometry.  A
-    row is written once, before it is registered, under ``lock``.
+    ``table`` maps a subset's index bytes to its geometry, for the current
+    combination ``key``; it is None when the combination's C(p, m) subsets
+    exceed the budget.  ``last`` is the latest geometry.  A geometry is
+    registered once built, under ``lock``.
     """
 
     def __init__(self, budget: int):
@@ -166,8 +123,8 @@ class _GeometryCache:
     def clear(self) -> None:
         with self.lock:
             self.key = None
-            self.rows: dict[bytes, int] = {}
-            self.slab = None
+            self.table: dict[bytes, SubsetGeometry] | None = None
+            self.capacity = 0
             self.last = None
 
     def lookup(self, dictionary, sigma_e2: float, sigma_b2: float, z: np.ndarray):
@@ -176,26 +133,19 @@ class _GeometryCache:
         last = self.last
         if last is not None and last[1] == z_key and last[0] == key:
             return last[2]
-        k_a, k_b = dictionary.k_a, dictionary.k_b
-        width = 2 * z.size * k_b + k_a * (k_a + 1) // 2 + k_b * k_b + 1
         with self.lock:
             if key != self.key:
-                capacity = math.comb(dictionary.p, z.size)
-                self.key, self.rows = key, {}
-                fits = capacity * width * 8 <= self.budget
-                self.slab = np.empty((capacity, width)) if fits else None
-            index = self.rows.get(z_key)
-            if index is not None:
-                row = self.slab[index]
-            elif self.slab is not None and len(self.rows) < len(self.slab):
-                # A permuted subset is an entry of its own, so the slab can fill.
-                row = self.slab[len(self.rows)]
-                _build(dictionary, sigma_e2, sigma_b2, z, row)
-                self.rows[z_key] = len(self.rows)
-            else:
-                row = np.empty(width)
-                _build(dictionary, sigma_e2, sigma_b2, z, row)
-        geometry = _read(row, dictionary, z)
+                m, k_a, k_b = z.size, dictionary.k_a, dictionary.k_b
+                entry = 8 * (m * k_a + 3 * m * k_b + k_a * k_a + k_b * k_b + k_a)
+                self.key, self.capacity = key, math.comb(dictionary.p, m)
+                self.table = {} if self.capacity * entry <= self.budget else None
+            table = self.table
+            geometry = None if table is None else table.get(z_key)
+            if geometry is None:
+                geometry = _build(dictionary, sigma_e2, sigma_b2, z)
+                # A permuted subset is an entry of its own, so the table can fill.
+                if table is not None and len(table) < self.capacity:
+                    table[z_key] = geometry
         self.last = (key, z_key, geometry)
         return geometry
 

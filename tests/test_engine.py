@@ -357,6 +357,40 @@ class TestCalibrateAndEvaluate:
         )
         np.testing.assert_array_equal(traj_1, traj_2)
 
+    def test_pool_has_no_more_processes_than_replications(
+        self, small_dictionary, small_config, monkeypatch
+    ):
+        """A pool starts all its processes at once, so --workers 64 with two
+        replications must ask for two; the results equal the inline run's."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        inline = collect_h0_trajectories(
+            small_config, small_dictionary, n_reps=2, horizon=20, seed=5
+        )
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        pooled = collect_h0_trajectories(
+            small_config, small_dictionary, n_reps=2, horizon=20, seed=5, workers=64
+        )
+        single = collect_h0_trajectories(
+            small_config, small_dictionary, n_reps=1, horizon=20, seed=5, workers=64
+        )
+        assert sizes == [2]
+        np.testing.assert_array_equal(pooled, inline)
+        np.testing.assert_array_equal(single, inline[:1])
+
     def test_change_scenario_records_delays(self, small_dictionary, small_config):
         scenario = Scenario(
             dictionary=small_dictionary, cfg=small_config, tau=8,

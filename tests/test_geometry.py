@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -149,7 +150,7 @@ class TestCache:
         finally:
             geometry._CACHE.budget = budget
             clear_geometry_cache()
-        assert hit is not miss
+        assert hit is miss
         assert _as_bytes(hit) == _as_bytes(miss) == _as_bytes(uncached)
 
     def test_repeat_is_not_rebuilt_and_arrays_are_read_only(self, count_builds):
@@ -193,7 +194,31 @@ class TestCache:
         for z in (z_a, z_a, z_b, z_a):
             subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
         assert len(count_builds) == 3
-        assert geometry._CACHE.slab is None and geometry._CACHE.rows == {}
+        assert geometry._CACHE.table is None
+
+    def test_permuted_subsets_stop_at_the_subset_count(self, count_builds):
+        """Every order of one subset is an entry of its own, but the table
+        stops at C(p, m) entries; past it each geometry is built afresh and
+        still equals its uncached build."""
+        rng = np.random.default_rng(6)
+        d = BasisDictionary(b_b=rng.normal(size=(5, 2)), b_a=rng.normal(size=(5, 3)))
+        orders = [np.array(z) for z in itertools.permutations([4, 0, 2, 1])]
+        capacity = math.comb(d.p, 4)
+        assert len(orders) > capacity
+        budget = geometry._CACHE.budget
+        geometry._CACHE.budget = 0
+        try:
+            expected = [_as_bytes(subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)) for z in orders]
+        finally:
+            geometry._CACHE.budget = budget
+        clear_geometry_cache()
+        del count_builds[:]
+        for _ in range(2):
+            for z, want in zip(orders, expected):
+                assert _as_bytes(subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)) == want
+                assert len(geometry._CACHE.table) <= capacity
+        assert len(geometry._CACHE.table) == capacity
+        assert len(count_builds) == 2 * len(orders) - capacity
 
     def test_invalid_subsets_rejected_when_built(self):
         d, _, _, _ = _problem(1, 2, 3, "random")
