@@ -12,6 +12,15 @@ C(p, m) of its subsets fit ``CACHE_BUDGET_BYTES``, a property of the input;
 larger subset spaces keep just the latest geometry, which the layers of one
 step share.  A hit returns the stored geometry itself, whose arrays are
 read-only, so a cached geometry equals a fresh one byte for byte.
+
+A geometry is built from one thin SVD of the observed background rows,
+B_bZ = U·S·V' with r = min(m, k_b) singular values s_i.  With
+kappa = sigma_e^2/sigma_b^2 and c_i = s_i^2/(s_i^2 + kappa), the Woodbury
+identity gives every field in closed form at any rank, also when m < k_b:
+the whitening matrix is W = I − U·diag(c)·U', its log determinant is
+Σ ln(kappa/(s_i^2 + kappa)), and the background precision's inverse is
+sigma_b^2·(I − V·diag(c)·V').  The same SVD, cut at its numerical rank, is
+the orthonormal basis of the observed background columns.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ import threading
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .bases import BasisDictionary
 from .errors import DimensionError
@@ -35,17 +43,21 @@ class SubsetGeometry(NamedTuple):
     """What the per-step layers read from one observed subset; all read-only.
 
     With H = B_bZ'B_bZ/sigma_e^2 + I/sigma_b^2, the background precision
-    given the subset's rows:
+    given the subset's rows, and the thin SVD B_bZ = U·S·V', kappa and c_i
+    as in the module docstring:
 
-        g         H^{-1}·B_bZ'/sigma_e^2 (k_b×m): W = I − B_bZ·g whitens the
-                  decayed moments, and g·x is the background mean
-        m_c       B_aZ'·W·B_aZ (k_a×k_a), one step's contribution to M
-        logdet_w  ln det W = −k_b·ln sigma_b^2 − ln det H
-        cov_b     H^{-1} (k_b×k_b), the background posterior covariance
-        basis     orthonormal basis of the column space of B_bZ, from an SVD
-                  and zero past its rank (m×k_b), so basis·basis' is the
-                  projection onto the observed background columns even when
-                  the rows are rank-deficient
+        g         H^{-1}·B_bZ'/sigma_e^2 = V·diag(s_i/(s_i^2 + kappa))·U'
+                  (k_b×m): W = I − B_bZ·g whitens the decayed moments, and
+                  g·x is the background mean
+        m_c       B_aZ'·W·B_aZ = B_aZ'B_aZ − K'K with K = diag(√c)·U'B_aZ
+                  (k_a×k_a), one step's contribution to M
+        logdet_w  ln det W = Σ ln(kappa/(s_i^2 + kappa))
+        cov_b     H^{-1} = sigma_b^2·(I − V·diag(c)·V') (k_b×k_b), the
+                  background posterior covariance
+        basis     U, zero past its numerical rank and padded with zero
+                  columns to m×k_b, so basis·basis' is the projection onto
+                  the observed background columns even when the rows are
+                  rank-deficient
         col_sq    column sums of squares of B_aZ (k_a,)
     """
 
@@ -59,47 +71,50 @@ class SubsetGeometry(NamedTuple):
     col_sq: np.ndarray
 
 
-def column_bases(b_b_z: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the column spaces of one m×k_b block or a stack of them.
+def _rank_cut(u_mat: np.ndarray, svals: np.ndarray, shape) -> np.ndarray:
+    """Left singular vectors of a thin SVD, zeroed past the rank cut, as an
+    array of the factored block's ``shape`` (m×k_b, or a stack of them).
 
-    Left singular vectors past the rank cut max(m, k_b)·eps·(largest singular
-    value) are zeroed, so basis·basis' projects onto the block's columns at
-    any rank.  A stack is one SVD call, which factors block by block.
+    The cut is max(m, k_b)·eps·(largest singular value), so basis·basis'
+    projects onto the block's columns at any rank.
     """
-    u_mat, svals, _ = np.linalg.svd(b_b_z, full_matrices=False)
-    cut = max(b_b_z.shape[-2:]) * np.finfo(np.float64).eps * svals[..., :1]
-    basis = np.zeros(b_b_z.shape)
+    cut = max(shape[-2:]) * np.finfo(np.float64).eps * svals[..., :1]
+    basis = np.zeros(shape)
     basis[..., : svals.shape[-1]] = np.where((svals > cut)[..., None, :], u_mat, 0.0)
     return basis
 
 
+def column_bases(b_b_z: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the column spaces of one m×k_b block or a stack of them.
+
+    A stack is one SVD call, which factors block by block, so each basis is
+    bitwise the one ``_build`` cuts from its own SVD of that block.
+    """
+    u_mat, svals, _ = np.linalg.svd(b_b_z, full_matrices=False)
+    return _rank_cut(u_mat, svals, b_b_z.shape)
+
+
 def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> SubsetGeometry:
-    """Check the subset and factor its background rows once."""
+    """Check the subset and factor its background rows by one thin SVD."""
     if z.size and (z.min() < 0 or z.max() >= dictionary.p):
         raise IndexError("observation subset index out of range")
     if np.unique(z).size != z.size:
         raise DimensionError("observation subset indices must be distinct")
     b_a_z = dictionary.b_a[z]
     b_b_z = dictionary.b_b[z]
-    m, k_b = b_b_z.shape
-    # Fixed layouts (g column-major, as the Cholesky solve returns it), so
-    # products with them sum in one order at any k_b.
-    g = np.empty((k_b, m), order="F")
-    cov_b = np.empty((k_b, k_b))
-    basis = np.empty((m, k_b))
-    logdet_w = 0.0
-    w_a = b_a_z
-    if k_b:
-        h = b_b_z.T @ b_b_z / sigma_e2 + np.eye(k_b) / sigma_b2
-        factor = cho_factor(h, lower=True, check_finite=False)
-        g[...] = cho_solve(factor, b_b_z.T / sigma_e2, check_finite=False)
-        w_a = b_a_z - b_b_z @ (g @ b_a_z)
-        cov = cho_solve(factor, np.eye(k_b), check_finite=False)
-        cov_b[...] = 0.5 * (cov + cov.T)
-        logdet_w = -k_b * math.log(sigma_b2) - 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-        basis[...] = column_bases(b_b_z)
-    m_c = b_a_z.T @ w_a
+    u_mat, svals, vt = np.linalg.svd(b_b_z, full_matrices=False)
+    kappa = sigma_e2 / sigma_b2
+    sq = svals * svals
+    s2_kappa = sq + kappa
+    c = sq / s2_kappa
+    g = (vt.T * (svals / s2_kappa)) @ u_mat.T
+    cov_b = sigma_b2 * (np.eye(b_b_z.shape[1]) - (vt.T * c) @ vt)
+    cov_b = 0.5 * (cov_b + cov_b.T)
+    logdet_w = float(np.sum(np.log(kappa / s2_kappa)))
+    k = np.sqrt(c)[:, None] * (u_mat.T @ b_a_z)
+    m_c = b_a_z.T @ b_a_z - k.T @ k
     m_c = 0.5 * (m_c + m_c.T)
+    basis = _rank_cut(u_mat, svals, b_b_z.shape)
     col_sq = (b_a_z * b_a_z).sum(axis=0)
     for arr in (b_a_z, b_b_z, g, m_c, cov_b, basis, col_sq):
         arr.flags.writeable = False

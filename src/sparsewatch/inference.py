@@ -402,16 +402,25 @@ def _sweep(blocks, mu, alpha, mu_t) -> float:
             mu_j = scale * (u_j - cross)
             sq = mu_j * mu_j
             logit = logit_w + sq / two_sj2 + half_m * (sq - s2_j + v_s2)
+            # Each branch's exponent is at most 0, so exp never overflows,
+            # and only the clamp on its own side of 1/2 can bind.
             if logit >= 0.0:
-                a_j = 1.0 / (1.0 + exp(-logit if logit < 700.0 else -700.0))
+                a_j = 1.0 / (1.0 + exp(-logit))
+                if a_j > hi:
+                    a_j = hi
             else:
-                e = exp(logit if logit > -700.0 else -700.0)
+                e = exp(logit)
                 a_j = e / (1.0 + e)
-            a_j = min(max(a_j, lo), hi)
-            d = abs(mu_j - mu[j])
+                if not a_j >= lo:  # also a NaN logit
+                    a_j = lo
+            d = mu_j - mu[j]
+            if d < 0.0:
+                d = -d
             if d > delta or d != d:
                 delta = d
-            d = abs(a_j - alpha[j])
+            d = a_j - alpha[j]
+            if d < 0.0:
+                d = -d
             if d > delta or d != d:
                 delta = d
             mu[j] = mu_j

@@ -58,6 +58,19 @@ class SensingPlan:
                 self, "scores", np.asarray(self.scores, dtype=np.float64).ravel()
             )
 
+    @classmethod
+    def _trusted(cls, z: np.ndarray, scores: np.ndarray | None) -> "SensingPlan":
+        """Plan from fields that already satisfy every check.
+
+        For the samplers, whose ``z`` is a sorted intp vector of distinct
+        indices and whose ``scores`` is a float64 vector or None; the values
+        are exactly those the checked constructor would store.
+        """
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "z", z)
+        object.__setattr__(plan, "scores", scores)
+        return plan
+
     @property
     def m(self) -> int:
         return self.z.size
@@ -147,7 +160,7 @@ def select_top_m(
         raise DimensionError(f"budget m={m} must lie in [1, {p}]")
     perm = rng.permutation(p)
     ranked = perm[np.argsort(-scores[perm], kind="stable")]
-    return SensingPlan(z=ranked[:m], scores=scores)
+    return SensingPlan._trusted(np.sort(ranked[:m]), scores)
 
 
 # ── Exhaustive reference strategy ─────────────────────────────────────────
@@ -244,4 +257,4 @@ class OracleScorer:
         scores = self.subset_scores(x1_hat, post)
         ties = np.flatnonzero(scores == scores.max())
         pick = int(ties[rng.integers(ties.size)]) if ties.size > 1 else int(ties[0])
-        return SensingPlan(z=self.subsets[pick].copy(), scores=None)
+        return SensingPlan._trusted(self.subsets[pick].copy(), None)

@@ -103,6 +103,25 @@ class TestDenseRoute:
         assert stats.raw_norm == pytest.approx(norm, rel=1e-9)
         np.testing.assert_allclose(geo.basis @ geo.basis.T, ref["P"], atol=1e-10)
 
+    @pytest.mark.parametrize("rows", ["random", "rank1", "zero"])
+    @pytest.mark.parametrize("k_b", [3, 4])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fewer_rows_than_background_columns(self, m, k_b, rows):
+        """With m < k_b the SVD has only m singular values; g, cov_b, ln det W
+        and M still equal the dense k_b×k_b and m×m routes."""
+        for seed in range(5):
+            d, z, x, _ = _problem(seed, k_b, m, rows)
+            geo = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+            b_rows = d.b_b[z]
+            h_inv = np.linalg.inv(b_rows.T @ b_rows / SIGMA_E**2 + np.eye(k_b) / SIGMA_B**2)
+            ref = whitened_subset_terms(d.b_a[z], b_rows, x, SIGMA_E, SIGMA_B)
+            assert geo.g.shape == (k_b, m) and geo.basis.shape == (m, k_b)
+            np.testing.assert_allclose(geo.g, h_inv @ b_rows.T / SIGMA_E**2, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(geo.cov_b, h_inv, rtol=1e-9, atol=1e-12)
+            assert geo.logdet_w == pytest.approx(ref["logdet_w"], rel=1e-9, abs=1e-12)
+            np.testing.assert_allclose(geo.m_c, ref["M"], rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(geo.basis @ geo.basis.T, ref["P"], atol=1e-10)
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         k_b=st.integers(1, 3),

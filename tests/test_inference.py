@@ -222,6 +222,43 @@ class TestCoordinateSweep:
             assert got.tobytes() == want.tobytes()
         assert np.any(post.alpha == 1.0 - ALPHA_CLAMP)
 
+    def test_strongly_negative_logit_lands_on_the_lower_clamp(self):
+        """A prior inclusion of 1e-20 puts the logit near −46, far below
+        logit(ALPHA_CLAMP) ≈ −27.6: alpha is exactly the clamp, as the
+        checked constructor would store it."""
+        cfg = ModelConfig.homogeneous(
+            k_a=1, sigma_e=1.0, sigma_b=1.0, sigma_j=1.0, w=1e-20,
+            v=0.5, decay=0.1, m=1,
+        )
+        stats = DecayedStats(
+            raw_M=np.array([[2.0]]), raw_u=np.array([0.0]),
+            raw_q=0.0, raw_norm=0.0, mass=1.0, n=1,
+        )
+        post = vb_coordinate_sweep(SpikeSlabPosterior.prior(cfg), stats, cfg)
+        assert post.alpha[0] == ALPHA_CLAMP
+        checked = SpikeSlabPosterior(mu_a=post.mu_a, s2=post.s2, alpha=post.alpha)
+        assert post.alpha.tobytes() == checked.alpha.tobytes()
+
+    def test_logits_beyond_700_give_finite_clamped_alpha(self):
+        """Coordinates whose logits lie past ±700 (one of them +inf, from a
+        squared mean that overflows) still land exactly on the clamps."""
+        cfg = ModelConfig(
+            sigma_e=1.0, sigma_b=1.0, sigma_j=np.ones(4),
+            w=np.array([1e-320, 1e-20, 0.5, 0.5]), v=0.5, decay=0.1, m=1,
+        )
+        stats = DecayedStats(
+            raw_M=np.eye(4), raw_u=np.array([0.0, 0.0, 1e6, 1e200]),
+            raw_q=0.0, raw_norm=0.0, mass=1.0, n=1,
+        )
+        post = vb_coordinate_sweep(SpikeSlabPosterior.prior(cfg), stats, cfg)
+        # With M = I, unit variances and mu_tilde = 0 at the start:
+        # s^2 = 1/2, mu_j = u_j/2, logit_j = logit w_j + mu_j^2 − 1/8.
+        with np.errstate(over="ignore"):
+            logits = cfg.logit_w + (stats.raw_u / 2.0) ** 2 - 0.125
+        assert logits[0] < -700.0 and logits[2] > 700.0 and logits[3] == np.inf
+        assert np.all(np.isfinite(post.alpha))
+        assert post.alpha.tolist() == [ALPHA_CLAMP, ALPHA_CLAMP, 1.0 - ALPHA_CLAMP, 1.0 - ALPHA_CLAMP]
+
     def test_single_coordinate_frozen_values(self):
         """Hand-derived fixed step: M=2, u=1, unit noise and slab, w=1/2,
         v=1/2 give s^2=1/3, mu=1/3, alpha=1/2 exactly.

@@ -337,3 +337,27 @@ class TestSensingPlan:
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             SensingPlan(z=[])
+
+    def test_sampler_plans_equal_checked_construction(self, rng):
+        """``select_top_m`` and ``OracleScorer.select`` skip the constructor's
+        checks; each plan must hold exactly what the checked constructor
+        stores from the same indices in any order and the same scores."""
+        d = BasisDictionary(b_b=rng.normal(size=(7, 2)), b_a=rng.normal(size=(7, 3)))
+        post = SpikeSlabPosterior(
+            mu_a=rng.normal(size=3), s2=np.ones(3), alpha=rng.uniform(0.1, 0.9, size=3)
+        )
+        scorer = OracleScorer(d, 3)
+        for _ in range(20):
+            x1 = rng.normal(size=7)
+            scores = score_variables(x1, post, d)
+            for plan, given in (
+                (select_top_m(scores, 3, rng), scores),
+                (select_top_m(scores.tolist(), 4, rng), scores.tolist()),
+                (scorer.select(x1, post, rng), None),
+            ):
+                checked = SensingPlan(z=rng.permutation(plan.z), scores=given)
+                assert (plan.scores is None) == (checked.scores is None)
+                for field in ("z", "scores")[: 1 if given is None else 2]:
+                    got, want = getattr(plan, field), getattr(checked, field)
+                    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+                    assert got.tobytes() == want.tobytes()
