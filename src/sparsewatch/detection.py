@@ -7,6 +7,17 @@ forms the log posterior Bayes factor; it enumerates the 2^k_a inclusion
 patterns and is intended for small anomaly bases and for validating the
 fast route.  The fast route is the quadratic monitoring statistic used in
 the online loop, whose expectation separates across observed variables.
+
+The enumeration runs on numpy alone, so importing this module (and the
+engine, which imports it) loads no numerical package beyond numpy, which
+keeps a monitoring process's start-up short.  Patterns are taken
+``_PATTERN_CHUNK`` at a time: one chunk's anomaly precisions are a stack
+of (k_a, k_a) matrices, factored by one stacked ``np.linalg.cholesky``;
+one stacked ``np.linalg.solve`` against those factors gives every
+quadratic form as a squared norm, and, with a background basis, the
+(k_b, k_b) Schur complements are factored and solved the same way.  Each
+chunk's log terms are reduced by a log-sum-exp, and the chunks' results by
+another, so memory per call stays bounded up to ``EXACT_KA_LIMIT``.
 """
 
 from __future__ import annotations
@@ -15,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .bases import BasisDictionary
 from .errors import CapabilityError, DataError, DimensionError
@@ -34,6 +43,10 @@ __all__ = [
 ]
 
 EXACT_KA_LIMIT = 20
+
+# Inclusion patterns factored per stacked call: at k_a = EXACT_KA_LIMIT one
+# (chunk, k_a, k_a) stack is 0.8 MB.
+_PATTERN_CHUNK = 256
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -80,7 +93,8 @@ def _gather(
 def _background(inp: DetectionInputs, dictionary: BasisDictionary):
     """(theta_n, cov_b^{-1}, ln det cov_b) of the caller-supplied background
     posterior the exact routes integrate against, factored once per call;
-    None without a background basis."""
+    None without a background basis.  The one place the exact routes check
+    that cov_b is positive definite."""
     if inp.bg is None:
         raise DataError(
             "the exact routes need the step's background posterior: pass "
@@ -90,13 +104,30 @@ def _background(inp: DetectionInputs, dictionary: BasisDictionary):
         raise DimensionError("background posterior disagrees with the dictionary")
     if dictionary.k_b == 0:
         return None
-    factor = cho_factor(inp.bg.cov_b, lower=True)
-    cov_inv = cho_solve(factor, np.eye(dictionary.k_b))
-    return inp.bg.theta_n, cov_inv, _logdet_from_factor(factor)
+    try:
+        root = np.linalg.cholesky(inp.bg.cov_b)
+    except np.linalg.LinAlgError:
+        root = None
+    if root is None or not np.all(np.isfinite(root)):
+        raise DataError(
+            "the background covariance cov_b is not a finite positive-definite matrix"
+        )
+    root_inv = np.linalg.solve(root, np.eye(dictionary.k_b))
+    return inp.bg.theta_n, root_inv.T @ root_inv, float(_logdet_from_root(root))
 
 
-def _logdet_from_factor(factor) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+def _logdet_from_root(root) -> np.ndarray:
+    """ln det of L·L' for a stack of lower Cholesky factors (or one)."""
+    return 2.0 * np.sum(np.log(np.diagonal(root, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _logsumexp(a) -> float:
+    """ln Σ exp(a), shifted by the largest entry; ±inf and NaN pass through."""
+    a = np.asarray(a, dtype=np.float64)
+    top = float(np.max(a))
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.sum(np.exp(a - top))))
 
 
 # ── Exact marginals ───────────────────────────────────────────────────────
@@ -114,10 +145,11 @@ def _h0_terms(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfi
     geo = _gather(inp, dictionary, cfg)
     b_b_z, se2 = geo.b_b_z, cfg.sigma_e2
     theta0 = geo.g @ x
-    h_factor = cho_factor(b_b_z.T @ b_b_z / se2 + cov_inv, lower=True)
-    g = x @ b_b_z / se2 + theta0 @ cov_inv
-    quad = float(theta0 @ cov_inv @ theta0) - float(g @ cho_solve(h_factor, g))
-    return logdet_cov, _logdet_from_factor(h_factor), quad
+    h_root = np.linalg.cholesky(b_b_z.T @ b_b_z / se2 + cov_inv)
+    # g'H^{-1}g is the squared norm of L^{-1}g, with H = L·L'
+    g_w = np.linalg.solve(h_root, x @ b_b_z / se2 + theta0 @ cov_inv)
+    quad = float(theta0 @ cov_inv @ theta0) - float(g_w @ g_w)
+    return logdet_cov, float(_logdet_from_root(h_root)), quad
 
 
 def marginal_h0(
@@ -137,16 +169,24 @@ def marginal_h0(
     return base - 0.5 * (logdet_cov + logdet_h) - 0.5 * (quad + float(x @ x) / se2)
 
 
-def _h1_pattern_terms(
-    inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig, bg
-):
-    """Per-inclusion-pattern log weights and log likelihood pieces.
+def _h1_log_mass(
+    inp: DetectionInputs,
+    dictionary: BasisDictionary,
+    cfg: ModelConfig,
+    bg,
+    logdet0: float = 0.0,
+    quad0: float = 0.0,
+) -> float:
+    """ln Σ_r q(r)·exp(−(logdet_r − logdet0)/2 − (quad_r − quad0)/2) over
+    every inclusion pattern r in {0,1}^k_a.
 
-    Yields, for every inclusion pattern r in {0,1}^k_a, the tuple
-    (log q(r), log-likelihood term without the shared −(m/2)ln(2π sigma_e^2)
-    − x'x/(2 sigma_e^2) − (1/2)logdet cov_b constant, quadratic part), so
-    callers can assemble either the marginal or the Bayes factor without
-    duplicating the enumeration; ``bg`` comes from ``_background``.
+    logdet_r and quad_r are pattern r's log-determinant and quadratic part
+    of the Gaussian integral over the anomaly and background coefficients,
+    without the shared −(m/2)ln(2π sigma_e^2) − x'x/(2 sigma_e^2) −
+    (1/2)logdet cov_b constant; the shifts let the Bayes factor cancel the
+    no-anomaly terms inside the sum.  Patterns are factored
+    ``_PATTERN_CHUNK`` at a time as stacks; ``bg`` comes from
+    ``_background``.
     """
     k_a = dictionary.k_a
     if k_a > EXACT_KA_LIMIT:
@@ -168,38 +208,43 @@ def _h1_pattern_terms(
 
     if k_b:
         theta1, cov_inv, _ = bg
-        c_mat = b_b_z.T @ b_a_z / se2
+        c_t = b_a_z.T @ b_b_z / se2
         h = b_b_z.T @ b_b_z / se2 + cov_inv
         g1 = x @ b_b_z / se2 + theta1 @ cov_inv
         quad_theta1 = float(theta1 @ cov_inv @ theta1)
     else:
-        c_mat = np.zeros((0, k_a))
-        h = np.zeros((0, 0))
-        g1 = np.zeros(0)
+        c_t = np.zeros((k_a, 0))
         quad_theta1 = 0.0
 
-    out = []
-    for code in range(1 << k_a):
-        r = (code >> np.arange(k_a)) & 1
-        k_diag = (r + (1 - r) * cfg.v) * post.s2
+    cols = np.arange(k_a)
+    n_patterns = 1 << k_a
+    masses = []
+    for start in range(0, n_patterns, _PATTERN_CHUNK):
+        codes = np.arange(start, min(start + _PATTERN_CHUNK, n_patterns))
+        r = ((codes[:, None] >> cols) & 1).astype(np.float64)
+        n = codes.size
+        k_diag = (r + (1.0 - r) * cfg.v) * post.s2
         k_inv = 1.0 / k_diag
         mu_r = post.mu_a * r
-        a_mat = bb_a + np.diag(k_inv)
-        a_factor = cho_factor(a_mat, lower=True)
+        a_mat = np.repeat(bb_a[None], n, axis=0)
+        a_mat[:, cols, cols] += k_inv
+        a_root = np.linalg.cholesky(a_mat)
         d = xb_a + mu_r * k_inv
-        a_inv_d = cho_solve(a_factor, d)
-        logdet = float(np.sum(np.log(k_diag))) + _logdet_from_factor(a_factor)
-        quad = float(mu_r @ (k_inv * mu_r)) + quad_theta1 - float(d @ a_inv_d)
+        rhs = np.concatenate((d[:, :, None], np.broadcast_to(c_t, (n, k_a, k_b))), axis=2)
+        # each pattern's solves are squared norms of L^{-1}·(d, C'), A = L·L'
+        w = np.linalg.solve(a_root, rhs)
+        w_d, w_c = w[:, :, 0], w[:, :, 1:]
+        logdet = np.sum(np.log(k_diag), axis=1) + _logdet_from_root(a_root)
+        quad = np.sum(mu_r * k_inv * mu_r, axis=1) + quad_theta1 - np.sum(w_d * w_d, axis=1)
         if k_b:
-            a_inv_ct = cho_solve(a_factor, c_mat.T)
-            h_s = h - c_mat @ a_inv_ct
-            hs_factor = cho_factor(h_s, lower=True)
-            g_t = g1 - d @ a_inv_ct
-            logdet += _logdet_from_factor(hs_factor)
-            quad -= float(g_t @ cho_solve(hs_factor, g_t))
-        log_weight = float(r @ log_alpha + (1 - r) @ log_one_minus)
-        out.append((log_weight, logdet, quad))
-    return out
+            hs_root = np.linalg.cholesky(h - np.matmul(w_c.transpose(0, 2, 1), w_c))
+            g_t = g1 - np.einsum("ni,nij->nj", w_d, w_c)
+            g_w = np.linalg.solve(hs_root, g_t[:, :, None])[:, :, 0]
+            logdet += _logdet_from_root(hs_root)
+            quad -= np.sum(g_w * g_w, axis=1)
+        log_weight = r @ log_alpha + (1.0 - r) @ log_one_minus
+        masses.append(_logsumexp(log_weight - 0.5 * (logdet - logdet0) - 0.5 * (quad - quad0)))
+    return _logsumexp(masses)
 
 
 def marginal_h1_exact(
@@ -219,11 +264,7 @@ def marginal_h1_exact(
     bg = _background(inp, dictionary)
     if bg is not None:
         base -= 0.5 * bg[2]
-    terms = [
-        lw - 0.5 * logdet - 0.5 * quad
-        for lw, logdet, quad in _h1_pattern_terms(inp, dictionary, cfg, bg)
-    ]
-    return float(logsumexp(terms)) + base
+    return _h1_log_mass(inp, dictionary, cfg, bg) + base
 
 
 def log_pbf_exact(
@@ -237,11 +278,7 @@ def log_pbf_exact(
     """
     bg = _background(inp, dictionary)
     _, logdet_h, quad0 = _h0_terms(inp, dictionary, cfg, bg)
-    terms = [
-        lw + 0.5 * (logdet_h - logdet) - 0.5 * (quad - quad0)
-        for lw, logdet, quad in _h1_pattern_terms(inp, dictionary, cfg, bg)
-    ]
-    return float(logsumexp(terms))
+    return _h1_log_mass(inp, dictionary, cfg, bg, logdet_h, quad0)
 
 
 # ── Monitoring statistic ──────────────────────────────────────────────────

@@ -14,7 +14,6 @@ in rep order, and no output depends on wall-clock time or worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,6 +264,9 @@ def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int
     workers = min(workers, n_reps)  # a pool starts all its processes at once
     if workers <= 1:
         return [_run_one(args) for args in worklist]
+    # imported here: a process that never pools never pays the import
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(worklist) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, worklist, chunksize=chunk))

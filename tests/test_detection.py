@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from sparsewatch import (
     marginal_h0,
     marginal_h1_exact,
 )
+from sparsewatch import detection
 from sparsewatch.detection import detection_record
 
 
@@ -141,6 +147,24 @@ class TestMarginalH1:
         bg = BackgroundPosterior(theta_n=theta0, cov_b=bg.cov_b)
         inp = DetectionInputs(x_z=x_z, z=z, post=post, bg=bg)
         assert abs(log_pbf_exact(inp, d, cfg)) < 1e-6
+
+    @pytest.mark.parametrize("k_b", [0, 2])
+    def test_enumeration_across_pattern_chunks(self, rng, k_b):
+        """With more inclusion patterns than one stacked chunk holds, the
+        chunked sum still equals the explicit mixture, and the Bayes factor
+        still equals the marginal difference."""
+        k_a = 9
+        assert 1 << k_a > detection._PATTERN_CHUNK
+        d, cfg, post, bg, z, x_z = _setup(rng, p=14, k_a=k_a, k_b=k_b, m=7)
+        inp = DetectionInputs(x_z=x_z, z=z, post=post, bg=bg)
+        ref = conjugate_h1_logpdf(
+            x_z, d.b_a[z], d.b_b[z], post.mu_a, post.s2, post.alpha,
+            bg.theta_n, bg.cov_b, cfg.sigma_e, cfg.v,
+        )
+        h1 = marginal_h1_exact(inp, d, cfg)
+        assert h1 == pytest.approx(ref, rel=1e-10)
+        direct = h1 - marginal_h0(inp, d, cfg)
+        assert log_pbf_exact(inp, d, cfg) == pytest.approx(direct, abs=1e-9)
 
     def test_too_many_anomaly_columns_refused(self, rng):
         d, cfg, post, bg, z, x_z = _setup(rng, p=25, k_a=21, m=4)
@@ -284,6 +308,23 @@ class TestValidation:
         with pytest.raises(DataError, match="background posterior"):
             route(DetectionInputs(x_z=x_z, z=z, post=post), d, cfg)
 
+    @pytest.mark.parametrize("route", [marginal_h0, marginal_h1_exact, log_pbf_exact])
+    @pytest.mark.parametrize(
+        "cov_b",
+        [
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[np.nan, 0.0], [0.0, 1.0]],
+        ],
+        ids=["singular", "indefinite", "zero-variance", "nan"],
+    )
+    def test_background_covariance_must_be_positive_definite(self, rng, route, cov_b):
+        d, cfg, post, bg, z, x_z = _setup(rng, k_b=2)
+        bad = BackgroundPosterior(theta_n=bg.theta_n, cov_b=np.array(cov_b))
+        with pytest.raises(DataError, match="background covariance"):
+            route(DetectionInputs(x_z=x_z, z=z, post=post, bg=bad), d, cfg)
+
     def test_statistic_does_not_read_the_background(self, rng):
         d, cfg, post, bg, z, x_z = _setup(rng)
         without = DetectionInputs(x_z=x_z, z=z, post=post)
@@ -309,3 +350,47 @@ class TestValidation:
         )
         with pytest.raises(IndexError):
             lambda_stat(inp, d, cfg)
+
+
+class TestImportPath:
+    def test_monitoring_and_exact_routes_import_no_scipy(self):
+        """A fresh interpreter that monitors with both samplers and computes
+        the exact Bayes factor never imports scipy, whose import would
+        dominate the start-up time."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import sparsewatch
+            from sparsewatch import engine, detection, inference
+            from sparsewatch.simgen import Scenario, gen_stream
+
+            d = sparsewatch.BasisDictionary(
+                b_b=sparsewatch.fourier_basis(8, 2),
+                b_a=sparsewatch.bspline_basis(8, 4, 9, normalize_columns=True),
+            )
+            cfg = inference.ModelConfig.homogeneous(
+                k_a=d.k_a, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1,
+                v=1e-7, decay=0.1, m=3,
+            )
+            stream = gen_stream(Scenario(dictionary=d, cfg=cfg, tau=None, horizon=20), 1)
+            for sampler in ("thompson", "oracle"):
+                state = engine.init(cfg, d, h=np.inf, seed=2, sampler=sampler)
+                for row in stream:
+                    z = state.plan.z
+                    engine.step(state, row)
+            x_z = stream[-1][z]
+            bg = inference.update_background(x_z, z, state.post, d, cfg)
+            inp = detection.DetectionInputs(x_z=x_z, z=z, post=state.post, bg=bg)
+            assert np.isfinite(detection.log_pbf_exact(inp, d, cfg))
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

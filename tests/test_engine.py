@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 from functools import partial
 
@@ -380,7 +381,7 @@ class TestCalibrateAndEvaluate:
         inline = collect_h0_trajectories(
             small_config, small_dictionary, n_reps=2, horizon=20, seed=5
         )
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         pooled = collect_h0_trajectories(
             small_config, small_dictionary, n_reps=2, horizon=20, seed=5, workers=64
         )
