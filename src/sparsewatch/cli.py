@@ -138,18 +138,15 @@ def load_scenario(path):
     except json.JSONDecodeError as exc:
         raise CliError(f"scenario file is not valid JSON: {exc}") from exc
 
-    p = int(_require(raw, "p", "scenario"))
-    m = int(_require(raw, "m", "scenario"))
-    basis = _require(raw, "basis", "scenario")
-    model = _require(raw, "model", "scenario")
-    horizon = int(_require(raw, "horizon", "scenario"))
-    tau = _require(raw, "tau", "scenario")
-
-    b_b = _build_basis(
-        _require(basis, "background", "basis"), p, "background", True
-    )
-    b_a = _build_basis(_require(basis, "anomaly", "basis"), p, "anomaly", False)
     try:
+        p = int(_require(raw, "p", "scenario"))
+        m = int(_require(raw, "m", "scenario"))
+        basis = _require(raw, "basis", "scenario")
+        model = _require(raw, "model", "scenario")
+        horizon = int(_require(raw, "horizon", "scenario"))
+        tau = _require(raw, "tau", "scenario")
+        b_b = _build_basis(_require(basis, "background", "basis"), p, "background", True)
+        b_a = _build_basis(_require(basis, "anomaly", "basis"), p, "anomaly", False)
         dictionary = BasisDictionary(b_b=b_b, b_a=b_a)
         cfg = ModelConfig(
             sigma_e=float(_require(model, "sigma_e", "model")),
@@ -171,7 +168,7 @@ def load_scenario(path):
             horizon=horizon,
             random_change_basis=bool(raw.get("random_change_basis", False)),
         )
-    except (SparsewatchError, ValueError) as exc:
+    except (SparsewatchError, TypeError, ValueError) as exc:
         raise CliError(f"invalid scenario: {exc}") from exc
     sampler = raw.get("sampler", "thompson")
     if sampler not in SAMPLERS:
@@ -228,20 +225,22 @@ def _json_text(obj) -> str:
 
 
 def _resolve_threshold(value: str) -> float:
-    """A threshold flag is a float literal or a path to a threshold.json."""
+    """A threshold flag is a finite float literal or a path to a
+    threshold.json; checked before any replication or output."""
     try:
-        return float(value)
+        h = float(value)
     except ValueError:
-        pass
-    try:
-        with open(value, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return float(doc["h"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(
-            f"--threshold must be a number or a threshold.json file; "
-            f"could not use {value!r}: {exc}"
-        ) from exc
+        try:
+            with open(value, "r", encoding="utf-8") as fh:
+                h = float(json.load(fh)["h"])
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise CliError(
+                f"--threshold must be a number or a threshold.json file; "
+                f"could not use {value!r}: {exc}"
+            ) from exc
+    if not math.isfinite(h):
+        raise CliError(f"--threshold must be finite, got {h}")
+    return h
 
 
 def _child_seed(seed: int, *tags: int) -> int:
@@ -404,11 +403,19 @@ def _cmd_table1(args) -> int:
     if scenario.tau is None:
         raise CliError("the ADD table needs a scenario with a change point")
     phis = _parse_float_list(args.phis, "--phis")
-    ms = [int(v) for v in _parse_float_list(args.ms, "--ms")]
+    if 0.0 in phis:
+        raise CliError("--phis may not list 0: the table's 0 row is the calibrated ARL")
+    budgets = _parse_float_list(args.ms, "--ms")
+    if not all(v.is_integer() for v in budgets):
+        raise CliError("--ms expects whole-number sensing budgets")
+    ms = [int(v) for v in budgets]
     samplers = [s.strip() for s in args.samplers.split(",") if s.strip()]
     for s in samplers:
         if s not in SAMPLERS:
             raise CliError(f"unknown sampler '{s}' in --samplers")
+    for flag, values in (("--phis", phis), ("--ms", ms), ("--samplers", samplers)):
+        if len(set(values)) != len(values):
+            raise CliError(f"{flag} lists a value more than once")
     calib_horizon = (
         args.calib_horizon if args.calib_horizon is not None else scenario.horizon
     )

@@ -10,14 +10,15 @@ the online loop, whose expectation separates across observed variables.
 
 The enumeration runs on numpy alone, so importing this module (and the
 engine, which imports it) loads no numerical package beyond numpy, which
-keeps a monitoring process's start-up short.  Patterns are taken
-``_PATTERN_CHUNK`` at a time: one chunk's anomaly precisions are a stack
-of (k_a, k_a) matrices, factored by one stacked ``np.linalg.cholesky``;
-one stacked ``np.linalg.solve`` against those factors gives every
-quadratic form as a squared norm, and, with a background basis, the
-(k_b, k_b) Schur complements are factored and solved the same way.  Each
-chunk's log terms are reduced by a log-sum-exp, and the chunks' results by
-another, so memory per call stays bounded up to ``EXACT_KA_LIMIT``.
+keeps a monitoring process's start-up short.  Both hypotheses are one
+Gaussian integral over the coefficients, evaluated by ``_gaussian_terms``:
+a stacked ``np.linalg.cholesky`` of the precision and a stacked forward
+substitution for its quadratic form.  Under the anomaly model each
+inclusion pattern's precision is the joint (k_a + k_b, k_a + k_b) matrix
+over anomaly and background coefficients, taken ``_PATTERN_CHUNK``
+patterns at a time as one stack; a log-sum-exp reduces each chunk, and
+another the chunks, so memory per call stays bounded up to
+``EXACT_KA_LIMIT``.  Without a background basis its pieces are empty.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ __all__ = [
 
 EXACT_KA_LIMIT = 20
 
-# Inclusion patterns factored per stacked call: at k_a = EXACT_KA_LIMIT one
-# (chunk, k_a, k_a) stack is 0.8 MB.
+# Inclusion patterns factored per stacked call: at k_a = EXACT_KA_LIMIT and
+# k_b = 3 one (chunk, k_a + k_b, k_a + k_b) stack is 1.1 MB.
 _PATTERN_CHUNK = 256
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -92,9 +93,9 @@ def _gather(
 
 def _background(inp: DetectionInputs, dictionary: BasisDictionary):
     """(theta_n, cov_b^{-1}, ln det cov_b) of the caller-supplied background
-    posterior the exact routes integrate against, factored once per call;
-    None without a background basis.  The one place the exact routes check
-    that cov_b is positive definite."""
+    posterior the exact routes integrate against, once per call; empty
+    pieces without a background basis.  The one place the exact routes
+    check that cov_b is finite and positive definite."""
     if inp.bg is None:
         raise DataError(
             "the exact routes need the step's background posterior: pass "
@@ -102,23 +103,30 @@ def _background(inp: DetectionInputs, dictionary: BasisDictionary):
         )
     if inp.bg.k_b != dictionary.k_b:
         raise DimensionError("background posterior disagrees with the dictionary")
-    if dictionary.k_b == 0:
-        return None
+    cov_b = inp.bg.cov_b
     try:
-        root = np.linalg.cholesky(inp.bg.cov_b)
+        root = np.linalg.cholesky(cov_b)
     except np.linalg.LinAlgError:
         root = None
-    if root is None or not np.all(np.isfinite(root)):
+    if root is None or not np.all(np.isfinite(cov_b)):
         raise DataError(
             "the background covariance cov_b is not a finite positive-definite matrix"
         )
-    root_inv = np.linalg.solve(root, np.eye(dictionary.k_b))
-    return inp.bg.theta_n, root_inv.T @ root_inv, float(_logdet_from_root(root))
+    return inp.bg.theta_n, np.linalg.inv(cov_b), 2.0 * float(np.sum(np.log(np.diag(root))))
 
 
-def _logdet_from_root(root) -> np.ndarray:
-    """ln det of L·L' for a stack of lower Cholesky factors (or one)."""
-    return 2.0 * np.sum(np.log(np.diagonal(root, axis1=-2, axis2=-1)), axis=-1)
+def _gaussian_terms(prec, lin):
+    """(ln det P, l'·P^{-1}·l) for a positive-definite P and linear term l,
+    or for a stack of them.  With P = L·L', the quadratic form is the
+    squared norm of L^{-1}·l, found by forward substitution one row of the
+    stack at a time."""
+    root = np.linalg.cholesky(prec)
+    w = np.empty_like(lin)
+    for i in range(lin.shape[-1]):
+        dot = np.einsum("...j,...j->...", root[..., i, :i], w[..., :i])
+        w[..., i] = (lin[..., i] - dot) / root[..., i, i]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(root, axis1=-2, axis2=-1)), axis=-1)
+    return logdet, np.sum(w * w, axis=-1)
 
 
 def _logsumexp(a) -> float:
@@ -134,22 +142,18 @@ def _logsumexp(a) -> float:
 
 
 def _h0_terms(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig, bg):
-    """(ln det cov_b, ln det H, quadratic part without x'x/sigma_e^2) of
-    ``marginal_h0``'s integral, H = B_bZ'B_bZ/sigma_e^2 + cov_b^{-1} its
-    conditional precision, with ``bg`` from ``_background``; all zero
-    without a background basis."""
-    if bg is None:
-        return 0.0, 0.0, 0.0
-    _, cov_inv, logdet_cov = bg
+    """(ln det H, quadratic part without x'x/sigma_e^2) of ``marginal_h0``'s
+    integral, H = B_bZ'B_bZ/sigma_e^2 + cov_b^{-1} its conditional
+    precision, with ``bg`` from ``_background``; both zero without a
+    background basis."""
+    _, cov_inv, _ = bg
     x = inp.x_z
     geo = _gather(inp, dictionary, cfg)
     b_b_z, se2 = geo.b_b_z, cfg.sigma_e2
     theta0 = geo.g @ x
-    h_root = np.linalg.cholesky(b_b_z.T @ b_b_z / se2 + cov_inv)
-    # g'H^{-1}g is the squared norm of L^{-1}g, with H = L·L'
-    g_w = np.linalg.solve(h_root, x @ b_b_z / se2 + theta0 @ cov_inv)
-    quad = float(theta0 @ cov_inv @ theta0) - float(g_w @ g_w)
-    return logdet_cov, float(_logdet_from_root(h_root)), quad
+    prior = cov_inv @ theta0
+    logdet_h, quad_h = _gaussian_terms(b_b_z.T @ b_b_z / se2 + cov_inv, x @ b_b_z / se2 + prior)
+    return float(logdet_h), float(theta0 @ prior) - float(quad_h)
 
 
 def marginal_h0(
@@ -164,9 +168,9 @@ def marginal_h0(
     x = inp.x_z
     se2 = cfg.sigma_e2
     bg = _background(inp, dictionary)
-    logdet_cov, logdet_h, quad = _h0_terms(inp, dictionary, cfg, bg)
+    logdet_h, quad = _h0_terms(inp, dictionary, cfg, bg)
     base = -0.5 * x.size * (_LOG_2PI + math.log(se2))
-    return base - 0.5 * (logdet_cov + logdet_h) - 0.5 * (quad + float(x @ x) / se2)
+    return base - 0.5 * (bg[2] + logdet_h) - 0.5 * (quad + float(x @ x) / se2)
 
 
 def _h1_log_mass(
@@ -184,8 +188,11 @@ def _h1_log_mass(
     of the Gaussian integral over the anomaly and background coefficients,
     without the shared −(m/2)ln(2π sigma_e^2) − x'x/(2 sigma_e^2) −
     (1/2)logdet cov_b constant; the shifts let the Bayes factor cancel the
-    no-anomaly terms inside the sum.  Patterns are factored
-    ``_PATTERN_CHUNK`` at a time as stacks; ``bg`` comes from
+    no-anomaly terms inside the sum.  Pattern r's joint precision is the
+    shared B_Z'B_Z/sigma_e^2 + blockdiag(0, cov_b^{-1}), B_Z = [B_aZ, B_bZ],
+    plus K_r^{-1} on the anomaly diagonal; its linear term is
+    B_Z'x/sigma_e^2 + (K_r^{-1}·mu_r, cov_b^{-1}·theta_n).  Patterns are
+    factored ``_PATTERN_CHUNK`` at a time as stacks; ``bg`` comes from
     ``_background``.
     """
     k_a = dictionary.k_a
@@ -196,25 +203,18 @@ def _h1_log_mass(
         )
     x = inp.x_z
     geo = _gather(inp, dictionary, cfg)
-    b_a_z, b_b_z = geo.b_a_z, geo.b_b_z
-    k_b = dictionary.k_b
     se2 = cfg.sigma_e2
     post = inp.post
+    theta1, cov_inv, _ = bg
 
-    bb_a = b_a_z.T @ b_a_z / se2
-    xb_a = x @ b_a_z / se2
-    log_alpha = np.log(post.alpha)
-    log_one_minus = np.log1p(-post.alpha)
-
-    if k_b:
-        theta1, cov_inv, _ = bg
-        c_t = b_a_z.T @ b_b_z / se2
-        h = b_b_z.T @ b_b_z / se2 + cov_inv
-        g1 = x @ b_b_z / se2 + theta1 @ cov_inv
-        quad_theta1 = float(theta1 @ cov_inv @ theta1)
-    else:
-        c_t = np.zeros((k_a, 0))
-        quad_theta1 = 0.0
+    b_z = np.hstack((geo.b_a_z, geo.b_b_z))
+    gram = b_z.T @ b_z / se2
+    gram[k_a:, k_a:] += cov_inv
+    prior1 = cov_inv @ theta1
+    lin1 = x @ b_z / se2
+    lin1[k_a:] += prior1
+    quad_theta1 = float(theta1 @ prior1)
+    log_alpha, log_one_minus = np.log(post.alpha), np.log1p(-post.alpha)
 
     cols = np.arange(k_a)
     n_patterns = 1 << k_a
@@ -222,26 +222,16 @@ def _h1_log_mass(
     for start in range(0, n_patterns, _PATTERN_CHUNK):
         codes = np.arange(start, min(start + _PATTERN_CHUNK, n_patterns))
         r = ((codes[:, None] >> cols) & 1).astype(np.float64)
-        n = codes.size
         k_diag = (r + (1.0 - r) * cfg.v) * post.s2
         k_inv = 1.0 / k_diag
         mu_r = post.mu_a * r
-        a_mat = np.repeat(bb_a[None], n, axis=0)
-        a_mat[:, cols, cols] += k_inv
-        a_root = np.linalg.cholesky(a_mat)
-        d = xb_a + mu_r * k_inv
-        rhs = np.concatenate((d[:, :, None], np.broadcast_to(c_t, (n, k_a, k_b))), axis=2)
-        # each pattern's solves are squared norms of L^{-1}·(d, C'), A = L·L'
-        w = np.linalg.solve(a_root, rhs)
-        w_d, w_c = w[:, :, 0], w[:, :, 1:]
-        logdet = np.sum(np.log(k_diag), axis=1) + _logdet_from_root(a_root)
-        quad = np.sum(mu_r * k_inv * mu_r, axis=1) + quad_theta1 - np.sum(w_d * w_d, axis=1)
-        if k_b:
-            hs_root = np.linalg.cholesky(h - np.matmul(w_c.transpose(0, 2, 1), w_c))
-            g_t = g1 - np.einsum("ni,nij->nj", w_d, w_c)
-            g_w = np.linalg.solve(hs_root, g_t[:, :, None])[:, :, 0]
-            logdet += _logdet_from_root(hs_root)
-            quad -= np.sum(g_w * g_w, axis=1)
+        prec = np.repeat(gram[None], codes.size, axis=0)
+        prec[:, cols, cols] += k_inv
+        lin = np.repeat(lin1[None], codes.size, axis=0)
+        lin[:, :k_a] += mu_r * k_inv
+        logdet_j, quad_j = _gaussian_terms(prec, lin)
+        logdet = np.sum(np.log(k_diag), axis=1) + logdet_j
+        quad = np.sum(mu_r * k_inv * mu_r, axis=1) + quad_theta1 - quad_j
         log_weight = r @ log_alpha + (1.0 - r) @ log_one_minus
         masses.append(_logsumexp(log_weight - 0.5 * (logdet - logdet0) - 0.5 * (quad - quad0)))
     return _logsumexp(masses)
@@ -258,13 +248,10 @@ def marginal_h1_exact(
     with more than 20 anomaly columns.
     """
     x = inp.x_z
-    m = x.size
     se2 = cfg.sigma_e2
-    base = -0.5 * m * (_LOG_2PI + math.log(se2)) - 0.5 * float(x @ x) / se2
     bg = _background(inp, dictionary)
-    if bg is not None:
-        base -= 0.5 * bg[2]
-    return _h1_log_mass(inp, dictionary, cfg, bg) + base
+    base = -0.5 * x.size * (_LOG_2PI + math.log(se2)) - 0.5 * float(x @ x) / se2
+    return _h1_log_mass(inp, dictionary, cfg, bg) + (base - 0.5 * bg[2])
 
 
 def log_pbf_exact(
@@ -277,7 +264,7 @@ def log_pbf_exact(
     quadratic x'x and the flat Gaussian constants never enter.
     """
     bg = _background(inp, dictionary)
-    _, logdet_h, quad0 = _h0_terms(inp, dictionary, cfg, bg)
+    logdet_h, quad0 = _h0_terms(inp, dictionary, cfg, bg)
     return _h1_log_mass(inp, dictionary, cfg, bg, logdet_h, quad0)
 
 

@@ -332,7 +332,7 @@ def search_threshold(
     Raises CalibrationError when no candidate lands within ``tol_rel``
     relative error of the target.
     """
-    if tol_rel <= 0:
+    if not tol_rel > 0:
         raise ValueError("tol_rel must be positive")
     trajectories = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
     horizon = trajectories.shape[1]
@@ -394,6 +394,8 @@ def calibrate_threshold(
     """
     if n_reps < 1:
         raise ValueError("n_reps must be positive")
+    if not tol_rel > 0:
+        raise ValueError("tol_rel must be positive")
     if not target_arl0 < horizon / 2:
         raise CalibrationError(
             f"calibration horizon {horizon} must exceed twice the target ARL "

@@ -190,6 +190,35 @@ class TestLoadScenario:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"change": 5},
+            {"change": [5]},
+            {"tau": [3]},
+            {"p": None},
+            {"horizon": {"steps": 60}},
+            {"model": dict(_scenario_doc()["model"], sigma_e=None)},
+            {"model": dict(_scenario_doc()["model"], w={"all": 0.2})},
+            {"basis": 5},
+            {"basis": {"background": {"type": "fourier", "k": None}, "anomaly": {"type": "identity"}}},
+            {"basis": {"background": {"type": "kron", "factors": [1, 2]}, "anomaly": {"type": "identity"}}},
+        ],
+        ids=[
+            "change-number", "change-entry-number", "tau-list", "p-null",
+            "horizon-object", "sigma_e-null", "w-object", "basis-number",
+            "basis-k-null", "kron-factor-number",
+        ],
+    )
+    def test_wrong_json_types_are_invalid_scenarios(self, tmp_path, capsys, over):
+        path = _write_scenario(tmp_path, **over)
+        with pytest.raises(CliError, match="invalid scenario"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert main(["calibrate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid scenario")
+        assert not out.exists()
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -266,6 +295,27 @@ class TestCalibrate:
         )
         assert code == 1
         assert "twice the target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol_rel", ["nan", "0", "-0.1"])
+    def test_bad_tolerance_rejected_before_simulating(
+        self, tmp_path, scenario_file, capsys, monkeypatch, tol_rel
+    ):
+        import sparsewatch.engine as engine
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("the null replications were simulated")
+
+        monkeypatch.setattr(engine, "collect_h0_trajectories", simulate)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "calibrate", "--scenario", str(scenario_file),
+                "--out", str(out), "--reps", "10", "--tol-rel", tol_rel,
+            ]
+        )
+        assert code == 1
+        assert "tol_rel must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_target_rejected(self, tmp_path, capsys):
         doc = _scenario_doc()
@@ -379,6 +429,27 @@ class TestEvaluate:
         )
         assert code == 1
         assert "--threshold" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "monitor"])
+    @pytest.mark.parametrize("threshold", ["inf", "-inf", "nan", "file-infinity"])
+    def test_non_finite_threshold_rejected_before_any_work(
+        self, tmp_path, scenario_file, capsys, command, threshold
+    ):
+        if threshold == "file-infinity":
+            threshold = str(tmp_path / "threshold.json")
+            (tmp_path / "threshold.json").write_text('{"h": Infinity}')
+        stream = tmp_path / "stream.csv"
+        save_stream_csv(stream, np.zeros((3, 6)))
+        out = tmp_path / "out"
+        args = [
+            command, "--scenario", str(scenario_file), "--out", str(out),
+            f"--threshold={threshold}",
+        ]
+        args += ["--reps", "3"] if command == "evaluate" else ["--stream", str(stream)]
+        assert main(args) == 1
+        assert "--threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMonitor:
@@ -514,6 +585,32 @@ class TestTable1:
         assert main(base + ["--phis", "1.0", "--ms", "2", "--samplers", "x"]) == 1
         err = capsys.readouterr().err
         assert "--phis" in err and "unknown sampler" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--phis", "1.0", "--ms", "5.5"], "whole-number"),
+            (["--phis", "1.0", "--ms", "inf"], "whole-number"),
+            (["--phis", "1.0", "--ms", "2,3,2"], "--ms lists a value more than once"),
+            (["--phis", "1.0,2.0,1", "--ms", "2"], "--phis lists a value more than once"),
+            (["--phis", "0,1.0", "--ms", "2"], "--phis may not list 0"),
+            (
+                ["--phis", "1.0", "--ms", "2", "--samplers", "oracle,oracle"],
+                "--samplers lists a value more than once",
+            ),
+        ],
+        ids=["fraction", "infinite", "repeated-m", "repeated-phi", "zero-phi", "repeated-sampler"],
+    )
+    def test_bad_grid_values_rejected(self, tmp_path, capsys, flags, message):
+        path = _write_scenario(tmp_path, tau=5, change=[[0, 1.0]])
+        out = tmp_path / "t"
+        code = main(
+            ["table1", "--scenario", str(path), "--out", str(out), "--calib-reps", "10"]
+            + flags
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_calibration_reps_rejected(self, tmp_path, capsys):
         path = _write_scenario(tmp_path, tau=5, change=[[0, 1.0]])

@@ -166,6 +166,24 @@ class TestMarginalH1:
         direct = h1 - marginal_h0(inp, d, cfg)
         assert log_pbf_exact(inp, d, cfg) == pytest.approx(direct, abs=1e-9)
 
+    @pytest.mark.parametrize("m, k_b", [(1, 2), (1, 3), (2, 3)])
+    def test_fewer_observed_rows_than_background_columns(self, rng, m, k_b):
+        """With m < k_b the observed background rows are rank-deficient;
+        the background prior keeps each joint precision positive definite,
+        and all three routes still equal the dense-Gaussian oracles."""
+        for _ in range(5):
+            d, cfg, post, bg, z, x_z = _setup(rng, p=9, k_a=3, k_b=k_b, m=m)
+            inp = DetectionInputs(x_z=x_z, z=z, post=post, bg=bg)
+            theta0 = posterior_background_mean(x_z, d.b_b[z], cfg.sigma_e, cfg.sigma_b)
+            h0 = conjugate_h0_logpdf(x_z, d.b_b[z], theta0, bg.cov_b, cfg.sigma_e)
+            h1 = conjugate_h1_logpdf(
+                x_z, d.b_a[z], d.b_b[z], post.mu_a, post.s2, post.alpha,
+                bg.theta_n, bg.cov_b, cfg.sigma_e, cfg.v,
+            )
+            assert marginal_h0(inp, d, cfg) == pytest.approx(h0, rel=1e-10)
+            assert marginal_h1_exact(inp, d, cfg) == pytest.approx(h1, rel=1e-10)
+            assert log_pbf_exact(inp, d, cfg) == pytest.approx(h1 - h0, abs=1e-9)
+
     def test_too_many_anomaly_columns_refused(self, rng):
         d, cfg, post, bg, z, x_z = _setup(rng, p=25, k_a=21, m=4)
         inp = DetectionInputs(x_z=x_z, z=z, post=post, bg=bg)
@@ -316,8 +334,9 @@ class TestValidation:
             [[1.0, 2.0], [2.0, 1.0]],
             [[0.0, 0.0], [0.0, 1.0]],
             [[np.nan, 0.0], [0.0, 1.0]],
+            [[1.0, np.nan], [0.0, 1.0]],
         ],
-        ids=["singular", "indefinite", "zero-variance", "nan"],
+        ids=["singular", "indefinite", "zero-variance", "nan", "nan-upper"],
     )
     def test_background_covariance_must_be_positive_definite(self, rng, route, cov_b):
         d, cfg, post, bg, z, x_z = _setup(rng, k_b=2)

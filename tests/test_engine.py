@@ -278,6 +278,12 @@ class TestSearchThreshold:
         with pytest.raises(ValueError):
             search_threshold(rng.uniform(size=(5, 10)), 5.0, tol_rel=0.0)
 
+    def test_nan_tolerance_rejected(self, rng):
+        """A NaN tolerance compares False with every error, so unchecked it
+        would hand back whichever candidate is closest."""
+        with pytest.raises(ValueError, match="tol_rel"):
+            search_threshold(rng.uniform(size=(5, 10)), 5.0, tol_rel=math.nan)
+
 
 class TestCalibrateAndEvaluate:
     def test_calibrated_threshold_reproduces_in_evaluation(
@@ -317,6 +323,20 @@ class TestCalibrateAndEvaluate:
             calibrate_threshold(
                 small_config, small_dictionary, target_arl0=50.0,
                 n_reps=5, horizon=100, tol_rel=0.1, seed=0,
+            )
+
+    @pytest.mark.parametrize("tol_rel", [0.0, math.nan])
+    def test_bad_tolerance_rejected_before_simulating(
+        self, small_dictionary, small_config, monkeypatch, tol_rel
+    ):
+        def simulate(*args, **kwargs):
+            raise AssertionError("the null replications were simulated")
+
+        monkeypatch.setattr(engine, "collect_h0_trajectories", simulate)
+        with pytest.raises(ValueError, match="tol_rel"):
+            calibrate_threshold(
+                small_config, small_dictionary, target_arl0=10.0,
+                n_reps=5, horizon=50, tol_rel=tol_rel, seed=0,
             )
 
     def test_nonpositive_reps_rejected(self, small_dictionary, small_config):
