@@ -61,20 +61,36 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _whole(value, field: str, where: str) -> int:
+    """A count or index: a JSON integer, or a number with no fractional part."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise CliError(
+            f"invalid scenario: field '{field}' in {where} must be a whole number, "
+            f"got {value!r}"
+        )
+    return int(value)
+
+
+def _require_whole(mapping: dict, key: str, where: str) -> int:
+    return _whole(_require(mapping, key, where), key, where)
+
+
 def _build_basis(spec, p: int, role: str, allow_empty: bool) -> np.ndarray:
     if not isinstance(spec, dict):
         raise CliError(f"{role} basis spec must be an object")
     kind = _require(spec, "type", f"{role} basis")
     if kind == "fourier":
-        return fourier_basis(p, int(_require(spec, "k", f"{role} basis")))
+        return fourier_basis(p, _require_whole(spec, "k", f"{role} basis"))
     if kind == "bspline":
         normalize = _require(spec, "normalize_columns", f"{role} basis")
         if not isinstance(normalize, bool):
             raise CliError(f"field 'normalize_columns' in {role} basis must be true or false")
         return bspline_basis(
             p,
-            int(_require(spec, "order", f"{role} basis")),
-            int(_require(spec, "n_knots", f"{role} basis")),
+            _require_whole(spec, "order", f"{role} basis"),
+            _require_whole(spec, "n_knots", f"{role} basis"),
             normalize_columns=normalize,
         )
     if kind == "identity":
@@ -96,7 +112,7 @@ def _build_basis(spec, p: int, role: str, allow_empty: bool) -> np.ndarray:
             raise CliError(f"{role} kron basis needs exactly two factor specs")
         mats = []
         for fspec in factors:
-            fp = int(_require(fspec, "p", f"{role} kron factor"))
+            fp = _require_whole(fspec, "p", f"{role} kron factor")
             mats.append(_build_basis(fspec, fp, f"{role} kron factor", False))
         mat = kron_basis(mats[0], mats[1])
         if mat.shape[0] != p:
@@ -121,7 +137,9 @@ def load_scenario(path):
 
     Returns (scenario, sampler, raw dict).  Every material field must be
     present; only behavioral switches carry documented defaults
-    (sampler "thompson", random_change_basis false).
+    (sampler "thompson", random_change_basis false).  Counts and indices
+    must be whole numbers and random_change_basis a JSON boolean; anything
+    else is a CliError naming the field, never a truncated or coerced value.
 
     A ``bspline`` basis spec also requires ``normalize_columns``, true or
     false.  True scales each column to unit Euclidean norm, so a change
@@ -139,11 +157,11 @@ def load_scenario(path):
         raise CliError(f"scenario file is not valid JSON: {exc}") from exc
 
     try:
-        p = int(_require(raw, "p", "scenario"))
-        m = int(_require(raw, "m", "scenario"))
+        p = _require_whole(raw, "p", "scenario")
+        m = _require_whole(raw, "m", "scenario")
         basis = _require(raw, "basis", "scenario")
         model = _require(raw, "model", "scenario")
-        horizon = int(_require(raw, "horizon", "scenario"))
+        horizon = _require_whole(raw, "horizon", "scenario")
         tau = _require(raw, "tau", "scenario")
         b_b = _build_basis(_require(basis, "background", "basis"), p, "background", True)
         b_a = _build_basis(_require(basis, "anomaly", "basis"), p, "anomaly", False)
@@ -158,15 +176,21 @@ def load_scenario(path):
             m=m,
         )
         change = tuple(
-            (int(j), float(phi)) for j, phi in raw.get("change", [])
+            (_whole(j, "change", "scenario"), float(phi)) for j, phi in raw.get("change", [])
         )
+        random_change_basis = raw.get("random_change_basis", False)
+        if not isinstance(random_change_basis, bool):
+            raise CliError(
+                "invalid scenario: field 'random_change_basis' in scenario must be "
+                f"true or false, got {random_change_basis!r}"
+            )
         scenario = Scenario(
             dictionary=dictionary,
             cfg=cfg,
-            tau=None if tau is None else int(tau),
+            tau=None if tau is None else _whole(tau, "tau", "scenario"),
             change=change,
             horizon=horizon,
-            random_change_basis=bool(raw.get("random_change_basis", False)),
+            random_change_basis=random_change_basis,
         )
     except (SparsewatchError, TypeError, ValueError) as exc:
         raise CliError(f"invalid scenario: {exc}") from exc

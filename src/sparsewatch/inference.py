@@ -26,6 +26,14 @@ Everything that depends on the observed subset alone (the complement solve,
 the whitened M contribution, the background covariance) comes from one
 shared ``SubsetGeometry``, so a step pays for it once and a repeated subset
 costs only matrix-vector products.
+
+The coordinate sweeps run in blocks of at most ``_BLOCK`` coordinates, each
+through a straight-line kernel generated from its block size alone and
+compiled on the first sweep that needs it (at most ``_BLOCK`` kernels per
+process).  Inside a kernel every operand is a local float.  Every operation
+and its order are those of the interpreted form of the same pass that the
+tests keep (``oracles.blocked_sweep``), so generation changes how the
+interpreter runs the loop and no output bit.
 """
 
 from __future__ import annotations
@@ -118,6 +126,8 @@ class ModelConfig:
         object.__setattr__(self, "sigma_e2", float(self.sigma_e) ** 2)
         object.__setattr__(self, "sigma_b2", float(self.sigma_b) ** 2)
         object.__setattr__(self, "sigma_j2", sigma_j**2)
+        object.__setattr__(self, "inv_sigma_j2", 1.0 / self.sigma_j2)
+        object.__setattr__(self, "two_sigma_j2", 2.0 * self.sigma_j2)
         object.__setattr__(self, "logit_w", np.log(w) - np.log1p(-w))
 
     @property
@@ -339,101 +349,136 @@ def absorb_sample(
 # gives every cross term from the posterior at the block's start.
 _BLOCK = 12
 
+# Block size -> (kernel, lower): the compiled sweep over one block and the
+# indices of its strict lower triangle.  At most _BLOCK entries, each built
+# on the first sweep that needs it.
+_KERNELS: dict = {}
 
-def _sweep_setup(post: SpikeSlabPosterior, stats: DecayedStats, cfg: ModelConfig):
-    """Plain-float state of coordinate sweeps at fixed stats.
 
-    Returns (blocks, mu, alpha, mu_tilde).  The coordinates are split evenly
-    into contiguous blocks (start, stop, off[start:stop], terms) of at most
-    ``_BLOCK``, with ``off`` the matrix M with its diagonal zeroed.
-    ``terms[t]`` holds the block's t-th coordinate's row of M within the
-    block and every factor of its update that depends only on the stats,
-    each computed by the same expression the update reads it from; the three
-    lists are the posterior the sweeps update in place.  Boxing numpy
-    scalars per coordinate would otherwise dominate the monitoring step.
+def _kernel_source(b: int) -> str:
+    """Source of the straight-line sweep over one block of b coordinates.
+
+    Built from b alone.  Every in-block entry of M (``M<t>_<s>``, row t,
+    column s < t), every per-coordinate factor and every posterior value is
+    a local, and coordinate t runs exactly the expressions of
+    ``vb_coordinate_sweep``'s update, its cross term summed as
+    c_t + M_t,0·Δ_0 + … + M_t,t−1·Δ_t−1 left to right from the block's
+    product c.  Whether anything moved (some |Δmu| or |Δalpha| at least
+    ``tol``, or a NaN) is tested until the first coordinate that has.
+    """
+    r = range(b)
+
+    def row(prefix):
+        return ", ".join(f"{prefix}{t}" for t in r) + ","
+
+    per_coord = ", ".join(f"({row(f)})" for f in ("u", "sc", "s2_", "vs", "lw", "tj", "hm"))
+    lines = [
+        "def kernel(off_rows, lower, per_coord, mu, alpha, mu_t, start, stop, ntol, tol, moved):",
+        f"    {per_coord} = per_coord",
+    ]
+    if b > 1:
+        lines.append(f"    {', '.join(f'M{t}_{s}' for t in r for s in range(t))}, = lower")
+    lines += [
+        f"    {row('c')} = off_rows.dot(mu_t).tolist()",
+        f"    {row('om')} = mu[start:stop]",
+        f"    {row('oa')} = alpha[start:stop]",
+        f"    {row('ot')} = mu_t[start:stop]",
+    ]
+    for t in r:
+        cross = f"(c{t}" + "".join(f" + M{t}_{s} * d{s}" for s in range(t)) + ")" if t else "c0"
+        lines += [
+            f"    mu{t} = sc{t} * (u{t} - {cross})",
+            f"    sq = mu{t} * mu{t}",
+            f"    logit = lw{t} + sq / tj{t} + hm{t} * (sq - s2_{t} + vs{t})",
+            "    if logit >= 0.0:",
+            f"        a{t} = 1.0 / (1.0 + exp(-logit))",
+            f"        if a{t} > HI:",
+            f"            a{t} = HI",
+            "    else:",
+            "        e = exp(logit)",
+            f"        a{t} = e / (1.0 + e)",
+            f"        if not a{t} >= LO:",
+            f"            a{t} = LO",
+            f"    if not moved and not (ntol < mu{t} - om{t} < tol and ntol < a{t} - oa{t} < tol):",
+            "        moved = True",
+            f"    mt{t} = mu{t} * a{t}",
+        ]
+        if t < b - 1:  # the in-block step the later coordinates add
+            lines.append(f"    d{t} = mt{t} - ot{t}")
+    lines += [
+        f"    mu[start:stop] = {row('mu')}",
+        f"    alpha[start:stop] = {row('a')}",
+        f"    mu_t[start:stop] = {row('mt')}",
+        "    return moved",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _kernel(b: int):
+    """(kernel, lower) for blocks of b coordinates, compiled on first use.
+
+    ``lower`` indexes the strict lower triangle of a flattened b×b block in
+    row-major order, the order the kernel unpacks it in.
+    """
+    entry = _KERNELS.get(b)
+    if entry is None:
+        # Each branch's exponent is at most 0, so exp never overflows, and
+        # only the clamp on its own side of 1/2 can bind; ``not a >= LO``
+        # also catches a NaN logit.
+        namespace = {"exp": math.exp, "LO": ALPHA_CLAMP, "HI": 1.0 - ALPHA_CLAMP}
+        exec(compile(_kernel_source(b), f"<sweep kernel, block of {b}>", "exec"), namespace)
+        rows, cols = np.tril_indices(b, -1)
+        entry = _KERNELS.setdefault(b, (namespace["kernel"], rows * b + cols))
+    return entry
+
+
+def _iterate(
+    post: SpikeSlabPosterior, stats: DecayedStats, cfg: ModelConfig, tol: float, max_iters: int
+):
+    """Coordinate sweeps at fixed stats until nothing moves by ``tol``.
+
+    Returns (posterior, converged, sweeps run).  The coordinates are split
+    evenly into contiguous blocks of at most ``_BLOCK``; each block holds its
+    rows of M with the diagonal zeroed, for the product that opens it, the
+    list of its in-block lower triangle of M, and one list per factor of its
+    updates that depends only on the stats, each computed by the expression
+    the update reads it from.  The posterior lives in three plain-float
+    lists (mu, alpha, mu_tilde) that the kernels update in place; boxing
+    numpy scalars per coordinate would otherwise dominate the monitoring
+    step.
     """
     if stats.n == 0:
         raise StateError("cannot sweep before any sample has been absorbed")
     if stats.k_a != post.k_a or post.k_a != cfg.k_a:
         raise DimensionError("posterior, stats, and config disagree on k_a")
-    se2, v, k_a = cfg.sigma_e2, cfg.v, cfg.k_a
-    sj2, logit_w, u = cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), stats.raw_u.tolist()
-    raw_m = stats.raw_M
+    se2, k_a, raw_m = cfg.sigma_e2, cfg.k_a, stats.raw_M
+    diag = raw_m.diagonal()
+    s2 = 1.0 / (diag / se2 + cfg.inv_sigma_j2)
+    per_coord = np.concatenate(
+        (stats.raw_u, s2 / se2, s2, cfg.v * s2, cfg.logit_w, cfg.two_sigma_j2, diag / (2.0 * se2))
+    ).reshape(7, k_a)
     off = raw_m.copy()
     off.ravel()[:: k_a + 1] = 0.0  # the diagonal, more cheaply than np.fill_diagonal
     n_blocks = -(-k_a // _BLOCK)
     bounds = [i * k_a // n_blocks for i in range(n_blocks + 1)]
     blocks = []
     for start, stop in zip(bounds, bounds[1:]):
-        terms = []
-        for j, row in enumerate(raw_m[start:stop, start:stop].tolist(), start):
-            m_jj = row[j - start]
-            s2_j = 1.0 / (m_jj / se2 + 1.0 / sj2[j])
-            terms.append((row, u[j], s2_j, s2_j / se2, v * s2_j,
-                          logit_w[j], 2.0 * sj2[j], m_jj / (2.0 * se2)))
-        blocks.append((start, stop, off[start:stop], terms))
-    mu = post.mu_a.tolist()
-    alpha = post.alpha.tolist()
-    return blocks, mu, alpha, [m * a for m, a in zip(mu, alpha)]
-
-
-def _sweep(blocks, mu, alpha, mu_t) -> float:
-    """One in-order pass over ``_sweep_setup``'s state, updated in place.
-
-    A blocked Gauss-Seidel pass: at the start of each block one product
-    gives every coordinate's cross term Σ_{k≠j} M_jk·mu_tilde_k from the
-    current mu_tilde, and each coordinate then adds M_ji·Δmu_tilde_i for
-    the earlier coordinates of its block already updated in this pass.
-    That is the plain in-order update with the sums taken in another order.
-
-    Returns the largest |change| of any mu_j or alpha_j, NaN if any change
-    is NaN, so a NaN never reads as convergence.
-    """
-    exp = math.exp
-    lo, hi = ALPHA_CLAMP, 1.0 - ALPHA_CLAMP
-    delta = 0.0
-    for start, stop, off_rows, terms in blocks:
-        steps = []
-        for j, cross, (row, u_j, s2_j, scale, v_s2, logit_w, two_sj2, half_m) in zip(
-            range(start, stop), off_rows.dot(mu_t).tolist(), terms
-        ):
-            for a, b in zip(row, steps):  # the block's earlier coordinates
-                cross += a * b
-            mu_j = scale * (u_j - cross)
-            sq = mu_j * mu_j
-            logit = logit_w + sq / two_sj2 + half_m * (sq - s2_j + v_s2)
-            # Each branch's exponent is at most 0, so exp never overflows,
-            # and only the clamp on its own side of 1/2 can bind.
-            if logit >= 0.0:
-                a_j = 1.0 / (1.0 + exp(-logit))
-                if a_j > hi:
-                    a_j = hi
-            else:
-                e = exp(logit)
-                a_j = e / (1.0 + e)
-                if not a_j >= lo:  # also a NaN logit
-                    a_j = lo
-            d = mu_j - mu[j]
-            if d < 0.0:
-                d = -d
-            if d > delta or d != d:
-                delta = d
-            d = a_j - alpha[j]
-            if d < 0.0:
-                d = -d
-            if d > delta or d != d:
-                delta = d
-            mu[j] = mu_j
-            alpha[j] = a_j
-            mt_j = mu_j * a_j
-            steps.append(mt_j - mu_t[j])
-            mu_t[j] = mt_j
-    return delta
-
-
-def _posterior(blocks, mu, alpha) -> SpikeSlabPosterior:
-    s2 = [t[2] for block in blocks for t in block[3]]
-    return SpikeSlabPosterior._trusted(mu, s2, alpha)
+        kernel, lower = _kernel(stop - start)
+        blocks.append((
+            kernel, off[start:stop], raw_m[start:stop, start:stop].take(lower).tolist(),
+            per_coord[:, start:stop].tolist(), start, stop,
+        ))
+    mu, alpha, mu_t = post.mu_a.tolist(), post.alpha.tolist(), post.mu_tilde.tolist()
+    ntol = -tol
+    converged = False
+    for iters in range(1, max_iters + 1):
+        moved = False
+        for kernel, off_rows, lower, coords, start, stop in blocks:
+            moved = kernel(off_rows, lower, coords, mu, alpha, mu_t, start, stop, ntol, tol, moved)
+        if not moved:
+            converged = True
+            break
+    return SpikeSlabPosterior._trusted(mu, s2, alpha), converged, iters
 
 
 def vb_coordinate_sweep(
@@ -453,12 +498,16 @@ def vb_coordinate_sweep(
 
     The slab variance depends only on the stats, so repeated sweeps at fixed
     stats move only (mu_a, alpha), each to its exact conditional maximizer;
-    the evidence bound is therefore non-decreasing across sweeps.  ``fit``
-    runs the same pass, without building a posterior between sweeps.
+    the evidence bound is therefore non-decreasing across sweeps.
+
+    The pass runs in blocks of at most 12 coordinates: one matrix-vector
+    product gives every cross term of a block from the posterior at its
+    start, and each coordinate adds M_ji·Δ(alpha_i mu_ai) for the earlier
+    coordinates of its block.  Each block size has its own straight-line
+    kernel, generated and compiled on first use.  ``fit`` runs the same
+    kernels, without building a posterior between sweeps.
     """
-    blocks, mu, alpha, mu_t = _sweep_setup(post, stats, cfg)
-    _sweep(blocks, mu, alpha, mu_t)
-    return _posterior(blocks, mu, alpha)
+    return _iterate(post, stats, cfg, math.inf, 1)[0]
 
 
 def elbo(
@@ -550,9 +599,11 @@ def fit(
     The sample's whitened cross-moments are folded in once up front; the
     background never enters the anomaly iteration (it is integrated out of
     the moments), so the loop is plain coordinate sweeps at fixed stats,
-    stopping when the largest absolute change across (mu_a, alpha) falls
-    below ``tol``.  The sweeps are ``vb_coordinate_sweep``'s pass on one set
-    of plain-float lists; the posterior is built once, at the end.
+    stopping after the first sweep in which every absolute change of mu_a
+    and alpha is below ``tol``.  The sweeps are ``vb_coordinate_sweep``'s
+    generated kernels on one set of plain-float lists, set up once per fit;
+    each kernel reports whether its block moved, and the posterior is built
+    once, at the end.
 
     Non-convergence within ``max_iters``, or a NaN change, returns the last
     iterate with ``converged=False`` rather than raising.
@@ -562,10 +613,5 @@ def fit(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     stats = absorb_sample(prev_stats, x_z, z, dictionary, cfg)
-    blocks, mu, alpha, mu_t = _sweep_setup(prev_posterior, stats, cfg)
-    converged = False
-    for iters in range(1, max_iters + 1):
-        if _sweep(blocks, mu, alpha, mu_t) < tol:
-            converged = True
-            break
-    return FitResult(_posterior(blocks, mu, alpha), stats, converged, iters)
+    post, converged, iters = _iterate(prev_posterior, stats, cfg, tol, max_iters)
+    return FitResult(post, stats, converged, iters)

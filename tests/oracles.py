@@ -156,6 +156,81 @@ def reference_sweep(mu, alpha, m_mat, u, cfg_vals, clamp):
     return mu, s2, alpha
 
 
+def blocked_sweep(mu, alpha, m_mat, u, cfg, clamp, block, max_sweeps, tol=0.0):
+    """Blocked in-order coordinate ascent on plain floats, sweep by sweep.
+
+    The bitwise reference for the package's generated sweep kernels: the
+    interpreted loop the package ran before them, over per-coordinate tuples
+    and lists.  ``cfg`` supplies the stored config values (``sigma_e2``,
+    ``sigma_j2``, ``logit_w``, ``v``) the package reads.  The coordinates are
+    split evenly into contiguous blocks of at most ``block``; at the start of
+    each block one product of M (diagonal zeroed) with the current shrunken
+    mean gives every coordinate's cross term, and each coordinate then adds
+    M_ji·Δmu_tilde_i for the earlier coordinates of its block already
+    updated in this pass.
+
+    Runs up to ``max_sweeps`` passes and stops after the first whose largest
+    |change| of any mu_j or alpha_j is below ``tol`` (a NaN change never
+    is).  Returns (mu, s2, alpha, sweeps run, converged, last largest change).
+    """
+    se2, v, k_a = cfg.sigma_e2, cfg.v, len(u)
+    sj2, logit_w, u = cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), np.asarray(u).tolist()
+    m_mat = np.asarray(m_mat, dtype=float)
+    off = m_mat.copy()
+    np.fill_diagonal(off, 0.0)
+    n_blocks = -(-k_a // block)
+    bounds = [i * k_a // n_blocks for i in range(n_blocks + 1)]
+    blocks = []
+    for start, stop in zip(bounds, bounds[1:]):
+        terms = []
+        for j, row in enumerate(m_mat[start:stop, start:stop].tolist(), start):
+            m_jj = row[j - start]
+            s2_j = 1.0 / (m_jj / se2 + 1.0 / sj2[j])
+            terms.append((row, u[j], s2_j, s2_j / se2, v * s2_j,
+                          logit_w[j], 2.0 * sj2[j], m_jj / (2.0 * se2)))
+        blocks.append((start, stop, off[start:stop], terms))
+    mu = np.asarray(mu, dtype=float).tolist()
+    alpha = np.asarray(alpha, dtype=float).tolist()
+    mu_t = [m * a for m, a in zip(mu, alpha)]
+    lo, hi = clamp, 1.0 - clamp
+
+    def one_pass():
+        delta = 0.0
+        for start, stop, off_rows, terms in blocks:
+            steps = []
+            for j, cross, (row, u_j, s2_j, scale, v_s2, lw, two_sj2, half_m) in zip(
+                range(start, stop), off_rows.dot(mu_t).tolist(), terms
+            ):
+                for a, b in zip(row, steps):
+                    cross += a * b
+                mu_j = scale * (u_j - cross)
+                sq = mu_j * mu_j
+                logit = lw + sq / two_sj2 + half_m * (sq - s2_j + v_s2)
+                if logit >= 0.0:
+                    a_j = min(1.0 / (1.0 + math.exp(-logit)), hi)
+                else:
+                    e = math.exp(logit)
+                    a_j = e / (1.0 + e)
+                    if not a_j >= lo:
+                        a_j = lo
+                for d in (abs(mu_j - mu[j]), abs(a_j - alpha[j])):
+                    if d > delta or d != d:
+                        delta = d
+                mu[j], alpha[j] = mu_j, a_j
+                steps.append(mu_j * a_j - mu_t[j])
+                mu_t[j] = mu_j * a_j
+        return delta
+
+    converged = False
+    for sweeps in range(1, max_sweeps + 1):
+        delta = one_pass()
+        if delta < tol:
+            converged = True
+            break
+    s2 = [t[2] for block_ in blocks for t in block_[3]]
+    return mu, s2, alpha, sweeps, converged, delta
+
+
 def grid_max_elbo_2d(m_mat, u, q, cfg_vals, mu_range=2.0, stages=6, grid=21):
     """Maximize the reference bound over (mu_1, mu_2, alpha_1, alpha_2).
 

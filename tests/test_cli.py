@@ -219,6 +219,62 @@ class TestLoadScenario:
         assert capsys.readouterr().err.startswith("error: invalid scenario")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            ({"p": 6.5}, "'p' in scenario"),
+            ({"m": 2.7}, "'m' in scenario"),
+            ({"m": True}, "'m' in scenario"),
+            ({"m": "3"}, "'m' in scenario"),
+            ({"horizon": 60.5}, "'horizon' in scenario"),
+            ({"tau": 5.9}, "'tau' in scenario"),
+            ({"tau": float("inf")}, "'tau' in scenario"),
+            ({"change": [[1.8, 1.0]]}, "'change' in scenario"),
+            ({"random_change_basis": "false"}, "'random_change_basis' in scenario"),
+            ({"random_change_basis": 0}, "'random_change_basis' in scenario"),
+            (
+                {"basis": {"background": {"type": "fourier", "k": 2.5}, "anomaly": {"type": "identity"}}},
+                "'k' in background basis",
+            ),
+            (
+                {"basis": {"background": {"type": "none"}, "anomaly": {
+                    "type": "bspline", "order": 2.2, "n_knots": 6, "normalize_columns": False}}},
+                "'order' in anomaly basis",
+            ),
+            (
+                {"basis": {"background": {"type": "none"}, "anomaly": {
+                    "type": "bspline", "order": 2, "n_knots": 14.9, "normalize_columns": False}}},
+                "'n_knots' in anomaly basis",
+            ),
+            (
+                {"basis": {"background": {"type": "none"}, "anomaly": {"type": "kron", "factors": [
+                    {"type": "identity", "p": 2.5}, {"type": "identity", "p": 3}]}}},
+                "'p' in anomaly kron factor",
+            ),
+        ],
+        ids=[
+            "p", "m", "m-bool", "m-string", "horizon", "tau", "tau-inf", "change-column",
+            "random_change_basis-string", "random_change_basis-int", "fourier-k",
+            "bspline-order", "bspline-n_knots", "kron-factor-p",
+        ],
+    )
+    def test_counts_must_be_whole_and_switches_boolean(self, tmp_path, capsys, over, field):
+        """A fractional count or index is refused, not truncated, and a
+        switch must be a JSON boolean; the error names the field."""
+        path = _write_scenario(tmp_path, **over)
+        with pytest.raises(CliError, match=f"invalid scenario: field {field}"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert main(["calibrate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid scenario: field {field}")
+        assert not out.exists()
+
+    def test_whole_numbers_written_as_floats_are_accepted(self, tmp_path):
+        path = _write_scenario(tmp_path, m=3.0, horizon=60.0, tau=20.0, change=[[1.0, 0.5]])
+        scenario, _, _ = load_scenario(path)
+        assert (scenario.cfg.m, scenario.horizon, scenario.tau) == (3, 60, 20)
+        assert scenario.change == ((1, 0.5),)
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -11,6 +11,8 @@ import pytest
 
 import sparsewatch.engine as engine
 import sparsewatch.geometry as geometry
+import sparsewatch.inference as inference
+from oracles import blocked_sweep
 from sparsewatch import (
     BasisDictionary,
     CalibrationError,
@@ -19,6 +21,7 @@ from sparsewatch import (
     ModelConfig,
     NumericalError,
     Scenario,
+    SpikeSlabPosterior,
     StateError,
     bspline_basis,
     calibrate_threshold,
@@ -228,6 +231,41 @@ class TestStep:
             geometry.clear_geometry_cache()
         assert cold == warm == uncached
 
+
+    @pytest.mark.parametrize("sampler", ["thompson", "oracle"])
+    def test_outputs_equal_the_interpreted_blocked_sweep(
+        self, default_dictionary, default_config, sampler, monkeypatch
+    ):
+        """Null trajectories and run-length records through the generated
+        sweep kernels are byte-identical to those through the interpreted
+        blocked loop the kernels replaced (``oracles.blocked_sweep``)."""
+        scenario = Scenario(
+            dictionary=default_dictionary, cfg=default_config, tau=20,
+            change=((0, 1.0),), horizon=60, random_change_basis=True,
+        )
+
+        def run():
+            traj = collect_h0_trajectories(
+                default_config, default_dictionary, n_reps=3, horizon=60, seed=21,
+                sampler=sampler,
+            )
+            h = float(np.quantile(traj, 0.95))
+            _, records = evaluate(
+                default_config, default_dictionary, h, scenario, n_reps=4, seed=22,
+                sampler=sampler, return_records=True,
+            )
+            return traj.tobytes(), repr(records)
+
+        def interpreted(post, stats, cfg, tol, max_iters):
+            mu, s2, alpha, sweeps, converged, _ = blocked_sweep(
+                post.mu_a, post.alpha, stats.raw_M, stats.raw_u, cfg,
+                inference.ALPHA_CLAMP, inference._BLOCK, max_iters, tol,
+            )
+            return SpikeSlabPosterior._trusted(mu, s2, alpha), converged, sweeps
+
+        generated = run()
+        monkeypatch.setattr(inference, "_iterate", interpreted)
+        assert run() == generated
 
 class TestReplay:
     def test_frozen_matrix(self):

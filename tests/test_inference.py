@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_elbo, reference_sweep, stats_from_history
+from oracles import blocked_sweep, reference_elbo, reference_sweep, stats_from_history
 from sparsewatch import (
     BasisDictionary,
     DecayedStats,
@@ -23,7 +27,8 @@ from sparsewatch import (
     update_background,
     vb_coordinate_sweep,
 )
-from sparsewatch.inference import ALPHA_CLAMP, _sweep, _sweep_setup
+from sparsewatch import inference
+from sparsewatch.inference import _BLOCK, _KERNELS, ALPHA_CLAMP, _iterate
 
 
 def _random_step(dictionary, cfg, rng):
@@ -329,15 +334,24 @@ class TestCoordinateSweep:
                 np.testing.assert_allclose(got.s2, s2, rtol=1e-12)
                 np.testing.assert_allclose(got.alpha, alpha, rtol=1e-12)
 
-    def test_blocks_split_coordinates_evenly(self, sweep_cases):
+    def test_blocks_split_coordinates_evenly(self, sweep_cases, monkeypatch):
+        """The block sizes a sweep asks kernels for, in order."""
+        requested, real_kernel = [], inference._kernel
+
+        def recording(b):
+            requested.append(b)
+            return real_kernel(b)
+
+        monkeypatch.setattr(inference, "_kernel", recording)
         sizes = {}
         for dictionary, cfg in sweep_cases:
             stats = DecayedStats(
                 raw_M=np.eye(cfg.k_a), raw_u=np.zeros(cfg.k_a), raw_q=0.0,
                 raw_norm=0.0, mass=1.0, n=1,
             )
-            blocks = _sweep_setup(SpikeSlabPosterior.prior(cfg), stats, cfg)[0]
-            sizes[cfg.k_a] = [stop - start for start, stop, _, _ in blocks]
+            requested.clear()
+            vb_coordinate_sweep(SpikeSlabPosterior.prior(cfg), stats, cfg)
+            sizes[cfg.k_a] = list(requested)
         assert sizes == {10: [10], 13: [6, 7], 36: [12, 12, 12]}
 
     def test_slab_variance_depends_only_on_stats(
@@ -367,6 +381,92 @@ class TestCoordinateSweep:
         again = vb_coordinate_sweep(post, stats, default_config)
         np.testing.assert_allclose(again.mu_a, post.mu_a, atol=1e-12)
         np.testing.assert_allclose(again.alpha, post.alpha, atol=1e-12)
+
+
+def _random_sweep_case(k_a, rng):
+    """Config, stats and a random start at k_a with dense, well-posed M."""
+    cfg = ModelConfig.homogeneous(
+        k_a=k_a, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7,
+        decay=0.1, m=1,
+    )
+    a = rng.normal(size=(k_a + 3, k_a))
+    stats = DecayedStats(
+        raw_M=a.T @ a, raw_u=rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=k_a),
+        raw_q=0.0, raw_norm=0.0, mass=1.0, n=1,
+    )
+    post = SpikeSlabPosterior(
+        mu_a=rng.normal(size=k_a), s2=np.full(k_a, 0.5),
+        alpha=rng.uniform(0.0, 1.0, size=k_a),
+    )
+    return cfg, stats, post
+
+
+class TestSweepKernels:
+    @pytest.mark.parametrize("k_a", [*range(1, _BLOCK + 1), 13, 25, 36])
+    def test_kernels_equal_blocked_reference_byte_for_byte(self, k_a, rng):
+        """The generated kernels store exactly what the interpreted blocked
+        loop stores, for 1-3 sweeps from random starts, at every block size
+        (k_a = 1..12 is one block of k_a) and over several blocks, stop
+        after the same sweep at a working tol, and stay within rounding of
+        the plain dense pass.  At tol = 0 nothing converges."""
+        for _ in range(4):
+            cfg, stats, post = _random_sweep_case(k_a, rng)
+            for tol, k in ((0.0, 1), (0.0, 2), (0.0, 3), (1e-6, 100)):
+                got, converged, iters = _iterate(post, stats, cfg, tol, k)
+                mu, s2, alpha, sweeps, ref_converged, _ = blocked_sweep(
+                    post.mu_a, post.alpha, stats.raw_M, stats.raw_u, cfg,
+                    ALPHA_CLAMP, _BLOCK, k, tol,
+                )
+                assert (iters, converged) == (sweeps, ref_converged)
+                assert tol or (iters, converged) == (k, False)
+                for field, want in (("mu_a", mu), ("s2", s2), ("alpha", alpha)):
+                    assert getattr(got, field).tobytes() == np.array(want).tobytes()
+            dense_mu, dense_s2, dense_alpha = reference_sweep(
+                post.mu_a, post.alpha, stats.raw_M, stats.raw_u,
+                _cfg_vals(cfg, stats), ALPHA_CLAMP,
+            )
+            one = vb_coordinate_sweep(post, stats, cfg)
+            np.testing.assert_allclose(one.mu_a, dense_mu, rtol=1e-12)
+            np.testing.assert_allclose(one.s2, dense_s2, rtol=1e-12)
+            np.testing.assert_allclose(one.alpha, dense_alpha, rtol=1e-12)
+
+    def test_fits_at_every_k_a_up_to_40_hold_one_kernel_per_block_size(self, rng):
+        for k_a in range(1, 41):
+            dictionary = BasisDictionary(
+                b_b=np.zeros((6, 0)), b_a=rng.normal(size=(6, k_a))
+            )
+            cfg = ModelConfig.homogeneous(
+                k_a=k_a, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7,
+                decay=0.1, m=3,
+            )
+            fit(
+                rng.normal(size=3), [0, 2, 4], SpikeSlabPosterior.prior(cfg),
+                DecayedStats.empty(k_a), dictionary, cfg,
+            )
+        assert sorted(_KERNELS) == list(range(1, _BLOCK + 1))
+
+    def test_import_and_engine_init_compile_no_kernel(self):
+        """Kernels are compiled by the first sweep, not at import or set-up."""
+        code = (
+            "import sparsewatch\n"
+            "from sparsewatch import inference, engine\n"
+            "assert not inference._KERNELS, 'import'\n"
+            "d = sparsewatch.BasisDictionary(\n"
+            "    b_b=sparsewatch.fourier_basis(15, 3), b_a=sparsewatch.bspline_basis(15, 4, 14))\n"
+            "cfg = sparsewatch.ModelConfig.homogeneous(\n"
+            "    k_a=10, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7, decay=0.1, m=5)\n"
+            "for sampler in ('thompson', 'oracle'):\n"
+            "    engine.init(cfg, d, h=1.0, seed=0, sampler=sampler)\n"
+            "assert not inference._KERNELS, 'init'\n"
+        )
+        src = str(Path(inference.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestElbo:
@@ -529,9 +629,10 @@ class TestFit:
             for field in ("mu_a", "s2", "alpha"):
                 assert getattr(res.post, field).tobytes() == getattr(post, field).tobytes()
 
-    def test_kernel_change_equals_numpy_max(self, sweep_cases, rng):
-        """The change a sweep reports is max(|delta mu|, |delta alpha|) as numpy
-        computes it from the posteriors before and after."""
+    def test_kernel_moved_flag_is_numpy_max_against_tol(self, sweep_cases, rng):
+        """A sweep has moved exactly when max(|delta mu|, |delta alpha|), as
+        numpy computes it from the posteriors before and after, is at least
+        tol: it has at tol = that change and has not one ulp above it."""
         for dictionary, cfg in sweep_cases:
             for _ in range(25):
                 stats, _ = _random_stats(dictionary, cfg, rng, n_steps=3)
@@ -540,13 +641,13 @@ class TestFit:
                     s2=np.full(cfg.k_a, 0.5),
                     alpha=rng.uniform(0.0, 1.0, size=cfg.k_a),
                 )
-                delta = _sweep(*_sweep_setup(post, stats, cfg))
                 after = vb_coordinate_sweep(post, stats, cfg)
                 want = max(
                     float(np.max(np.abs(after.mu_a - post.mu_a))),
                     float(np.max(np.abs(after.alpha - post.alpha))),
                 )
-                assert delta == want
+                assert _iterate(post, stats, cfg, want, 1)[1] is False
+                assert _iterate(post, stats, cfg, np.nextafter(want, np.inf), 1)[1] is True
 
     @pytest.mark.parametrize("where", ["u_first", "u_last", "M_diag", "M_last_block"])
     def test_nan_in_moments_never_converges(self, sweep_cases, rng, where):
