@@ -77,6 +77,24 @@ def _require_whole(mapping: dict, key: str, where: str) -> int:
     return _whole(_require(mapping, key, where), key, where)
 
 
+def _real(value, field: str, where: str) -> float:
+    """A real-valued field: a JSON number, never a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(
+            f"invalid scenario: field '{field}' in {where} must be a number, got {value!r}"
+        )
+    try:
+        return float(value)
+    except OverflowError:
+        raise CliError(
+            f"invalid scenario: field '{field}' in {where} is too large for a float"
+        ) from None
+
+
+def _require_real(mapping: dict, key: str, where: str) -> float:
+    return _real(_require(mapping, key, where), key, where)
+
+
 def _build_basis(spec, p: int, role: str, allow_empty: bool) -> np.ndarray:
     if not isinstance(spec, dict):
         raise CliError(f"{role} basis spec must be an object")
@@ -124,7 +142,9 @@ def _build_basis(spec, p: int, role: str, allow_empty: bool) -> np.ndarray:
 
 
 def _broadcast(value, k_a: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=np.float64)).ravel()
+    """One number for every anomaly column, or a list of one per column."""
+    values = value if isinstance(value, list) else [value]
+    arr = np.array([_real(v, name, "model") for v in values], dtype=np.float64)
     if arr.size == 1:
         return np.full(k_a, arr[0])
     if arr.size != k_a:
@@ -138,8 +158,9 @@ def load_scenario(path):
     Returns (scenario, sampler, raw dict).  Every material field must be
     present; only behavioral switches carry documented defaults
     (sampler "thompson", random_change_basis false).  Counts and indices
-    must be whole numbers and random_change_basis a JSON boolean; anything
-    else is a CliError naming the field, never a truncated or coerced value.
+    must be whole numbers, real-valued fields JSON numbers (not strings or
+    booleans) and random_change_basis a JSON boolean; anything else is a
+    CliError naming the field, never a truncated or coerced value.
 
     A ``bspline`` basis spec also requires ``normalize_columns``, true or
     false.  True scales each column to unit Euclidean norm, so a change
@@ -167,16 +188,17 @@ def load_scenario(path):
         b_a = _build_basis(_require(basis, "anomaly", "basis"), p, "anomaly", False)
         dictionary = BasisDictionary(b_b=b_b, b_a=b_a)
         cfg = ModelConfig(
-            sigma_e=float(_require(model, "sigma_e", "model")),
-            sigma_b=float(_require(model, "sigma_b", "model")),
+            sigma_e=_require_real(model, "sigma_e", "model"),
+            sigma_b=_require_real(model, "sigma_b", "model"),
             sigma_j=_broadcast(_require(model, "sigma_j", "model"), b_a.shape[1], "sigma_j"),
             w=_broadcast(_require(model, "w", "model"), b_a.shape[1], "w"),
-            v=float(_require(model, "v", "model")),
-            decay=float(_require(model, "decay", "model")),
+            v=_require_real(model, "v", "model"),
+            decay=_require_real(model, "decay", "model"),
             m=m,
         )
         change = tuple(
-            (_whole(j, "change", "scenario"), float(phi)) for j, phi in raw.get("change", [])
+            (_whole(j, "change", "scenario"), _real(phi, "change", "scenario"))
+            for j, phi in raw.get("change", [])
         )
         random_change_basis = raw.get("random_change_basis", False)
         if not isinstance(random_change_basis, bool):
@@ -285,7 +307,7 @@ def _positive_reps(args):
 def _cmd_calibrate(args) -> int:
     scenario, sampler, raw = load_scenario(args.scenario)
     _positive_reps(args)
-    target = float(_require(raw, "arl0_target", "scenario"))
+    target = _require_real(raw, "arl0_target", "scenario")
     horizon = args.horizon if args.horizon is not None else scenario.horizon
     out_path = os.path.join(args.out, "threshold.json")
     _refuse_overwrite([out_path], args.force)
@@ -423,7 +445,7 @@ def _cmd_table1(args) -> int:
     _positive_reps(args)
     if args.calib_reps < 1:
         raise CliError("--calib-reps must be a positive integer")
-    target = float(_require(raw, "arl0_target", "scenario"))
+    target = _require_real(raw, "arl0_target", "scenario")
     if scenario.tau is None:
         raise CliError("the ADD table needs a scenario with a change point")
     phis = _parse_float_list(args.phis, "--phis")

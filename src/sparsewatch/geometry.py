@@ -38,6 +38,8 @@ __all__ = ["CACHE_BUDGET_BYTES", "SubsetGeometry", "subset_geometry", "clear_geo
 
 CACHE_BUDGET_BYTES = 32 << 20
 
+_EPS = np.finfo(np.float64).eps
+
 
 class SubsetGeometry(NamedTuple):
     """What the per-step layers read from one observed subset; all read-only.
@@ -76,11 +78,14 @@ def _rank_cut(u_mat: np.ndarray, svals: np.ndarray, shape) -> np.ndarray:
     array of the factored block's ``shape`` (m×k_b, or a stack of them).
 
     The cut is max(m, k_b)·eps·(largest singular value), so basis·basis'
-    projects onto the block's columns at any rank.
+    projects onto the block's columns at any rank.  When the cut keeps every
+    column and U already has that shape, U itself is the basis.
     """
-    cut = max(shape[-2:]) * np.finfo(np.float64).eps * svals[..., :1]
+    keep = svals > max(shape[-2:]) * _EPS * svals[..., :1]
+    if u_mat.shape == shape and keep.all():
+        return u_mat
     basis = np.zeros(shape)
-    basis[..., : svals.shape[-1]] = np.where((svals > cut)[..., None, :], u_mat, 0.0)
+    basis[..., : svals.shape[-1]] = np.where(keep[..., None, :], u_mat, 0.0)
     return basis
 
 
@@ -95,11 +100,19 @@ def column_bases(b_b_z: np.ndarray) -> np.ndarray:
 
 
 def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> SubsetGeometry:
-    """Check the subset and factor its background rows by one thin SVD."""
-    if z.size and (z.min() < 0 or z.max() >= dictionary.p):
-        raise IndexError("observation subset index out of range")
-    if np.unique(z).size != z.size:
-        raise DimensionError("observation subset indices must be distinct")
+    """Check the subset and factor its background rows by one thin SVD.
+
+    An ascending subset, the form every sensing plan takes, needs only its
+    ends and one comparison of neighbours checked.  Both products in
+    ``m_c`` have the form x'x, which numpy computes as symmetric rank-k
+    updates, so ``m_c`` is exactly symmetric as built.
+    """
+    p = dictionary.p
+    if z.size and not (z[0] >= 0 and z[-1] < p and (z[1:] > z[:-1]).all()):
+        if z.min() < 0 or z.max() >= p:
+            raise IndexError("observation subset index out of range")
+        if np.unique(z).size != z.size:
+            raise DimensionError("observation subset indices must be distinct")
     b_a_z = dictionary.b_a[z]
     b_b_z = dictionary.b_b[z]
     u_mat, svals, vt = np.linalg.svd(b_b_z, full_matrices=False)
@@ -113,7 +126,6 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> 
     logdet_w = float(np.sum(np.log(kappa / s2_kappa)))
     k = np.sqrt(c)[:, None] * (u_mat.T @ b_a_z)
     m_c = b_a_z.T @ b_a_z - k.T @ k
-    m_c = 0.5 * (m_c + m_c.T)
     basis = _rank_cut(u_mat, svals, b_b_z.shape)
     col_sq = (b_a_z * b_a_z).sum(axis=0)
     for arr in (b_a_z, b_b_z, g, m_c, cov_b, basis, col_sq):

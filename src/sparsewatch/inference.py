@@ -27,17 +27,20 @@ the whitened M contribution, the background covariance) comes from one
 shared ``SubsetGeometry``, so a step pays for it once and a repeated subset
 costs only matrix-vector products.
 
-The coordinate sweeps run in blocks of at most ``_BLOCK`` coordinates, each
-through a straight-line kernel generated from its block size alone and
-compiled on the first sweep that needs it (at most ``_BLOCK`` kernels per
-process).  Inside a kernel every operand is a local float.  Every operation
-and its order are those of the interpreted form of the same pass that the
-tests keep (``oracles.blocked_sweep``), so generation changes how the
-interpreter runs the loop and no output bit.
+The coordinate sweeps run in blocks of at most ``_BLOCK`` coordinates.  Each
+block runs in a generator whose straight-line source is generated from the
+block size alone and compiled on the first fit that needs it (at most
+``_BLOCK`` kernels per process).  A fit starts one generator per block,
+which sets its block up once and then keeps every operand, the posterior
+included, as a local float across all sweeps.  Every operation and its
+order are those of the interpreted form of the same pass that the tests keep
+(``oracles.blocked_sweep``), so generation changes how the interpreter runs
+the loop and no output bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -349,87 +352,102 @@ def absorb_sample(
 # gives every cross term from the posterior at the block's start.
 _BLOCK = 12
 
-# Block size -> (kernel, lower): the compiled sweep over one block and the
-# indices of its strict lower triangle.  At most _BLOCK entries, each built
-# on the first sweep that needs it.
-_KERNELS: dict = {}
-
 
 def _kernel_source(b: int) -> str:
-    """Source of the straight-line sweep over one block of b coordinates.
+    """Source of the generator that sweeps one block of b coordinates.
 
-    Built from b alone.  Every in-block entry of M (``M<t>_<s>``, row t,
-    column s < t), every per-coordinate factor and every posterior value is
-    a local, and coordinate t runs exactly the expressions of
-    ``vb_coordinate_sweep``'s update, its cross term summed as
+    Built from b alone.  The generator takes the fit's full lists and its
+    block's bounds, and sets its block up once: every in-block entry of M
+    (``M<t>_<s>``, row t, column s < t), every per-coordinate factor and
+    every mu, alpha and mu_tilde becomes a local float, each factor
+    computed by the expression ``vb_coordinate_sweep`` gives it.  The first
+    ``next`` returns the block's slab variances.  Each ``send(moved)`` runs
+    one pass over the block, coordinate t taking its cross term as
     c_t + M_t,0·Δ_0 + … + M_t,t−1·Δ_t−1 left to right from the block's
-    product c.  Whether anything moved (some |Δmu| or |Δalpha| at least
-    ``tol``, or a NaN) is tested until the first coordinate that has.
+    product c, writes the block's mu_tilde into the shared array and
+    returns whether anything has moved (some |Δmu| or |Δalpha| at least
+    ``tol``, or a NaN; tested until the first coordinate that has).
+    ``send(None)``, made through ``next``, writes the block's mu and alpha
+    back into the fit's lists and ends the generator.
     """
     r = range(b)
 
     def row(prefix):
         return ", ".join(f"{prefix}{t}" for t in r) + ","
 
-    per_coord = ", ".join(f"({row(f)})" for f in ("u", "sc", "s2_", "vs", "lw", "tj", "hm"))
     lines = [
-        "def kernel(off_rows, lower, per_coord, mu, alpha, mu_t, start, stop, ntol, tol, moved):",
-        f"    {per_coord} = per_coord",
+        "def kernel(off_rows, mt_arr, start, stop, lower, diag, u, inv_sj2, logit_w, two_sj2,"
+        " mu, alpha, se2, v, ntol, tol):",
     ]
     if b > 1:
         lines.append(f"    {', '.join(f'M{t}_{s}' for t in r for s in range(t))}, = lower")
+    for prefix, name in (
+        ("m", "diag"), ("i", "inv_sj2"), ("u", "u"), ("lw", "logit_w"), ("tj", "two_sj2"),
+        ("mu", "mu"), ("a", "alpha"),
+    ):
+        lines.append(f"    {row(prefix)} = {name}[start:stop]")
+    lines.append("    two_se2 = 2.0 * se2")
+    for t in r:
+        lines += [
+            f"    s2_{t} = 1.0 / (m{t} / se2 + i{t})",
+            f"    sc{t} = s2_{t} / se2",
+            f"    vs{t} = v * s2_{t}",
+            f"    hm{t} = m{t} / two_se2",
+            f"    mt{t} = mu{t} * a{t}",
+        ]
     lines += [
-        f"    {row('c')} = off_rows.dot(mu_t).tolist()",
-        f"    {row('om')} = mu[start:stop]",
-        f"    {row('oa')} = alpha[start:stop]",
-        f"    {row('ot')} = mu_t[start:stop]",
+        "    mt = memoryview(mt_arr[start:stop])",
+        f"    moved = yield [{row('s2_')}]",
+        "    while moved is not None:",
+        f"        {row('c')} = off_rows.dot(mt_arr).tolist()",
     ]
+    # Each branch's exponent is at most 0, so exp never overflows, and only
+    # the clamp on its own side of 1/2 can bind; ``not na >= ALPHA_CLAMP``
+    # also catches a NaN logit.
     for t in r:
         cross = f"(c{t}" + "".join(f" + M{t}_{s} * d{s}" for s in range(t)) + ")" if t else "c0"
         lines += [
-            f"    mu{t} = sc{t} * (u{t} - {cross})",
-            f"    sq = mu{t} * mu{t}",
-            f"    logit = lw{t} + sq / tj{t} + hm{t} * (sq - s2_{t} + vs{t})",
-            "    if logit >= 0.0:",
-            f"        a{t} = 1.0 / (1.0 + exp(-logit))",
-            f"        if a{t} > HI:",
-            f"            a{t} = HI",
-            "    else:",
-            "        e = exp(logit)",
-            f"        a{t} = e / (1.0 + e)",
-            f"        if not a{t} >= LO:",
-            f"            a{t} = LO",
-            f"    if not moved and not (ntol < mu{t} - om{t} < tol and ntol < a{t} - oa{t} < tol):",
-            "        moved = True",
-            f"    mt{t} = mu{t} * a{t}",
+            f"        new = sc{t} * (u{t} - {cross})",
+            "        sq = new * new",
+            f"        logit = lw{t} + sq / tj{t} + hm{t} * (sq - s2_{t} + vs{t})",
+            "        if logit >= 0.0:",
+            "            na = 1.0 / (1.0 + exp(-logit))",
+            f"            if na > {1.0 - ALPHA_CLAMP!r}:",
+            f"                na = {1.0 - ALPHA_CLAMP!r}",
+            "        else:",
+            "            e = exp(logit)",
+            "            na = e / (1.0 + e)",
+            f"            if not na >= {ALPHA_CLAMP!r}:",
+            f"                na = {ALPHA_CLAMP!r}",
+            f"        if not moved and not (ntol < new - mu{t} < tol and ntol < na - a{t} < tol):",
+            "            moved = True",
+            f"        mu{t} = new",
+            f"        a{t} = na",
+            "        new = new * na",
         ]
         if t < b - 1:  # the in-block step the later coordinates add
-            lines.append(f"    d{t} = mt{t} - ot{t}")
+            lines.append(f"        d{t} = new - mt{t}")
+        lines.append(f"        mt{t} = new")
     lines += [
+        *(f"        mt[{t}] = mt{t}" for t in r),
+        "        moved = yield moved",
         f"    mu[start:stop] = {row('mu')}",
         f"    alpha[start:stop] = {row('a')}",
-        f"    mu_t[start:stop] = {row('mt')}",
-        "    return moved",
     ]
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _kernel(b: int):
     """(kernel, lower) for blocks of b coordinates, compiled on first use.
 
     ``lower`` indexes the strict lower triangle of a flattened b×b block in
     row-major order, the order the kernel unpacks it in.
     """
-    entry = _KERNELS.get(b)
-    if entry is None:
-        # Each branch's exponent is at most 0, so exp never overflows, and
-        # only the clamp on its own side of 1/2 can bind; ``not a >= LO``
-        # also catches a NaN logit.
-        namespace = {"exp": math.exp, "LO": ALPHA_CLAMP, "HI": 1.0 - ALPHA_CLAMP}
-        exec(compile(_kernel_source(b), f"<sweep kernel, block of {b}>", "exec"), namespace)
-        rows, cols = np.tril_indices(b, -1)
-        entry = _KERNELS.setdefault(b, (namespace["kernel"], rows * b + cols))
-    return entry
+    namespace = {"exp": math.exp}
+    exec(compile(_kernel_source(b), f"<sweep kernel, block of {b}>", "exec"), namespace)
+    rows, cols = np.tril_indices(b, -1)
+    return namespace["kernel"], rows * b + cols
 
 
 def _iterate(
@@ -438,46 +456,50 @@ def _iterate(
     """Coordinate sweeps at fixed stats until nothing moves by ``tol``.
 
     Returns (posterior, converged, sweeps run).  The coordinates are split
-    evenly into contiguous blocks of at most ``_BLOCK``; each block holds its
-    rows of M with the diagonal zeroed, for the product that opens it, the
-    list of its in-block lower triangle of M, and one list per factor of its
-    updates that depends only on the stats, each computed by the expression
-    the update reads it from.  The posterior lives in three plain-float
-    lists (mu, alpha, mu_tilde) that the kernels update in place; boxing
-    numpy scalars per coordinate would otherwise dominate the monitoring
-    step.
+    evenly into contiguous blocks of at most ``_BLOCK``, each run by a
+    generator of its block size's kernel.  The generators read plain-float
+    lists of diag(M), u, the config vectors and the starting mu and alpha,
+    M with its diagonal zeroed for the product that opens each block, and
+    mu_tilde as one array that each block rewrites after its pass.  A sweep
+    sends each block whether an earlier one moved; every generator has
+    ended, and the posterior is built, before this returns.
     """
     if stats.n == 0:
         raise StateError("cannot sweep before any sample has been absorbed")
     if stats.k_a != post.k_a or post.k_a != cfg.k_a:
         raise DimensionError("posterior, stats, and config disagree on k_a")
-    se2, k_a, raw_m = cfg.sigma_e2, cfg.k_a, stats.raw_M
-    diag = raw_m.diagonal()
-    s2 = 1.0 / (diag / se2 + cfg.inv_sigma_j2)
-    per_coord = np.concatenate(
-        (stats.raw_u, s2 / se2, s2, cfg.v * s2, cfg.logit_w, cfg.two_sigma_j2, diag / (2.0 * se2))
-    ).reshape(7, k_a)
+    k_a, raw_m = cfg.k_a, stats.raw_M
     off = raw_m.copy()
     off.ravel()[:: k_a + 1] = 0.0  # the diagonal, more cheaply than np.fill_diagonal
+    mt_arr = post.mu_tilde
+    mu, alpha = post.mu_a.tolist(), post.alpha.tolist()
+    shared = (
+        raw_m.diagonal().tolist(), stats.raw_u.tolist(), cfg.inv_sigma_j2.tolist(),
+        cfg.logit_w.tolist(), cfg.two_sigma_j2.tolist(), mu, alpha, cfg.sigma_e2, cfg.v,
+        -tol, tol,
+    )
     n_blocks = -(-k_a // _BLOCK)
     bounds = [i * k_a // n_blocks for i in range(n_blocks + 1)]
-    blocks = []
+    gens, s2 = [], []
     for start, stop in zip(bounds, bounds[1:]):
         kernel, lower = _kernel(stop - start)
-        blocks.append((
-            kernel, off[start:stop], raw_m[start:stop, start:stop].take(lower).tolist(),
-            per_coord[:, start:stop].tolist(), start, stop,
-        ))
-    mu, alpha, mu_t = post.mu_a.tolist(), post.alpha.tolist(), post.mu_tilde.tolist()
-    ntol = -tol
+        gen = kernel(
+            off[start:stop], mt_arr, start, stop,
+            raw_m[start:stop, start:stop].take(lower).tolist(), *shared,
+        )
+        s2 += next(gen)
+        gens.append(gen)
+    sends = [gen.send for gen in gens]
     converged = False
     for iters in range(1, max_iters + 1):
         moved = False
-        for kernel, off_rows, lower, coords, start, stop in blocks:
-            moved = kernel(off_rows, lower, coords, mu, alpha, mu_t, start, stop, ntol, tol, moved)
+        for send in sends:
+            moved = send(moved)
         if not moved:
             converged = True
             break
+    for gen in gens:
+        next(gen, None)
     return SpikeSlabPosterior._trusted(mu, s2, alpha), converged, iters
 
 
@@ -504,8 +526,8 @@ def vb_coordinate_sweep(
     product gives every cross term of a block from the posterior at its
     start, and each coordinate adds M_ji·Δ(alpha_i mu_ai) for the earlier
     coordinates of its block.  Each block size has its own straight-line
-    kernel, generated and compiled on first use.  ``fit`` runs the same
-    kernels, without building a posterior between sweeps.
+    generator kernel, generated and compiled on first use.  ``fit`` runs
+    the same kernels, one generator per block for all of its sweeps.
     """
     return _iterate(post, stats, cfg, math.inf, 1)[0]
 
@@ -601,9 +623,10 @@ def fit(
     the moments), so the loop is plain coordinate sweeps at fixed stats,
     stopping after the first sweep in which every absolute change of mu_a
     and alpha is below ``tol``.  The sweeps are ``vb_coordinate_sweep``'s
-    generated kernels on one set of plain-float lists, set up once per fit;
-    each kernel reports whether its block moved, and the posterior is built
-    once, at the end.
+    generated kernels: one generator per block, set up once per fit, holds
+    its block's factors and posterior as local floats across all sweeps and
+    reports on each sweep whether anything has moved.  The posterior is
+    built once, at the end.
 
     Non-convergence within ``max_iters``, or a NaN change, returns the last
     iterate with ``converged=False`` rather than raising.

@@ -275,6 +275,68 @@ class TestLoadScenario:
         assert (scenario.cfg.m, scenario.horizon, scenario.tau) == (3, 60, 20)
         assert scenario.change == ((1, 0.5),)
 
+    @pytest.mark.parametrize(
+        "over, field",
+        [
+            ({"sigma_e": "0.1"}, "'sigma_e' in model"),
+            ({"sigma_b": True}, "'sigma_b' in model"),
+            ({"v": "1e-6"}, "'v' in model"),
+            ({"decay": False}, "'decay' in model"),
+            ({"sigma_j": "2.0"}, "'sigma_j' in model"),
+            ({"sigma_j": [2.0, 2.0, "2.0", 2.0]}, "'sigma_j' in model"),
+            ({"w": True}, "'w' in model"),
+            ({"w": [0.2, 0.2, 0.2, False]}, "'w' in model"),
+            ({"w": [[0.2, 0.2, 0.2, 0.2]]}, "'w' in model"),
+            ({"change": [[1, "0.5"]]}, "'change' in scenario"),
+            ({"change": [[1, True]]}, "'change' in scenario"),
+            ({"sigma_b": 10**400}, "'sigma_b' in model"),
+            ({"w": [0.2, 10**400, 0.2, 0.2]}, "'w' in model"),
+            ({"change": [[1, 10**400]]}, "'change' in scenario"),
+        ],
+        ids=[
+            "sigma_e-string", "sigma_b-bool", "v-string", "decay-bool", "sigma_j-string",
+            "sigma_j-entry-string", "w-bool", "w-entry-bool", "w-nested", "phi-string",
+            "phi-bool", "sigma_b-huge", "w-entry-huge", "phi-huge",
+        ],
+    )
+    def test_real_fields_must_be_json_numbers(self, tmp_path, capsys, over, field):
+        """A real-valued field is refused unless it is a JSON number within
+        float range: a string or a boolean is not coerced.  The error names
+        the field."""
+        change = over.pop("change", None)
+        doc = _scenario_doc(model=dict(_scenario_doc()["model"], **over))
+        if change is not None:
+            doc.update(tau=20, change=change)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            CliError, match=f"invalid scenario: field {field} (must be a number|is too large)"
+        ):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert main(["calibrate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid scenario: field {field}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["12", True, None])
+    @pytest.mark.parametrize("command", ["calibrate", "table1"])
+    def test_arl0_target_must_be_a_json_number(self, tmp_path, capsys, command, target):
+        path = _write_scenario(tmp_path, arl0_target=target, tau=20, change=[[1, 0.5]])
+        out = tmp_path / "out"
+        grid = ["--phis", "0.5", "--ms", "3"] if command == "table1" else []
+        assert main([command, "--scenario", str(path), "--out", str(out), *grid]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid scenario: field 'arl0_target' in scenario must be a number"
+        )
+        assert not out.exists()
+
+    def test_integers_accepted_for_real_fields(self, tmp_path):
+        model = dict(_scenario_doc()["model"], sigma_b=1, sigma_j=[2, 2.0, 3, 2])
+        path = _write_scenario(tmp_path, model=model, tau=20, change=[[1, 2]])
+        scenario, _, _ = load_scenario(path)
+        assert scenario.cfg.sigma_b == 1.0 and scenario.change == ((1, 2.0),)
+        assert scenario.cfg.sigma_j.tolist() == [2.0, 2.0, 3.0, 2.0]
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -122,6 +122,16 @@ class TestDenseRoute:
             np.testing.assert_allclose(geo.m_c, ref["M"], rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(geo.basis @ geo.basis.T, ref["P"], atol=1e-10)
 
+    @pytest.mark.parametrize("rows", ["random", "rank1", "zero"])
+    @pytest.mark.parametrize("m, k_b, k_a", [(1, 3, 4), (2, 4, 5), (4, 0, 6), (5, 3, 7), (20, 4, 36)])
+    def test_whitened_moment_is_exactly_symmetric(self, m, k_b, k_a, rows):
+        """m_c is built unsymmetrised: both of its products have the form x'x,
+        which numpy computes as symmetric rank-k updates."""
+        for seed in range(5):
+            d, z, _, _ = _problem(seed, k_b, m, rows, k_a=k_a)
+            m_c = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z).m_c
+            assert m_c.tobytes() == np.ascontiguousarray(m_c.T).tobytes()
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         k_b=st.integers(1, 3),
@@ -245,6 +255,26 @@ class TestCache:
             subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, d.p])
         with pytest.raises(DimensionError):
             subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "z, error",
+        [
+            ([-1, 0, 1], IndexError),
+            ([1, 0, -1], IndexError),
+            ([0, 1, "p"], IndexError),
+            (["p", 1, 0], IndexError),
+            ([0, 2, 2], DimensionError),
+            ([2, 0, 2], DimensionError),
+            ([3, 3, 1], DimensionError),
+        ],
+        ids=["neg-ascending", "neg-descending", "high-ascending", "high-first",
+             "repeat-sorted", "repeat-apart", "repeat-descending"],
+    )
+    def test_invalid_subsets_in_any_order_rejected(self, z, error):
+        """Ascending subsets take a shorter check; every order gives the same errors."""
+        d, _, _, _ = _problem(2, 2, 3, "random")
+        with pytest.raises(error):
+            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [d.p if i == "p" else i for i in z])
 
     def test_threads_filling_one_table_read_their_own_rows(self):
         """Eight threads building and reading one table at once, with the

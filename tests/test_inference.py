@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from sparsewatch import (
     vb_coordinate_sweep,
 )
 from sparsewatch import inference
-from sparsewatch.inference import _BLOCK, _KERNELS, ALPHA_CLAMP, _iterate
+from sparsewatch.inference import _BLOCK, ALPHA_CLAMP, _iterate
 
 
 def _random_step(dictionary, cfg, rng):
@@ -443,21 +444,54 @@ class TestSweepKernels:
                 rng.normal(size=3), [0, 2, 4], SpikeSlabPosterior.prior(cfg),
                 DecayedStats.empty(k_a), dictionary, cfg,
             )
-        assert sorted(_KERNELS) == list(range(1, _BLOCK + 1))
+        info = inference._kernel.cache_info()
+        assert info.currsize == _BLOCK
+        for b in range(1, _BLOCK + 1):  # each size is held, so none compiles again
+            inference._kernel(b)
+        assert inference._kernel.cache_info().misses == info.misses
+
+    def test_no_block_generator_outlives_fit(self, monkeypatch, rng):
+        """Each block's generator has run to its end and been freed once
+        the sweeps that fit runs return, whether they converged or ran out
+        of sweeps."""
+        made, real_kernel = [], inference._kernel
+
+        def recording(b):
+            kernel, lower = real_kernel(b)
+
+            def tracked(*args):
+                gen = kernel(*args)
+                made.append(gen if keep else weakref.ref(gen))
+                return gen
+
+            return tracked, lower
+
+        monkeypatch.setattr(inference, "_kernel", recording)
+        for k_a in (10, 36):
+            cfg, stats, post = _random_sweep_case(k_a, rng)
+            for max_iters in (1, 100):
+                for keep in (False, True):
+                    made.clear()
+                    _iterate(post, stats, cfg, 1e-6, max_iters)
+                    assert len(made) == -(-k_a // _BLOCK)
+                    if keep:
+                        assert all(gen.gi_frame is None for gen in made)
+                    else:
+                        assert all(ref() is None for ref in made)
 
     def test_import_and_engine_init_compile_no_kernel(self):
         """Kernels are compiled by the first sweep, not at import or set-up."""
         code = (
             "import sparsewatch\n"
             "from sparsewatch import inference, engine\n"
-            "assert not inference._KERNELS, 'import'\n"
+            "assert inference._kernel.cache_info().currsize == 0, 'import'\n"
             "d = sparsewatch.BasisDictionary(\n"
             "    b_b=sparsewatch.fourier_basis(15, 3), b_a=sparsewatch.bspline_basis(15, 4, 14))\n"
             "cfg = sparsewatch.ModelConfig.homogeneous(\n"
             "    k_a=10, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7, decay=0.1, m=5)\n"
             "for sampler in ('thompson', 'oracle'):\n"
             "    engine.init(cfg, d, h=1.0, seed=0, sampler=sampler)\n"
-            "assert not inference._KERNELS, 'init'\n"
+            "assert inference._kernel.cache_info().currsize == 0, 'init'\n"
         )
         src = str(Path(inference.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
