@@ -339,6 +339,11 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def _sweeps_text(histogram) -> str:
+    """A sweep histogram as "k: steps" pairs, leaving out counts no step ran."""
+    return ", ".join(f"{k}: {n}" for k, n in enumerate(histogram, 1) if n)
+
+
 def _delays_csv(records, manifest: dict) -> str:
     lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
     lines.append("rep,T,false_alarm,delay")
@@ -384,6 +389,7 @@ def _cmd_evaluate(args) -> int:
             f"{summary.n_reps} replications, {summary.n_censored} censored, "
             f"{summary.n_false_alarm} false alarms"
         )
+    print(f"steps by fit sweeps: {_sweeps_text(summary.sweep_histogram)}")
     print(f"wrote {delays_path} and {summary_path}")
     return 0
 
@@ -532,7 +538,11 @@ def _cmd_table1(args) -> int:
                         summary.n_nonconverged,
                     )
                 )
-                print(f"{name} phi={phi:g}: {cells[(phi, name)]}", flush=True)
+                print(
+                    f"{name} phi={phi:g}: {cells[(phi, name)]}; steps by fit sweeps: "
+                    f"{_sweeps_text(summary.sweep_histogram)}",
+                    flush=True,
+                )
 
     manifest = _manifest("table1", args, raw, {"target_arl0": target})
     mline = "# manifest: " + json.dumps(manifest, sort_keys=True)

@@ -8,6 +8,12 @@ patterns and is intended for small anomaly bases and for validating the
 fast route.  The fast route is the quadratic monitoring statistic used in
 the online loop, whose expectation separates across observed variables.
 
+Every route takes a ``DetectionInputs``.  Its constructor converts and
+checks the observed values and subset; ``engine.step``, whose observation
+was checked at its boundary, builds one through the trusted
+``DetectionInputs._trusted`` instead.  ``lambda_stat`` reads the
+posterior's own ``mu_tilde`` and ``spread``.
+
 The enumeration runs on numpy alone, so importing this module (and the
 engine, which imports it) loads no numerical package beyond numpy, which
 keeps a monitoring process's start-up short.  Both hypotheses are one
@@ -63,8 +69,10 @@ class DetectionInputs:
     ``z``; ``post`` is the step's fitted anomaly posterior.  ``bg``, the
     background posterior (``inference.update_background``), is read only by
     the exact routes, which raise DataError without it; ``lambda_stat``
-    never reads it.  The subset itself is checked (range, distinct) when its
-    geometry is built.
+    never reads it.  The constructor converts and checks the two vectors;
+    the subset itself is checked (range, distinct) when its geometry is
+    built.  ``engine.step``, which has checked its observation and subset
+    once at its boundary, builds its inputs through ``_trusted`` instead.
     """
 
     x_z: np.ndarray
@@ -81,6 +89,14 @@ class DetectionInputs:
             raise DimensionError("detection needs at least one observed variable")
         object.__setattr__(self, "x_z", x_z)
         object.__setattr__(self, "z", z)
+
+    @classmethod
+    def _trusted(cls, x_z, z, post: SpikeSlabPosterior) -> "DetectionInputs":
+        """Inputs from a float64 ``x_z`` and an intp ``z``, both 1-D, of one
+        nonzero length; the values the checked constructor would store."""
+        inp = object.__new__(cls)
+        inp.__dict__.update(x_z=x_z, z=z, post=post, bg=None)
+        return inp
 
 
 def _gather(
@@ -287,21 +303,21 @@ def lambda_stat(
     first term is 2·(y'x_Z − (P y)'x_Z), and ``inp.bg`` is not read.  P·y =
     basis·(basis'·y) comes from the subset's shared geometry, whose
     orthonormal basis of the observed background columns stays exact when
-    those rows are rank-deficient.  Exactly zero when the posterior anomaly
-    mean vanishes.
+    those rows are rank-deficient.  The moment term is y'y + col_sq'·spread,
+    col_sq the column sums of squares of B_aZ and ``spread`` the
+    posterior's own.  Exactly zero when the posterior anomaly mean vanishes.
     """
     x = inp.x_z
     geo = _gather(inp, dictionary, cfg)
     post = inp.post
-    mu_t = post.mu_tilde
 
-    y = geo.b_a_z @ mu_t
-    p_y = geo.basis @ (geo.basis.T @ y)
+    # ndarray.dot runs the BLAS product @ runs, with less overhead per call.
+    y = geo.b_a_z.dot(post.mu_tilde)
+    p_y = geo.basis.dot(geo.basis.T.dot(y))
 
-    spread = post.alpha * (1.0 - post.alpha) * post.mu_a * post.mu_a
-    quad = float(y @ y) + float(geo.col_sq @ spread)
-    term1 = 2.0 * (float(y @ x) - float(p_y @ x))
-    term3 = float(y @ p_y)
+    quad = float(y.dot(y)) + float(geo.col_sq.dot(post.spread))
+    term1 = 2.0 * (float(y.dot(x)) - float(p_y.dot(x)))
+    term3 = float(y.dot(p_y))
     return term1 - quad + term3
 
 

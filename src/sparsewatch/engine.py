@@ -101,7 +101,9 @@ class RunLengthSummary:
     alarmed within the horizon; ``n_false_alarm`` counts alarms at or before
     the change point; ``n_nonconverged`` counts the steps, over all
     replications, whose VB fit ended without converging (``fit``'s
-    ``max_iters`` sweeps, or a NaN change).
+    ``max_iters`` sweeps, or a NaN change).  ``sweep_histogram[k - 1]``
+    counts the steps, over all replications, whose fit ran k sweeps, up to
+    the largest count any step ran.
     """
 
     arl0: float
@@ -113,6 +115,7 @@ class RunLengthSummary:
     n_censored: int
     n_false_alarm: int
     n_nonconverged: int
+    sweep_histogram: tuple[int, ...] = ()
 
 
 # ── Monitoring loop ───────────────────────────────────────────────────────
@@ -156,6 +159,9 @@ def init(
 
 
 def _extract_observation(state: EngineState, observation) -> np.ndarray:
+    """The planned values of one observation as a float64 vector, checked
+    once: each value is checked only when their sum of squares is not
+    finite, which a finite observation can reach only by overflowing."""
     z = state.plan.z
     if callable(observation):
         x_z = np.asarray(observation(z), dtype=np.float64).ravel()
@@ -172,11 +178,12 @@ def _extract_observation(state: EngineState, observation) -> np.ndarray:
             )
     if x_z.size != z.size:
         raise DataError("observation does not match the planned subset size")
-    bad = np.flatnonzero(~np.isfinite(x_z))
-    if bad.size:
-        raise DataError(
-            f"non-finite value at variable {int(z[bad[0]])} in step {state.step + 1}"
-        )
+    if not math.isfinite(x_z.dot(x_z)):
+        bad = np.flatnonzero(~np.isfinite(x_z))
+        if bad.size:
+            raise DataError(
+                f"non-finite value at variable {int(z[bad[0]])} in step {state.step + 1}"
+            )
     return x_z
 
 
@@ -188,6 +195,11 @@ def step(state: EngineState, observation) -> StepOutcome:
     An alarmed engine is absorbing and refuses further steps.  A finite
     observation whose statistic is not finite (it overflowed the fit)
     raises NumericalError and leaves the engine as it was.
+
+    The observation is converted and checked once, here, and the statistic
+    takes it through the trusted ``DetectionInputs._trusted``; the plan's
+    subset was checked when the plan was built.  Each layer is called
+    through this module's name for it.
     """
     if state.alarmed:
         raise StateError("engine has alarmed; start a new engine to continue")
@@ -195,9 +207,7 @@ def step(state: EngineState, observation) -> StepOutcome:
     x_z = _extract_observation(state, observation)
 
     res = fit(x_z, z, state.post, state.stats, state.dictionary, state.cfg)
-    stat = lambda_stat(
-        DetectionInputs(x_z=x_z, z=z, post=res.post), state.dictionary, state.cfg
-    )
+    stat = lambda_stat(DetectionInputs._trusted(x_z, z, res.post), state.dictionary, state.cfg)
     if not math.isfinite(stat):
         raise NumericalError(
             f"monitoring statistic is {stat} at step {state.step + 1} "
@@ -240,22 +250,24 @@ def _rep_rngs(seed: int, rep: int):
 def _run_one(args):
     """One replication, stopped at its alarm or the horizon.
 
-    Returns (statistics of the steps run, alarmed, non-converged fits).
-    Top-level so process pools can pickle it.
+    Returns (statistics of the steps run, alarmed, non-converged fits, the
+    steps' sweep counts).  Top-level so process pools can pickle it.
     """
     (scenario, h, seed, rep, sampler) = args
     stream_ss, engine_ss = _rep_rngs(seed, rep)
     stream = gen_stream(scenario, stream_ss)
     state = init(scenario.cfg, scenario.dictionary, h=h, seed=engine_ss, sampler=sampler)
     stats = np.empty(scenario.horizon)
+    sweeps = np.empty(scenario.horizon, dtype=np.intp)
     nonconverged = 0
     for t in range(scenario.horizon):
         outcome = step(state, stream[t])
         stats[t] = outcome.stat
+        sweeps[t] = outcome.n_iters
         nonconverged += not outcome.converged
         if outcome.alarmed:
-            return stats[: t + 1], True, nonconverged
-    return stats, False, nonconverged
+            return stats[: t + 1], True, nonconverged, sweeps[: t + 1]
+    return stats, False, nonconverged, sweeps
 
 
 def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int, sampler: str):
@@ -304,7 +316,7 @@ def collect_h0_trajectories(
     """
     scenario = Scenario(dictionary=dictionary, cfg=cfg, tau=None, change=(), horizon=horizon)
     results = _map_reps(scenario, math.inf, seed, n_reps, workers, sampler)
-    return np.vstack([stats for stats, _, _ in results])
+    return np.vstack([stats for stats, *_ in results])
 
 
 def replay_run_lengths(trajectories: np.ndarray, h: float) -> np.ndarray:
@@ -446,7 +458,7 @@ def evaluate(
 
     tau = scenario.tau
     records = []
-    for rep, (stats, alarmed, _) in enumerate(results):
+    for rep, (stats, alarmed, *_) in enumerate(results):
         t_alarm = stats.size if alarmed else scenario.horizon + 1
         false_alarm = bool(alarmed and tau is not None and t_alarm <= tau)
         delay = t_alarm - tau if alarmed and not false_alarm and tau is not None else None
@@ -474,9 +486,12 @@ def evaluate(
         add_stderr=add_stderr,
         std_dd=std_dd,
         n_reps=n_reps,
-        n_censored=sum(1 for _, alarmed, _ in results if not alarmed),
+        n_censored=sum(1 for _, alarmed, *_ in results if not alarmed),
         n_false_alarm=sum(1 for rec in records if rec["false_alarm"]),
         n_nonconverged=sum(r[2] for r in results),
+        sweep_histogram=tuple(
+            int(n) for n in np.bincount(np.concatenate([r[3] for r in results]))[1:]
+        ),
     )
     if return_records:
         return summary, records

@@ -54,13 +54,15 @@ class SubsetGeometry(NamedTuple):
         m_c       B_aZ'·W·B_aZ = B_aZ'B_aZ − K'K with K = diag(√c)·U'B_aZ
                   (k_a×k_a), one step's contribution to M
         logdet_w  ln det W = Σ ln(kappa/(s_i^2 + kappa))
-        cov_b     H^{-1} = sigma_b^2·(I − V·diag(c)·V') (k_b×k_b), the
-                  background posterior covariance
         basis     U, zero past its numerical rank and padded with zero
                   columns to m×k_b, so basis·basis' is the projection onto
                   the observed background columns even when the rows are
                   rank-deficient
         col_sq    column sums of squares of B_aZ (k_a,)
+        vt, c     V' (r×k_b) and the c_i (r,), from which
+                  ``inference.update_background`` forms the background
+                  posterior covariance H^{-1} = sigma_b^2·(I − V·diag(c)·V');
+                  no monitoring step reads it, so no build pays for it
     """
 
     b_a_z: np.ndarray
@@ -68,9 +70,10 @@ class SubsetGeometry(NamedTuple):
     g: np.ndarray
     m_c: np.ndarray
     logdet_w: float
-    cov_b: np.ndarray
     basis: np.ndarray
     col_sq: np.ndarray
+    vt: np.ndarray
+    c: np.ndarray
 
 
 def _rank_cut(u_mat: np.ndarray, svals: np.ndarray, shape) -> np.ndarray:
@@ -121,16 +124,30 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> 
     s2_kappa = sq + kappa
     c = sq / s2_kappa
     g = (vt.T * (svals / s2_kappa)) @ u_mat.T
-    cov_b = sigma_b2 * (np.eye(b_b_z.shape[1]) - (vt.T * c) @ vt)
-    cov_b = 0.5 * (cov_b + cov_b.T)
     logdet_w = float(np.sum(np.log(kappa / s2_kappa)))
     k = np.sqrt(c)[:, None] * (u_mat.T @ b_a_z)
     m_c = b_a_z.T @ b_a_z - k.T @ k
     basis = _rank_cut(u_mat, svals, b_b_z.shape)
     col_sq = (b_a_z * b_a_z).sum(axis=0)
-    for arr in (b_a_z, b_b_z, g, m_c, cov_b, basis, col_sq):
+    geometry = SubsetGeometry(b_a_z, b_b_z, g, m_c, logdet_w, basis, col_sq, vt, c)
+    for arr in _arrays(geometry):
         arr.flags.writeable = False
-    return SubsetGeometry(b_a_z, b_b_z, g, m_c, logdet_w, cov_b, basis, col_sq)
+    return geometry
+
+
+def _arrays(geometry: SubsetGeometry):
+    return [field for field in geometry if isinstance(field, np.ndarray)]
+
+
+def _entry_bytes(geometry: SubsetGeometry) -> int:
+    """Bytes one cached geometry holds, from the fields it stores.
+
+    Beyond its data, ``tracemalloc`` (numpy 2.4, CPython 3.11, 64-bit)
+    measures 104 B per array object and 16 B per dimension for its shape
+    and strides, and 200 B per entry for the tuple, its float, the index
+    bytes that key it and the table's share of slots.
+    """
+    return 200 + sum(arr.nbytes + 104 + 16 * arr.ndim for arr in _arrays(geometry))
 
 
 class _GeometryCache:
@@ -161,15 +178,15 @@ class _GeometryCache:
         if last is not None and last[1] == z_key and last[0] == key:
             return last[2]
         with self.lock:
-            if key != self.key:
-                m, k_a, k_b = z.size, dictionary.k_a, dictionary.k_b
-                entry = 8 * (m * k_a + 3 * m * k_b + k_a * k_a + k_b * k_b + k_a)
-                self.key, self.capacity = key, math.comb(dictionary.p, m)
-                self.table = {} if self.capacity * entry <= self.budget else None
-            table = self.table
+            table = self.table if key == self.key else None
             geometry = None if table is None else table.get(z_key)
             if geometry is None:
                 geometry = _build(dictionary, sigma_e2, sigma_b2, z)
+                if key != self.key:
+                    # Every subset's geometry has the first one's shapes.
+                    self.key, self.capacity = key, math.comb(dictionary.p, z.size)
+                    fits = self.capacity * _entry_bytes(geometry) <= self.budget
+                    self.table = table = {} if fits else None
                 # A permuted subset is an entry of its own, so the table can fill.
                 if table is not None and len(table) < self.capacity:
                     table[z_key] = geometry

@@ -23,9 +23,15 @@ prior's structure: per coordinate, inclusion probability alpha_j, slab
 component N(mu_aj, s_j^2), spike component N(0, v·s_j^2).
 
 Everything that depends on the observed subset alone (the complement solve,
-the whitened M contribution, the background covariance) comes from one
-shared ``SubsetGeometry``, so a step pays for it once and a repeated subset
-costs only matrix-vector products.
+the whitened M contribution, the SVD factors of the background covariance)
+comes from one shared ``SubsetGeometry``, so a step pays for it once and a
+repeated subset costs only matrix-vector products.
+
+``absorb_sample``, and so ``fit``, checks the subset and observed values
+once per call (``_geometry``, and the geometry build for range and
+distinctness); the sweep's posterior and the absorbed moments are then
+built by the trusted ``SpikeSlabPosterior._trusted`` and
+``DecayedStats._trusted``.
 
 The coordinate sweeps run in blocks of at most ``_BLOCK`` coordinates.  Each
 block runs in a generator whose straight-line source is generated from the
@@ -132,6 +138,12 @@ class ModelConfig:
         object.__setattr__(self, "inv_sigma_j2", 1.0 / self.sigma_j2)
         object.__setattr__(self, "two_sigma_j2", 2.0 * self.sigma_j2)
         object.__setattr__(self, "logit_w", np.log(w) - np.log1p(-w))
+        # The per-column factors every fit hands its sweep kernels as floats.
+        object.__setattr__(
+            self,
+            "_sweep_lists",
+            (self.inv_sigma_j2.tolist(), self.logit_w.tolist(), self.two_sigma_j2.tolist()),
+        )
 
     @property
     def k_a(self) -> int:
@@ -166,8 +178,10 @@ class SpikeSlabPosterior:
     """Variational posterior over the anomaly coefficients.
 
     Per coordinate j: inclusion probability ``alpha[j]``, slab mean
-    ``mu_a[j]``, slab variance ``s2[j]``.  The posterior mean is the
-    shrunken vector ``mu_tilde = mu_a * alpha``.
+    ``mu_a[j]``, slab variance ``s2[j]``.  Derived once, at construction,
+    as ``ModelConfig`` derives its own, and read by every step: the
+    posterior mean ``mu_tilde = mu_a * alpha`` and the inclusion spread
+    ``spread = alpha * (1 - alpha) * mu_a**2``.
     """
 
     mu_a: np.ndarray
@@ -186,31 +200,35 @@ class SpikeSlabPosterior:
             raise DimensionError("posterior fields must share one length")
         if not np.all(s2 > 0):
             raise ValueError("slab variances must be positive")
-        object.__setattr__(self, "mu_a", mu)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "alpha", alpha)
+        self._store(mu, s2, alpha)
+
+    def _store(self, mu_a, s2, alpha, mu_tilde=None, spread=None) -> None:
+        if mu_tilde is None:
+            mu_tilde = mu_a * alpha
+        if spread is None:
+            spread = alpha * (1.0 - alpha) * mu_a * mu_a
+        self.__dict__.update(mu_a=mu_a, s2=s2, alpha=alpha, mu_tilde=mu_tilde, spread=spread)
 
     @classmethod
-    def _trusted(cls, mu_a, s2, alpha) -> "SpikeSlabPosterior":
+    def _trusted(cls, mu_a, s2, alpha, mu_tilde=None, spread=None) -> "SpikeSlabPosterior":
         """Posterior from fields that already satisfy every check.
 
         For the sweep, whose alpha is clamped and whose s2 is positive by
-        construction; the values are exactly those the checked constructor
-        would store.
+        construction; float64 vectors are taken as they are, not copied.
+        ``mu_tilde`` and ``spread``, when given, must equal bitwise what
+        the checked constructor derives, as the sweep kernels' do.  The
+        values are exactly those the checked constructor would store.
         """
         post = object.__new__(cls)
-        object.__setattr__(post, "mu_a", np.array(mu_a, dtype=np.float64))
-        object.__setattr__(post, "s2", np.array(s2, dtype=np.float64))
-        object.__setattr__(post, "alpha", np.array(alpha, dtype=np.float64))
+        post._store(
+            np.asarray(mu_a, dtype=np.float64), np.asarray(s2, dtype=np.float64),
+            np.asarray(alpha, dtype=np.float64), mu_tilde, spread,
+        )
         return post
 
     @property
     def k_a(self) -> int:
         return self.mu_a.size
-
-    @property
-    def mu_tilde(self) -> np.ndarray:
-        return self.mu_a * self.alpha
 
     @classmethod
     def prior(cls, cfg: ModelConfig) -> "SpikeSlabPosterior":
@@ -244,6 +262,16 @@ class DecayedStats:
     raw_norm: float
     mass: float
     n: int
+
+    @classmethod
+    def _trusted(cls, raw_M, raw_u, raw_q, raw_norm, mass, n) -> "DecayedStats":
+        """The same value as ``DecayedStats(...)``, built without the frozen
+        dataclass's per-field ``__init__``; for ``absorb_sample``."""
+        stats = object.__new__(cls)
+        stats.__dict__.update(
+            raw_M=raw_M, raw_u=raw_u, raw_q=raw_q, raw_norm=raw_norm, mass=mass, n=n
+        )
+        return stats
 
     @classmethod
     def empty(cls, k_a: int) -> "DecayedStats":
@@ -331,26 +359,30 @@ def absorb_sample(
     if stats.k_a != dictionary.k_a:
         raise DimensionError("stats and dictionary disagree on basis sizes")
 
-    w_x = x_z - geo.b_b_z @ (geo.g @ x_z)
-    u_c = geo.b_a_z.T @ w_x
-    q_c = float(x_z @ w_x)
+    # ndarray.dot runs the BLAS product @ runs, with less overhead per call.
+    w_x = x_z - geo.b_b_z.dot(geo.g.dot(x_z))
+    u_c = geo.b_a_z.T.dot(w_x)
+    q_c = float(x_z.dot(w_x))
     # ln det of the marginal covariance is m·ln sigma_e^2 − ln det W.
     norm_c = -0.5 * (x_z.size * (_LOG_2PI + math.log(cfg.sigma_e2)) - geo.logdet_w)
 
     keep = 1.0 - cfg.decay
-    return DecayedStats(
-        raw_M=keep * stats.raw_M + geo.m_c,
-        raw_u=keep * stats.raw_u + u_c,
-        raw_q=keep * stats.raw_q + q_c,
-        raw_norm=keep * stats.raw_norm + norm_c,
-        mass=keep * stats.mass + 1.0,
-        n=stats.n + 1,
+    return DecayedStats._trusted(
+        keep * stats.raw_M + geo.m_c,
+        keep * stats.raw_u + u_c,
+        keep * stats.raw_q + q_c,
+        keep * stats.raw_norm + norm_c,
+        keep * stats.mass + 1.0,
+        stats.n + 1,
     )
 
 
 # Coordinates per block of the sweep: one matrix-vector product per block
 # gives every cross term from the posterior at the block's start.
 _BLOCK = 12
+
+# The posterior vectors a fit's kernels write, in their order in its output.
+_FIELDS = ("mu_tilde", "mu_a", "s2", "alpha", "spread")
 
 
 def _kernel_source(b: int) -> str:
@@ -360,24 +392,32 @@ def _kernel_source(b: int) -> str:
     block's bounds, and sets its block up once: every in-block entry of M
     (``M<t>_<s>``, row t, column s < t), every per-coordinate factor and
     every mu, alpha and mu_tilde becomes a local float, each factor
-    computed by the expression ``vb_coordinate_sweep`` gives it.  The first
-    ``next`` returns the block's slab variances.  Each ``send(moved)`` runs
-    one pass over the block, coordinate t taking its cross term as
-    c_t + M_t,0·Δ_0 + … + M_t,t−1·Δ_t−1 left to right from the block's
-    product c, writes the block's mu_tilde into the shared array and
-    returns whether anything has moved (some |Δmu| or |Δalpha| at least
+    computed by the expression ``vb_coordinate_sweep`` gives it and
+    mu_tilde read from the shared array, which holds mu·alpha.  The first
+    ``next`` writes the block's slab variances into the fit's output.  Each
+    ``send(moved)`` runs one pass over the block, coordinate t taking its
+    cross term as c_t + M_t,0·Δ_0 + … + M_t,t−1·Δ_t−1 left to right from the
+    block's product c, writes the block's mu_tilde into the shared array
+    and returns whether anything has moved (some |Δmu| or |Δalpha| at least
     ``tol``, or a NaN; tested until the first coordinate that has).
-    ``send(None)``, made through ``next``, writes the block's mu and alpha
-    back into the fit's lists and ends the generator.
+    ``send(None)``, made through ``next``, writes the block's mu, alpha
+    and inclusion spread alpha·(1 − alpha)·mu·mu into the fit's output and
+    ends the generator.  ``out`` is a memoryview of the fit's output, the
+    k-long fields ``_FIELDS`` one after another; ``mt_arr`` is its first.
     """
     r = range(b)
 
     def row(prefix):
         return ", ".join(f"{prefix}{t}" for t in r) + ","
 
+    def field(name):
+        i = _FIELDS.index(name)
+        at = f"{i} * k + " if i else ""
+        return f"out[{at}start:{at}stop]"
+
     lines = [
-        "def kernel(off_rows, mt_arr, start, stop, lower, diag, u, inv_sj2, logit_w, two_sj2,"
-        " mu, alpha, se2, v, ntol, tol):",
+        "def kernel(off_rows, mt_arr, out, k, start, stop, lower, diag, u, inv_sj2, logit_w,"
+        " two_sj2, mu, alpha, se2, v, ntol, tol):",
     ]
     if b > 1:
         lines.append(f"    {', '.join(f'M{t}_{s}' for t in r for s in range(t))}, = lower")
@@ -393,11 +433,12 @@ def _kernel_source(b: int) -> str:
             f"    sc{t} = s2_{t} / se2",
             f"    vs{t} = v * s2_{t}",
             f"    hm{t} = m{t} / two_se2",
-            f"    mt{t} = mu{t} * a{t}",
         ]
     lines += [
-        "    mt = memoryview(mt_arr[start:stop])",
-        f"    moved = yield [{row('s2_')}]",
+        f"    mt, s2_out = {field('mu_tilde')}, {field('s2')}",
+        f"    {row('mt')} = mt",
+        *(f"    s2_out[{t}] = s2_{t}" for t in r),
+        "    moved = yield",
         "    while moved is not None:",
         f"        {row('c')} = off_rows.dot(mt_arr).tolist()",
     ]
@@ -431,8 +472,10 @@ def _kernel_source(b: int) -> str:
     lines += [
         *(f"        mt[{t}] = mt{t}" for t in r),
         "        moved = yield moved",
-        f"    mu[start:stop] = {row('mu')}",
-        f"    alpha[start:stop] = {row('a')}",
+        f"    mu_out, a_out, sp_out = {field('mu_a')}, {field('alpha')}, {field('spread')}",
+        *(f"    mu_out[{t}] = mu{t}" for t in r),
+        *(f"    a_out[{t}] = a{t}" for t in r),
+        *(f"    sp_out[{t}] = a{t} * (1.0 - a{t}) * mu{t} * mu{t}" for t in r),
     ]
     return "\n".join(lines) + "\n"
 
@@ -458,11 +501,14 @@ def _iterate(
     Returns (posterior, converged, sweeps run).  The coordinates are split
     evenly into contiguous blocks of at most ``_BLOCK``, each run by a
     generator of its block size's kernel.  The generators read plain-float
-    lists of diag(M), u, the config vectors and the starting mu and alpha,
-    M with its diagonal zeroed for the product that opens each block, and
-    mu_tilde as one array that each block rewrites after its pass.  A sweep
-    sends each block whether an earlier one moved; every generator has
-    ended, and the posterior is built, before this returns.
+    lists of diag(M), u, the config vectors (converted once per config) and
+    the starting mu and alpha, M with its diagonal zeroed for the product
+    that opens each block, and mu_tilde as one array that each block
+    rewrites after its pass.  A sweep sends each block whether an earlier
+    one moved; every generator has ended, and has written its block of the
+    posterior's fields, before this returns.  The fields are the rows of one
+    output array whose first, mu_tilde, then holds mu·alpha of the final
+    iterate bitwise, so the posterior takes them without a conversion.
     """
     if stats.n == 0:
         raise StateError("cannot sweep before any sample has been absorbed")
@@ -471,23 +517,24 @@ def _iterate(
     k_a, raw_m = cfg.k_a, stats.raw_M
     off = raw_m.copy()
     off.ravel()[:: k_a + 1] = 0.0  # the diagonal, more cheaply than np.fill_diagonal
-    mt_arr = post.mu_tilde
-    mu, alpha = post.mu_a.tolist(), post.alpha.tolist()
+    flat = np.empty(len(_FIELDS) * k_a)
+    mt_arr = flat[:k_a]
+    mt_arr[:] = post.mu_tilde
+    out = memoryview(flat)
     shared = (
-        raw_m.diagonal().tolist(), stats.raw_u.tolist(), cfg.inv_sigma_j2.tolist(),
-        cfg.logit_w.tolist(), cfg.two_sigma_j2.tolist(), mu, alpha, cfg.sigma_e2, cfg.v,
-        -tol, tol,
+        raw_m.diagonal().tolist(), stats.raw_u.tolist(), *cfg._sweep_lists,
+        post.mu_a.tolist(), post.alpha.tolist(), cfg.sigma_e2, cfg.v, -tol, tol,
     )
     n_blocks = -(-k_a // _BLOCK)
     bounds = [i * k_a // n_blocks for i in range(n_blocks + 1)]
-    gens, s2 = [], []
+    gens = []
     for start, stop in zip(bounds, bounds[1:]):
         kernel, lower = _kernel(stop - start)
         gen = kernel(
-            off[start:stop], mt_arr, start, stop,
+            off[start:stop], mt_arr, out, k_a, start, stop,
             raw_m[start:stop, start:stop].take(lower).tolist(), *shared,
         )
-        s2 += next(gen)
+        next(gen)
         gens.append(gen)
     sends = [gen.send for gen in gens]
     converged = False
@@ -500,7 +547,8 @@ def _iterate(
             break
     for gen in gens:
         next(gen, None)
-    return SpikeSlabPosterior._trusted(mu, s2, alpha), converged, iters
+    mu_tilde, mu, s2, alpha, spread = flat.reshape(len(_FIELDS), k_a)
+    return SpikeSlabPosterior._trusted(mu, s2, alpha, mu_tilde, spread), converged, iters
 
 
 def vb_coordinate_sweep(
@@ -596,14 +644,16 @@ def update_background(
         theta = (B_bZ' B_bZ/sigma_e^2 + I/sigma_b^2)^{-1} B_bZ' (x − B_aZ mu_tilde)/sigma_e^2
         cov   = (B_bZ' B_bZ/sigma_e^2 + I/sigma_b^2)^{-1}
 
-    read from the subset's shared geometry: theta = G·(x − B_aZ mu_tilde).
-    The covariance is that geometry's read-only array.  The monitoring step
-    does not call it, since the statistic does not depend on theta; the
-    exact routes in ``detection`` read it through ``DetectionInputs.bg``.
+    read from the subset's shared geometry: theta = G·(x − B_aZ mu_tilde),
+    and cov = sigma_b^2·(I − V·diag(c)·V') from its SVD factors, made
+    exactly symmetric.  The monitoring step does not call it, since the
+    statistic does not depend on theta; the exact routes in ``detection``
+    read it through ``DetectionInputs.bg``.
     """
     x_z, geo = _geometry(z, x_z, dictionary, cfg)
     theta = geo.g @ (x_z - geo.b_a_z @ post.mu_tilde)
-    return BackgroundPosterior(theta_n=theta, cov_b=geo.cov_b)
+    cov_b = cfg.sigma_b2 * (np.eye(geo.vt.shape[1]) - (geo.vt.T * geo.c) @ geo.vt)
+    return BackgroundPosterior(theta_n=theta, cov_b=0.5 * (cov_b + cov_b.T))
 
 
 def fit(

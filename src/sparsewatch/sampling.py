@@ -114,7 +114,7 @@ def synthesize_anomaly_signal(
     theta_hat = np.asarray(theta_hat, dtype=np.float64).ravel()
     if theta_hat.size != dictionary.k_a:
         raise DimensionError("theta_hat length must match the anomaly basis")
-    return dictionary.b_a @ theta_hat + cfg.sigma_e * rng.standard_normal(dictionary.p)
+    return dictionary.b_a.dot(theta_hat) + cfg.sigma_e * rng.standard_normal(dictionary.p)
 
 
 def score_variables(
@@ -122,7 +122,7 @@ def score_variables(
 ) -> np.ndarray:
     """Per-variable contribution to the monitoring statistic.
 
-    With y = B_a·mu_tilde and the per-coordinate spread
+    With y = B_a·mu_tilde and the posterior's per-coordinate spread
     alpha_j(1−alpha_j)·mu_j^2, variable i scores
 
         2·x1_hat_i·y_i − (y_i^2 + Σ_j B_a[i,j]^2 · spread_j),
@@ -140,9 +140,8 @@ def _variable_scores(x1_hat, post: SpikeSlabPosterior, dictionary: BasisDictiona
         raise DimensionError("x1_hat must cover all p variables")
     if post.k_a != dictionary.k_a:
         raise DimensionError("posterior and dictionary disagree on k_a")
-    y = dictionary.b_a @ post.mu_tilde
-    spread = post.alpha * (1.0 - post.alpha) * post.mu_a * post.mu_a
-    quad = y * y + dictionary.b_a_sq @ spread
+    y = dictionary.b_a.dot(post.mu_tilde)
+    quad = y * y + dictionary.b_a_sq.dot(post.spread)
     return 2.0 * x1_hat * y - quad, x1_hat, y
 
 

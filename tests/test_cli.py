@@ -518,6 +518,22 @@ class TestEvaluate:
             if delay:
                 assert int(t_alarm) == 5 + int(delay)
 
+    def test_summary_reports_the_sweep_histogram(self, tmp_path, capsys):
+        """summary.json counts every step of every replication by its fit's
+        sweeps, and the command prints the nonzero counts."""
+        path = _write_scenario(tmp_path, tau=5, change=[[1, 2.5]], horizon=50)
+        out = tmp_path / "eval"
+        args = ["evaluate", "--scenario", str(path), "--out", str(out),
+                "--threshold", "0.25", "--reps", "8"]
+        assert main(args) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        rows = (out / "delays.csv").read_text().strip().split("\n")[2:]
+        steps = sum(min(int(row.split(",")[1]), 50) for row in rows)
+        histogram = summary["sweep_histogram"]
+        assert sum(histogram) == steps and histogram[-1] > 0
+        printed = ", ".join(f"{k}: {n}" for k, n in enumerate(histogram, 1) if n)
+        assert f"steps by fit sweeps: {printed}\n" in capsys.readouterr().out
+
     def test_worker_count_leaves_no_trace(self, tmp_path, scenario_file):
         """Outputs are byte-identical across --workers values."""
         for name, workers in (("w1", "1"), ("w2", "2")):

@@ -17,23 +17,32 @@ from sparsewatch import (
     BasisDictionary,
     CalibrationError,
     DataError,
+    DecayedStats,
+    DetectionInputs,
     DimensionError,
     ModelConfig,
     NumericalError,
+    OracleScorer,
     Scenario,
+    SensingPlan,
     SpikeSlabPosterior,
     StateError,
     bspline_basis,
     calibrate_threshold,
     collect_h0_trajectories,
+    draw_anomaly_sample,
     evaluate,
     fit,
     fourier_basis,
     gen_stream,
     init,
+    lambda_stat,
     replay_run_lengths,
+    score_variables,
     search_threshold,
+    select_top_m,
     step,
+    synthesize_anomaly_signal,
 )
 
 
@@ -140,6 +149,46 @@ class TestStep:
         with pytest.raises(DataError, match=f"variable {state.plan.z[1]} in step 1"):
             step(state, x)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("form", ["full", "planned", "callable"])
+    def test_non_finite_at_planned_variable_named(
+        self, small_dictionary, small_config, bad, form
+    ):
+        state = init(small_config, small_dictionary, h=math.inf, seed=4)
+        step(state, np.zeros(6))
+        x = np.zeros(6)
+        x[state.plan.z[1]] = bad
+        obs = {"full": x, "planned": x[state.plan.z], "callable": lambda idx: x[idx]}[form]
+        with pytest.raises(DataError, match=f"variable {state.plan.z[1]} in step 2"):
+            step(state, obs)
+        assert state.step == 1
+
+    def test_callable_returning_the_wrong_count_rejected(
+        self, small_dictionary, small_config
+    ):
+        state = init(small_config, small_dictionary, h=math.inf, seed=4)
+        for returned in (np.zeros(2), np.zeros(6), np.zeros(0)):
+            with pytest.raises(DataError, match="planned subset size"):
+                step(state, lambda idx, returned=returned: returned)
+        assert state.step == 0
+
+    def test_finite_observation_whose_sum_overflows_is_not_called_non_finite(self):
+        """Two planned values of 1e308 are finite although their squares'
+        sum overflows; the step takes them, and the fit they overflow ends
+        in NumericalError, not in a DataError about non-finite values."""
+        d = BasisDictionary(
+            b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14, normalize_columns=True)
+        )
+        cfg = ModelConfig.homogeneous(
+            k_a=10, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7, decay=0.1, m=5
+        )
+        state = init(cfg, d, h=0.003, seed=1)
+        x = np.zeros(15)
+        x[state.plan.z[:2]] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="at step 1"):
+            step(state, x)
+        assert state.step == 0
+
     def test_nan_outside_plan_ignored(self, small_dictionary, small_config):
         state = init(small_config, small_dictionary, h=math.inf, seed=4)
         x = np.zeros(6)
@@ -172,6 +221,12 @@ class TestStep:
         state = init(small_config, small_dictionary, h=math.inf, seed=4)
         with pytest.raises(DataError):
             step(state, np.zeros(5))
+
+    @pytest.mark.parametrize("size", [0, 2, 5, 7])
+    def test_every_wrong_length_vector_rejected(self, small_dictionary, small_config, size):
+        state = init(small_config, small_dictionary, h=math.inf, seed=4)
+        with pytest.raises(DataError, match=f"observation has {size} values"):
+            step(state, np.zeros(size))
 
     def test_steps_count_and_plans_roll(self, small_dictionary, small_config, rng):
         state = init(small_config, small_dictionary, h=math.inf, seed=5)
@@ -266,6 +321,57 @@ class TestStep:
         generated = run()
         monkeypatch.setattr(inference, "_iterate", interpreted)
         assert run() == generated
+
+    @pytest.mark.parametrize(
+        "sampler, m", [("thompson", 5), ("oracle", 5), ("thompson", 2), ("oracle", 2)]
+    )
+    def test_step_equals_the_composed_public_layers(
+        self, default_dictionary, default_config, sampler, m
+    ):
+        """``engine.step`` checks its observation once and hands the layers
+        below trusted inputs and the posterior's own mu_tilde and spread.
+        The same stream driven through the public, checked layers, sharing
+        one Generator as the engine does, gives byte-identical statistics,
+        subsets and posteriors.  At m = 2 every observed subset has fewer
+        rows than the k_b = 3 background columns."""
+        d = default_dictionary
+        cfg = ModelConfig.homogeneous(
+            k_a=d.k_a, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7,
+            decay=0.1, m=m,
+        )
+        scenario = Scenario(
+            dictionary=d, cfg=cfg, tau=20, change=((3, 1.0),), horizon=50
+        )
+        stream = gen_stream(scenario, 31)
+
+        def record(stat, z, post):
+            return (np.float64(stat).tobytes(), z.tobytes(), post.mu_a.tobytes(),
+                    post.s2.tobytes(), post.alpha.tobytes())
+
+        state = init(cfg, d, h=math.inf, seed=32, sampler=sampler)
+        stepped = []
+        for x in stream:
+            outcome = step(state, x)
+            stepped.append(record(outcome.stat, outcome.z, state.post))
+
+        rng = np.random.default_rng(32)
+        z = SensingPlan(z=rng.choice(d.p, size=m, replace=False)).z
+        post, stats = SpikeSlabPosterior.prior(cfg), DecayedStats.empty(d.k_a)
+        scorer = OracleScorer(d, m) if sampler == "oracle" else None
+        composed = []
+        for x in stream:
+            x_z = x[z]
+            res = fit(x_z, z, post, stats, d, cfg)
+            stat = lambda_stat(DetectionInputs(x_z=x_z, z=z, post=res.post), d, cfg)
+            composed.append(record(stat, z, res.post))
+            post, stats = res.post, res.stats
+            x1_hat = synthesize_anomaly_signal(draw_anomaly_sample(post, cfg, rng), d, cfg, rng)
+            if scorer is not None:
+                z = scorer.select(x1_hat, post, rng).z
+            else:
+                z = select_top_m(score_variables(x1_hat, post, d), m, rng).z
+        assert stepped == composed
+
 
 class TestReplay:
     def test_frozen_matrix(self):
@@ -473,8 +579,9 @@ class TestCalibrateAndEvaluate:
         assert math.isnan(summary.arl0)
 
     def test_nonconverged_fits_counted(self, small_dictionary, small_config, monkeypatch):
-        """evaluate sums the steps whose fit did not converge, equal to a
-        direct engine.step replay of each replication."""
+        """evaluate sums the steps whose fit did not converge, and counts the
+        steps by their fits' sweep counts, equal to a direct engine.step
+        replay of each replication."""
         monkeypatch.setattr(engine, "fit", partial(fit, max_iters=3))
         scenario = Scenario(
             dictionary=small_dictionary, cfg=small_config, tau=10,
@@ -482,6 +589,7 @@ class TestCalibrateAndEvaluate:
         )
         summary = evaluate(small_config, small_dictionary, 0.5, scenario, n_reps=5, seed=21)
         expected = 0
+        sweeps = [0, 0, 0]
         for rep in range(5):
             stream_ss, engine_ss = engine._rep_rngs(21, rep)
             stream = gen_stream(scenario, stream_ss)
@@ -489,10 +597,12 @@ class TestCalibrateAndEvaluate:
             for x in stream:
                 outcome = step(state, x)
                 expected += not outcome.converged
+                sweeps[outcome.n_iters - 1] += 1
                 if outcome.alarmed:
                     break
         assert expected > 0
         assert summary.n_nonconverged == expected
+        assert summary.sweep_histogram == tuple(sweeps)
 
     def test_config_mismatch_rejected(self, small_dictionary, small_config):
         """evaluate refuses a config or a dictionary other than the scenario's."""

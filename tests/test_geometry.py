@@ -6,6 +6,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,17 +108,20 @@ class TestDenseRoute:
     @pytest.mark.parametrize("k_b", [3, 4])
     @pytest.mark.parametrize("m", [1, 2])
     def test_fewer_rows_than_background_columns(self, m, k_b, rows):
-        """With m < k_b the SVD has only m singular values; g, cov_b, ln det W
-        and M still equal the dense k_b×k_b and m×m routes."""
+        """With m < k_b the SVD has only m singular values; g, cov_b (formed
+        from the geometry's V' and c), ln det W and M still equal the dense
+        k_b×k_b and m×m routes."""
         for seed in range(5):
             d, z, x, _ = _problem(seed, k_b, m, rows)
             geo = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+            cfg = _cfg(d.k_a, m)
+            cov_b = update_background(x, z, SpikeSlabPosterior.prior(cfg), d, cfg).cov_b
             b_rows = d.b_b[z]
             h_inv = np.linalg.inv(b_rows.T @ b_rows / SIGMA_E**2 + np.eye(k_b) / SIGMA_B**2)
             ref = whitened_subset_terms(d.b_a[z], b_rows, x, SIGMA_E, SIGMA_B)
             assert geo.g.shape == (k_b, m) and geo.basis.shape == (m, k_b)
             np.testing.assert_allclose(geo.g, h_inv @ b_rows.T / SIGMA_E**2, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(geo.cov_b, h_inv, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(cov_b, h_inv, rtol=1e-9, atol=1e-12)
             assert geo.logdet_w == pytest.approx(ref["logdet_w"], rel=1e-9, abs=1e-12)
             np.testing.assert_allclose(geo.m_c, ref["M"], rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(geo.basis @ geo.basis.T, ref["P"], atol=1e-10)
@@ -192,7 +196,7 @@ class TestCache:
         assert first.raw_u.tobytes() == again.raw_u.tobytes()
         assert first.raw_norm == again.raw_norm
         geo = subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)
-        for arr in (geo.b_a_z, geo.b_b_z, geo.g, geo.m_c, geo.cov_b, geo.basis, geo.col_sq):
+        for arr in (geo.b_a_z, geo.b_b_z, geo.g, geo.m_c, geo.basis, geo.col_sq, geo.vt, geo.c):
             assert not arr.flags.writeable
         assert not d.b_a.flags.writeable and not d.b_b.flags.writeable
 
@@ -224,6 +228,27 @@ class TestCache:
             subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
         assert len(count_builds) == 3
         assert geometry._CACHE.table is None
+
+    def test_entry_estimate_matches_traced_memory(self):
+        """The per-entry bytes the table budget counts are within 10% of
+        what tracemalloc sees the full p = 15, m = 5 table hold."""
+        d = BasisDictionary(
+            b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14, normalize_columns=True)
+        )
+        subsets = [np.array(z) for z in itertools.combinations(range(15), 5)]
+        clear_geometry_cache()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for z in subsets:
+                subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(geometry._CACHE.table) == len(subsets)
+        estimate = geometry._entry_bytes(geometry._CACHE.last[2])
+        clear_geometry_cache()
+        assert estimate == pytest.approx(traced / len(subsets), rel=0.1)
 
     def test_permuted_subsets_stop_at_the_subset_count(self, count_builds):
         """Every order of one subset is an entry of its own, but the table
