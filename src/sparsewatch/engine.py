@@ -90,6 +90,17 @@ class StepOutcome:
     converged: bool
     n_iters: int
 
+    @classmethod
+    def _trusted(cls, step, stat, alarmed, z, next_plan, converged, n_iters) -> "StepOutcome":
+        """The same value as ``StepOutcome(...)``, built without the frozen
+        dataclass's per-field ``__init__``; for ``engine.step``."""
+        outcome = object.__new__(cls)
+        outcome.__dict__.update(
+            step=step, stat=stat, alarmed=alarmed, z=z, next_plan=next_plan,
+            converged=converged, n_iters=n_iters,
+        )
+        return outcome
+
 
 @dataclass(frozen=True)
 class RunLengthSummary:
@@ -198,7 +209,8 @@ def step(state: EngineState, observation) -> StepOutcome:
 
     The observation is converted and checked once, here, and the statistic
     takes it through the trusted ``DetectionInputs._trusted``; the plan's
-    subset was checked when the plan was built.  Each layer is called
+    subset was checked when the plan was built.  The outcome is built by
+    the trusted ``StepOutcome._trusted``.  Each layer is called
     through this module's name for it.
     """
     if state.alarmed:
@@ -227,14 +239,8 @@ def step(state: EngineState, observation) -> StepOutcome:
             scores = score_variables(x1_hat, state.post, state.dictionary)
             plan = select_top_m(scores, state.cfg.m, state.rng)
         state.plan = plan
-    return StepOutcome(
-        step=state.step,
-        stat=stat,
-        alarmed=state.alarmed,
-        z=z,
-        next_plan=plan,
-        converged=res.converged,
-        n_iters=res.n_iters,
+    return StepOutcome._trusted(
+        state.step, stat, state.alarmed, z, plan, res.converged, res.n_iters
     )
 
 

@@ -6,12 +6,20 @@ routes all read the same m observed rows, and what they need depends on
 geometries in a cache keyed on content: the dictionary's digest
 (``BasisDictionary.content_key``), the two variances and the subset's
 indices in the caller's order, never object identity, so pool workers that
-unpickle a fresh dictionary per task still share entries.  The cache holds
-one (dictionary, variances, m) combination at a time, and only when all
-C(p, m) of its subsets fit ``CACHE_BUDGET_BYTES``, a property of the input;
-larger subset spaces keep just the latest geometry, which the layers of one
-step share.  A hit returns the stored geometry itself, whose arrays are
-read-only, so a cached geometry equals a fresh one byte for byte.
+unpickle a fresh dictionary per task still share them.  The cache holds one
+(dictionary, variances, m) combination at a time.  It admits a combination
+when the table of all C(p, m) ascending subsets fits ``CACHE_BUDGET_BYTES``,
+as estimated from the shapes alone, a property of the input; the
+combination's first lookup then builds that whole table: each field stacked
+along a leading rank axis, read-only, and an index from a subset's index
+bytes to its rank.  A hit returns a geometry whose fields are its rank's
+rows.  A subset in another order, and every subset of a combination not
+admitted (such as p = 400 with m = 20), is built alone, and the latest such
+geometry is kept, which the layers of one step share.  A table is built
+``_CHUNK`` subsets per stacked pass of the same function that builds a
+single geometry; its stacked SVD, products and sums run, block by block, a
+single build's operations, so a row equals that subset's own build byte for
+byte and outputs do not depend on the cache.
 
 A geometry is built from one thin SVD of the observed background rows,
 B_bZ = U·S·V' with r = min(m, k_b) singular values s_i.  With
@@ -25,6 +33,7 @@ the orthonormal basis of the observed background columns.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import NamedTuple
@@ -102,20 +111,31 @@ def column_bases(b_b_z: np.ndarray) -> np.ndarray:
     return _rank_cut(u_mat, svals, b_b_z.shape)
 
 
-def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> SubsetGeometry:
-    """Check the subset and factor its background rows by one thin SVD.
+def _check(z: np.ndarray, p: int) -> None:
+    """Raise for a subset index out of range or repeated.
 
     An ascending subset, the form every sensing plan takes, needs only its
-    ends and one comparison of neighbours checked.  Both products in
-    ``m_c`` have the form x'x, which numpy computes as symmetric rank-k
-    updates, so ``m_c`` is exactly symmetric as built.
+    ends and one comparison of neighbours checked.
     """
-    p = dictionary.p
     if z.size and not (z[0] >= 0 and z[-1] < p and (z[1:] > z[:-1]).all()):
         if z.min() < 0 or z.max() >= p:
             raise IndexError("observation subset index out of range")
         if np.unique(z).size != z.size:
             raise DimensionError("observation subset indices must be distinct")
+
+
+def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> SubsetGeometry:
+    """Factor the background rows of the subset ``z`` (m,) by one thin SVD,
+    or of every subset of a stack ``z`` (n, m), whose fields then gain the
+    leading axis n and whose ``logdet_w`` is an array; the arrays are
+    read-only.
+
+    The stacked SVD, products and sums run block by block the operations
+    of a single build, so each row of a stack equals that row's own build
+    byte for byte.  Both products in ``m_c`` have the form x'x, which numpy
+    computes as symmetric rank-k updates, so ``m_c`` is exactly symmetric
+    as built.
+    """
     b_a_z = dictionary.b_a[z]
     b_b_z = dictionary.b_b[z]
     u_mat, svals, vt = np.linalg.svd(b_b_z, full_matrices=False)
@@ -123,40 +143,92 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> 
     sq = svals * svals
     s2_kappa = sq + kappa
     c = sq / s2_kappa
-    g = (vt.T * (svals / s2_kappa)) @ u_mat.T
-    logdet_w = float(np.sum(np.log(kappa / s2_kappa)))
-    k = np.sqrt(c)[:, None] * (u_mat.T @ b_a_z)
-    m_c = b_a_z.T @ b_a_z - k.T @ k
+    u_t = u_mat.swapaxes(-1, -2)
+    g = (vt.swapaxes(-1, -2) * (svals / s2_kappa)[..., None, :]) @ u_t
+    logdet_w = np.log(kappa / s2_kappa).sum(axis=-1)
+    k = np.sqrt(c)[..., None] * (u_t @ b_a_z)
+    m_c = b_a_z.swapaxes(-1, -2) @ b_a_z - k.swapaxes(-1, -2) @ k
     basis = _rank_cut(u_mat, svals, b_b_z.shape)
-    col_sq = (b_a_z * b_a_z).sum(axis=0)
+    col_sq = (b_a_z * b_a_z).sum(axis=-2)
+    if z.ndim == 1:
+        logdet_w = float(logdet_w)
     geometry = SubsetGeometry(b_a_z, b_b_z, g, m_c, logdet_w, basis, col_sq, vt, c)
-    for arr in _arrays(geometry):
-        arr.flags.writeable = False
+    for arr in geometry:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
     return geometry
 
 
-def _arrays(geometry: SubsetGeometry):
-    return [field for field in geometry if isinstance(field, np.ndarray)]
+# Subsets per stacked pass of a table build: enough to spread numpy's
+# per-call cost, few enough that a pass's temporaries stay small.
+_CHUNK = 128
 
 
-def _entry_bytes(geometry: SubsetGeometry) -> int:
-    """Bytes one cached geometry holds, from the fields it stores.
+def _entry_bytes(m: int, k_a: int, k_b: int) -> int:
+    """Bytes one subset adds to a table, from the shapes alone.
 
-    Beyond its data, ``tracemalloc`` (numpy 2.4, CPython 3.11, 64-bit)
-    measures 104 B per array object and 16 B per dimension for its shape
-    and strides, and 200 B per entry for the tuple, its float, the index
-    bytes that key it and the table's share of slots.
+    Its row of the nine stacked fields, plus its index entry, which
+    ``tracemalloc`` (CPython 3.11, 64-bit) measures as a bytes key of
+    33 + 8·m B, a rank int of 28 B and about 48 B of dict slot.
     """
-    return 200 + sum(arr.nbytes + 104 + 16 * arr.ndim for arr in _arrays(geometry))
+    r = min(m, k_b)
+    floats = m * k_a + 3 * m * k_b + k_a * k_a + 1 + k_a + r * k_b + r
+    return 8 * floats + (33 + 8 * m) + 28 + 48
+
+
+class _Table(NamedTuple):
+    """The geometries of the ascending subsets of one combination ``key``.
+
+    ``fields`` holds every field stacked along a leading rank axis, read-only,
+    and ``rank`` maps a subset's index bytes to its row.  A combination the
+    budget does not admit has an empty ``rank`` and no ``fields``.
+    """
+
+    key: tuple
+    rank: dict
+    fields: SubsetGeometry | None
+
+    def row(self, i: int) -> SubsetGeometry:
+        f = self.fields
+        return SubsetGeometry(
+            f.b_a_z[i], f.b_b_z[i], f.g[i], f.m_c[i], f.logdet_w.item(i),
+            f.basis[i], f.col_sq[i], f.vt[i], f.c[i],
+        )
+
+
+def _table(key: tuple, dictionary, sigma_e2: float, sigma_b2: float, m: int, budget: int) -> _Table:
+    """Build the whole table of a combination if it fits ``budget``.
+
+    The C(p, m) subsets go in lexicographic order, ``_CHUNK`` per stacked
+    ``_build``, each pass copied into the preallocated stacks.
+    """
+    p = dictionary.p
+    n = math.comb(p, m)
+    if not 0 < n * _entry_bytes(m, dictionary.k_a, dictionary.k_b) <= budget:
+        return _Table(key, {}, None)
+    subsets = itertools.combinations(range(p), m)
+    rank: dict[bytes, int] = {}
+    fields = None
+    for start in range(0, n, _CHUNK):
+        rows = list(itertools.islice(subsets, _CHUNK))
+        z = np.array(rows, dtype=np.intp).reshape(len(rows), m)
+        part = _build(dictionary, sigma_e2, sigma_b2, z)
+        if fields is None:
+            fields = SubsetGeometry._make(np.empty((n,) + f.shape[1:]) for f in part)
+        for whole, chunk in zip(fields, part):
+            whole[start : start + len(rows)] = chunk
+        rank.update((row.tobytes(), start + i) for i, row in enumerate(z))
+    for arr in fields:
+        arr.flags.writeable = False
+    return _Table(key, rank, fields)
 
 
 class _GeometryCache:
     """Per-process store behind ``subset_geometry``.
 
-    ``table`` maps a subset's index bytes to its geometry, for the current
-    combination ``key``; it is None when the combination's C(p, m) subsets
-    exceed the budget.  ``last`` is the latest geometry.  A geometry is
-    registered once built, under ``lock``.
+    ``table`` is the current combination's ``_Table``, built whole, under
+    ``lock``, by the combination's first lookup; ``last`` is the latest
+    geometry returned.
     """
 
     def __init__(self, budget: int):
@@ -166,9 +238,7 @@ class _GeometryCache:
 
     def clear(self) -> None:
         with self.lock:
-            self.key = None
-            self.table: dict[bytes, SubsetGeometry] | None = None
-            self.capacity = 0
+            self.table: _Table | None = None
             self.last = None
 
     def lookup(self, dictionary, sigma_e2: float, sigma_b2: float, z: np.ndarray):
@@ -177,19 +247,19 @@ class _GeometryCache:
         last = self.last
         if last is not None and last[1] == z_key and last[0] == key:
             return last[2]
-        with self.lock:
-            table = self.table if key == self.key else None
-            geometry = None if table is None else table.get(z_key)
-            if geometry is None:
-                geometry = _build(dictionary, sigma_e2, sigma_b2, z)
-                if key != self.key:
-                    # Every subset's geometry has the first one's shapes.
-                    self.key, self.capacity = key, math.comb(dictionary.p, z.size)
-                    fits = self.capacity * _entry_bytes(geometry) <= self.budget
-                    self.table = table = {} if fits else None
-                # A permuted subset is an entry of its own, so the table can fill.
-                if table is not None and len(table) < self.capacity:
-                    table[z_key] = geometry
+        table = self.table
+        if table is None or table.key != key:
+            with self.lock:
+                table = self.table
+                if table is None or table.key != key:
+                    table = _table(key, dictionary, sigma_e2, sigma_b2, z.size, self.budget)
+                    self.table = table
+        i = table.rank.get(z_key)
+        if i is None:
+            _check(z, dictionary.p)
+            geometry = _build(dictionary, sigma_e2, sigma_b2, z)
+        else:
+            geometry = table.row(i)
         self.last = (key, z_key, geometry)
         return geometry
 
@@ -203,8 +273,8 @@ def subset_geometry(
     """Geometry of the observed rows ``z``, in the given order.
 
     Raises IndexError or DimensionError for an index out of range or a
-    repeated index, checked when the geometry is built: a cached geometry
-    was checked then.
+    repeated index.  Only a subset found in no table is checked, when it
+    is built: a table holds valid subsets alone.
     """
     z = np.asarray(z, dtype=np.intp).ravel()
     return _CACHE.lookup(dictionary, float(sigma_e2), float(sigma_b2), z)

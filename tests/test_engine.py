@@ -286,6 +286,59 @@ class TestStep:
             geometry.clear_geometry_cache()
         assert cold == warm == uncached
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sampler", ["thompson", "oracle"])
+    def test_outputs_independent_of_table_warmth(
+        self, default_dictionary, default_config, sampler, workers
+    ):
+        """Null trajectories and run-length records are byte-identical with
+        the geometry table cleared, with it built before the run (so pool
+        workers inherit it), and with no table at all."""
+        cfg, d = default_config, default_dictionary
+        scenario = Scenario(
+            dictionary=d, cfg=cfg, tau=20, change=((0, 1.0),), horizon=60,
+            random_change_basis=True,
+        )
+
+        def run():
+            traj = collect_h0_trajectories(
+                cfg, d, n_reps=3, horizon=60, seed=31, workers=workers, sampler=sampler
+            )
+            _, records = evaluate(
+                cfg, d, float(np.quantile(traj, 0.95)), scenario, n_reps=4, seed=32,
+                workers=workers, sampler=sampler, return_records=True,
+            )
+            return traj.tobytes(), repr(records)
+
+        budget = geometry._CACHE.budget
+        try:
+            geometry.clear_geometry_cache()
+            cleared = run()
+            geometry.clear_geometry_cache()
+            geometry.subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, np.arange(cfg.m))
+            assert len(geometry._CACHE.table.rank) == math.comb(d.p, cfg.m)
+            prebuilt = run()
+            geometry._CACHE.clear()
+            geometry._CACHE.budget = 0
+            untabled = run()
+        finally:
+            geometry._CACHE.budget = budget
+            geometry.clear_geometry_cache()
+        assert cleared == prebuilt == untabled
+
+    def test_trusted_outcome_equals_the_checked_one(
+        self, small_dictionary, small_config, rng
+    ):
+        """``engine.step``'s outcome, built by ``StepOutcome._trusted``, equals
+        the one the dataclass constructor builds from the same fields, and
+        stays frozen."""
+        state = init(small_config, small_dictionary, h=math.inf, seed=4)
+        outcome = step(state, rng.normal(size=6))
+        checked = engine.StepOutcome(**vars(outcome))
+        assert outcome == checked and vars(outcome) == vars(checked)
+        with pytest.raises(AttributeError):
+            outcome.stat = 0.0
+
 
     @pytest.mark.parametrize("sampler", ["thompson", "oracle"])
     def test_outputs_equal_the_interpreted_blocked_sweep(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +32,13 @@ from sparsewatch import (
 from sparsewatch.geometry import clear_geometry_cache, subset_geometry
 
 SIGMA_E, SIGMA_B = 0.3, 0.8
+
+# SHA-256 of 500 single geometry builds at p = 400, m = 20
+# (``TestCache.test_p400_single_builds_keep_their_bytes``), as the per-subset
+# build gave them before tables were built in stacked passes.  Taken with
+# numpy 2.4.6 and scipy-openblas 0.3.31 on a Haswell-class x86-64 core; an
+# OpenBLAS that picks other kernels may round differently.
+P400_DIGEST = "2a0dc317afadb7c91d37d4eb93c16850a1cc06c1913a45e2497024d550f9451f"
 
 
 def _cfg(k_a, m):
@@ -57,13 +66,15 @@ def _problem(seed, k_b, m, rows, k_a=3):
 
 @pytest.fixture()
 def count_builds(monkeypatch):
-    """Cleared cache whose geometry builds are counted."""
+    """Cleared cache whose geometry builds are counted, one entry per
+    subset built: a table build adds each row of its stacks, a single
+    build its one subset."""
     clear_geometry_cache()
     calls = []
     build = geometry._build
 
     def counted(*args):
-        calls.append(args[3].copy())
+        calls.extend(np.array(args[3], ndmin=2))
         return build(*args)
 
     monkeypatch.setattr(geometry, "_build", counted)
@@ -71,10 +82,32 @@ def count_builds(monkeypatch):
     clear_geometry_cache()
 
 
+def _split(calls):
+    """Counts of the ascending subsets built, and the number of other builds."""
+    ascending = [z.tobytes() for z in calls if (z[1:] > z[:-1]).all()]
+    return Counter(ascending), len(calls) - len(ascending)
+
+
 def _as_bytes(geo):
+    """Each array field's bytes, shape, strides, dtype and read-only flag;
+    ``logdet_w`` as the Python float it must be."""
     return [
-        (np.asarray(f).tobytes(), np.asarray(f).strides) for f in geo
+        (f.tobytes(), f.shape, f.strides, f.dtype, f.flags.writeable)
+        if isinstance(f, np.ndarray) else (type(f), f.hex())
+        for f in geo
     ]
+
+
+def _uncached(d, z):
+    """The geometry of ``z`` built alone, with the table budget at zero."""
+    budget = geometry._CACHE.budget
+    geometry._CACHE.clear()
+    geometry._CACHE.budget = 0
+    try:
+        return subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+    finally:
+        geometry._CACHE.budget = budget
+        clear_geometry_cache()
 
 
 class TestDenseRoute:
@@ -168,40 +201,83 @@ class TestCache:
     )
     @settings(max_examples=60, deadline=None)
     def test_hit_equals_miss_byte_for_byte(self, seed, k_b, m, rows):
-        """A geometry found in the cache, one built into it, and one built
-        with caching off carry the same bytes in the same layout."""
+        """A geometry met again, the one the first lookup gave, and one built
+        with caching off carry the same bytes in the same layout, for a
+        table row (the ascending subset) and a single build (its other
+        order) alike."""
         d, z, x, _ = _problem(seed, k_b, m, rows)
-        clear_geometry_cache()
-        miss = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
-        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, (z + 1) % d.p)
-        hit = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
-        budget = geometry._CACHE.budget
-        geometry._CACHE.clear()
-        geometry._CACHE.budget = 0
-        try:
-            uncached = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
-        finally:
-            geometry._CACHE.budget = budget
+        for subset in (np.sort(z), z):
             clear_geometry_cache()
-        assert hit is miss
-        assert _as_bytes(hit) == _as_bytes(miss) == _as_bytes(uncached)
+            miss = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, subset)
+            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, (subset + 1) % d.p)
+            hit = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, subset)
+            uncached = _uncached(d, subset)
+            assert _as_bytes(hit) == _as_bytes(miss) == _as_bytes(uncached)
+
+    @pytest.mark.parametrize("rows", ["random", "rank1", "zero"])
+    @pytest.mark.parametrize("k_b", [0, 1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_every_table_row_equals_its_single_build(self, m, k_b, rows):
+        """Each row of a whole table, over chunks with and without rank-deficient
+        rows, equals the single build of its subset in bytes, shape, strides,
+        dtype and read-only flag, with ``logdet_w`` a Python float."""
+        d, _, _, _ = _problem(7, k_b, m, rows)
+        table = geometry._table(("key",), d, SIGMA_E**2, SIGMA_B**2, m, geometry.CACHE_BUDGET_BYTES)
+        subsets = [np.array(z, dtype=np.intp) for z in itertools.combinations(range(d.p), m)]
+        assert len(table.rank) == len(subsets) == math.comb(d.p, m)
+        for i, z in enumerate(subsets):
+            assert table.rank[z.tobytes()] == i
+            row = table.row(i)
+            assert type(row.logdet_w) is float
+            assert _as_bytes(row) == _as_bytes(geometry._build(d, SIGMA_E**2, SIGMA_B**2, z))
+
+    def test_p400_single_builds_keep_their_bytes(self, kron_dictionary):
+        """500 single builds at p = 400, m = 20, every second one ascending,
+        hash to what the per-subset build gave before the table build shared
+        its code."""
+        rng = np.random.default_rng(400)
+        digest = hashlib.sha256()
+        clear_geometry_cache()
+        try:
+            for i in range(500):
+                z = rng.choice(400, size=20, replace=False)
+                geo = subset_geometry(kron_dictionary, 0.05**2, 0.3**2, np.sort(z) if i % 2 else z)
+                digest.update(repr(_as_bytes(geo)).encode())
+            assert geometry._CACHE.table.fields is None
+        finally:
+            clear_geometry_cache()
+        assert digest.hexdigest() == P400_DIGEST
 
     def test_repeat_is_not_rebuilt_and_arrays_are_read_only(self, count_builds):
+        """The first lookup builds every ascending subset once, in the table;
+        a subset in another order is built alone each time it is not the
+        latest geometry."""
         d, z, x, _ = _problem(3, 3, 5, "random")
         cfg = _cfg(d.k_a, 5)
         first = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
         absorb_sample(DecayedStats.empty(d.k_a), x, np.sort(z), d, cfg)
         again = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
-        assert len(count_builds) == 2
+        absorb_sample(DecayedStats.empty(d.k_a), x, np.sort(z), d, cfg)
+        ascending, others = _split(count_builds)
+        assert len(ascending) == math.comb(d.p, 5) and set(ascending.values()) == {1}
+        assert others == 2
         assert first.raw_u.tobytes() == again.raw_u.tobytes()
         assert first.raw_norm == again.raw_norm
-        geo = subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)
-        for arr in (geo.b_a_z, geo.b_b_z, geo.g, geo.m_c, geo.basis, geo.col_sq, geo.vt, geo.c):
+        table = geometry._CACHE.table
+        assert len(table.rank) == math.comb(d.p, 5)
+        row = subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, np.sort(z))
+        assert row.m_c.base is table.fields.m_c
+        for geo in (row, subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)):
+            for arr in (geo.b_a_z, geo.b_b_z, geo.g, geo.m_c, geo.basis, geo.col_sq, geo.vt, geo.c):
+                assert not arr.flags.writeable
+        for arr in table.fields:
             assert not arr.flags.writeable
         assert not d.b_a.flags.writeable and not d.b_b.flags.writeable
 
     def test_keyed_on_content_not_identity(self, count_builds):
         d, z, _, _ = _problem(5, 2, 4, "random")
+        z = np.sort(z)
+        space = math.comb(d.p, 4)
         twin = BasisDictionary(b_b=d.b_b.copy(), b_a=d.b_a.copy())
         nudged_b_a = d.b_a.copy()
         nudged_b_a[z[0], 0] = np.nextafter(nudged_b_a[z[0], 0], np.inf)
@@ -209,14 +285,15 @@ class TestCache:
         assert twin.content_key == d.content_key != other.content_key
 
         base = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+        assert len(count_builds) == space
         subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z[::-1].copy())
         assert subset_geometry(twin, SIGMA_E**2, SIGMA_B**2, z).m_c.tobytes() == base.m_c.tobytes()
-        assert len(count_builds) == 2
+        assert len(count_builds) == space + 1
         changed = subset_geometry(other, SIGMA_E**2, SIGMA_B**2, z)
-        assert len(count_builds) == 3
+        assert len(count_builds) == 2 * space + 1
         assert changed.b_a_z.tobytes() != base.b_a_z.tobytes()
         subset_geometry(d, SIGMA_E**2, 2.0 * SIGMA_B**2, z)
-        assert len(count_builds) == 4
+        assert len(count_builds) == 3 * space + 1
 
     def test_large_subset_space_is_not_tabled(self, count_builds):
         """C(60, 30) subsets exceed the budget: only the last geometry is
@@ -227,59 +304,71 @@ class TestCache:
         for z in (z_a, z_a, z_b, z_a):
             subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
         assert len(count_builds) == 3
-        assert geometry._CACHE.table is None
+        assert geometry._CACHE.table.fields is None and not geometry._CACHE.table.rank
 
     def test_entry_estimate_matches_traced_memory(self):
-        """The per-entry bytes the table budget counts are within 10% of
-        what tracemalloc sees the full p = 15, m = 5 table hold."""
+        """The table's size estimated from shapes is within 10% of what
+        tracemalloc sees the whole p = 15, m = 5 table retain, and the
+        chunked build's traced peak stays within 1.25 times that."""
         d = BasisDictionary(
             b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14, normalize_columns=True)
         )
-        subsets = [np.array(z) for z in itertools.combinations(range(15), 5)]
+        z = np.arange(5)
         clear_geometry_cache()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for z in subsets:
-                subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
-            traced = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(geometry._CACHE.table) == len(subsets)
-        estimate = geometry._entry_bytes(geometry._CACHE.last[2])
+        retained = current - before
+        assert len(geometry._CACHE.table.rank) == math.comb(15, 5)
         clear_geometry_cache()
-        assert estimate == pytest.approx(traced / len(subsets), rel=0.1)
+        estimate = math.comb(15, 5) * geometry._entry_bytes(5, d.k_a, d.k_b)
+        assert estimate == pytest.approx(retained, rel=0.1)
+        assert peak - before <= 1.25 * retained
 
     def test_permuted_subsets_stop_at_the_subset_count(self, count_builds):
-        """Every order of one subset is an entry of its own, but the table
-        stops at C(p, m) entries; past it each geometry is built afresh and
-        still equals its uncached build."""
+        """The table holds the C(p, m) ascending subsets, each built once;
+        every other order of a subset is built alone each time it is met,
+        and still equals its uncached build."""
         rng = np.random.default_rng(6)
         d = BasisDictionary(b_b=rng.normal(size=(5, 2)), b_a=rng.normal(size=(5, 3)))
         orders = [np.array(z) for z in itertools.permutations([4, 0, 2, 1])]
+        orders += [np.array(z) for z in itertools.combinations(range(d.p), 4)]
         capacity = math.comb(d.p, 4)
-        assert len(orders) > capacity
-        budget = geometry._CACHE.budget
-        geometry._CACHE.budget = 0
-        try:
-            expected = [_as_bytes(subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)) for z in orders]
-        finally:
-            geometry._CACHE.budget = budget
-        clear_geometry_cache()
+        expected = [_as_bytes(_uncached(d, z)) for z in orders]
         del count_builds[:]
         for _ in range(2):
             for z, want in zip(orders, expected):
                 assert _as_bytes(subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)) == want
-                assert len(geometry._CACHE.table) <= capacity
-        assert len(geometry._CACHE.table) == capacity
-        assert len(count_builds) == 2 * len(orders) - capacity
+                assert len(geometry._CACHE.table.rank) <= capacity
+        assert len(geometry._CACHE.table.rank) == capacity
+        ascending, others = _split(count_builds)
+        assert len(ascending) == capacity and set(ascending.values()) == {1}
+        assert others == 2 * (len(orders) - capacity - 1)
 
     def test_invalid_subsets_rejected_when_built(self):
+        """The same errors with the cache cleared, with the combination's
+        table already built, and with no table at all."""
         d, _, _, _ = _problem(1, 2, 3, "random")
-        with pytest.raises(IndexError):
-            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, d.p])
-        with pytest.raises(DimensionError):
-            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, 1])
+        budget = geometry._CACHE.budget
+        try:
+            for warm, table_budget in ((False, budget), (True, budget), (True, 0)):
+                clear_geometry_cache()
+                geometry._CACHE.budget = table_budget
+                if warm:
+                    subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, 2])
+                    assert (geometry._CACHE.table.fields is None) == (geometry._CACHE.budget == 0)
+                with pytest.raises(IndexError):
+                    subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, d.p])
+                with pytest.raises(DimensionError):
+                    subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, 1])
+        finally:
+            geometry._CACHE.budget = budget
+            clear_geometry_cache()
 
     @pytest.mark.parametrize(
         "z, error",
