@@ -320,6 +320,8 @@ def collect_h0_trajectories(
     at +inf), so a threshold can later be chosen by replaying these
     trajectories against candidate values.
     """
+    if n_reps < 1:
+        raise ValueError("n_reps must be positive")
     scenario = Scenario(dictionary=dictionary, cfg=cfg, tau=None, change=(), horizon=horizon)
     results = _map_reps(scenario, math.inf, seed, n_reps, workers, sampler)
     return np.vstack([stats for stats, *_ in results])

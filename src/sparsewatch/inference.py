@@ -33,13 +33,13 @@ distinctness); the sweep's posterior and the absorbed moments are then
 built by the trusted ``SpikeSlabPosterior._trusted`` and
 ``DecayedStats._trusted``.
 
-The coordinate sweeps run in blocks of at most ``_BLOCK`` coordinates.  Each
-block runs in a generator whose straight-line source is generated from the
-block size alone and compiled on the first fit that needs it (at most
-``_BLOCK`` kernels per process).  A fit starts one generator per block,
-which sets its block up once and then keeps every operand, the posterior
-included, as a local float across all sweeps.  Every operation and its
-order are those of the interpreted form of the same pass that the tests keep
+The coordinate sweeps run in blocks of at most ``_BLOCK`` coordinates.  A
+fit runs all of them in one call of a plain function whose straight-line
+source is generated from k_a alone and compiled on the first fit at that
+k_a (one kernel per k_a a process meets).  The kernel sets the fit up once
+and keeps every operand, the posterior included, as a local float across
+all sweeps, blocks and the stop test.  Every operation and its order are
+those of the interpreted form of the same pass that the tests keep
 (``oracles.blocked_sweep``), so generation changes how the interpreter runs
 the loop and no output bit.
 """
@@ -381,51 +381,64 @@ def absorb_sample(
 # gives every cross term from the posterior at the block's start.
 _BLOCK = 12
 
-# The posterior vectors a fit's kernels write, in their order in its output.
+# The posterior vectors a fit's kernel writes, in their order in its output.
 _FIELDS = ("mu_tilde", "mu_a", "s2", "alpha", "spread")
 
 
-def _kernel_source(b: int) -> str:
-    """Source of the generator that sweeps one block of b coordinates.
+def _blocks(k: int) -> list[range]:
+    """The k coordinates split evenly into contiguous blocks of at most ``_BLOCK``."""
+    n_blocks = -(-k // _BLOCK)
+    bounds = [i * k // n_blocks for i in range(n_blocks + 1)]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
-    Built from b alone.  The generator takes the fit's full lists and its
-    block's bounds, and sets its block up once: every in-block entry of M
-    (``M<t>_<s>``, row t, column s < t), every per-coordinate factor and
-    every mu, alpha and mu_tilde becomes a local float, each factor
-    computed by the expression ``vb_coordinate_sweep`` gives it and
-    mu_tilde read from the shared array, which holds mu·alpha.  The first
-    ``next`` writes the block's slab variances into the fit's output.  Each
-    ``send(moved)`` runs one pass over the block, coordinate t taking its
-    cross term as c_t + M_t,0·Δ_0 + … + M_t,t−1·Δ_t−1 left to right from the
-    block's product c, writes the block's mu_tilde into the shared array
-    and returns whether anything has moved (some |Δmu| or |Δalpha| at least
-    ``tol``, or a NaN; tested until the first coordinate that has).
-    ``send(None)``, made through ``next``, writes the block's mu, alpha
-    and inclusion spread alpha·(1 − alpha)·mu·mu into the fit's output and
-    ends the generator.  ``out`` is a memoryview of the fit's output, the
-    k-long fields ``_FIELDS`` one after another; ``mt_arr`` is its first.
+
+def _kernel_source(k: int) -> str:
+    """Source of the function that runs every sweep of a fit at k_a = k.
+
+    Built from k alone; the blocks are ``_blocks(k)``.  The kernel sets the
+    fit up once: one
+    ``raw_m.take(IDX).tolist()`` gives diag(M) (``m<t>``) and every
+    in-block entry of M (``M<t>_<s>``, row t, column s < t of its block);
+    u, the config vectors, mu, alpha and mu_tilde are unpacked from their
+    lists, every per-coordinate factor is computed by the expression
+    ``vb_coordinate_sweep`` gives it, and the slab variances are written.
+    Each sweep then runs the blocks in order.  A block opens with the
+    product c = off[start:stop]·mt of M (diagonal zeroed) with the shared
+    mu_tilde array; coordinate t takes its cross term as c_t + M_t,s·Δ_s +
+    … left to right over the earlier coordinates s of its block, and the
+    block writes its mu_tilde back into the shared array after its pass.
+    The sweeps stop after the first in which nothing has moved (every
+    |Δmu| and |Δalpha| below ``tol``, no NaN; tested until the first
+    coordinate that has moved) or after ``max_iters``.  The kernel then
+    writes mu, alpha and the inclusion spread alpha·(1 − alpha)·mu·mu and
+    returns (converged, sweeps run).  ``out`` is a memoryview of the fit's
+    output, the k-long fields ``_FIELDS`` one after another; ``mt_arr`` is
+    its first, the shared mu_tilde array.
     """
-    r = range(b)
+    blocks = _blocks(k)
+    r = range(k)
 
-    def row(prefix):
-        return ", ".join(f"{prefix}{t}" for t in r) + ","
+    def row(prefix, ts=r):
+        return ", ".join(f"{prefix}{t}" for t in ts) + ","
 
-    def field(name):
-        i = _FIELDS.index(name)
-        at = f"{i} * k + " if i else ""
-        return f"out[{at}start:{at}stop]"
+    def at(name, t):
+        return _FIELDS.index(name) * k + t
 
+    lower = [f"M{t}_{s}" for blk in blocks for t in blk for s in range(blk[0], t)]
     lines = [
-        "def kernel(off_rows, mt_arr, out, k, start, stop, lower, diag, u, inv_sj2, logit_w,"
-        " two_sj2, mu, alpha, se2, v, ntol, tol):",
+        "def kernel(raw_m, off, mt_arr, out, u, inv_sj2, logit_w, two_sj2, mu, alpha, mt,"
+        " se2, v, ntol, tol, max_iters):",
+        # Binding the pass's temporaries first gives them the lowest local
+        # slots, which the interpreter reads without an extended argument.
+        "    moved = False",
+        "    new = sq = logit = na = e = 0.0",
+        f"    {', '.join([*lower, *(f'm{t}' for t in r)])}, = raw_m.take(IDX).tolist()",
     ]
-    if b > 1:
-        lines.append(f"    {', '.join(f'M{t}_{s}' for t in r for s in range(t))}, = lower")
     for prefix, name in (
-        ("m", "diag"), ("i", "inv_sj2"), ("u", "u"), ("lw", "logit_w"), ("tj", "two_sj2"),
-        ("mu", "mu"), ("a", "alpha"),
+        ("i", "inv_sj2"), ("u", "u"), ("lw", "logit_w"), ("tj", "two_sj2"),
+        ("mu", "mu"), ("a", "alpha"), ("mt", "mt"),
     ):
-        lines.append(f"    {row(prefix)} = {name}[start:stop]")
+        lines.append(f"    {row(prefix)} = {name}")
     lines.append("    two_se2 = 2.0 * se2")
     for t in r:
         lines += [
@@ -433,64 +446,72 @@ def _kernel_source(b: int) -> str:
             f"    sc{t} = s2_{t} / se2",
             f"    vs{t} = v * s2_{t}",
             f"    hm{t} = m{t} / two_se2",
+            f"    out[{at('s2', t)}] = s2_{t}",
         ]
+    lines += [f"    o{i} = off[{blk[0]}:{blk[-1] + 1}]" for i, blk in enumerate(blocks)]
     lines += [
-        f"    mt, s2_out = {field('mu_tilde')}, {field('s2')}",
-        f"    {row('mt')} = mt",
-        *(f"    s2_out[{t}] = s2_{t}" for t in r),
-        "    moved = yield",
-        "    while moved is not None:",
-        f"        {row('c')} = off_rows.dot(mt_arr).tolist()",
+        "    converged = False",
+        "    for iters in range(1, max_iters + 1):",
+        "        moved = False",
     ]
     # Each branch's exponent is at most 0, so exp never overflows, and only
     # the clamp on its own side of 1/2 can bind; ``not na >= ALPHA_CLAMP``
     # also catches a NaN logit.
-    for t in r:
-        cross = f"(c{t}" + "".join(f" + M{t}_{s} * d{s}" for s in range(t)) + ")" if t else "c0"
-        lines += [
-            f"        new = sc{t} * (u{t} - {cross})",
-            "        sq = new * new",
-            f"        logit = lw{t} + sq / tj{t} + hm{t} * (sq - s2_{t} + vs{t})",
-            "        if logit >= 0.0:",
-            "            na = 1.0 / (1.0 + exp(-logit))",
-            f"            if na > {1.0 - ALPHA_CLAMP!r}:",
-            f"                na = {1.0 - ALPHA_CLAMP!r}",
-            "        else:",
-            "            e = exp(logit)",
-            "            na = e / (1.0 + e)",
-            f"            if not na >= {ALPHA_CLAMP!r}:",
-            f"                na = {ALPHA_CLAMP!r}",
-            f"        if not moved and not (ntol < new - mu{t} < tol and ntol < na - a{t} < tol):",
-            "            moved = True",
-            f"        mu{t} = new",
-            f"        a{t} = na",
-            "        new = new * na",
-        ]
-        if t < b - 1:  # the in-block step the later coordinates add
-            lines.append(f"        d{t} = new - mt{t}")
-        lines.append(f"        mt{t} = new")
+    for i, blk in enumerate(blocks):
+        lines.append(f"        {row('c', blk)} = o{i}.dot(mt_arr).tolist()")
+        for t in blk:
+            earlier = range(blk[0], t)
+            cross = f"(c{t}" + "".join(f" + M{t}_{s} * d{s}" for s in earlier) + ")"
+            lines += [
+                f"        new = sc{t} * (u{t} - {cross if earlier else f'c{t}'})",
+                "        sq = new * new",
+                f"        logit = lw{t} + sq / tj{t} + hm{t} * (sq - s2_{t} + vs{t})",
+                "        if logit >= 0.0:",
+                "            na = 1.0 / (1.0 + exp(-logit))",
+                f"            if na > {1.0 - ALPHA_CLAMP!r}:",
+                f"                na = {1.0 - ALPHA_CLAMP!r}",
+                "        else:",
+                "            e = exp(logit)",
+                "            na = e / (1.0 + e)",
+                f"            if not na >= {ALPHA_CLAMP!r}:",
+                f"                na = {ALPHA_CLAMP!r}",
+                f"        if not moved and not (ntol < new - mu{t} < tol and ntol < na - a{t} < tol):",
+                "            moved = True",
+                f"        mu{t} = new",
+                f"        a{t} = na",
+                "        new = new * na",
+            ]
+            if t < blk[-1]:  # the in-block step the later coordinates add
+                lines.append(f"        d{t} = new - mt{t}")
+            lines.append(f"        mt{t} = new")
+        lines += [f"        out[{t}] = mt{t}" for t in blk]
     lines += [
-        *(f"        mt[{t}] = mt{t}" for t in r),
-        "        moved = yield moved",
-        f"    mu_out, a_out, sp_out = {field('mu_a')}, {field('alpha')}, {field('spread')}",
-        *(f"    mu_out[{t}] = mu{t}" for t in r),
-        *(f"    a_out[{t}] = a{t}" for t in r),
-        *(f"    sp_out[{t}] = a{t} * (1.0 - a{t}) * mu{t} * mu{t}" for t in r),
+        "        if not moved:",
+        "            converged = True",
+        "            break",
+        *(f"    out[{at('mu_a', t)}] = mu{t}" for t in r),
+        *(f"    out[{at('alpha', t)}] = a{t}" for t in r),
+        *(f"    out[{at('spread', t)}] = a{t} * (1.0 - a{t}) * mu{t} * mu{t}" for t in r),
+        "    return converged, iters",
     ]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _kernel(b: int):
-    """(kernel, lower) for blocks of b coordinates, compiled on first use.
+def _kernel(k: int):
+    """The sweep kernel for k_a = k, compiled on first use.
 
-    ``lower`` indexes the strict lower triangle of a flattened b×b block in
-    row-major order, the order the kernel unpacks it in.
+    Its ``IDX`` indexes the flattened k×k M at the entries the kernel
+    unpacks, in its order: each block's strict lower triangle in row-major
+    order, block after block, then the diagonal.  Compiling takes about
+    2.6 ms at k = 10 and 8.4 ms at k = 36, and its transient peaks at 1.0
+    and 3.6 MB (``tracemalloc``; Python 3.11 on a 2-vCPU Xeon); the kernel
+    kept is about 0.1 MB at k = 36.
     """
-    namespace = {"exp": math.exp}
-    exec(compile(_kernel_source(b), f"<sweep kernel, block of {b}>", "exec"), namespace)
-    rows, cols = np.tril_indices(b, -1)
-    return namespace["kernel"], rows * b + cols
+    idx = [t * k + s for blk in _blocks(k) for t in blk for s in range(blk[0], t)]
+    namespace = {"exp": math.exp, "IDX": np.array(idx + [t * (k + 1) for t in range(k)])}
+    exec(compile(_kernel_source(k), f"<sweep kernel, k_a = {k}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _iterate(
@@ -498,17 +519,15 @@ def _iterate(
 ):
     """Coordinate sweeps at fixed stats until nothing moves by ``tol``.
 
-    Returns (posterior, converged, sweeps run).  The coordinates are split
-    evenly into contiguous blocks of at most ``_BLOCK``, each run by a
-    generator of its block size's kernel.  The generators read plain-float
-    lists of diag(M), u, the config vectors (converted once per config) and
-    the starting mu and alpha, M with its diagonal zeroed for the product
-    that opens each block, and mu_tilde as one array that each block
-    rewrites after its pass.  A sweep sends each block whether an earlier
-    one moved; every generator has ended, and has written its block of the
-    posterior's fields, before this returns.  The fields are the rows of one
-    output array whose first, mu_tilde, then holds mu·alpha of the final
-    iterate bitwise, so the posterior takes them without a conversion.
+    Returns (posterior, converged, sweeps run).  One call of the kernel for
+    k_a runs every sweep: it reads plain-float lists of u, the config
+    vectors (converted once per config) and the starting mu, alpha and
+    mu_tilde, and M itself, once with its diagonal zeroed for the product
+    that opens each block, and holds every operand as a local float across
+    all sweeps.  The posterior's fields are the rows of one output array
+    whose first, mu_tilde, is the array each block's product reads and,
+    once the kernel returns, holds mu·alpha of the final iterate bitwise,
+    so the posterior takes them without a conversion.
     """
     if stats.n == 0:
         raise StateError("cannot sweep before any sample has been absorbed")
@@ -520,33 +539,11 @@ def _iterate(
     flat = np.empty(len(_FIELDS) * k_a)
     mt_arr = flat[:k_a]
     mt_arr[:] = post.mu_tilde
-    out = memoryview(flat)
-    shared = (
-        raw_m.diagonal().tolist(), stats.raw_u.tolist(), *cfg._sweep_lists,
-        post.mu_a.tolist(), post.alpha.tolist(), cfg.sigma_e2, cfg.v, -tol, tol,
+    converged, iters = _kernel(k_a)(
+        raw_m, off, mt_arr, memoryview(flat), stats.raw_u.tolist(), *cfg._sweep_lists,
+        post.mu_a.tolist(), post.alpha.tolist(), post.mu_tilde.tolist(),
+        cfg.sigma_e2, cfg.v, -tol, tol, max_iters,
     )
-    n_blocks = -(-k_a // _BLOCK)
-    bounds = [i * k_a // n_blocks for i in range(n_blocks + 1)]
-    gens = []
-    for start, stop in zip(bounds, bounds[1:]):
-        kernel, lower = _kernel(stop - start)
-        gen = kernel(
-            off[start:stop], mt_arr, out, k_a, start, stop,
-            raw_m[start:stop, start:stop].take(lower).tolist(), *shared,
-        )
-        next(gen)
-        gens.append(gen)
-    sends = [gen.send for gen in gens]
-    converged = False
-    for iters in range(1, max_iters + 1):
-        moved = False
-        for send in sends:
-            moved = send(moved)
-        if not moved:
-            converged = True
-            break
-    for gen in gens:
-        next(gen, None)
     mu_tilde, mu, s2, alpha, spread = flat.reshape(len(_FIELDS), k_a)
     return SpikeSlabPosterior._trusted(mu, s2, alpha, mu_tilde, spread), converged, iters
 
@@ -573,9 +570,9 @@ def vb_coordinate_sweep(
     The pass runs in blocks of at most 12 coordinates: one matrix-vector
     product gives every cross term of a block from the posterior at its
     start, and each coordinate adds M_ji·Δ(alpha_i mu_ai) for the earlier
-    coordinates of its block.  Each block size has its own straight-line
-    generator kernel, generated and compiled on first use.  ``fit`` runs
-    the same kernels, one generator per block for all of its sweeps.
+    coordinates of its block.  It is one sweep of the straight-line kernel
+    generated for k_a and compiled on first use, the kernel ``fit`` runs
+    for all of its sweeps.
     """
     return _iterate(post, stats, cfg, math.inf, 1)[0]
 
@@ -672,19 +669,20 @@ def fit(
     background never enters the anomaly iteration (it is integrated out of
     the moments), so the loop is plain coordinate sweeps at fixed stats,
     stopping after the first sweep in which every absolute change of mu_a
-    and alpha is below ``tol``.  The sweeps are ``vb_coordinate_sweep``'s
-    generated kernels: one generator per block, set up once per fit, holds
-    its block's factors and posterior as local floats across all sweeps and
-    reports on each sweep whether anything has moved.  The posterior is
-    built once, at the end.
+    and alpha is below ``tol``.  The sweeps are one call of
+    ``vb_coordinate_sweep``'s generated kernel for k_a, which sets the fit
+    up once, holds every factor and the posterior as local floats across
+    all sweeps and stops itself.  The posterior is built once, at the end.
 
     Non-convergence within ``max_iters``, or a NaN change, returns the last
-    iterate with ``converged=False`` rather than raising.
+    iterate with ``converged=False`` rather than raising.  A ``tol`` that is
+    NaN or not positive, or a ``max_iters`` that is not an integer of at
+    least 1 (a bool is not), raises ValueError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     stats = absorb_sample(prev_stats, x_z, z, dictionary, cfg)
     post, converged, iters = _iterate(prev_posterior, stats, cfg, tol, max_iters)
     return FitResult(post, stats, converged, iters)

@@ -1,0 +1,174 @@
+"""Output digests for checking that a change leaves every output bit alone.
+
+Run it on two checkouts and compare what they print:
+
+    PYTHONPATH=src python tests/parity.py
+
+It prints one SHA-256 per stage, then one over all stages:
+
+- ``study-p15``: null trajectories (21 x 401, seed 5), the threshold search
+  at ARL0 200, and ``evaluate`` records and summaries at phi = 0.2 and 1.0
+  (30 replications, horizon 400, seed 6), on the p = 15 model, for both
+  samplers at ``workers`` 1 and 2;
+- ``monitor-kron400``: 40 streams (seed 3) of 100 steps on the 20 x 20 grid
+  model (p = 400, k_a = 36, m = 20), with every step's statistic, subset,
+  convergence, sweep count and next plan, and the posterior and moments
+  after every step;
+- ``exact-routes``: ``update_background``, ``log_pbf_exact``,
+  ``marginal_h0``, ``marginal_h1_exact`` and ``lambda_stat`` on random
+  k_b = 2 and 3 problems.
+
+Digests depend on numpy and its BLAS, so compare runs on one machine and
+one environment.  Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+
+import numpy as np
+
+from sparsewatch import bases, engine, simgen
+from sparsewatch.detection import (
+    DetectionInputs,
+    lambda_stat,
+    log_pbf_exact,
+    marginal_h0,
+    marginal_h1_exact,
+)
+from sparsewatch.inference import (
+    DecayedStats,
+    ModelConfig,
+    SpikeSlabPosterior,
+    fit,
+    update_background,
+)
+
+MODEL = dict(sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7, decay=0.1)
+
+
+class Digest:
+    """SHA-256 over arrays (dtype, shape and bytes) and reprs of anything else."""
+
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, *values) -> None:
+        for value in values:
+            if isinstance(value, np.ndarray):
+                self.h.update(f"{value.dtype}{value.shape}".encode())
+                self.h.update(np.ascontiguousarray(value).tobytes())
+            else:
+                self.h.update(repr(value).encode())
+
+    def add_post(self, post: SpikeSlabPosterior) -> None:
+        self.add(post.mu_a, post.s2, post.alpha, post.mu_tilde, post.spread)
+
+    def add_stats(self, stats: DecayedStats) -> None:
+        self.add(stats.raw_M, stats.raw_u, stats.raw_q, stats.raw_norm, stats.mass, stats.n)
+
+
+def p15_dictionary() -> bases.BasisDictionary:
+    return bases.BasisDictionary(
+        b_b=bases.fourier_basis(15, 3),
+        b_a=bases.bspline_basis(15, 4, 14, normalize_columns=True),
+    )
+
+
+def kron400_dictionary() -> bases.BasisDictionary:
+    spline = bases.bspline_basis(20, 4, 10, normalize_columns=True)
+    fourier = bases.fourier_basis(20, 2)
+    return bases.BasisDictionary(
+        b_b=bases.kron_basis(fourier, fourier), b_a=bases.kron_basis(spline, spline)
+    )
+
+
+def study_p15() -> str:
+    d = p15_dictionary()
+    cfg = ModelConfig.homogeneous(k_a=d.k_a, m=5, **MODEL)
+    digest = Digest()
+    for sampler in ("thompson", "oracle"):
+        for workers in (1, 2):
+            traj = engine.collect_h0_trajectories(
+                cfg, d, 21, 401, 5, workers=workers, sampler=sampler
+            )
+            h, arl0 = engine.search_threshold(traj, 200.0, 0.05)
+            digest.add(sampler, workers, traj, h, arl0)
+            for phi in (0.2, 1.0):
+                scenario = simgen.Scenario(
+                    dictionary=d, cfg=cfg, tau=50, change=((0, phi),), horizon=400,
+                    random_change_basis=True,
+                )
+                summary, records = engine.evaluate(
+                    cfg, d, h, scenario, 30, 6, workers=workers, sampler=sampler,
+                    return_records=True,
+                )
+                digest.add(phi, summary, records)
+    return digest.h.hexdigest()
+
+
+def monitor_kron400() -> str:
+    d = kron400_dictionary()
+    cfg = ModelConfig.homogeneous(k_a=d.k_a, m=20, **MODEL)
+    digest = Digest()
+    seeds = np.random.SeedSequence(3).generate_state(80).tolist()
+    for i in range(40):
+        column = i % d.k_a
+        scenario = simgen.Scenario(
+            dictionary=d, cfg=cfg, tau=50, change=((column, 1.0),), horizon=100
+        )
+        stream = simgen.gen_stream(scenario, seeds[2 * i])
+        state = engine.init(cfg, d, h=math.inf, seed=seeds[2 * i + 1])
+        for x in stream:
+            out = engine.step(state, x)
+            digest.add(out.step, out.stat, out.alarmed, out.z, out.converged, out.n_iters)
+            digest.add(out.next_plan.z, out.next_plan.scores)
+            digest.add_post(state.post)
+            digest.add_stats(state.stats)
+    return digest.h.hexdigest()
+
+
+def exact_routes() -> str:
+    digest = Digest()
+    rng = np.random.default_rng(11)
+    for k_b in (2, 3):
+        for k_a in (2, 4, 6):
+            p, m = 12, 7
+            d = bases.BasisDictionary(
+                b_b=rng.normal(size=(p, k_b)), b_a=rng.normal(size=(p, k_a))
+            )
+            cfg = ModelConfig.homogeneous(
+                k_a=k_a, sigma_e=0.3, sigma_b=0.8, sigma_j=1.5, w=0.2, v=1e-4,
+                decay=0.1, m=m,
+            )
+            post, stats = SpikeSlabPosterior.prior(cfg), DecayedStats.empty(k_a)
+            for _ in range(6):
+                z = np.sort(rng.choice(p, size=m, replace=False))
+                x_z = rng.normal(size=m)
+                res = fit(x_z, z, post, stats, d, cfg)
+                post, stats = res.post, res.stats
+                bg = update_background(x_z, z, post, d, cfg)
+                inp = DetectionInputs(x_z=x_z, z=z, post=post, bg=bg)
+                digest.add(res.converged, res.n_iters, bg.theta_n, bg.cov_b)
+                digest.add(
+                    log_pbf_exact(inp, d, cfg), marginal_h0(inp, d, cfg),
+                    marginal_h1_exact(inp, d, cfg), lambda_stat(inp, d, cfg),
+                )
+    return digest.h.hexdigest()
+
+
+def main() -> None:
+    overall = hashlib.sha256()
+    for name, stage in (
+        ("study-p15", study_p15), ("monitor-kron400", monitor_kron400),
+        ("exact-routes", exact_routes),
+    ):
+        hexdigest = stage()
+        overall.update(hexdigest.encode())
+        print(f"{name:16s} {hexdigest}", flush=True)
+    print(f"{'all':16s} {overall.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

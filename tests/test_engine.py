@@ -549,6 +549,17 @@ class TestCalibrateAndEvaluate:
                 n_reps=0, seed=0,
             )
 
+    @pytest.mark.parametrize("n_reps", [0, -2])
+    def test_null_trajectories_name_nonpositive_reps(
+        self, small_dictionary, small_config, n_reps
+    ):
+        """As ``evaluate`` does, rather than failing inside numpy on an
+        empty list of trajectories."""
+        with pytest.raises(ValueError, match="n_reps must be positive"):
+            collect_h0_trajectories(
+                small_config, small_dictionary, n_reps=n_reps, horizon=20, seed=0
+            )
+
     def test_worker_count_never_changes_results(
         self, small_dictionary, small_config
     ):

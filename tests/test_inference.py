@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import os
 import subprocess
+import re
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -335,24 +335,16 @@ class TestCoordinateSweep:
                 np.testing.assert_allclose(got.s2, s2, rtol=1e-12)
                 np.testing.assert_allclose(got.alpha, alpha, rtol=1e-12)
 
-    def test_blocks_split_coordinates_evenly(self, sweep_cases, monkeypatch):
-        """The block sizes a sweep asks kernels for, in order."""
-        requested, real_kernel = [], inference._kernel
-
-        def recording(b):
-            requested.append(b)
-            return real_kernel(b)
-
-        monkeypatch.setattr(inference, "_kernel", recording)
+    def test_blocks_split_coordinates_evenly(self, sweep_cases):
+        """The block sizes a sweep's kernel opens with products over, in
+        order, and they tile the coordinates."""
         sizes = {}
-        for dictionary, cfg in sweep_cases:
-            stats = DecayedStats(
-                raw_M=np.eye(cfg.k_a), raw_u=np.zeros(cfg.k_a), raw_q=0.0,
-                raw_norm=0.0, mass=1.0, n=1,
-            )
-            requested.clear()
-            vb_coordinate_sweep(SpikeSlabPosterior.prior(cfg), stats, cfg)
-            sizes[cfg.k_a] = list(requested)
+        for _, cfg in sweep_cases:
+            rows = re.findall(r"o\d+ = off\[(\d+):(\d+)\]", inference._kernel_source(cfg.k_a))
+            bounds = [(int(start), int(stop)) for start, stop in rows]
+            assert [start for start, _ in bounds] == [0, *(stop for _, stop in bounds[:-1])]
+            assert bounds[-1][1] == cfg.k_a
+            sizes[cfg.k_a] = [stop - start for start, stop in bounds]
         assert sizes == {10: [10], 13: [6, 7], 36: [12, 12, 12]}
 
     def test_slab_variance_depends_only_on_stats(
@@ -403,7 +395,7 @@ def _random_sweep_case(k_a, rng):
 
 
 class TestSweepKernels:
-    @pytest.mark.parametrize("k_a", [*range(1, _BLOCK + 1), 13, 25, 36])
+    @pytest.mark.parametrize("k_a", [*range(1, _BLOCK + 1), 13, 24, 25, 36, 40])
     def test_kernels_equal_blocked_reference_byte_for_byte(self, k_a, rng):
         """The generated kernels store exactly what the interpreted blocked
         loop stores, for 1-3 sweeps from random starts, at every block size
@@ -431,7 +423,8 @@ class TestSweepKernels:
             np.testing.assert_allclose(one.s2, dense_s2, rtol=1e-12)
             np.testing.assert_allclose(one.alpha, dense_alpha, rtol=1e-12)
 
-    def test_fits_at_every_k_a_up_to_40_hold_one_kernel_per_block_size(self, rng):
+    def test_fits_at_every_k_a_up_to_40_hold_one_kernel_per_k_a(self, rng):
+        inference._kernel.cache_clear()
         for k_a in range(1, 41):
             dictionary = BasisDictionary(
                 b_b=np.zeros((6, 0)), b_a=rng.normal(size=(6, k_a))
@@ -445,39 +438,10 @@ class TestSweepKernels:
                 DecayedStats.empty(k_a), dictionary, cfg,
             )
         info = inference._kernel.cache_info()
-        assert info.currsize == _BLOCK
-        for b in range(1, _BLOCK + 1):  # each size is held, so none compiles again
-            inference._kernel(b)
+        assert info.currsize == 40
+        for k_a in range(1, 41):  # each is held, so none compiles again
+            inference._kernel(k_a)
         assert inference._kernel.cache_info().misses == info.misses
-
-    def test_no_block_generator_outlives_fit(self, monkeypatch, rng):
-        """Each block's generator has run to its end and been freed once
-        the sweeps that fit runs return, whether they converged or ran out
-        of sweeps."""
-        made, real_kernel = [], inference._kernel
-
-        def recording(b):
-            kernel, lower = real_kernel(b)
-
-            def tracked(*args):
-                gen = kernel(*args)
-                made.append(gen if keep else weakref.ref(gen))
-                return gen
-
-            return tracked, lower
-
-        monkeypatch.setattr(inference, "_kernel", recording)
-        for k_a in (10, 36):
-            cfg, stats, post = _random_sweep_case(k_a, rng)
-            for max_iters in (1, 100):
-                for keep in (False, True):
-                    made.clear()
-                    _iterate(post, stats, cfg, 1e-6, max_iters)
-                    assert len(made) == -(-k_a // _BLOCK)
-                    if keep:
-                        assert all(gen.gi_frame is None for gen in made)
-                    else:
-                        assert all(ref() is None for ref in made)
 
     def test_import_and_engine_init_compile_no_kernel(self):
         """Kernels are compiled by the first sweep, not at import or set-up."""
@@ -792,6 +756,35 @@ class TestFit:
                 default_config,
                 tol=0.0,
             )
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.0, -1e-6, -math.inf])
+    def test_nan_or_nonpositive_tol_named(self, default_dictionary, default_config, tol):
+        """A NaN tol is refused up front; before, every sweep compared
+        against it as unmoved and the fit ran out ``max_iters``."""
+        x_z, z = np.zeros(5), [0, 1, 2, 3, 4]
+        prior = SpikeSlabPosterior.prior(default_config)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fit(x_z, z, prior, DecayedStats.empty(10), default_dictionary, default_config,
+                tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [0, -3, 1.5, 2.0, True, False, "3", None])
+    def test_max_iters_must_be_an_integer_of_at_least_1(
+        self, default_dictionary, default_config, max_iters
+    ):
+        x_z, z = np.zeros(5), [0, 1, 2, 3, 4]
+        prior = SpikeSlabPosterior.prior(default_config)
+        with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
+            fit(x_z, z, prior, DecayedStats.empty(10), default_dictionary, default_config,
+                max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self, default_dictionary, default_config, rng):
+        x_z, z = _random_step(default_dictionary, default_config, rng)
+        prior = SpikeSlabPosterior.prior(default_config)
+        args = (x_z, z, prior, DecayedStats.empty(10), default_dictionary, default_config)
+        want = fit(*args, tol=1e-300, max_iters=3)
+        got = fit(*args, tol=1e-300, max_iters=np.int64(3))
+        assert (got.n_iters, got.converged) == (3, False)
+        assert got.post.mu_a.tobytes() == want.post.mu_a.tobytes()
 
 
 class TestTypes:
