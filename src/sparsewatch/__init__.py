@@ -16,9 +16,7 @@ __version__ = "0.1.0"
 
 from .bases import (
     BasisDictionary,
-    OrthogonalityReport,
     bspline_basis,
-    check_orthogonality,
     fourier_basis,
     identity_anomaly_basis,
     kron_basis,
@@ -86,13 +84,11 @@ __all__ = [
     "__version__",
     # bases
     "BasisDictionary",
-    "OrthogonalityReport",
     "fourier_basis",
     "bspline_basis",
     "kron_basis",
     "pca_basis",
     "identity_anomaly_basis",
-    "check_orthogonality",
     "save_basis_csv",
     "load_basis_csv",
     # inference

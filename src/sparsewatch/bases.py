@@ -4,8 +4,7 @@ The monitored signal is modeled as a smooth background expanded on ``b_b``
 plus a sparse departure expanded on ``b_a``.  This module builds the standard
 dictionaries used by the synthetic studies (Fourier backgrounds, B-spline
 anomaly bases, Kronecker products for gridded data, PCA bases learned from
-training data) and provides a diagnostic for how close the two dictionaries
-are to mutual orthogonality under subsampled observation.
+training data), and saves and loads bases as CSV.
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ from .errors import DataError, DimensionError
 
 __all__ = [
     "BasisDictionary",
-    "OrthogonalityReport",
     "fourier_basis",
     "bspline_basis",
     "kron_basis",
     "pca_basis",
     "identity_anomaly_basis",
-    "check_orthogonality",
     "save_basis_csv",
     "load_basis_csv",
 ]
@@ -105,29 +102,6 @@ class BasisDictionary:
     @property
     def k_a(self) -> int:
         return self.b_a.shape[1]
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """Diagnostics for approximate cross-orthogonality under subsampling.
-
-    ``coherence`` is the largest column coherence p·max_i(b_i²)/‖b‖₂² over the
-    columns of both dictionaries; the admissible sensing-budget range
-    [m_admissible_lo, m_admissible_hi] is the window in which the subsampled
-    cross inner products concentrate within ±epsilon with probability at least
-    1 − 2·delta under uniform random subsets.
-    """
-
-    max_abs_inner_full: float
-    max_abs_inner_sampled: float
-    epsilon: float
-    delta: float
-    coherence: float
-    m: int
-    m_admissible_lo: float
-    m_admissible_hi: float
-    band_ok: bool
-    coherence_bound_ok: bool
 
 
 # ── Constructors ──────────────────────────────────────────────────────────
@@ -308,78 +282,6 @@ def identity_anomaly_basis(p: int) -> np.ndarray:
     if p < 1:
         raise DimensionError("p must be positive")
     return np.eye(p)
-
-
-# ── Diagnostics ───────────────────────────────────────────────────────────
-
-
-def check_orthogonality(
-    dictionary: BasisDictionary,
-    subset: np.ndarray,
-    epsilon: float,
-    delta: float,
-    coherence_cap: float | None = None,
-) -> OrthogonalityReport:
-    """Cross-orthogonality diagnostic for a given observation subset.
-
-    Computes the largest |b_ai' b_bj| over all column pairs, both on all p
-    rows and restricted to the subset ``Z``; the column coherence constant;
-    and the admissible budget window
-    c²/(2ε²)·log((k_a+k_b)²/δ) ≤ m ≤ 2·(m/p)²·p²·ε² / (c²·log((k_a+k_b)²/δ))
-    within which subsampled inner products of near-orthogonal unit columns
-    stay inside ±ε with probability ≥ 1 − 2δ (uniform sampling, so the
-    inclusion probabilities are all m/p).
-
-    ``band_ok`` flags whether every sampled cross inner product satisfies
-    |b_aiZ' b_bjZ| ≤ ε; ``coherence_bound_ok`` flags whether every column's
-    coherence is within ``coherence_cap`` (defaults to p, the widest value
-    for which the concentration argument applies).
-    """
-    if not (0.0 < epsilon <= 1.0) or not (0.0 < delta <= 1.0):
-        raise DimensionError("epsilon and delta must lie in (0, 1]")
-    z = np.asarray(subset, dtype=np.intp).ravel()
-    if z.size == 0:
-        raise DimensionError("subset must be nonempty")
-    p = dictionary.p
-    if np.any(z < 0) or np.any(z >= p):
-        raise IndexError("subset index out of range")
-    if np.unique(z).size != z.size:
-        raise DimensionError("subset indices must be distinct")
-
-    b_a, b_b = dictionary.b_a, dictionary.b_b
-    m = int(z.size)
-    if dictionary.k_b > 0:
-        cross_full = b_a.T @ b_b
-        cross_samp = b_a[z].T @ b_b[z]
-        max_full = float(np.max(np.abs(cross_full)))
-        max_samp = float(np.max(np.abs(cross_samp)))
-    else:
-        max_full = 0.0
-        max_samp = 0.0
-
-    cols = np.hstack([b_a, b_b]) if dictionary.k_b > 0 else b_a
-    sq = cols * cols
-    coherence = float(np.max(p * sq.max(axis=0) / sq.sum(axis=0)))
-    cap = float(p) if coherence_cap is None else float(coherence_cap)
-
-    n_cols = dictionary.k_a + dictionary.k_b
-    log_term = math.log(n_cols * n_cols / delta)
-    m_lo = coherence**2 / (2.0 * epsilon**2) * log_term
-    a_p = m / p
-    m_hi = 2.0 * a_p**2 * p**2 * epsilon**2 / (coherence**2 * log_term)
-
-    return OrthogonalityReport(
-        max_abs_inner_full=max_full,
-        max_abs_inner_sampled=max_samp,
-        epsilon=float(epsilon),
-        delta=float(delta),
-        coherence=coherence,
-        m=m,
-        m_admissible_lo=m_lo,
-        m_admissible_hi=m_hi,
-        band_ok=max_samp <= epsilon,
-        coherence_bound_ok=coherence <= cap,
-    )
 
 
 # ── Serialization ─────────────────────────────────────────────────────────

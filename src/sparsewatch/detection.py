@@ -14,6 +14,15 @@ was checked at its boundary, builds one through the trusted
 ``DetectionInputs._trusted`` instead.  ``lambda_stat`` reads the
 posterior's own ``mu_tilde`` and ``spread``.
 
+The statistic reads the subset's shared ``SubsetGeometry``: the observed
+anomaly rows, their column sums of squares and the orthonormal basis of
+the observed background columns.  The exact routes check the subset
+through the same lookup but read the observed background rows B_bZ from
+the dictionary and refit the anomaly-free background by the dense
+k_b×k_b solve that ``update_background`` uses
+(``inference._background_fit``), so they cross-check the geometry's SVD
+rather than share it.
+
 The enumeration runs on numpy alone, so importing this module (and the
 engine, which imports it) loads no numerical package beyond numpy, which
 keeps a monitoring process's start-up short.  Both hypotheses are one
@@ -37,7 +46,7 @@ import numpy as np
 from .bases import BasisDictionary
 from .errors import CapabilityError, DataError, DimensionError
 from .geometry import SubsetGeometry, subset_geometry
-from .inference import BackgroundPosterior, ModelConfig, SpikeSlabPosterior
+from .inference import BackgroundPosterior, ModelConfig, SpikeSlabPosterior, _background_fit
 
 __all__ = [
     "DetectionInputs",
@@ -160,13 +169,14 @@ def _logsumexp(a) -> float:
 def _h0_terms(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig, bg):
     """(ln det H, quadratic part without x'x/sigma_e^2) of ``marginal_h0``'s
     integral, H = B_bZ'B_bZ/sigma_e^2 + cov_b^{-1} its conditional
-    precision, with ``bg`` from ``_background``; both zero without a
+    precision, with ``bg`` from ``_background`` and the prior centred at the
+    anomaly-free refit ``_background_fit(B_bZ, x)``; both zero without a
     background basis."""
     _, cov_inv, _ = bg
     x = inp.x_z
-    geo = _gather(inp, dictionary, cfg)
-    b_b_z, se2 = geo.b_b_z, cfg.sigma_e2
-    theta0 = geo.g @ x
+    _gather(inp, dictionary, cfg)  # checks the posterior's size and the subset
+    b_b_z, se2 = dictionary.b_b[inp.z], cfg.sigma_e2
+    theta0, _ = _background_fit(b_b_z, x, cfg)
     prior = cov_inv @ theta0
     logdet_h, quad_h = _gaussian_terms(b_b_z.T @ b_b_z / se2 + cov_inv, x @ b_b_z / se2 + prior)
     return float(logdet_h), float(theta0 @ prior) - float(quad_h)
@@ -223,7 +233,7 @@ def _h1_log_mass(
     post = inp.post
     theta1, cov_inv, _ = bg
 
-    b_z = np.hstack((geo.b_a_z, geo.b_b_z))
+    b_z = np.hstack((geo.b_a_z, dictionary.b_b[inp.z]))
     gram = b_z.T @ b_z / se2
     gram[k_a:, k_a:] += cov_inv
     prior1 = cov_inv @ theta1

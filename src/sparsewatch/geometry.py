@@ -1,34 +1,38 @@
 """Geometry of one observed subset, built once and shared by every layer.
 
-A step's absorb and monitoring statistic, the background refit and the exact
-routes all read the same m observed rows, and what they need depends on
-(dictionary, sigma_e^2, sigma_b^2, z) alone.  A process keeps those
-geometries in a cache keyed on content: the dictionary's digest
-(``BasisDictionary.content_key``), the two variances and the subset's
-indices in the caller's order, never object identity, so pool workers that
-unpickle a fresh dictionary per task still share them.  The cache holds one
-(dictionary, variances, m) combination at a time.  It admits a combination
-when the table of all C(p, m) ascending subsets fits ``CACHE_BUDGET_BYTES``,
-as estimated from the shapes alone, a property of the input; the
-combination's first lookup then builds that whole table: each field stacked
-along a leading rank axis, read-only, and an index from a subset's index
-bytes to its rank.  A hit returns a geometry whose fields are its rank's
-rows.  A subset in another order, and every subset of a combination not
-admitted (such as p = 400 with m = 20), is built alone, and the latest such
+A step's absorb and monitoring statistic read the same m observed rows, and
+what they need depends on (dictionary, sigma_e^2, sigma_b^2, z) alone.  A
+process keeps those geometries in a cache keyed on content: the
+dictionary's digest (``BasisDictionary.content_key``), the two variances
+and the subset's indices in the caller's order, never object identity, so
+pool workers that unpickle a fresh dictionary per task still share them.
+The cache holds the table of one (dictionary, variances, m) combination at
+a time.  It admits a combination when the table of all C(p, m) ascending
+subsets fits ``CACHE_BUDGET_BYTES``, as estimated from the shapes alone, a
+property of the input.  The combination's table is built by its second
+distinct lookup, the first that meets the latest geometry at the same
+combination and another subset: each field stacked along a leading rank
+axis, read-only, and an index from a subset's index bytes to its rank.  So
+a combination looked up once, such as a fresh dictionary's only
+statistic, builds its one subset and no table.  A hit returns a geometry
+whose fields are its rank's rows.  A subset met before its combination's
+table, a subset in another order, and every subset of a combination not
+admitted (such as p = 400 with m = 20) are built alone, and the latest
 geometry is kept, which the layers of one step share.  A table is built
 ``_CHUNK`` subsets per stacked pass of the same function that builds a
 single geometry; its stacked SVD, products and sums run, block by block, a
-single build's operations, so a row equals that subset's own build byte for
-byte and outputs do not depend on the cache.
+single build's operations, so a row equals that subset's own build byte
+for byte and outputs do not depend on the cache.
 
 A geometry is built from one thin SVD of the observed background rows,
 B_bZ = U·S·V' with r = min(m, k_b) singular values s_i.  With
 kappa = sigma_e^2/sigma_b^2 and c_i = s_i^2/(s_i^2 + kappa), the Woodbury
 identity gives every field in closed form at any rank, also when m < k_b:
-the whitening matrix is W = I − U·diag(c)·U', its log determinant is
-Σ ln(kappa/(s_i^2 + kappa)), and the background precision's inverse is
-sigma_b^2·(I − V·diag(c)·V').  The same SVD, cut at its numerical rank, is
-the orthonormal basis of the observed background columns.
+the whitening matrix is W = I − U·diag(c)·U' and its log determinant is
+Σ ln(kappa/(s_i^2 + kappa)).  The same SVD, cut at its numerical rank, is
+the orthonormal basis of the observed background columns.  The background
+refit and the exact routes read B_bZ from the dictionary and solve with it
+themselves, so no geometry carries the SVD's V'.
 """
 
 from __future__ import annotations
@@ -51,15 +55,12 @@ _EPS = np.finfo(np.float64).eps
 
 
 class SubsetGeometry(NamedTuple):
-    """What the per-step layers read from one observed subset; all read-only.
+    """What a monitoring step reads from one observed subset; all read-only.
 
-    With H = B_bZ'B_bZ/sigma_e^2 + I/sigma_b^2, the background precision
-    given the subset's rows, and the thin SVD B_bZ = U·S·V', kappa and c_i
-    as in the module docstring:
+    With the thin SVD B_bZ = U·S·V', kappa and c_i as in the module
+    docstring:
 
-        g         H^{-1}·B_bZ'/sigma_e^2 = V·diag(s_i/(s_i^2 + kappa))·U'
-                  (k_b×m): W = I − B_bZ·g whitens the decayed moments, and
-                  g·x is the background mean
+        b_a_z     the observed anomaly rows B_aZ (m×k_a)
         m_c       B_aZ'·W·B_aZ = B_aZ'B_aZ − K'K with K = diag(√c)·U'B_aZ
                   (k_a×k_a), one step's contribution to M
         logdet_w  ln det W = Σ ln(kappa/(s_i^2 + kappa))
@@ -67,22 +68,17 @@ class SubsetGeometry(NamedTuple):
                   columns to m×k_b, so basis·basis' is the projection onto
                   the observed background columns even when the rows are
                   rank-deficient
+        c         the c_i at the basis's width (k_b,), zero past r, so
+                  W·x = x − basis·(c ∘ basis'x)
         col_sq    column sums of squares of B_aZ (k_a,)
-        vt, c     V' (r×k_b) and the c_i (r,), from which
-                  ``inference.update_background`` forms the background
-                  posterior covariance H^{-1} = sigma_b^2·(I − V·diag(c)·V');
-                  no monitoring step reads it, so no build pays for it
     """
 
     b_a_z: np.ndarray
-    b_b_z: np.ndarray
-    g: np.ndarray
     m_c: np.ndarray
     logdet_w: float
     basis: np.ndarray
-    col_sq: np.ndarray
-    vt: np.ndarray
     c: np.ndarray
+    col_sq: np.ndarray
 
 
 def _rank_cut(u_mat: np.ndarray, svals: np.ndarray, shape) -> np.ndarray:
@@ -138,21 +134,23 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> 
     """
     b_a_z = dictionary.b_a[z]
     b_b_z = dictionary.b_b[z]
-    u_mat, svals, vt = np.linalg.svd(b_b_z, full_matrices=False)
+    u_mat, svals, _ = np.linalg.svd(b_b_z, full_matrices=False)
     kappa = sigma_e2 / sigma_b2
     sq = svals * svals
     s2_kappa = sq + kappa
     c = sq / s2_kappa
     u_t = u_mat.swapaxes(-1, -2)
-    g = (vt.swapaxes(-1, -2) * (svals / s2_kappa)[..., None, :]) @ u_t
     logdet_w = np.log(kappa / s2_kappa).sum(axis=-1)
     k = np.sqrt(c)[..., None] * (u_t @ b_a_z)
     m_c = b_a_z.swapaxes(-1, -2) @ b_a_z - k.swapaxes(-1, -2) @ k
     basis = _rank_cut(u_mat, svals, b_b_z.shape)
+    pad = b_b_z.shape[-1] - c.shape[-1]
+    if pad:  # m < k_b: zeros past r, as in the basis
+        c = np.pad(c, [(0, 0)] * (c.ndim - 1) + [(0, pad)])
     col_sq = (b_a_z * b_a_z).sum(axis=-2)
     if z.ndim == 1:
         logdet_w = float(logdet_w)
-    geometry = SubsetGeometry(b_a_z, b_b_z, g, m_c, logdet_w, basis, col_sq, vt, c)
+    geometry = SubsetGeometry(b_a_z, m_c, logdet_w, basis, c, col_sq)
     for arr in geometry:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -167,12 +165,11 @@ _CHUNK = 128
 def _entry_bytes(m: int, k_a: int, k_b: int) -> int:
     """Bytes one subset adds to a table, from the shapes alone.
 
-    Its row of the nine stacked fields, plus its index entry, which
+    Its row of the six stacked fields, plus its index entry, which
     ``tracemalloc`` (CPython 3.11, 64-bit) measures as a bytes key of
     33 + 8·m B, a rank int of 28 B and about 48 B of dict slot.
     """
-    r = min(m, k_b)
-    floats = m * k_a + 3 * m * k_b + k_a * k_a + 1 + k_a + r * k_b + r
+    floats = m * k_a + k_a * k_a + 1 + m * k_b + k_b + k_a
     return 8 * floats + (33 + 8 * m) + 28 + 48
 
 
@@ -191,8 +188,7 @@ class _Table(NamedTuple):
     def row(self, i: int) -> SubsetGeometry:
         f = self.fields
         return SubsetGeometry(
-            f.b_a_z[i], f.b_b_z[i], f.g[i], f.m_c[i], f.logdet_w.item(i),
-            f.basis[i], f.col_sq[i], f.vt[i], f.c[i],
+            f.b_a_z[i], f.m_c[i], f.logdet_w.item(i), f.basis[i], f.c[i], f.col_sq[i]
         )
 
 
@@ -226,9 +222,9 @@ def _table(key: tuple, dictionary, sigma_e2: float, sigma_b2: float, m: int, bud
 class _GeometryCache:
     """Per-process store behind ``subset_geometry``.
 
-    ``table`` is the current combination's ``_Table``, built whole, under
-    ``lock``, by the combination's first lookup; ``last`` is the latest
-    geometry returned.
+    ``table`` is the latest combination's ``_Table``, built whole, under
+    ``lock``, by the first lookup that meets ``last``, the latest geometry
+    returned, at the same combination and another subset.
     """
 
     def __init__(self, budget: int):
@@ -245,16 +241,19 @@ class _GeometryCache:
         key = (dictionary.content_key, sigma_e2, sigma_b2, z.size)
         z_key = z.tobytes()
         last = self.last
-        if last is not None and last[1] == z_key and last[0] == key:
+        same = last is not None and last[0] == key
+        if same and last[1] == z_key:
             return last[2]
         table = self.table
         if table is None or table.key != key:
-            with self.lock:
-                table = self.table
-                if table is None or table.key != key:
-                    table = _table(key, dictionary, sigma_e2, sigma_b2, z.size, self.budget)
-                    self.table = table
-        i = table.rank.get(z_key)
+            table = None
+            if same:
+                with self.lock:
+                    table = self.table
+                    if table is None or table.key != key:
+                        table = _table(key, dictionary, sigma_e2, sigma_b2, z.size, self.budget)
+                        self.table = table
+        i = None if table is None else table.rank.get(z_key)
         if i is None:
             _check(z, dictionary.p)
             geometry = _build(dictionary, sigma_e2, sigma_b2, z)

@@ -22,10 +22,12 @@ sample size grows toward 1/decay.  The variational family matches the
 prior's structure: per coordinate, inclusion probability alpha_j, slab
 component N(mu_aj, s_j^2), spike component N(0, v·s_j^2).
 
-Everything that depends on the observed subset alone (the complement solve,
-the whitened M contribution, the SVD factors of the background covariance)
-comes from one shared ``SubsetGeometry``, so a step pays for it once and a
-repeated subset costs only matrix-vector products.
+Everything a step reads that depends on the observed subset alone (the
+whitening's basis and weights, its log determinant and the whitened M
+contribution) comes from one shared ``SubsetGeometry``, so a step pays for
+it once and a repeated subset costs only matrix-vector products.  The
+background refit, which no monitoring step runs, solves with the observed
+background rows itself (``_background_fit``).
 
 ``absorb_sample``, and so ``fit``, checks the subset and observed values
 once per call (``_geometry``, and the geometry build for range and
@@ -351,7 +353,8 @@ def absorb_sample(
     and each accumulator follows raw ← (1 − decay)·raw + contribution (the
     newest step always enters at weight one).  The subset's B_aZ'·W·B_aZ and
     ln det W come from its shared geometry; the data enter through
-    W·x = x − B_bZ·(G·x), so the m×m matrix W is never formed.
+    W·x = x − U·(c ∘ U'x), U the geometry's basis and c its weights, so the
+    m×m matrix W is never formed.
 
     Returns a new DecayedStats; the input is not modified.
     """
@@ -360,7 +363,7 @@ def absorb_sample(
         raise DimensionError("stats and dictionary disagree on basis sizes")
 
     # ndarray.dot runs the BLAS product @ runs, with less overhead per call.
-    w_x = x_z - geo.b_b_z.dot(geo.g.dot(x_z))
+    w_x = x_z - geo.basis.dot(geo.c * x_z.dot(geo.basis))
     u_c = geo.b_a_z.T.dot(w_x)
     q_c = float(x_z.dot(w_x))
     # ln det of the marginal covariance is m·ln sigma_e^2 − ln det W.
@@ -626,6 +629,18 @@ def elbo(
     return float(data_term + per_coord.sum())
 
 
+def _background_fit(b_b_z: np.ndarray, resid: np.ndarray, cfg: ModelConfig):
+    """(H^{-1}·B_bZ'·resid/sigma_e^2, H^{-1}) for the observed background rows
+    ``b_b_z``, with H = B_bZ'B_bZ/sigma_e^2 + I/sigma_b^2 the background
+    precision given them, by one dense k_b×k_b solve; H^{-1} is made
+    exactly symmetric."""
+    eye = np.eye(b_b_z.shape[1])
+    h = b_b_z.T @ b_b_z / cfg.sigma_e2 + eye / cfg.sigma_b2
+    sol = np.linalg.solve(h, np.column_stack((b_b_z.T @ resid / cfg.sigma_e2, eye)))
+    cov = sol[:, 1:]
+    return sol[:, 0], 0.5 * (cov + cov.T)
+
+
 def update_background(
     x_z: np.ndarray,
     z,
@@ -641,16 +656,17 @@ def update_background(
         theta = (B_bZ' B_bZ/sigma_e^2 + I/sigma_b^2)^{-1} B_bZ' (x − B_aZ mu_tilde)/sigma_e^2
         cov   = (B_bZ' B_bZ/sigma_e^2 + I/sigma_b^2)^{-1}
 
-    read from the subset's shared geometry: theta = G·(x − B_aZ mu_tilde),
-    and cov = sigma_b^2·(I − V·diag(c)·V') from its SVD factors, made
-    exactly symmetric.  The monitoring step does not call it, since the
-    statistic does not depend on theta; the exact routes in ``detection``
-    read it through ``DetectionInputs.bg``.
+    by one dense k_b×k_b solve with the observed background rows read from
+    the dictionary, independent of the SVD that the step's geometry comes
+    from; the subset is still checked through the geometry lookup.  The
+    monitoring step does not call it, since the statistic does not depend
+    on theta; the exact routes in ``detection`` read it through
+    ``DetectionInputs.bg``.
     """
+    z = np.asarray(z, dtype=np.intp).ravel()
     x_z, geo = _geometry(z, x_z, dictionary, cfg)
-    theta = geo.g @ (x_z - geo.b_a_z @ post.mu_tilde)
-    cov_b = cfg.sigma_b2 * (np.eye(geo.vt.shape[1]) - (geo.vt.T * geo.c) @ geo.vt)
-    return BackgroundPosterior(theta_n=theta, cov_b=0.5 * (cov_b + cov_b.T))
+    theta, cov_b = _background_fit(dictionary.b_b[z], x_z - geo.b_a_z @ post.mu_tilde, cfg)
+    return BackgroundPosterior(theta_n=theta, cov_b=cov_b)
 
 
 def fit(

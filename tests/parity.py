@@ -4,7 +4,8 @@ Run it on two checkouts and compare what they print:
 
     PYTHONPATH=src python tests/parity.py
 
-It prints one SHA-256 per stage, then one over all stages:
+It prints one SHA-256 per stage, each followed by its decisions line,
+then one over all stages' full digests:
 
 - ``study-p15``: null trajectories (21 x 401, seed 5), the threshold search
   at ARL0 200, and ``evaluate`` records and summaries at phi = 0.2 and 1.0
@@ -17,6 +18,11 @@ It prints one SHA-256 per stage, then one over all stages:
 - ``exact-routes``: ``update_background``, ``log_pbf_exact``,
   ``marginal_h0``, ``marginal_h1_exact`` and ``lambda_stat`` on random
   k_b = 2 and 3 problems.
+
+A stage's decisions line hashes only what the run decided: run lengths,
+alarm steps, subsets, sweep counts and convergence flags.  A change that
+moves float bits and no decision changes the stage's digest and leaves its
+decisions line alone.
 
 Digests depend on numpy and its BLAS, so compare runs on one machine and
 one environment.  Pytest does not collect this file.
@@ -84,10 +90,10 @@ def kron400_dictionary() -> bases.BasisDictionary:
     )
 
 
-def study_p15() -> str:
+def study_p15() -> tuple[str, str]:
     d = p15_dictionary()
     cfg = ModelConfig.homogeneous(k_a=d.k_a, m=5, **MODEL)
-    digest = Digest()
+    digest, decisions = Digest(), Digest()
     for sampler in ("thompson", "oracle"):
         for workers in (1, 2):
             traj = engine.collect_h0_trajectories(
@@ -95,6 +101,7 @@ def study_p15() -> str:
             )
             h, arl0 = engine.search_threshold(traj, 200.0, 0.05)
             digest.add(sampler, workers, traj, h, arl0)
+            decisions.add(sampler, workers, engine.replay_run_lengths(traj, h))
             for phi in (0.2, 1.0):
                 scenario = simgen.Scenario(
                     dictionary=d, cfg=cfg, tau=50, change=((0, phi),), horizon=400,
@@ -105,13 +112,17 @@ def study_p15() -> str:
                     return_records=True,
                 )
                 digest.add(phi, summary, records)
-    return digest.h.hexdigest()
+                decisions.add(
+                    phi, records, summary.n_censored, summary.n_false_alarm,
+                    summary.n_nonconverged, summary.sweep_histogram,
+                )
+    return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
-def monitor_kron400() -> str:
+def monitor_kron400() -> tuple[str, str]:
     d = kron400_dictionary()
     cfg = ModelConfig.homogeneous(k_a=d.k_a, m=20, **MODEL)
-    digest = Digest()
+    digest, decisions = Digest(), Digest()
     seeds = np.random.SeedSequence(3).generate_state(80).tolist()
     for i in range(40):
         column = i % d.k_a
@@ -126,11 +137,12 @@ def monitor_kron400() -> str:
             digest.add(out.next_plan.z, out.next_plan.scores)
             digest.add_post(state.post)
             digest.add_stats(state.stats)
-    return digest.h.hexdigest()
+            decisions.add(out.alarmed, out.z, out.converged, out.n_iters, out.next_plan.z)
+    return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
-def exact_routes() -> str:
-    digest = Digest()
+def exact_routes() -> tuple[str, str]:
+    digest, decisions = Digest(), Digest()
     rng = np.random.default_rng(11)
     for k_b in (2, 3):
         for k_a in (2, 4, 6):
@@ -151,11 +163,12 @@ def exact_routes() -> str:
                 bg = update_background(x_z, z, post, d, cfg)
                 inp = DetectionInputs(x_z=x_z, z=z, post=post, bg=bg)
                 digest.add(res.converged, res.n_iters, bg.theta_n, bg.cov_b)
+                decisions.add(z, res.converged, res.n_iters)
                 digest.add(
                     log_pbf_exact(inp, d, cfg), marginal_h0(inp, d, cfg),
                     marginal_h1_exact(inp, d, cfg), lambda_stat(inp, d, cfg),
                 )
-    return digest.h.hexdigest()
+    return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
 def main() -> None:
@@ -164,9 +177,10 @@ def main() -> None:
         ("study-p15", study_p15), ("monitor-kron400", monitor_kron400),
         ("exact-routes", exact_routes),
     ):
-        hexdigest = stage()
+        hexdigest, decided = stage()
         overall.update(hexdigest.encode())
         print(f"{name:16s} {hexdigest}", flush=True)
+        print(f"{'  decisions':16s} {decided}", flush=True)
     print(f"{'all':16s} {overall.hexdigest()}")
 
 

@@ -1,4 +1,4 @@
-"""Basis construction, orthogonality diagnostics, and CSV round-trips."""
+"""Basis construction, dictionaries and CSV round-trips."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from sparsewatch import (
     DataError,
     DimensionError,
     bspline_basis,
-    check_orthogonality,
     fourier_basis,
     identity_anomaly_basis,
     kron_basis,
@@ -214,71 +213,6 @@ class TestBasisDictionary:
             assert each.b_a_sq.tobytes() == (d.b_a * d.b_a).tobytes()
             assert not each.b_a_sq.flags.writeable
             assert each.content_key == d.content_key
-
-
-class TestCheckOrthogonality:
-    def test_full_subset_matches_full_inner_products(self, default_dictionary):
-        report = check_orthogonality(
-            default_dictionary, np.arange(15), epsilon=0.5, delta=0.1
-        )
-        assert report.max_abs_inner_sampled == report.max_abs_inner_full
-        assert report.m == 15
-
-    def test_admissible_window_formula_frozen(self):
-        # Unit-coherence columns: +-1/sqrt(p) entries, orthogonal pair.
-        p = 64
-        b1 = np.ones(p) / math.sqrt(p)
-        b2 = np.concatenate([np.ones(p // 2), -np.ones(p // 2)]) / math.sqrt(p)
-        d = BasisDictionary(b_b=b1[:, None], b_a=b2[:, None])
-        eps, delta = 0.5, 0.2
-        report = check_orthogonality(d, np.arange(16), epsilon=eps, delta=delta)
-        log_term = math.log(4.0 / delta)
-        assert report.coherence == pytest.approx(1.0)
-        assert report.m_admissible_lo == pytest.approx(log_term / (2 * eps**2))
-        assert report.m_admissible_hi == pytest.approx(
-            2.0 * (16 / p) ** 2 * p**2 * eps**2 / log_term
-        )
-        assert report.m_admissible_lo <= report.m <= report.m_admissible_hi
-
-    def test_sampled_band_violations_stay_within_probability(self, rng):
-        """Uniform subsets inside the admissible window exceed the band with
-        frequency at most 2*delta."""
-        p = 64
-        b1 = np.ones(p) / math.sqrt(p)
-        b2 = np.concatenate([np.ones(p // 2), -np.ones(p // 2)]) / math.sqrt(p)
-        d = BasisDictionary(b_b=b1[:, None], b_a=b2[:, None])
-        eps, delta, m = 0.5, 0.2, 16
-        violations = 0
-        n_trials = 500
-        for _ in range(n_trials):
-            z = rng.choice(p, size=m, replace=False)
-            report = check_orthogonality(d, z, epsilon=eps, delta=delta)
-            violations += not report.band_ok
-        assert violations / n_trials <= 2.0 * delta
-
-    def test_shared_column_flags_band_not_coherence(self):
-        """A dictionary sharing a column passes the coherence cap while the
-        sampled band flags the non-orthogonality."""
-        col = fourier_basis(12, 1)
-        d = BasisDictionary(b_b=col, b_a=np.hstack([col, identity_anomaly_basis(12)]))
-        report = check_orthogonality(d, np.arange(12), epsilon=0.5, delta=0.1)
-        assert report.coherence_bound_ok
-        assert report.max_abs_inner_full == pytest.approx(1.0)
-        assert not report.band_ok
-
-    def test_subset_order_irrelevant(self, default_dictionary, rng):
-        z = np.array([3, 7, 1, 11, 5])
-        a = check_orthogonality(default_dictionary, z, 0.3, 0.1)
-        b = check_orthogonality(default_dictionary, z[::-1], 0.3, 0.1)
-        assert a.max_abs_inner_sampled == b.max_abs_inner_sampled
-
-    def test_duplicate_subset_rejected(self, default_dictionary):
-        with pytest.raises(DimensionError):
-            check_orthogonality(default_dictionary, [1, 1, 2], 0.3, 0.1)
-
-    def test_out_of_range_subset_rejected(self, default_dictionary):
-        with pytest.raises(IndexError):
-            check_orthogonality(default_dictionary, [0, 99], 0.3, 0.1)
 
 
 class TestBasisCsv:

@@ -315,7 +315,8 @@ class TestStep:
             geometry.clear_geometry_cache()
             cleared = run()
             geometry.clear_geometry_cache()
-            geometry.subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, np.arange(cfg.m))
+            for start in (0, 1):
+                geometry.subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, np.arange(start, start + cfg.m))
             assert len(geometry._CACHE.table.rank) == math.comb(d.p, cfg.m)
             prebuilt = run()
             geometry._CACHE.clear()

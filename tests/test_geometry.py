@@ -34,11 +34,12 @@ from sparsewatch.geometry import clear_geometry_cache, subset_geometry
 SIGMA_E, SIGMA_B = 0.3, 0.8
 
 # SHA-256 of 500 single geometry builds at p = 400, m = 20
-# (``TestCache.test_p400_single_builds_keep_their_bytes``), as the per-subset
-# build gave them before tables were built in stacked passes.  Taken with
-# numpy 2.4.6 and scipy-openblas 0.3.31 on a Haswell-class x86-64 core; an
-# OpenBLAS that picks other kernels may round differently.
-P400_DIGEST = "2a0dc317afadb7c91d37d4eb93c16850a1cc06c1913a45e2497024d550f9451f"
+# (``TestCache.test_p400_single_builds_keep_their_bytes``), over the fields
+# b_a_z, m_c, logdet_w, basis, c and col_sq, whose bytes are those the
+# per-subset build gave before tables were built in stacked passes.  Taken
+# with numpy 2.4.6 and scipy-openblas 0.3.31 on a Haswell-class x86-64 core;
+# an OpenBLAS that picks other kernels may round differently.
+P400_DIGEST = "2267f4dc03e78e929e98961becdc2c91563b598725c811076c1e249f2cfb0450"
 
 
 def _cfg(k_a, m):
@@ -141,20 +142,25 @@ class TestDenseRoute:
     @pytest.mark.parametrize("k_b", [3, 4])
     @pytest.mark.parametrize("m", [1, 2])
     def test_fewer_rows_than_background_columns(self, m, k_b, rows):
-        """With m < k_b the SVD has only m singular values; g, cov_b (formed
-        from the geometry's V' and c), ln det W and M still equal the dense
-        k_b×k_b and m×m routes."""
+        """With m < k_b the SVD has only m singular values; the whitened
+        moments, ln det W and M still equal the dense m×m route, c is zero
+        past m as the basis is, and ``update_background``'s theta and cov_b
+        equal the dense k_b×k_b ridge solve."""
         for seed in range(5):
             d, z, x, _ = _problem(seed, k_b, m, rows)
             geo = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
             cfg = _cfg(d.k_a, m)
-            cov_b = update_background(x, z, SpikeSlabPosterior.prior(cfg), d, cfg).cov_b
+            bg = update_background(x, z, SpikeSlabPosterior.prior(cfg), d, cfg)
+            stats = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
             b_rows = d.b_b[z]
             h_inv = np.linalg.inv(b_rows.T @ b_rows / SIGMA_E**2 + np.eye(k_b) / SIGMA_B**2)
             ref = whitened_subset_terms(d.b_a[z], b_rows, x, SIGMA_E, SIGMA_B)
-            assert geo.g.shape == (k_b, m) and geo.basis.shape == (m, k_b)
-            np.testing.assert_allclose(geo.g, h_inv @ b_rows.T / SIGMA_E**2, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(cov_b, h_inv, rtol=1e-9, atol=1e-12)
+            assert geo.basis.shape == (m, k_b) and geo.c.shape == (k_b,)
+            assert not geo.basis[:, m:].any() and not geo.c[m:].any()
+            np.testing.assert_allclose(bg.theta_n, h_inv @ b_rows.T @ x / SIGMA_E**2, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(bg.cov_b, h_inv, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(stats.raw_u, ref["u"], rtol=1e-9, atol=1e-9)
+            assert stats.raw_q == pytest.approx(ref["q"], rel=1e-9, abs=1e-12)
             assert geo.logdet_w == pytest.approx(ref["logdet_w"], rel=1e-9, abs=1e-12)
             np.testing.assert_allclose(geo.m_c, ref["M"], rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(geo.basis @ geo.basis.T, ref["P"], atol=1e-10)
@@ -249,9 +255,9 @@ class TestCache:
         assert digest.hexdigest() == P400_DIGEST
 
     def test_repeat_is_not_rebuilt_and_arrays_are_read_only(self, count_builds):
-        """The first lookup builds every ascending subset once, in the table;
-        a subset in another order is built alone each time it is not the
-        latest geometry."""
+        """The second distinct lookup builds every ascending subset once, in
+        the table; a subset in another order is built alone each time it is
+        not the latest geometry."""
         d, z, x, _ = _problem(3, 3, 5, "random")
         cfg = _cfg(d.k_a, 5)
         first = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
@@ -268,15 +274,42 @@ class TestCache:
         row = subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, np.sort(z))
         assert row.m_c.base is table.fields.m_c
         for geo in (row, subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)):
-            for arr in (geo.b_a_z, geo.b_b_z, geo.g, geo.m_c, geo.basis, geo.col_sq, geo.vt, geo.c):
+            arrays = [f for f in geo if isinstance(f, np.ndarray)]
+            assert len(arrays) == len(geo) - 1
+            for arr in arrays:
                 assert not arr.flags.writeable
         for arr in table.fields:
             assert not arr.flags.writeable
         assert not d.b_a.flags.writeable and not d.b_b.flags.writeable
 
+    def test_combination_looked_up_once_builds_only_its_subset(self, count_builds):
+        """A fresh combination's first lookup builds its one subset and no
+        table, also while another combination's table is held; a repeat
+        reads the latest geometry, and the next distinct subset builds the
+        table."""
+        d, z, _, _ = _problem(8, 2, 5, "random")
+        z = np.sort(z)
+        space = math.comb(d.p, 5)
+        first = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+        assert [b.tobytes() for b in count_builds] == [z.tobytes()]
+        assert geometry._CACHE.table is None
+        assert subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z) is first
+        assert len(count_builds) == 1
+        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(5))
+        assert len(count_builds) == 1 + space
+        assert len(geometry._CACHE.table.rank) == space
+        fresh = BasisDictionary(b_b=d.b_b, b_a=2.0 * d.b_a)
+        subset_geometry(fresh, SIGMA_E**2, SIGMA_B**2, z)
+        assert len(count_builds) == 2 + space
+        assert geometry._CACHE.table.key[0] == d.content_key
+
     def test_keyed_on_content_not_identity(self, count_builds):
+        """A dictionary equal in content reads the table another built; one
+        nudged in a single bit, or other variances, builds its own, each on
+        its second distinct lookup."""
         d, z, _, _ = _problem(5, 2, 4, "random")
         z = np.sort(z)
+        z2 = np.array([i for i in range(d.p) if i not in z][:4])
         space = math.comb(d.p, 4)
         twin = BasisDictionary(b_b=d.b_b.copy(), b_a=d.b_a.copy())
         nudged_b_a = d.b_a.copy()
@@ -285,15 +318,17 @@ class TestCache:
         assert twin.content_key == d.content_key != other.content_key
 
         base = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
-        assert len(count_builds) == space
-        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z[::-1].copy())
+        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z2)
+        assert len(count_builds) == space + 1
         assert subset_geometry(twin, SIGMA_E**2, SIGMA_B**2, z).m_c.tobytes() == base.m_c.tobytes()
         assert len(count_builds) == space + 1
         changed = subset_geometry(other, SIGMA_E**2, SIGMA_B**2, z)
-        assert len(count_builds) == 2 * space + 1
+        subset_geometry(other, SIGMA_E**2, SIGMA_B**2, z2)
+        assert len(count_builds) == 2 * space + 2
         assert changed.b_a_z.tobytes() != base.b_a_z.tobytes()
         subset_geometry(d, SIGMA_E**2, 2.0 * SIGMA_B**2, z)
-        assert len(count_builds) == 3 * space + 1
+        subset_geometry(d, SIGMA_E**2, 2.0 * SIGMA_B**2, z2)
+        assert len(count_builds) == 3 * space + 3
 
     def test_large_subset_space_is_not_tabled(self, count_builds):
         """C(60, 30) subsets exceed the budget: only the last geometry is
@@ -308,18 +343,20 @@ class TestCache:
 
     def test_entry_estimate_matches_traced_memory(self):
         """The table's size estimated from shapes is within 10% of what
-        tracemalloc sees the whole p = 15, m = 5 table retain, and the
-        chunked build's traced peak stays within 1.25 times that."""
+        tracemalloc sees the whole p = 15, m = 5 table retain when the
+        second distinct lookup builds it, and the chunked build's traced
+        peak stays within 1.25 times that."""
         d = BasisDictionary(
             b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14, normalize_columns=True)
         )
-        z = np.arange(5)
         clear_geometry_cache()
+        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(5))
+        assert geometry._CACHE.table is None
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(1, 6))
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -331,9 +368,10 @@ class TestCache:
         assert peak - before <= 1.25 * retained
 
     def test_permuted_subsets_stop_at_the_subset_count(self, count_builds):
-        """The table holds the C(p, m) ascending subsets, each built once;
-        every other order of a subset is built alone each time it is met,
-        and still equals its uncached build."""
+        """The table, built by the second distinct lookup, holds the C(p, m)
+        ascending subsets, each built once; every other order of a subset
+        is built alone each time it is met, and still equals its uncached
+        build."""
         rng = np.random.default_rng(6)
         d = BasisDictionary(b_b=rng.normal(size=(5, 2)), b_a=rng.normal(size=(5, 3)))
         orders = [np.array(z) for z in itertools.permutations([4, 0, 2, 1])]
@@ -344,7 +382,8 @@ class TestCache:
         for _ in range(2):
             for z, want in zip(orders, expected):
                 assert _as_bytes(subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)) == want
-                assert len(geometry._CACHE.table.rank) <= capacity
+                table = geometry._CACHE.table
+                assert table is None or len(table.rank) <= capacity
         assert len(geometry._CACHE.table.rank) == capacity
         ascending, others = _split(count_builds)
         assert len(ascending) == capacity and set(ascending.values()) == {1}
@@ -361,6 +400,7 @@ class TestCache:
                 geometry._CACHE.budget = table_budget
                 if warm:
                     subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, 2])
+                    subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, 3])
                     assert (geometry._CACHE.table.fields is None) == (geometry._CACHE.budget == 0)
                 with pytest.raises(IndexError):
                     subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, d.p])
