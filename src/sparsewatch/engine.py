@@ -90,17 +90,6 @@ class StepOutcome:
     converged: bool
     n_iters: int
 
-    @classmethod
-    def _trusted(cls, step, stat, alarmed, z, next_plan, converged, n_iters) -> "StepOutcome":
-        """The same value as ``StepOutcome(...)``, built without the frozen
-        dataclass's per-field ``__init__``; for ``engine.step``."""
-        outcome = object.__new__(cls)
-        outcome.__dict__.update(
-            step=step, stat=stat, alarmed=alarmed, z=z, next_plan=next_plan,
-            converged=converged, n_iters=n_iters,
-        )
-        return outcome
-
 
 @dataclass(frozen=True)
 class RunLengthSummary:
@@ -163,7 +152,7 @@ def init(
         rng=rng,
         post=SpikeSlabPosterior.prior(cfg),
         stats=DecayedStats.empty(cfg.k_a),
-        plan=SensingPlan(z=z0),
+        plan=SensingPlan(np.sort(z0)),
         sampler=sampler,
         scorer=scorer,
     )
@@ -208,10 +197,11 @@ def step(state: EngineState, observation) -> StepOutcome:
     raises NumericalError and leaves the engine as it was.
 
     The observation is converted and checked once, here, and the statistic
-    takes it through the trusted ``DetectionInputs._trusted``; the plan's
-    subset was checked when the plan was built.  The outcome is built by
-    the trusted ``StepOutcome._trusted``.  Each layer is called
-    through this module's name for it.
+    takes it through the trusted ``DetectionInputs._trusted``.  The plan's
+    subset is checked by the layers that read it, so a plan set by hand is
+    refused before any state changes: an index out of range raises
+    IndexError, a repeated index or other than m indices DimensionError.
+    Each layer is called through this module's name for it.
     """
     if state.alarmed:
         raise StateError("engine has alarmed; start a new engine to continue")
@@ -239,16 +229,14 @@ def step(state: EngineState, observation) -> StepOutcome:
             scores = score_variables(x1_hat, state.post, state.dictionary)
             plan = select_top_m(scores, state.cfg.m, state.rng)
         state.plan = plan
-    return StepOutcome._trusted(
-        state.step, stat, state.alarmed, z, plan, res.converged, res.n_iters
-    )
+    return StepOutcome(state.step, stat, state.alarmed, z, plan, res.converged, res.n_iters)
 
 
 # ── Replications ──────────────────────────────────────────────────────────
 
 
 def _rep_rngs(seed: int, rep: int):
-    """Independent generators for a replication's stream and engine."""
+    """Independent seed sequences for a replication's stream and engine."""
     stream_ss, engine_ss = np.random.SeedSequence(entropy=[seed, rep]).spawn(2)
     return stream_ss, engine_ss
 

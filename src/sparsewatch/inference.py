@@ -31,9 +31,10 @@ background rows itself (``_background_fit``).
 
 ``absorb_sample``, and so ``fit``, checks the subset and observed values
 once per call (``_geometry``, and the geometry build for range and
-distinctness); the sweep's posterior and the absorbed moments are then
-built by the trusted ``SpikeSlabPosterior._trusted`` and
-``DecayedStats._trusted``.
+distinctness); the sweep's posterior is then built by the trusted
+``SpikeSlabPosterior._trusted``.  ``fit`` also takes posteriors built by
+its callers, so the checked constructor stays beside it.  ``DecayedStats``,
+which no caller needs checked, has the dataclass constructor alone.
 
 The coordinate sweeps run in blocks of at most ``_BLOCK`` coordinates.  A
 fit runs all of them in one call of a plain function whose straight-line
@@ -184,6 +185,13 @@ class SpikeSlabPosterior:
     as ``ModelConfig`` derives its own, and read by every step: the
     posterior mean ``mu_tilde = mu_a * alpha`` and the inclusion spread
     ``spread = alpha * (1 - alpha) * mu_a**2``.
+
+    Two constructors.  The checked one converts the fields, clamps alpha
+    to [``ALPHA_CLAMP``, 1 − ``ALPHA_CLAMP``] and checks their lengths and
+    s2 > 0; it stays because ``fit`` takes posteriors from any caller, such
+    as a prior or one set by hand.  Each fit builds its result through
+    ``_trusted`` instead, once per step: about 0.7 µs against 13 µs for
+    the checked one (``timeit`` on one core of a 2-vCPU Xeon).
     """
 
     mu_a: np.ndarray
@@ -202,30 +210,22 @@ class SpikeSlabPosterior:
             raise DimensionError("posterior fields must share one length")
         if not np.all(s2 > 0):
             raise ValueError("slab variances must be positive")
-        self._store(mu, s2, alpha)
+        self._store(mu, s2, alpha, mu * alpha, alpha * (1.0 - alpha) * mu * mu)
 
-    def _store(self, mu_a, s2, alpha, mu_tilde=None, spread=None) -> None:
-        if mu_tilde is None:
-            mu_tilde = mu_a * alpha
-        if spread is None:
-            spread = alpha * (1.0 - alpha) * mu_a * mu_a
+    def _store(self, mu_a, s2, alpha, mu_tilde, spread) -> None:
         self.__dict__.update(mu_a=mu_a, s2=s2, alpha=alpha, mu_tilde=mu_tilde, spread=spread)
 
     @classmethod
-    def _trusted(cls, mu_a, s2, alpha, mu_tilde=None, spread=None) -> "SpikeSlabPosterior":
-        """Posterior from fields that already satisfy every check.
+    def _trusted(cls, mu_a, s2, alpha, mu_tilde, spread) -> "SpikeSlabPosterior":
+        """Posterior from five float64 vectors that already satisfy every
+        check, taken as they are, not copied.
 
-        For the sweep, whose alpha is clamped and whose s2 is positive by
-        construction; float64 vectors are taken as they are, not copied.
-        ``mu_tilde`` and ``spread``, when given, must equal bitwise what
-        the checked constructor derives, as the sweep kernels' do.  The
-        values are exactly those the checked constructor would store.
+        For the sweep, whose alpha is clamped, whose s2 is positive by
+        construction and whose ``mu_tilde`` and ``spread`` equal bitwise
+        what the checked constructor derives, as the sweep kernels' do.
         """
         post = object.__new__(cls)
-        post._store(
-            np.asarray(mu_a, dtype=np.float64), np.asarray(s2, dtype=np.float64),
-            np.asarray(alpha, dtype=np.float64), mu_tilde, spread,
-        )
+        post._store(mu_a, s2, alpha, mu_tilde, spread)
         return post
 
     @property
@@ -264,16 +264,6 @@ class DecayedStats:
     raw_norm: float
     mass: float
     n: int
-
-    @classmethod
-    def _trusted(cls, raw_M, raw_u, raw_q, raw_norm, mass, n) -> "DecayedStats":
-        """The same value as ``DecayedStats(...)``, built without the frozen
-        dataclass's per-field ``__init__``; for ``absorb_sample``."""
-        stats = object.__new__(cls)
-        stats.__dict__.update(
-            raw_M=raw_M, raw_u=raw_u, raw_q=raw_q, raw_norm=raw_norm, mass=mass, n=n
-        )
-        return stats
 
     @classmethod
     def empty(cls, k_a: int) -> "DecayedStats":
@@ -370,7 +360,7 @@ def absorb_sample(
     norm_c = -0.5 * (x_z.size * (_LOG_2PI + math.log(cfg.sigma_e2)) - geo.logdet_w)
 
     keep = 1.0 - cfg.decay
-    return DecayedStats._trusted(
+    return DecayedStats(
         keep * stats.raw_M + geo.m_c,
         keep * stats.raw_u + u_c,
         keep * stats.raw_q + q_c,

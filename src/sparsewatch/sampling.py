@@ -41,35 +41,17 @@ _VAR_FLOOR = 1e-18
 
 @dataclass(frozen=True)
 class SensingPlan:
-    """Observation subset for the next step, with the scores that chose it."""
+    """Observation subset for the next step, with the scores that chose it.
+
+    ``z`` is the ascending intp vector of the m distinct indices a sampler
+    picked; ``scores`` is Thompson sampling's float64 score per variable,
+    or None for the oracle.  Only the samplers and ``engine.init`` build
+    plans, so the constructor checks nothing: ``engine.step`` refuses a
+    subset out of range, repeated or of the wrong size where it reads it.
+    """
 
     z: np.ndarray
     scores: np.ndarray | None = None
-
-    def __post_init__(self):
-        z = np.sort(np.asarray(self.z, dtype=np.intp).ravel())
-        if z.size == 0:
-            raise DimensionError("a sensing plan must observe at least one variable")
-        if np.any(z[1:] == z[:-1]):
-            raise DimensionError("sensing plan indices must be distinct")
-        object.__setattr__(self, "z", z)
-        if self.scores is not None:
-            object.__setattr__(
-                self, "scores", np.asarray(self.scores, dtype=np.float64).ravel()
-            )
-
-    @classmethod
-    def _trusted(cls, z: np.ndarray, scores: np.ndarray | None) -> "SensingPlan":
-        """Plan from fields that already satisfy every check.
-
-        For the samplers, whose ``z`` is a sorted intp vector of distinct
-        indices and whose ``scores`` is a float64 vector or None; the values
-        are exactly those the checked constructor would store.
-        """
-        plan = object.__new__(cls)
-        object.__setattr__(plan, "z", z)
-        object.__setattr__(plan, "scores", scores)
-        return plan
 
     @property
     def m(self) -> int:
@@ -159,7 +141,7 @@ def select_top_m(
         raise DimensionError(f"budget m={m} must lie in [1, {p}]")
     perm = rng.permutation(p)
     ranked = perm[np.argsort(-scores[perm], kind="stable")]
-    return SensingPlan._trusted(np.sort(ranked[:m]), scores)
+    return SensingPlan(np.sort(ranked[:m]), scores)
 
 
 # ── Exhaustive reference strategy ─────────────────────────────────────────
@@ -256,4 +238,4 @@ class OracleScorer:
         scores = self.subset_scores(x1_hat, post)
         ties = np.flatnonzero(scores == scores.max())
         pick = int(ties[rng.integers(ties.size)]) if ties.size > 1 else int(ties[0])
-        return SensingPlan._trusted(self.subsets[pick].copy(), None)
+        return SensingPlan(self.subsets[pick].copy(), None)

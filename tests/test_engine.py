@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import math
 from functools import partial
 
@@ -217,6 +218,48 @@ class TestStep:
         assert state.step == 1 and not state.alarmed
         assert state.post is post and state.stats is stats and state.plan is plan
 
+    @pytest.mark.parametrize("observed", ["full", "planned"])
+    @pytest.mark.parametrize(
+        "z, error",
+        [
+            ([2, 2, 7, 9, 11], DimensionError),
+            ([1, 3, 5, 7, 15], IndexError),
+            ([1, 3, 5, 7], DimensionError),
+            ([], DimensionError),
+        ],
+        ids=["repeated", "past-p", "four", "none"],
+    )
+    def test_hand_set_plan_refused_before_any_state_changes(
+        self, default_dictionary, default_config, z, error, observed
+    ):
+        """A plan's constructor checks nothing, so ``engine.step`` is where a
+        hand-set subset is refused: a repeated index, an index at or past p,
+        or other than m = 5 indices, whether the observation covers all p
+        variables or only the planned ones.  The engine keeps its state."""
+        state = init(default_config, default_dictionary, h=math.inf, seed=7)
+        step(state, np.zeros(default_dictionary.p))
+        post, stats = state.post, state.stats
+        state.plan = SensingPlan(np.array(z, dtype=np.intp))
+        size = default_dictionary.p if observed == "full" else len(z)
+        with pytest.raises(error):
+            step(state, np.ones(size))
+        assert state.step == 1 and state.post is post and state.stats is stats
+
+    def test_descending_hand_set_plan_steps(self, default_dictionary, default_config, rng):
+        """A valid subset out of order is observed in its given order and
+        gives the statistic of the same subset in ascending order."""
+        x = rng.normal(size=default_dictionary.p)
+        stats = []
+        for z in ([11, 7, 4, 2, 0], [0, 2, 4, 7, 11]):
+            state = init(default_config, default_dictionary, h=math.inf, seed=7)
+            state.plan = SensingPlan(np.array(z, dtype=np.intp))
+            outcome = step(state, x)
+            assert outcome.step == state.step == 1
+            np.testing.assert_array_equal(outcome.z, z)
+            stats.append(outcome.stat)
+        assert math.isfinite(stats[0])
+        np.testing.assert_allclose(stats[0], stats[1], rtol=1e-9)
+
     def test_wrong_size_observation_rejected(self, small_dictionary, small_config):
         state = init(small_config, small_dictionary, h=math.inf, seed=4)
         with pytest.raises(DataError):
@@ -327,18 +370,21 @@ class TestStep:
             geometry.clear_geometry_cache()
         assert cleared == prebuilt == untabled
 
-    def test_trusted_outcome_equals_the_checked_one(
+    def test_outcome_is_frozen_and_replace_round_trips(
         self, small_dictionary, small_config, rng
     ):
-        """``engine.step``'s outcome, built by ``StepOutcome._trusted``, equals
-        the one the dataclass constructor builds from the same fields, and
-        stays frozen."""
+        """``engine.step``'s outcome is frozen, and ``dataclasses.replace``
+        rebuilds it field for field, as the benchmark's checks do to
+        corrupt one field of a recorded outcome."""
         state = init(small_config, small_dictionary, h=math.inf, seed=4)
         outcome = step(state, rng.normal(size=6))
-        checked = engine.StepOutcome(**vars(outcome))
-        assert outcome == checked and vars(outcome) == vars(checked)
-        with pytest.raises(AttributeError):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             outcome.stat = 0.0
+        again = dataclasses.replace(outcome)
+        assert again is not outcome and again == outcome and vars(again) == vars(outcome)
+        changed = dataclasses.replace(outcome, stat=1.5)
+        assert changed.stat == 1.5
+        assert dataclasses.replace(changed, stat=outcome.stat) == outcome
 
 
     @pytest.mark.parametrize("sampler", ["thompson", "oracle"])
@@ -370,7 +416,10 @@ class TestStep:
                 post.mu_a, post.alpha, stats.raw_M, stats.raw_u, cfg,
                 inference.ALPHA_CLAMP, inference._BLOCK, max_iters, tol,
             )
-            return SpikeSlabPosterior._trusted(mu, s2, alpha), converged, sweeps
+            mu, s2, alpha = np.array(mu), np.array(s2), np.array(alpha)
+            return SpikeSlabPosterior._trusted(
+                mu, s2, alpha, mu * alpha, alpha * (1.0 - alpha) * mu * mu
+            ), converged, sweeps
 
         generated = run()
         monkeypatch.setattr(inference, "_iterate", interpreted)
@@ -409,7 +458,7 @@ class TestStep:
             stepped.append(record(outcome.stat, outcome.z, state.post))
 
         rng = np.random.default_rng(32)
-        z = SensingPlan(z=rng.choice(d.p, size=m, replace=False)).z
+        z = np.sort(rng.choice(d.p, size=m, replace=False))
         post, stats = SpikeSlabPosterior.prior(cfg), DecayedStats.empty(d.k_a)
         scorer = OracleScorer(d, m) if sampler == "oracle" else None
         composed = []

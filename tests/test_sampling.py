@@ -14,11 +14,14 @@ from sparsewatch import (
     DimensionError,
     ModelConfig,
     OracleScorer,
-    SensingPlan,
+    Scenario,
     SpikeSlabPosterior,
     draw_anomaly_sample,
+    gen_stream,
+    init,
     score_variables,
     select_top_m,
+    step,
     synthesize_anomaly_signal,
 )
 
@@ -325,39 +328,26 @@ class TestOracleScorer:
 
 
 class TestSensingPlan:
-    def test_indices_come_out_sorted(self):
-        plan = SensingPlan(z=[5, 1, 3])
-        np.testing.assert_array_equal(plan.z, [1, 3, 5])
-        assert plan.m == 3
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(DimensionError):
-            SensingPlan(z=[1, 1, 2])
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            SensingPlan(z=[])
-
-    def test_sampler_plans_equal_checked_construction(self, rng):
-        """``select_top_m`` and ``OracleScorer.select`` skip the constructor's
-        checks; each plan must hold exactly what the checked constructor
-        stores from the same indices in any order and the same scores."""
-        d = BasisDictionary(b_b=rng.normal(size=(7, 2)), b_a=rng.normal(size=(7, 3)))
-        post = SpikeSlabPosterior(
-            mu_a=rng.normal(size=3), s2=np.ones(3), alpha=rng.uniform(0.1, 0.9, size=3)
+    def test_sampler_plans_hold_ascending_distinct_indices_and_their_scores(
+        self, default_dictionary, default_config
+    ):
+        """A plan's constructor checks nothing; the samplers, its only
+        builders, must give what ``engine.step`` reads.  Over a stream with
+        a change, every plan either sampler picks holds a strictly
+        ascending intp vector of m indices in [0, p); Thompson's carries
+        the float64 score of each of the p variables, the oracle's none."""
+        d, m = default_dictionary, default_config.m
+        scenario = Scenario(
+            dictionary=d, cfg=default_config, tau=15, change=((3, 1.0),), horizon=40
         )
-        scorer = OracleScorer(d, 3)
-        for _ in range(20):
-            x1 = rng.normal(size=7)
-            scores = score_variables(x1, post, d)
-            for plan, given in (
-                (select_top_m(scores, 3, rng), scores),
-                (select_top_m(scores.tolist(), 4, rng), scores.tolist()),
-                (scorer.select(x1, post, rng), None),
-            ):
-                checked = SensingPlan(z=rng.permutation(plan.z), scores=given)
-                assert (plan.scores is None) == (checked.scores is None)
-                for field in ("z", "scores")[: 1 if given is None else 2]:
-                    got, want = getattr(plan, field), getattr(checked, field)
-                    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
-                    assert got.tobytes() == want.tobytes()
+        for sampler in ("thompson", "oracle"):
+            state = init(default_config, d, h=np.inf, seed=8, sampler=sampler)
+            for x in gen_stream(scenario, 9):
+                plan = step(state, x).next_plan
+                z = plan.z
+                assert z.dtype == np.intp and z.shape == (m,) and plan.m == m
+                assert z[0] >= 0 and z[-1] < d.p and np.all(z[1:] > z[:-1])
+                if sampler == "oracle":
+                    assert plan.scores is None
+                else:
+                    assert plan.scores.dtype == np.float64 and plan.scores.shape == (d.p,)
