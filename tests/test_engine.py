@@ -381,10 +381,8 @@ class TestStep:
         with pytest.raises(dataclasses.FrozenInstanceError):
             outcome.stat = 0.0
         again = dataclasses.replace(outcome)
-        assert again is not outcome and again == outcome and vars(again) == vars(outcome)
-        changed = dataclasses.replace(outcome, stat=1.5)
-        assert changed.stat == 1.5
-        assert dataclasses.replace(changed, stat=outcome.stat) == outcome
+        assert again is not outcome and vars(again) == vars(outcome)
+        assert dataclasses.replace(outcome, stat=1.5).stat == 1.5
 
 
     @pytest.mark.parametrize("sampler", ["thompson", "oracle"])
