@@ -1,12 +1,11 @@
 """Change-point detection statistics for one partially observed step.
 
-Two routes to the same decision quantity live here.  The exact route
-integrates the current observation's likelihood against the fitted
-posterior under both hypotheses (no anomaly vs. spike-slab anomaly) and
-forms the log posterior Bayes factor; it enumerates the 2^k_a inclusion
-patterns and is intended for small anomaly bases and for validating the
-fast route.  The fast route is the quadratic monitoring statistic used in
-the online loop, whose expectation separates across observed variables.
+Two routes live here.  The engine alarms on ``lambda_stat``, a quadratic
+statistic: 2·sigma_e^2 times the posterior expectation of the log
+likelihood ratio, with two departures its docstring names.  The exact
+routes give the paper's statistic, the log posterior Bayes factor of a
+spike-slab anomaly against none, by enumerating the 2^k_a inclusion
+patterns; they serve small anomaly bases and check the fast route.
 
 Every route takes a ``DetectionInputs``.  Its constructor converts and
 checks the observed values and subset; ``engine.step``, whose observation
@@ -28,14 +27,16 @@ rather than share it.
 The enumeration runs on numpy alone, so importing this module (and the
 engine, which imports it) loads no numerical package beyond numpy, which
 keeps a monitoring process's start-up short.  Both hypotheses are one
-Gaussian integral over the coefficients, evaluated by ``_gaussian_terms``:
-a stacked ``np.linalg.cholesky`` of the precision and a stacked forward
-substitution for its quadratic form.  Under the anomaly model each
-inclusion pattern's precision is the joint (k_a + k_b, k_a + k_b) matrix
-over anomaly and background coefficients, taken ``_PATTERN_CHUNK``
-patterns at a time as one stack; a log-sum-exp reduces each chunk, and
-another the chunks, so memory per call stays bounded up to
-``EXACT_KA_LIMIT``.  Without a background basis its pieces are empty.
+Gaussian integral over the coefficients, ``_log_evidence``, taken about
+the prior mean so that the observation enters only as a residual and no
+large terms cancel; ``_gaussian_terms`` factors its precision by a stacked
+``np.linalg.cholesky`` and a stacked forward substitution.  Under the
+anomaly model each inclusion pattern's precision is the joint
+(k_a + k_b, k_a + k_b) matrix over anomaly and background coefficients,
+taken ``_PATTERN_CHUNK`` patterns at a time as one stack; a log-sum-exp
+reduces each chunk, and another the chunks, so memory per call stays
+bounded up to ``EXACT_KA_LIMIT``.  Without a background basis its pieces
+are empty.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .errors import CapabilityError, DataError, DimensionError
-from .geometry import SubsetGeometry, subset_geometry
+from .geometry import SubsetGeometry, subset_geometry, subset_indices
 from .inference import BackgroundPosterior, ModelConfig, SpikeSlabPosterior, _background_fit
 
 __all__ = [
@@ -96,7 +97,7 @@ class DetectionInputs:
 
     def __post_init__(self):
         x_z = np.asarray(self.x_z, dtype=np.float64).ravel()
-        z = np.asarray(self.z, dtype=np.intp).ravel()
+        z = subset_indices(self.z)
         if x_z.size != z.size:
             raise DimensionError("x_z and z must have equal length")
         if z.size == 0:
@@ -171,20 +172,30 @@ def _logsumexp(a) -> float:
 # ── Exact marginals ───────────────────────────────────────────────────────
 
 
-def _h0_terms(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig, bg):
-    """(ln det H, quadratic part without x'x/sigma_e^2) of ``marginal_h0``'s
-    integral, H = B_bZ'B_bZ/sigma_e^2 + cov_b^{-1} its conditional
-    precision, with ``bg`` from ``_background`` and the prior centred at the
-    anomaly-free refit ``_background_fit(B_bZ, x)``; both zero without a
-    background basis."""
-    _, cov_inv, _ = bg
-    x = inp.x_z
+def _log_evidence(b, resid, prec, logdet_s, se2):
+    """ln ∫ N(x; B·c, se2·I)·N(c; c0, S) dc for a shared B (m×k), one case
+    or a stack of them, from the residual r = x − B·c0 (..., m), ``prec`` =
+    P = B'B/se2 + S^{-1} and ``logdet_s`` = ln det S.  The integral is
+    N(r; 0, se2·I + B·S·B'), which the determinant lemma and Woodbury give as
+
+        −(1/2)·(m·ln(2π·se2) + ln det S + ln det P + r'r/se2 − l'P^{-1}l),
+
+    l = B'r/se2, so the observation enters only through its residual.
+    """
+    logdet_p, quad_p = _gaussian_terms(prec, resid @ b / se2)
+    quad_r = np.einsum("...i,...i->...", resid, resid) / se2
+    norm = resid.shape[-1] * (_LOG_2PI + math.log(se2))
+    return -0.5 * (norm + logdet_s + logdet_p + quad_r - quad_p)
+
+
+def _marginal_h0(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig, bg):
+    """``marginal_h0`` given ``bg`` from ``_background``."""
+    _, cov_inv, logdet_cov = bg
     _gather(inp, dictionary, cfg)  # checks the posterior's size and the subset
     b_b_z, se2 = dictionary.b_b[inp.z], cfg.sigma_e2
-    theta0, _ = _background_fit(b_b_z, x, cfg)
-    prior = cov_inv @ theta0
-    logdet_h, quad_h = _gaussian_terms(b_b_z.T @ b_b_z / se2 + cov_inv, x @ b_b_z / se2 + prior)
-    return float(logdet_h), float(theta0 @ prior) - float(quad_h)
+    theta0, _ = _background_fit(b_b_z, inp.x_z, cfg)
+    prec = b_b_z.T @ b_b_z / se2 + cov_inv
+    return float(_log_evidence(b_b_z, inp.x_z - b_b_z @ theta0, prec, logdet_cov, se2))
 
 
 def marginal_h0(
@@ -196,35 +207,15 @@ def marginal_h0(
     by ``inp.bg.cov_b`` centered at the anomaly-free background refit, in
     closed form via a Cholesky factorization of the conditional precision.
     """
-    x = inp.x_z
-    se2 = cfg.sigma_e2
-    bg = _background(inp, dictionary)
-    logdet_h, quad = _h0_terms(inp, dictionary, cfg, bg)
-    base = -0.5 * x.size * (_LOG_2PI + math.log(se2))
-    return base - 0.5 * (bg[2] + logdet_h) - 0.5 * (quad + float(x @ x) / se2)
+    return _marginal_h0(inp, dictionary, cfg, _background(inp, dictionary))
 
 
-def _h1_log_mass(
-    inp: DetectionInputs,
-    dictionary: BasisDictionary,
-    cfg: ModelConfig,
-    bg,
-    logdet0: float = 0.0,
-    quad0: float = 0.0,
-) -> float:
-    """ln Σ_r q(r)·exp(−(logdet_r − logdet0)/2 − (quad_r − quad0)/2) over
-    every inclusion pattern r in {0,1}^k_a.
+def _marginal_h1(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig, bg) -> float:
+    """``marginal_h1_exact`` given ``bg`` from ``_background``.
 
-    logdet_r and quad_r are pattern r's log-determinant and quadratic part
-    of the Gaussian integral over the anomaly and background coefficients,
-    without the shared −(m/2)ln(2π sigma_e^2) − x'x/(2 sigma_e^2) −
-    (1/2)logdet cov_b constant; the shifts let the Bayes factor cancel the
-    no-anomaly terms inside the sum.  Pattern r's joint precision is the
-    shared B_Z'B_Z/sigma_e^2 + blockdiag(0, cov_b^{-1}), B_Z = [B_aZ, B_bZ],
-    plus K_r^{-1} on the anomaly diagonal; its linear term is
-    B_Z'x/sigma_e^2 + (K_r^{-1}·mu_r, cov_b^{-1}·theta_n).  Patterns are
-    factored ``_PATTERN_CHUNK`` at a time as stacks; ``bg`` comes from
-    ``_background``.
+    Pattern r's integral has B_Z = [B_aZ, B_bZ], prior means
+    (mu_a ∘ r, theta_n) and covariance blockdiag(K_r, cov_b), with
+    K_r = diag(s2·(r + (1 − r)·v)); ``_PATTERN_CHUNK`` patterns per stack.
     """
     k_a = dictionary.k_a
     if k_a > EXACT_KA_LIMIT:
@@ -232,19 +223,16 @@ def _h1_log_mass(
             f"exact enumeration covers k_a <= {EXACT_KA_LIMIT} anomaly columns "
             f"(got {k_a}); use lambda_stat for monitoring at this size"
         )
-    x = inp.x_z
     geo = _gather(inp, dictionary, cfg)
     se2 = cfg.sigma_e2
     post = inp.post
-    theta1, cov_inv, _ = bg
+    theta1, cov_inv, logdet_cov = bg
 
-    b_z = np.hstack((geo.b_a_z, dictionary.b_b[inp.z]))
+    b_b_z = dictionary.b_b[inp.z]
+    b_z = np.hstack((geo.b_a_z, b_b_z))
     gram = b_z.T @ b_z / se2
     gram[k_a:, k_a:] += cov_inv
-    prior1 = cov_inv @ theta1
-    lin1 = x @ b_z / se2
-    lin1[k_a:] += prior1
-    quad_theta1 = float(theta1 @ prior1)
+    resid1 = inp.x_z - b_b_z @ theta1
     log_alpha, log_one_minus = np.log(post.alpha), np.log1p(-post.alpha)
 
     cols = np.arange(k_a)
@@ -254,17 +242,12 @@ def _h1_log_mass(
         codes = np.arange(start, min(start + _PATTERN_CHUNK, n_patterns))
         r = ((codes[:, None] >> cols) & 1).astype(np.float64)
         k_diag = (r + (1.0 - r) * cfg.v) * post.s2
-        k_inv = 1.0 / k_diag
-        mu_r = post.mu_a * r
         prec = np.repeat(gram[None], codes.size, axis=0)
-        prec[:, cols, cols] += k_inv
-        lin = np.repeat(lin1[None], codes.size, axis=0)
-        lin[:, :k_a] += mu_r * k_inv
-        logdet_j, quad_j = _gaussian_terms(prec, lin)
-        logdet = np.sum(np.log(k_diag), axis=1) + logdet_j
-        quad = np.sum(mu_r * k_inv * mu_r, axis=1) + quad_theta1 - quad_j
+        prec[:, cols, cols] += 1.0 / k_diag
+        resid = resid1 - (post.mu_a * r) @ geo.b_a_z.T
+        logdet_s = np.sum(np.log(k_diag), axis=1) + logdet_cov
         log_weight = r @ log_alpha + (1.0 - r) @ log_one_minus
-        masses.append(_logsumexp(log_weight - 0.5 * (logdet - logdet0) - 0.5 * (quad - quad0)))
+        masses.append(_logsumexp(log_weight + _log_evidence(b_z, resid, prec, logdet_s, se2)))
     return _logsumexp(masses)
 
 
@@ -278,25 +261,16 @@ def marginal_h1_exact(
     coefficients.  Enumeration is exponential in k_a and refuses dictionaries
     with more than 20 anomaly columns.
     """
-    x = inp.x_z
-    se2 = cfg.sigma_e2
-    bg = _background(inp, dictionary)
-    base = -0.5 * x.size * (_LOG_2PI + math.log(se2)) - 0.5 * float(x @ x) / se2
-    return _h1_log_mass(inp, dictionary, cfg, bg) + (base - 0.5 * bg[2])
+    return _marginal_h1(inp, dictionary, cfg, _background(inp, dictionary))
 
 
 def log_pbf_exact(
     inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig
 ) -> float:
-    """Exact log posterior Bayes factor of anomaly against no anomaly.
-
-    Algebraically identical to ``marginal_h1_exact − marginal_h0`` but
-    assembled from the shared-constant cancellation, so the observation
-    quadratic x'x and the flat Gaussian constants never enter.
-    """
+    """Exact log posterior Bayes factor of anomaly against no anomaly:
+    ``marginal_h1_exact − marginal_h0``, factoring cov_b once."""
     bg = _background(inp, dictionary)
-    logdet_h, quad0 = _h0_terms(inp, dictionary, cfg, bg)
-    return _h1_log_mass(inp, dictionary, cfg, bg, logdet_h, quad0)
+    return _marginal_h1(inp, dictionary, cfg, bg) - _marginal_h0(inp, dictionary, cfg, bg)
 
 
 # ── Monitoring statistic ──────────────────────────────────────────────────
@@ -313,6 +287,14 @@ def lambda_stat(
 
         2·mu_tilde'B_aZ'(I − P)(x_Z − B_bZ·theta_n)
         − mu_a'(B_aZ'B_aZ ∘ moments)·mu_a + y'P y
+
+    This is 2·sigma_e^2·E_q[log p(x_Z | theta_a) − log p(x_Z | 0)], the
+    posterior expectation of the log likelihood ratio with the background
+    integrated out, with two departures.  The whitening W is replaced by
+    I − P, its limit as sigma_b → ∞.  The variance term is
+    Σ_j (B_aZ'B_aZ)_jj·alpha_j(1 − alpha_j)·mu_j^2: it has no slab or spike
+    variance (each theta_j counts as mu_j with probability alpha_j and 0
+    otherwise) and no projection.
 
     Since (I − P)·B_bZ = 0, no background estimate theta_n enters: the
     first term is 2·(y'x_Z − (P y)'x_Z), and ``inp.bg`` is not read.  P·y =

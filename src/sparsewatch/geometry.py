@@ -107,6 +107,20 @@ def column_bases(b_b_z: np.ndarray) -> np.ndarray:
     return _rank_cut(u_mat, svals, b_b_z.shape)
 
 
+def subset_indices(z) -> np.ndarray:
+    """An observed subset as a 1-D intp index vector.
+
+    Raises DimensionError for indices of a non-integer dtype, which a
+    plain conversion to intp would truncate (1.5 to 1) without a word.
+    """
+    z = np.asarray(z)
+    if z.dtype != np.intp:
+        if z.dtype.kind not in "iu" and z.size:
+            raise DimensionError(f"observation subset indices must be integers, got dtype {z.dtype}")
+        z = z.astype(np.intp)
+    return z.ravel()
+
+
 def _check(z: np.ndarray, p: int) -> None:
     """Raise for a subset index out of range or repeated.
 
@@ -271,11 +285,12 @@ def subset_geometry(
 ) -> SubsetGeometry:
     """Geometry of the observed rows ``z``, in the given order.
 
-    Raises IndexError or DimensionError for an index out of range or a
-    repeated index.  Only a subset found in no table is checked, when it
-    is built: a table holds valid subsets alone.
+    Raises IndexError for an index out of range, DimensionError for a
+    repeated or non-integer index.  Only a subset found in no table is
+    checked for range and repeats, when it is built: a table holds valid
+    subsets alone.
     """
-    z = np.asarray(z, dtype=np.intp).ravel()
+    z = subset_indices(z)
     return _CACHE.lookup(dictionary, float(sigma_e2), float(sigma_b2), z)
 
 

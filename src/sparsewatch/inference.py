@@ -58,7 +58,7 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .errors import DimensionError, StateError
-from .geometry import subset_geometry
+from .geometry import subset_geometry, subset_indices
 
 __all__ = [
     "ALPHA_CLAMP",
@@ -313,7 +313,7 @@ class FitResult(NamedTuple):
 
 def _geometry(z, x_z, dictionary: BasisDictionary, cfg: ModelConfig):
     """Checked (x_z, geometry) of one observation on the budgeted subset z."""
-    z = np.asarray(z, dtype=np.intp).ravel()
+    z = subset_indices(z)
     if z.size != cfg.m:
         raise DimensionError(f"observation subset has {z.size} indices, budget is {cfg.m}")
     geo = subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, z)
@@ -653,7 +653,7 @@ def update_background(
     on theta; the exact routes in ``detection`` read it through
     ``DetectionInputs.bg``.
     """
-    z = np.asarray(z, dtype=np.intp).ravel()
+    z = subset_indices(z)
     x_z, geo = _geometry(z, x_z, dictionary, cfg)
     theta, cov_b = _background_fit(dictionary.b_b[z], x_z - geo.b_a_z @ post.mu_tilde, cfg)
     return BackgroundPosterior(theta_n=theta, cov_b=cov_b)

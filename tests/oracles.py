@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import simpson
 from scipy.special import logsumexp
@@ -358,6 +359,56 @@ def conjugate_h1_logpdf(
         log_w = float(r @ np.log(alpha) + (1 - r) @ np.log1p(-alpha))
         terms.append(log_w + multivariate_normal.logpdf(x, mean=mean, cov=cov))
     return float(logsumexp(terms))
+
+
+def _mp_gauss_logpdf(resid, cov):
+    """ln N(resid; 0, cov) in mpmath from a Cholesky factor of cov."""
+    root = mpmath.cholesky(cov)
+    w = mpmath.cholesky_solve(cov, resid)
+    m = cov.rows
+    logdet = 2 * mpmath.fsum(mpmath.log(root[i, i]) for i in range(m))
+    quad = mpmath.fsum(resid[i] * w[i] for i in range(m))
+    return -(m * mpmath.log(2 * mpmath.pi) + logdet + quad) / 2
+
+
+def mp_log_marginals(
+    x, b_a_rows, b_b_rows, mu, s2, alpha, theta1, cov_b, sigma_e2, sigma_b2, v, dps=40
+):
+    """(ln p(x | H0), ln p(x | H1)) at ``dps`` digits from the m-space densities.
+
+    H0 is N(x; B_b·theta0, sigma_e2·I + B_b·cov_b·B_b'), theta0 the
+    anomaly-free refit (B_b'B_b/sigma_e2 + I/sigma_b2)^{-1}·B_b'x/sigma_e2
+    solved in mpmath; H1 the mixture over inclusion patterns r of
+    N(x; B_a·(mu∘r) + B_b·theta1, sigma_e2·I + B_b·cov_b·B_b' + B_a·K_r·B_a'),
+    K_r = diag(s2·(r + (1 − r)·v)), weighted by Π alpha^r·(1 − alpha)^(1−r).
+    Every float input is taken exactly.
+    """
+    m, k_a = b_a_rows.shape
+    k_b = b_b_rows.shape[1]
+    with mpmath.workdps(dps):
+        se2 = mpmath.mpf(float(sigma_e2))
+        xv = mpmath.matrix(np.asarray(x, dtype=float).tolist())
+        b_a = mpmath.matrix(b_a_rows.tolist())
+        base_cov = se2 * mpmath.eye(m)
+        mean0 = mean1 = mpmath.zeros(m, 1)
+        if k_b:
+            b_b = mpmath.matrix(b_b_rows.tolist())
+            base_cov += b_b * mpmath.matrix(cov_b.tolist()) * b_b.T
+            gram = b_b.T * b_b / se2 + mpmath.eye(k_b) / mpmath.mpf(float(sigma_b2))
+            mean0 = b_b * mpmath.lu_solve(gram, b_b.T * xv / se2)
+            mean1 = b_b * mpmath.matrix(np.asarray(theta1, dtype=float).tolist())
+        h0 = _mp_gauss_logpdf(xv - mean0, base_cov)
+        terms = []
+        for r in itertools.product((0, 1), repeat=k_a):
+            k_diag = [mpmath.mpf(float(s2[j])) * (1 if r[j] else mpmath.mpf(float(v))) for j in range(k_a)]
+            mean = mean1 + b_a * mpmath.matrix([mpmath.mpf(float(mu[j])) * r[j] for j in range(k_a)])
+            cov = base_cov + b_a * mpmath.diag(k_diag) * b_a.T
+            a = [mpmath.mpf(float(alpha[j])) for j in range(k_a)]
+            log_w = mpmath.fsum(mpmath.log(a[j] if r[j] else 1 - a[j]) for j in range(k_a))
+            terms.append(log_w + _mp_gauss_logpdf(xv - mean, cov))
+        top = max(terms)
+        h1 = top + mpmath.log(mpmath.fsum(mpmath.exp(t - top) for t in terms))
+        return +h0, +h1
 
 
 # ── Quadrature marginals (small dimensions) ───────────────────────────────

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from oracles import (
     conjugate_h0_logpdf,
     conjugate_h1_logpdf,
     mc_h0_logpdf,
+    mp_log_marginals,
     posterior_background_mean,
     quadrature_h0_logpdf,
     reference_subset_score,
@@ -35,6 +37,7 @@ from sparsewatch import (
     log_pbf_exact,
     marginal_h0,
     marginal_h1_exact,
+    update_background,
 )
 from sparsewatch import detection
 from sparsewatch.detection import detection_record
@@ -193,6 +196,60 @@ class TestMarginalH1:
             log_pbf_exact(inp, d, cfg)
 
 
+# (sigma_e, v, k_b, m, |B_bZ·theta|): model-consistent observations
+# x = B_bZ·theta + sigma_e·noise on p = 10, k_a = 3, with m < k_b in three.
+_PRECISION_CASES = [
+    (0.05, 1e-7, 3, 6, 15.0), (0.05, 1e-4, 3, 6, 15.0), (0.05, 1e-7, 2, 5, 10.0),
+    (0.05, 1e-4, 1, 4, 12.0), (0.05, 1e-7, 3, 2, 8.0), (0.05, 1e-4, 2, 1, 5.0),
+    (0.05, 1e-7, 0, 5, 0.0), (0.1, 1e-7, 3, 7, 15.0), (0.1, 1e-4, 2, 4, 6.0),
+    (0.1, 1e-7, 1, 3, 3.0), (0.3, 1e-4, 3, 5, 15.0), (0.3, 1e-7, 3, 1, 2.0),
+    (0.3, 1e-4, 0, 4, 0.0), (1.0, 1e-7, 3, 6, 15.0), (1.0, 1e-4, 2, 3, 4.0),
+    (1.0, 1e-7, 1, 5, 1.0), (0.05, 1e-7, 3, 8, 15.0), (0.2, 1e-4, 2, 2, 9.0),
+]
+
+
+class TestHighPrecision:
+    @pytest.mark.parametrize("case", range(len(_PRECISION_CASES)))
+    def test_routes_match_40_digit_reference(self, case):
+        """All three exact routes equal a 40-digit evaluation of the m-space
+        densities within 1e-12·max(1, |value|).  At sigma_e = 0.05 and
+        |x| = 15, x'x/sigma_e^2 is 9e4, so a route that forms x'x and
+        subtracts terms of its size loses about four digits."""
+        sigma_e, v, k_b, m, size = _PRECISION_CASES[case]
+        rng = np.random.default_rng(100 + case)
+        p, k_a = 10, 3
+        d = BasisDictionary(
+            b_b=rng.normal(size=(p, k_b)) if k_b else np.zeros((p, 0)),
+            b_a=rng.normal(size=(p, k_a)),
+        )
+        cfg = ModelConfig.homogeneous(
+            k_a=k_a, sigma_e=sigma_e, sigma_b=0.8, sigma_j=1.5, w=0.2, v=v,
+            decay=0.1, m=m,
+        )
+        z = np.sort(rng.choice(p, size=m, replace=False))
+        signal = np.zeros(m)
+        if k_b:
+            signal = d.b_b[z] @ rng.normal(size=k_b)
+            signal *= size / np.linalg.norm(signal)
+        x_z = signal + sigma_e * rng.normal(size=m)
+        post = SpikeSlabPosterior(
+            mu_a=rng.normal(size=k_a),
+            s2=rng.uniform(0.05, 0.5, size=k_a),
+            alpha=rng.uniform(0.05, 0.95, size=k_a),
+        )
+        bg = update_background(x_z, z, post, d, cfg)
+        inp = DetectionInputs(x_z=x_z, z=z, post=post, bg=bg)
+        h0, h1 = mp_log_marginals(
+            x_z, d.b_a[z], d.b_b[z], post.mu_a, post.s2, post.alpha,
+            bg.theta_n, bg.cov_b, cfg.sigma_e2, cfg.sigma_b2, cfg.v,
+        )
+        for route, ref in (
+            (marginal_h0, h0), (marginal_h1_exact, h1), (log_pbf_exact, h1 - h0)
+        ):
+            ref = float(ref)
+            assert abs(route(inp, d, cfg) - ref) <= 1e-12 * max(1.0, abs(ref)), route.__name__
+
+
 class TestLambdaStat:
     def test_exactly_zero_at_null_posterior(self, rng):
         """No fitted anomaly mean means a statistic of exactly 0.0."""
@@ -233,6 +290,34 @@ class TestLambdaStat:
                 z, resid_full, d.b_a, d.b_b, post.mu_a, post.s2, post.alpha
             )
             assert lambda_stat(inp, d, cfg) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("k_b, m", [(0, 5), (2, 6), (3, 2)])
+    def test_is_twice_sigma_e2_expected_log_likelihood_ratio(self, rng, k_b, m):
+        """lambda_stat = 2·sigma_e^2·E_q[log p(x|theta_a) − log p(x|0)] with
+        W replaced by I − P and the variance term Σ_j (B_aZ'B_aZ)_jj·
+        alpha_j(1 − alpha_j)·mu_j^2.  That variance is q's with the slab
+        and spike variances dropped, each theta_j being mu_j with
+        probability alpha_j and 0 otherwise; enumerated densely over those
+        2^k_a points, the expectation projects its variance term, which
+        the statistic does not, so the dense route adds the projection back."""
+        d, cfg, post, bg, z, x_z = _setup(rng, p=9, k_a=3, k_b=k_b, m=m)
+        b_a_z, b_b_z = d.b_a[z], d.b_b[z]
+        resid_proj = np.eye(m) - b_b_z @ np.linalg.pinv(b_b_z)  # I − P
+
+        def log_lik(theta):  # with whitening I − P, up to a theta-free constant
+            r = x_z - b_a_z @ theta
+            return -0.5 * r @ resid_proj @ r / cfg.sigma_e2
+
+        expected = 0.0
+        for r in itertools.product((0, 1), repeat=3):
+            r = np.array(r)
+            weight = np.prod(np.where(r == 1, post.alpha, 1.0 - post.alpha))
+            expected += weight * (log_lik(post.mu_a * r) - log_lik(np.zeros(3)))
+        proj_diag = np.diag(b_a_z.T @ (np.eye(m) - resid_proj) @ b_a_z)
+        dense = 2.0 * cfg.sigma_e2 * expected - proj_diag @ post.spread
+        assert lambda_stat(DetectionInputs(x_z=x_z, z=z, post=post), d, cfg) == pytest.approx(
+            dense, rel=1e-10, abs=1e-12
+        )
 
     def test_rank_deficient_observed_rows_fall_back(self, rng):
         """A full-rank background whose observed rows collapse to rank one
@@ -375,7 +460,8 @@ class TestImportPath:
     def test_monitoring_and_exact_routes_import_no_scipy(self):
         """A fresh interpreter that monitors with both samplers and computes
         the exact Bayes factor never imports scipy, whose import would
-        dominate the start-up time."""
+        dominate the start-up time, nor mpmath, which only the tests'
+        high-precision reference needs."""
         src = Path(__file__).resolve().parents[1] / "src"
         script = textwrap.dedent(
             """
@@ -403,7 +489,7 @@ class TestImportPath:
             bg = inference.update_background(x_z, z, state.post, d, cfg)
             inp = detection.DetectionInputs(x_z=x_z, z=z, post=state.post, bg=bg)
             assert np.isfinite(detection.log_pbf_exact(inp, d, cfg))
-            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
             """
         )
         env = {**os.environ, "PYTHONPATH": str(src)}

@@ -245,6 +245,20 @@ class TestStep:
             step(state, np.ones(size))
         assert state.step == 1 and state.post is post and state.stats is stats
 
+    @pytest.mark.parametrize("z", [[1.5, 3, 5, 7, 9], [1.0, 3.0, 5.0, 7.0, 9.0]])
+    def test_float_hand_set_plan_refused_before_any_state_changes(
+        self, default_dictionary, default_config, z
+    ):
+        """A float plan is refused, not truncated, even when the observation
+        holds only the planned values and so never indexes by it."""
+        state = init(default_config, default_dictionary, h=math.inf, seed=7)
+        step(state, np.zeros(default_dictionary.p))
+        post, stats = state.post, state.stats
+        state.plan = SensingPlan(np.array(z))
+        with pytest.raises(DimensionError, match="must be integers"):
+            step(state, np.ones(len(z)))
+        assert state.step == 1 and state.post is post and state.stats is stats
+
     def test_descending_hand_set_plan_steps(self, default_dictionary, default_config, rng):
         """A valid subset out of order is observed in its given order and
         gives the statistic of the same subset in ascending order."""

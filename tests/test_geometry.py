@@ -20,6 +20,7 @@ from oracles import posterior_background_mean, whitened_subset_terms
 from sparsewatch import (
     BasisDictionary,
     DecayedStats,
+    DetectionInputs,
     DimensionError,
     ModelConfig,
     OracleScorer,
@@ -494,3 +495,30 @@ class TestOracleBasis:
                 assert not np.delete(table[:, :, i], z, axis=0).any()
         finally:
             clear_geometry_cache()
+
+
+class TestSubsetIndices:
+    @pytest.mark.parametrize("z", [[1.5, 3, 5], [1.0, 3.0, 5.0], [True, False, True]])
+    @pytest.mark.parametrize(
+        "entry", ["subset_geometry", "absorb_sample", "update_background", "DetectionInputs"]
+    )
+    def test_non_integer_subset_refused(self, z, entry):
+        """Every layer that takes a subset refuses indices of a non-integer
+        dtype instead of truncating them to the variables they name."""
+        d, _, _, _ = _problem(3, k_b=2, m=3, rows="random")
+        cfg = _cfg(d.k_a, 3)
+        post = SpikeSlabPosterior.prior(cfg)
+        calls = {
+            "subset_geometry": lambda: subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z),
+            "absorb_sample": lambda: absorb_sample(DecayedStats.empty(d.k_a), np.ones(3), z, d, cfg),
+            "update_background": lambda: update_background(np.ones(3), z, post, d, cfg),
+            "DetectionInputs": lambda: DetectionInputs(x_z=np.ones(3), z=z, post=post),
+        }
+        with pytest.raises(DimensionError, match="must be integers"):
+            calls[entry]()
+
+    def test_integer_subsets_convert_to_intp(self):
+        for z in ([4, 0, 2], np.array([4, 0, 2], dtype=np.uint8), np.array([[4, 0, 2]])):
+            out = geometry.subset_indices(z)
+            assert out.dtype == np.intp and out.tolist() == [4, 0, 2]
+        assert geometry.subset_indices([]).dtype == np.intp
