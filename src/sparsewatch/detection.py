@@ -15,14 +15,13 @@ inputs from any caller, so both constructors stay: of a step's records,
 only this one and ``SpikeSlabPosterior`` have a trusted second one.
 ``lambda_stat`` reads the posterior's own ``mu_tilde`` and ``spread``.
 
-The statistic reads the subset's shared ``SubsetGeometry``: the observed
-anomaly rows, their column sums of squares and the orthonormal basis of
-the observed background columns.  The exact routes check the subset
-through the same lookup but read the observed background rows B_bZ from
-the dictionary and refit the anomaly-free background by the dense
-k_b×k_b solve that ``update_background`` uses
-(``inference._background_fit``), so they cross-check the geometry's SVD
-rather than share it.
+The statistic reads the observed anomaly rows from the dictionary and the
+subset's shared ``SubsetGeometry``: their column sums of squares and the
+orthonormal basis of the observed background columns.  The exact routes
+look no geometry up: they check the subset with ``checked_subset``, read
+B_aZ and B_bZ from the dictionary and refit the anomaly-free background by
+the dense k_b×k_b solve that ``update_background`` uses
+(``inference._background_fit``), so they cross-check the geometry's SVD.
 
 The enumeration runs on numpy alone, so importing this module (and the
 engine, which imports it) loads no numerical package beyond numpy, which
@@ -48,7 +47,7 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .errors import CapabilityError, DataError, DimensionError
-from .geometry import SubsetGeometry, subset_geometry, subset_indices
+from .geometry import checked_subset, subset_geometry, subset_indices
 from .inference import BackgroundPosterior, ModelConfig, SpikeSlabPosterior, _background_fit
 
 __all__ = [
@@ -82,8 +81,9 @@ class DetectionInputs:
     background posterior (``inference.update_background``), is read only by
     the exact routes, which raise DataError without it; ``lambda_stat``
     never reads it.  The constructor converts and checks the two vectors;
-    the subset itself is checked (range, distinct) when its geometry is
-    built.  The checked constructor stays because every route is public.
+    each route checks the subset's range and distinctness, ``lambda_stat``
+    by its geometry lookup, the exact routes by ``checked_subset``.  The
+    checked constructor stays because every route is public.
     ``engine.step``, which has checked its observation at its boundary,
     builds its inputs through ``_trusted`` instead, once per step: about
     0.8 µs against 1.8 µs for the checked one (``timeit`` on one core of a
@@ -114,19 +114,15 @@ class DetectionInputs:
         return inp
 
 
-def _gather(
-    inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig
-) -> SubsetGeometry:
-    if inp.post.k_a != dictionary.k_a:
-        raise DimensionError("posterior dimensions disagree with the dictionary")
-    return subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, inp.z)
-
-
 def _background(inp: DetectionInputs, dictionary: BasisDictionary):
     """(theta_n, cov_b^{-1}, ln det cov_b) of the caller-supplied background
     posterior the exact routes integrate against, once per call; empty
     pieces without a background basis.  The one place the exact routes
-    check that cov_b is finite and positive definite."""
+    check the posterior's size, the subset, and that cov_b is finite and
+    positive definite."""
+    if inp.post.k_a != dictionary.k_a:
+        raise DimensionError("posterior dimensions disagree with the dictionary")
+    checked_subset(inp.z, dictionary.p)
     if inp.bg is None:
         raise DataError(
             "the exact routes need the step's background posterior: pass "
@@ -191,7 +187,6 @@ def _log_evidence(b, resid, prec, logdet_s, se2):
 def _marginal_h0(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelConfig, bg):
     """``marginal_h0`` given ``bg`` from ``_background``."""
     _, cov_inv, logdet_cov = bg
-    _gather(inp, dictionary, cfg)  # checks the posterior's size and the subset
     b_b_z, se2 = dictionary.b_b[inp.z], cfg.sigma_e2
     theta0, _ = _background_fit(b_b_z, inp.x_z, cfg)
     prec = b_b_z.T @ b_b_z / se2 + cov_inv
@@ -223,13 +218,12 @@ def _marginal_h1(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelCo
             f"exact enumeration covers k_a <= {EXACT_KA_LIMIT} anomaly columns "
             f"(got {k_a}); use lambda_stat for monitoring at this size"
         )
-    geo = _gather(inp, dictionary, cfg)
     se2 = cfg.sigma_e2
     post = inp.post
     theta1, cov_inv, logdet_cov = bg
 
-    b_b_z = dictionary.b_b[inp.z]
-    b_z = np.hstack((geo.b_a_z, b_b_z))
+    b_a_z, b_b_z = dictionary.b_a[inp.z], dictionary.b_b[inp.z]
+    b_z = np.hstack((b_a_z, b_b_z))
     gram = b_z.T @ b_z / se2
     gram[k_a:, k_a:] += cov_inv
     resid1 = inp.x_z - b_b_z @ theta1
@@ -244,7 +238,7 @@ def _marginal_h1(inp: DetectionInputs, dictionary: BasisDictionary, cfg: ModelCo
         k_diag = (r + (1.0 - r) * cfg.v) * post.s2
         prec = np.repeat(gram[None], codes.size, axis=0)
         prec[:, cols, cols] += 1.0 / k_diag
-        resid = resid1 - (post.mu_a * r) @ geo.b_a_z.T
+        resid = resid1 - (post.mu_a * r) @ b_a_z.T
         logdet_s = np.sum(np.log(k_diag), axis=1) + logdet_cov
         log_weight = r @ log_alpha + (1.0 - r) @ log_one_minus
         masses.append(_logsumexp(log_weight + _log_evidence(b_z, resid, prec, logdet_s, se2)))
@@ -305,11 +299,13 @@ def lambda_stat(
     posterior's own.  Exactly zero when the posterior anomaly mean vanishes.
     """
     x = inp.x_z
-    geo = _gather(inp, dictionary, cfg)
+    if inp.post.k_a != dictionary.k_a:
+        raise DimensionError("posterior dimensions disagree with the dictionary")
+    geo = subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, inp.z)
     post = inp.post
 
     # ndarray.dot runs the BLAS product @ runs, with less overhead per call.
-    y = geo.b_a_z.dot(post.mu_tilde)
+    y = dictionary.b_a.take(inp.z, 0).dot(post.mu_tilde)  # after the lookup's check
     p_y = geo.basis.dot(geo.basis.T.dot(y))
 
     quad = float(y.dot(y)) + float(geo.col_sq.dot(post.spread))

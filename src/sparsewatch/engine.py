@@ -21,6 +21,7 @@ import numpy as np
 from .bases import BasisDictionary
 from .detection import DetectionInputs, alarm_check, lambda_stat
 from .errors import CalibrationError, DataError, DimensionError, NumericalError, StateError
+from .geometry import subset_indices
 from .inference import (
     DecayedStats,
     ModelConfig,
@@ -161,8 +162,10 @@ def init(
 def _extract_observation(state: EngineState, observation) -> np.ndarray:
     """The planned values of one observation as a float64 vector, checked
     once: each value is checked only when their sum of squares is not
-    finite, which a finite observation can reach only by overflowing."""
-    z = state.plan.z
+    finite, which a finite observation can reach only by overflowing.  The
+    plan goes through ``subset_indices`` first, so a non-integer plan is
+    refused with DimensionError whatever form the observation takes."""
+    z = subset_indices(state.plan.z)
     if callable(observation):
         x_z = np.asarray(observation(z), dtype=np.float64).ravel()
     else:

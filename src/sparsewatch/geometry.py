@@ -1,19 +1,20 @@
-"""Geometry of one observed subset, built once and shared by every layer.
+"""Whitening of one observed subset, built once and read by a monitoring step.
 
-A step's absorb and monitoring statistic read the same m observed rows, and
-what they need depends on (dictionary, sigma_e^2, sigma_b^2, z) alone.  A
-process keeps those geometries in a cache keyed on content: the
-dictionary's digest (``BasisDictionary.content_key``), the two variances
-and the subset's indices in the caller's order, never object identity, so
-pool workers that unpickle a fresh dictionary per task still share them.
-The cache holds the table of one (dictionary, variances, m) combination at
-a time.  It admits a combination when the table of all C(p, m) ascending
-subsets fits ``CACHE_BUDGET_BYTES``, as estimated from the shapes alone, a
-property of the input.  The combination's table is built by its second
-distinct lookup, the first that meets the latest geometry at the same
-combination and another subset: each field stacked along a leading rank
-axis, read-only, and an index from a subset's index bytes to its rank.  So
-a combination looked up once, such as a fresh dictionary's only
+A step's absorb and monitoring statistic read the same m observed rows from
+the dictionary and whiten them by what depends on (dictionary, sigma_e^2,
+sigma_b^2, z) alone.  A process keeps those geometries in a cache keyed on
+content: the dictionary's digest (``BasisDictionary.content_key``), the two
+variances and the subset's indices in the caller's order, never object
+identity, so pool workers that unpickle a fresh dictionary per task still
+share them.  The cache holds the table of one (dictionary, variances, m)
+combination at a time.  It admits a combination when the table of all
+C(p, m) ascending subsets fits ``CACHE_BUDGET_BYTES``, as estimated from
+the shapes alone, a property of the input.  The combination's table is
+built by its second distinct lookup, the first that meets the latest
+geometry at the same combination and another subset: each field stacked
+along a leading rank axis, read-only, and an index from a subset's index
+bytes to its rank.
+So a combination looked up once, such as a fresh dictionary's only
 statistic, builds its one subset and no table.  A hit returns a geometry
 whose fields are its rank's rows.  A subset met before its combination's
 table, a subset in another order, and every subset of a combination not
@@ -21,8 +22,8 @@ admitted (such as p = 400 with m = 20) are built alone, and the latest
 geometry is kept, which the layers of one step share.  A table is built
 ``_CHUNK`` subsets per stacked pass of the same function that builds a
 single geometry; its stacked SVD, products and sums run, block by block, a
-single build's operations, so a row equals that subset's own build byte
-for byte and outputs do not depend on the cache.
+single build's operations, so a row equals that subset's own build byte for
+byte and outputs do not depend on the cache.
 
 A geometry is built from one thin SVD of the observed background rows,
 B_bZ = U·S·V' with r = min(m, k_b) singular values s_i.  With
@@ -31,8 +32,8 @@ identity gives every field in closed form at any rank, also when m < k_b:
 the whitening matrix is W = I − U·diag(c)·U' and its log determinant is
 Σ ln(kappa/(s_i^2 + kappa)).  The same SVD, cut at its numerical rank, is
 the orthonormal basis of the observed background columns.  The background
-refit and the exact routes read B_bZ from the dictionary and solve with it
-themselves, so no geometry carries the SVD's V'.
+refit and the exact routes look no geometry up: they check their subset
+with ``checked_subset`` and solve with B_aZ and B_bZ from the dictionary.
 """
 
 from __future__ import annotations
@@ -55,12 +56,11 @@ _EPS = np.finfo(np.float64).eps
 
 
 class SubsetGeometry(NamedTuple):
-    """What a monitoring step reads from one observed subset; all read-only.
+    """The whitening of one observed subset, as a step reads it; all read-only.
 
-    With the thin SVD B_bZ = U·S·V', kappa and c_i as in the module
-    docstring:
+    With the observed anomaly rows B_aZ, the thin SVD B_bZ = U·S·V', kappa
+    and c_i as in the module docstring:
 
-        b_a_z     the observed anomaly rows B_aZ (m×k_a)
         m_c       B_aZ'·W·B_aZ = B_aZ'B_aZ − K'K with K = diag(√c)·U'B_aZ
                   (k_a×k_a), one step's contribution to M
         logdet_w  ln det W = Σ ln(kappa/(s_i^2 + kappa))
@@ -73,7 +73,6 @@ class SubsetGeometry(NamedTuple):
         col_sq    column sums of squares of B_aZ (k_a,)
     """
 
-    b_a_z: np.ndarray
     m_c: np.ndarray
     logdet_w: float
     basis: np.ndarray
@@ -121,17 +120,20 @@ def subset_indices(z) -> np.ndarray:
     return z.ravel()
 
 
-def _check(z: np.ndarray, p: int) -> None:
-    """Raise for a subset index out of range or repeated.
+def checked_subset(z, p: int) -> np.ndarray:
+    """``subset_indices(z)``, refused with IndexError for an index out of
+    range (negative or ≥ p) and DimensionError for a repeated one.
 
     An ascending subset, the form every sensing plan takes, needs only its
     ends and one comparison of neighbours checked.
     """
+    z = subset_indices(z)
     if z.size and not (z[0] >= 0 and z[-1] < p and (z[1:] > z[:-1]).all()):
         if z.min() < 0 or z.max() >= p:
             raise IndexError("observation subset index out of range")
         if np.unique(z).size != z.size:
             raise DimensionError("observation subset indices must be distinct")
+    return z
 
 
 def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> SubsetGeometry:
@@ -164,7 +166,7 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> 
     col_sq = (b_a_z * b_a_z).sum(axis=-2)
     if z.ndim == 1:
         logdet_w = float(logdet_w)
-    geometry = SubsetGeometry(b_a_z, m_c, logdet_w, basis, c, col_sq)
+    geometry = SubsetGeometry(m_c, logdet_w, basis, c, col_sq)
     for arr in geometry:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -179,11 +181,11 @@ _CHUNK = 128
 def _entry_bytes(m: int, k_a: int, k_b: int) -> int:
     """Bytes one subset adds to a table, from the shapes alone.
 
-    Its row of the six stacked fields, plus its index entry, which
+    Its row of the five stacked fields, plus its index entry, which
     ``tracemalloc`` (CPython 3.11, 64-bit) measures as a bytes key of
     33 + 8·m B, a rank int of 28 B and about 48 B of dict slot.
     """
-    floats = m * k_a + k_a * k_a + 1 + m * k_b + k_b + k_a
+    floats = k_a * k_a + 1 + m * k_b + k_b + k_a
     return 8 * floats + (33 + 8 * m) + 28 + 48
 
 
@@ -201,9 +203,7 @@ class _Table(NamedTuple):
 
     def row(self, i: int) -> SubsetGeometry:
         f = self.fields
-        return SubsetGeometry(
-            f.b_a_z[i], f.m_c[i], f.logdet_w.item(i), f.basis[i], f.c[i], f.col_sq[i]
-        )
+        return SubsetGeometry(f.m_c[i], f.logdet_w.item(i), f.basis[i], f.c[i], f.col_sq[i])
 
 
 def _table(key: tuple, dictionary, sigma_e2: float, sigma_b2: float, m: int, budget: int) -> _Table:
@@ -269,7 +269,7 @@ class _GeometryCache:
                         self.table = table
         i = None if table is None else table.rank.get(z_key)
         if i is None:
-            _check(z, dictionary.p)
+            checked_subset(z, dictionary.p)
             geometry = _build(dictionary, sigma_e2, sigma_b2, z)
         else:
             geometry = table.row(i)

@@ -22,15 +22,15 @@ sample size grows toward 1/decay.  The variational family matches the
 prior's structure: per coordinate, inclusion probability alpha_j, slab
 component N(mu_aj, s_j^2), spike component N(0, v·s_j^2).
 
-Everything a step reads that depends on the observed subset alone (the
-whitening's basis and weights, its log determinant and the whitened M
-contribution) comes from one shared ``SubsetGeometry``, so a step pays for
-it once and a repeated subset costs only matrix-vector products.  The
-background refit, which no monitoring step runs, solves with the observed
-background rows itself (``_background_fit``).
+A step reads its observed rows from the dictionary and the whitening of
+its subset (basis and weights, log determinant and whitened M contribution)
+from one shared ``SubsetGeometry``, so a repeated subset costs only
+matrix-vector products.  The background refit, which no monitoring step
+runs, looks no geometry up: it checks its subset with
+``geometry.checked_subset`` and solves with the rows (``_background_fit``).
 
 ``absorb_sample``, and so ``fit``, checks the subset and observed values
-once per call (``_geometry``, and the geometry build for range and
+once per call (``_observation``, and the geometry lookup for range and
 distinctness); the sweep's posterior is then built by the trusted
 ``SpikeSlabPosterior._trusted``.  ``fit`` also takes posteriors built by
 its callers, so the checked constructor stays beside it.  ``DecayedStats``,
@@ -58,7 +58,7 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .errors import DimensionError, StateError
-from .geometry import subset_geometry, subset_indices
+from .geometry import checked_subset, subset_geometry, subset_indices
 
 __all__ = [
     "ALPHA_CLAMP",
@@ -105,6 +105,10 @@ class ModelConfig:
         Exponential decay rate of the history weights, in (0, 0.1].
     m : int
         Sensing budget: number of variables observed per step.
+
+    The record owns its arrays: ``sigma_j`` and ``w`` are copied, and they
+    and the arrays derived from them are read-only, so every fit and
+    ``elbo`` read one prior.
     """
 
     sigma_e: float
@@ -116,8 +120,8 @@ class ModelConfig:
     m: int
 
     def __post_init__(self):
-        sigma_j = np.atleast_1d(np.asarray(self.sigma_j, dtype=np.float64)).ravel()
-        w = np.atleast_1d(np.asarray(self.w, dtype=np.float64)).ravel()
+        sigma_j = np.array(self.sigma_j, dtype=np.float64, ndmin=1).ravel()
+        w = np.array(self.w, dtype=np.float64, ndmin=1).ravel()
         object.__setattr__(self, "sigma_j", sigma_j)
         object.__setattr__(self, "w", w)
         if sigma_j.size != w.size:
@@ -132,8 +136,11 @@ class ModelConfig:
             raise ValueError("spike shrink factor v must lie in (0, 1)")
         if not (0.0 < self.decay <= 0.1):
             raise ValueError("decay rate must lie in (0, 0.1]")
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
+            raise ValueError(f"sensing budget m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError("sensing budget m must be positive")
+        object.__setattr__(self, "m", int(self.m))
         # Derived quantities used in every sweep; cached once.
         object.__setattr__(self, "sigma_e2", float(self.sigma_e) ** 2)
         object.__setattr__(self, "sigma_b2", float(self.sigma_b) ** 2)
@@ -141,6 +148,8 @@ class ModelConfig:
         object.__setattr__(self, "inv_sigma_j2", 1.0 / self.sigma_j2)
         object.__setattr__(self, "two_sigma_j2", 2.0 * self.sigma_j2)
         object.__setattr__(self, "logit_w", np.log(w) - np.log1p(-w))
+        for arr in (sigma_j, w, self.sigma_j2, self.inv_sigma_j2, self.two_sigma_j2, self.logit_w):
+            arr.flags.writeable = False
         # The per-column factors every fit hands its sweep kernels as floats.
         object.__setattr__(
             self,
@@ -186,7 +195,7 @@ class SpikeSlabPosterior:
     posterior mean ``mu_tilde = mu_a * alpha`` and the inclusion spread
     ``spread = alpha * (1 - alpha) * mu_a**2``.
 
-    Two constructors.  The checked one converts the fields, clamps alpha
+    Two constructors.  The checked one copies the fields, clamps alpha
     to [``ALPHA_CLAMP``, 1 − ``ALPHA_CLAMP``] and checks their lengths and
     s2 > 0; it stays because ``fit`` takes posteriors from any caller, such
     as a prior or one set by hand.  Each fit builds its result through
@@ -199,8 +208,8 @@ class SpikeSlabPosterior:
     alpha: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu_a, dtype=np.float64).ravel()
-        s2 = np.asarray(self.s2, dtype=np.float64).ravel()
+        mu = np.array(self.mu_a, dtype=np.float64).ravel()
+        s2 = np.array(self.s2, dtype=np.float64).ravel()
         alpha = np.clip(
             np.asarray(self.alpha, dtype=np.float64).ravel(),
             ALPHA_CLAMP,
@@ -234,9 +243,7 @@ class SpikeSlabPosterior:
 
     @classmethod
     def prior(cls, cfg: ModelConfig) -> "SpikeSlabPosterior":
-        return cls(
-            mu_a=np.zeros(cfg.k_a), s2=cfg.sigma_j2.copy(), alpha=cfg.w.copy()
-        )
+        return cls(mu_a=np.zeros(cfg.k_a), s2=cfg.sigma_j2, alpha=cfg.w)
 
 
 @dataclass(frozen=True)
@@ -311,16 +318,15 @@ class FitResult(NamedTuple):
 # ── Internal helpers ──────────────────────────────────────────────────────
 
 
-def _geometry(z, x_z, dictionary: BasisDictionary, cfg: ModelConfig):
-    """Checked (x_z, geometry) of one observation on the budgeted subset z."""
+def _observation(z, x_z, cfg: ModelConfig):
+    """(z, x_z) of one observation, converted and sized against the budget."""
     z = subset_indices(z)
     if z.size != cfg.m:
         raise DimensionError(f"observation subset has {z.size} indices, budget is {cfg.m}")
-    geo = subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, z)
     x_z = np.asarray(x_z, dtype=np.float64).ravel()
     if x_z.size != z.size:
         raise DimensionError("x_z length must match the observation subset")
-    return x_z, geo
+    return z, x_z
 
 
 # ── Operations ────────────────────────────────────────────────────────────
@@ -348,13 +354,14 @@ def absorb_sample(
 
     Returns a new DecayedStats; the input is not modified.
     """
-    x_z, geo = _geometry(z, x_z, dictionary, cfg)
+    z, x_z = _observation(z, x_z, cfg)
+    geo = subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, z)
     if stats.k_a != dictionary.k_a:
         raise DimensionError("stats and dictionary disagree on basis sizes")
 
     # ndarray.dot runs the BLAS product @ runs, with less overhead per call.
     w_x = x_z - geo.basis.dot(geo.c * x_z.dot(geo.basis))
-    u_c = geo.b_a_z.T.dot(w_x)
+    u_c = dictionary.b_a.take(z, 0).T.dot(w_x)  # after the lookup's check: take wraps z < 0
     q_c = float(x_z.dot(w_x))
     # ln det of the marginal covariance is m·ln sigma_e^2 − ln det W.
     norm_c = -0.5 * (x_z.size * (_LOG_2PI + math.log(cfg.sigma_e2)) - geo.logdet_w)
@@ -646,16 +653,16 @@ def update_background(
         theta = (B_bZ' B_bZ/sigma_e^2 + I/sigma_b^2)^{-1} B_bZ' (x − B_aZ mu_tilde)/sigma_e^2
         cov   = (B_bZ' B_bZ/sigma_e^2 + I/sigma_b^2)^{-1}
 
-    by one dense k_b×k_b solve with the observed background rows read from
-    the dictionary, independent of the SVD that the step's geometry comes
-    from; the subset is still checked through the geometry lookup.  The
-    monitoring step does not call it, since the statistic does not depend
-    on theta; the exact routes in ``detection`` read it through
-    ``DetectionInputs.bg``.
+    by one dense k_b×k_b solve with B_aZ and B_bZ read from the dictionary,
+    independent of the SVD of the step's geometry, which is not looked up;
+    ``geometry.checked_subset`` checks the subset.  The monitoring step
+    does not call it, since the statistic does not depend on theta; the
+    exact routes in ``detection`` read it through ``DetectionInputs.bg``.
     """
-    z = subset_indices(z)
-    x_z, geo = _geometry(z, x_z, dictionary, cfg)
-    theta, cov_b = _background_fit(dictionary.b_b[z], x_z - geo.b_a_z @ post.mu_tilde, cfg)
+    z, x_z = _observation(z, x_z, cfg)
+    z = checked_subset(z, dictionary.p)
+    resid = x_z - dictionary.b_a[z] @ post.mu_tilde
+    theta, cov_b = _background_fit(dictionary.b_b[z], resid, cfg)
     return BackgroundPosterior(theta_n=theta, cov_b=cov_b)
 
 

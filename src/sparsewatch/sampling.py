@@ -74,11 +74,9 @@ def draw_anomaly_sample(
     """
     include = rng.random(post.k_a) < post.alpha
     noise = rng.standard_normal(post.k_a)
-    slab_sd = np.sqrt(np.maximum(post.s2, _VAR_FLOOR))
-    spike_sd = np.sqrt(np.maximum(cfg.v * post.s2, _VAR_FLOOR))
-    return np.where(
-        include, post.mu_a + slab_sd * noise, spike_sd * noise
-    )
+    # Row 0 is the slab draw less its mean, row 1 the spike draw.
+    draws = np.sqrt(np.maximum(np.multiply.outer((1.0, cfg.v), post.s2), _VAR_FLOOR)) * noise
+    return np.where(include, post.mu_a + draws[0], draws[1])
 
 
 def synthesize_anomaly_signal(

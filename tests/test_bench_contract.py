@@ -53,7 +53,7 @@ def test_every_traced_step_layer_runs_once_per_step(sampler, monkeypatch):
     tracing = _tracing()
     calls = Counter()
     for owner, attr, name in tracing._targets():
-        if owner is engine or owner is sampling.OracleScorer:
+        if owner is engine or owner is sampling.OracleScorer or name == "inference.absorb_sample":
             fn = owner.__dict__[attr]
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -79,7 +79,7 @@ def test_every_traced_step_layer_runs_once_per_step(sampler, monkeypatch):
         else ["sampling.score_variables", "sampling.select_top_m"]
     )
     layers = [
-        "engine.step", "inference.fit", "detection.lambda_stat",
+        "engine.step", "inference.fit", "inference.absorb_sample", "detection.lambda_stat",
         "sampling.draw_anomaly_sample", "sampling.synthesize_anomaly_signal", *sensing,
     ]
     assert set(layers) <= {name for _, _, name in tracing._targets()}

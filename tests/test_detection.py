@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sparsewatch.geometry as geometry
 from oracles import (
     conjugate_h0_logpdf,
     conjugate_h1_logpdf,
@@ -67,6 +68,17 @@ def _setup(rng, p=9, k_a=2, k_b=2, m=6, sigma_e=0.3, sigma_b=0.8):
     z = np.sort(rng.choice(p, size=m, replace=False))
     x_z = rng.normal(size=m)
     return d, cfg, post, bg, z, x_z
+
+
+REFERENCES = [update_background, marginal_h0, marginal_h1_exact, log_pbf_exact]
+
+
+def _reference(route, d, cfg, post, bg, z, x_z):
+    """``route``, one of ``REFERENCES``, on one observation, as floats."""
+    if route is update_background:
+        fitted = update_background(x_z, z, post, d, cfg)
+        return fitted.theta_n.tolist() + fitted.cov_b.ravel().tolist()
+    return route(DetectionInputs(x_z=x_z, z=z, post=post, bg=bg), d, cfg)
 
 
 class TestMarginalH0:
@@ -403,6 +415,37 @@ class TestValidation:
         inp = DetectionInputs(x_z=x_z, z=[0, 0, 1, 2, 3, 4], post=post, bg=bg)
         with pytest.raises(DimensionError):
             lambda_stat(inp, d, cfg)
+
+    @pytest.mark.parametrize("route", REFERENCES)
+    @pytest.mark.parametrize(
+        "z, error",
+        [
+            ([0, 0, 1, 2, 3, 4], DimensionError),
+            ([0, 1, 2, 3, 4, 9], IndexError),
+            ([0, 1, 2, 3, 4, -1], IndexError),
+        ],
+        ids=["repeated", "past-p", "negative"],
+    )
+    def test_references_refuse_a_bad_subset(self, rng, route, z, error):
+        """The background refit and the exact routes check their subset
+        themselves, so a repeated, too large or negative index is refused,
+        not wrapped or read twice."""
+        d, cfg, post, bg, _, x_z = _setup(rng)
+        with pytest.raises(error):
+            _reference(route, d, cfg, post, bg, z, x_z)
+
+    @pytest.mark.parametrize("route", REFERENCES)
+    def test_references_look_no_geometry_up(self, rng, route, monkeypatch):
+        """The references cross-check the monitoring step's cached geometry,
+        so they run, with the same result, when every lookup raises."""
+        d, cfg, post, bg, z, x_z = _setup(rng)
+        want = _reference(route, d, cfg, post, bg, z, x_z)
+
+        def refuse(*args):
+            raise AssertionError("a reference looked a subset geometry up")
+
+        monkeypatch.setattr(geometry._CACHE, "lookup", refuse)
+        assert _reference(route, d, cfg, post, bg, z, x_z) == want
 
     @pytest.mark.parametrize("route", [marginal_h0, marginal_h1_exact, log_pbf_exact])
     @pytest.mark.parametrize("k_b", [0, 2])

@@ -249,15 +249,18 @@ class TestStep:
     def test_float_hand_set_plan_refused_before_any_state_changes(
         self, default_dictionary, default_config, z
     ):
-        """A float plan is refused, not truncated, even when the observation
-        holds only the planned values and so never indexes by it."""
+        """A float plan is refused, not truncated, with one error whether the
+        observation holds the planned values, all p values or is a callable
+        of the plan."""
         state = init(default_config, default_dictionary, h=math.inf, seed=7)
         step(state, np.zeros(default_dictionary.p))
         post, stats = state.post, state.stats
         state.plan = SensingPlan(np.array(z))
-        with pytest.raises(DimensionError, match="must be integers"):
-            step(state, np.ones(len(z)))
-        assert state.step == 1 and state.post is post and state.stats is stats
+        x = np.ones(default_dictionary.p)
+        for observation in (np.ones(len(z)), x, x.__getitem__):
+            with pytest.raises(DimensionError, match="must be integers"):
+                step(state, observation)
+            assert state.step == 1 and state.post is post and state.stats is stats
 
     def test_descending_hand_set_plan_steps(self, default_dictionary, default_config, rng):
         """A valid subset out of order is observed in its given order and

@@ -36,11 +36,11 @@ SIGMA_E, SIGMA_B = 0.3, 0.8
 
 # SHA-256 of 500 single geometry builds at p = 400, m = 20
 # (``TestCache.test_p400_single_builds_keep_their_bytes``), over the fields
-# b_a_z, m_c, logdet_w, basis, c and col_sq, whose bytes are those the
-# per-subset build gave before tables were built in stacked passes.  Taken
+# m_c, logdet_w, basis, c and col_sq, whose bytes are those the per-subset
+# build gave before tables were built in stacked passes.  Taken
 # with numpy 2.4.6 and scipy-openblas 0.3.31 on a Haswell-class x86-64 core;
 # an OpenBLAS that picks other kernels may round differently.
-P400_DIGEST = "2267f4dc03e78e929e98961becdc2c91563b598725c811076c1e249f2cfb0450"
+P400_DIGEST = "2cdc98a6e6c7d6d260301fa4114862e9132c74c204394ae1ec9e3b1561799979"
 
 
 def _cfg(k_a, m):
@@ -326,7 +326,7 @@ class TestCache:
         changed = subset_geometry(other, SIGMA_E**2, SIGMA_B**2, z)
         subset_geometry(other, SIGMA_E**2, SIGMA_B**2, z2)
         assert len(count_builds) == 2 * space + 2
-        assert changed.b_a_z.tobytes() != base.b_a_z.tobytes()
+        assert changed.m_c.tobytes() != base.m_c.tobytes()
         subset_geometry(d, SIGMA_E**2, 2.0 * SIGMA_B**2, z)
         subset_geometry(d, SIGMA_E**2, 2.0 * SIGMA_B**2, z2)
         assert len(count_builds) == 3 * space + 3

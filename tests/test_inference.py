@@ -815,3 +815,40 @@ class TestTypes:
                     k_a=2, sigma_e=1.0, sigma_b=1.0, sigma_j=1.0, w=bad,
                     v=0.5, decay=0.1, m=1,
                 )
+
+    @pytest.mark.parametrize("m", [5.5, 5.0, True, "5"])
+    def test_non_integer_budget_refused(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            ModelConfig.homogeneous(
+                k_a=2, sigma_e=1.0, sigma_b=1.0, sigma_j=1.0, w=0.5, v=0.5, decay=0.1, m=m,
+            )
+
+    def test_numpy_integer_budget_stored_as_int(self):
+        cfg = ModelConfig.homogeneous(
+            k_a=2, sigma_e=1.0, sigma_b=1.0, sigma_j=1.0, w=0.5, v=0.5, decay=0.1, m=np.int64(3),
+        )
+        assert type(cfg.m) is int and cfg.m == 3
+
+    def test_config_owns_its_arrays(self):
+        """A write to the caller's arrays leaves the config, its derived
+        arrays and its sweep factors alone; its own arrays are read-only."""
+        sigma_j, w = np.full(3, 2.0), np.full(3, 0.1)
+        cfg = ModelConfig(sigma_e=1.0, sigma_b=1.0, sigma_j=sigma_j, w=w, v=0.5, decay=0.1, m=1)
+        derived = [cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), cfg._sweep_lists]
+        sigma_j[:] = 5.0
+        w[:] = 0.9
+        assert cfg.sigma_j.tolist() == [2.0] * 3 and cfg.w.tolist() == [0.1] * 3
+        assert [cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), cfg._sweep_lists] == derived
+        for name in ("sigma_j", "w", "sigma_j2", "inv_sigma_j2", "two_sigma_j2", "logit_w"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cfg, name)[0] = 0.5
+
+    def test_posterior_owns_its_fields(self):
+        """A write to the caller's mean or variance leaves the posterior and
+        the fields derived from it consistent."""
+        mu, s2 = np.full(2, 0.5), np.ones(2)
+        post = SpikeSlabPosterior(mu_a=mu, s2=s2, alpha=np.full(2, 0.5))
+        mu[0] = 100.0
+        s2[0] = 7.0
+        assert post.mu_a.tolist() == [0.5, 0.5] and post.s2.tolist() == [1.0, 1.0]
+        assert post.mu_tilde.tolist() == (post.mu_a * post.alpha).tolist()
