@@ -86,8 +86,12 @@ def _rank_cut(u_mat: np.ndarray, svals: np.ndarray, shape) -> np.ndarray:
 
     The cut is max(m, k_b)·eps·(largest singular value), so basis·basis'
     projects onto the block's columns at any rank.  When the cut keeps every
-    column and U already has that shape, U itself is the basis.
+    column and U already has that shape, U itself is the basis; for a single
+    block the singular values descend, so the smallest decides that.
     """
+    if u_mat.shape == shape and svals.ndim == 1:
+        if not svals.size or svals[-1] > max(shape) * _EPS * svals[0]:
+            return u_mat
     keep = svals > max(shape[-2:]) * _EPS * svals[..., :1]
     if u_mat.shape == shape and keep.all():
         return u_mat
@@ -128,7 +132,7 @@ def checked_subset(z, p: int) -> np.ndarray:
     ends and one comparison of neighbours checked.
     """
     z = subset_indices(z)
-    if z.size and not (z[0] >= 0 and z[-1] < p and (z[1:] > z[:-1]).all()):
+    if z.size and not (z[0] >= 0 and z[-1] < p and not np.count_nonzero(z[1:] <= z[:-1])):
         if z.min() < 0 or z.max() >= p:
             raise IndexError("observation subset index out of range")
         if np.unique(z).size != z.size:
@@ -148,8 +152,8 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> 
     computes as symmetric rank-k updates, so ``m_c`` is exactly symmetric
     as built.
     """
-    b_a_z = dictionary.b_a[z]
-    b_b_z = dictionary.b_b[z]
+    b_a_z = dictionary.b_a.take(z, 0)
+    b_b_z = dictionary.b_b.take(z, 0)
     u_mat, svals, _ = np.linalg.svd(b_b_z, full_matrices=False)
     kappa = sigma_e2 / sigma_b2
     sq = svals * svals
@@ -169,7 +173,7 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> 
     geometry = SubsetGeometry(m_c, logdet_w, basis, c, col_sq)
     for arr in geometry:
         if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
     return geometry
 
 

@@ -130,14 +130,26 @@ def select_top_m(
 ) -> SensingPlan:
     """Indices of the m largest scores, ties broken uniformly at random.
 
-    A random permutation is applied before a stable descending sort, so
-    equal-scored variables enter the cut in exchangeable random order.
+    A NaN score ranks below every number.  Every call draws one random
+    permutation of the p variables, so the generator advances alike
+    whatever the scores, but the permutation is read only when scores tie
+    at the cut or a NaN reaches it: then a stable descending sort of the
+    permuted scores lets equal-scored variables enter the cut in
+    exchangeable random order.  Otherwise one partition of a copy finds the
+    score at ascending rank p − m, and when exactly m scores reach it they
+    are the subset the sort would give, since every other score is smaller
+    or NaN.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     p = scores.size
     if not 1 <= m <= p:
         raise DimensionError(f"budget m={m} must lie in [1, {p}]")
     perm = rng.permutation(p)
+    part = scores.copy()
+    part.partition(p - m)  # NaN sorts last; a NaN cut is reached by no score
+    top = (scores >= part[p - m]).nonzero()[0]
+    if top.size == m:
+        return SensingPlan(top, scores)
     ranked = perm[np.argsort(-scores[perm], kind="stable")]
     return SensingPlan(np.sort(ranked[:m]), scores)
 

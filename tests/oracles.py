@@ -531,3 +531,16 @@ def reference_subset_score(z, x1_hat, b_a, b_b, mu, s2, alpha):
     term1 = 2.0 * float(y @ (np.eye(z.size) - proj) @ x_sub)
     term3 = float(y @ proj @ y)
     return term1 - quad + term3
+
+
+# ── Subset selection by a full permutation-ranked sort ────────────────────
+
+
+def reference_select_top_m(scores, m, rng):
+    """The m largest scores' ascending indices, ties broken by a uniform
+    random permutation: a stable descending sort of the permuted scores,
+    cut after m.  NaN ranks last."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    perm = rng.permutation(scores.size)
+    ranked = perm[np.argsort(-scores[perm], kind="stable")]
+    return np.sort(ranked[:m])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import subprocess
 import re
 import sys
@@ -852,3 +853,41 @@ class TestTypes:
         s2[0] = 7.0
         assert post.mu_a.tolist() == [0.5, 0.5] and post.s2.tolist() == [1.0, 1.0]
         assert post.mu_tilde.tolist() == (post.mu_a * post.alpha).tolist()
+
+    def test_config_stays_read_only_through_pickle(self):
+        """Unpickling, as a pool worker receives its config, runs the checked
+        constructor again: the arrays come back read-only, equal, and the
+        sweep factors unchanged."""
+        cfg = ModelConfig(
+            sigma_e=0.5, sigma_b=1.5, sigma_j=np.array([1.0, 2.0, 3.0]),
+            w=np.array([0.1, 0.2, 0.3]), v=1e-4, decay=0.05, m=2,
+        )
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back._sweep_lists == cfg._sweep_lists
+        for name in ("sigma_j", "w", "sigma_j2", "inv_sigma_j2", "two_sigma_j2", "logit_w"):
+            arr = getattr(back, name)
+            assert arr.tobytes() == getattr(cfg, name).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.9
+        scalars = ("sigma_e", "sigma_b", "v", "decay", "m", "sigma_e2", "sigma_b2")
+        assert [getattr(back, n) for n in scalars] == [getattr(cfg, n) for n in scalars]
+
+    def test_posterior_fields_are_read_only(self):
+        """A checked, a fitted and an unpickled posterior refuse a write to
+        any field, so mu_tilde and spread cannot go stale."""
+        d = BasisDictionary(b_b=np.zeros((6, 0)), b_a=np.random.default_rng(3).normal(size=(6, 3)))
+        cfg = ModelConfig.homogeneous(
+            k_a=3, sigma_e=0.3, sigma_b=0.8, sigma_j=1.5, w=0.2, v=1e-4, decay=0.05, m=2
+        )
+        checked = SpikeSlabPosterior(mu_a=np.full(3, 0.5), s2=np.ones(3), alpha=np.full(3, 0.5))
+        fitted = fit(
+            np.array([0.4, -0.2]), np.array([1, 4]), SpikeSlabPosterior.prior(cfg),
+            DecayedStats.empty(3), d, cfg,
+        ).post
+        for post in (checked, fitted, pickle.loads(pickle.dumps(fitted))):
+            for name in ("mu_a", "s2", "alpha", "mu_tilde", "spread"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(post, name)[0] = 100.0
+        back = pickle.loads(pickle.dumps(fitted))
+        for name in ("mu_a", "s2", "alpha", "mu_tilde", "spread"):
+            assert getattr(back, name).tobytes() == getattr(fitted, name).tobytes()

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import reference_subset_score
+from oracles import reference_select_top_m, reference_subset_score
 from sparsewatch import (
     BasisDictionary,
     CapabilityError,
@@ -184,6 +184,50 @@ class TestSelectTopM:
             assert tied <= {1, 2, 3}
             seen |= tied
         assert seen == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "distinct", "tie_at_cut", "tie_inside", "all_equal", "signed_zeros",
+            "inf", "few_nan", "many_nan", "all_nan", "m_is_1", "m_is_p",
+        ],
+    )
+    @pytest.mark.parametrize("p", [15, 400])
+    def test_matches_the_permutation_ranked_sort(self, case, p):
+        """The subset, its dtype and the generator's state after the call
+        equal the full permutation-ranked sort's, at and away from ties."""
+        rng = np.random.default_rng(p)
+        m = {"m_is_1": 1, "m_is_p": p}.get(case, 5 if p == 15 else 20)
+        for trial in range(20):
+            scores = rng.normal(size=p)
+            order = np.argsort(-scores)
+            if case == "tie_at_cut":  # the m-th and (m+1)-th largest tie
+                scores[order[m]] = scores[order[m - 1]]
+            elif case == "tie_inside":  # a tie above the cut only
+                scores[order[1]] = scores[order[0]]
+            elif case == "all_equal":
+                scores[:] = 0.25
+            elif case == "signed_zeros":  # +0.0 and -0.0 straddle the cut
+                scores[order[m - 1]], scores[order[m]] = 0.0, -0.0
+                scores[order[m + 1 :]] = -np.abs(scores[order[m + 1 :]]) - 1.0
+                scores[order[: m - 1]] = np.abs(scores[order[: m - 1]]) + 1.0
+            elif case == "inf":
+                scores[rng.choice(p, 3, replace=False)] = np.inf
+                scores[rng.choice(p, 3, replace=False)] = -np.inf
+            elif case == "few_nan":
+                scores[rng.choice(p, 3, replace=False)] = np.nan
+            elif case == "many_nan":  # fewer than m numbers
+                scores[rng.choice(p, p - m + 2, replace=False)] = np.nan
+            elif case == "all_nan":
+                scores[:] = np.nan
+            seed = int(rng.integers(1 << 32))
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            plan = select_top_m(scores, m, got_rng)
+            want = reference_select_top_m(scores, m, ref_rng)
+            assert plan.z.dtype == want.dtype == np.intp
+            np.testing.assert_array_equal(plan.z, want)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert got_rng.random() == ref_rng.random()
 
     def test_budget_out_of_range_rejected(self, rng):
         with pytest.raises(DimensionError):
