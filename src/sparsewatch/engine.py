@@ -21,7 +21,8 @@ import numpy as np
 from .bases import BasisDictionary
 from .detection import DetectionInputs, alarm_check, lambda_stat
 from .errors import CalibrationError, DataError, DimensionError, NumericalError, StateError
-from .geometry import subset_indices
+from . import inference
+from .geometry import build_geometry_table, subset_indices
 from .inference import (
     DecayedStats,
     ModelConfig,
@@ -267,15 +268,35 @@ def _run_one(args):
     return stats, False, nonconverged, sweeps
 
 
+def _build_shared(scenario: Scenario, sampler: str) -> None:
+    """Build in this process what every replication of the scenario reads:
+    the geometry table of its combination, the oracle's scorer and the
+    sweep kernel for its k_a.  Each is kept per process and keyed on
+    content, so a replication finds it built."""
+    cfg, dictionary = scenario.cfg, scenario.dictionary
+    build_geometry_table(dictionary, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
+    if sampler == "oracle":
+        OracleScorer.shared(dictionary, cfg.m)
+    inference._kernel(cfg.k_a)
+
+
 def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int, sampler: str):
-    """Run replications 0..n_reps-1, inline or pooled, in rep order."""
+    """Run replications 0..n_reps-1, inline or pooled, in rep order.
+
+    A pool whose workers fork inherits this process's memory, so the
+    shared per-process tables are built here first, once, rather than in
+    every worker; a worker that starts fresh would inherit nothing.
+    """
     worklist = [(scenario, h, seed, rep, sampler) for rep in range(n_reps)]
     workers = min(workers, n_reps)  # a pool starts all its processes at once
     if workers <= 1:
         return [_run_one(args) for args in worklist]
     # imported here: a process that never pools never pays the import
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    if multiprocessing.get_start_method() == "fork":  # the start method the pool uses
+        _build_shared(scenario, sampler)
     chunk = max(1, len(worklist) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, worklist, chunksize=chunk))

@@ -23,7 +23,10 @@ geometry is kept, which the layers of one step share.  A table is built
 ``_CHUNK`` subsets per stacked pass of the same function that builds a
 single geometry; its stacked SVD, products and sums run, block by block, a
 single build's operations, so a row equals that subset's own build byte for
-byte and outputs do not depend on the cache.
+byte and outputs do not depend on the cache.  Before a pool forks its
+workers, ``engine`` builds the run's table in the parent through
+``build_geometry_table``, so the workers inherit it copy-on-write and
+build none; a combination the budget refuses builds nothing there either.
 
 A geometry is built from one thin SVD of the observed background rows,
 B_bZ = U·S·V' with r = min(m, k_b) singular values s_i.  With
@@ -48,7 +51,13 @@ import numpy as np
 from .bases import BasisDictionary
 from .errors import DimensionError
 
-__all__ = ["CACHE_BUDGET_BYTES", "SubsetGeometry", "subset_geometry", "clear_geometry_cache"]
+__all__ = [
+    "CACHE_BUDGET_BYTES",
+    "SubsetGeometry",
+    "subset_geometry",
+    "build_geometry_table",
+    "clear_geometry_cache",
+]
 
 CACHE_BUDGET_BYTES = 32 << 20
 
@@ -241,8 +250,9 @@ class _GeometryCache:
     """Per-process store behind ``subset_geometry``.
 
     ``table`` is the latest combination's ``_Table``, built whole, under
-    ``lock``, by the first lookup that meets ``last``, the latest geometry
-    returned, at the same combination and another subset.
+    ``lock``, by ``build``: at the first lookup that meets ``last``, the
+    latest geometry returned, at the same combination and another subset,
+    or when ``build_geometry_table`` asks for it.
     """
 
     def __init__(self, budget: int):
@@ -255,6 +265,14 @@ class _GeometryCache:
             self.table: _Table | None = None
             self.last = None
 
+    def build(self, dictionary, sigma_e2: float, sigma_b2: float, m: int) -> _Table:
+        """The combination's table, built now unless it is the one held."""
+        key = (dictionary.content_key, sigma_e2, sigma_b2, m)
+        with self.lock:
+            if self.table is None or self.table.key != key:
+                self.table = _table(key, dictionary, sigma_e2, sigma_b2, m, self.budget)
+            return self.table
+
     def lookup(self, dictionary, sigma_e2: float, sigma_b2: float, z: np.ndarray):
         key = (dictionary.content_key, sigma_e2, sigma_b2, z.size)
         z_key = z.tobytes()
@@ -264,13 +282,7 @@ class _GeometryCache:
             return last[2]
         table = self.table
         if table is None or table.key != key:
-            table = None
-            if same:
-                with self.lock:
-                    table = self.table
-                    if table is None or table.key != key:
-                        table = _table(key, dictionary, sigma_e2, sigma_b2, z.size, self.budget)
-                        self.table = table
+            table = self.build(dictionary, sigma_e2, sigma_b2, z.size) if same else None
         i = None if table is None else table.rank.get(z_key)
         if i is None:
             checked_subset(z, dictionary.p)
@@ -296,6 +308,19 @@ def subset_geometry(
     """
     z = subset_indices(z)
     return _CACHE.lookup(dictionary, float(sigma_e2), float(sigma_b2), z)
+
+
+def build_geometry_table(
+    dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, m: int
+) -> None:
+    """Build the table of every m-subset's geometry now, without waiting
+    for the combination's second distinct lookup.
+
+    The table is the one that lookup would build, by the same function,
+    so its rows are byte for byte the same; a combination the budget
+    refuses builds nothing, and its subsets are then built alone.
+    """
+    _CACHE.build(dictionary, float(sigma_e2), float(sigma_b2), int(m))
 
 
 def clear_geometry_cache() -> None:

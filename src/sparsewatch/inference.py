@@ -276,6 +276,7 @@ class DecayedStats:
     −(m·ln(2π) + ln det(marginal covariance))/2.  ``mass`` is the decayed
     sum of the weights themselves, (1 − (1−decay)^n)/decay after n steps:
     the effective sample size the sums carry, approaching 1/decay.
+    ``empty`` and ``absorb_sample`` mark ``raw_M`` and ``raw_u`` read-only.
     """
 
     raw_M: np.ndarray
@@ -287,9 +288,12 @@ class DecayedStats:
 
     @classmethod
     def empty(cls, k_a: int) -> "DecayedStats":
+        raw_m, raw_u = np.zeros((k_a, k_a)), np.zeros(k_a)
+        raw_m.setflags(write=False)
+        raw_u.setflags(write=False)
         return cls(
-            raw_M=np.zeros((k_a, k_a)),
-            raw_u=np.zeros(k_a),
+            raw_M=raw_m,
+            raw_u=raw_u,
             raw_q=0.0,
             raw_norm=0.0,
             mass=0.0,
@@ -382,9 +386,12 @@ def absorb_sample(
     keep = 1.0 - cfg.decay
     raw_m = stats.raw_M * keep
     raw_m += geo.m_c  # in place: one k_a×k_a temporary fewer, the same sums
+    raw_u = keep * stats.raw_u + u_c
+    raw_m.setflags(False)  # write=False; passed by keyword it costs 0.2 µs, not 0.1
+    raw_u.setflags(False)
     return DecayedStats(
         raw_m,
-        keep * stats.raw_u + u_c,
+        raw_u,
         keep * stats.raw_q + q_c,
         keep * stats.raw_norm + norm_c,
         keep * stats.mass + 1.0,

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .bases import BasisDictionary
-from .errors import CapabilityError, DimensionError
+from .errors import CapabilityError, DimensionError, NumericalError
 from .geometry import column_bases
 from .inference import ModelConfig, SpikeSlabPosterior
 
@@ -227,8 +227,10 @@ class OracleScorer:
         variable, x1_hat, y = _variable_scores(x1_hat, post, self.dictionary)
         scores = variable @ self.incidence
         if self.bases is not None:
-            c_y, c_x = np.stack([y, x1_hat]) @ self.bases
-            c_y *= c_y - 2.0 * c_x
+            c_y, c_x = np.array((y, x1_hat)) @ self.bases
+            c_x *= -2.0  # c_y·(c_y − 2·c_x), bitwise, in place
+            c_x += c_y
+            c_y *= c_x
             for block in c_y.reshape(-1, scores.size):
                 scores += block
         return scores
@@ -243,9 +245,16 @@ class OracleScorer:
 
         with P_Z the projection onto the subset's background columns.  Exact
         ties, such as the all-zero posterior mean where every subset scores
-        zero, are broken uniformly at random by ``rng``.
+        zero, are broken uniformly at random by ``rng``.  A NaN score raises
+        NumericalError naming the subsets whose scores are not finite.
         """
         scores = self.subset_scores(x1_hat, post)
         ties = np.flatnonzero(scores == scores.max())
+        if not ties.size:  # a NaN score makes the maximum NaN
+            bad = np.flatnonzero(~np.isfinite(scores))
+            raise NumericalError(
+                f"{bad.size} of {scores.size} subset scores are not finite, "
+                f"first {scores[bad[0]]} at subset {self.subsets[bad[0]].tolist()}"
+            )
         pick = int(ties[rng.integers(ties.size)]) if ties.size > 1 else int(ties[0])
         return SensingPlan(self.subsets[pick].copy(), None)

@@ -47,6 +47,29 @@ from sparsewatch import (
 )
 
 
+def _inline_pool(monkeypatch, record):
+    """Patch in a stand-in for ProcessPoolExecutor that runs its tasks
+    inline and keeps ``record()`` as taken at its construction, before any
+    replication runs; returns the list of those records."""
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(record())
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return seen
+
+
 def _null_scenario(dictionary, cfg, horizon):
     return Scenario(
         dictionary=dictionary, cfg=cfg, tau=None, change=(), horizon=horizon
@@ -684,6 +707,92 @@ class TestCalibrateAndEvaluate:
         assert sizes == [2]
         np.testing.assert_array_equal(pooled, inline)
         np.testing.assert_array_equal(single, inline[:1])
+
+    @pytest.fixture()
+    def shared_cleared(self, monkeypatch):
+        """No geometry table, no shared scorer, and every sweep kernel this
+        process asks for recorded, in order; the cache is cleared again
+        afterwards, since a run at a patched budget leaves its refusal."""
+        geometry.clear_geometry_cache()
+        monkeypatch.setattr(OracleScorer, "_shared", None)
+        kernels = []
+        kernel = inference._kernel
+        monkeypatch.setattr(inference, "_kernel", lambda k: kernels.append(k) or kernel(k))
+        yield kernels
+        geometry.clear_geometry_cache()
+
+    @staticmethod
+    def _held(kernels):
+        """What this process holds: (its geometry table, its shared
+        scorer, the kernels asked for so far)."""
+        return lambda: (geometry._CACHE.table, OracleScorer._shared, list(kernels))
+
+    @staticmethod
+    def _start_method(monkeypatch, method):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *args, **kw: method)
+
+    @pytest.mark.parametrize("sampler", ["thompson", "oracle"])
+    def test_forking_pool_inherits_the_shared_tables(
+        self, small_dictionary, small_config, monkeypatch, shared_cleared, sampler
+    ):
+        """Before a pool whose workers fork starts, this process already
+        holds the combination's whole geometry table, the oracle's scorer
+        (oracle sampler only) and the sweep kernel for k_a, so the workers
+        inherit them and build none; the results equal the inline run's."""
+        cfg, d = small_config, small_dictionary
+        self._start_method(monkeypatch, "fork")
+        seen = _inline_pool(monkeypatch, self._held(shared_cleared))
+        pooled = collect_h0_trajectories(
+            cfg, d, n_reps=3, horizon=20, seed=5, workers=2, sampler=sampler
+        )
+        inline = collect_h0_trajectories(cfg, d, n_reps=3, horizon=20, seed=5, sampler=sampler)
+        [(table, scorer, kernels)] = seen
+        assert table.key == (d.content_key, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
+        assert len(table.rank) == math.comb(d.p, cfg.m) and table.fields is not None
+        if sampler == "oracle":
+            assert scorer[0] == (d.content_key, cfg.m)
+        else:
+            assert scorer is None
+        assert kernels == [cfg.k_a]
+        np.testing.assert_array_equal(pooled, inline)
+
+    def test_spawning_pool_builds_nothing_first(
+        self, small_dictionary, small_config, monkeypatch, shared_cleared
+    ):
+        """A worker that does not fork inherits nothing, so nothing is
+        built before its pool starts."""
+        cfg, d = small_config, small_dictionary
+        self._start_method(monkeypatch, "spawn")
+        seen = _inline_pool(monkeypatch, self._held(shared_cleared))
+        pooled = collect_h0_trajectories(
+            cfg, d, n_reps=3, horizon=20, seed=5, workers=2, sampler="oracle"
+        )
+        inline = collect_h0_trajectories(cfg, d, n_reps=3, horizon=20, seed=5, sampler="oracle")
+        assert seen == [(None, None, [])]
+        np.testing.assert_array_equal(pooled, inline)
+
+    def test_refused_table_is_not_built_before_the_pool(
+        self, small_dictionary, small_config, monkeypatch, shared_cleared
+    ):
+        """With the table budget at zero the parent builds no table before
+        a forking pool, and the run's results are unchanged."""
+        cfg, d = small_config, small_dictionary
+        scenario = Scenario(
+            dictionary=d, cfg=cfg, tau=10, change=((1, 1.5),), horizon=40,
+        )
+        inline = evaluate(cfg, d, 2.0, scenario, n_reps=3, seed=33, return_records=True)
+        geometry.clear_geometry_cache()
+        monkeypatch.setattr(geometry._CACHE, "budget", 0)
+        self._start_method(monkeypatch, "fork")
+        seen = _inline_pool(monkeypatch, self._held(shared_cleared))
+        pooled = evaluate(
+            cfg, d, 2.0, scenario, n_reps=3, seed=33, workers=2, return_records=True
+        )
+        [(table, _, _)] = seen
+        assert table.fields is None and not table.rank
+        assert pooled == inline
 
     def test_change_scenario_records_delays(self, small_dictionary, small_config):
         scenario = Scenario(

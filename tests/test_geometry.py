@@ -30,7 +30,7 @@ from sparsewatch import (
     fourier_basis,
     update_background,
 )
-from sparsewatch.geometry import clear_geometry_cache, subset_geometry
+from sparsewatch.geometry import build_geometry_table, clear_geometry_cache, subset_geometry
 
 SIGMA_E, SIGMA_B = 0.3, 0.8
 
@@ -341,6 +341,40 @@ class TestCache:
             subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
         assert len(count_builds) == 3
         assert geometry._CACHE.table.fields is None and not geometry._CACHE.table.rank
+
+    def test_built_table_is_the_one_a_lookup_builds(self, count_builds):
+        """``build_geometry_table`` builds the combination's whole table at
+        once, by the same function, so its rows carry the bytes of the table
+        the second distinct lookup builds; asked again, it builds nothing,
+        and a lookup then reads its rows without building."""
+        d, z, _, _ = _problem(11, 3, 5, "random")
+        space = math.comb(d.p, 5)
+        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
+        built = geometry._CACHE.table
+        assert built.key == (d.content_key, SIGMA_E**2, SIGMA_B**2, 5)
+        assert len(count_builds) == space
+        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
+        assert geometry._CACHE.table is built and len(count_builds) == space
+        row = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.sort(z))
+        assert row.m_c.base is built.fields.m_c and len(count_builds) == space
+        clear_geometry_cache()
+        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(5))
+        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.sort(z))
+        looked_up = geometry._CACHE.table
+        assert looked_up.rank == built.rank
+        for a, b in zip(looked_up.fields, built.fields):
+            assert a.tobytes() == b.tobytes() and not b.flags.writeable
+
+    def test_refused_table_builds_nothing(self, count_builds):
+        """A combination over the budget builds no geometry when asked for
+        its table; its subsets are then built alone, as before."""
+        rng = np.random.default_rng(0)
+        d = BasisDictionary(b_b=rng.normal(size=(60, 2)), b_a=rng.normal(size=(60, 3)))
+        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 30)
+        assert not count_builds
+        assert geometry._CACHE.table.fields is None and not geometry._CACHE.table.rank
+        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(30))
+        assert len(count_builds) == 1
 
     def test_entry_estimate_matches_traced_memory(self):
         """The table's size estimated from shapes is within 10% of what

@@ -29,7 +29,7 @@ from sparsewatch import (
     update_background,
     vb_coordinate_sweep,
 )
-from sparsewatch import inference
+from sparsewatch import engine, inference
 from sparsewatch.inference import _BLOCK, ALPHA_CLAMP, _iterate
 
 
@@ -871,6 +871,21 @@ class TestTypes:
                 arr[0] = 0.9
         scalars = ("sigma_e", "sigma_b", "v", "decay", "m", "sigma_e2", "sigma_b2")
         assert [getattr(back, n) for n in scalars] == [getattr(cfg, n) for n in scalars]
+
+    def test_decayed_stats_are_read_only(self, default_dictionary, default_config):
+        """Empty, absorbed and stepped moments refuse a write to raw_M and
+        raw_u, so no fit can read a moment changed in place."""
+        d, cfg = default_dictionary, default_config
+        empty = DecayedStats.empty(d.k_a)
+        absorbed = absorb_sample(empty, np.full(cfg.m, 0.1), np.arange(cfg.m), d, cfg)
+        state = engine.init(cfg, d, h=math.inf, seed=4)
+        for t in range(3):
+            engine.step(state, np.full(d.p, 0.05 * t))
+        for stats in (empty, absorbed, state.stats):
+            with pytest.raises(ValueError, match="read-only"):
+                stats.raw_M[0, 0] = 1e6
+            with pytest.raises(ValueError, match="read-only"):
+                stats.raw_u[0] = 1e6
 
     def test_posterior_fields_are_read_only(self):
         """A checked, a fitted and an unpickled posterior refuse a write to

@@ -13,6 +13,7 @@ from sparsewatch import (
     CapabilityError,
     DimensionError,
     ModelConfig,
+    NumericalError,
     OracleScorer,
     Scenario,
     SpikeSlabPosterior,
@@ -292,6 +293,20 @@ class TestOracleScorer:
             scorer.subset_scores(x1, post), sums, rtol=0, atol=1e-14 * np.abs(s).sum()
         )
         assert scorer.bases is None
+
+    @pytest.mark.parametrize("nan_at", [slice(None), 2], ids=["all", "one-variable"])
+    def test_nan_score_names_the_non_finite_subsets(self, rng, nan_at):
+        """A NaN in the synthesized signal reaches every subset's score
+        through the dense products over the tables (NaN·0 is NaN); ``select``
+        says so with NumericalError, naming how many subsets and the first
+        of them, where taking the maximum's ties found none."""
+        d, post, x1 = self._problem(rng)
+        x1[nan_at] = np.nan
+        with pytest.raises(
+            NumericalError,
+            match=r"35 of 35 subset scores are not finite, first nan at subset \[0, 1, 2\]",
+        ):
+            OracleScorer(d, 3).select(x1, post, rng)
 
     def test_shared_terms_leave_scores_bitwise_unchanged(self, rng):
         """Reading the dictionary's stored B_a∘B_a and computing y = B_a·mu_tilde
