@@ -9,6 +9,17 @@ run length under the null, and replicated run-length evaluation.
 Reproducibility contract: a replication's randomness derives only from
 (seed, rep) through ``numpy.random.SeedSequence``, replications are reduced
 in rep order, and no output depends on wall-clock time or worker count.
+
+Replications at threshold +inf, the null runs a calibration collects, run
+in lockstep: a batch of them advances one time step at a time, each layer
+one numpy call over the batch, while each replication keeps its own
+stream, Generator and draw order and its fit stays one call of the sweep
+kernel.  Every reduction is the per-replication BLAS call the layer makes,
+so each replication's statistics and sweep counts are bitwise those of
+``step`` run on it alone, and the batch split does not change them.
+A batch that meets what ``step`` would raise on reruns through ``step``,
+which raises it.  Other replications, which stop at their alarm, run one
+``step`` at a time.
 """
 
 from __future__ import annotations
@@ -20,9 +31,16 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .detection import DetectionInputs, alarm_check, lambda_stat
-from .errors import CalibrationError, DataError, DimensionError, NumericalError, StateError
+from .errors import (
+    CalibrationError,
+    DataError,
+    DimensionError,
+    NumericalError,
+    SparsewatchError,
+    StateError,
+)
 from . import inference
-from .geometry import build_geometry_table, subset_indices
+from .geometry import build_geometry_table, subset_geometry, subset_indices
 from .inference import (
     DecayedStats,
     ModelConfig,
@@ -32,6 +50,8 @@ from .inference import (
 from .sampling import (
     OracleScorer,
     SensingPlan,
+    _VAR_FLOOR,
+    _permuted_top,
     draw_anomaly_sample,
     score_variables,
     select_top_m,
@@ -198,7 +218,11 @@ def step(state: EngineState, observation) -> StepOutcome:
     the current plan, or a callable mapping the planned indices to values.
     An alarmed engine is absorbing and refuses further steps.  A finite
     observation whose statistic is not finite (it overflowed the fit)
-    raises NumericalError and leaves the engine as it was.
+    raises NumericalError and leaves the engine as it was.  The next subset
+    is chosen before the step commits its posterior, moments and count, so
+    a sampler that raises (the oracle's NumericalError for a non-finite
+    subset score) leaves them and the plan as they were; only the
+    Generator has advanced.
 
     The observation is converted and checked once, here, and the statistic
     takes it through the trusted ``DetectionInputs._trusted``.  The plan's
@@ -219,21 +243,21 @@ def step(state: EngineState, observation) -> StepOutcome:
             f"monitoring statistic is {stat} at step {state.step + 1} "
             f"(observed variables {z.tolist()}, fit ran {res.n_iters} sweeps)"
         )
-    state.post, state.stats = res.post, res.stats
-    state.step += 1
     plan = None
-    if alarm_check(stat, state.h):
-        state.alarmed = True
-    else:
-        theta_hat = draw_anomaly_sample(state.post, state.cfg, state.rng)
+    alarmed = alarm_check(stat, state.h)
+    if not alarmed:  # sensed before the step commits, so a sampler's error leaves it undone
+        theta_hat = draw_anomaly_sample(res.post, state.cfg, state.rng)
         x1_hat = synthesize_anomaly_signal(theta_hat, state.dictionary, state.cfg, state.rng)
         if state.sampler == "oracle":
-            plan = state.scorer.select(x1_hat, state.post, state.rng)
+            plan = state.scorer.select(x1_hat, res.post, state.rng)
         else:
-            scores = score_variables(x1_hat, state.post, state.dictionary)
+            scores = score_variables(x1_hat, res.post, state.dictionary)
             plan = select_top_m(scores, state.cfg.m, state.rng)
         state.plan = plan
-    return StepOutcome(state.step, stat, state.alarmed, z, plan, res.converged, res.n_iters)
+    state.post, state.stats = res.post, res.stats
+    state.step += 1
+    state.alarmed = alarmed
+    return StepOutcome(state.step, stat, alarmed, z, plan, res.converged, res.n_iters)
 
 
 # ── Replications ──────────────────────────────────────────────────────────
@@ -280,26 +304,205 @@ def _build_shared(scenario: Scenario, sampler: str) -> None:
     inference._kernel(cfg.k_a)
 
 
+class _Fallback(Exception):
+    """A lockstep batch met what only the per-replication loop reports."""
+
+
+def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
+    """Replications ``reps`` at threshold +inf, one time step for the whole
+    batch at a time; each one's result is bitwise ``_run_one``'s.
+
+    Each replication starts from ``init`` and ``gen_stream`` with its
+    ``_rep_rngs`` seeds and draws from its own Generator in ``step``'s
+    order: Thompson's uniform and normal vectors (one call for both normal
+    vectors, which the Generator fills in the same order) and permutation,
+    or the oracle's uniform and normals before its ``OracleScorer.select``.
+    Its fit is one ``inference._sweeps`` call.  Every other operation is one
+    numpy call over the batch: gathers, the moment updates, the spike/slab
+    draws, the score arithmetic and the top-m partition are elementwise or
+    per row, and each reduction is a stacked ``np.matmul``, which calls per
+    replication the BLAS routine (dot or gemv) that the layer's
+    ``ndarray.dot`` calls, with the same operands.  The geometry is
+    gathered by rank from the table ``build_geometry_table`` returns, or
+    looked up per replication with ``subset_geometry`` where the budget
+    refuses the table.  What the step only stores for later
+    layers (the moments' q, normalization and mass) is not computed.
+
+    Raises ``_Fallback`` where ``step`` would raise: a non-finite value in
+    a stream (the step raises only if it is observed), a non-finite
+    statistic, or an error of the oracle's selection.
+    """
+    cfg, d = scenario.cfg, scenario.dictionary
+    p, m, k, horizon = d.p, cfg.m, cfg.k_a, scenario.horizon
+    n = len(reps)
+    streams = np.empty((horizon, n, p))
+    states = []
+    for i, rep in enumerate(reps):
+        stream_ss, engine_ss = _rep_rngs(seed, rep)
+        streams[:, i] = gen_stream(scenario, stream_ss)
+        states.append(init(cfg, d, h=math.inf, seed=engine_ss, sampler=sampler))
+    if not np.isfinite(streams).all():
+        raise _Fallback
+    rngs = [state.rng for state in states]
+    z = np.array([state.plan.z for state in states])
+    table = build_geometry_table(d, cfg.sigma_e2, cfg.sigma_b2, m)
+
+    keep = 1.0 - cfg.decay
+    raw_m, raw_u = np.zeros((n, k, k)), np.zeros((n, k))
+    off = np.empty_like(raw_m)
+    post = np.empty((n, len(inference._FIELDS), k))  # a fit's output per replication
+    post[:] = [getattr(states[0].post, name) for name in inference._FIELDS]
+    mt, mu, s2, alpha, spread = post.swapaxes(0, 1)
+    uniform, normal = np.empty((n, k)), np.empty((n, k + p))
+    perms = [None] * n
+    stats = np.empty((n, horizon))
+    sweeps = np.empty((n, horizon), dtype=np.intp)
+    nonconverged = np.zeros(n, dtype=np.intp)
+    sweep = inference._sweeps  # looked up once per batch: the seam a test swaps
+    tol, max_iters = inference._TOL, inference._MAX_ITERS
+    fit_args = list(zip(raw_m, off, post.reshape(n, -1)))
+    rows = np.arange(n)[:, None]
+    b_a, b_a_sq = d.b_a, d.b_a_sq
+    for t in range(horizon):
+        x_z = streams[t][rows, z]
+        if table.fields is None:
+            geos = [subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, row) for row in z]
+            m_c, _, basis, c, col_sq = map(np.array, zip(*geos))
+        else:
+            rank = [table.rank[row.tobytes()] for row in z]
+            m_c, _, basis, c, col_sq = (field[rank] for field in table.fields)
+        b_a_z = b_a[z]
+
+        # absorb_sample: W·x = x − U·(c ∘ U'x), then u_c = B_aZ'·W·x
+        proj = c * np.matmul(x_z[:, None], basis)[:, 0]
+        w_x = x_z - np.matmul(basis, proj[:, :, None])[:, :, 0]
+        raw_m *= keep
+        raw_m += m_c
+        raw_u *= keep
+        raw_u += np.matmul(b_a_z.swapaxes(1, 2), w_x[:, :, None])[:, :, 0]
+
+        # fit: one kernel call per replication
+        np.copyto(off, raw_m)
+        off.reshape(n, -1)[:, :: k + 1] = 0.0
+        lists = zip(raw_u.tolist(), mu.tolist(), alpha.tolist(), mt.tolist())
+        done = [
+            sweep(rm, of, out, u, mu_i, al, mt_i, cfg, tol, max_iters)
+            for (rm, of, out), (u, mu_i, al, mt_i) in zip(fit_args, lists)
+        ]
+        converged, sweeps[:, t] = zip(*done)
+        nonconverged += np.logical_not(converged)
+
+        # lambda_stat: 2·(y'x − (P y)'x) − (y'y + col_sq'·spread) + y'P y
+        y = np.matmul(b_a_z, mt[:, :, None])
+        p_y = np.matmul(basis, np.matmul(basis.swapaxes(1, 2), y))
+        y_row, x_col = y.swapaxes(1, 2), x_z[:, :, None]
+        quad = np.matmul(y_row, y) + np.matmul(col_sq[:, None], spread[:, :, None])
+        stat = 2.0 * (np.matmul(y_row, x_col) - np.matmul(p_y.swapaxes(1, 2), x_col)) - quad
+        stat += np.matmul(y_row, p_y)
+        stats[:, t] = stat[:, 0, 0]
+        if not np.isfinite(stats[:, t]).all():
+            raise _Fallback
+
+        # sensing: draw_anomaly_sample, synthesize_anomaly_signal, then a sampler
+        for i, rng in enumerate(rngs):
+            rng.random(out=uniform[i])
+            rng.standard_normal(out=normal[i])
+            if sampler != "oracle":
+                perms[i] = rng.permutation(p)
+        draws = np.sqrt(np.maximum(np.multiply.outer((1.0, cfg.v), s2), _VAR_FLOOR)) * normal[:, :k]
+        theta = np.where(uniform < alpha, mu + draws[0], draws[1])
+        x1_hat = np.matmul(b_a, theta[:, :, None])[:, :, 0] + cfg.sigma_e * normal[:, k:]
+        if sampler == "oracle":
+            z = np.empty_like(z)
+            for i, state in enumerate(states):
+                fitted = SpikeSlabPosterior._trusted(mu[i], s2[i], alpha[i], mt[i], spread[i])
+                try:
+                    z[i] = state.scorer.select(x1_hat[i], fitted, rngs[i]).z
+                except SparsewatchError:
+                    raise _Fallback from None
+        else:  # score_variables, then select_top_m
+            y_all = np.matmul(b_a, mt[:, :, None])[:, :, 0]
+            quad_all = y_all * y_all + np.matmul(b_a_sq, spread[:, :, None])[:, :, 0]
+            scores = 2.0 * x1_hat * y_all - quad_all
+            top = scores >= np.partition(scores, p - m, axis=1)[:, p - m, None]
+            counts = np.count_nonzero(top, axis=1)
+            if (counts == m).all():
+                z = top.nonzero()[1].reshape(n, m)
+            else:  # a tie or a NaN at some row's cut
+                z = np.array([
+                    row.nonzero()[0] if count == m else _permuted_top(row_scores, m, perm)
+                    for row, count, row_scores, perm in zip(top, counts, scores, perms)
+                ])
+    return [(stats[i], False, int(nonconverged[i]), sweeps[i]) for i in range(n)]
+
+
+def _run_batch(args):
+    """``_run_one`` for each replication of a batch, through ``_lockstep``;
+    a batch it refuses runs through ``_run_one`` in rep order, which then
+    raises the exception and message the per-replication loop raises.
+    Top-level so process pools can pickle it."""
+    scenario, seed, reps, sampler = args
+    try:
+        return _lockstep(scenario, seed, reps, sampler)
+    except _Fallback:
+        return [_run_one((scenario, math.inf, seed, rep, sampler)) for rep in reps]
+
+
+# The streams of one lockstep batch, (horizon, reps, p) float64, are held
+# whole; a batch holds at most this many bytes of them.
+_BATCH_STREAM_BYTES = 32 << 20
+
+
+def _batches(n_reps: int, parts: int, horizon: int, p: int) -> list[range]:
+    """Reps 0..n_reps-1 in ``parts`` contiguous, near-equal runs, each cut
+    into batches of at most ``_BATCH_STREAM_BYTES`` of streams."""
+    cap = max(1, _BATCH_STREAM_BYTES // (8 * horizon * p))
+    bounds = [i * n_reps // parts for i in range(parts + 1)]
+    return [
+        range(start, stop)[j : j + cap]
+        for start, stop in zip(bounds, bounds[1:])
+        for j in range(0, stop - start, cap)
+    ]
+
+
 def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int, sampler: str):
     """Run replications 0..n_reps-1, inline or pooled, in rep order.
+
+    At h = +inf no replication stops early, so they run in lockstep
+    batches (``_run_batch``): one batch inline, or one per worker when
+    pooled, each capped by ``_BATCH_STREAM_BYTES``.  Otherwise each
+    replication runs alone (``_run_one``).  Either way a replication's
+    result is bitwise the same, so outputs do not depend on ``workers``.
 
     A pool whose workers fork inherits this process's memory, so the
     shared per-process tables are built here first, once, rather than in
     every worker; a worker that starts fresh would inherit nothing.
     """
-    worklist = [(scenario, h, seed, rep, sampler) for rep in range(n_reps)]
     workers = min(workers, n_reps)  # a pool starts all its processes at once
+    lockstep = h == math.inf
+    if lockstep:
+        task = _run_batch
+        batches = _batches(n_reps, max(workers, 1), scenario.horizon, scenario.dictionary.p)
+        worklist = [(scenario, seed, reps, sampler) for reps in batches]
+        chunk = 1
+    else:
+        task = _run_one
+        worklist = [(scenario, h, seed, rep, sampler) for rep in range(n_reps)]
+        chunk = max(1, len(worklist) // (workers * 4))
     if workers <= 1:
-        return [_run_one(args) for args in worklist]
-    # imported here: a process that never pools never pays the import
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        results = [task(args) for args in worklist]
+    else:
+        # imported here: a process that never pools never pays the import
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    if multiprocessing.get_start_method() == "fork":  # the start method the pool uses
-        _build_shared(scenario, sampler)
-    chunk = max(1, len(worklist) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, worklist, chunksize=chunk))
+        if multiprocessing.get_start_method() == "fork":  # the start method the pool uses
+            _build_shared(scenario, sampler)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, worklist, chunksize=chunk))
+    if lockstep:
+        return [result for batch in results for result in batch]
+    return results
 
 
 def _same_config(a: ModelConfig, b: ModelConfig) -> bool:
@@ -330,7 +533,10 @@ def collect_h0_trajectories(
 
     The adaptive sensing loop runs exactly as in monitoring (threshold held
     at +inf), so a threshold can later be chosen by replaying these
-    trajectories against candidate values.
+    trajectories against candidate values.  No replication stops early, so
+    they run in lockstep batches, one per worker (see the module
+    docstring): the trajectories are byte for byte those of a ``step``
+    loop over each replication alone, at any ``workers``.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be positive")

@@ -27,6 +27,8 @@ byte and outputs do not depend on the cache.  Before a pool forks its
 workers, ``engine`` builds the run's table in the parent through
 ``build_geometry_table``, so the workers inherit it copy-on-write and
 build none; a combination the budget refuses builds nothing there either.
+``engine``'s lockstep batch reads the table that call returns directly,
+gathering a batch of subsets' rows by their ranks.
 
 A geometry is built from one thin SVD of the observed background rows,
 B_bZ = U·S·V' with r = min(m, k_b) singular values s_i.  With
@@ -312,15 +314,18 @@ def subset_geometry(
 
 def build_geometry_table(
     dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, m: int
-) -> None:
+) -> _Table:
     """Build the table of every m-subset's geometry now, without waiting
-    for the combination's second distinct lookup.
+    for the combination's second distinct lookup, and return it.
 
     The table is the one that lookup would build, by the same function,
-    so its rows are byte for byte the same; a combination the budget
-    refuses builds nothing, and its subsets are then built alone.
+    so its rows are byte for byte the same: its ``fields`` stacked along
+    a leading rank axis, read-only, and its ``rank`` from a subset's
+    index bytes to its row.  A combination the budget refuses builds
+    nothing and returns a table without fields; its subsets are then
+    built alone.
     """
-    _CACHE.build(dictionary, float(sigma_e2), float(sigma_b2), int(m))
+    return _CACHE.build(dictionary, float(sigma_e2), float(sigma_b2), int(m))
 
 
 def clear_geometry_cache() -> None:

@@ -276,7 +276,8 @@ class DecayedStats:
     −(m·ln(2π) + ln det(marginal covariance))/2.  ``mass`` is the decayed
     sum of the weights themselves, (1 − (1−decay)^n)/decay after n steps:
     the effective sample size the sums carry, approaching 1/decay.
-    ``empty`` and ``absorb_sample`` mark ``raw_M`` and ``raw_u`` read-only.
+    ``empty`` and ``absorb_sample`` mark ``raw_M`` and ``raw_u`` read-only,
+    and so does unpickling: numpy does not pickle the read-only flag.
     """
 
     raw_M: np.ndarray
@@ -300,9 +301,20 @@ class DecayedStats:
             n=0,
         )
 
+    def __reduce__(self):
+        fields = (self.raw_M, self.raw_u, self.raw_q, self.raw_norm, self.mass, self.n)
+        return _read_only_stats, fields
+
     @property
     def k_a(self) -> int:
         return self.raw_u.size
+
+
+def _read_only_stats(raw_m, raw_u, raw_q, raw_norm, mass, n) -> DecayedStats:
+    """A ``DecayedStats`` whose two arrays, taken as they are, are marked read-only."""
+    raw_m.setflags(write=False)
+    raw_u.setflags(write=False)
+    return DecayedStats(raw_m, raw_u, raw_q, raw_norm, mass, n)
 
 
 @dataclass(frozen=True)
@@ -398,6 +410,11 @@ def absorb_sample(
         stats.n + 1,
     )
 
+
+# A fit's default stop rule: the largest |change| of any mu_j or alpha_j in a
+# sweep, and the most sweeps it runs.
+_TOL = 1e-6
+_MAX_ITERS = 100
 
 # Coordinates per block of the sweep: one matrix-vector product per block
 # gives every cross term from the posterior at the block's start.
@@ -536,20 +553,41 @@ def _kernel(k: int):
     return namespace["kernel"]
 
 
+def _sweeps(raw_m, off, out, u, mu, alpha, mt, cfg: ModelConfig, tol: float, max_iters: int):
+    """Every sweep of one fit, by one call of the kernel for k_a; returns
+    (converged, sweeps run).
+
+    The fit starts from the posterior whose mu, alpha and mu_tilde are the
+    plain-float lists ``mu``, ``alpha`` and ``mt`` at the moments ``raw_m``
+    (k_a×k_a) and ``u`` (a list); ``off`` is ``raw_m`` with its diagonal
+    zeroed.  ``out`` is a float64 vector of the fit's ``_FIELDS``, one
+    after another, whose first k_a already hold ``mt``: it is the
+    mu_tilde array each block's product reads, and the kernel writes the
+    final posterior into it.  ``_iterate`` and ``engine``'s lockstep
+    batch both run their fits through this one function.
+    """
+    k_a = len(u)
+    return _kernel(k_a)(
+        raw_m, off, out[:k_a], memoryview(out), u, *cfg._sweep_lists, mu, alpha, mt,
+        cfg.sigma_e2, cfg.v, -tol, tol, max_iters,
+    )
+
+
 def _iterate(
     post: SpikeSlabPosterior, stats: DecayedStats, cfg: ModelConfig, tol: float, max_iters: int
 ):
     """Coordinate sweeps at fixed stats until nothing moves by ``tol``.
 
-    Returns (posterior, converged, sweeps run).  One call of the kernel for
-    k_a runs every sweep: it reads plain-float lists of u, the config
-    vectors (converted once per config) and the starting mu, alpha and
-    mu_tilde, and M itself, once with its diagonal zeroed for the product
-    that opens each block, and holds every operand as a local float across
-    all sweeps.  The posterior's fields are the rows of one output array
-    whose first, mu_tilde, is the array each block's product reads and,
-    once the kernel returns, holds mu·alpha of the final iterate bitwise,
-    so the posterior takes them without a conversion, as read-only rows.
+    Returns (posterior, converged, sweeps run).  ``_sweeps`` runs every
+    sweep in one call of the kernel for k_a: it reads plain-float lists of
+    u, the config vectors (converted once per config) and the starting mu,
+    alpha and mu_tilde, and M itself, once with its diagonal zeroed for the
+    product that opens each block, and holds every operand as a local float
+    across all sweeps.  The posterior's fields are the rows of one output
+    array whose first, mu_tilde, is the array each block's product reads
+    and, once the kernel returns, holds mu·alpha of the final iterate
+    bitwise, so the posterior takes them without a conversion, as read-only
+    rows.
     """
     if stats.n == 0:
         raise StateError("cannot sweep before any sample has been absorbed")
@@ -559,12 +597,10 @@ def _iterate(
     off = raw_m.copy()
     off.ravel()[:: k_a + 1] = 0.0  # the diagonal, more cheaply than np.fill_diagonal
     flat = np.empty(len(_FIELDS) * k_a)
-    mt_arr = flat[:k_a]
-    mt_arr[:] = post.mu_tilde
-    converged, iters = _kernel(k_a)(
-        raw_m, off, mt_arr, memoryview(flat), stats.raw_u.tolist(), *cfg._sweep_lists,
-        post.mu_a.tolist(), post.alpha.tolist(), post.mu_tilde.tolist(),
-        cfg.sigma_e2, cfg.v, -tol, tol, max_iters,
+    flat[:k_a] = post.mu_tilde
+    converged, iters = _sweeps(
+        raw_m, off, flat, stats.raw_u.tolist(), post.mu_a.tolist(), post.alpha.tolist(),
+        post.mu_tilde.tolist(), cfg, tol, max_iters,
     )
     fields = flat.reshape(len(_FIELDS), k_a)
     fields.setflags(write=False)  # the kernel wrote through its memoryview
@@ -697,8 +733,8 @@ def fit(
     prev_stats: DecayedStats,
     dictionary: BasisDictionary,
     cfg: ModelConfig,
-    tol: float = 1e-6,
-    max_iters: int = 100,
+    tol: float = _TOL,
+    max_iters: int = _MAX_ITERS,
 ) -> FitResult:
     """Absorb one observation and iterate the variational updates to a fixed point.
 

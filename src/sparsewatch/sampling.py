@@ -150,8 +150,15 @@ def select_top_m(
     top = (scores >= part[p - m]).nonzero()[0]
     if top.size == m:
         return SensingPlan(top, scores)
+    return SensingPlan(_permuted_top(scores, m, perm), scores)
+
+
+def _permuted_top(scores: np.ndarray, m: int, perm: np.ndarray) -> np.ndarray:
+    """The m best of ``scores``, ascending, by a stable descending sort of
+    the scores permuted by ``perm``: equal scores enter the cut in the
+    permutation's order, and NaN ranks last."""
     ranked = perm[np.argsort(-scores[perm], kind="stable")]
-    return SensingPlan(np.sort(ranked[:m]), scores)
+    return np.sort(ranked[:m])
 
 
 # ── Exhaustive reference strategy ─────────────────────────────────────────

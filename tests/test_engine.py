@@ -241,6 +241,25 @@ class TestStep:
         assert state.step == 1 and not state.alarmed
         assert state.post is post and state.stats is stats and state.plan is plan
 
+    def test_sampler_error_leaves_the_step_undone(
+        self, default_dictionary, default_config, monkeypatch
+    ):
+        """The oracle's NumericalError for non-finite subset scores is
+        raised before the step commits: the step count, the moments and
+        the posterior stay as they were, and so does the plan."""
+        state = init(default_config, default_dictionary, h=math.inf, seed=6, sampler="oracle")
+        stream = np.random.default_rng(6).normal(scale=0.05, size=(3, default_dictionary.p))
+        step(state, stream[0])
+        post, stats, plan = state.post, state.stats, state.plan
+        monkeypatch.setattr(
+            engine, "synthesize_anomaly_signal",
+            lambda theta, d, cfg, rng: np.full(d.p, math.nan),
+        )
+        with pytest.raises(NumericalError, match="subset scores are not finite"):
+            step(state, stream[1])
+        assert state.step == 1 and state.stats.n == 1 and not state.alarmed
+        assert state.post is post and state.stats is stats and state.plan is plan
+
     @pytest.mark.parametrize("observed", ["full", "planned"])
     @pytest.mark.parametrize(
         "z, error",
@@ -431,17 +450,23 @@ class TestStep:
     ):
         """Null trajectories and run-length records through the generated
         sweep kernels are byte-identical to those through the interpreted
-        blocked loop the kernels replaced (``oracles.blocked_sweep``)."""
+        blocked loop the kernels replaced (``oracles.blocked_sweep``).
+        Every fit, the lockstep null batch's included, runs its sweeps
+        through ``inference._sweeps``, so the swapped loop runs once per
+        null replication and step."""
+        n_reps, horizon = 3, 60
         scenario = Scenario(
             dictionary=default_dictionary, cfg=default_config, tau=20,
-            change=((0, 1.0),), horizon=60, random_change_basis=True,
+            change=((0, 1.0),), horizon=horizon, random_change_basis=True,
         )
+        calls = []
 
         def run():
             traj = collect_h0_trajectories(
-                default_config, default_dictionary, n_reps=3, horizon=60, seed=21,
+                default_config, default_dictionary, n_reps=n_reps, horizon=horizon, seed=21,
                 sampler=sampler,
             )
+            calls.append("null phase ends")
             h = float(np.quantile(traj, 0.95))
             _, records = evaluate(
                 default_config, default_dictionary, h, scenario, n_reps=4, seed=22,
@@ -449,19 +474,22 @@ class TestStep:
             )
             return traj.tobytes(), repr(records)
 
-        def interpreted(post, stats, cfg, tol, max_iters):
+        def interpreted(raw_m, off, out, u, mu, alpha, mt, cfg, tol, max_iters):
+            calls.append(None)
             mu, s2, alpha, sweeps, converged, _ = blocked_sweep(
-                post.mu_a, post.alpha, stats.raw_M, stats.raw_u, cfg,
-                inference.ALPHA_CLAMP, inference._BLOCK, max_iters, tol,
+                mu, alpha, raw_m, u, cfg, inference.ALPHA_CLAMP, inference._BLOCK, max_iters, tol,
             )
             mu, s2, alpha = np.array(mu), np.array(s2), np.array(alpha)
-            return SpikeSlabPosterior._trusted(
-                mu, s2, alpha, mu * alpha, alpha * (1.0 - alpha) * mu * mu
-            ), converged, sweeps
+            out[:] = np.concatenate((mu * alpha, mu, s2, alpha, alpha * (1.0 - alpha) * mu * mu))
+            return converged, sweeps
 
         generated = run()
-        monkeypatch.setattr(inference, "_iterate", interpreted)
+        calls.clear()
+        monkeypatch.setattr(inference, "_sweeps", interpreted)
         assert run() == generated
+        null_fits = calls.index("null phase ends")
+        assert null_fits == n_reps * horizon
+        assert len(calls) > null_fits + 1  # the delay cells' fits ran it too
 
     @pytest.mark.parametrize(
         "sampler, m", [("thompson", 5), ("oracle", 5), ("thompson", 2), ("oracle", 2)]
@@ -877,3 +905,207 @@ class TestCalibrateAndEvaluate:
         )
         assert summary.add < 10.0
         assert summary.n_censored == 0
+
+
+class TestLockstep:
+    """At h = +inf, ``_map_reps`` runs replications in lockstep batches;
+    each replication's result must equal, bit for bit, the direct
+    per-replication ``engine.step`` replay of ``_run_one``."""
+
+    @staticmethod
+    def _config(dictionary, m):
+        return ModelConfig.homogeneous(
+            k_a=dictionary.k_a, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1,
+            v=1e-7, decay=0.1, m=m,
+        )
+
+    @staticmethod
+    def _replayed(scenario, seed, n_reps, sampler):
+        return [
+            engine._run_one((scenario, math.inf, seed, rep, sampler)) for rep in range(n_reps)
+        ]
+
+    @staticmethod
+    def _as_bytes(results):
+        return [
+            (stats.tobytes(), alarmed, nonconverged, sweeps.tobytes())
+            for stats, alarmed, nonconverged, sweeps in results
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 64])
+    @pytest.mark.parametrize("table", ["cold", "prebuilt", "refused"])
+    @pytest.mark.parametrize("m", [5, 2])
+    @pytest.mark.parametrize("sampler", ["thompson", "oracle"])
+    def test_batch_equals_the_per_replication_replay(
+        self, default_dictionary, sampler, m, table, workers, monkeypatch
+    ):
+        """Both samplers, at m = 5 and at m = 2 (fewer observed rows than
+        the k_b = 3 background columns), with the geometry table cleared,
+        built before the run, or refused by the budget, inline and on an
+        inline pool of 2 and of 64 workers (one batch per replication)."""
+        d, n_reps, seed = default_dictionary, 5, 41
+        cfg = self._config(d, m)
+        scenario = _null_scenario(d, cfg, 50)
+        expected = self._replayed(scenario, seed, n_reps, sampler)
+        if workers > 1:
+            _inline_pool(monkeypatch, lambda: None)
+        geometry.clear_geometry_cache()
+        if table == "prebuilt":
+            geometry.build_geometry_table(d, cfg.sigma_e2, cfg.sigma_b2, m)
+        elif table == "refused":
+            monkeypatch.setattr(geometry._CACHE, "budget", 0)
+        try:
+            results = engine._map_reps(scenario, math.inf, seed, n_reps, workers, sampler)
+            traj = collect_h0_trajectories(
+                cfg, d, n_reps, 50, seed, workers=workers, sampler=sampler
+            )
+            held = geometry._CACHE.table
+        finally:
+            geometry.clear_geometry_cache()
+        assert (held.fields is None) == (table == "refused")
+        assert self._as_bytes(results) == self._as_bytes(expected)
+        assert traj.tobytes() == np.vstack([r[0] for r in expected]).tobytes()
+
+    def test_batch_without_a_background_basis(self):
+        """k_b = 0: the stacked products over the empty background basis
+        give what the per-replication products give."""
+        rng = np.random.default_rng(8)
+        d = BasisDictionary(b_b=np.zeros((9, 0)), b_a=rng.normal(size=(9, 4)))
+        cfg = self._config(d, 3)
+        scenario = _null_scenario(d, cfg, 40)
+        results = engine._map_reps(scenario, math.inf, 3, 4, 1, "thompson")
+        assert self._as_bytes(results) == self._as_bytes(self._replayed(scenario, 3, 4, "thompson"))
+
+    def test_batches_split_by_worker_and_by_stream_bytes(self, monkeypatch):
+        """One contiguous run of reps per worker, each cut to the stream
+        budget: a batch holds its streams whole."""
+        assert engine._batches(21, 1, 401, 15) == [range(0, 21)]
+        assert engine._batches(21, 2, 401, 15) == [range(0, 10), range(10, 21)]
+        assert engine._batches(3, 3, 10, 15) == [range(0, 1), range(1, 2), range(2, 3)]
+        monkeypatch.setattr(engine, "_BATCH_STREAM_BYTES", 8 * 100 * 400 * 4)
+        assert engine._batches(10, 1, 100, 400) == [range(0, 4), range(4, 8), range(8, 10)]
+        assert engine._batches(10, 2, 100, 400) == [
+            range(0, 4), range(4, 5), range(5, 9), range(9, 10)
+        ]
+        monkeypatch.setattr(engine, "_BATCH_STREAM_BYTES", 1)
+        assert engine._batches(2, 1, 100, 400) == [range(0, 1), range(1, 2)]
+
+    @staticmethod
+    def _spoiled_streams(monkeypatch, spoil):
+        """Patch ``engine.gen_stream`` so ``spoil(stream, rep)`` edits every
+        stream it makes, and count the replications that run alone."""
+        make, run_one, alone = engine.gen_stream, engine._run_one, []
+
+        def spoiled(scenario, stream_ss):
+            stream = make(scenario, stream_ss)
+            spoil(stream, stream_ss.entropy[1])
+            return stream
+
+        def counted(args):
+            alone.append(args[3])
+            return run_one(args)
+
+        monkeypatch.setattr(engine, "gen_stream", spoiled)
+        monkeypatch.setattr(engine, "_run_one", counted)
+        return alone
+
+    @pytest.mark.parametrize("sampler", ["thompson", "oracle"])
+    def test_non_finite_observation_raises_as_the_per_replication_loop(
+        self, default_dictionary, default_config, sampler, monkeypatch
+    ):
+        """A NaN that a step observes makes the batch rerun through the
+        per-replication loop, which raises its DataError: the first
+        replication, in rep order, to observe one names it."""
+        scenario = _null_scenario(default_dictionary, default_config, 30)
+
+        def spoil(stream, rep):
+            if rep >= 2:
+                stream[12 - rep] = math.nan
+
+        alone = self._spoiled_streams(monkeypatch, spoil)
+        with pytest.raises(DataError) as direct:
+            self._replayed(scenario, 7, 4, sampler)
+        alone.clear()
+        with pytest.raises(DataError) as batched:
+            collect_h0_trajectories(
+                default_config, default_dictionary, 4, 30, 7, sampler=sampler
+            )
+        assert str(batched.value) == str(direct.value)
+        assert "in step 11" in str(batched.value)
+        assert alone == [0, 1, 2]
+
+    def test_unobserved_nan_gives_the_per_replication_results(
+        self, default_dictionary, default_config, monkeypatch
+    ):
+        """A NaN in a stream at a variable its step does not observe is
+        ignored by the step; the batch reruns through the per-replication
+        loop and returns its results unchanged."""
+        d, cfg, t = default_dictionary, default_config, 9
+        scenario = _null_scenario(d, cfg, 25)
+        clean = self._replayed(scenario, 13, 3, "thompson")
+        unobserved = []
+        for rep in range(3):
+            stream_ss, engine_ss = engine._rep_rngs(13, rep)
+            stream = gen_stream(scenario, stream_ss)
+            state = init(cfg, d, h=math.inf, seed=engine_ss)
+            for x in stream[:t]:
+                step(state, x)
+            unobserved.append(min(set(range(d.p)) - set(state.plan.z.tolist())))
+
+        def spoil(stream, rep):
+            stream[t, unobserved[rep]] = math.nan
+
+        alone = self._spoiled_streams(monkeypatch, spoil)
+        results = engine._map_reps(scenario, math.inf, 13, 3, 1, "thompson")
+        assert alone == [0, 1, 2]
+        assert self._as_bytes(results) == self._as_bytes(clean)
+
+    def test_non_finite_statistic_raises_as_the_per_replication_loop(
+        self, default_dictionary, default_config, monkeypatch
+    ):
+        """A finite observation that overflows the fit: the batch reruns
+        through the per-replication loop, which raises its NumericalError."""
+        scenario = _null_scenario(default_dictionary, default_config, 20)
+
+        def spoil(stream, rep):
+            if rep == 1:
+                stream[6] = 1e200
+
+        alone = self._spoiled_streams(monkeypatch, spoil)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError) as direct:
+                self._replayed(scenario, 5, 3, "thompson")
+            alone.clear()
+            with pytest.raises(NumericalError) as batched:
+                engine._map_reps(scenario, math.inf, 5, 3, 1, "thompson")
+        assert str(batched.value) == str(direct.value)
+        assert "at step 7" in str(batched.value)
+        assert alone == [0, 1]
+
+    def test_oracle_error_raises_as_the_per_replication_loop(
+        self, default_dictionary, default_config, monkeypatch
+    ):
+        """The oracle's NumericalError for a non-finite subset score makes
+        the batch rerun through the per-replication loop, which raises it:
+        replications 1 and 2 each meet a NaN at their own variable, and
+        the error names replication 1's."""
+        scenario = _null_scenario(default_dictionary, default_config, 20)
+        select = OracleScorer.select
+
+        def failing(self, x1_hat, post, rng):
+            rep = rng.bit_generator.seed_seq.entropy[1]
+            if rep:
+                x1_hat = x1_hat.copy()
+                x1_hat[rep + 3] = math.nan
+            return select(self, x1_hat, post, rng)
+
+        monkeypatch.setattr(OracleScorer, "select", failing)
+        alone = self._spoiled_streams(monkeypatch, lambda stream, rep: None)
+        with pytest.raises(NumericalError) as direct:
+            self._replayed(scenario, 5, 3, "oracle")
+        alone.clear()
+        with pytest.raises(NumericalError) as batched:
+            engine._map_reps(scenario, math.inf, 5, 3, 1, "oracle")
+        assert str(batched.value) == str(direct.value)
+        assert "first nan at subset [0, 1, 2, 3, 4]" in str(batched.value)
+        assert alone == [0, 1]

@@ -887,6 +887,24 @@ class TestTypes:
             with pytest.raises(ValueError, match="read-only"):
                 stats.raw_u[0] = 1e6
 
+    def test_decayed_stats_stay_read_only_through_pickle(self, default_dictionary, default_config):
+        """Unpickling, as an engine state saved and loaded again does, marks
+        the moments read-only again: numpy does not pickle the flag.  The
+        fields come back equal, bit for bit."""
+        d, cfg = default_dictionary, default_config
+        state = engine.init(cfg, d, h=math.inf, seed=4)
+        for t in range(3):
+            engine.step(state, np.full(d.p, 0.05 * t))
+        for stats in (DecayedStats.empty(d.k_a), state.stats):
+            back = pickle.loads(pickle.dumps(stats))
+            for name in ("raw_M", "raw_u"):
+                arr = getattr(back, name)
+                assert arr.tobytes() == getattr(stats, name).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = 1e6
+            scalars = ("raw_q", "raw_norm", "mass", "n")
+            assert [getattr(back, n) for n in scalars] == [getattr(stats, n) for n in scalars]
+
     def test_posterior_fields_are_read_only(self):
         """A checked, a fitted and an unpickled posterior refuse a write to
         any field, so mu_tilde and spread cannot go stale."""
