@@ -37,6 +37,7 @@ from .bases import (
 from .detection import detection_record
 from .engine import SAMPLERS, calibrate_threshold, evaluate, init, step
 from .errors import SparsewatchError
+from .geometry import build_geometry_table
 from .inference import ModelConfig
 from .simgen import Scenario, load_stream_csv
 
@@ -409,6 +410,8 @@ def _cmd_monitor(args) -> int:
     state = init(
         scenario.cfg, scenario.dictionary, h, args.seed, sampler=sampler
     )
+    cfg = scenario.cfg  # the steps read the table's rows, where the budget admits one
+    build_geometry_table(scenario.dictionary, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
     manifest = _manifest("monitor", args, raw, {"h": h})
     lines = [json.dumps({"manifest": manifest}, sort_keys=True)]
     alarmed = False

@@ -19,7 +19,8 @@ so each replication's statistics and sweep counts are bitwise those of
 ``step`` run on it alone, and the batch split does not change them.
 A batch that meets what ``step`` would raise on reruns through ``step``,
 which raises it.  Other replications, which stop at their alarm, run one
-``step`` at a time.
+``step`` at a time.  Each batch first builds, in its process, the geometry
+table its replications read; ``init`` and ``step`` build none.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     StateError,
 )
 from . import inference
-from .geometry import build_geometry_table, subset_geometry, subset_indices
+from .geometry import _stacked_geometry, build_geometry_table, subset_indices
 from .inference import (
     DecayedStats,
     ModelConfig,
@@ -322,11 +323,10 @@ def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
     draws, the score arithmetic and the top-m partition are elementwise or
     per row, and each reduction is a stacked ``np.matmul``, which calls per
     replication the BLAS routine (dot or gemv) that the layer's
-    ``ndarray.dot`` calls, with the same operands.  The geometry is
-    gathered by rank from the table ``build_geometry_table`` returns, or
-    looked up per replication with ``subset_geometry`` where the budget
-    refuses the table.  What the step only stores for later
-    layers (the moments' q, normalization and mass) is not computed.
+    ``ndarray.dot`` calls, with the same operands.  The batch's
+    geometries come from one ``geometry._stacked_geometry`` call per step.
+    What the step only stores for later layers (the moments' q,
+    normalization and mass) is not computed.
 
     Raises ``_Fallback`` where ``step`` would raise: a non-finite value in
     a stream (the step raises only if it is observed), a non-finite
@@ -345,7 +345,6 @@ def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
         raise _Fallback
     rngs = [state.rng for state in states]
     z = np.array([state.plan.z for state in states])
-    table = build_geometry_table(d, cfg.sigma_e2, cfg.sigma_b2, m)
 
     keep = 1.0 - cfg.decay
     raw_m, raw_u = np.zeros((n, k, k)), np.zeros((n, k))
@@ -365,12 +364,7 @@ def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
     b_a, b_a_sq = d.b_a, d.b_a_sq
     for t in range(horizon):
         x_z = streams[t][rows, z]
-        if table.fields is None:
-            geos = [subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, row) for row in z]
-            m_c, _, basis, c, col_sq = map(np.array, zip(*geos))
-        else:
-            rank = [table.rank[row.tobytes()] for row in z]
-            m_c, _, basis, c, col_sq = (field[rank] for field in table.fields)
+        m_c, _, basis, c, col_sq = _stacked_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)
         b_a_z = b_a[z]
 
         # absorb_sample: W·x = x − U·(c ∘ U'x), then u_c = B_aZ'·W·x
@@ -437,15 +431,17 @@ def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
 
 
 def _run_batch(args):
-    """``_run_one`` for each replication of a batch, through ``_lockstep``;
-    a batch it refuses runs through ``_run_one`` in rep order, which then
-    raises the exception and message the per-replication loop raises.
+    """``_run_one`` for each replication of a batch, after ``_build_shared``;
+    at h = +inf through ``_lockstep``, unless it refuses the batch.
     Top-level so process pools can pickle it."""
-    scenario, seed, reps, sampler = args
-    try:
-        return _lockstep(scenario, seed, reps, sampler)
-    except _Fallback:
-        return [_run_one((scenario, math.inf, seed, rep, sampler)) for rep in reps]
+    scenario, h, seed, reps, sampler = args
+    _build_shared(scenario, sampler)
+    if h == math.inf:
+        try:
+            return _lockstep(scenario, seed, reps, sampler)
+        except _Fallback:
+            pass
+    return [_run_one((scenario, h, seed, rep, sampler)) for rep in reps]
 
 
 # The streams of one lockstep batch, (horizon, reps, p) float64, are held
@@ -466,31 +462,25 @@ def _batches(n_reps: int, parts: int, horizon: int, p: int) -> list[range]:
 
 
 def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int, sampler: str):
-    """Run replications 0..n_reps-1, inline or pooled, in rep order.
-
-    At h = +inf no replication stops early, so they run in lockstep
-    batches (``_run_batch``): one batch inline, or one per worker when
-    pooled, each capped by ``_BATCH_STREAM_BYTES``.  Otherwise each
-    replication runs alone (``_run_one``).  Either way a replication's
-    result is bitwise the same, so outputs do not depend on ``workers``.
+    """Run replications 0..n_reps-1, inline or pooled, in rep order, each
+    batch through ``_run_batch``: one per worker at h = +inf, where they
+    run in lockstep, otherwise four per worker, since replications stop at
+    their alarms.  A replication's result is bitwise the same either way,
+    so outputs do not depend on ``workers``.
 
     A pool whose workers fork inherits this process's memory, so the
     shared per-process tables are built here first, once, rather than in
-    every worker; a worker that starts fresh would inherit nothing.
+    every worker; a worker that starts fresh builds them in its first
+    ``_run_batch``.
     """
     workers = min(workers, n_reps)  # a pool starts all its processes at once
-    lockstep = h == math.inf
-    if lockstep:
-        task = _run_batch
-        batches = _batches(n_reps, max(workers, 1), scenario.horizon, scenario.dictionary.p)
-        worklist = [(scenario, seed, reps, sampler) for reps in batches]
-        chunk = 1
-    else:
-        task = _run_one
-        worklist = [(scenario, h, seed, rep, sampler) for rep in range(n_reps)]
-        chunk = max(1, len(worklist) // (workers * 4))
+    parts = max(workers, 1) * (1 if h == math.inf else 4)
+    worklist = [
+        (scenario, h, seed, reps, sampler)
+        for reps in _batches(n_reps, parts, scenario.horizon, scenario.dictionary.p)
+    ]
     if workers <= 1:
-        results = [task(args) for args in worklist]
+        results = [_run_batch(args) for args in worklist]
     else:
         # imported here: a process that never pools never pays the import
         import multiprocessing
@@ -499,10 +489,8 @@ def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int
         if multiprocessing.get_start_method() == "fork":  # the start method the pool uses
             _build_shared(scenario, sampler)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, worklist, chunksize=chunk))
-    if lockstep:
-        return [result for batch in results for result in batch]
-    return results
+            results = list(pool.map(_run_batch, worklist))
+    return [result for batch in results for result in batch]
 
 
 def _same_config(a: ModelConfig, b: ModelConfig) -> bool:
@@ -550,8 +538,11 @@ def replay_run_lengths(trajectories: np.ndarray, h: float) -> np.ndarray:
 
     Alarm at the first step whose statistic strictly exceeds h; trajectories
     that never alarm count as the horizon, matching how censored
-    replications enter the average run length.
+    replications enter the average run length.  A NaN threshold, which no
+    statistic exceeds, is refused with ValueError.
     """
+    if math.isnan(h):
+        raise ValueError("threshold must not be NaN")
     trajectories = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
     horizon = trajectories.shape[1]
     exceeded = trajectories > h
@@ -568,7 +559,8 @@ def search_threshold(
     Binary-searches the sorted unique statistic values (the only points
     where the replayed ARL can change) and returns (h, achieved ARL).
     Raises CalibrationError when no candidate lands within ``tol_rel``
-    relative error of the target.
+    relative error of the target, and DataError naming the first NaN
+    statistic, in rep order, which no threshold could be compared with.
     """
     if not tol_rel > 0:
         raise ValueError("tol_rel must be positive")
@@ -579,6 +571,9 @@ def search_threshold(
             f"target ARL {target_arl0} outside the feasible [1, {horizon}] range"
         )
 
+    if np.isnan(trajectories).any():
+        rep, t = np.argwhere(np.isnan(trajectories))[0]
+        raise DataError(f"null statistic is NaN in replication {rep} at step {t + 1}")
     values = np.unique(trajectories)
     # The replayed ARL is non-decreasing in h; find the first candidate
     # meeting the target, then compare with its predecessor.

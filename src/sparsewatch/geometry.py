@@ -6,29 +6,20 @@ sigma_b^2, z) alone.  A process keeps those geometries in a cache keyed on
 content: the dictionary's digest (``BasisDictionary.content_key``), the two
 variances and the subset's indices in the caller's order, never object
 identity, so pool workers that unpickle a fresh dictionary per task still
-share them.  The cache holds the table of one (dictionary, variances, m)
-combination at a time.  It admits a combination when the table of all
-C(p, m) ascending subsets fits ``CACHE_BUDGET_BYTES``, as estimated from
-the shapes alone, a property of the input.  The combination's table is
-built by its second distinct lookup, the first that meets the latest
-geometry at the same combination and another subset: each field stacked
-along a leading rank axis, read-only, and an index from a subset's index
-bytes to its rank.
-So a combination looked up once, such as a fresh dictionary's only
-statistic, builds its one subset and no table.  A hit returns a geometry
-whose fields are its rank's rows.  A subset met before its combination's
-table, a subset in another order, and every subset of a combination not
-admitted (such as p = 400 with m = 20) are built alone, and the latest
-geometry is kept, which the layers of one step share.  A table is built
-``_CHUNK`` subsets per stacked pass of the same function that builds a
-single geometry; its stacked SVD, products and sums run, block by block, a
-single build's operations, so a row equals that subset's own build byte for
-byte and outputs do not depend on the cache.  Before a pool forks its
-workers, ``engine`` builds the run's table in the parent through
-``build_geometry_table``, so the workers inherit it copy-on-write and
-build none; a combination the budget refuses builds nothing there either.
-``engine``'s lockstep batch reads the table that call returns directly,
-gathering a batch of subsets' rows by their ranks.
+share them.  The cache keeps the latest geometry, which the layers of one
+step share, and the table of one (dictionary, variances, m) combination:
+each field of all C(p, m) ascending subsets stacked along a leading rank
+axis, read-only, and an index from a subset's index bytes to its rank.
+Only ``build_geometry_table`` builds a table, and only when it fits
+``CACHE_BUDGET_BYTES``, as estimated from the shapes alone; ``engine``
+calls it for each replicated run, the CLI monitor before its loop.  A lookup
+returns the latest geometry, a row of the held table, or its subset built
+alone, as is every subset of a combination the budget refuses (such as
+p = 400 with m = 20); ``_stacked_geometry`` gathers a batch's rows, or
+builds the batch in one stacked pass.  A stacked build runs, block by
+block, a single build's SVD, products and sums, so its rows, and a
+table's, equal single builds byte for byte and outputs do not depend on
+the cache.
 
 A geometry is built from one thin SVD of the observed background rows,
 B_bZ = U·S·V' with r = min(m, k_b) singular values s_i.  With
@@ -252,9 +243,8 @@ class _GeometryCache:
     """Per-process store behind ``subset_geometry``.
 
     ``table`` is the latest combination's ``_Table``, built whole, under
-    ``lock``, by ``build``: at the first lookup that meets ``last``, the
-    latest geometry returned, at the same combination and another subset,
-    or when ``build_geometry_table`` asks for it.
+    ``lock``, by ``build`` when ``build_geometry_table`` asks for it;
+    ``last`` is the latest geometry a lookup returned.
     """
 
     def __init__(self, budget: int):
@@ -279,13 +269,10 @@ class _GeometryCache:
         key = (dictionary.content_key, sigma_e2, sigma_b2, z.size)
         z_key = z.tobytes()
         last = self.last
-        same = last is not None and last[0] == key
-        if same and last[1] == z_key:
+        if last is not None and last[0] == key and last[1] == z_key:
             return last[2]
         table = self.table
-        if table is None or table.key != key:
-            table = self.build(dictionary, sigma_e2, sigma_b2, z.size) if same else None
-        i = None if table is None else table.rank.get(z_key)
+        i = None if table is None or table.key != key else table.rank.get(z_key)
         if i is None:
             checked_subset(z, dictionary.p)
             geometry = _build(dictionary, sigma_e2, sigma_b2, z)
@@ -312,18 +299,31 @@ def subset_geometry(
     return _CACHE.lookup(dictionary, float(sigma_e2), float(sigma_b2), z)
 
 
+def _stacked_geometry(
+    dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z: np.ndarray
+) -> SubsetGeometry:
+    """Geometries of the ascending subsets ``z`` (n, m), fields stacked on
+    a leading axis: their rows of the held table, or one stacked build,
+    whose rows are checked with ``subset_geometry``'s errors."""
+    sigma_e2, sigma_b2 = float(sigma_e2), float(sigma_b2)
+    table = _CACHE.table
+    if table is not None and table.key == (dictionary.content_key, sigma_e2, sigma_b2, z.shape[1]):
+        ranks = [table.rank.get(row.tobytes()) for row in z]
+        if None not in ranks:
+            return SubsetGeometry._make(field[ranks] for field in table.fields)
+    for row in z:
+        checked_subset(row, dictionary.p)
+    return _build(dictionary, sigma_e2, sigma_b2, z)
+
+
 def build_geometry_table(
     dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, m: int
 ) -> _Table:
-    """Build the table of every m-subset's geometry now, without waiting
-    for the combination's second distinct lookup, and return it.
-
-    The table is the one that lookup would build, by the same function,
-    so its rows are byte for byte the same: its ``fields`` stacked along
-    a leading rank axis, read-only, and its ``rank`` from a subset's
-    index bytes to its row.  A combination the budget refuses builds
-    nothing and returns a table without fields; its subsets are then
-    built alone.
+    """Build the table of every m-subset's geometry, unless it is the one
+    held, and return it: its ``fields`` stacked along a leading rank axis,
+    read-only, and its ``rank`` from a subset's index bytes to its row.  A
+    combination the budget refuses builds nothing and returns a table
+    without fields; its subsets are then built alone.
     """
     return _CACHE.build(dictionary, float(sigma_e2), float(sigma_b2), int(m))
 

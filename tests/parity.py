@@ -15,6 +15,8 @@ then one over all stages' full digests:
   model (p = 400, k_a = 36, m = 20), with every step's statistic, subset,
   convergence, sweep count and next plan, and the posterior and moments
   after every step;
+- ``kron400-null``: null trajectories (4 x 60, seed 4) on the same model,
+  where the budget refuses the geometry table, at ``workers`` 1 and 2;
 - ``exact-routes``: ``update_background``, ``log_pbf_exact``,
   ``marginal_h0``, ``marginal_h1_exact`` and ``lambda_stat`` on random
   k_b = 2 and 3 problems.
@@ -141,6 +143,17 @@ def monitor_kron400() -> tuple[str, str]:
     return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
+def kron400_null() -> tuple[str, str]:
+    d = kron400_dictionary()
+    cfg = ModelConfig.homogeneous(k_a=d.k_a, m=20, **MODEL)
+    digest, decisions = Digest(), Digest()
+    for workers in (1, 2):
+        traj = engine.collect_h0_trajectories(cfg, d, 4, 60, 4, workers=workers)
+        digest.add(workers, traj)
+        decisions.add(workers, engine.replay_run_lengths(traj, float(np.median(traj))))
+    return digest.h.hexdigest(), decisions.h.hexdigest()
+
+
 def exact_routes() -> tuple[str, str]:
     digest, decisions = Digest(), Digest()
     rng = np.random.default_rng(11)
@@ -175,7 +188,7 @@ def main() -> None:
     overall = hashlib.sha256()
     for name, stage in (
         ("study-p15", study_p15), ("monitor-kron400", monitor_kron400),
-        ("exact-routes", exact_routes),
+        ("kron400-null", kron400_null), ("exact-routes", exact_routes),
     ):
         hexdigest, decided = stage()
         overall.update(hexdigest.encode())

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import sparsewatch.geometry as geometry
 from sparsewatch import gen_stream, save_basis_csv, save_stream_csv
 from sparsewatch.cli import CliError, load_scenario, main
 
@@ -637,6 +638,32 @@ class TestMonitor:
         assert "no alarm in 30 steps" in capsys.readouterr().out
         lines = (out / "detection_log.jsonl").read_text().strip().split("\n")
         assert len(lines) == 31
+
+    def test_steps_read_the_scenarios_table(self, tmp_path, scenario_file, monkeypatch):
+        """The monitor builds its combination's geometry table before the
+        first step, so no step builds a subset alone."""
+        stream_path = self._stream(tmp_path, scenario_file, tau=None, horizon=30)
+        built, build = [], geometry._build
+        monkeypatch.setattr(
+            geometry, "_build", lambda *args: built.append(np.ndim(args[3])) or build(*args)
+        )
+        geometry.clear_geometry_cache()
+        try:
+            code = main(
+                [
+                    "monitor", "--scenario", str(scenario_file),
+                    "--out", str(tmp_path / "mon"), "--stream", str(stream_path),
+                    "--threshold", "1e300",
+                ]
+            )
+            table = geometry._CACHE.table
+        finally:
+            geometry.clear_geometry_cache()
+        scenario, _, _ = load_scenario(scenario_file)
+        cfg = scenario.cfg
+        assert code == 0
+        assert table.key == (scenario.dictionary.content_key, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
+        assert built and set(built) == {2}
 
     def test_column_mismatch_rejected(self, tmp_path, scenario_file, capsys):
         path = tmp_path / "stream.csv"

@@ -417,8 +417,7 @@ class TestStep:
             geometry.clear_geometry_cache()
             cleared = run()
             geometry.clear_geometry_cache()
-            for start in (0, 1):
-                geometry.subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, np.arange(start, start + cfg.m))
+            geometry.build_geometry_table(d, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
             assert len(geometry._CACHE.table.rank) == math.comb(d.p, cfg.m)
             prebuilt = run()
             geometry._CACHE.clear()
@@ -596,6 +595,21 @@ class TestSearchThreshold:
         would hand back whichever candidate is closest."""
         with pytest.raises(ValueError, match="tol_rel"):
             search_threshold(rng.uniform(size=(5, 10)), 5.0, tol_rel=math.nan)
+
+
+    def test_nan_statistic_refused_with_its_place(self):
+        """A NaN statistic is no "no alarm": the search refuses it and names
+        the replication and the step of the first NaN in rep order."""
+        traj = np.random.default_rng(9).exponential(size=(50, 401))
+        traj[3, 0] = traj[0, 5] = math.nan
+        with pytest.raises(DataError, match=r"NaN in replication 0 at step 6$"):
+            search_threshold(traj, target_arl0=200.0, tol_rel=0.1)
+
+    def test_replay_refuses_nan_threshold(self, rng):
+        """As ``init`` does: no statistic exceeds a NaN threshold, so every
+        run would replay as censored."""
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            replay_run_lengths(rng.uniform(size=(5, 10)), math.nan)
 
 
 class TestCalibrateAndEvaluate:
@@ -820,6 +834,47 @@ class TestCalibrateAndEvaluate:
         )
         [(table, _, _)] = seen
         assert table.fields is None and not table.rank
+        assert pooled == inline
+
+    def test_fresh_worker_reads_table_rows(
+        self, small_dictionary, small_config, monkeypatch, shared_cleared
+    ):
+        """A worker process that starts with no table, such as a spawned
+        one (here a stand-in pool whose ``map`` clears the cache first),
+        builds the table in its first ``_run_batch``, so its replications
+        read table rows and build no subset alone; the records equal the
+        inline run's."""
+        cfg, d = small_config, small_dictionary
+        scenario = Scenario(
+            dictionary=d, cfg=cfg, tau=10, change=((1, 1.5),), horizon=40,
+        )
+        inline = evaluate(cfg, d, 2.0, scenario, n_reps=3, seed=33, return_records=True)
+        self._start_method(monkeypatch, "spawn")
+
+        class FreshPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                geometry.clear_geometry_cache()
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FreshPool)
+        built, build = [], geometry._build
+        monkeypatch.setattr(
+            geometry, "_build", lambda *args: built.append(np.shape(args[3])) or build(*args)
+        )
+        pooled = evaluate(
+            cfg, d, 2.0, scenario, n_reps=3, seed=33, workers=2, return_records=True
+        )
+        assert built and all(len(shape) == 2 for shape in built)
+        assert sum(rows for rows, _ in built) == math.comb(d.p, cfg.m)
         assert pooled == inline
 
     def test_change_scenario_records_delays(self, small_dictionary, small_config):

@@ -208,14 +208,15 @@ class TestCache:
     )
     @settings(max_examples=60, deadline=None)
     def test_hit_equals_miss_byte_for_byte(self, seed, k_b, m, rows):
-        """A geometry met again, the one the first lookup gave, and one built
-        with caching off carry the same bytes in the same layout, for a
-        table row (the ascending subset) and a single build (its other
-        order) alike."""
+        """A geometry met again after its table is built, the one the first
+        lookup gave, and one built with caching off carry the same bytes in
+        the same layout, for a table row (the ascending subset) and a single
+        build (its other order) alike."""
         d, z, x, _ = _problem(seed, k_b, m, rows)
         for subset in (np.sort(z), z):
             clear_geometry_cache()
             miss = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, subset)
+            build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, m)
             subset_geometry(d, SIGMA_E**2, SIGMA_B**2, (subset + 1) % d.p)
             hit = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, subset)
             uncached = _uncached(d, subset)
@@ -250,17 +251,71 @@ class TestCache:
                 z = rng.choice(400, size=20, replace=False)
                 geo = subset_geometry(kron_dictionary, 0.05**2, 0.3**2, np.sort(z) if i % 2 else z)
                 digest.update(repr(_as_bytes(geo)).encode())
-            assert geometry._CACHE.table.fields is None
+            assert geometry._CACHE.table is None
         finally:
             clear_geometry_cache()
         assert digest.hexdigest() == P400_DIGEST
 
+    def test_p400_stacked_build_equals_single_builds(self, kron_dictionary):
+        """At p = 400, m = 20, where the budget refuses the table, the
+        geometries of a stack of ascending subsets are one stacked build,
+        and each row equals that subset's single build byte for byte."""
+        d = kron_dictionary
+        rng = np.random.default_rng(401)
+        z = np.sort([rng.choice(400, size=20, replace=False) for _ in range(8)], axis=1)
+        clear_geometry_cache()
+        try:
+            assert build_geometry_table(d, 0.05**2, 0.3**2, 20).fields is None
+            stacked = geometry._stacked_geometry(d, 0.05**2, 0.3**2, z)
+        finally:
+            clear_geometry_cache()
+        assert d.k_b == 4 and stacked.m_c.shape == (8, 36, 36)
+        for i, row in enumerate(z):
+            got = geometry.SubsetGeometry(
+                stacked.m_c[i], stacked.logdet_w.item(i), stacked.basis[i], stacked.c[i],
+                stacked.col_sq[i],
+            )
+            assert _as_bytes(got) == _as_bytes(geometry._build(d, 0.05**2, 0.3**2, row))
+
+    @pytest.mark.parametrize("case", ["p400-untabled", "p15-tabled"])
+    @pytest.mark.parametrize("bad, error", [(-1, IndexError), ("p", IndexError), ("repeat", DimensionError)])
+    def test_stacked_build_refuses_what_a_single_build_refuses(
+        self, kron_dictionary, case, bad, error
+    ):
+        """A stack holding an index out of range or a repeated one raises the
+        error, with the message, that a lookup of that row alone raises, at
+        p = 400 with no table and at p = 15 with the table held."""
+        if case == "p400-untabled":
+            d, m = kron_dictionary, 20
+        else:
+            d, m = BasisDictionary(b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14)), 5
+        rng = np.random.default_rng(402)
+        z = np.sort([rng.choice(d.p, size=m, replace=False) for _ in range(4)], axis=1)
+        if bad == "repeat":
+            z[2, 3] = z[2, 2]
+        elif bad == -1:
+            z[2, 0] = -1
+        else:
+            z[2, -1] = d.p
+        clear_geometry_cache()
+        try:
+            build_geometry_table(d, 0.05**2, 0.3**2, m)
+            with pytest.raises(error) as single:
+                subset_geometry(d, 0.05**2, 0.3**2, z[2])
+            with pytest.raises(error) as stacked:
+                geometry._stacked_geometry(d, 0.05**2, 0.3**2, z)
+            assert (geometry._CACHE.table.fields is None) == (case == "p400-untabled")
+        finally:
+            clear_geometry_cache()
+        assert str(stacked.value) == str(single.value)
+
     def test_repeat_is_not_rebuilt_and_arrays_are_read_only(self, count_builds):
-        """The second distinct lookup builds every ascending subset once, in
-        the table; a subset in another order is built alone each time it is
-        not the latest geometry."""
+        """The table builds every ascending subset once, and lookups read its
+        rows; a subset in another order is built alone each time it is not
+        the latest geometry."""
         d, z, x, _ = _problem(3, 3, 5, "random")
         cfg = _cfg(d.k_a, 5)
+        build_geometry_table(d, cfg.sigma_e2, cfg.sigma_b2, 5)
         first = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
         absorb_sample(DecayedStats.empty(d.k_a), x, np.sort(z), d, cfg)
         again = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
@@ -284,10 +339,9 @@ class TestCache:
         assert not d.b_a.flags.writeable and not d.b_b.flags.writeable
 
     def test_combination_looked_up_once_builds_only_its_subset(self, count_builds):
-        """A fresh combination's first lookup builds its one subset and no
-        table, also while another combination's table is held; a repeat
-        reads the latest geometry, and the next distinct subset builds the
-        table."""
+        """A combination's lookup builds its one subset and no table, also
+        while another combination's table is held; a repeat reads the
+        latest geometry, and the next distinct subset builds only itself."""
         d, z, _, _ = _problem(8, 2, 5, "random")
         z = np.sort(z)
         space = math.comb(d.p, 5)
@@ -297,17 +351,29 @@ class TestCache:
         assert subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z) is first
         assert len(count_builds) == 1
         subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(5))
-        assert len(count_builds) == 1 + space
-        assert len(geometry._CACHE.table.rank) == space
+        assert len(count_builds) == 2 and geometry._CACHE.table is None
+        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
+        assert len(count_builds) == 2 + space
         fresh = BasisDictionary(b_b=d.b_b, b_a=2.0 * d.b_a)
         subset_geometry(fresh, SIGMA_E**2, SIGMA_B**2, z)
-        assert len(count_builds) == 2 + space
+        subset_geometry(fresh, SIGMA_E**2, SIGMA_B**2, np.arange(5))
+        assert len(count_builds) == 4 + space
         assert geometry._CACHE.table.key[0] == d.content_key
+
+    def test_distinct_lookups_build_no_table(self, count_builds):
+        """Every subset of a combination looked up, twice over in turn,
+        builds each lookup's subset alone and holds no table."""
+        d, _, _, _ = _problem(9, 2, 3, "random")
+        subsets = [np.array(z) for z in itertools.combinations(range(d.p), 3)]
+        for _ in range(2):
+            for z in subsets:
+                subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+        assert geometry._CACHE.table is None
+        assert len(count_builds) == 2 * len(subsets)
 
     def test_keyed_on_content_not_identity(self, count_builds):
         """A dictionary equal in content reads the table another built; one
-        nudged in a single bit, or other variances, builds its own, each on
-        its second distinct lookup."""
+        nudged in a single bit, or other variances, builds its own."""
         d, z, _, _ = _problem(5, 2, 4, "random")
         z = np.sort(z)
         z2 = np.array([i for i in range(d.p) if i not in z][:4])
@@ -318,35 +384,41 @@ class TestCache:
         other = BasisDictionary(b_b=d.b_b, b_a=nudged_b_a)
         assert twin.content_key == d.content_key != other.content_key
 
+        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 4)
         base = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
         subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z2)
-        assert len(count_builds) == space + 1
+        assert len(count_builds) == space
+        build_geometry_table(twin, SIGMA_E**2, SIGMA_B**2, 4)
         assert subset_geometry(twin, SIGMA_E**2, SIGMA_B**2, z).m_c.tobytes() == base.m_c.tobytes()
-        assert len(count_builds) == space + 1
+        assert len(count_builds) == space
+        build_geometry_table(other, SIGMA_E**2, SIGMA_B**2, 4)
         changed = subset_geometry(other, SIGMA_E**2, SIGMA_B**2, z)
         subset_geometry(other, SIGMA_E**2, SIGMA_B**2, z2)
-        assert len(count_builds) == 2 * space + 2
+        assert len(count_builds) == 2 * space
         assert changed.m_c.tobytes() != base.m_c.tobytes()
+        build_geometry_table(d, SIGMA_E**2, 2.0 * SIGMA_B**2, 4)
         subset_geometry(d, SIGMA_E**2, 2.0 * SIGMA_B**2, z)
         subset_geometry(d, SIGMA_E**2, 2.0 * SIGMA_B**2, z2)
-        assert len(count_builds) == 3 * space + 3
+        assert len(count_builds) == 3 * space
 
     def test_large_subset_space_is_not_tabled(self, count_builds):
-        """C(60, 30) subsets exceed the budget: only the last geometry is
-        kept, so one step's layers share it but nothing accumulates."""
+        """C(60, 30) subsets exceed the budget, so the table asked for is
+        refused: only the last geometry is kept, so one step's layers share
+        it but nothing accumulates."""
         rng = np.random.default_rng(0)
         d = BasisDictionary(b_b=rng.normal(size=(60, 2)), b_a=rng.normal(size=(60, 3)))
         z_a, z_b = np.arange(30), np.arange(30, 60)
+        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 30)
         for z in (z_a, z_a, z_b, z_a):
             subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
         assert len(count_builds) == 3
         assert geometry._CACHE.table.fields is None and not geometry._CACHE.table.rank
 
-    def test_built_table_is_the_one_a_lookup_builds(self, count_builds):
+    def test_built_table_is_the_one_a_lookup_reads(self, count_builds):
         """``build_geometry_table`` builds the combination's whole table at
-        once, by the same function, so its rows carry the bytes of the table
-        the second distinct lookup builds; asked again, it builds nothing,
-        and a lookup then reads its rows without building."""
+        once; asked again, it builds nothing, and a lookup then reads its
+        rows without building.  Built again after the cache is cleared, the
+        table carries the same bytes."""
         d, z, _, _ = _problem(11, 3, 5, "random")
         space = math.comb(d.p, 5)
         build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
@@ -358,11 +430,10 @@ class TestCache:
         row = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.sort(z))
         assert row.m_c.base is built.fields.m_c and len(count_builds) == space
         clear_geometry_cache()
-        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(5))
-        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.sort(z))
-        looked_up = geometry._CACHE.table
-        assert looked_up.rank == built.rank
-        for a, b in zip(looked_up.fields, built.fields):
+        rebuilt = build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
+        assert rebuilt is geometry._CACHE.table and rebuilt is not built
+        assert rebuilt.rank == built.rank
+        for a, b in zip(rebuilt.fields, built.fields):
             assert a.tobytes() == b.tobytes() and not b.flags.writeable
 
     def test_refused_table_builds_nothing(self, count_builds):
@@ -378,8 +449,8 @@ class TestCache:
 
     def test_entry_estimate_matches_traced_memory(self):
         """The table's size estimated from shapes is within 10% of what
-        tracemalloc sees the whole p = 15, m = 5 table retain when the
-        second distinct lookup builds it, and the chunked build's traced
+        tracemalloc sees the whole p = 15, m = 5 table retain when
+        ``build_geometry_table`` builds it, and the chunked build's traced
         peak stays within 1.25 times that."""
         d = BasisDictionary(
             b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14, normalize_columns=True)
@@ -391,7 +462,7 @@ class TestCache:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(1, 6))
+            build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -403,7 +474,7 @@ class TestCache:
         assert peak - before <= 1.25 * retained
 
     def test_permuted_subsets_stop_at_the_subset_count(self, count_builds):
-        """The table, built by the second distinct lookup, holds the C(p, m)
+        """The table, built by ``build_geometry_table``, holds the C(p, m)
         ascending subsets, each built once; every other order of a subset
         is built alone each time it is met, and still equals its uncached
         build."""
@@ -414,11 +485,11 @@ class TestCache:
         capacity = math.comb(d.p, 4)
         expected = [_as_bytes(_uncached(d, z)) for z in orders]
         del count_builds[:]
+        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 4)
         for _ in range(2):
             for z, want in zip(orders, expected):
                 assert _as_bytes(subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)) == want
-                table = geometry._CACHE.table
-                assert table is None or len(table.rank) <= capacity
+                assert len(geometry._CACHE.table.rank) == capacity
         assert len(geometry._CACHE.table.rank) == capacity
         ascending, others = _split(count_builds)
         assert len(ascending) == capacity and set(ascending.values()) == {1}
@@ -434,8 +505,7 @@ class TestCache:
                 clear_geometry_cache()
                 geometry._CACHE.budget = table_budget
                 if warm:
-                    subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, 2])
-                    subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, 3])
+                    build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 3)
                     assert (geometry._CACHE.table.fields is None) == (geometry._CACHE.budget == 0)
                 with pytest.raises(IndexError):
                     subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, d.p])
@@ -467,8 +537,10 @@ class TestCache:
 
     def test_threads_filling_one_table_read_their_own_rows(self):
         """Eight threads building and reading one table at once, with the
-        interpreter switching threads as often as it can: every geometry
-        must equal the one an uncached build gives."""
+        interpreter switching threads as often as it can: each thread asks
+        for the table after its first pass, so some read single builds
+        while others build it, and every geometry must equal the one an
+        uncached build gives."""
         rng = np.random.default_rng(4)
         d = BasisDictionary(b_b=rng.normal(size=(10, 3)), b_a=rng.normal(size=(10, 4)))
         subsets = [np.sort(rng.choice(10, size=4, replace=False)) for _ in range(60)]
@@ -486,7 +558,9 @@ class TestCache:
 
         def work(seed):
             order = np.random.default_rng(seed).permutation(len(subsets))
-            for _ in range(5):
+            for sweep in range(5):
+                if sweep == 1:
+                    build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 4)
                 for i in order:
                     z = subsets[i]
                     geo = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
@@ -501,11 +575,13 @@ class TestCache:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
+            held = geometry._CACHE.table
         finally:
             sys.setswitchinterval(interval)
             clear_geometry_cache()
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
+        assert len(held.rank) == math.comb(d.p, 4)
 
 
 class TestOracleBasis:
