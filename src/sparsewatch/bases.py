@@ -32,17 +32,18 @@ __all__ = [
 # ── Domain types ──────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisDictionary:
     """Background basis ``b_b`` (p×k_b) and anomaly basis ``b_a`` (p×k_a).
 
     ``k_b = 0`` (no background) is allowed; ``b_b`` is then a p×0 matrix.
     Every entry must be finite.  Both matrices are private read-only copies,
     so ``content_key``, a digest of their shapes and bytes, names the content
-    for as long as it lives: equal dictionaries share cached per-subset
-    geometry, whatever object (or unpickled copy) carries them.  ``b_a_sq``
-    is the read-only entrywise square of ``b_a``, which sensing reads every
-    step; it follows from ``b_a``, so the digest leaves it out.
+    for as long as it lives: dictionaries of one content compare and hash
+    equal and share cached per-subset geometry, whatever object (or
+    unpickled copy) carries them.  ``b_a_sq`` is the read-only entrywise
+    square of ``b_a``, which sensing reads every step; it follows from
+    ``b_a``, so the digest leaves it out.
     """
 
     b_b: np.ndarray
@@ -90,6 +91,12 @@ class BasisDictionary:
         self.__dict__.update(state)
         for mat in (self.b_b, self.b_a, self.b_a_sq):
             mat.flags.writeable = False
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.content_key == other.content_key
+
+    def __hash__(self) -> int:
+        return hash(self.content_key)
 
     @property
     def p(self) -> int:

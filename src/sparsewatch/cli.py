@@ -78,17 +78,17 @@ def _require_whole(mapping: dict, key: str, where: str) -> int:
     return _whole(_require(mapping, key, where), key, where)
 
 
-def _real(value, field: str, where: str) -> float:
+def _real(value, field: str, where: str, document: str = "scenario") -> float:
     """A real-valued field: a JSON number, never a string or a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(
-            f"invalid scenario: field '{field}' in {where} must be a number, got {value!r}"
+            f"invalid {document}: field '{field}' in {where} must be a number, got {value!r}"
         )
     try:
         return float(value)
     except OverflowError:
         raise CliError(
-            f"invalid scenario: field '{field}' in {where} is too large for a float"
+            f"invalid {document}: field '{field}' in {where} is too large for a float"
         ) from None
 
 
@@ -273,13 +273,14 @@ def _json_text(obj) -> str:
 
 def _resolve_threshold(value: str) -> float:
     """A threshold flag is a finite float literal or a path to a
-    threshold.json; checked before any replication or output."""
+    threshold.json whose ``h`` is a JSON number; checked before any
+    replication or output."""
     try:
         h = float(value)
     except ValueError:
         try:
             with open(value, "r", encoding="utf-8") as fh:
-                h = float(json.load(fh)["h"])
+                h = _real(json.load(fh)["h"], "h", value, "threshold file")
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(
                 f"--threshold must be a number or a threshold.json file; "

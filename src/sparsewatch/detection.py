@@ -13,7 +13,8 @@ was checked at its boundary, builds one through the trusted
 ``DetectionInputs._trusted`` instead.  The routes are public and take
 inputs from any caller, so both constructors stay: of a step's records,
 only this one and ``SpikeSlabPosterior`` have a trusted second one.
-``lambda_stat`` reads the posterior's own ``mu_tilde`` and ``spread``.
+``lambda_stat`` reads the posterior's own ``mu_tilde`` and ``spread``, as
+does its batch form ``_stacked_lambda_stat``, bitwise it per row.
 
 The statistic reads the observed anomaly rows from the dictionary and the
 subset's shared ``SubsetGeometry``: their column sums of squares and the
@@ -312,6 +313,21 @@ def lambda_stat(
     term1 = 2.0 * (float(y.dot(x)) - float(p_y.dot(x)))
     term3 = float(y.dot(p_y))
     return term1 - quad + term3
+
+
+def _stacked_lambda_stat(x_z, b_a_z, geo, mu_tilde, spread) -> np.ndarray:
+    """``lambda_stat`` of n rows, (n,), from their observations ``x_z`` (n,
+    m), anomaly rows ``b_a_z`` (n, m, k_a), stacked geometry ``geo``, and
+    ``mu_tilde`` and ``spread`` (n, k_a).  Each reduction is a stacked
+    ``np.matmul``, which calls per row the BLAS routine ``ndarray.dot`` calls."""
+    # 2·(y'x − (P y)'x) − (y'y + col_sq'·spread) + y'P y
+    y = np.matmul(b_a_z, mu_tilde[:, :, None])
+    p_y = np.matmul(geo.basis, np.matmul(geo.basis.swapaxes(1, 2), y))
+    y_row, x_col = y.swapaxes(1, 2), x_z[:, :, None]
+    quad = np.matmul(y_row, y) + np.matmul(geo.col_sq[:, None], spread[:, :, None])
+    stat = 2.0 * (np.matmul(y_row, x_col) - np.matmul(p_y.swapaxes(1, 2), x_col)) - quad
+    stat += np.matmul(y_row, p_y)
+    return stat[:, 0, 0]
 
 
 def alarm_check(stat: float, h: float) -> bool:

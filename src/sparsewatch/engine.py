@@ -11,13 +11,11 @@ Reproducibility contract: a replication's randomness derives only from
 in rep order, and no output depends on wall-clock time or worker count.
 
 Replications at threshold +inf, the null runs a calibration collects, run
-in lockstep: a batch of them advances one time step at a time, each layer
-one numpy call over the batch, while each replication keeps its own
-stream, Generator and draw order and its fit stays one call of the sweep
-kernel.  Every reduction is the per-replication BLAS call the layer makes,
-so each replication's statistics and sweep counts are bitwise those of
-``step`` run on it alone, and the batch split does not change them.
-A batch that meets what ``step`` would raise on reruns through ``step``,
+in lockstep: a batch advances one time step at a time through each layer's
+batch form (``inference._FitStack``, ``detection._stacked_lambda_stat``,
+``sampling._stacked_subsets``), whose rows are bitwise the scalar layer's,
+so each replication's results are those of ``step`` run on it alone.  A
+batch that meets what ``step`` would raise on reruns through ``step``,
 which raises it.  Other replications, which stop at their alarm, run one
 ``step`` at a time.  Each batch first builds, in its process, the geometry
 table its replications read; ``init`` and ``step`` build none.
@@ -31,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import BasisDictionary
-from .detection import DetectionInputs, alarm_check, lambda_stat
+from .detection import DetectionInputs, _stacked_lambda_stat, alarm_check, lambda_stat
 from .errors import (
     CalibrationError,
     DataError,
@@ -46,13 +44,13 @@ from .inference import (
     DecayedStats,
     ModelConfig,
     SpikeSlabPosterior,
+    _FitStack,
     fit,
 )
 from .sampling import (
     OracleScorer,
     SensingPlan,
-    _VAR_FLOOR,
-    _permuted_top,
+    _stacked_subsets,
     draw_anomaly_sample,
     score_variables,
     select_top_m,
@@ -311,31 +309,14 @@ class _Fallback(Exception):
 
 def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
     """Replications ``reps`` at threshold +inf, one time step for the whole
-    batch at a time; each one's result is bitwise ``_run_one``'s.
-
-    Each replication starts from ``init`` and ``gen_stream`` with its
-    ``_rep_rngs`` seeds and draws from its own Generator in ``step``'s
-    order: Thompson's uniform and normal vectors (one call for both normal
-    vectors, which the Generator fills in the same order) and permutation,
-    or the oracle's uniform and normals before its ``OracleScorer.select``.
-    Its fit is one ``inference._sweeps`` call.  Every other operation is one
-    numpy call over the batch: gathers, the moment updates, the spike/slab
-    draws, the score arithmetic and the top-m partition are elementwise or
-    per row, and each reduction is a stacked ``np.matmul``, which calls per
-    replication the BLAS routine (dot or gemv) that the layer's
-    ``ndarray.dot`` calls, with the same operands.  The batch's
-    geometries come from one ``geometry._stacked_geometry`` call per step.
-    What the step only stores for later layers (the moments' q,
-    normalization and mass) is not computed.
-
-    Raises ``_Fallback`` where ``step`` would raise: a non-finite value in
-    a stream (the step raises only if it is observed), a non-finite
-    statistic, or an error of the oracle's selection.
+    batch at a time, each from ``init`` and ``gen_stream`` with its
+    ``_rep_rngs`` seeds and each result bitwise ``_run_one``'s.  A step is
+    one ``_stacked_geometry`` call and one call of each layer's batch form.
+    Raises ``_Fallback`` for a non-finite value in a stream (the step raises
+    only if it is observed) or statistic; a layer's error propagates.
     """
-    cfg, d = scenario.cfg, scenario.dictionary
-    p, m, k, horizon = d.p, cfg.m, cfg.k_a, scenario.horizon
-    n = len(reps)
-    streams = np.empty((horizon, n, p))
+    cfg, d, horizon, n = scenario.cfg, scenario.dictionary, scenario.horizon, len(reps)
+    streams = np.empty((horizon, n, d.p))
     states = []
     for i, rep in enumerate(reps):
         stream_ss, engine_ss = _rep_rngs(seed, rep)
@@ -343,103 +324,35 @@ def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
         states.append(init(cfg, d, h=math.inf, seed=engine_ss, sampler=sampler))
     if not np.isfinite(streams).all():
         raise _Fallback
-    rngs = [state.rng for state in states]
+    rngs, scorer = [state.rng for state in states], states[0].scorer
     z = np.array([state.plan.z for state in states])
-
-    keep = 1.0 - cfg.decay
-    raw_m, raw_u = np.zeros((n, k, k)), np.zeros((n, k))
-    off = np.empty_like(raw_m)
-    post = np.empty((n, len(inference._FIELDS), k))  # a fit's output per replication
-    post[:] = [getattr(states[0].post, name) for name in inference._FIELDS]
-    mt, mu, s2, alpha, spread = post.swapaxes(0, 1)
-    uniform, normal = np.empty((n, k)), np.empty((n, k + p))
-    perms = [None] * n
+    fits = _FitStack([state.post for state in states], cfg)
     stats = np.empty((n, horizon))
     sweeps = np.empty((n, horizon), dtype=np.intp)
     nonconverged = np.zeros(n, dtype=np.intp)
-    sweep = inference._sweeps  # looked up once per batch: the seam a test swaps
-    tol, max_iters = inference._TOL, inference._MAX_ITERS
-    fit_args = list(zip(raw_m, off, post.reshape(n, -1)))
     rows = np.arange(n)[:, None]
-    b_a, b_a_sq = d.b_a, d.b_a_sq
     for t in range(horizon):
-        x_z = streams[t][rows, z]
-        m_c, _, basis, c, col_sq = _stacked_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)
-        b_a_z = b_a[z]
-
-        # absorb_sample: W·x = x − U·(c ∘ U'x), then u_c = B_aZ'·W·x
-        proj = c * np.matmul(x_z[:, None], basis)[:, 0]
-        w_x = x_z - np.matmul(basis, proj[:, :, None])[:, :, 0]
-        raw_m *= keep
-        raw_m += m_c
-        raw_u *= keep
-        raw_u += np.matmul(b_a_z.swapaxes(1, 2), w_x[:, :, None])[:, :, 0]
-
-        # fit: one kernel call per replication
-        np.copyto(off, raw_m)
-        off.reshape(n, -1)[:, :: k + 1] = 0.0
-        lists = zip(raw_u.tolist(), mu.tolist(), alpha.tolist(), mt.tolist())
-        done = [
-            sweep(rm, of, out, u, mu_i, al, mt_i, cfg, tol, max_iters)
-            for (rm, of, out), (u, mu_i, al, mt_i) in zip(fit_args, lists)
-        ]
-        converged, sweeps[:, t] = zip(*done)
+        x_z, b_a_z = streams[t][rows, z], d.b_a[z]
+        geo = _stacked_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)
+        converged, sweeps[:, t] = zip(*fits.fit(x_z, b_a_z, geo))
         nonconverged += np.logical_not(converged)
-
-        # lambda_stat: 2·(y'x − (P y)'x) − (y'y + col_sq'·spread) + y'P y
-        y = np.matmul(b_a_z, mt[:, :, None])
-        p_y = np.matmul(basis, np.matmul(basis.swapaxes(1, 2), y))
-        y_row, x_col = y.swapaxes(1, 2), x_z[:, :, None]
-        quad = np.matmul(y_row, y) + np.matmul(col_sq[:, None], spread[:, :, None])
-        stat = 2.0 * (np.matmul(y_row, x_col) - np.matmul(p_y.swapaxes(1, 2), x_col)) - quad
-        stat += np.matmul(y_row, p_y)
-        stats[:, t] = stat[:, 0, 0]
+        stats[:, t] = _stacked_lambda_stat(x_z, b_a_z, geo, fits.mu_tilde, fits.spread)
         if not np.isfinite(stats[:, t]).all():
             raise _Fallback
-
-        # sensing: draw_anomaly_sample, synthesize_anomaly_signal, then a sampler
-        for i, rng in enumerate(rngs):
-            rng.random(out=uniform[i])
-            rng.standard_normal(out=normal[i])
-            if sampler != "oracle":
-                perms[i] = rng.permutation(p)
-        draws = np.sqrt(np.maximum(np.multiply.outer((1.0, cfg.v), s2), _VAR_FLOOR)) * normal[:, :k]
-        theta = np.where(uniform < alpha, mu + draws[0], draws[1])
-        x1_hat = np.matmul(b_a, theta[:, :, None])[:, :, 0] + cfg.sigma_e * normal[:, k:]
-        if sampler == "oracle":
-            z = np.empty_like(z)
-            for i, state in enumerate(states):
-                fitted = SpikeSlabPosterior._trusted(mu[i], s2[i], alpha[i], mt[i], spread[i])
-                try:
-                    z[i] = state.scorer.select(x1_hat[i], fitted, rngs[i]).z
-                except SparsewatchError:
-                    raise _Fallback from None
-        else:  # score_variables, then select_top_m
-            y_all = np.matmul(b_a, mt[:, :, None])[:, :, 0]
-            quad_all = y_all * y_all + np.matmul(b_a_sq, spread[:, :, None])[:, :, 0]
-            scores = 2.0 * x1_hat * y_all - quad_all
-            top = scores >= np.partition(scores, p - m, axis=1)[:, p - m, None]
-            counts = np.count_nonzero(top, axis=1)
-            if (counts == m).all():
-                z = top.nonzero()[1].reshape(n, m)
-            else:  # a tie or a NaN at some row's cut
-                z = np.array([
-                    row.nonzero()[0] if count == m else _permuted_top(row_scores, m, perm)
-                    for row, count, row_scores, perm in zip(top, counts, scores, perms)
-                ])
+        z = _stacked_subsets(fits, cfg, d, rngs, scorer)
     return [(stats[i], False, int(nonconverged[i]), sweeps[i]) for i in range(n)]
 
 
 def _run_batch(args):
     """``_run_one`` for each replication of a batch, after ``_build_shared``;
-    at h = +inf through ``_lockstep``, unless it refuses the batch.
-    Top-level so process pools can pickle it."""
+    at h = +inf through ``_lockstep``, unless it refuses the batch or a layer
+    raises.  Top-level so process pools can pickle it."""
     scenario, h, seed, reps, sampler = args
     _build_shared(scenario, sampler)
     if h == math.inf:
         try:
             return _lockstep(scenario, seed, reps, sampler)
-        except _Fallback:
+        except (_Fallback, SparsewatchError):
             pass
     return [_run_one((scenario, h, seed, rep, sampler)) for rep in reps]
 
@@ -471,15 +384,20 @@ def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int
     A pool whose workers fork inherits this process's memory, so the
     shared per-process tables are built here first, once, rather than in
     every worker; a worker that starts fresh builds them in its first
-    ``_run_batch``.
+    ``_run_batch``.  An ``n_reps`` below 1, or a ``workers`` other than an
+    integer of at least 1 (a bool is not), raises ValueError first.
     """
+    if n_reps < 1:
+        raise ValueError("n_reps must be positive")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     workers = min(workers, n_reps)  # a pool starts all its processes at once
-    parts = max(workers, 1) * (1 if h == math.inf else 4)
+    parts = workers * (1 if h == math.inf else 4)
     worklist = [
         (scenario, h, seed, reps, sampler)
         for reps in _batches(n_reps, parts, scenario.horizon, scenario.dictionary.p)
     ]
-    if workers <= 1:
+    if workers == 1:
         results = [_run_batch(args) for args in worklist]
     else:
         # imported here: a process that never pools never pays the import
@@ -491,21 +409,6 @@ def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_batch, worklist))
     return [result for batch in results for result in batch]
-
-
-def _same_config(a: ModelConfig, b: ModelConfig) -> bool:
-    return (
-        a is b
-        or (
-            a.sigma_e == b.sigma_e
-            and a.sigma_b == b.sigma_b
-            and a.v == b.v
-            and a.decay == b.decay
-            and a.m == b.m
-            and np.array_equal(a.sigma_j, b.sigma_j)
-            and np.array_equal(a.w, b.w)
-        )
-    )
 
 
 def collect_h0_trajectories(
@@ -526,8 +429,6 @@ def collect_h0_trajectories(
     docstring): the trajectories are byte for byte those of a ``step``
     loop over each replication alone, at any ``workers``.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be positive")
     scenario = Scenario(dictionary=dictionary, cfg=cfg, tau=None, change=(), horizon=horizon)
     results = _map_reps(scenario, math.inf, seed, n_reps, workers, sampler)
     return np.vstack([stats for stats, *_ in results])
@@ -538,12 +439,16 @@ def replay_run_lengths(trajectories: np.ndarray, h: float) -> np.ndarray:
 
     Alarm at the first step whose statistic strictly exceeds h; trajectories
     that never alarm count as the horizon, matching how censored
-    replications enter the average run length.  A NaN threshold, which no
-    statistic exceeds, is refused with ValueError.
+    replications enter the average run length.  A NaN statistic, which no
+    threshold could be compared with, raises DataError naming the first in
+    rep order; a NaN threshold, which no statistic exceeds, ValueError.
     """
+    trajectories = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
+    if np.isnan(trajectories).any():
+        rep, t = np.argwhere(np.isnan(trajectories))[0]
+        raise DataError(f"statistic is NaN in replication {rep} at step {t + 1}")
     if math.isnan(h):
         raise ValueError("threshold must not be NaN")
-    trajectories = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
     horizon = trajectories.shape[1]
     exceeded = trajectories > h
     any_alarm = exceeded.any(axis=1)
@@ -559,8 +464,8 @@ def search_threshold(
     Binary-searches the sorted unique statistic values (the only points
     where the replayed ARL can change) and returns (h, achieved ARL).
     Raises CalibrationError when no candidate lands within ``tol_rel``
-    relative error of the target, and DataError naming the first NaN
-    statistic, in rep order, which no threshold could be compared with.
+    relative error of the target, and, through its first replay, DataError
+    naming the first NaN statistic in rep order.
     """
     if not tol_rel > 0:
         raise ValueError("tol_rel must be positive")
@@ -571,9 +476,6 @@ def search_threshold(
             f"target ARL {target_arl0} outside the feasible [1, {horizon}] range"
         )
 
-    if np.isnan(trajectories).any():
-        rep, t = np.argwhere(np.isnan(trajectories))[0]
-        raise DataError(f"null statistic is NaN in replication {rep} at step {t + 1}")
     values = np.unique(trajectories)
     # The replayed ARL is non-decreasing in h; find the first candidate
     # meeting the target, then compare with its predecessor.
@@ -625,8 +527,6 @@ def calibrate_threshold(
     (h, achieved ARL).  The horizon must exceed twice the target so
     censoring cannot dominate the average.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be positive")
     if not tol_rel > 0:
         raise ValueError("tol_rel must be positive")
     if not target_arl0 < horizon / 2:
@@ -668,12 +568,10 @@ def evaluate(
     T is the alarm step (horizon+1 when censored), false_alarm flags alarms
     at or before the change point, and delay is T − tau for true detections.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be positive")
     # The scenario carries the generating model; the monitor must match.
-    if not _same_config(scenario.cfg, cfg):
+    if scenario.cfg != cfg:
         raise DimensionError("scenario and evaluate disagree on the model config")
-    if dictionary.content_key != scenario.dictionary.content_key:
+    if scenario.dictionary != dictionary:
         raise DimensionError("scenario and evaluate disagree on the basis dictionary")
     results = _map_reps(scenario, h, seed, n_reps, workers, sampler)
 

@@ -44,7 +44,10 @@ and keeps every operand, the posterior included, as a local float across
 all sweeps, blocks and the stop test.  Every operation and its order are
 those of the interpreted form of the same pass that the tests keep
 (``oracles.blocked_sweep``), so generation changes how the interpreter runs
-the loop and no output bit.
+the loop and no output bit.  ``_FitStack``, the batch form of ``fit`` for
+``engine``'s lockstep, runs each row's sweeps by the same call, and each
+reduction of its absorb is a stacked ``np.matmul``, which calls per row the
+BLAS routine ``ndarray.dot`` calls here, so its rows are bitwise ``fit``'s.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # ── Domain types ──────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelConfig:
     """Fixed hyperparameters of the monitoring model.
 
@@ -110,7 +113,7 @@ class ModelConfig:
     and the arrays derived from them are read-only, so every fit and
     ``elbo`` read one prior.  Unpickling, as a pool worker receives its
     config, runs the checked constructor again: numpy does not pickle the
-    read-only flag.
+    read-only flag.  Equality and the hash read the seven fields by value.
     """
 
     sigma_e: float
@@ -143,6 +146,8 @@ class ModelConfig:
         if self.m < 1:
             raise ValueError("sensing budget m must be positive")
         object.__setattr__(self, "m", int(self.m))
+        fields = (self.sigma_e, self.sigma_b, sigma_j.tobytes(), w.tobytes(), self.v, self.decay, self.m)
+        object.__setattr__(self, "_key", fields)  # bytes compare as values: no NaN or −0
         # Derived quantities used in every sweep; cached once.
         object.__setattr__(self, "sigma_e2", float(self.sigma_e) ** 2)
         object.__setattr__(self, "sigma_b2", float(self.sigma_b) ** 2)
@@ -161,6 +166,12 @@ class ModelConfig:
 
     def __reduce__(self):
         return type(self), (self.sigma_e, self.sigma_b, self.sigma_j, self.w, self.v, self.decay, self.m)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def k_a(self) -> int:
@@ -563,8 +574,8 @@ def _sweeps(raw_m, off, out, u, mu, alpha, mt, cfg: ModelConfig, tol: float, max
     zeroed.  ``out`` is a float64 vector of the fit's ``_FIELDS``, one
     after another, whose first k_a already hold ``mt``: it is the
     mu_tilde array each block's product reads, and the kernel writes the
-    final posterior into it.  ``_iterate`` and ``engine``'s lockstep
-    batch both run their fits through this one function.
+    final posterior into it.  ``_iterate`` and the batch ``_FitStack.fit``
+    both run their fits through it, so a batch row's are bitwise a lone fit's.
     """
     k_a = len(u)
     return _kernel(k_a)(
@@ -576,18 +587,12 @@ def _sweeps(raw_m, off, out, u, mu, alpha, mt, cfg: ModelConfig, tol: float, max
 def _iterate(
     post: SpikeSlabPosterior, stats: DecayedStats, cfg: ModelConfig, tol: float, max_iters: int
 ):
-    """Coordinate sweeps at fixed stats until nothing moves by ``tol``.
+    """Coordinate sweeps at fixed stats until nothing moves by ``tol``, by
+    one ``_sweeps`` call; returns (posterior, converged, sweeps run).
 
-    Returns (posterior, converged, sweeps run).  ``_sweeps`` runs every
-    sweep in one call of the kernel for k_a: it reads plain-float lists of
-    u, the config vectors (converted once per config) and the starting mu,
-    alpha and mu_tilde, and M itself, once with its diagonal zeroed for the
-    product that opens each block, and holds every operand as a local float
-    across all sweeps.  The posterior's fields are the rows of one output
-    array whose first, mu_tilde, is the array each block's product reads
-    and, once the kernel returns, holds mu·alpha of the final iterate
-    bitwise, so the posterior takes them without a conversion, as read-only
-    rows.
+    The posterior's fields are the rows of the kernel's output array, whose
+    first, mu_tilde, holds mu·alpha of the final iterate bitwise, so the
+    posterior takes them without a conversion, as read-only rows.
     """
     if stats.n == 0:
         raise StateError("cannot sweep before any sample has been absorbed")
@@ -742,10 +747,8 @@ def fit(
     background never enters the anomaly iteration (it is integrated out of
     the moments), so the loop is plain coordinate sweeps at fixed stats,
     stopping after the first sweep in which every absolute change of mu_a
-    and alpha is below ``tol``.  The sweeps are one call of
-    ``vb_coordinate_sweep``'s generated kernel for k_a, which sets the fit
-    up once, holds every factor and the posterior as local floats across
-    all sweeps and stops itself.  The posterior is built once, at the end.
+    and alpha is below ``tol``.  The sweeps are one call of the generated
+    kernel (``_sweeps``), and the posterior is built once, at the end.
 
     Non-convergence within ``max_iters``, or a NaN change, returns the last
     iterate with ``converged=False`` rather than raising.  A ``tol`` that is
@@ -759,3 +762,42 @@ def fit(
     stats = absorb_sample(prev_stats, x_z, z, dictionary, cfg)
     post, converged, iters = _iterate(prev_posterior, stats, cfg, tol, max_iters)
     return FitResult(post, stats, converged, iters)
+
+
+class _FitStack:
+    """The fits of n replications from ``posts`` and empty moments: M and u
+    as ``raw_m`` (n, k_a, k_a) and ``raw_u`` (n, k_a), ``off`` (M, diagonals
+    zeroed), and ``rows``, the posteriors (n, 5, k_a) in ``_FIELDS`` order
+    with (n, k_a) views named like ``SpikeSlabPosterior``'s fields.  The
+    moments' q, normalization and mass, which nothing reads, are not kept."""
+
+    def __init__(self, posts, cfg: ModelConfig):
+        n, k = len(posts), cfg.k_a
+        self.cfg = cfg
+        self.raw_m, self.raw_u = np.zeros((n, k, k)), np.zeros((n, k))
+        self.off = np.empty_like(self.raw_m)
+        self.rows = np.array([[getattr(post, name) for name in _FIELDS] for post in posts])
+        self.mu_tilde, self.mu_a, self.s2, self.alpha, self.spread = self.rows.swapaxes(0, 1)
+        self._sweep_args = list(zip(self.raw_m, self.off, self.rows.reshape(n, -1)))
+
+    def fit(self, x_z: np.ndarray, b_a_z: np.ndarray, geo) -> list:
+        """Absorb observations ``x_z`` (n, m) with anomaly rows ``b_a_z`` (n, m,
+        k_a) and stacked geometry ``geo``, then sweep each row at ``fit``'s
+        defaults; returns each row's (converged, sweeps)."""
+        # absorb_sample: W·x = x − U·(c ∘ U'x), then u_c = B_aZ'·W·x
+        proj = geo.c * np.matmul(x_z[:, None], geo.basis)[:, 0]
+        w_x = x_z - np.matmul(geo.basis, proj[:, :, None])[:, :, 0]
+        keep = 1.0 - self.cfg.decay
+        self.raw_m *= keep
+        self.raw_m += geo.m_c
+        self.raw_u *= keep
+        self.raw_u += np.matmul(b_a_z.swapaxes(1, 2), w_x[:, :, None])[:, :, 0]
+
+        np.copyto(self.off, self.raw_m)
+        self.off.reshape(len(x_z), -1)[:, :: self.cfg.k_a + 1] = 0.0
+        sweep = _sweeps  # looked up per call: the seam a test swaps
+        lists = zip(self.raw_u.tolist(), self.mu_a.tolist(), self.alpha.tolist(), self.mu_tilde.tolist())
+        return [
+            sweep(raw_m, off, out, u, mu, alpha, mt, self.cfg, _TOL, _MAX_ITERS)
+            for (raw_m, off, out), (u, mu, alpha, mt) in zip(self._sweep_args, lists)
+        ]

@@ -7,6 +7,9 @@ full signal it would produce, score every variable by its additive
 contribution to the expected monitoring statistic, and keep the top m.
 An exhaustive subset scorer is provided as a reference strategy; it is
 exponential in p choose m and exists for validation and small problems.
+``_stacked_subsets``, the batch form of both for ``engine``'s lockstep, is
+bitwise ``engine.step``'s sensing per row: each reduction is a stacked
+``np.matmul``, which calls per row the BLAS routine ``ndarray.dot`` calls.
 """
 
 from __future__ import annotations
@@ -159,6 +162,43 @@ def _permuted_top(scores: np.ndarray, m: int, perm: np.ndarray) -> np.ndarray:
     permutation's order, and NaN ranks last."""
     ranked = perm[np.argsort(-scores[perm], kind="stable")]
     return np.sort(ranked[:m])
+
+
+def _stacked_subsets(post, cfg: ModelConfig, dictionary: BasisDictionary, rngs, scorer=None):
+    """The next subsets (n, m) of n rows whose posteriors ``post`` holds as
+    (n, k_a) arrays named like ``SpikeSlabPosterior``'s fields.  Row i draws
+    from ``rngs[i]`` in ``engine.step``'s order: the uniforms, one normal
+    call that fills both vectors as two would, then Thompson's permutation
+    or the oracle's ``scorer.select``, whose errors propagate."""
+    (n, k), p, m = post.alpha.shape, dictionary.p, cfg.m
+    uniform, normal, perms = np.empty((n, k)), np.empty((n, k + p)), []
+    for i, rng in enumerate(rngs):
+        rng.random(out=uniform[i])
+        rng.standard_normal(out=normal[i])
+        if scorer is None:
+            perms.append(rng.permutation(p))
+    # draw_anomaly_sample, then synthesize_anomaly_signal
+    draws = np.sqrt(np.maximum(np.multiply.outer((1.0, cfg.v), post.s2), _VAR_FLOOR)) * normal[:, :k]
+    theta = np.where(uniform < post.alpha, post.mu_a + draws[0], draws[1])
+    x1_hat = np.matmul(dictionary.b_a, theta[:, :, None])[:, :, 0] + cfg.sigma_e * normal[:, k:]
+    if scorer is not None:
+        fields = zip(post.mu_a, post.s2, post.alpha, post.mu_tilde, post.spread)
+        return np.array([
+            scorer.select(x, SpikeSlabPosterior._trusted(*row), rng).z
+            for x, row, rng in zip(x1_hat, fields, rngs)
+        ])
+    # score_variables, then select_top_m
+    y_all = np.matmul(dictionary.b_a, post.mu_tilde[:, :, None])[:, :, 0]
+    quad_all = y_all * y_all + np.matmul(dictionary.b_a_sq, post.spread[:, :, None])[:, :, 0]
+    scores = 2.0 * x1_hat * y_all - quad_all
+    top = scores >= np.partition(scores, p - m, axis=1)[:, p - m, None]
+    counts = np.count_nonzero(top, axis=1)
+    if (counts == m).all():
+        return top.nonzero()[1].reshape(n, m)
+    return np.array([  # a tie or a NaN at some row's cut
+        row.nonzero()[0] if count == m else _permuted_top(row_scores, m, perm)
+        for row, count, row_scores, perm in zip(top, counts, scores, perms)
+    ])
 
 
 # ── Exhaustive reference strategy ─────────────────────────────────────────

@@ -4,6 +4,12 @@ Run it on two checkouts and compare what they print:
 
     PYTHONPATH=src python tests/parity.py
 
+or let it run both and compare them, this checkout's package in this
+process and the other's (``DIR/src``) in a subprocess; it prints both
+sides' lines and exits with 1 if any line differs:
+
+    PYTHONPATH=src python tests/parity.py --against DIR
+
 It prints one SHA-256 per stage, each followed by its decisions line,
 then one over all stages' full digests:
 
@@ -32,11 +38,17 @@ one environment.  Pytest does not collect this file.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import sparsewatch
 from sparsewatch import bases, engine, simgen
 from sparsewatch.detection import (
     DetectionInputs,
@@ -184,7 +196,9 @@ def exact_routes() -> tuple[str, str]:
     return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
-def main() -> None:
+def stage_lines():
+    """Each stage's digest and decisions lines as it finishes, then the
+    digest over all stages."""
     overall = hashlib.sha256()
     for name, stage in (
         ("study-p15", study_p15), ("monitor-kron400", monitor_kron400),
@@ -192,10 +206,48 @@ def main() -> None:
     ):
         hexdigest, decided = stage()
         overall.update(hexdigest.encode())
-        print(f"{name:16s} {hexdigest}", flush=True)
-        print(f"{'  decisions':16s} {decided}", flush=True)
-    print(f"{'all':16s} {overall.hexdigest()}")
+        yield f"{name:16s} {hexdigest}"
+        yield f"{'  decisions':16s} {decided}"
+    yield f"{'all':16s} {overall.hexdigest()}"
+
+
+def compare(against: str) -> int:
+    """Run the stages here and, in a subprocess, on ``against``/src; print
+    both sides' lines and return 1 if any line differs, else 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(against, "src")))
+    other = subprocess.Popen(
+        [sys.executable, __file__], env=env, stdout=subprocess.PIPE, text=True
+    )
+    ours = list(stage_lines())
+    theirs = other.communicate()[0].splitlines()
+    if other.returncode:
+        print(f"the stages failed under {against}/src (exit {other.returncode})")
+        return 1
+    for title, lines in ((Path(sparsewatch.__file__).parents[1], ours), (Path(against, "src"), theirs)):
+        print(f"== {title}")
+        print("\n".join(lines))
+    names = [line.split()[0] for line in ours]
+    labels = [f"{names[i - 1]} decisions" if n == "decisions" else n for i, n in enumerate(names)]
+    differing = [label for label, a, b in zip(labels, ours, theirs) if a != b]
+    if differing or len(ours) != len(theirs):
+        print(f"lines differ: {', '.join(differing) or 'line count'}")
+        return 1
+    print("every line is equal")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Print output digests of four stages.")
+    parser.add_argument(
+        "--against", metavar="DIR", help="also run the stages on the checkout DIR and compare"
+    )
+    args = parser.parse_args()
+    if args.against is not None:
+        return compare(args.against)
+    for line in stage_lines():
+        print(line, flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

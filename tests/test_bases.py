@@ -207,6 +207,18 @@ class TestBasisDictionary:
         with pytest.raises(DataError, match=r"background basis b_b .*inf at row 3, column 1"):
             BasisDictionary(b_b=b_b, b_a=identity_anomaly_basis(8))
 
+    def test_dictionary_compares_and_hashes_by_content(self, rng):
+        """A fresh copy and an unpickled copy equal the dictionary and hash
+        alike; another background or anomaly basis makes it unequal."""
+        b_b, b_a = rng.normal(size=(7, 2)), rng.normal(size=(7, 3))
+        d = BasisDictionary(b_b=b_b, b_a=b_a)
+        for twin in (BasisDictionary(b_b=b_b.copy(), b_a=b_a.copy()), pickle.loads(pickle.dumps(d))):
+            assert twin is not d and twin == d and not twin != d
+            assert hash(twin) == hash(d)
+        assert BasisDictionary(b_b=b_b, b_a=2.0 * b_a) != d
+        assert BasisDictionary(b_b=b_b[:, :1], b_a=b_a) != d
+        assert d != d.content_key
+
     def test_squared_anomaly_basis_is_read_only_and_survives_pickling(self):
         d = BasisDictionary(b_b=fourier_basis(8, 2), b_a=bspline_basis(8, 2, 6))
         for each in (d, pickle.loads(pickle.dumps(d))):

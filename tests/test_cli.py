@@ -586,6 +586,26 @@ class TestEvaluate:
         assert "--threshold must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "monitor"])
+    @pytest.mark.parametrize("h", ["true", '"0.5"', "null", "[0.5]"])
+    def test_threshold_file_h_must_be_a_json_number(
+        self, tmp_path, scenario_file, capsys, command, h
+    ):
+        """A threshold file's ``h`` is read as a scenario's reals are: a
+        boolean or a string is refused, naming the file and the field,
+        before any work."""
+        path = tmp_path / "threshold.json"
+        path.write_text(f'{{"h": {h}}}')
+        stream = tmp_path / "stream.csv"
+        save_stream_csv(stream, np.zeros((3, 6)))
+        out = tmp_path / "out"
+        args = [command, "--scenario", str(scenario_file), "--out", str(out), "--threshold", str(path)]
+        args += ["--reps", "3"] if command == "evaluate" else ["--stream", str(stream)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"error: invalid threshold file: field 'h' in {path} must be a number" in err
+        assert not out.exists()
+
 
 class TestMonitor:
     def _stream(self, tmp_path, scenario_file, tau=10, phi=3.0, horizon=50):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import dataclasses
 import math
+import pickle
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -556,6 +559,17 @@ class TestReplay:
         arls = [replay_run_lengths(traj, h).mean() for h in hs]
         assert all(a <= b + 1e-12 for a, b in zip(arls, arls[1:]))
 
+    @pytest.mark.parametrize("h", [1.0, math.nan])
+    def test_nan_statistic_refused_with_its_place(self, h):
+        """A NaN statistic is no "no alarm": the replay names the replication
+        and step of the first NaN in rep order, before it reads h."""
+        with pytest.raises(DataError, match=r"NaN in replication 0 at step 1$"):
+            replay_run_lengths([[math.nan, 0.0, 0.0]], h)
+        traj = np.zeros((3, 4))
+        traj[2, 0] = traj[1, 2] = math.nan
+        with pytest.raises(DataError, match=r"NaN in replication 1 at step 3$"):
+            replay_run_lengths(traj, h)
+
 
 class TestSearchThreshold:
     def test_meets_target_on_synthetic_trajectories(self, rng):
@@ -942,6 +956,29 @@ class TestCalibrateAndEvaluate:
             with pytest.raises(DimensionError, match=match):
                 evaluate(cfg, dictionary, 1.0, scenario, n_reps=2, seed=0)
 
+    @pytest.mark.parametrize("field", ["sigma_e", "sigma_b", "sigma_j", "w", "v", "decay", "m"])
+    def test_config_differing_in_one_field_rejected(self, small_dictionary, small_config, field):
+        cfg = small_config
+        changed = {
+            "sigma_e": 0.11, "sigma_b": 0.55, "sigma_j": cfg.sigma_j * 1.5, "w": cfg.w + 0.1,
+            "v": 2e-6, "decay": 0.05, "m": 2,
+        }
+        other = dataclasses.replace(cfg, **{field: changed[field]})
+        scenario = _null_scenario(small_dictionary, cfg, 40)
+        with pytest.raises(DimensionError, match="disagree on the model config"):
+            evaluate(other, small_dictionary, 1.0, scenario, n_reps=2, seed=0)
+
+    def test_unpickled_records_pass_both_checks(self, small_dictionary, small_config):
+        """As a pool worker receives them: copies equal by value, not identity."""
+        scenario = _null_scenario(small_dictionary, small_config, 40)
+        cfg, d = pickle.loads(pickle.dumps((small_config, small_dictionary)))
+        assert cfg is not small_config and d is not small_dictionary
+        got = evaluate(cfg, d, 0.5, scenario, n_reps=3, seed=1, return_records=True)
+        expected = evaluate(
+            small_config, small_dictionary, 0.5, scenario, n_reps=3, seed=1, return_records=True
+        )
+        assert repr(got) == repr(expected)
+
     def test_planted_change_is_detected_after_tau(
         self, small_dictionary, small_config
     ):
@@ -960,6 +997,77 @@ class TestCalibrateAndEvaluate:
         )
         assert summary.add < 10.0
         assert summary.n_censored == 0
+
+
+class TestWorkers:
+    """``workers`` is checked where the library takes it: anything but an
+    integer of at least 1 (a bool is not one) is refused before any
+    replication runs."""
+
+    BAD = [0, -3, True, False, 2.5, "2", None]
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(engine, "_run_batch", refused)
+        monkeypatch.setattr(engine, "gen_stream", refused)
+
+    @pytest.mark.parametrize("workers", BAD)
+    def test_refused_by_each_entry_point(self, small_dictionary, small_config, no_runs, workers):
+        d, cfg = small_dictionary, small_config
+        scenario = _null_scenario(d, cfg, 40)
+        calls = [
+            partial(collect_h0_trajectories, cfg, d, 4, 40, 0),
+            partial(calibrate_threshold, cfg, d, 10.0, 4, 40, 0.1, 0),
+            partial(evaluate, cfg, d, 1.0, scenario, 4, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+                call(workers=workers)
+
+    def test_numpy_integer_accepted(self, small_dictionary, small_config):
+        d, cfg = small_dictionary, small_config
+        traj = collect_h0_trajectories(cfg, d, 3, 20, 5, workers=np.int64(1))
+        assert traj.tobytes() == collect_h0_trajectories(cfg, d, 3, 20, 5).tobytes()
+
+
+class TestEngineLayering:
+    def test_engine_reads_only_the_batch_forms_of_the_layers(self):
+        """``engine`` reads no private module-level name of a layer but the
+        batch forms, ``geometry._stacked_geometry`` and the kernel it builds
+        before a pool forks, so a layer's formula lives in its own module;
+        and ``_lockstep`` does not branch on the sampler's name."""
+        tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+        layers = {"inference", "detection", "sampling", "geometry"}
+        allowed = {
+            ("inference", "_FitStack"), ("inference", "_kernel"),
+            ("detection", "_stacked_lambda_stat"), ("sampling", "_stacked_subsets"),
+            ("geometry", "_stacked_geometry"),
+        }
+        private = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in layers:
+                private |= {(node.module, a.name) for a in node.names if a.name.startswith("_")}
+            elif (
+                isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in layers and node.attr.startswith("_")
+            ):
+                private.add((node.value.id, node.attr))
+        assert private - allowed == set()
+        assert allowed - {("inference", "_kernel")} <= private
+
+        (lockstep,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_lockstep"
+        ]
+        names = {
+            getattr(leaf, "id", getattr(leaf, "value", None))
+            for node in ast.walk(lockstep) if isinstance(node, (ast.If, ast.IfExp))
+            for leaf in ast.walk(node.test)
+        }
+        assert not names & {"sampler", "oracle", "thompson"}
 
 
 class TestLockstep:

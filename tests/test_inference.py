@@ -872,6 +872,28 @@ class TestTypes:
         scalars = ("sigma_e", "sigma_b", "v", "decay", "m", "sigma_e2", "sigma_b2")
         assert [getattr(back, n) for n in scalars] == [getattr(cfg, n) for n in scalars]
 
+    def test_config_compares_and_hashes_by_value(self):
+        """A fresh copy and an unpickled copy equal the config and hash alike;
+        changing any one of the seven fields makes a config unequal."""
+        fields = dict(
+            sigma_e=0.5, sigma_b=1.5, sigma_j=np.array([1.0, 2.0, 3.0]),
+            w=np.array([0.1, 0.2, 0.3]), v=1e-4, decay=0.05, m=2,
+        )
+        cfg = ModelConfig(**fields)
+        fresh = ModelConfig(**{**fields, "sigma_j": [1.0, 2.0, 3.0], "w": [0.1, 0.2, 0.3]})
+        for twin in (fresh, pickle.loads(pickle.dumps(cfg))):
+            assert twin is not cfg and twin == cfg and not twin != cfg
+            assert hash(twin) == hash(cfg)
+        assert {cfg: 1}[pickle.loads(pickle.dumps(cfg))] == 1
+        changed = dict(
+            sigma_e=0.6, sigma_b=1.4, sigma_j=np.array([1.0, 2.0, 3.5]),
+            w=np.array([0.1, 0.25, 0.3]), v=2e-4, decay=0.06, m=3,
+        )
+        for name, value in changed.items():
+            other = ModelConfig(**{**fields, name: value})
+            assert other != cfg and not other == cfg, name
+        assert cfg != "config" and cfg != fields
+
     def test_decayed_stats_are_read_only(self, default_dictionary, default_config):
         """Empty, absorbed and stepped moments refuse a write to raw_M and
         raw_u, so no fit can read a moment changed in place."""

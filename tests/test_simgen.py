@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,27 @@ class TestGenStream:
         stream = gen_stream(sc, 11)
         sample_cov = np.cov(stream.T, bias=True)
         assert np.max(np.abs(sample_cov - np.eye(15))) < 0.12
+
+
+class TestScenario:
+    def test_compares_and_hashes_by_value(self, default_dictionary, default_config):
+        """Scenarios built from equal but distinct records, or unpickled, are
+        equal and hash alike; another field or record makes them unequal."""
+        d, cfg = default_dictionary, default_config
+        sc = _scenario(d, cfg, tau=20, change=((1, 0.5),))
+        twin_d = BasisDictionary(b_b=d.b_b.copy(), b_a=d.b_a.copy())
+        twin_cfg = dataclasses.replace(cfg, sigma_j=cfg.sigma_j.copy(), w=cfg.w.copy())
+        for twin in (_scenario(twin_d, twin_cfg, tau=20, change=((1, 0.5),)),
+                     pickle.loads(pickle.dumps(sc))):
+            assert twin is not sc and twin == sc and hash(twin) == hash(sc)
+        for other in (
+            _scenario(d, cfg, tau=21, change=((1, 0.5),)),
+            _scenario(d, cfg, tau=20, change=((2, 0.5),)),
+            _scenario(d, cfg, tau=20, change=((1, 0.5),), horizon=101),
+            _scenario(d, dataclasses.replace(cfg, decay=0.05), tau=20, change=((1, 0.5),)),
+            _scenario(BasisDictionary(b_b=d.b_b, b_a=2.0 * d.b_a), cfg, tau=20, change=((1, 0.5),)),
+        ):
+            assert other != sc
 
 
 class TestStreamCsv:
