@@ -43,6 +43,7 @@ from .engine import (
     replay_run_lengths,
     search_threshold,
     step,
+    study,
 )
 from .errors import (
     CalibrationError,
@@ -127,6 +128,7 @@ __all__ = [
     "search_threshold",
     "calibrate_threshold",
     "evaluate",
+    "study",
     # simgen
     "Scenario",
     "gen_stream",

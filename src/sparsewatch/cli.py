@@ -35,7 +35,7 @@ from .bases import (
     load_basis_csv,
 )
 from .detection import detection_record
-from .engine import SAMPLERS, calibrate_threshold, evaluate, init, step
+from .engine import SAMPLERS, calibrate_threshold, evaluate, init, step, study
 from .errors import SparsewatchError
 from .geometry import build_geometry_table
 from .inference import ModelConfig
@@ -465,6 +465,9 @@ def _cmd_table1(args) -> int:
     if not all(v.is_integer() for v in budgets):
         raise CliError("--ms expects whole-number sensing budgets")
     ms = [int(v) for v in budgets]
+    p = scenario.dictionary.p
+    if not all(1 <= m <= p for m in ms):
+        raise CliError(f"--ms budgets must lie in [1, {p}], the number of variables")
     samplers = [s.strip() for s in args.samplers.split(",") if s.strip()]
     for s in samplers:
         if s not in SAMPLERS:
@@ -475,6 +478,7 @@ def _cmd_table1(args) -> int:
     calib_horizon = (
         args.calib_horizon if args.calib_horizon is not None else scenario.horizon
     )
+    cfgs = [replace(scenario.cfg, m=m) for m in ms]
 
     table_path = os.path.join(args.out, "table1.csv")
     sweep_path = os.path.join(args.out, "sweep.csv")
@@ -486,42 +490,19 @@ def _cmd_table1(args) -> int:
     sweep_rows = []
     cells = {}
     for si, samp in enumerate(samplers):
-        for mi, m in enumerate(ms):
-            cfg_m = replace(scenario.cfg, m=m)
-            h, achieved = calibrate_threshold(
-                cfg_m,
-                scenario.dictionary,
-                target,
-                args.calib_reps,
-                calib_horizon,
-                args.tol_rel,
-                _child_seed(args.seed, 0, si, mi),
-                workers=args.workers,
-                sampler=samp,
+        for mi, cfg_m in enumerate(cfgs):
+            h, achieved, summaries = study(
+                cfg_m, scenario.dictionary, target, args.calib_reps, calib_horizon, args.tol_rel,
+                _child_seed(args.seed, 0, si, mi), scenario.tau, scenario.horizon,
+                [(phi, args.reps, _child_seed(args.seed, 1, si, mi, pi))
+                 for pi, phi in enumerate(phis)],
+                workers=args.workers, sampler=samp,
             )
-            name = f"{samp}_m{m}"
+            name = f"{samp}_m{cfg_m.m}"
             columns.append(name)
             thresholds[name] = {"h": h, "achieved_arl": achieved}
             cells[(0.0, name)] = f"{achieved:.2f}"
-            for pi, phi in enumerate(phis):
-                sc = Scenario(
-                    dictionary=scenario.dictionary,
-                    cfg=cfg_m,
-                    tau=scenario.tau,
-                    change=((0, phi),),
-                    horizon=scenario.horizon,
-                    random_change_basis=True,
-                )
-                summary = evaluate(
-                    cfg_m,
-                    scenario.dictionary,
-                    h,
-                    sc,
-                    args.reps,
-                    _child_seed(args.seed, 1, si, mi, pi),
-                    workers=args.workers,
-                    sampler=samp,
-                )
+            for phi, summary in zip(phis, summaries):
                 cells[(phi, name)] = (
                     f"{summary.add:.2f}({summary.std_dd:.2f})"
                     if not math.isnan(summary.add)
@@ -530,7 +511,7 @@ def _cmd_table1(args) -> int:
                 sweep_rows.append(
                     (
                         samp,
-                        m,
+                        cfg_m.m,
                         phi,
                         h,
                         _num(summary.add),

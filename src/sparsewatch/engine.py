@@ -4,7 +4,9 @@ One engine instance monitors one stream: each step it observes its planned
 subset of variables, refits the posteriors, evaluates the monitoring
 statistic against the threshold, and (absent an alarm) selects the next
 subset.  On top of the loop sit threshold calibration to a target average
-run length under the null, and replicated run-length evaluation.
+run length under the null, replicated run-length evaluation, and ``study``,
+the calibrated delay study that runs one calibration and then the delay
+cells at its threshold.
 
 Reproducibility contract: a replication's randomness derives only from
 (seed, rep) through ``numpy.random.SeedSequence``, replications are reduced
@@ -69,6 +71,7 @@ __all__ = [
     "search_threshold",
     "calibrate_threshold",
     "evaluate",
+    "study",
 ]
 
 SAMPLERS = ("thompson", "oracle")
@@ -615,3 +618,42 @@ def evaluate(
     if return_records:
         return summary, records
     return summary
+
+
+def study(
+    cfg: ModelConfig,
+    dictionary: BasisDictionary,
+    target_arl0: float,
+    calib_reps: int,
+    calib_horizon: int,
+    tol_rel: float,
+    calib_seed: int,
+    tau: int,
+    horizon: int,
+    cells: list[tuple[float, int, int]],
+    workers: int = 1,
+    sampler: str = "thompson",
+) -> tuple[float, float, list[RunLengthSummary]]:
+    """Calibrated delay study: a threshold for ``target_arl0``, then the
+    average detection delay at it for each of ``cells``.
+
+    A cell is (phi, n_reps, seed): a change of size phi at ``tau`` on one
+    anomaly column drawn per replication, over ``horizon`` steps.  Every
+    cell's Scenario is built first, so a bad cell raises before any
+    replication runs; then ``calibrate_threshold`` and one ``evaluate`` per
+    cell run in order, with this config, sampler and ``workers``.  Returns
+    (h, achieved ARL0, one RunLengthSummary per cell).
+    """
+    runs = [
+        (Scenario(dictionary=dictionary, cfg=cfg, tau=tau, change=((0, phi),),
+                  horizon=horizon, random_change_basis=True), n_reps, seed)
+        for phi, n_reps, seed in cells
+    ]
+    h, achieved = calibrate_threshold(
+        cfg, dictionary, target_arl0, calib_reps, calib_horizon, tol_rel, calib_seed,
+        workers=workers, sampler=sampler,
+    )
+    return h, achieved, [
+        evaluate(cfg, dictionary, h, scenario, n_reps, seed, workers=workers, sampler=sampler)
+        for scenario, n_reps, seed in runs
+    ]

@@ -40,7 +40,8 @@ class Scenario:
         Change point: steps t > tau carry the anomaly.  None means no change
         ever occurs (a null stream).
     change : tuple of (index, magnitude)
-        Anomaly coefficient entries; empty with tau=None.
+        Anomaly coefficient entries, each magnitude finite; empty with
+        tau=None.
     horizon : int
         Number of steps to generate.
     random_change_basis : bool
@@ -59,6 +60,9 @@ class Scenario:
     def __post_init__(self):
         change = tuple((int(j), float(phi)) for j, phi in self.change)
         object.__setattr__(self, "change", change)
+        for j, phi in change:
+            if not math.isfinite(phi):
+                raise ValueError(f"change entry ({j}, {phi}) has a non-finite magnitude")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.tau is not None:

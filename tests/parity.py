@@ -25,7 +25,12 @@ then one over all stages' full digests:
   where the budget refuses the geometry table, at ``workers`` 1 and 2;
 - ``exact-routes``: ``update_background``, ``log_pbf_exact``,
   ``marginal_h0``, ``marginal_h1_exact`` and ``lambda_stat`` on random
-  k_b = 2 and 3 problems.
+  k_b = 2 and 3 problems;
+- ``tie-path``: null trajectories (6 x 40, seed 8) at ``workers`` 1 and 2
+  on a p = 15 model whose anomaly basis is zero on 9 rows (m = 5), so
+  those variables score exactly 0 and most steps' Thompson cut ties;
+- ``table1``: the three files ``sparsewatch table1`` writes for a small
+  Thompson and oracle grid on a p = 6 model, at ``--workers`` 1 and 2.
 
 A stage's decisions line hashes only what the run decided: run lengths,
 alarm steps, subsets, sweep counts and convergence flags.  A change that
@@ -39,17 +44,21 @@ one environment.  Pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import sparsewatch
-from sparsewatch import bases, engine, simgen
+from sparsewatch import bases, cli, engine, simgen
 from sparsewatch.detection import (
     DetectionInputs,
     lambda_stat,
@@ -196,6 +205,59 @@ def exact_routes() -> tuple[str, str]:
     return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
+def tie_path() -> tuple[str, str]:
+    b_a = np.zeros((15, 6))
+    b_a[:6] = np.eye(6)
+    d = bases.BasisDictionary(b_b=bases.fourier_basis(15, 3), b_a=b_a)
+    cfg = ModelConfig.homogeneous(k_a=d.k_a, m=5, **MODEL)
+    digest, decisions = Digest(), Digest()
+    for workers in (1, 2):
+        traj = engine.collect_h0_trajectories(cfg, d, 6, 40, 8, workers=workers)
+        digest.add(workers, traj)
+        decisions.add(workers, engine.replay_run_lengths(traj, float(np.median(traj))))
+    return digest.h.hexdigest(), decisions.h.hexdigest()
+
+
+TABLE1_SCENARIO = {
+    "p": 6, "m": 3, "horizon": 60, "tau": 5, "change": [[0, 1.0]], "arl0_target": 12.0,
+    "basis": {
+        "background": {"type": "fourier", "k": 2},
+        "anomaly": {"type": "bspline", "order": 2, "n_knots": 6, "normalize_columns": False},
+    },
+    "model": {"sigma_e": 0.1, "sigma_b": 0.5, "sigma_j": 2.0, "w": 0.2, "v": 1e-6, "decay": 0.1},
+}
+
+
+def table1() -> tuple[str, str]:
+    """Run in a temporary directory with relative paths, which the files'
+    manifests record; the decisions line leaves out the thresholds."""
+    digest, decisions = Digest(), Digest()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("scenario.json").write_text(json.dumps(TABLE1_SCENARIO))
+            for workers in ("1", "2"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([
+                        "table1", "--scenario", "scenario.json", "--out", "out" + workers,
+                        "--phis", "2.0,3.0", "--ms", "2,3", "--samplers", "thompson,oracle",
+                        "--calib-reps", "15", "--reps", "6", "--tol-rel", "0.3",
+                        "--workers", workers,
+                    ])
+                if code:
+                    raise RuntimeError(f"table1 exited with {code}")
+                files = [Path("out" + workers, name).read_text()
+                         for name in ("table1.csv", "sweep.csv", "thresholds.json")]
+                digest.add(workers, *files)
+                sweep = [row.split(",") for row in files[1].splitlines()[1:]]
+                decisions.add(workers, files[0].splitlines()[1:],
+                              [row[:3] + row[4:] for row in sweep])
+        finally:
+            os.chdir(cwd)
+    return digest.h.hexdigest(), decisions.h.hexdigest()
+
+
 def stage_lines():
     """Each stage's digest and decisions lines as it finishes, then the
     digest over all stages."""
@@ -203,6 +265,7 @@ def stage_lines():
     for name, stage in (
         ("study-p15", study_p15), ("monitor-kron400", monitor_kron400),
         ("kron400-null", kron400_null), ("exact-routes", exact_routes),
+        ("tie-path", tie_path), ("table1", table1),
     ):
         hexdigest, decided = stage()
         overall.update(hexdigest.encode())
@@ -237,7 +300,7 @@ def compare(against: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Print output digests of four stages.")
+    parser = argparse.ArgumentParser(description="Print output digests of six stages.")
     parser.add_argument(
         "--against", metavar="DIR", help="also run the stages on the checkout DIR and compare"
     )

@@ -147,23 +147,12 @@ def delay_grid():
     grid = {}
     arl = {}
     for m in GRID_MS:
-        cfg = _study_config(m)
-        traj = eng.collect_h0_trajectories(
-            cfg, d, n_reps=100, horizon=1200, seed=CAL_SEED, workers=1
+        _, arl[m], summaries = eng.study(
+            _study_config(m), d, ARL0_TARGET, calib_reps=100, calib_horizon=1200,
+            tol_rel=0.05, calib_seed=CAL_SEED, tau=50, horizon=2000,
+            cells=[(phi, 200, EVAL_SEED) for phi in GRID_PHIS],
         )
-        h, achieved = eng.search_threshold(
-            traj, target_arl0=ARL0_TARGET, tol_rel=0.05
-        )
-        arl[m] = achieved
-        for phi in GRID_PHIS:
-            sc = Scenario(
-                dictionary=d, cfg=cfg, tau=50, change=((0, phi),),
-                horizon=2000, random_change_basis=True,
-            )
-            res = eng.evaluate(
-                cfg, d, h, sc, n_reps=200, seed=EVAL_SEED, workers=1
-            )
-            grid[(m, phi)] = res
+        grid.update({(m, phi): res for phi, res in zip(GRID_PHIS, summaries)})
     return grid, arl
 
 

@@ -338,6 +338,16 @@ class TestLoadScenario:
         assert scenario.cfg.sigma_b == 1.0 and scenario.change == ((1, 2.0),)
         assert scenario.cfg.sigma_j.tolist() == [2.0, 2.0, 3.0, 2.0]
 
+    @pytest.mark.parametrize("phi, text", [(math.nan, "NaN"), (math.inf, "Infinity")])
+    def test_non_finite_change_magnitude_is_an_invalid_scenario(self, tmp_path, phi, text):
+        """Python's json reads NaN and Infinity; the scenario refuses them."""
+        path = _write_scenario(tmp_path, tau=20, change=[[1, phi]])
+        assert f"[[1, {text}]]" in path.read_text()
+        with pytest.raises(
+            CliError, match=rf"invalid scenario: change entry \(1, {phi}\) has a non-finite"
+        ):
+            load_scenario(path)
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -746,6 +756,21 @@ class TestTable1:
         for entry in thresholds["thresholds"].values():
             assert abs(entry["achieved_arl"] - 12.0) / 12.0 <= 0.3
 
+    def test_worker_count_leaves_no_trace(self, tmp_path):
+        path = _write_scenario(tmp_path, tau=5, horizon=60, change=[[0, 1.0]])
+        grid = [
+            "--phis", "2.0,3.0", "--ms", "2,3", "--samplers", "thompson,oracle",
+            "--calib-reps", "15", "--reps", "6", "--tol-rel", "0.3",
+        ]
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(
+                ["table1", "--scenario", str(path), "--out", str(out), "--workers", workers]
+                + grid
+            ) == 0
+        for name in ("table1.csv", "sweep.csv", "thresholds.json"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
     def test_needs_change_point(self, tmp_path, scenario_file, capsys):
         code = main(
             [
@@ -779,18 +804,35 @@ class TestTable1:
                 ["--phis", "1.0", "--ms", "2", "--samplers", "oracle,oracle"],
                 "--samplers lists a value more than once",
             ),
+            (["--phis", "1.0", "--ms", "2,7"], "--ms budgets must lie in [1, 6]"),
+            (["--phis", "1.0", "--ms", "2,0"], "--ms budgets must lie in [1, 6]"),
+            (["--phis", "nan", "--ms", "2"], "change entry (0, nan) has a non-finite magnitude"),
+            (["--phis", "1.0,inf", "--ms", "2"], "change entry (0, inf) has a non-finite"),
         ],
-        ids=["fraction", "infinite", "repeated-m", "repeated-phi", "zero-phi", "repeated-sampler"],
+        ids=[
+            "fraction", "infinite", "repeated-m", "repeated-phi", "zero-phi", "repeated-sampler",
+            "budget-above-p", "zero-budget", "nan-phi", "infinite-phi",
+        ],
     )
-    def test_bad_grid_values_rejected(self, tmp_path, capsys, flags, message):
+    def test_bad_grid_values_rejected(self, tmp_path, capsys, monkeypatch, flags, message):
+        """Refused before any replication runs, so nothing is printed or
+        written."""
+        import sparsewatch.engine as engine
+
+        def refused(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(engine, "_map_reps", refused)
         path = _write_scenario(tmp_path, tau=5, change=[[0, 1.0]])
         out = tmp_path / "t"
         code = main(
             ["table1", "--scenario", str(path), "--out", str(out), "--calib-reps", "10"]
             + flags
         )
+        captured = capsys.readouterr()
         assert code == 1
-        assert message in capsys.readouterr().err
+        assert message in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_nonpositive_calibration_reps_rejected(self, tmp_path, capsys):

@@ -46,6 +46,7 @@ from sparsewatch import (
     search_threshold,
     select_top_m,
     step,
+    study,
     synthesize_anomaly_signal,
 )
 
@@ -997,6 +998,65 @@ class TestCalibrateAndEvaluate:
         )
         assert summary.add < 10.0
         assert summary.n_censored == 0
+
+
+class TestStudy:
+    CALIBRATION = dict(
+        target_arl0=12.0, calib_reps=15, calib_horizon=60, tol_rel=0.3, calib_seed=4
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sampler", ["thompson", "oracle"])
+    def test_equals_calibration_then_evaluate(
+        self, small_dictionary, small_config, sampler, workers
+    ):
+        """Summary for summary, ``calibrate_threshold`` and then ``evaluate``
+        on each cell's scenario with the same config, sampler and workers."""
+        d, cfg, cal = small_dictionary, small_config, self.CALIBRATION
+        cells = [(2.0, 6, 21), (3.0, 5, 22)]
+        h, achieved, summaries = study(
+            cfg, d, **cal, tau=5, horizon=40, cells=cells, workers=workers, sampler=sampler
+        )
+        expected_h, expected_arl = calibrate_threshold(
+            cfg, d, cal["target_arl0"], cal["calib_reps"], cal["calib_horizon"],
+            cal["tol_rel"], cal["calib_seed"], workers=workers, sampler=sampler,
+        )
+        expected = [
+            evaluate(
+                cfg, d, expected_h,
+                Scenario(dictionary=d, cfg=cfg, tau=5, change=((0, phi),), horizon=40,
+                         random_change_basis=True),
+                n_reps, seed, workers=workers, sampler=sampler,
+            )
+            for phi, n_reps, seed in cells
+        ]
+        assert (h, achieved) == (expected_h, expected_arl)
+        assert summaries == expected
+        assert [summary.n_reps for summary in summaries] == [6, 5]
+
+    @pytest.mark.parametrize(
+        "bad_cell, tau, message",
+        [
+            ((1.0, 4, 3), 40, "tau must lie"),
+            ((math.nan, 4, 3), 5, r"change entry \(0, nan\) has a non-finite magnitude"),
+        ],
+        ids=["tau-at-horizon", "nan-phi"],
+    )
+    def test_bad_cell_raises_before_any_replication(
+        self, small_dictionary, small_config, monkeypatch, bad_cell, tau, message
+    ):
+        """Every cell's scenario is built before the calibration runs, so
+        one that ``Scenario`` refuses raises before any replication."""
+
+        def refused(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(engine, "_map_reps", refused)
+        with pytest.raises(ValueError, match=message):
+            study(
+                small_config, small_dictionary, **self.CALIBRATION, tau=tau, horizon=40,
+                cells=[(2.0, 4, 1), bad_cell],
+            )
 
 
 class TestWorkers:

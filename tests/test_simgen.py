@@ -153,6 +153,19 @@ class TestGenStream:
         with pytest.raises(ValueError):
             _scenario(default_dictionary, default_config, tau=5, horizon=20)
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("random_change_basis", [False, True])
+    def test_non_finite_magnitude_refused(
+        self, default_dictionary, default_config, phi, random_change_basis
+    ):
+        """A non-finite magnitude would make every step after tau
+        non-finite; the entry is named."""
+        with pytest.raises(ValueError, match=rf"change entry \(1, {phi}\) has a non-finite"):
+            _scenario(
+                default_dictionary, default_config, tau=5, change=((1, phi),),
+                horizon=20, random_change_basis=random_change_basis,
+            )
+
     def test_background_free_stream(self, default_config):
         d = BasisDictionary(b_b=np.zeros((15, 0)), b_a=np.eye(15))
         cfg = ModelConfig.homogeneous(
