@@ -82,7 +82,12 @@ SAMPLERS = ("thompson", "oracle")
 
 @dataclass
 class EngineState:
-    """Mutable state of one monitored stream."""
+    """Mutable state of one monitored stream.
+
+    ``scorer`` is the only record of how the stream senses: the oracle's
+    shared scorer, or None for Thompson sampling.  ``init`` sets it from
+    its ``sampler`` name, and ``step`` reads nothing else.
+    """
 
     cfg: ModelConfig
     dictionary: BasisDictionary
@@ -91,7 +96,6 @@ class EngineState:
     post: SpikeSlabPosterior
     stats: DecayedStats
     plan: SensingPlan
-    sampler: str = "thompson"
     step: int = 0
     alarmed: bool = False
     scorer: OracleScorer | None = field(default=None, repr=False)
@@ -145,6 +149,29 @@ class RunLengthSummary:
 # ── Monitoring loop ───────────────────────────────────────────────────────
 
 
+def _scorer(sampler: str, dictionary: BasisDictionary, m: int) -> OracleScorer | None:
+    """The sensing field of an engine with ``sampler``: the oracle's shared
+    scorer for (dictionary, m), or None for Thompson sampling.  An unknown
+    name raises ValueError; this is the only place a name is compared."""
+    if sampler not in SAMPLERS:
+        raise ValueError(f"sampler must be one of {SAMPLERS}")
+    return OracleScorer.shared(dictionary, m) if sampler == "oracle" else None
+
+
+def _threshold(h) -> float:
+    """``h`` as a float; a NaN, which no statistic exceeds, raises ValueError."""
+    if math.isnan(h):
+        raise ValueError("threshold must not be NaN")
+    return float(h)
+
+
+def _count(name: str, value) -> int:
+    """``value``, or ValueError if it is not an integer of at least 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return value
+
+
 def init(
     cfg: ModelConfig,
     dictionary: BasisDictionary,
@@ -157,27 +184,25 @@ def init(
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, including
     an existing Generator.  ``sampler`` picks the subset strategy for later
     steps: ``"thompson"`` (posterior sampling) or ``"oracle"`` (exhaustive).
+    The engine keeps the scorer ``_scorer`` makes of it, not the name.  A
+    NaN threshold or an unknown sampler raises ValueError.
     """
-    if sampler not in SAMPLERS:
-        raise ValueError(f"sampler must be one of {SAMPLERS}")
-    if math.isnan(h):
-        raise ValueError("threshold must not be NaN")
+    h = _threshold(h)
     if cfg.k_a != dictionary.k_a:
         raise DimensionError("config and dictionary disagree on k_a")
     if cfg.m > dictionary.p:
         raise DimensionError("sensing budget exceeds the number of variables")
+    scorer = _scorer(sampler, dictionary, cfg.m)
     rng = np.random.default_rng(seed)
     z0 = rng.choice(dictionary.p, size=cfg.m, replace=False)
-    scorer = OracleScorer.shared(dictionary, cfg.m) if sampler == "oracle" else None
     return EngineState(
         cfg=cfg,
         dictionary=dictionary,
-        h=float(h),
+        h=h,
         rng=rng,
         post=SpikeSlabPosterior.prior(cfg),
         stats=DecayedStats.empty(cfg.k_a),
         plan=SensingPlan(np.sort(z0)),
-        sampler=sampler,
         scorer=scorer,
     )
 
@@ -250,7 +275,7 @@ def step(state: EngineState, observation) -> StepOutcome:
     if not alarmed:  # sensed before the step commits, so a sampler's error leaves it undone
         theta_hat = draw_anomaly_sample(res.post, state.cfg, state.rng)
         x1_hat = synthesize_anomaly_signal(theta_hat, state.dictionary, state.cfg, state.rng)
-        if state.sampler == "oracle":
+        if state.scorer is not None:
             plan = state.scorer.select(x1_hat, res.post, state.rng)
         else:
             scores = score_variables(x1_hat, res.post, state.dictionary)
@@ -271,13 +296,12 @@ def _rep_rngs(seed: int, rep: int):
     return stream_ss, engine_ss
 
 
-def _run_one(args):
+def _run_one(scenario: Scenario, h: float, seed: int, rep: int, sampler: str):
     """One replication, stopped at its alarm or the horizon.
 
     Returns (statistics of the steps run, alarmed, non-converged fits, the
-    steps' sweep counts).  Top-level so process pools can pickle it.
+    steps' sweep counts).
     """
-    (scenario, h, seed, rep, sampler) = args
     stream_ss, engine_ss = _rep_rngs(seed, rep)
     stream = gen_stream(scenario, stream_ss)
     state = init(scenario.cfg, scenario.dictionary, h=h, seed=engine_ss, sampler=sampler)
@@ -296,13 +320,13 @@ def _run_one(args):
 
 def _build_shared(scenario: Scenario, sampler: str) -> None:
     """Build in this process what every replication of the scenario reads:
-    the geometry table of its combination, the oracle's scorer and the
-    sweep kernel for its k_a.  Each is kept per process and keyed on
+    the sampler's scorer (``_scorer``, which refuses an unknown sampler
+    before anything is built), the geometry table of its combination and
+    the sweep kernel for its k_a.  Each is kept per process and keyed on
     content, so a replication finds it built."""
     cfg, dictionary = scenario.cfg, scenario.dictionary
+    _scorer(sampler, dictionary, cfg.m)
     build_geometry_table(dictionary, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
-    if sampler == "oracle":
-        OracleScorer.shared(dictionary, cfg.m)
     inference._kernel(cfg.k_a)
 
 
@@ -357,7 +381,7 @@ def _run_batch(args):
             return _lockstep(scenario, seed, reps, sampler)
         except (_Fallback, SparsewatchError):
             pass
-    return [_run_one((scenario, h, seed, rep, sampler)) for rep in reps]
+    return [_run_one(scenario, h, seed, rep, sampler) for rep in reps]
 
 
 # The streams of one lockstep batch, (horizon, reps, p) float64, are held
@@ -387,13 +411,13 @@ def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int
     A pool whose workers fork inherits this process's memory, so the
     shared per-process tables are built here first, once, rather than in
     every worker; a worker that starts fresh builds them in its first
-    ``_run_batch``.  An ``n_reps`` below 1, or a ``workers`` other than an
-    integer of at least 1 (a bool is not), raises ValueError first.
+    ``_run_batch``.  An ``n_reps`` or ``workers`` other than an integer of
+    at least 1 (a bool is not), or a NaN threshold, raises ValueError first,
+    and an unknown sampler raises it before anything is built.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be positive")
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
+    _count("n_reps", n_reps)
+    _count("workers", workers)
+    _threshold(h)
     workers = min(workers, n_reps)  # a pool starts all its processes at once
     parts = workers * (1 if h == math.inf else 4)
     worklist = [
@@ -450,8 +474,7 @@ def replay_run_lengths(trajectories: np.ndarray, h: float) -> np.ndarray:
     if np.isnan(trajectories).any():
         rep, t = np.argwhere(np.isnan(trajectories))[0]
         raise DataError(f"statistic is NaN in replication {rep} at step {t + 1}")
-    if math.isnan(h):
-        raise ValueError("threshold must not be NaN")
+    _threshold(h)
     horizon = trajectories.shape[1]
     exceeded = trajectories > h
     any_alarm = exceeded.any(axis=1)
@@ -639,14 +662,15 @@ def study(
 
     A cell is (phi, n_reps, seed): a change of size phi at ``tau`` on one
     anomaly column drawn per replication, over ``horizon`` steps.  Every
-    cell's Scenario is built first, so a bad cell raises before any
-    replication runs; then ``calibrate_threshold`` and one ``evaluate`` per
-    cell run in order, with this config, sampler and ``workers``.  Returns
-    (h, achieved ARL0, one RunLengthSummary per cell).
+    cell's Scenario and replication count (``_map_reps``' rule) are checked
+    first, so a bad cell raises before any replication runs; then
+    ``calibrate_threshold`` and one ``evaluate`` per cell run in order,
+    with this config, sampler and ``workers``.  Returns (h, achieved ARL0,
+    one RunLengthSummary per cell).
     """
     runs = [
         (Scenario(dictionary=dictionary, cfg=cfg, tau=tau, change=((0, phi),),
-                  horizon=horizon, random_change_basis=True), n_reps, seed)
+                  horizon=horizon, random_change_basis=True), _count("n_reps", n_reps), seed)
         for phi, n_reps, seed in cells
     ]
     h, achieved = calibrate_threshold(

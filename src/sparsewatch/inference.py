@@ -110,10 +110,13 @@ class ModelConfig:
         Sensing budget: number of variables observed per step.
 
     The record owns its arrays: ``sigma_j`` and ``w`` are copied, and they
-    and the arrays derived from them are read-only, so every fit and
-    ``elbo`` read one prior.  Unpickling, as a pool worker receives its
-    config, runs the checked constructor again: numpy does not pickle the
-    read-only flag.  Equality and the hash read the seven fields by value.
+    and the two arrays derived from them, ``sigma_j2`` and ``logit_w``, are
+    read-only, so every fit and ``elbo`` read one prior.  The sweep
+    kernels' per-column factors 1/sigma_j^2, logit w_j and 2·sigma_j^2 are
+    kept only as the float lists ``_sweep_lists``.  Unpickling, as a pool
+    worker receives its config, runs the checked constructor again: numpy
+    does not pickle the read-only flag.  Equality and the hash read the
+    seven fields by value.
     """
 
     sigma_e: float
@@ -152,16 +155,14 @@ class ModelConfig:
         object.__setattr__(self, "sigma_e2", float(self.sigma_e) ** 2)
         object.__setattr__(self, "sigma_b2", float(self.sigma_b) ** 2)
         object.__setattr__(self, "sigma_j2", sigma_j**2)
-        object.__setattr__(self, "inv_sigma_j2", 1.0 / self.sigma_j2)
-        object.__setattr__(self, "two_sigma_j2", 2.0 * self.sigma_j2)
         object.__setattr__(self, "logit_w", np.log(w) - np.log1p(-w))
-        for arr in (sigma_j, w, self.sigma_j2, self.inv_sigma_j2, self.two_sigma_j2, self.logit_w):
+        for arr in (sigma_j, w, self.sigma_j2, self.logit_w):
             arr.flags.writeable = False
         # The per-column factors every fit hands its sweep kernels as floats.
         object.__setattr__(
             self,
             "_sweep_lists",
-            (self.inv_sigma_j2.tolist(), self.logit_w.tolist(), self.two_sigma_j2.tolist()),
+            ((1.0 / self.sigma_j2).tolist(), self.logit_w.tolist(), (2.0 * self.sigma_j2).tolist()),
         )
 
     def __reduce__(self):
@@ -300,17 +301,7 @@ class DecayedStats:
 
     @classmethod
     def empty(cls, k_a: int) -> "DecayedStats":
-        raw_m, raw_u = np.zeros((k_a, k_a)), np.zeros(k_a)
-        raw_m.setflags(write=False)
-        raw_u.setflags(write=False)
-        return cls(
-            raw_M=raw_m,
-            raw_u=raw_u,
-            raw_q=0.0,
-            raw_norm=0.0,
-            mass=0.0,
-            n=0,
-        )
+        return _read_only_stats(np.zeros((k_a, k_a)), np.zeros(k_a), 0.0, 0.0, 0.0, 0)
 
     def __reduce__(self):
         fields = (self.raw_M, self.raw_u, self.raw_q, self.raw_norm, self.mass, self.n)

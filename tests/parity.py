@@ -30,7 +30,10 @@ then one over all stages' full digests:
   on a p = 15 model whose anomaly basis is zero on 9 rows (m = 5), so
   those variables score exactly 0 and most steps' Thompson cut ties;
 - ``table1``: the three files ``sparsewatch table1`` writes for a small
-  Thompson and oracle grid on a p = 6 model, at ``--workers`` 1 and 2.
+  Thompson and oracle grid on a p = 6 model, at ``--workers`` 1 and 2;
+- ``study``: ``engine.study`` on the same p = 6 model (calibration 15 x 60
+  at ARL0 12, seed 4; two cells at tau 5, horizon 40), for both samplers
+  at ``workers`` 1 and 2: its threshold, achieved ARL0 and summaries.
 
 A stage's decisions line hashes only what the run decided: run lengths,
 alarm steps, subsets, sweep counts and convergence flags.  A change that
@@ -258,6 +261,26 @@ def table1() -> tuple[str, str]:
     return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
+def study() -> tuple[str, str]:
+    d = bases.BasisDictionary(b_b=bases.fourier_basis(6, 2), b_a=bases.bspline_basis(6, 2, 6))
+    cfg = ModelConfig.homogeneous(
+        k_a=d.k_a, sigma_e=0.1, sigma_b=0.5, sigma_j=2.0, w=0.2, v=1e-6, decay=0.1, m=3
+    )
+    digest, decisions = Digest(), Digest()
+    for sampler in ("thompson", "oracle"):
+        for workers in (1, 2):
+            h, achieved, summaries = engine.study(
+                cfg, d, 12.0, 15, 60, 0.3, 4, tau=5, horizon=40,
+                cells=[(2.0, 6, 21), (3.0, 5, 22)], workers=workers, sampler=sampler,
+            )
+            digest.add(sampler, workers, h, achieved, summaries)
+            decisions.add(sampler, workers, [
+                (s.n_reps, s.n_censored, s.n_false_alarm, s.n_nonconverged, s.sweep_histogram)
+                for s in summaries
+            ])
+    return digest.h.hexdigest(), decisions.h.hexdigest()
+
+
 def stage_lines():
     """Each stage's digest and decisions lines as it finishes, then the
     digest over all stages."""
@@ -265,7 +288,7 @@ def stage_lines():
     for name, stage in (
         ("study-p15", study_p15), ("monitor-kron400", monitor_kron400),
         ("kron400-null", kron400_null), ("exact-routes", exact_routes),
-        ("tie-path", tie_path), ("table1", table1),
+        ("tie-path", tie_path), ("table1", table1), ("study", study),
     ):
         hexdigest, decided = stage()
         overall.update(hexdigest.encode())
@@ -300,7 +323,7 @@ def compare(against: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Print output digests of six stages.")
+    parser = argparse.ArgumentParser(description="Print output digests of seven stages.")
     parser.add_argument(
         "--against", metavar="DIR", help="also run the stages on the checkout DIR and compare"
     )

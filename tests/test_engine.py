@@ -700,7 +700,7 @@ class TestCalibrateAndEvaluate:
     ):
         """As ``evaluate`` does, rather than failing inside numpy on an
         empty list of trajectories."""
-        with pytest.raises(ValueError, match="n_reps must be positive"):
+        with pytest.raises(ValueError, match="n_reps must be an integer of at least 1"):
             collect_h0_trajectories(
                 small_config, small_dictionary, n_reps=n_reps, horizon=20, seed=0
             )
@@ -1093,6 +1093,58 @@ class TestWorkers:
         assert traj.tobytes() == collect_h0_trajectories(cfg, d, 3, 20, 5).tobytes()
 
 
+class TestBadRequestsBuildNothing:
+    """An unknown sampler, a NaN threshold, and a replication count other
+    than an integer of at least 1 (a bool is not one) are refused with
+    ValueError before a geometry table is built, a pool is started or a
+    stream is generated, inline and at ``workers`` 2."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("built a table or generated a stream")
+
+        monkeypatch.setattr(engine, "build_geometry_table", refused)
+        monkeypatch.setattr(engine, "gen_stream", refused)
+        return _inline_pool(monkeypatch, lambda: None)
+
+    @staticmethod
+    def _calls(d, cfg, n_reps=4):
+        """Each entry point that runs replications, asking for ``n_reps`` of
+        them; ``study`` asks in its second cell, after a good one."""
+        scenario = _null_scenario(d, cfg, 40)
+        return [
+            partial(collect_h0_trajectories, cfg, d, n_reps, 40, 0),
+            partial(calibrate_threshold, cfg, d, 10.0, n_reps, 40, 0.1, 0),
+            partial(evaluate, cfg, d, 1.0, scenario, n_reps, 0),
+            partial(study, cfg, d, **TestStudy.CALIBRATION, tau=5, horizon=40,
+                    cells=[(2.0, 4, 1), (3.0, n_reps, 2)]),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_sampler(self, small_dictionary, small_config, pools, workers):
+        for call in self._calls(small_dictionary, small_config):
+            with pytest.raises(ValueError, match="sampler must be one of"):
+                call(workers=workers, sampler="greedy")
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_threshold(self, small_dictionary, small_config, pools, workers):
+        d, cfg = small_dictionary, small_config
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            evaluate(cfg, d, math.nan, _null_scenario(d, cfg, 40), 4, 0, workers=workers)
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_reps", [0, True, 2.0])
+    def test_bad_replication_count(self, small_dictionary, small_config, pools, n_reps, workers):
+        """``study`` refuses the bad cell before it calibrates."""
+        for call in self._calls(small_dictionary, small_config, n_reps):
+            with pytest.raises(ValueError, match="n_reps must be an integer of at least 1"):
+                call(workers=workers)
+        assert pools == []
+
+
 class TestEngineLayering:
     def test_engine_reads_only_the_batch_forms_of_the_layers(self):
         """``engine`` reads no private module-level name of a layer but the
@@ -1145,7 +1197,7 @@ class TestLockstep:
     @staticmethod
     def _replayed(scenario, seed, n_reps, sampler):
         return [
-            engine._run_one((scenario, math.inf, seed, rep, sampler)) for rep in range(n_reps)
+            engine._run_one(scenario, math.inf, seed, rep, sampler) for rep in range(n_reps)
         ]
 
     @staticmethod
@@ -1224,9 +1276,9 @@ class TestLockstep:
             spoil(stream, stream_ss.entropy[1])
             return stream
 
-        def counted(args):
-            alone.append(args[3])
-            return run_one(args)
+        def counted(scenario, h, seed, rep, sampler):
+            alone.append(rep)
+            return run_one(scenario, h, seed, rep, sampler)
 
         monkeypatch.setattr(engine, "gen_stream", spoiled)
         monkeypatch.setattr(engine, "_run_one", counted)

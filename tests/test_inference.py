@@ -840,7 +840,7 @@ class TestTypes:
         w[:] = 0.9
         assert cfg.sigma_j.tolist() == [2.0] * 3 and cfg.w.tolist() == [0.1] * 3
         assert [cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), cfg._sweep_lists] == derived
-        for name in ("sigma_j", "w", "sigma_j2", "inv_sigma_j2", "two_sigma_j2", "logit_w"):
+        for name in ("sigma_j", "w", "sigma_j2", "logit_w"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(cfg, name)[0] = 0.5
 
@@ -864,7 +864,7 @@ class TestTypes:
         )
         back = pickle.loads(pickle.dumps(cfg))
         assert back._sweep_lists == cfg._sweep_lists
-        for name in ("sigma_j", "w", "sigma_j2", "inv_sigma_j2", "two_sigma_j2", "logit_w"):
+        for name in ("sigma_j", "w", "sigma_j2", "logit_w"):
             arr = getattr(back, name)
             assert arr.tobytes() == getattr(cfg, name).tobytes()
             with pytest.raises(ValueError, match="read-only"):
