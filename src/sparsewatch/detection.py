@@ -49,7 +49,9 @@ import numpy as np
 from .bases import BasisDictionary
 from .errors import CapabilityError, DataError, DimensionError
 from .geometry import checked_subset, subset_geometry, subset_indices
-from .inference import BackgroundPosterior, ModelConfig, SpikeSlabPosterior, _background_fit
+from .inference import (
+    _LOG_2PI, BackgroundPosterior, ModelConfig, SpikeSlabPosterior, _background_fit,
+)
 
 __all__ = [
     "DetectionInputs",
@@ -58,7 +60,6 @@ __all__ = [
     "log_pbf_exact",
     "lambda_stat",
     "alarm_check",
-    "detection_record",
 ]
 
 EXACT_KA_LIMIT = 20
@@ -66,8 +67,6 @@ EXACT_KA_LIMIT = 20
 # Inclusion patterns factored per stacked call: at k_a = EXACT_KA_LIMIT and
 # k_b = 3 one (chunk, k_a + k_b, k_a + k_b) stack is 1.1 MB.
 _PATTERN_CHUNK = 256
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 # ── Inputs ────────────────────────────────────────────────────────────────

@@ -39,6 +39,7 @@ from .errors import (
     NumericalError,
     SparsewatchError,
     StateError,
+    _count,
 )
 from . import inference
 from .geometry import _stacked_geometry, build_geometry_table, subset_indices
@@ -163,13 +164,6 @@ def _threshold(h) -> float:
     if math.isnan(h):
         raise ValueError("threshold must not be NaN")
     return float(h)
-
-
-def _count(name: str, value) -> int:
-    """``value``, or ValueError if it is not an integer of at least 1 (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    return value
 
 
 def init(
@@ -412,11 +406,13 @@ def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int
     shared per-process tables are built here first, once, rather than in
     every worker; a worker that starts fresh builds them in its first
     ``_run_batch``.  An ``n_reps`` or ``workers`` other than an integer of
-    at least 1 (a bool is not), or a NaN threshold, raises ValueError first,
-    and an unknown sampler raises it before anything is built.
+    at least 1, a ``seed`` other than one of at least 0 (a bool is neither),
+    or a NaN threshold, raises ValueError first, and an unknown sampler
+    raises it before anything is built.
     """
     _count("n_reps", n_reps)
     _count("workers", workers)
+    _count("seed", seed, 0)
     _threshold(h)
     workers = min(workers, n_reps)  # a pool starts all its processes at once
     parts = workers * (1 if h == math.inf else 4)
@@ -482,6 +478,17 @@ def replay_run_lengths(trajectories: np.ndarray, h: float) -> np.ndarray:
     return np.where(any_alarm, first, horizon)
 
 
+def _target(target_arl0: float, tol_rel: float, horizon: int) -> None:
+    """Refuse a ``tol_rel`` that is not positive (ValueError) or a target
+    ARL outside [1, horizon], which no replay reaches (CalibrationError)."""
+    if not tol_rel > 0:
+        raise ValueError("tol_rel must be positive")
+    if not 1.0 <= target_arl0 <= horizon:
+        raise CalibrationError(
+            f"target ARL {target_arl0} outside the feasible [1, {horizon}] range"
+        )
+
+
 def search_threshold(
     trajectories: np.ndarray, target_arl0: float, tol_rel: float
 ) -> tuple[float, float]:
@@ -489,18 +496,12 @@ def search_threshold(
 
     Binary-searches the sorted unique statistic values (the only points
     where the replayed ARL can change) and returns (h, achieved ARL).
-    Raises CalibrationError when no candidate lands within ``tol_rel``
-    relative error of the target, and, through its first replay, DataError
-    naming the first NaN statistic in rep order.
+    Raises what ``_target`` raises, CalibrationError when no candidate
+    lands within ``tol_rel`` relative error of the target, and, through its
+    first replay, DataError naming the first NaN statistic in rep order.
     """
-    if not tol_rel > 0:
-        raise ValueError("tol_rel must be positive")
     trajectories = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
-    horizon = trajectories.shape[1]
-    if not 1.0 <= target_arl0 <= horizon:
-        raise CalibrationError(
-            f"target ARL {target_arl0} outside the feasible [1, {horizon}] range"
-        )
+    _target(target_arl0, tol_rel, trajectories.shape[1])
 
     values = np.unique(trajectories)
     # The replayed ARL is non-decreasing in h; find the first candidate
@@ -550,11 +551,11 @@ def calibrate_threshold(
     Simulates ``n_reps`` null replications with adaptive sensing active and
     the threshold held at +inf, then replays their statistic trajectories
     against candidate thresholds (``search_threshold``), returning its
-    (h, achieved ARL).  The horizon must exceed twice the target so
-    censoring cannot dominate the average.
+    (h, achieved ARL).  The horizon's count, ``_target``'s rule, and a
+    horizon that exceeds twice the target so censoring cannot dominate the
+    average, are checked before any replication runs.
     """
-    if not tol_rel > 0:
-        raise ValueError("tol_rel must be positive")
+    _target(target_arl0, tol_rel, _count("horizon", horizon))
     if not target_arl0 < horizon / 2:
         raise CalibrationError(
             f"calibration horizon {horizon} must exceed twice the target ARL "
@@ -662,15 +663,17 @@ def study(
 
     A cell is (phi, n_reps, seed): a change of size phi at ``tau`` on one
     anomaly column drawn per replication, over ``horizon`` steps.  Every
-    cell's Scenario and replication count (``_map_reps``' rule) are checked
-    first, so a bad cell raises before any replication runs; then
-    ``calibrate_threshold`` and one ``evaluate`` per cell run in order,
-    with this config, sampler and ``workers``.  Returns (h, achieved ARL0,
-    one RunLengthSummary per cell).
+    cell's Scenario, replication count and seed (``_map_reps``' rules) are
+    checked first, so a bad cell raises before any replication runs; then
+    ``calibrate_threshold``, which checks its own arguments before it runs
+    any, and one ``evaluate`` per cell run in order, with this config,
+    sampler and ``workers``.  Returns (h, achieved ARL0, one
+    RunLengthSummary per cell).
     """
     runs = [
         (Scenario(dictionary=dictionary, cfg=cfg, tau=tau, change=((0, phi),),
-                  horizon=horizon, random_change_basis=True), _count("n_reps", n_reps), seed)
+                  horizon=horizon, random_change_basis=True),
+         _count("n_reps", n_reps), _count("seed", seed, 0))
         for phi, n_reps, seed in cells
     ]
     h, achieved = calibrate_threshold(

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for an
+integer argument (``_count``) that every module applies at its boundary."""
 
 from __future__ import annotations
+
+import numbers
 
 __all__ = [
     "SparsewatchError",
@@ -39,3 +42,11 @@ class CalibrationError(SparsewatchError, RuntimeError):
 
 class NumericalError(SparsewatchError, ArithmeticError):
     """A computation on finite inputs produced a non-finite result."""
+
+
+def _count(name: str, value, least: int = 1):
+    """``value``, or ValueError if it is not an integer of at least ``least``
+    (a bool is not one): 1 for a count, 0 for a seed or a change point."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value

@@ -60,11 +60,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisDictionary
-from .errors import DimensionError, StateError
+from .errors import DimensionError, StateError, _count
 from .geometry import checked_subset, subset_geometry, subset_indices
 
 __all__ = [
-    "ALPHA_CLAMP",
     "ModelConfig",
     "SpikeSlabPosterior",
     "DecayedStats",
@@ -144,11 +143,7 @@ class ModelConfig:
             raise ValueError("spike shrink factor v must lie in (0, 1)")
         if not (0.0 < self.decay <= 0.1):
             raise ValueError("decay rate must lie in (0, 0.1]")
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
-            raise ValueError(f"sensing budget m must be an integer, got {self.m!r}")
-        if self.m < 1:
-            raise ValueError("sensing budget m must be positive")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", int(_count("sensing budget m", self.m)))
         fields = (self.sigma_e, self.sigma_b, sigma_j.tobytes(), w.tobytes(), self.v, self.decay, self.m)
         object.__setattr__(self, "_key", fields)  # bytes compare as values: no NaN or −0
         # Derived quantities used in every sweep; cached once.
@@ -748,8 +743,7 @@ def fit(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
+    _count("max_iters", max_iters)
     stats = absorb_sample(prev_stats, x_z, z, dictionary, cfg)
     post, converged, iters = _iterate(prev_posterior, stats, cfg, tol, max_iters)
     return FitResult(post, stats, converged, iters)

@@ -26,7 +26,6 @@ from .geometry import column_bases
 from .inference import ModelConfig, SpikeSlabPosterior
 
 __all__ = [
-    "ORACLE_SUBSET_LIMIT",
     "SensingPlan",
     "draw_anomaly_sample",
     "synthesize_anomaly_signal",

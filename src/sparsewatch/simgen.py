@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import BasisDictionary
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, _count
 from .inference import ModelConfig
 
 __all__ = [
     "Scenario",
-    "realize_change_coefficient",
     "gen_stream",
     "save_stream_csv",
     "load_stream_csv",
@@ -37,13 +36,15 @@ class Scenario:
     dictionary, cfg : the monitored model; generation uses its sigma_b and
         sigma_e and the two bases.
     tau : int or None
-        Change point: steps t > tau carry the anomaly.  None means no change
-        ever occurs (a null stream).
+        Change point in [0, horizon): steps t > tau carry the anomaly.  None
+        means no change ever occurs (a null stream).
     change : tuple of (index, magnitude)
         Anomaly coefficient entries, each magnitude finite; empty with
         tau=None.
     horizon : int
-        Number of steps to generate.
+        Number of steps to generate, at least 1.  ``tau`` and ``horizon``
+        are checked by ``errors._count``, so a fraction or a bool is refused
+        here, not when a stream is cut.
     random_change_basis : bool
         When true, the changed coordinate is drawn uniformly from the
         anomaly columns per replication, keeping the listed magnitude of the
@@ -63,10 +64,9 @@ class Scenario:
         for j, phi in change:
             if not math.isfinite(phi):
                 raise ValueError(f"change entry ({j}, {phi}) has a non-finite magnitude")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        _count("horizon", self.horizon)
         if self.tau is not None:
-            if not 0 <= self.tau < self.horizon:
+            if _count("tau", self.tau, 0) >= self.horizon:
                 raise ValueError("tau must lie in [0, horizon)")
             if not change and not self.random_change_basis:
                 raise ValueError("a change point needs change entries")

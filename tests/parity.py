@@ -33,7 +33,10 @@ then one over all stages' full digests:
   Thompson and oracle grid on a p = 6 model, at ``--workers`` 1 and 2;
 - ``study``: ``engine.study`` on the same p = 6 model (calibration 15 x 60
   at ARL0 12, seed 4; two cells at tau 5, horizon 40), for both samplers
-  at ``workers`` 1 and 2: its threshold, achieved ARL0 and summaries.
+  at ``workers`` 1 and 2: its threshold, achieved ARL0 and summaries;
+- ``api``: the sorted ``sparsewatch.__all__``, with each export's class
+  ancestry by name and each callable's ``inspect.signature`` (None for the
+  exception types, which have none); its decisions line hashes the names.
 
 A stage's decisions line hashes only what the run decided: run lengths,
 alarm steps, subsets, sweep counts and convergence flags.  A change that
@@ -49,6 +52,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -281,6 +285,21 @@ def study() -> tuple[str, str]:
     return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
+def api() -> tuple[str, str]:
+    digest, decisions = Digest(), Digest()
+    names = sorted(sparsewatch.__all__)
+    for name in names:
+        value = getattr(sparsewatch, name)
+        ancestry = [c.__name__ for c in value.__mro__] if inspect.isclass(value) else None
+        try:
+            signature = str(inspect.signature(value)) if callable(value) else repr(value)
+        except ValueError:
+            signature = None
+        digest.add(name, ancestry, signature)
+    decisions.add(names)
+    return digest.h.hexdigest(), decisions.h.hexdigest()
+
+
 def stage_lines():
     """Each stage's digest and decisions lines as it finishes, then the
     digest over all stages."""
@@ -288,7 +307,7 @@ def stage_lines():
     for name, stage in (
         ("study-p15", study_p15), ("monitor-kron400", monitor_kron400),
         ("kron400-null", kron400_null), ("exact-routes", exact_routes),
-        ("tie-path", tie_path), ("table1", table1), ("study", study),
+        ("tie-path", tie_path), ("table1", table1), ("study", study), ("api", api),
     ):
         hexdigest, decided = stage()
         overall.update(hexdigest.encode())
@@ -323,7 +342,7 @@ def compare(against: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Print output digests of seven stages.")
+    parser = argparse.ArgumentParser(description="Print output digests of eight stages.")
     parser.add_argument(
         "--against", metavar="DIR", help="also run the stages on the checkout DIR and compare"
     )

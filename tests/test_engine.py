@@ -1094,10 +1094,11 @@ class TestWorkers:
 
 
 class TestBadRequestsBuildNothing:
-    """An unknown sampler, a NaN threshold, and a replication count other
-    than an integer of at least 1 (a bool is not one) are refused with
-    ValueError before a geometry table is built, a pool is started or a
-    stream is generated, inline and at ``workers`` 2."""
+    """An unknown sampler, a NaN threshold, a replication count other than
+    an integer of at least 1, a seed other than an integer of at least 0 (a
+    bool is neither), a target ARL below 1, and a fractional or bool change
+    point or horizon are refused before a geometry table is built, a pool
+    is started or a stream is generated, inline and at ``workers`` 2."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -1109,16 +1110,17 @@ class TestBadRequestsBuildNothing:
         return _inline_pool(monkeypatch, lambda: None)
 
     @staticmethod
-    def _calls(d, cfg, n_reps=4):
+    def _calls(d, cfg, n_reps=4, seed=0):
         """Each entry point that runs replications, asking for ``n_reps`` of
-        them; ``study`` asks in its second cell, after a good one."""
+        them from ``seed``; ``study`` asks in its second cell, after a good
+        one."""
         scenario = _null_scenario(d, cfg, 40)
         return [
-            partial(collect_h0_trajectories, cfg, d, n_reps, 40, 0),
-            partial(calibrate_threshold, cfg, d, 10.0, n_reps, 40, 0.1, 0),
-            partial(evaluate, cfg, d, 1.0, scenario, n_reps, 0),
+            partial(collect_h0_trajectories, cfg, d, n_reps, 40, seed),
+            partial(calibrate_threshold, cfg, d, 10.0, n_reps, 40, 0.1, seed),
+            partial(evaluate, cfg, d, 1.0, scenario, n_reps, seed),
             partial(study, cfg, d, **TestStudy.CALIBRATION, tau=5, horizon=40,
-                    cells=[(2.0, 4, 1), (3.0, n_reps, 2)]),
+                    cells=[(2.0, 4, 1), (3.0, n_reps, seed)]),
         ]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1141,6 +1143,65 @@ class TestBadRequestsBuildNothing:
         """``study`` refuses the bad cell before it calibrates."""
         for call in self._calls(small_dictionary, small_config, n_reps):
             with pytest.raises(ValueError, match="n_reps must be an integer of at least 1"):
+                call(workers=workers)
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed(self, small_dictionary, small_config, pools, seed, workers):
+        """``study`` refuses a bad seed in its second cell, and a bad
+        calibration seed, before it calibrates."""
+        d, cfg = small_dictionary, small_config
+        calibration = dict(TestStudy.CALIBRATION, calib_seed=seed)
+        calls = [
+            *self._calls(d, cfg, seed=seed),
+            partial(study, cfg, d, **calibration, tau=5, horizon=40, cells=[(2.0, 4, 1)]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+                call(workers=workers)
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("target", [0.5, -3.0])
+    def test_target_below_one(self, small_dictionary, small_config, pools, target, workers):
+        d, cfg = small_dictionary, small_config
+        calibration = dict(TestStudy.CALIBRATION, target_arl0=target)
+        for call in (
+            partial(calibrate_threshold, cfg, d, target, 4, 40, 0.1, 0),
+            partial(study, cfg, d, **calibration, tau=5, horizon=40, cells=[(2.0, 4, 1)]),
+        ):
+            with pytest.raises(CalibrationError, match="outside the feasible"):
+                call(workers=workers)
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "tau, horizon, message",
+        [
+            (0.5, 40, "tau must be an integer of at least 0, got 0.5"),
+            (5, 2.5, "horizon must be an integer of at least 1, got 2.5"),
+            (5, True, "horizon must be an integer of at least 1, got True"),
+        ],
+        ids=["tau-fraction", "horizon-fraction", "horizon-bool"],
+    )
+    def test_bad_change_point_or_horizon(
+        self, small_dictionary, small_config, pools, tau, horizon, message, workers
+    ):
+        """A change point or horizon that would cut a stream at a fraction
+        is refused when the scenario is built: ``study``'s cells before the
+        calibration, and a null horizon before the replications; the
+        calibration names its horizon before comparing the target with it."""
+        d, cfg = small_dictionary, small_config
+        calls = [partial(study, cfg, d, **TestStudy.CALIBRATION, tau=tau, horizon=horizon,
+                         cells=[(2.0, 4, 1)])]
+        if tau == 5:
+            calls += [
+                partial(collect_h0_trajectories, cfg, d, 4, horizon, 0),
+                partial(calibrate_threshold, cfg, d, 10.0, 4, horizon, 0.1, 0),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
                 call(workers=workers)
         assert pools == []
 

@@ -199,6 +199,37 @@ class TestScenario:
             assert other != sc
 
 
+    @pytest.mark.parametrize(
+        "tau, horizon, message",
+        [
+            (0.5, 20, "tau must be an integer of at least 0, got 0.5"),
+            (True, 20, "tau must be an integer of at least 0, got True"),
+            (-1, 20, "tau must be an integer of at least 0, got -1"),
+            (5, 2.5, "horizon must be an integer of at least 1, got 2.5"),
+            (5, True, "horizon must be an integer of at least 1, got True"),
+            (5, 0, "horizon must be an integer of at least 1, got 0"),
+        ],
+        ids=["tau-fraction", "tau-bool", "tau-negative", "horizon-fraction", "horizon-bool",
+             "horizon-zero"],
+    )
+    def test_fractional_bool_or_negative_tau_or_horizon_refused(
+        self, default_dictionary, default_config, tau, horizon, message
+    ):
+        """Refused when the scenario is built, not when a stream is cut."""
+        with pytest.raises(ValueError, match=message):
+            _scenario(
+                default_dictionary, default_config, tau=tau, change=((1, 0.5),),
+                horizon=horizon,
+            )
+
+    def test_numpy_integer_tau_and_horizon_accepted(self, default_dictionary, default_config):
+        sc = _scenario(
+            default_dictionary, default_config, tau=np.int64(5), change=((1, 0.5),),
+            horizon=np.int64(20),
+        )
+        assert gen_stream(sc, 3).shape == (20, 15)
+
+
 class TestStreamCsv:
     def test_round_trip_exact(self, tmp_path, rng):
         stream = rng.normal(size=(7, 4))
