@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, _count
 
 __all__ = [
     "BasisDictionary",
@@ -132,11 +132,8 @@ def fourier_basis(p: int, k: int) -> np.ndarray:
     -------
     ndarray, shape (p, k)
     """
-    if p < 1 or k < 1:
-        raise DimensionError("p and k must be positive")
-    if k > p:
-        raise DimensionError(f"cannot build {k} Fourier columns on {p} points")
-    t = np.arange(p)
+    t = np.arange(_count("p", p))
+    _count("k", k, 1, p)
     cols = []
     freq = 1
     while len(cols) < k:
@@ -211,18 +208,9 @@ def bspline_basis(
     -------
     ndarray, shape (p, n_knots − order)
     """
-    if p < 1 or order < 1:
-        raise DimensionError("p and order must be positive")
-    if n_knots < order + 1:
-        raise DimensionError(
-            f"need at least {order + 1} knots for order {order}, got {n_knots}"
-        )
-    n_spans = n_knots - 2 * order + 1
-    if n_spans < 1:
-        raise DimensionError(
-            f"order {order} with {n_knots} knots leaves no interior span on [0, 1]"
-        )
-    h = 1.0 / n_spans
+    _count("p", p)
+    _count("n_knots", n_knots, 2 * _count("order", order))
+    h = 1.0 / (n_knots - 2 * order + 1)
     knots = (np.arange(n_knots) - (order - 1)) * h
     x = np.linspace(0.0, 1.0, p)
     basis = _cox_de_boor(x, knots, order)
@@ -267,8 +255,7 @@ def pca_basis(training: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, flo
     p, n_train = training.shape
     if n_train < 2:
         raise DimensionError("need at least two training samples")
-    if k < 1 or k > min(p, n_train):
-        raise DimensionError(f"k={k} out of range for a {p}x{n_train} training matrix")
+    _count("k", k, 1, min(p, n_train))
     centered = training - training.mean(axis=1, keepdims=True)
     u, s, _ = np.linalg.svd(centered, full_matrices=False)
     # Rank guard: asking for directions past the data's rank is ill-posed.
@@ -286,9 +273,7 @@ def pca_basis(training: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, flo
 
 def identity_anomaly_basis(p: int) -> np.ndarray:
     """Identity anomaly basis: sparse changes on the raw coordinates."""
-    if p < 1:
-        raise DimensionError("p must be positive")
-    return np.eye(p)
+    return np.eye(_count("p", p))
 
 
 # ── Serialization ─────────────────────────────────────────────────────────

@@ -179,13 +179,16 @@ def init(
     an existing Generator.  ``sampler`` picks the subset strategy for later
     steps: ``"thompson"`` (posterior sampling) or ``"oracle"`` (exhaustive).
     The engine keeps the scorer ``_scorer`` makes of it, not the name.  A
-    NaN threshold or an unknown sampler raises ValueError.
+    NaN threshold, an unknown sampler, or a sigma_e or sigma_b whose square
+    underflows to 0 raises ValueError; a budget m above p, DimensionError.
     """
     h = _threshold(h)
     if cfg.k_a != dictionary.k_a:
         raise DimensionError("config and dictionary disagree on k_a")
-    if cfg.m > dictionary.p:
-        raise DimensionError("sensing budget exceeds the number of variables")
+    _count("sensing budget m", cfg.m, 1, dictionary.p)
+    for name, square in (("sigma_e", cfg.sigma_e2), ("sigma_b", cfg.sigma_b2)):
+        if not square > 0.0:  # every fit divides by it
+            raise ValueError(f"{name} must have a nonzero square to monitor, got {getattr(cfg, name)!r}")
     scorer = _scorer(sampler, dictionary, cfg.m)
     rng = np.random.default_rng(seed)
     z0 = rng.choice(dictionary.p, size=cfg.m, replace=False)
@@ -286,8 +289,15 @@ def step(state: EngineState, observation) -> StepOutcome:
 
 def _rep_rngs(seed: int, rep: int):
     """Independent seed sequences for a replication's stream and engine."""
-    stream_ss, engine_ss = np.random.SeedSequence(entropy=[seed, rep]).spawn(2)
-    return stream_ss, engine_ss
+    return np.random.SeedSequence(entropy=[seed, rep]).spawn(2)
+
+
+def _start(scenario: Scenario, h: float, seed: int, rep: int, sampler: str):
+    """Replication ``rep``'s stream and fresh engine, each from its
+    ``_rep_rngs`` seed, the stream generated first."""
+    stream_ss, engine_ss = _rep_rngs(seed, rep)
+    stream = gen_stream(scenario, stream_ss)
+    return stream, init(scenario.cfg, scenario.dictionary, h=h, seed=engine_ss, sampler=sampler)
 
 
 def _run_one(scenario: Scenario, h: float, seed: int, rep: int, sampler: str):
@@ -296,9 +306,7 @@ def _run_one(scenario: Scenario, h: float, seed: int, rep: int, sampler: str):
     Returns (statistics of the steps run, alarmed, non-converged fits, the
     steps' sweep counts).
     """
-    stream_ss, engine_ss = _rep_rngs(seed, rep)
-    stream = gen_stream(scenario, stream_ss)
-    state = init(scenario.cfg, scenario.dictionary, h=h, seed=engine_ss, sampler=sampler)
+    stream, state = _start(scenario, h, seed, rep, sampler)
     stats = np.empty(scenario.horizon)
     sweeps = np.empty(scenario.horizon, dtype=np.intp)
     nonconverged = 0
@@ -330,9 +338,9 @@ class _Fallback(Exception):
 
 def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
     """Replications ``reps`` at threshold +inf, one time step for the whole
-    batch at a time, each from ``init`` and ``gen_stream`` with its
-    ``_rep_rngs`` seeds and each result bitwise ``_run_one``'s.  A step is
-    one ``_stacked_geometry`` call and one call of each layer's batch form.
+    batch at a time, each started by ``_start`` and each result bitwise
+    ``_run_one``'s.  A step is one ``_stacked_geometry`` call and one call
+    of each layer's batch form.
     Raises ``_Fallback`` for a non-finite value in a stream (the step raises
     only if it is observed) or statistic; a layer's error propagates.
     """
@@ -340,9 +348,8 @@ def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
     streams = np.empty((horizon, n, d.p))
     states = []
     for i, rep in enumerate(reps):
-        stream_ss, engine_ss = _rep_rngs(seed, rep)
-        streams[:, i] = gen_stream(scenario, stream_ss)
-        states.append(init(cfg, d, h=math.inf, seed=engine_ss, sampler=sampler))
+        streams[:, i], state = _start(scenario, math.inf, seed, rep, sampler)
+        states.append(state)
     if not np.isfinite(streams).all():
         raise _Fallback
     rngs, scorer = [state.rng for state in states], states[0].scorer

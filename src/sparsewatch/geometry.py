@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisDictionary
-from .errors import DimensionError
+from .errors import DimensionError, _count
 
 __all__ = [
     "CACHE_BUDGET_BYTES",
@@ -323,9 +323,11 @@ def build_geometry_table(
     held, and return it: its ``fields`` stacked along a leading rank axis,
     read-only, and its ``rank`` from a subset's index bytes to its row.  A
     combination the budget refuses builds nothing and returns a table
-    without fields; its subsets are then built alone.
+    without fields; its subsets are then built alone.  An ``m`` outside
+    [1, p] raises DimensionError.
     """
-    return _CACHE.build(dictionary, float(sigma_e2), float(sigma_b2), int(m))
+    m = int(_count("sensing budget m", m, 1, dictionary.p))
+    return _CACHE.build(dictionary, float(sigma_e2), float(sigma_b2), m)
 
 
 def clear_geometry_cache() -> None:

@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .bases import BasisDictionary
-from .errors import CapabilityError, DimensionError, NumericalError
+from .errors import CapabilityError, DimensionError, NumericalError, _count
 from .geometry import column_bases
 from .inference import ModelConfig, SpikeSlabPosterior
 
@@ -144,8 +144,7 @@ def select_top_m(
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     p = scores.size
-    if not 1 <= m <= p:
-        raise DimensionError(f"budget m={m} must lie in [1, {p}]")
+    _count("sensing budget m", m, 1, p)
     perm = rng.permutation(p)
     part = scores.copy()
     part.partition(p - m)  # NaN sorts last; a NaN cut is reached by no score
@@ -245,9 +244,7 @@ class OracleScorer:
 
     def __init__(self, dictionary: BasisDictionary, m: int):
         p, k_b = dictionary.p, dictionary.k_b
-        if not 1 <= m <= p:
-            raise DimensionError(f"budget m={m} must lie in [1, {p}]")
-        n_subsets = comb(p, m)
+        n_subsets = comb(p, _count("sensing budget m", m, 1, p))
         if n_subsets > ORACLE_SUBSET_LIMIT:
             raise CapabilityError(
                 f"exhaustive search over C({p},{m})={n_subsets} subsets exceeds "

@@ -39,16 +39,17 @@ class Scenario:
         Change point in [0, horizon): steps t > tau carry the anomaly.  None
         means no change ever occurs (a null stream).
     change : tuple of (index, magnitude)
-        Anomaly coefficient entries, each magnitude finite; empty with
-        tau=None.
+        Anomaly coefficient entries, each index in [0, k_a) and each
+        magnitude finite; empty with tau=None.
     horizon : int
-        Number of steps to generate, at least 1.  ``tau`` and ``horizon``
-        are checked by ``errors._count``, so a fraction or a bool is refused
-        here, not when a stream is cut.
+        Number of steps to generate, at least 1.  ``tau``, ``horizon``, the
+        change indices and the config's budget m (at most p) are checked by
+        ``errors._count``, so a fraction or a bool is refused here, not when
+        a stream is cut.
     random_change_basis : bool
         When true, the changed coordinate is drawn uniformly from the
         anomaly columns per replication, keeping the listed magnitude of the
-        first change entry.
+        first change entry; its index need only be an integer of at least 0.
     """
 
     dictionary: BasisDictionary
@@ -59,28 +60,23 @@ class Scenario:
     random_change_basis: bool = False
 
     def __post_init__(self):
-        change = tuple((int(j), float(phi)) for j, phi in self.change)
+        k_a = self.dictionary.k_a
+        most = None if self.random_change_basis else k_a - 1
+        change = tuple((int(_count("change index", j, 0, most)), float(phi)) for j, phi in self.change)
         object.__setattr__(self, "change", change)
         for j, phi in change:
             if not math.isfinite(phi):
                 raise ValueError(f"change entry ({j}, {phi}) has a non-finite magnitude")
-        _count("horizon", self.horizon)
+        horizon = _count("horizon", self.horizon)
         if self.tau is not None:
-            if _count("tau", self.tau, 0) >= self.horizon:
-                raise ValueError("tau must lie in [0, horizon)")
+            _count("tau", self.tau, 0, horizon - 1)
             if not change and not self.random_change_basis:
                 raise ValueError("a change point needs change entries")
         if self.random_change_basis and not change:
             raise ValueError("random_change_basis needs a magnitude entry")
-        k_a = self.dictionary.k_a
-        if not self.random_change_basis:
-            for j, _ in change:
-                if not 0 <= j < k_a:
-                    raise DimensionError(f"change index {j} outside anomaly basis")
         if self.cfg.k_a != k_a:
             raise DimensionError("config and dictionary disagree on k_a")
-        if self.cfg.m > self.dictionary.p:
-            raise DimensionError("sensing budget exceeds the number of variables")
+        _count("sensing budget m", self.cfg.m, 1, self.dictionary.p)
 
 
 def realize_change_coefficient(

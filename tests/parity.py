@@ -36,7 +36,12 @@ then one over all stages' full digests:
   at ``workers`` 1 and 2: its threshold, achieved ARL0 and summaries;
 - ``api``: the sorted ``sparsewatch.__all__``, with each export's class
   ancestry by name and each callable's ``inspect.signature`` (None for the
-  exception types, which have none); its decisions line hashes the names.
+  exception types, which have none); its decisions line hashes the names;
+- ``bases``: the matrices ``fourier_basis``, ``bspline_basis`` (raw and
+  unit-norm), ``kron_basis``, ``identity_anomaly_basis`` and ``pca_basis``
+  (directions, scores and noise) return on valid sizes, and the
+  ``content_key`` of dictionaries built from them; its decisions line
+  hashes the shapes.
 
 A stage's decisions line hashes only what the run decided: run lengths,
 alarm steps, subsets, sweep counts and convergence flags.  A change that
@@ -300,6 +305,35 @@ def api() -> tuple[str, str]:
     return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
+def bases_stage() -> tuple[str, str]:
+    digest, decisions = Digest(), Digest()
+    fourier = [bases.fourier_basis(p, k) for p, k in ((4, 1), (8, 2), (15, 3), (20, 2), (31, 9))]
+    splines = [
+        bases.bspline_basis(p, order, n_knots, normalize_columns=unit)
+        for p, order, n_knots in ((5, 1, 6), (6, 2, 4), (6, 2, 6), (15, 4, 14), (20, 4, 10),
+                                  (20, 4, 13), (40, 3, 9))
+        for unit in (False, True)
+    ]
+    rng = np.random.default_rng(12)
+    krons = [
+        bases.kron_basis(fourier[3], fourier[3]),
+        bases.kron_basis(splines[9], splines[9]),
+        bases.kron_basis(rng.normal(size=(5, 2)), rng.normal(size=(4, 3))),
+    ]
+    identities = [bases.identity_anomaly_basis(p) for p in (1, 6, 15)]
+    planted = np.outer(rng.normal(size=12), rng.normal(size=40)) + 0.1 * rng.normal(size=(12, 40))
+    pcas = [bases.pca_basis(training, k)
+            for training, k in ((rng.normal(size=(10, 50)), 4), (planted, 1), (planted, 3))]
+    matrices = fourier + splines + krons + identities + [x for out in pcas for x in out[:2]]
+    digest.add(*matrices, *(out[2] for out in pcas))
+    decisions.add([x.shape for x in matrices])
+    for b_b, b_a in ((fourier[2], splines[7]), (fourier[2], identities[2]),
+                     (krons[0], krons[1]), (np.zeros((6, 0)), identities[1]),
+                     (fourier[2][:10], pcas[0][0])):
+        digest.add(bases.BasisDictionary(b_b=b_b, b_a=b_a).content_key)
+    return digest.h.hexdigest(), decisions.h.hexdigest()
+
+
 def stage_lines():
     """Each stage's digest and decisions lines as it finishes, then the
     digest over all stages."""
@@ -308,6 +342,7 @@ def stage_lines():
         ("study-p15", study_p15), ("monitor-kron400", monitor_kron400),
         ("kron400-null", kron400_null), ("exact-routes", exact_routes),
         ("tie-path", tie_path), ("table1", table1), ("study", study), ("api", api),
+        ("bases", bases_stage),
     ):
         hexdigest, decided = stage()
         overall.update(hexdigest.encode())
@@ -342,7 +377,7 @@ def compare(against: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Print output digests of eight stages.")
+    parser = argparse.ArgumentParser(description="Print output digests of nine stages.")
     parser.add_argument(
         "--against", metavar="DIR", help="also run the stages on the checkout DIR and compare"
     )

@@ -56,6 +56,24 @@ class TestFourierBasis:
         with pytest.raises(DimensionError):
             fourier_basis(4, 5)
 
+    @pytest.mark.parametrize(
+        "p, k, message",
+        [
+            (2.5, 1, "p must be an integer of at least 1, got 2.5"),
+            (True, 1, "p must be an integer of at least 1, got True"),
+            (0, 1, "p must be an integer of at least 1, got 0"),
+            (15, 2.5, "k must be an integer of at least 1, got 2.5"),
+            (15, True, "k must be an integer of at least 1, got True"),
+            (15, 0, "k must be an integer of at least 1, got 0"),
+            (15, 16, r"k must lie in \[1, 15\], got 16"),
+        ],
+    )
+    def test_size_that_is_not_a_count_in_range_named(self, p, k, message):
+        """At 2.5 or True the basis was built: 4 columns for k = 2.5, one
+        for k = True."""
+        with pytest.raises(DimensionError, match=message):
+            fourier_basis(p, k)
+
 
 class TestBsplineBasis:
     def test_order_one_is_identity_partition(self):
@@ -105,6 +123,26 @@ class TestBsplineBasis:
     def test_too_few_knots_rejected(self):
         with pytest.raises(DimensionError):
             bspline_basis(10, 4, 7)
+
+    @pytest.mark.parametrize(
+        "p, order, n_knots, message",
+        [
+            (2.5, 4, 14, "p must be an integer of at least 1, got 2.5"),
+            (True, 4, 14, "p must be an integer of at least 1, got True"),
+            (0, 4, 14, "p must be an integer of at least 1, got 0"),
+            (15, 2.5, 14, "order must be an integer of at least 1, got 2.5"),
+            (15, True, 14, "order must be an integer of at least 1, got True"),
+            (15, 0, 14, "order must be an integer of at least 1, got 0"),
+            (15, 4, 14.5, "n_knots must be an integer of at least 8, got 14.5"),
+            (15, 4, True, "n_knots must be an integer of at least 8, got True"),
+            (15, 4, 7, "n_knots must be an integer of at least 8, got 7"),
+        ],
+    )
+    def test_size_that_is_not_a_count_in_range_named(self, p, order, n_knots, message):
+        """n_knots = 14.5 built 11 columns.  The bound is 2·order: fewer
+        knots leave no interior span on [0, 1]."""
+        with pytest.raises(DimensionError, match=message):
+            bspline_basis(p, order, n_knots)
 
 
 class TestKronBasis:
@@ -164,6 +202,30 @@ class TestPcaBasis:
         training = np.outer(direction, rng.normal(size=30))
         with pytest.raises(DimensionError):
             pca_basis(training, 2)
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (2.5, "k must be an integer of at least 1, got 2.5"),
+            (True, "k must be an integer of at least 1, got True"),
+            (0, "k must be an integer of at least 1, got 0"),
+            (6, r"k must lie in \[1, 5\], got 6"),
+        ],
+    )
+    def test_component_count_that_is_not_a_count_in_range_named(self, rng, k, message):
+        """k = True kept one direction; the bound is min(p, n_train)."""
+        with pytest.raises(DimensionError, match=message):
+            pca_basis(rng.normal(size=(5, 20)), k)
+
+
+class TestIdentityAnomalyBasis:
+    def test_is_the_identity(self):
+        assert identity_anomaly_basis(4).tobytes() == np.eye(4).tobytes()
+
+    @pytest.mark.parametrize("p", [2.5, True, 0])
+    def test_size_that_is_not_a_count_named(self, p):
+        with pytest.raises(DimensionError, match=f"p must be an integer of at least 1, got {p}"):
+            identity_anomaly_basis(p)
 
 
 class TestBasisDictionary:

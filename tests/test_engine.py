@@ -137,6 +137,20 @@ class TestInit:
         with pytest.raises(DimensionError):
             init(cfg, small_dictionary, h=5.0, seed=0)
 
+    def test_budget_one_past_p_named(self, small_dictionary, small_config):
+        cfg = dataclasses.replace(small_config, m=7)
+        with pytest.raises(DimensionError, match=r"sensing budget m must lie in \[1, 6\], got 7"):
+            init(cfg, small_dictionary, h=5.0, seed=0)
+
+    @pytest.mark.parametrize("field", ["sigma_e", "sigma_b"])
+    def test_scale_whose_square_underflows_refused(self, small_dictionary, small_config, field):
+        """At 1e-200 the first step raised "math domain error" (sigma_e) or
+        ZeroDivisionError (sigma_b); the config itself is kept, as it
+        describes a noise-free stream."""
+        cfg = dataclasses.replace(small_config, **{field: 1e-200})
+        with pytest.raises(ValueError, match=f"{field} must have a nonzero square to monitor, got 1e-200"):
+            init(cfg, small_dictionary, h=5.0, seed=0)
+
 
 class TestStep:
     def test_bottom_threshold_alarms_immediately(

@@ -447,6 +447,22 @@ class TestCache:
         subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(30))
         assert len(count_builds) == 1
 
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (2.5, "sensing budget m must be an integer of at least 1, got 2.5"),
+            (True, "sensing budget m must be an integer of at least 1, got True"),
+            (0, "sensing budget m must be an integer of at least 1, got 0"),
+            (8, r"sensing budget m must lie in \[1, 7\], got 8"),
+        ],
+    )
+    def test_budget_that_is_not_a_count_in_range_builds_nothing(self, count_builds, m, message):
+        """m = 2.5 built the m = 2 table; m = 0 a table of the empty subset."""
+        d, _, _, _ = _problem(0, 2, 3, "random")
+        with pytest.raises(DimensionError, match=message):
+            build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, m)
+        assert not count_builds and geometry._CACHE.table is None
+
     def test_entry_estimate_matches_traced_memory(self):
         """The table's size estimated from shapes is within 10% of what
         tracemalloc sees the whole p = 15, m = 5 table retain when

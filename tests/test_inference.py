@@ -830,6 +830,36 @@ class TestTypes:
         )
         assert type(cfg.m) is int and cfg.m == 3
 
+    @pytest.mark.parametrize("scale", [math.inf, 1e300], ids=["inf", "1e300"])
+    @pytest.mark.parametrize("field", ["sigma_e", "sigma_b", "sigma_j"])
+    def test_scale_without_a_finite_square_named(self, field, scale):
+        """An infinite sigma_e made every statistic 0, so the monitor never
+        alarmed, and 1e300 raised a bare OverflowError from its square."""
+        fields = dict(k_a=2, sigma_e=1.0, sigma_b=1.0, sigma_j=1.0, w=0.5, v=0.5, decay=0.1, m=1)
+        message = re.escape(f"{field} must be finite with a finite square, got {scale!r}")
+        with pytest.raises(ValueError, match=message):
+            ModelConfig.homogeneous(**{**fields, field: scale})
+
+    def test_slab_scale_whose_square_underflows_named(self):
+        """sigma_j = 1e-200 squares to 0, which every fit divides by; one
+        such column is refused by name, not by the prior."""
+        with pytest.raises(ValueError, match="sigma_j must have nonzero squares, got 1e-200"):
+            ModelConfig(
+                sigma_e=1.0, sigma_b=1.0, sigma_j=[3.0, 1e-200], w=[0.5, 0.5], v=0.5,
+                decay=0.1, m=1,
+            )
+
+    @pytest.mark.parametrize(
+        "k_a, message",
+        [(2.5, "got 2.5"), (True, "got True"), (0, "got 0")],
+        ids=["fraction", "bool", "zero"],
+    )
+    def test_homogeneous_column_count_is_a_count(self, k_a, message):
+        with pytest.raises(DimensionError, match=f"k_a must be an integer of at least 1, {message}"):
+            ModelConfig.homogeneous(
+                k_a=k_a, sigma_e=1.0, sigma_b=1.0, sigma_j=1.0, w=0.5, v=0.5, decay=0.1, m=1,
+            )
+
     def test_config_owns_its_arrays(self):
         """A write to the caller's arrays leaves the config, its derived
         arrays and its sweep factors alone; its own arrays are read-only."""

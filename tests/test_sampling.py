@@ -27,6 +27,17 @@ from sparsewatch import (
 )
 
 
+BAD_BUDGETS = pytest.mark.parametrize(
+    "m, message",
+    [
+        (2.5, "sensing budget m must be an integer of at least 1, got 2.5"),
+        (True, "sensing budget m must be an integer of at least 1, got True"),
+        (0, "sensing budget m must be an integer of at least 1, got 0"),
+    ],
+    ids=["fraction", "bool", "zero"],
+)
+
+
 def _cfg(k_a, m, v=1e-6, sigma_e=0.3):
     return ModelConfig.homogeneous(
         k_a=k_a, sigma_e=sigma_e, sigma_b=0.8, sigma_j=1.5, w=0.2,
@@ -236,6 +247,16 @@ class TestSelectTopM:
         with pytest.raises(DimensionError):
             select_top_m(np.zeros(4), 5, rng)
 
+    @BAD_BUDGETS
+    def test_budget_that_is_not_a_count_named(self, rng, m, message):
+        """m = True sensed one variable."""
+        with pytest.raises(DimensionError, match=message):
+            select_top_m(np.arange(4.0), m, rng)
+
+    def test_budget_one_past_p_named(self, rng):
+        with pytest.raises(DimensionError, match=r"sensing budget m must lie in \[1, 4\], got 5"):
+            select_top_m(np.arange(4.0), 5, rng)
+
 
 class TestOracleScorer:
     def _problem(self, rng, p=7, k_a=3, k_b=2):
@@ -373,6 +394,18 @@ class TestOracleScorer:
         )
         with pytest.raises(CapabilityError):
             OracleScorer(d, 25)
+
+    @BAD_BUDGETS
+    def test_budget_that_is_not_a_count_named(self, rng, m, message):
+        """m = True built a scorer over the single variables."""
+        d, _, _ = self._problem(rng)
+        with pytest.raises(DimensionError, match=message):
+            OracleScorer(d, m)
+
+    def test_budget_one_past_p_named(self, rng):
+        d, _, _ = self._problem(rng)
+        with pytest.raises(DimensionError, match=r"sensing budget m must lie in \[1, 7\], got 8"):
+            OracleScorer(d, 8)
 
     def test_shared_scorer_equals_fresh_scorer(self, rng):
         """The process-wide scorer for an equal dictionary picks what a

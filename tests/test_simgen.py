@@ -208,9 +208,10 @@ class TestScenario:
             (5, 2.5, "horizon must be an integer of at least 1, got 2.5"),
             (5, True, "horizon must be an integer of at least 1, got True"),
             (5, 0, "horizon must be an integer of at least 1, got 0"),
+            (20, 20, r"tau must lie in \[0, 19\], got 20"),
         ],
         ids=["tau-fraction", "tau-bool", "tau-negative", "horizon-fraction", "horizon-bool",
-             "horizon-zero"],
+             "horizon-zero", "tau-at-horizon"],
     )
     def test_fractional_bool_or_negative_tau_or_horizon_refused(
         self, default_dictionary, default_config, tau, horizon, message
@@ -221,6 +222,41 @@ class TestScenario:
                 default_dictionary, default_config, tau=tau, change=((1, 0.5),),
                 horizon=horizon,
             )
+
+    @pytest.mark.parametrize(
+        "index, random_change_basis, message",
+        [
+            (2.7, False, "change index must be an integer of at least 0, got 2.7"),
+            (True, False, "change index must be an integer of at least 0, got True"),
+            (-1, False, "change index must be an integer of at least 0, got -1"),
+            (10, False, r"change index must lie in \[0, 9\], got 10"),
+            (2.7, True, "change index must be an integer of at least 0, got 2.7"),
+            (True, True, "change index must be an integer of at least 0, got True"),
+            (-1, True, "change index must be an integer of at least 0, got -1"),
+        ],
+    )
+    def test_change_index_that_is_not_an_index_in_range_named(
+        self, default_dictionary, default_config, index, random_change_basis, message
+    ):
+        """2.7 changed column 2.  With ``random_change_basis`` the column is
+        drawn, so any index of at least 0 is accepted."""
+        with pytest.raises(DimensionError, match=message):
+            _scenario(
+                default_dictionary, default_config, tau=5, change=((index, 0.5),),
+                horizon=20, random_change_basis=random_change_basis,
+            )
+
+    def test_any_index_accepted_under_random_change_basis(self, default_dictionary, default_config):
+        sc = _scenario(
+            default_dictionary, default_config, tau=5, change=((10, 0.5),), horizon=20,
+            random_change_basis=True,
+        )
+        assert sc.change == ((10, 0.5),)
+
+    def test_budget_one_past_p_named(self, default_dictionary, default_config):
+        cfg = dataclasses.replace(default_config, m=16)
+        with pytest.raises(DimensionError, match=r"sensing budget m must lie in \[1, 15\], got 16"):
+            _scenario(default_dictionary, cfg)
 
     def test_numpy_integer_tau_and_horizon_accepted(self, default_dictionary, default_config):
         sc = _scenario(
