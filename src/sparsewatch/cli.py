@@ -36,7 +36,7 @@ from .bases import (
 )
 from .detection import detection_record
 from .engine import SAMPLERS, calibrate_threshold, evaluate, init, step, study
-from .errors import SparsewatchError
+from .errors import DataError, SparsewatchError, _number
 from .geometry import build_geometry_table
 from .inference import ModelConfig
 from .simgen import Scenario, load_stream_csv
@@ -79,17 +79,12 @@ def _require_whole(mapping: dict, key: str, where: str) -> int:
 
 
 def _real(value, field: str, where: str, document: str = "scenario") -> float:
-    """A real-valued field: a JSON number, never a string or a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(
-            f"invalid {document}: field '{field}' in {where} must be a number, got {value!r}"
-        )
+    """A real-valued field: a JSON number, never a string or a boolean
+    (``errors._number``)."""
     try:
-        return float(value)
-    except OverflowError:
-        raise CliError(
-            f"invalid {document}: field '{field}' in {where} is too large for a float"
-        ) from None
+        return _number(f"field '{field}' in {where}", value)
+    except DataError as exc:
+        raise CliError(f"invalid {document}: {exc}") from None
 
 
 def _require_real(mapping: dict, key: str, where: str) -> float:

@@ -40,6 +40,7 @@ from .errors import (
     SparsewatchError,
     StateError,
     _count,
+    _number,
 )
 from . import inference
 from .geometry import _stacked_geometry, build_geometry_table, subset_indices
@@ -160,10 +161,9 @@ def _scorer(sampler: str, dictionary: BasisDictionary, m: int) -> OracleScorer |
 
 
 def _threshold(h) -> float:
-    """``h`` as a float; a NaN, which no statistic exceeds, raises ValueError."""
-    if math.isnan(h):
-        raise ValueError("threshold must not be NaN")
-    return float(h)
+    """``h`` as a float, which may be infinite; a NaN, which no statistic
+    exceeds, or a value that is not a number raises DataError."""
+    return _number("threshold", h, -math.inf, low="must not be NaN")
 
 
 def init(
@@ -179,16 +179,15 @@ def init(
     an existing Generator.  ``sampler`` picks the subset strategy for later
     steps: ``"thompson"`` (posterior sampling) or ``"oracle"`` (exhaustive).
     The engine keeps the scorer ``_scorer`` makes of it, not the name.  A
-    NaN threshold, an unknown sampler, or a sigma_e or sigma_b whose square
-    underflows to 0 raises ValueError; a budget m above p, DimensionError.
+    threshold that is NaN or not a number, or a sigma_e or sigma_b whose
+    square underflows to 0 (``ModelConfig._monitored``), raises DataError;
+    an unknown sampler, ValueError; a budget m above p, DimensionError.
     """
     h = _threshold(h)
     if cfg.k_a != dictionary.k_a:
         raise DimensionError("config and dictionary disagree on k_a")
     _count("sensing budget m", cfg.m, 1, dictionary.p)
-    for name, square in (("sigma_e", cfg.sigma_e2), ("sigma_b", cfg.sigma_b2)):
-        if not square > 0.0:  # every fit divides by it
-            raise ValueError(f"{name} must have a nonzero square to monitor, got {getattr(cfg, name)!r}")
+    cfg._monitored()
     scorer = _scorer(sampler, dictionary, cfg.m)
     rng = np.random.default_rng(seed)
     z0 = rng.choice(dictionary.p, size=cfg.m, replace=False)
@@ -414,8 +413,8 @@ def _map_reps(scenario: Scenario, h: float, seed: int, n_reps: int, workers: int
     every worker; a worker that starts fresh builds them in its first
     ``_run_batch``.  An ``n_reps`` or ``workers`` other than an integer of
     at least 1, a ``seed`` other than one of at least 0 (a bool is neither),
-    or a NaN threshold, raises ValueError first, and an unknown sampler
-    raises it before anything is built.
+    or a threshold ``_threshold`` refuses, raises ValueError first, and an
+    unknown sampler raises it before anything is built.
     """
     _count("n_reps", n_reps)
     _count("workers", workers)
@@ -471,7 +470,7 @@ def replay_run_lengths(trajectories: np.ndarray, h: float) -> np.ndarray:
     that never alarm count as the horizon, matching how censored
     replications enter the average run length.  A NaN statistic, which no
     threshold could be compared with, raises DataError naming the first in
-    rep order; a NaN threshold, which no statistic exceeds, ValueError.
+    rep order, and so does a threshold ``_threshold`` refuses.
     """
     trajectories = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
     if np.isnan(trajectories).any():
@@ -486,14 +485,12 @@ def replay_run_lengths(trajectories: np.ndarray, h: float) -> np.ndarray:
 
 
 def _target(target_arl0: float, tol_rel: float, horizon: int) -> None:
-    """Refuse a ``tol_rel`` that is not positive (ValueError) or a target
-    ARL outside [1, horizon], which no replay reaches (CalibrationError)."""
-    if not tol_rel > 0:
-        raise ValueError("tol_rel must be positive")
-    if not 1.0 <= target_arl0 <= horizon:
-        raise CalibrationError(
-            f"target ARL {target_arl0} outside the feasible [1, {horizon}] range"
-        )
+    """Refuse a ``tol_rel`` that is not a positive number or a target ARL
+    that is not a number (DataError), or a target outside [1, horizon],
+    which no replay reaches (CalibrationError)."""
+    _number("tol_rel", tol_rel, 0.0, above=True)
+    if not 1.0 <= _number("target ARL", target_arl0) <= horizon:
+        raise CalibrationError(f"target ARL {target_arl0} outside the feasible [1, {horizon}] range")
 
 
 def search_threshold(

@@ -304,8 +304,8 @@ def _stacked_geometry(
 ) -> SubsetGeometry:
     """Geometries of the ascending subsets ``z`` (n, m), fields stacked on
     a leading axis: their rows of the held table, or one stacked build,
-    whose rows are checked with ``subset_geometry``'s errors."""
-    sigma_e2, sigma_b2 = float(sigma_e2), float(sigma_b2)
+    whose rows are checked with ``subset_geometry``'s errors.  The squared
+    scales are a config's, which are floats."""
     table = _CACHE.table
     if table is not None and table.key == (dictionary.content_key, sigma_e2, sigma_b2, z.shape[1]):
         ranks = [table.rank.get(row.tobytes()) for row in z]

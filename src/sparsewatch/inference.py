@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisDictionary
-from .errors import DimensionError, StateError, _count
+from .errors import DataError, DimensionError, StateError, _count, _number
 from .geometry import checked_subset, subset_geometry, subset_indices
 
 __all__ = [
@@ -81,6 +81,27 @@ __all__ = [
 ALPHA_CLAMP = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# A scale is positive with a finite square (``_SCALE``); a slab scale is also
+# at least _ROOT_TINY, so its square is a normal float and 1/sigma_j^2 finite.
+_SCALE = dict(least=0.0, most=math.sqrt(np.finfo(np.float64).max), above=True,
+              high="must be finite with a finite square")
+_ROOT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _entries(value) -> list:
+    """The entries of a per-column field as given: an array's as Python
+    scalars, a list's or a tuple's as they are, or the one scalar."""
+    return value if isinstance(value, (list, tuple)) else np.ravel(value).tolist()
+
+
+def _slab_scale(value) -> float:
+    """One sigma_j entry as a float: positive, with a finite square, and
+    with a nonzero square whose reciprocal, which every fit multiplies by,
+    is finite."""
+    s = _number("sigma_j", value, **_SCALE)
+    floor = "must have a finite 1/sigma_j**2" if s * s else "must have nonzero squares"
+    return _number("sigma_j", s, _ROOT_TINY, low=floor)
 
 
 # ── Domain types ──────────────────────────────────────────────────────────
@@ -108,11 +129,16 @@ class ModelConfig:
     m : int
         Sensing budget: number of variables observed per step.
 
-    Each scale, sigma_e, sigma_b and every sigma_j, must be positive and
-    finite with a finite square, and each sigma_j's square nonzero;
-    anything else raises ValueError naming the field.  A sigma_e or
-    sigma_b whose square underflows to 0 still generates streams (as
-    noise-free ones); ``engine.init`` refuses it for monitoring.
+    Every real field is checked entry by entry, as given, by
+    ``errors._number``, and a bad one raises DataError naming the field: a
+    bool, a string, None or an array is not a number.  Each scale, sigma_e,
+    sigma_b and every sigma_j, must be positive and finite with a finite
+    square, and each sigma_j's square a normal float, so that 1/sigma_j^2
+    is finite; each w and v lies in (0, 1) and decay in (0, 0.1].  The
+    scalars are stored as Python floats, so a config computes in float64
+    however its numbers were spelled.  A sigma_e or sigma_b whose square
+    underflows to 0 still generates streams (as noise-free ones);
+    ``fit`` and ``engine.init`` refuse it (``_monitored``).
 
     The record owns its arrays: ``sigma_j`` and ``w`` are copied, and they
     and the two arrays derived from them, ``sigma_j2`` and ``logit_w``, are
@@ -133,34 +159,27 @@ class ModelConfig:
     m: int
 
     def __post_init__(self):
-        sigma_j = np.array(self.sigma_j, dtype=np.float64, ndmin=1).ravel()
-        w = np.array(self.w, dtype=np.float64, ndmin=1).ravel()
-        object.__setattr__(self, "sigma_j", sigma_j)
-        object.__setattr__(self, "w", w)
+        fields = dict(  # each entry checked as given, before numpy parses a string or a bool
+            sigma_e=_number("sigma_e", self.sigma_e, **_SCALE),
+            sigma_b=_number("sigma_b", self.sigma_b, **_SCALE),
+            sigma_j=np.array([_slab_scale(s) for s in _entries(self.sigma_j)]),
+            w=np.array([_number("w", x, 0.0, 1.0, above=True, below=True) for x in _entries(self.w)]),
+            v=_number("v", self.v, 0.0, 1.0, above=True, below=True),
+            decay=_number("decay", self.decay, 0.0, 0.1, above=True),
+            m=int(_count("sensing budget m", self.m)),
+        )
+        for name, value in fields.items():  # not through __dict__, which would slow every read
+            object.__setattr__(self, name, value)
+        sigma_j, w = self.sigma_j, self.w
         if sigma_j.size != w.size:
             raise DimensionError("sigma_j and w must have one entry per anomaly column")
-        if not (self.sigma_e > 0 and self.sigma_b > 0):
-            raise ValueError("sigma_e and sigma_b must be positive")
-        if not np.all(sigma_j > 0):
-            raise ValueError("all slab standard deviations must be positive")
-        scales = [("sigma_e", float(self.sigma_e)), ("sigma_b", float(self.sigma_b))]
-        for name, scale in scales + [("sigma_j", s) for s in sigma_j.tolist()]:
-            if not scale * scale < math.inf:
-                raise ValueError(f"{name} must be finite with a finite square, got {scale!r}")
-        if not np.all(sigma_j * sigma_j > 0.0):  # every fit divides by the slab variances
-            raise ValueError(f"sigma_j must have nonzero squares, got {float(sigma_j.min())!r}")
-        if not (np.all(w > 0) and np.all(w < 1)):
-            raise ValueError("inclusion priors w must lie strictly in (0, 1)")
-        if not (0.0 < self.v < 1.0):
-            raise ValueError("spike shrink factor v must lie in (0, 1)")
-        if not (0.0 < self.decay <= 0.1):
-            raise ValueError("decay rate must lie in (0, 0.1]")
-        object.__setattr__(self, "m", int(_count("sensing budget m", self.m)))
         fields = (self.sigma_e, self.sigma_b, sigma_j.tobytes(), w.tobytes(), self.v, self.decay, self.m)
         object.__setattr__(self, "_key", fields)  # bytes compare as values: no NaN or −0
         # Derived quantities used in every sweep; cached once.
-        object.__setattr__(self, "sigma_e2", float(self.sigma_e) ** 2)
-        object.__setattr__(self, "sigma_b2", float(self.sigma_b) ** 2)
+        object.__setattr__(self, "sigma_e2", self.sigma_e**2)
+        object.__setattr__(self, "sigma_b2", self.sigma_b**2)
+        faint = [name for name in ("sigma_e", "sigma_b") if not getattr(self, name + "2")]
+        object.__setattr__(self, "_faint", faint[0] if faint else "")  # read by ``_monitored``
         object.__setattr__(self, "sigma_j2", sigma_j**2)
         object.__setattr__(self, "logit_w", np.log(w) - np.log1p(-w))
         for arr in (sigma_j, w, self.sigma_j2, self.logit_w):
@@ -185,6 +204,14 @@ class ModelConfig:
     def k_a(self) -> int:
         return self.sigma_j.size
 
+    def _monitored(self) -> None:
+        """Refuse, by DataError, a config whose sigma_e or sigma_b squares to
+        0, which every fit divides by; the rule ``fit`` and ``engine.init``
+        apply, decided at construction, so a fit pays one attribute test."""
+        if self._faint:
+            scale = getattr(self, self._faint)
+            raise DataError(f"{self._faint} must have a nonzero square to monitor, got {scale!r}")
+
     @classmethod
     def homogeneous(
         cls,
@@ -198,15 +225,8 @@ class ModelConfig:
         m: int,
     ) -> "ModelConfig":
         """Config with identical slab/inclusion settings on every column."""
-        return cls(
-            sigma_e=sigma_e,
-            sigma_b=sigma_b,
-            sigma_j=np.full(_count("k_a", k_a), float(sigma_j)),
-            w=np.full(k_a, float(w)),
-            v=v,
-            decay=decay,
-            m=m,
-        )
+        return cls(sigma_e=sigma_e, sigma_b=sigma_b, sigma_j=[sigma_j] * _count("k_a", k_a),
+                   w=[w] * k_a, v=v, decay=decay, m=m)
 
 
 @dataclass(frozen=True)
@@ -309,7 +329,7 @@ class DecayedStats:
 
     @classmethod
     def empty(cls, k_a: int) -> "DecayedStats":
-        return _read_only_stats(np.zeros((k_a, k_a)), np.zeros(k_a), 0.0, 0.0, 0.0, 0)
+        return _read_only_stats(np.zeros((_count("k_a", k_a), k_a)), np.zeros(k_a), 0.0, 0.0, 0.0, 0)
 
     def __reduce__(self):
         fields = (self.raw_M, self.raw_u, self.raw_q, self.raw_norm, self.mass, self.n)
@@ -748,12 +768,13 @@ def fit(
 
     Non-convergence within ``max_iters``, or a NaN change, returns the last
     iterate with ``converged=False`` rather than raising.  A ``tol`` that is
-    NaN or not positive, or a ``max_iters`` that is not an integer of at
-    least 1 (a bool is not), raises ValueError.
+    not a positive number (``errors._number``), a ``max_iters`` that is not
+    an integer of at least 1 (a bool is not), or a config that
+    ``ModelConfig._monitored`` refuses, raises a ValueError subclass.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = _number("tol", tol, 0.0, above=True)
     _count("max_iters", max_iters)
+    cfg._monitored()
     stats = absorb_sample(prev_stats, x_z, z, dictionary, cfg)
     post, converged, iters = _iterate(prev_posterior, stats, cfg, tol, max_iters)
     return FitResult(post, stats, converged, iters)

@@ -235,9 +235,10 @@ class OracleScorer:
 
         Keyed on content, not identity, so replications whose pool task
         unpickled a fresh copy of the dictionary share one build; a scorer
-        is never modified after it is built.
+        is never modified after it is built.  ``m`` is checked before it
+        keys the cache, where True would find the m = 1 scorer.
         """
-        key = (dictionary.content_key, m)
+        key = (dictionary.content_key, _count("sensing budget m", m, 1, dictionary.p))
         if cls._shared is None or cls._shared[0] != key:
             cls._shared = (key, cls(dictionary, m))
         return cls._shared[1]

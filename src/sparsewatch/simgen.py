@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import BasisDictionary
-from .errors import DataError, DimensionError, _count
+from .errors import DataError, DimensionError, _count, _number
 from .inference import ModelConfig
 
 __all__ = [
@@ -40,7 +40,8 @@ class Scenario:
         means no change ever occurs (a null stream).
     change : tuple of (index, magnitude)
         Anomaly coefficient entries, each index in [0, k_a) and each
-        magnitude finite; empty with tau=None.
+        magnitude a finite number (``errors._number``: not a bool or a
+        string); empty with tau=None.
     horizon : int
         Number of steps to generate, at least 1.  ``tau``, ``horizon``, the
         change indices and the config's budget m (at most p) are checked by
@@ -62,7 +63,8 @@ class Scenario:
     def __post_init__(self):
         k_a = self.dictionary.k_a
         most = None if self.random_change_basis else k_a - 1
-        change = tuple((int(_count("change index", j, 0, most)), float(phi)) for j, phi in self.change)
+        change = tuple((int(_count("change index", j, 0, most)), _number("change magnitude", phi))
+                       for j, phi in self.change)
         object.__setattr__(self, "change", change)
         for j, phi in change:
             if not math.isfinite(phi):

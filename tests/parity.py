@@ -41,7 +41,13 @@ then one over all stages' full digests:
   unit-norm), ``kron_basis``, ``identity_anomaly_basis`` and ``pca_basis``
   (directions, scores and noise) return on valid sizes, and the
   ``content_key`` of dictionaries built from them; its decisions line
-  hashes the shapes.
+  hashes the shapes;
+- ``configs``: ``ModelConfig``s whose numbers are spelled as floats,
+  numpy float64 or int64 scalars, lists and arrays, with their stored
+  fields, squares, log-odds and sweep factors, and the change entries a
+  ``Scenario`` stores from such spellings; its decisions line records
+  whether the spellings of one config compare and hash equal and those
+  of different configs differ.
 
 A stage's decisions line hashes only what the run decided: run lengths,
 alarm steps, subsets, sweep counts and convergence flags.  A change that
@@ -334,6 +340,55 @@ def bases_stage() -> tuple[str, str]:
     return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
+def configs_stage() -> tuple[str, str]:
+    digest, decisions = Digest(), Digest()
+    f64, i64 = np.float64, np.int64
+    groups = [
+        [
+            ModelConfig.homogeneous(k_a=10, m=5, **MODEL),
+            ModelConfig.homogeneous(k_a=10, m=i64(5), **{k: f64(v) for k, v in MODEL.items()}),
+            ModelConfig(sigma_e=0.05, sigma_b=0.3, sigma_j=[3.0] * 10, w=[0.1] * 10, v=1e-7,
+                        decay=0.1, m=5),
+            ModelConfig(sigma_e=f64(0.05), sigma_b=0.3, sigma_j=np.full(10, 3.0),
+                        w=np.full(10, 0.1), v=f64(1e-7), decay=f64(0.1), m=5),
+            ModelConfig(sigma_e=0.05, sigma_b=0.3, sigma_j=(f64(3.0),) * 10, w=[f64(0.1)] * 10,
+                        v=1e-7, decay=0.1, m=5),
+        ],
+        [
+            ModelConfig(sigma_e=1, sigma_b=2, sigma_j=[1, 2, 3], w=[0.2, 0.5, 0.7], v=0.25,
+                        decay=0.05, m=2),
+            ModelConfig(sigma_e=i64(1), sigma_b=i64(2), sigma_j=np.arange(1, 4), w=[0.2, 0.5, 0.7],
+                        v=f64(0.25), decay=0.05, m=i64(2)),
+            ModelConfig(sigma_e=1.0, sigma_b=2.0, sigma_j=np.array([1.0, 2.0, 3.0]),
+                        w=np.array([0.2, 0.5, 0.7]), v=0.25, decay=0.05, m=2),
+            ModelConfig(sigma_e=f64(1), sigma_b=2.0, sigma_j=[i64(1), f64(2), 3.0],
+                        w=(f64(0.2), 0.5, f64(0.7)), v=0.25, decay=f64(0.05), m=2),
+        ],
+    ]
+    rng = np.random.default_rng(13)
+    sigma_j, w = rng.uniform(0.5, 4.0, size=6), rng.uniform(0.01, 0.99, size=6)
+    groups.append([
+        ModelConfig(sigma_e=0.07, sigma_b=0.4, sigma_j=sigma_j, w=w, v=1e-6, decay=0.02, m=3),
+        ModelConfig(sigma_e=f64(0.07), sigma_b=f64(0.4), sigma_j=sigma_j.tolist(),
+                    w=[f64(x) for x in w], v=f64(1e-6), decay=f64(0.02), m=3),
+    ])
+    for group in groups:
+        for cfg in group:
+            scalars = [cfg.sigma_e, cfg.sigma_b, cfg.v, cfg.decay, cfg.sigma_e2, cfg.sigma_b2]
+            digest.add(np.array(scalars, dtype=np.float64), cfg.m, cfg.sigma_j, cfg.w,
+                       cfg.sigma_j2, cfg.logit_w, cfg._sweep_lists)
+        decisions.add(
+            [cfg == group[0] for cfg in group], [hash(cfg) == hash(group[0]) for cfg in group]
+        )
+    decisions.add([a[0] == b[0] for a in groups for b in groups])
+    d = p15_dictionary()
+    for change in (((0, 1),), ((2, f64(0.5)), (1, i64(-2))), ((4, -0.25), (0, f64(1e-3)))):
+        scenario = simgen.Scenario(dictionary=d, cfg=groups[0][0], tau=3, change=change,
+                                   horizon=10)
+        digest.add(scenario.change)
+    return digest.h.hexdigest(), decisions.h.hexdigest()
+
+
 def stage_lines():
     """Each stage's digest and decisions lines as it finishes, then the
     digest over all stages."""
@@ -342,7 +397,7 @@ def stage_lines():
         ("study-p15", study_p15), ("monitor-kron400", monitor_kron400),
         ("kron400-null", kron400_null), ("exact-routes", exact_routes),
         ("tie-path", tie_path), ("table1", table1), ("study", study), ("api", api),
-        ("bases", bases_stage),
+        ("bases", bases_stage), ("configs", configs_stage),
     ):
         hexdigest, decided = stage()
         overall.update(hexdigest.encode())
@@ -377,7 +432,7 @@ def compare(against: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Print output digests of nine stages.")
+    parser = argparse.ArgumentParser(description="Print output digests of ten stages.")
     parser.add_argument(
         "--against", metavar="DIR", help="also run the stages on the checkout DIR and compare"
     )

@@ -1053,8 +1053,10 @@ class TestStudy:
         [
             ((1.0, 4, 3), 40, "tau must lie"),
             ((math.nan, 4, 3), 5, r"change entry \(0, nan\) has a non-finite magnitude"),
+            ((True, 4, 3), 5, "change magnitude must be a number, got True"),
+            (("1.0", 4, 3), 5, "change magnitude must be a number, got '1.0'"),
         ],
-        ids=["tau-at-horizon", "nan-phi"],
+        ids=["tau-at-horizon", "nan-phi", "bool-phi", "string-phi"],
     )
     def test_bad_cell_raises_before_any_replication(
         self, small_dictionary, small_config, monkeypatch, bad_cell, tau, message
@@ -1149,6 +1151,42 @@ class TestBadRequestsBuildNothing:
         d, cfg = small_dictionary, small_config
         with pytest.raises(ValueError, match="threshold must not be NaN"):
             evaluate(cfg, d, math.nan, _null_scenario(d, cfg, 40), 4, 0, workers=workers)
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("h", [True, None, "inf"], ids=["bool", "none", "string"])
+    def test_threshold_that_is_not_a_number(self, small_dictionary, small_config, pools, h, workers):
+        """True monitored at h = 1, None raised a bare TypeError, and "inf"
+        reached numpy's comparison."""
+        d, cfg = small_dictionary, small_config
+        for call in (
+            partial(init, cfg, d, h, 0),
+            partial(replay_run_lengths, np.ones((2, 3)), h),
+            partial(evaluate, cfg, d, h, _null_scenario(d, cfg, 40), 4, 0, workers=workers),
+        ):
+            with pytest.raises(DataError, match=f"threshold must be a number, got {h!r}"):
+                call()
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("value", [True, "0.05"], ids=["bool", "string"])
+    @pytest.mark.parametrize("name", ["tol_rel", "target ARL"])
+    def test_tolerance_or_target_that_is_not_a_number(
+        self, small_dictionary, small_config, pools, name, value, workers
+    ):
+        """A True target calibrated to ARL 1 and a True tol_rel accepted any
+        candidate within 100%; a string raised a bare TypeError."""
+        d, cfg = small_dictionary, small_config
+        target, tol_rel = (10.0, value) if name == "tol_rel" else (value, 0.1)
+        calibration = dict(TestStudy.CALIBRATION, target_arl0=target, tol_rel=tol_rel)
+        for call in (
+            partial(search_threshold, np.random.default_rng(0).uniform(size=(5, 40)), target, tol_rel),
+            partial(calibrate_threshold, cfg, d, target, 4, 40, tol_rel, 0, workers=workers),
+            partial(study, cfg, d, **calibration, tau=5, horizon=40, cells=[(2.0, 4, 1)],
+                    workers=workers),
+        ):
+            with pytest.raises(DataError, match=f"{name} must be a number, got {value!r}"):
+                call()
         assert pools == []
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import pickle
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from oracles import blocked_sweep, reference_elbo, reference_sweep, stats_from_history
 from sparsewatch import (
     BasisDictionary,
+    DataError,
     DecayedStats,
     DimensionError,
     ModelConfig,
@@ -768,6 +770,33 @@ class TestFit:
             fit(x_z, z, prior, DecayedStats.empty(10), default_dictionary, default_config,
                 tol=tol)
 
+    @pytest.mark.parametrize("tol", [True, "1e-6"], ids=["bool", "string"])
+    def test_tol_that_is_not_a_number_named(self, default_dictionary, default_config, tol):
+        """True stopped the fit after one sweep as tol = 1; a string raised
+        a bare TypeError."""
+        x_z, z = np.zeros(5), [0, 1, 2, 3, 4]
+        prior = SpikeSlabPosterior.prior(default_config)
+        with pytest.raises(DataError, match=f"tol must be a number, got {tol!r}"):
+            fit(x_z, z, prior, DecayedStats.empty(10), default_dictionary, default_config,
+                tol=tol)
+
+    @pytest.mark.parametrize("field", ["sigma_e", "sigma_b"])
+    def test_scale_whose_square_underflows_refused_by_fit(
+        self, default_dictionary, default_config, field
+    ):
+        """Called without ``engine.init``, a fit at sigma_e = 1e-200 raised
+        "math domain error"; it now refuses what ``init`` refuses."""
+        cfg = dataclasses.replace(default_config, **{field: 1e-200})
+        x_z, z = np.zeros(5), [0, 1, 2, 3, 4]
+        with pytest.raises(DataError, match=f"{field} must have a nonzero square to monitor, got 1e-200"):
+            fit(x_z, z, SpikeSlabPosterior.prior(cfg), DecayedStats.empty(10), default_dictionary, cfg)
+
+    @pytest.mark.parametrize("k_a", [0, 2.5, True], ids=["zero", "fraction", "bool"])
+    def test_empty_stats_size_is_a_count(self, k_a):
+        """0 built 0x0 moments, 2.5 raised numpy's TypeError."""
+        with pytest.raises(DimensionError, match=f"k_a must be an integer of at least 1, got {k_a!r}"):
+            DecayedStats.empty(k_a)
+
     @pytest.mark.parametrize("max_iters", [0, -3, 1.5, 2.0, True, False, "3", None])
     def test_max_iters_must_be_an_integer_of_at_least_1(
         self, default_dictionary, default_config, max_iters
@@ -848,6 +877,49 @@ class TestTypes:
                 sigma_e=1.0, sigma_b=1.0, sigma_j=[3.0, 1e-200], w=[0.5, 0.5], v=0.5,
                 decay=0.1, m=1,
             )
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, "0.1", None, np.array(0.1), np.array([0.1, 0.1]), 10**400],
+        ids=["bool", "string", "none", "0-d-array", "2-element-array", "huge-int"],
+    )
+    @pytest.mark.parametrize("field", ["sigma_e", "sigma_b", "sigma_j", "w", "v", "decay"])
+    def test_real_field_that_is_not_a_number_named(self, field, value):
+        """A string was parsed or raised a bare TypeError, True counted as
+        1.0, and an array was stored as given or raised numpy's error."""
+        fields = dict(k_a=2, sigma_e=1.0, sigma_b=1.0, sigma_j=1.0, w=0.5, v=0.5, decay=0.1, m=1)
+        with pytest.raises(DataError, match=f"^{field} (must be a number|is too large for a float)"):
+            ModelConfig.homogeneous(**{**fields, field: value})
+
+    def test_slab_scale_whose_reciprocal_square_overflows_named(self):
+        """sigma_j = 1e-160 squares to a nonzero 1e-320, but 1/sigma_j^2 is
+        inf, and every statistic was then 0.0."""
+        with pytest.raises(DataError, match=re.escape("sigma_j must have a finite 1/sigma_j**2, got 1e-160")):
+            ModelConfig(
+                sigma_e=1.0, sigma_b=1.0, sigma_j=[3.0, 1e-160], w=[0.5, 0.5], v=0.5,
+                decay=0.1, m=1,
+            )
+
+    def test_numpy_scalar_and_list_spellings_equal_the_float_config(self):
+        """Fields spelled as numpy float64 or int64 scalars, or as lists,
+        build a config that equals and hashes as the all-float one, and
+        whose scalars are Python floats; a 0-d array decay was unequal."""
+        fields = dict(sigma_e=1.0, sigma_b=2.0, sigma_j=np.array([1.0, 3.0]),
+                      w=np.array([0.25, 0.5]), v=0.5, decay=0.05, m=2)
+        cfg = ModelConfig(**fields)
+        spellings = [
+            dict(sigma_e=np.float64(1.0), sigma_b=np.int64(2), v=np.float64(0.5),
+                 decay=np.float64(0.05), m=np.int64(2)),
+            dict(sigma_j=[1, 3.0], w=[0.25, np.float64(0.5)]),
+            dict(sigma_j=[np.int64(1), np.float64(3.0)], w=(0.25, 0.5)),
+            dict(sigma_j=np.array([1, 3])),
+        ]
+        for spelling in spellings:
+            twin = ModelConfig(**{**fields, **spelling})
+            assert twin == cfg and hash(twin) == hash(cfg), spelling
+            scalars = (twin.sigma_e, twin.sigma_b, twin.v, twin.decay, twin.sigma_e2, twin.sigma_b2)
+            assert {type(x) for x in scalars} == {float}
+            assert twin.sigma_j.dtype == twin.w.dtype == np.float64
 
     @pytest.mark.parametrize(
         "k_a, message",

@@ -407,6 +407,13 @@ class TestOracleScorer:
         with pytest.raises(DimensionError, match=r"sensing budget m must lie in \[1, 7\], got 8"):
             OracleScorer(d, 8)
 
+    def test_shared_scorer_checks_its_budget_before_its_cache(self, rng):
+        """m = True found the cached m = 1 scorer, whose key it equals."""
+        d, _, _ = self._problem(rng)
+        OracleScorer.shared(d, 1)
+        with pytest.raises(DimensionError, match="sensing budget m must be an integer of at least 1, got True"):
+            OracleScorer.shared(d, True)
+
     def test_shared_scorer_equals_fresh_scorer(self, rng):
         """The process-wide scorer for an equal dictionary picks what a
         freshly built one picks, and equal content shares one build."""

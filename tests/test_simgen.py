@@ -166,6 +166,18 @@ class TestGenStream:
                 horizon=20, random_change_basis=random_change_basis,
             )
 
+    @pytest.mark.parametrize("phi", [True, "1.0"], ids=["bool", "string"])
+    @pytest.mark.parametrize("random_change_basis", [False, True])
+    def test_magnitude_that_is_not_a_number_named(
+        self, default_dictionary, default_config, phi, random_change_basis
+    ):
+        """True changed the stream by 1.0, and "1.0" was parsed."""
+        with pytest.raises(DataError, match=f"change magnitude must be a number, got {phi!r}"):
+            _scenario(
+                default_dictionary, default_config, tau=5, change=((1, phi),),
+                horizon=20, random_change_basis=random_change_basis,
+            )
+
     def test_background_free_stream(self, default_config):
         d = BasisDictionary(b_b=np.zeros((15, 0)), b_a=np.eye(15))
         cfg = ModelConfig.homogeneous(
