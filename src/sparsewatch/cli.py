@@ -392,6 +392,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
+    """Step one engine through the stream file and write its detection log;
+    the scenario config's geometry table is built first, so the steps read
+    its rows where the budget admits one."""
     scenario, sampler, raw = load_scenario(args.scenario)
     h = _resolve_threshold(args.threshold)
     log_path = os.path.join(args.out, "detection_log.jsonl")
@@ -406,8 +409,7 @@ def _cmd_monitor(args) -> int:
     state = init(
         scenario.cfg, scenario.dictionary, h, args.seed, sampler=sampler
     )
-    cfg = scenario.cfg  # the steps read the table's rows, where the budget admits one
-    build_geometry_table(scenario.dictionary, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
+    build_geometry_table(scenario.dictionary, scenario.cfg)
     manifest = _manifest("monitor", args, raw, {"h": h})
     lines = [json.dumps({"manifest": manifest}, sort_keys=True)]
     alarmed = False

@@ -301,7 +301,7 @@ def lambda_stat(
     x = inp.x_z
     if inp.post.k_a != dictionary.k_a:
         raise DimensionError("posterior dimensions disagree with the dictionary")
-    geo = subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, inp.z)
+    geo = subset_geometry(dictionary, cfg, inp.z)
     post = inp.post
 
     # ndarray.dot runs the BLAS product @ runs, with less overhead per call.

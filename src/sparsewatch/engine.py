@@ -322,12 +322,12 @@ def _run_one(scenario: Scenario, h: float, seed: int, rep: int, sampler: str):
 def _build_shared(scenario: Scenario, sampler: str) -> None:
     """Build in this process what every replication of the scenario reads:
     the sampler's scorer (``_scorer``, which refuses an unknown sampler
-    before anything is built), the geometry table of its combination and
-    the sweep kernel for its k_a.  Each is kept per process and keyed on
-    content, so a replication finds it built."""
+    before anything is built), the geometry table of its dictionary and
+    config and the sweep kernel for its k_a.  Each is kept per process and
+    keyed on content, so a replication finds it built."""
     cfg, dictionary = scenario.cfg, scenario.dictionary
     _scorer(sampler, dictionary, cfg.m)
-    build_geometry_table(dictionary, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
+    build_geometry_table(dictionary, cfg)
     inference._kernel(cfg.k_a)
 
 
@@ -360,7 +360,7 @@ def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
     rows = np.arange(n)[:, None]
     for t in range(horizon):
         x_z, b_a_z = streams[t][rows, z], d.b_a[z]
-        geo = _stacked_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)
+        geo = _stacked_geometry(d, cfg, z)
         converged, sweeps[:, t] = zip(*fits.fit(x_z, b_a_z, geo))
         nonconverged += np.logical_not(converged)
         stats[:, t] = _stacked_lambda_stat(x_z, b_a_z, geo, fits.mu_tilde, fits.spread)
@@ -500,12 +500,15 @@ def search_threshold(
 
     Binary-searches the sorted unique statistic values (the only points
     where the replayed ARL can change) and returns (h, achieved ARL).
-    Raises what ``_target`` raises, CalibrationError when no candidate
-    lands within ``tol_rel`` relative error of the target, and, through its
-    first replay, DataError naming the first NaN statistic in rep order.
+    Raises what ``_target`` raises, CalibrationError for a set of no null
+    runs or when no candidate lands within ``tol_rel`` relative error of
+    the target, and, through its first replay, DataError naming the first
+    NaN statistic in rep order.
     """
     trajectories = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
     _target(target_arl0, tol_rel, trajectories.shape[1])
+    if not trajectories.shape[0]:
+        raise CalibrationError("no null runs to calibrate from: trajectories holds no rows")
 
     values = np.unique(trajectories)
     # The replayed ARL is non-decreasing in h; find the first candidate

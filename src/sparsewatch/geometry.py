@@ -2,19 +2,24 @@
 
 A step's absorb and monitoring statistic read the same m observed rows from
 the dictionary and whiten them by what depends on (dictionary, sigma_e^2,
-sigma_b^2, z) alone.  A process keeps those geometries in a cache keyed on
-content: the dictionary's digest (``BasisDictionary.content_key``), the two
-variances and the subset's indices in the caller's order, never object
-identity, so pool workers that unpickle a fresh dictionary per task still
-share them.  The cache keeps the latest geometry, which the layers of one
-step share, and the table of one (dictionary, variances, m) combination:
-each field of all C(p, m) ascending subsets stacked along a leading rank
-axis, read-only, and an index from a subset's index bytes to its rank.
-Only ``build_geometry_table`` builds a table, and only when it fits
-``CACHE_BUDGET_BYTES``, as estimated from the shapes alone; ``engine``
-calls it for each replicated run, the CLI monitor before its loop.  A lookup
+sigma_b^2, z) alone.  Every entry point takes the ``ModelConfig`` and reads
+its two squared scales, floats the config has checked, by attribute
+(``inference`` imports this module, so this one cannot import the class).
+A process keeps the geometries in a cache keyed on content, never on
+object identity: ``_key``, the one place the key is built, takes the
+dictionary's digest (``BasisDictionary.content_key``), the two variances
+and the subset size m, and a geometry adds its subset's indices in the
+caller's order.  So pool workers that unpickle a fresh dictionary and
+config per task still share them.  The cache keeps the latest geometry,
+which the layers of one step share, and the table of one key: each field
+of all C(p, m) ascending subsets stacked along a leading rank axis,
+read-only, and an index from a subset's index bytes to its rank.
+Only ``build_geometry_table`` builds a table, at the config's m, and only
+when it fits ``CACHE_BUDGET_BYTES``, as estimated from the shapes alone;
+``engine`` calls it for each replicated run, the CLI monitor before its
+loop, and a library caller that steps one stream may call it too.  A lookup
 returns the latest geometry, a row of the held table, or its subset built
-alone, as is every subset of a combination the budget refuses (such as
+alone, as is every subset of a key whose table the budget refuses (such as
 p = 400 with m = 20); ``_stacked_geometry`` gathers a batch's rows, or
 builds the batch in one stacked pass.  A stacked build runs, block by
 block, a single build's SVD, products and sums, so its rows, and a
@@ -142,7 +147,7 @@ def checked_subset(z, p: int) -> np.ndarray:
     return z
 
 
-def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> SubsetGeometry:
+def _build(dictionary: BasisDictionary, cfg, z) -> SubsetGeometry:
     """Factor the background rows of the subset ``z`` (m,) by one thin SVD,
     or of every subset of a stack ``z`` (n, m), whose fields then gain the
     leading axis n and whose ``logdet_w`` is an array; the arrays are
@@ -157,7 +162,7 @@ def _build(dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z) -> 
     b_a_z = dictionary.b_a.take(z, 0)
     b_b_z = dictionary.b_b.take(z, 0)
     u_mat, svals, _ = np.linalg.svd(b_b_z, full_matrices=False)
-    kappa = sigma_e2 / sigma_b2
+    kappa = cfg.sigma_e2 / cfg.sigma_b2
     sq = svals * svals
     s2_kappa = sq + kappa
     c = sq / s2_kappa
@@ -195,12 +200,18 @@ def _entry_bytes(m: int, k_a: int, k_b: int) -> int:
     return 8 * floats + (33 + 8 * m) + 28 + 48
 
 
+def _key(dictionary: BasisDictionary, cfg, m: int) -> tuple:
+    """What a geometry of an m-subset, or a table of all of them, depends
+    on: the dictionary's content and the config's two squared scales."""
+    return (dictionary.content_key, cfg.sigma_e2, cfg.sigma_b2, m)
+
+
 class _Table(NamedTuple):
-    """The geometries of the ascending subsets of one combination ``key``.
+    """The geometries of all ascending subsets under one ``_key``, ``key``.
 
     ``fields`` holds every field stacked along a leading rank axis, read-only,
-    and ``rank`` maps a subset's index bytes to its row.  A combination the
-    budget does not admit has an empty ``rank`` and no ``fields``.
+    and ``rank`` maps a subset's index bytes to its row.  A key the budget
+    does not admit has an empty ``rank`` and no ``fields``.
     """
 
     key: tuple
@@ -212,8 +223,8 @@ class _Table(NamedTuple):
         return SubsetGeometry(f.m_c[i], f.logdet_w.item(i), f.basis[i], f.c[i], f.col_sq[i])
 
 
-def _table(key: tuple, dictionary, sigma_e2: float, sigma_b2: float, m: int, budget: int) -> _Table:
-    """Build the whole table of a combination if it fits ``budget``.
+def _table(key: tuple, dictionary, cfg, m: int, budget: int) -> _Table:
+    """Build the whole table of a key if it fits ``budget``.
 
     The C(p, m) subsets go in lexicographic order, ``_CHUNK`` per stacked
     ``_build``, each pass copied into the preallocated stacks.
@@ -228,7 +239,7 @@ def _table(key: tuple, dictionary, sigma_e2: float, sigma_b2: float, m: int, bud
     for start in range(0, n, _CHUNK):
         rows = list(itertools.islice(subsets, _CHUNK))
         z = np.array(rows, dtype=np.intp).reshape(len(rows), m)
-        part = _build(dictionary, sigma_e2, sigma_b2, z)
+        part = _build(dictionary, cfg, z)
         if fields is None:
             fields = SubsetGeometry._make(np.empty((n,) + f.shape[1:]) for f in part)
         for whole, chunk in zip(fields, part):
@@ -242,7 +253,7 @@ def _table(key: tuple, dictionary, sigma_e2: float, sigma_b2: float, m: int, bud
 class _GeometryCache:
     """Per-process store behind ``subset_geometry``.
 
-    ``table`` is the latest combination's ``_Table``, built whole, under
+    ``table`` is the latest key's ``_Table``, built whole, under
     ``lock``, by ``build`` when ``build_geometry_table`` asks for it;
     ``last`` is the latest geometry a lookup returned.
     """
@@ -257,16 +268,16 @@ class _GeometryCache:
             self.table: _Table | None = None
             self.last = None
 
-    def build(self, dictionary, sigma_e2: float, sigma_b2: float, m: int) -> _Table:
-        """The combination's table, built now unless it is the one held."""
-        key = (dictionary.content_key, sigma_e2, sigma_b2, m)
+    def build(self, dictionary, cfg, m: int) -> _Table:
+        """The key's table, built now unless it is the one held."""
+        key = _key(dictionary, cfg, m)
         with self.lock:
             if self.table is None or self.table.key != key:
-                self.table = _table(key, dictionary, sigma_e2, sigma_b2, m, self.budget)
+                self.table = _table(key, dictionary, cfg, m, self.budget)
             return self.table
 
-    def lookup(self, dictionary, sigma_e2: float, sigma_b2: float, z: np.ndarray):
-        key = (dictionary.content_key, sigma_e2, sigma_b2, z.size)
+    def lookup(self, dictionary, cfg, z: np.ndarray):
+        key = _key(dictionary, cfg, z.size)
         z_key = z.tobytes()
         last = self.last
         if last is not None and last[0] == key and last[1] == z_key:
@@ -275,7 +286,7 @@ class _GeometryCache:
         i = None if table is None or table.key != key else table.rank.get(z_key)
         if i is None:
             checked_subset(z, dictionary.p)
-            geometry = _build(dictionary, sigma_e2, sigma_b2, z)
+            geometry = _build(dictionary, cfg, z)
         else:
             geometry = table.row(i)
         self.last = (key, z_key, geometry)
@@ -285,10 +296,9 @@ class _GeometryCache:
 _CACHE = _GeometryCache(CACHE_BUDGET_BYTES)
 
 
-def subset_geometry(
-    dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z
-) -> SubsetGeometry:
-    """Geometry of the observed rows ``z``, in the given order.
+def subset_geometry(dictionary: BasisDictionary, cfg, z) -> SubsetGeometry:
+    """Geometry of the observed rows ``z``, in the given order, at the
+    ``ModelConfig`` ``cfg``'s scales; its m is ``z``'s size, not ``cfg.m``.
 
     Raises IndexError for an index out of range, DimensionError for a
     repeated or non-integer index.  Only a subset found in no table is
@@ -296,38 +306,34 @@ def subset_geometry(
     subsets alone.
     """
     z = subset_indices(z)
-    return _CACHE.lookup(dictionary, float(sigma_e2), float(sigma_b2), z)
+    return _CACHE.lookup(dictionary, cfg, z)
 
 
-def _stacked_geometry(
-    dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, z: np.ndarray
-) -> SubsetGeometry:
+def _stacked_geometry(dictionary: BasisDictionary, cfg, z: np.ndarray) -> SubsetGeometry:
     """Geometries of the ascending subsets ``z`` (n, m), fields stacked on
     a leading axis: their rows of the held table, or one stacked build,
-    whose rows are checked with ``subset_geometry``'s errors.  The squared
-    scales are a config's, which are floats."""
+    whose rows are checked with ``subset_geometry``'s errors."""
     table = _CACHE.table
-    if table is not None and table.key == (dictionary.content_key, sigma_e2, sigma_b2, z.shape[1]):
+    if table is not None and table.key == _key(dictionary, cfg, z.shape[1]):
         ranks = [table.rank.get(row.tobytes()) for row in z]
         if None not in ranks:
             return SubsetGeometry._make(field[ranks] for field in table.fields)
     for row in z:
         checked_subset(row, dictionary.p)
-    return _build(dictionary, sigma_e2, sigma_b2, z)
+    return _build(dictionary, cfg, z)
 
 
-def build_geometry_table(
-    dictionary: BasisDictionary, sigma_e2: float, sigma_b2: float, m: int
-) -> _Table:
-    """Build the table of every m-subset's geometry, unless it is the one
-    held, and return it: its ``fields`` stacked along a leading rank axis,
-    read-only, and its ``rank`` from a subset's index bytes to its row.  A
-    combination the budget refuses builds nothing and returns a table
-    without fields; its subsets are then built alone.  An ``m`` outside
-    [1, p] raises DimensionError.
+def build_geometry_table(dictionary: BasisDictionary, cfg) -> _Table:
+    """Build the table of the geometry of every ``cfg.m``-subset at the
+    ``ModelConfig`` ``cfg``'s scales, unless it is the one held, and return
+    it: its ``fields`` stacked along a leading rank axis, read-only, and its
+    ``rank`` from a subset's index bytes to its row.  A table the budget
+    refuses builds nothing and returns a table without fields; its
+    subsets are then built alone.  A ``cfg.m`` above p raises
+    DimensionError.
     """
-    m = int(_count("sensing budget m", m, 1, dictionary.p))
-    return _CACHE.build(dictionary, float(sigma_e2), float(sigma_b2), m)
+    m = _count("sensing budget m", cfg.m, 1, dictionary.p)
+    return _CACHE.build(dictionary, cfg, m)
 
 
 def clear_geometry_cache() -> None:

@@ -414,7 +414,7 @@ def absorb_sample(
     Returns a new DecayedStats; the input is not modified.
     """
     z, x_z = _observation(z, x_z, cfg)
-    geo = subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, z)
+    geo = subset_geometry(dictionary, cfg, z)
     if stats.k_a != dictionary.k_a:
         raise DimensionError("stats and dictionary disagree on basis sizes")
 

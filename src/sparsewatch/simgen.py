@@ -41,7 +41,7 @@ class Scenario:
     change : tuple of (index, magnitude)
         Anomaly coefficient entries, each index in [0, k_a) and each
         magnitude a finite number (``errors._number``: not a bool or a
-        string); empty with tau=None.
+        string); must be empty with tau=None, or ValueError is raised.
     horizon : int
         Number of steps to generate, at least 1.  ``tau``, ``horizon``, the
         change indices and the config's budget m (at most p) are checked by
@@ -74,6 +74,8 @@ class Scenario:
             _count("tau", self.tau, 0, horizon - 1)
             if not change and not self.random_change_basis:
                 raise ValueError("a change point needs change entries")
+        elif change:
+            raise ValueError("change entries need a change point: tau is None, so change must be empty")
         if self.random_change_basis and not change:
             raise ValueError("random_change_basis needs a magnitude entry")
         if self.cfg.k_a != k_a:

@@ -54,7 +54,7 @@ def case(request, default_dictionary, kron_dictionary):
         k_a=d.k_a, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7, decay=0.1, m=m
     )
     geometry.clear_geometry_cache()
-    table = geometry.build_geometry_table(d, cfg.sigma_e2, cfg.sigma_b2, m)
+    table = geometry.build_geometry_table(d, cfg)
     assert (table.fields is None) == (name == "p400")
     yield d, cfg
     geometry.clear_geometry_cache()
@@ -104,7 +104,7 @@ def test_fit_stack_rows_equal_scalar_fits(case):
     history = _scalar_fits(d, cfg, [prior] * n, steps)
     stack = _FitStack([prior] * n, cfg)
     for (z, x), results in zip(steps, history):
-        geo = geometry._stacked_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)
+        geo = geometry._stacked_geometry(d, cfg, z)
         done = stack.fit(x, d.b_a[z], geo)
         for i, res in enumerate(results):
             assert done[i] == (res.converged, res.n_iters)
@@ -121,7 +121,7 @@ def test_stacked_statistic_equals_lambda_stat(case):
     posts = _fitted_posteriors(d, cfg, n, seed=4)
     stack = _FitStack(posts, cfg)
     ((z, x),) = _steps(d, cfg, n, 1, seed=5)
-    geo = geometry._stacked_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)
+    geo = geometry._stacked_geometry(d, cfg, z)
     stats = _stacked_lambda_stat(x, d.b_a[z], geo, stack.mu_tilde, stack.spread)
     expected = [lambda_stat(DetectionInputs(x[i], z[i], posts[i]), d, cfg) for i in range(n)]
     assert stats.shape == (n,)

@@ -348,6 +348,15 @@ class TestLoadScenario:
         ):
             load_scenario(path)
 
+    def test_change_without_a_change_point_is_an_invalid_scenario(self, tmp_path, capsys):
+        """A null tau with a change list once monitored a null stream."""
+        path = _write_scenario(tmp_path, tau=None, change=[[1, 5.0]])
+        out = tmp_path / "out"
+        assert main(["calibrate", "--scenario", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario") and "tau is None" in err
+        assert not out.exists()
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -675,7 +684,7 @@ class TestMonitor:
         stream_path = self._stream(tmp_path, scenario_file, tau=None, horizon=30)
         built, build = [], geometry._build
         monkeypatch.setattr(
-            geometry, "_build", lambda *args: built.append(np.ndim(args[3])) or build(*args)
+            geometry, "_build", lambda *args: built.append(np.ndim(args[2])) or build(*args)
         )
         geometry.clear_geometry_cache()
         try:
@@ -692,7 +701,7 @@ class TestMonitor:
         scenario, _, _ = load_scenario(scenario_file)
         cfg = scenario.cfg
         assert code == 0
-        assert table.key == (scenario.dictionary.content_key, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
+        assert table.key == geometry._key(scenario.dictionary, cfg, cfg.m)
         assert built and set(built) == {2}
 
     def test_column_mismatch_rejected(self, tmp_path, scenario_file, capsys):

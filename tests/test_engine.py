@@ -435,7 +435,7 @@ class TestStep:
             geometry.clear_geometry_cache()
             cleared = run()
             geometry.clear_geometry_cache()
-            geometry.build_geometry_table(d, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
+            geometry.build_geometry_table(d, cfg)
             assert len(geometry._CACHE.table.rank) == math.comb(d.p, cfg.m)
             prebuilt = run()
             geometry._CACHE.clear()
@@ -634,6 +634,11 @@ class TestSearchThreshold:
         with pytest.raises(DataError, match=r"NaN in replication 0 at step 6$"):
             search_threshold(traj, target_arl0=200.0, tol_rel=0.1)
 
+    def test_no_null_runs_refused(self):
+        """An empty trajectory set raised a bare IndexError."""
+        with pytest.raises(CalibrationError, match="no null runs"):
+            search_threshold(np.zeros((0, 401)), target_arl0=200.0, tol_rel=0.05)
+
     def test_replay_refuses_nan_threshold(self, rng):
         """As ``init`` does: no statistic exceeds a NaN threshold, so every
         run would replay as censored."""
@@ -820,7 +825,7 @@ class TestCalibrateAndEvaluate:
         )
         inline = collect_h0_trajectories(cfg, d, n_reps=3, horizon=20, seed=5, sampler=sampler)
         [(table, scorer, kernels)] = seen
-        assert table.key == (d.content_key, cfg.sigma_e2, cfg.sigma_b2, cfg.m)
+        assert table.key == geometry._key(d, cfg, cfg.m)
         assert len(table.rank) == math.comb(d.p, cfg.m) and table.fields is not None
         if sampler == "oracle":
             assert scorer[0] == (d.content_key, cfg.m)
@@ -897,7 +902,7 @@ class TestCalibrateAndEvaluate:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FreshPool)
         built, build = [], geometry._build
         monkeypatch.setattr(
-            geometry, "_build", lambda *args: built.append(np.shape(args[3])) or build(*args)
+            geometry, "_build", lambda *args: built.append(np.shape(args[2])) or build(*args)
         )
         pooled = evaluate(
             cfg, d, 2.0, scenario, n_reps=3, seed=33, workers=2, return_records=True
@@ -1339,7 +1344,7 @@ class TestLockstep:
             _inline_pool(monkeypatch, lambda: None)
         geometry.clear_geometry_cache()
         if table == "prebuilt":
-            geometry.build_geometry_table(d, cfg.sigma_e2, cfg.sigma_b2, m)
+            geometry.build_geometry_table(d, cfg)
         elif table == "refused":
             monkeypatch.setattr(geometry._CACHE, "budget", 0)
         try:

@@ -43,9 +43,9 @@ SIGMA_E, SIGMA_B = 0.3, 0.8
 P400_DIGEST = "2cdc98a6e6c7d6d260301fa4114862e9132c74c204394ae1ec9e3b1561799979"
 
 
-def _cfg(k_a, m):
+def _cfg(k_a, m, sigma_e=SIGMA_E, sigma_b=SIGMA_B):
     return ModelConfig.homogeneous(
-        k_a=k_a, sigma_e=SIGMA_E, sigma_b=SIGMA_B, sigma_j=1.5, w=0.2,
+        k_a=k_a, sigma_e=sigma_e, sigma_b=sigma_b, sigma_j=1.5, w=0.2,
         v=1e-4, decay=0.05, m=m,
     )
 
@@ -76,7 +76,7 @@ def count_builds(monkeypatch):
     build = geometry._build
 
     def counted(*args):
-        calls.extend(np.array(args[3], ndmin=2))
+        calls.extend(np.array(args[2], ndmin=2))
         return build(*args)
 
     monkeypatch.setattr(geometry, "_build", counted)
@@ -100,13 +100,13 @@ def _as_bytes(geo):
     ]
 
 
-def _uncached(d, z):
+def _uncached(d, cfg, z):
     """The geometry of ``z`` built alone, with the table budget at zero."""
     budget = geometry._CACHE.budget
     geometry._CACHE.clear()
     geometry._CACHE.budget = 0
     try:
-        return subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+        return subset_geometry(d, cfg, z)
     finally:
         geometry._CACHE.budget = budget
         clear_geometry_cache()
@@ -127,7 +127,7 @@ class TestDenseRoute:
         d, z, x, rng = _problem(seed, k_b, m, rows)
         cfg = _cfg(d.k_a, m)
         ref = whitened_subset_terms(d.b_a[z], d.b_b[z], x, SIGMA_E, SIGMA_B)
-        geo = subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)
+        geo = subset_geometry(d, cfg, z)
         stats = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
 
         np.testing.assert_allclose(geo.m_c, ref["M"], rtol=1e-9, atol=1e-9)
@@ -149,8 +149,8 @@ class TestDenseRoute:
         equal the dense k_b×k_b ridge solve."""
         for seed in range(5):
             d, z, x, _ = _problem(seed, k_b, m, rows)
-            geo = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
             cfg = _cfg(d.k_a, m)
+            geo = subset_geometry(d, cfg, z)
             bg = update_background(x, z, SpikeSlabPosterior.prior(cfg), d, cfg)
             stats = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
             b_rows = d.b_b[z]
@@ -173,7 +173,7 @@ class TestDenseRoute:
         which numpy computes as symmetric rank-k updates."""
         for seed in range(5):
             d, z, _, _ = _problem(seed, k_b, m, rows, k_a=k_a)
-            m_c = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z).m_c
+            m_c = subset_geometry(d, _cfg(k_a, m), z).m_c
             assert m_c.tobytes() == np.ascontiguousarray(m_c.T).tobytes()
 
     @given(
@@ -213,13 +213,14 @@ class TestCache:
         the same layout, for a table row (the ascending subset) and a single
         build (its other order) alike."""
         d, z, x, _ = _problem(seed, k_b, m, rows)
+        cfg = _cfg(d.k_a, m)
         for subset in (np.sort(z), z):
             clear_geometry_cache()
-            miss = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, subset)
-            build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, m)
-            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, (subset + 1) % d.p)
-            hit = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, subset)
-            uncached = _uncached(d, subset)
+            miss = subset_geometry(d, cfg, subset)
+            build_geometry_table(d, cfg)
+            subset_geometry(d, cfg, (subset + 1) % d.p)
+            hit = subset_geometry(d, cfg, subset)
+            uncached = _uncached(d, cfg, subset)
             assert _as_bytes(hit) == _as_bytes(miss) == _as_bytes(uncached)
 
     @pytest.mark.parametrize("rows", ["random", "rank1", "zero"])
@@ -230,14 +231,15 @@ class TestCache:
         rows, equals the single build of its subset in bytes, shape, strides,
         dtype and read-only flag, with ``logdet_w`` a Python float."""
         d, _, _, _ = _problem(7, k_b, m, rows)
-        table = geometry._table(("key",), d, SIGMA_E**2, SIGMA_B**2, m, geometry.CACHE_BUDGET_BYTES)
+        cfg = _cfg(d.k_a, m)
+        table = geometry._table(("key",), d, cfg, m, geometry.CACHE_BUDGET_BYTES)
         subsets = [np.array(z, dtype=np.intp) for z in itertools.combinations(range(d.p), m)]
         assert len(table.rank) == len(subsets) == math.comb(d.p, m)
         for i, z in enumerate(subsets):
             assert table.rank[z.tobytes()] == i
             row = table.row(i)
             assert type(row.logdet_w) is float
-            assert _as_bytes(row) == _as_bytes(geometry._build(d, SIGMA_E**2, SIGMA_B**2, z))
+            assert _as_bytes(row) == _as_bytes(geometry._build(d, cfg, z))
 
     def test_p400_single_builds_keep_their_bytes(self, kron_dictionary):
         """500 single builds at p = 400, m = 20, every second one ascending,
@@ -245,11 +247,12 @@ class TestCache:
         its code."""
         rng = np.random.default_rng(400)
         digest = hashlib.sha256()
+        cfg = _cfg(kron_dictionary.k_a, 20, sigma_e=0.05, sigma_b=0.3)
         clear_geometry_cache()
         try:
             for i in range(500):
                 z = rng.choice(400, size=20, replace=False)
-                geo = subset_geometry(kron_dictionary, 0.05**2, 0.3**2, np.sort(z) if i % 2 else z)
+                geo = subset_geometry(kron_dictionary, cfg, np.sort(z) if i % 2 else z)
                 digest.update(repr(_as_bytes(geo)).encode())
             assert geometry._CACHE.table is None
         finally:
@@ -263,10 +266,11 @@ class TestCache:
         d = kron_dictionary
         rng = np.random.default_rng(401)
         z = np.sort([rng.choice(400, size=20, replace=False) for _ in range(8)], axis=1)
+        cfg = _cfg(d.k_a, 20, sigma_e=0.05, sigma_b=0.3)
         clear_geometry_cache()
         try:
-            assert build_geometry_table(d, 0.05**2, 0.3**2, 20).fields is None
-            stacked = geometry._stacked_geometry(d, 0.05**2, 0.3**2, z)
+            assert build_geometry_table(d, cfg).fields is None
+            stacked = geometry._stacked_geometry(d, cfg, z)
         finally:
             clear_geometry_cache()
         assert d.k_b == 4 and stacked.m_c.shape == (8, 36, 36)
@@ -275,7 +279,7 @@ class TestCache:
                 stacked.m_c[i], stacked.logdet_w.item(i), stacked.basis[i], stacked.c[i],
                 stacked.col_sq[i],
             )
-            assert _as_bytes(got) == _as_bytes(geometry._build(d, 0.05**2, 0.3**2, row))
+            assert _as_bytes(got) == _as_bytes(geometry._build(d, cfg, row))
 
     @pytest.mark.parametrize("case", ["p400-untabled", "p15-tabled"])
     @pytest.mark.parametrize("bad, error", [(-1, IndexError), ("p", IndexError), ("repeat", DimensionError)])
@@ -289,6 +293,7 @@ class TestCache:
             d, m = kron_dictionary, 20
         else:
             d, m = BasisDictionary(b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14)), 5
+        cfg = _cfg(d.k_a, m, sigma_e=0.05, sigma_b=0.3)
         rng = np.random.default_rng(402)
         z = np.sort([rng.choice(d.p, size=m, replace=False) for _ in range(4)], axis=1)
         if bad == "repeat":
@@ -299,11 +304,11 @@ class TestCache:
             z[2, -1] = d.p
         clear_geometry_cache()
         try:
-            build_geometry_table(d, 0.05**2, 0.3**2, m)
+            build_geometry_table(d, cfg)
             with pytest.raises(error) as single:
-                subset_geometry(d, 0.05**2, 0.3**2, z[2])
+                subset_geometry(d, cfg, z[2])
             with pytest.raises(error) as stacked:
-                geometry._stacked_geometry(d, 0.05**2, 0.3**2, z)
+                geometry._stacked_geometry(d, cfg, z)
             assert (geometry._CACHE.table.fields is None) == (case == "p400-untabled")
         finally:
             clear_geometry_cache()
@@ -315,7 +320,7 @@ class TestCache:
         the latest geometry."""
         d, z, x, _ = _problem(3, 3, 5, "random")
         cfg = _cfg(d.k_a, 5)
-        build_geometry_table(d, cfg.sigma_e2, cfg.sigma_b2, 5)
+        build_geometry_table(d, cfg)
         first = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
         absorb_sample(DecayedStats.empty(d.k_a), x, np.sort(z), d, cfg)
         again = absorb_sample(DecayedStats.empty(d.k_a), x, z, d, cfg)
@@ -327,9 +332,9 @@ class TestCache:
         assert first.raw_norm == again.raw_norm
         table = geometry._CACHE.table
         assert len(table.rank) == math.comb(d.p, 5)
-        row = subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, np.sort(z))
+        row = subset_geometry(d, cfg, np.sort(z))
         assert row.m_c.base is table.fields.m_c
-        for geo in (row, subset_geometry(d, cfg.sigma_e2, cfg.sigma_b2, z)):
+        for geo in (row, subset_geometry(d, cfg, z)):
             arrays = [f for f in geo if isinstance(f, np.ndarray)]
             assert len(arrays) == len(geo) - 1
             for arr in arrays:
@@ -343,20 +348,21 @@ class TestCache:
         while another combination's table is held; a repeat reads the
         latest geometry, and the next distinct subset builds only itself."""
         d, z, _, _ = _problem(8, 2, 5, "random")
+        cfg = _cfg(d.k_a, 5)
         z = np.sort(z)
         space = math.comb(d.p, 5)
-        first = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+        first = subset_geometry(d, cfg, z)
         assert [b.tobytes() for b in count_builds] == [z.tobytes()]
         assert geometry._CACHE.table is None
-        assert subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z) is first
+        assert subset_geometry(d, cfg, z) is first
         assert len(count_builds) == 1
-        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(5))
+        subset_geometry(d, cfg, np.arange(5))
         assert len(count_builds) == 2 and geometry._CACHE.table is None
-        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
+        build_geometry_table(d, cfg)
         assert len(count_builds) == 2 + space
         fresh = BasisDictionary(b_b=d.b_b, b_a=2.0 * d.b_a)
-        subset_geometry(fresh, SIGMA_E**2, SIGMA_B**2, z)
-        subset_geometry(fresh, SIGMA_E**2, SIGMA_B**2, np.arange(5))
+        subset_geometry(fresh, cfg, z)
+        subset_geometry(fresh, cfg, np.arange(5))
         assert len(count_builds) == 4 + space
         assert geometry._CACHE.table.key[0] == d.content_key
 
@@ -364,10 +370,11 @@ class TestCache:
         """Every subset of a combination looked up, twice over in turn,
         builds each lookup's subset alone and holds no table."""
         d, _, _, _ = _problem(9, 2, 3, "random")
+        cfg = _cfg(d.k_a, 3)
         subsets = [np.array(z) for z in itertools.combinations(range(d.p), 3)]
         for _ in range(2):
             for z in subsets:
-                subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+                subset_geometry(d, cfg, z)
         assert geometry._CACHE.table is None
         assert len(count_builds) == 2 * len(subsets)
 
@@ -375,6 +382,7 @@ class TestCache:
         """A dictionary equal in content reads the table another built; one
         nudged in a single bit, or other variances, builds its own."""
         d, z, _, _ = _problem(5, 2, 4, "random")
+        cfg, wide = _cfg(d.k_a, 4), _cfg(d.k_a, 4, sigma_b=2.0 * SIGMA_B)
         z = np.sort(z)
         z2 = np.array([i for i in range(d.p) if i not in z][:4])
         space = math.comb(d.p, 4)
@@ -384,22 +392,67 @@ class TestCache:
         other = BasisDictionary(b_b=d.b_b, b_a=nudged_b_a)
         assert twin.content_key == d.content_key != other.content_key
 
-        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 4)
-        base = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
-        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z2)
+        build_geometry_table(d, cfg)
+        base = subset_geometry(d, cfg, z)
+        subset_geometry(d, cfg, z2)
         assert len(count_builds) == space
-        build_geometry_table(twin, SIGMA_E**2, SIGMA_B**2, 4)
-        assert subset_geometry(twin, SIGMA_E**2, SIGMA_B**2, z).m_c.tobytes() == base.m_c.tobytes()
+        build_geometry_table(twin, cfg)
+        assert subset_geometry(twin, cfg, z).m_c.tobytes() == base.m_c.tobytes()
         assert len(count_builds) == space
-        build_geometry_table(other, SIGMA_E**2, SIGMA_B**2, 4)
-        changed = subset_geometry(other, SIGMA_E**2, SIGMA_B**2, z)
-        subset_geometry(other, SIGMA_E**2, SIGMA_B**2, z2)
+        build_geometry_table(other, cfg)
+        changed = subset_geometry(other, cfg, z)
+        subset_geometry(other, cfg, z2)
         assert len(count_builds) == 2 * space
         assert changed.m_c.tobytes() != base.m_c.tobytes()
-        build_geometry_table(d, SIGMA_E**2, 2.0 * SIGMA_B**2, 4)
-        subset_geometry(d, SIGMA_E**2, 2.0 * SIGMA_B**2, z)
-        subset_geometry(d, SIGMA_E**2, 2.0 * SIGMA_B**2, z2)
+        build_geometry_table(d, wide)
+        subset_geometry(d, wide, z)
+        subset_geometry(d, wide, z2)
         assert len(count_builds) == 3 * space
+
+    def test_equal_configs_share_one_key(self, count_builds):
+        """Two equal configs built apart, one from numpy float64 and int64
+        scalars, read one table and one latest geometry: each returns the
+        other's bytes, for a table row and a subset in another order."""
+        d, z, _, _ = _problem(12, 2, 4, "random")
+        cfg = _cfg(d.k_a, 4)
+        twin = _cfg(d.k_a, np.int64(4), sigma_e=np.float64(SIGMA_E), sigma_b=np.float64(SIGMA_B))
+        assert twin == cfg and twin is not cfg
+        table = build_geometry_table(d, cfg)
+        assert build_geometry_table(d, twin) is table
+        for subset in (np.sort(z), z):
+            first = subset_geometry(d, cfg, subset)
+            assert _as_bytes(subset_geometry(d, twin, subset)) == _as_bytes(first)
+        assert subset_geometry(d, twin, np.sort(z)).m_c.base is table.fields.m_c
+        ascending, others = _split(count_builds)
+        assert len(ascending) == math.comb(d.p, 4) and others == 1
+
+    def test_configs_apart_in_one_key_field_key_apart(self, count_builds):
+        """Configs equal but for sigma_b, or but for m, key different tables;
+        the one apart in sigma_b builds a different geometry of one subset,
+        and the one apart in m reads its own table's rows."""
+        d, z, _, _ = _problem(13, 2, 4, "random")
+        z = np.sort(z)
+        cfg, wide, three = _cfg(d.k_a, 4), _cfg(d.k_a, 4, sigma_b=2.0 * SIGMA_B), _cfg(d.k_a, 3)
+        tables = [build_geometry_table(d, c) for c in (cfg, wide, three)]
+        assert len({t.key for t in tables}) == 3
+        assert len(count_builds) == 2 * math.comb(d.p, 4) + math.comb(d.p, 3)
+        base = subset_geometry(d, cfg, z)
+        assert subset_geometry(d, wide, z).m_c.tobytes() != base.m_c.tobytes()
+        assert subset_geometry(d, three, z[:3]).m_c.base is tables[2].fields.m_c
+        assert len(count_builds) == 2 * math.comb(d.p, 4) + math.comb(d.p, 3) + 2
+
+    def test_lookup_keys_on_the_subset_size_not_the_budget(self, count_builds):
+        """A subset whose size differs from cfg.m is built at its own size:
+        with the config's m = 4 table held, a 3-subset is built alone and
+        equals its build under an m = 3 config byte for byte."""
+        d, z, _, _ = _problem(14, 2, 4, "random")
+        cfg = _cfg(d.k_a, 4)
+        build_geometry_table(d, cfg)
+        del count_builds[:]
+        small = np.sort(z)[:3]
+        got = subset_geometry(d, cfg, small)
+        assert [b.tobytes() for b in count_builds] == [small.tobytes()]
+        assert _as_bytes(got) == _as_bytes(_uncached(d, _cfg(d.k_a, 3), small))
 
     def test_large_subset_space_is_not_tabled(self, count_builds):
         """C(60, 30) subsets exceed the budget, so the table asked for is
@@ -407,10 +460,11 @@ class TestCache:
         it but nothing accumulates."""
         rng = np.random.default_rng(0)
         d = BasisDictionary(b_b=rng.normal(size=(60, 2)), b_a=rng.normal(size=(60, 3)))
+        cfg = _cfg(d.k_a, 30)
         z_a, z_b = np.arange(30), np.arange(30, 60)
-        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 30)
+        build_geometry_table(d, cfg)
         for z in (z_a, z_a, z_b, z_a):
-            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+            subset_geometry(d, cfg, z)
         assert len(count_builds) == 3
         assert geometry._CACHE.table.fields is None and not geometry._CACHE.table.rank
 
@@ -420,17 +474,18 @@ class TestCache:
         rows without building.  Built again after the cache is cleared, the
         table carries the same bytes."""
         d, z, _, _ = _problem(11, 3, 5, "random")
+        cfg = _cfg(d.k_a, 5)
         space = math.comb(d.p, 5)
-        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
+        build_geometry_table(d, cfg)
         built = geometry._CACHE.table
         assert built.key == (d.content_key, SIGMA_E**2, SIGMA_B**2, 5)
         assert len(count_builds) == space
-        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
+        build_geometry_table(d, cfg)
         assert geometry._CACHE.table is built and len(count_builds) == space
-        row = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.sort(z))
+        row = subset_geometry(d, cfg, np.sort(z))
         assert row.m_c.base is built.fields.m_c and len(count_builds) == space
         clear_geometry_cache()
-        rebuilt = build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
+        rebuilt = build_geometry_table(d, cfg)
         assert rebuilt is geometry._CACHE.table and rebuilt is not built
         assert rebuilt.rank == built.rank
         for a, b in zip(rebuilt.fields, built.fields):
@@ -441,10 +496,11 @@ class TestCache:
         its table; its subsets are then built alone, as before."""
         rng = np.random.default_rng(0)
         d = BasisDictionary(b_b=rng.normal(size=(60, 2)), b_a=rng.normal(size=(60, 3)))
-        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 30)
+        cfg = _cfg(d.k_a, 30)
+        build_geometry_table(d, cfg)
         assert not count_builds
         assert geometry._CACHE.table.fields is None and not geometry._CACHE.table.rank
-        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(30))
+        subset_geometry(d, cfg, np.arange(30))
         assert len(count_builds) == 1
 
     @pytest.mark.parametrize(
@@ -457,10 +513,11 @@ class TestCache:
         ],
     )
     def test_budget_that_is_not_a_count_in_range_builds_nothing(self, count_builds, m, message):
-        """m = 2.5 built the m = 2 table; m = 0 a table of the empty subset."""
+        """The config refuses m = 2.5, True and 0 (m = 2.5 once built the m = 2
+        table, m = 0 a table of the empty subset); the table, an m above p."""
         d, _, _, _ = _problem(0, 2, 3, "random")
         with pytest.raises(DimensionError, match=message):
-            build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, m)
+            build_geometry_table(d, _cfg(d.k_a, m))
         assert not count_builds and geometry._CACHE.table is None
 
     def test_entry_estimate_matches_traced_memory(self):
@@ -471,14 +528,15 @@ class TestCache:
         d = BasisDictionary(
             b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14, normalize_columns=True)
         )
+        cfg = _cfg(d.k_a, 5)
         clear_geometry_cache()
-        subset_geometry(d, SIGMA_E**2, SIGMA_B**2, np.arange(5))
+        subset_geometry(d, cfg, np.arange(5))
         assert geometry._CACHE.table is None
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 5)
+            build_geometry_table(d, cfg)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -496,15 +554,16 @@ class TestCache:
         build."""
         rng = np.random.default_rng(6)
         d = BasisDictionary(b_b=rng.normal(size=(5, 2)), b_a=rng.normal(size=(5, 3)))
+        cfg = _cfg(d.k_a, 4)
         orders = [np.array(z) for z in itertools.permutations([4, 0, 2, 1])]
         orders += [np.array(z) for z in itertools.combinations(range(d.p), 4)]
         capacity = math.comb(d.p, 4)
-        expected = [_as_bytes(_uncached(d, z)) for z in orders]
+        expected = [_as_bytes(_uncached(d, cfg, z)) for z in orders]
         del count_builds[:]
-        build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 4)
+        build_geometry_table(d, cfg)
         for _ in range(2):
             for z, want in zip(orders, expected):
-                assert _as_bytes(subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)) == want
+                assert _as_bytes(subset_geometry(d, cfg, z)) == want
                 assert len(geometry._CACHE.table.rank) == capacity
         assert len(geometry._CACHE.table.rank) == capacity
         ascending, others = _split(count_builds)
@@ -515,18 +574,19 @@ class TestCache:
         """The same errors with the cache cleared, with the combination's
         table already built, and with no table at all."""
         d, _, _, _ = _problem(1, 2, 3, "random")
+        cfg = _cfg(d.k_a, 3)
         budget = geometry._CACHE.budget
         try:
             for warm, table_budget in ((False, budget), (True, budget), (True, 0)):
                 clear_geometry_cache()
                 geometry._CACHE.budget = table_budget
                 if warm:
-                    build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 3)
+                    build_geometry_table(d, cfg)
                     assert (geometry._CACHE.table.fields is None) == (geometry._CACHE.budget == 0)
                 with pytest.raises(IndexError):
-                    subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, d.p])
+                    subset_geometry(d, cfg, [0, 1, d.p])
                 with pytest.raises(DimensionError):
-                    subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [0, 1, 1])
+                    subset_geometry(d, cfg, [0, 1, 1])
         finally:
             geometry._CACHE.budget = budget
             clear_geometry_cache()
@@ -548,8 +608,9 @@ class TestCache:
     def test_invalid_subsets_in_any_order_rejected(self, z, error):
         """Ascending subsets take a shorter check; every order gives the same errors."""
         d, _, _, _ = _problem(2, 2, 3, "random")
+        cfg = _cfg(d.k_a, 3)
         with pytest.raises(error):
-            subset_geometry(d, SIGMA_E**2, SIGMA_B**2, [d.p if i == "p" else i for i in z])
+            subset_geometry(d, cfg, [d.p if i == "p" else i for i in z])
 
     def test_threads_filling_one_table_read_their_own_rows(self):
         """Eight threads building and reading one table at once, with the
@@ -559,6 +620,7 @@ class TestCache:
         uncached build gives."""
         rng = np.random.default_rng(4)
         d = BasisDictionary(b_b=rng.normal(size=(10, 3)), b_a=rng.normal(size=(10, 4)))
+        cfg = _cfg(d.k_a, 4)
         subsets = [np.sort(rng.choice(10, size=4, replace=False)) for _ in range(60)]
         expected = {}
         budget = geometry._CACHE.budget
@@ -566,7 +628,7 @@ class TestCache:
         geometry._CACHE.budget = 0
         try:
             for z in subsets:
-                expected[z.tobytes()] = _as_bytes(subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z))
+                expected[z.tobytes()] = _as_bytes(subset_geometry(d, cfg, z))
         finally:
             geometry._CACHE.budget = budget
         clear_geometry_cache()
@@ -576,10 +638,10 @@ class TestCache:
             order = np.random.default_rng(seed).permutation(len(subsets))
             for sweep in range(5):
                 if sweep == 1:
-                    build_geometry_table(d, SIGMA_E**2, SIGMA_B**2, 4)
+                    build_geometry_table(d, cfg)
                 for i in order:
                     z = subsets[i]
-                    geo = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+                    geo = subset_geometry(d, cfg, z)
                     if _as_bytes(geo) != expected[z.tobytes()]:
                         mismatches.append(z)
 
@@ -613,10 +675,11 @@ class TestOracleBasis:
         else:
             d, m = degenerate_dictionary(6), 3 if case == "rank-deficient" else 2
         scorer = OracleScorer(d, m)
+        cfg = _cfg(d.k_a, m)
         table = scorer.bases.reshape(d.p, d.k_b, len(scorer.subsets))
         try:
             for i, z in enumerate(scorer.subsets):
-                geo = subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z)
+                geo = subset_geometry(d, cfg, z)
                 assert table[z, :, i].tobytes() == geo.basis.tobytes()
                 assert not np.delete(table[:, :, i], z, axis=0).any()
         finally:
@@ -635,7 +698,7 @@ class TestSubsetIndices:
         cfg = _cfg(d.k_a, 3)
         post = SpikeSlabPosterior.prior(cfg)
         calls = {
-            "subset_geometry": lambda: subset_geometry(d, SIGMA_E**2, SIGMA_B**2, z),
+            "subset_geometry": lambda: subset_geometry(d, cfg, z),
             "absorb_sample": lambda: absorb_sample(DecayedStats.empty(d.k_a), np.ones(3), z, d, cfg),
             "update_background": lambda: update_background(np.ones(3), z, post, d, cfg),
             "DetectionInputs": lambda: DetectionInputs(x_z=np.ones(3), z=z, post=post),

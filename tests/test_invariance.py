@@ -88,8 +88,8 @@ class TestBackgroundRotation:
         for z in subsets:
             z = np.asarray(z, dtype=np.intp)
             cfg = _config(dictionary, z.size)
-            geo = subset_geometry(dictionary, cfg.sigma_e2, cfg.sigma_b2, z)
-            turned = subset_geometry(rotated, cfg.sigma_e2, cfg.sigma_b2, z)
+            geo = subset_geometry(dictionary, cfg, z)
+            turned = subset_geometry(rotated, cfg, z)
             inp = DetectionInputs(
                 x_z=rng.normal(size=z.size), z=z, post=_posterior(rng, dictionary.k_a)
             )

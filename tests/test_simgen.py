@@ -265,6 +265,17 @@ class TestScenario:
         )
         assert sc.change == ((10, 0.5),)
 
+    @pytest.mark.parametrize("random_change_basis", [False, True])
+    def test_change_without_a_change_point_refused(
+        self, default_dictionary, default_config, random_change_basis
+    ):
+        """tau=None once dropped the change and generated a null stream."""
+        with pytest.raises(ValueError, match="tau is None, so change must be empty"):
+            _scenario(
+                default_dictionary, default_config, tau=None, change=((0, 5.0),),
+                random_change_basis=random_change_basis,
+            )
+
     def test_budget_one_past_p_named(self, default_dictionary, default_config):
         cfg = dataclasses.replace(default_config, m=16)
         with pytest.raises(DimensionError, match=r"sensing budget m must lie in \[1, 15\], got 16"):
