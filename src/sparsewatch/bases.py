@@ -43,7 +43,10 @@ class BasisDictionary:
     equal and share cached per-subset geometry, whatever object (or
     unpickled copy) carries them.  ``b_a_sq`` is the read-only entrywise
     square of ``b_a``, which sensing reads every step; it follows from
-    ``b_a``, so the digest leaves it out.
+    ``b_a``, so the digest leaves it out.  Unpickling, as a pool worker
+    receives its dictionary, runs the checked constructor again, so the
+    key of every geometry table and oracle scorer is recomputed from the
+    matrices, never read from the pickle.
     """
 
     b_b: np.ndarray
@@ -86,11 +89,8 @@ class BasisDictionary:
         b_a_sq.flags.writeable = False
         object.__setattr__(self, "b_a_sq", b_a_sq)
 
-    def __setstate__(self, state):
-        # Unpickled arrays come back writable; keep the content fixed.
-        self.__dict__.update(state)
-        for mat in (self.b_b, self.b_a, self.b_a_sq):
-            mat.flags.writeable = False
+    def __reduce__(self):
+        return type(self), (self.b_b, self.b_a)
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self.content_key == other.content_key

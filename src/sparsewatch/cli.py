@@ -36,7 +36,7 @@ from .bases import (
 )
 from .detection import detection_record
 from .engine import SAMPLERS, calibrate_threshold, evaluate, init, step, study
-from .errors import DataError, SparsewatchError, _number
+from .errors import DataError, DimensionError, SparsewatchError, _count, _number
 from .geometry import build_geometry_table
 from .inference import ModelConfig
 from .simgen import Scenario, load_stream_csv
@@ -291,11 +291,21 @@ def _child_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence(entropy=[seed, *tags]).generate_state(1)[0])
 
 
-def _positive_reps(args):
-    if args.reps < 1:
-        raise CliError("--reps must be a positive integer")
-    if args.workers < 1:
-        raise CliError("--workers must be a positive integer")
+def _integer(least: int):
+    """An argparse ``type`` for an integer flag of at least ``least``,
+    checked by ``errors._count``; argparse's message names the flag."""
+
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = text  # not an integer literal: ``_count`` refuses it by name
+        try:
+            return _count("the value", value, least)
+        except DimensionError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return integer
 
 
 # ── Subcommands ───────────────────────────────────────────────────────────
@@ -303,7 +313,6 @@ def _positive_reps(args):
 
 def _cmd_calibrate(args) -> int:
     scenario, sampler, raw = load_scenario(args.scenario)
-    _positive_reps(args)
     target = _require_real(raw, "arl0_target", "scenario")
     horizon = args.horizon if args.horizon is not None else scenario.horizon
     out_path = os.path.join(args.out, "threshold.json")
@@ -354,7 +363,6 @@ def _delays_csv(records, manifest: dict) -> str:
 
 def _cmd_evaluate(args) -> int:
     scenario, sampler, raw = load_scenario(args.scenario)
-    _positive_reps(args)
     h = _resolve_threshold(args.threshold)
     delays_path = os.path.join(args.out, "delays.csv")
     summary_path = os.path.join(args.out, "summary.json")
@@ -448,10 +456,9 @@ def _parse_float_list(text: str, flag: str):
 
 
 def _cmd_table1(args) -> int:
-    scenario, _, raw = load_scenario(args.scenario)
-    _positive_reps(args)
-    if args.calib_reps < 1:
-        raise CliError("--calib-reps must be a positive integer")
+    scenario, sampler, raw = load_scenario(args.scenario)
+    if args.samplers is None:  # the scenario's sampler, recorded in the manifest as run
+        args.samplers = sampler
     target = _require_real(raw, "arl0_target", "scenario")
     if scenario.tau is None:
         raise CliError("the ADD table needs a scenario with a change point")
@@ -572,23 +579,23 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, reps_default=None):
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="root random seed")
+        sp.add_argument("--seed", type=_integer(0), default=0, help="root random seed")
         sp.add_argument(
             "--force", action="store_true", help="overwrite existing outputs"
         )
         if reps_default is not None:
             sp.add_argument(
-                "--reps", type=int, default=reps_default, help="replication count"
+                "--reps", type=_integer(1), default=reps_default, help="replication count"
             )
             sp.add_argument(
-                "--workers", type=int, default=1, help="parallel worker processes"
+                "--workers", type=_integer(1), default=1, help="parallel worker processes"
             )
 
     sp = sub.add_parser("calibrate", help="calibrate the alarm threshold")
     common(sp, reps_default=200)
     sp.add_argument(
         "--horizon",
-        type=int,
+        type=_integer(1),
         default=None,
         help="calibration horizon (default: scenario horizon)",
     )
@@ -627,15 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ms", required=True, help="comma-separated sensing budgets")
     sp.add_argument(
         "--samplers",
-        default="thompson",
-        help="comma-separated strategies (thompson, oracle)",
+        help="comma-separated strategies (thompson, oracle); default: the scenario's sampler",
     )
     sp.add_argument(
-        "--calib-reps", type=int, default=200, help="calibration replication count"
+        "--calib-reps", type=_integer(1), default=200, help="calibration replication count"
     )
     sp.add_argument(
         "--calib-horizon",
-        type=int,
+        type=_integer(1),
         default=None,
         help="calibration horizon (default: scenario horizon)",
     )

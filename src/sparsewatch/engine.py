@@ -179,15 +179,14 @@ def init(
     an existing Generator.  ``sampler`` picks the subset strategy for later
     steps: ``"thompson"`` (posterior sampling) or ``"oracle"`` (exhaustive).
     The engine keeps the scorer ``_scorer`` makes of it, not the name.  A
-    threshold that is NaN or not a number, or a sigma_e or sigma_b whose
-    square underflows to 0 (``ModelConfig._monitored``), raises DataError;
-    an unknown sampler, ValueError; a budget m above p, DimensionError.
+    threshold that is NaN or not a number raises DataError; an unknown
+    sampler, ValueError; a budget m above p, DimensionError.  The config's
+    scales were checked when it was built.
     """
     h = _threshold(h)
     if cfg.k_a != dictionary.k_a:
         raise DimensionError("config and dictionary disagree on k_a")
     _count("sensing budget m", cfg.m, 1, dictionary.p)
-    cfg._monitored()
     scorer = _scorer(sampler, dictionary, cfg.m)
     rng = np.random.default_rng(seed)
     z0 = rng.choice(dictionary.p, size=cfg.m, replace=False)

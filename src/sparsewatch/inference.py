@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisDictionary
-from .errors import DataError, DimensionError, StateError, _count, _number
+from .errors import DimensionError, StateError, _count, _number
 from .geometry import checked_subset, subset_geometry, subset_indices
 
 __all__ = [
@@ -82,11 +82,11 @@ ALPHA_CLAMP = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# A scale is positive with a finite square (``_SCALE``); a slab scale is also
-# at least _ROOT_TINY, so its square is a normal float and 1/sigma_j^2 finite.
-_SCALE = dict(least=0.0, most=math.sqrt(np.finfo(np.float64).max), above=True,
-              high="must be finite with a finite square")
+# A scale, sigma_e, sigma_b or any sigma_j, lies in [_ROOT_TINY, _ROOT_HUGE]: its
+# square is a normal float, so the square and its reciprocal, which every fit
+# and statistic divide by, are finite.
 _ROOT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+_ROOT_HUGE = math.sqrt(np.finfo(np.float64).max)
 
 
 def _entries(value) -> list:
@@ -95,13 +95,12 @@ def _entries(value) -> list:
     return value if isinstance(value, (list, tuple)) else np.ravel(value).tolist()
 
 
-def _slab_scale(value) -> float:
-    """One sigma_j entry as a float: positive, with a finite square, and
-    with a nonzero square whose reciprocal, which every fit multiplies by,
-    is finite."""
-    s = _number("sigma_j", value, **_SCALE)
-    floor = "must have a finite 1/sigma_j**2" if s * s else "must have nonzero squares"
-    return _number("sigma_j", s, _ROOT_TINY, low=floor)
+def _scale(name: str, value) -> float:
+    """One scale as a float, or DataError naming it if it lies outside
+    [``_ROOT_TINY``, ``_ROOT_HUGE``]."""
+    return _number(name, value, _ROOT_TINY, _ROOT_HUGE,
+                   low=f"must be positive with a finite 1/{name}**2",
+                   high="must be finite with a finite square")
 
 
 # ── Domain types ──────────────────────────────────────────────────────────
@@ -132,13 +131,13 @@ class ModelConfig:
     Every real field is checked entry by entry, as given, by
     ``errors._number``, and a bad one raises DataError naming the field: a
     bool, a string, None or an array is not a number.  Each scale, sigma_e,
-    sigma_b and every sigma_j, must be positive and finite with a finite
-    square, and each sigma_j's square a normal float, so that 1/sigma_j^2
-    is finite; each w and v lies in (0, 1) and decay in (0, 0.1].  The
-    scalars are stored as Python floats, so a config computes in float64
-    however its numbers were spelled.  A sigma_e or sigma_b whose square
-    underflows to 0 still generates streams (as noise-free ones);
-    ``fit`` and ``engine.init`` refuse it (``_monitored``).
+    sigma_b and every sigma_j, obeys one rule: it lies in [sqrt(smallest
+    normal float), sqrt(largest float)], about [1.49e-154, 1.34e154], so
+    its square is a normal float and both the square and its reciprocal,
+    which every fit and statistic divide by, are finite.  Each w and v lies
+    in (0, 1) and decay in (0, 0.1].  The scalars are stored as Python
+    floats, so a config computes in float64 however its numbers were
+    spelled.  Every config that can be built can be monitored.
 
     The record owns its arrays: ``sigma_j`` and ``w`` are copied, and they
     and the two arrays derived from them, ``sigma_j2`` and ``logit_w``, are
@@ -160,9 +159,9 @@ class ModelConfig:
 
     def __post_init__(self):
         fields = dict(  # each entry checked as given, before numpy parses a string or a bool
-            sigma_e=_number("sigma_e", self.sigma_e, **_SCALE),
-            sigma_b=_number("sigma_b", self.sigma_b, **_SCALE),
-            sigma_j=np.array([_slab_scale(s) for s in _entries(self.sigma_j)]),
+            sigma_e=_scale("sigma_e", self.sigma_e),
+            sigma_b=_scale("sigma_b", self.sigma_b),
+            sigma_j=np.array([_scale("sigma_j", s) for s in _entries(self.sigma_j)]),
             w=np.array([_number("w", x, 0.0, 1.0, above=True, below=True) for x in _entries(self.w)]),
             v=_number("v", self.v, 0.0, 1.0, above=True, below=True),
             decay=_number("decay", self.decay, 0.0, 0.1, above=True),
@@ -178,8 +177,6 @@ class ModelConfig:
         # Derived quantities used in every sweep; cached once.
         object.__setattr__(self, "sigma_e2", self.sigma_e**2)
         object.__setattr__(self, "sigma_b2", self.sigma_b**2)
-        faint = [name for name in ("sigma_e", "sigma_b") if not getattr(self, name + "2")]
-        object.__setattr__(self, "_faint", faint[0] if faint else "")  # read by ``_monitored``
         object.__setattr__(self, "sigma_j2", sigma_j**2)
         object.__setattr__(self, "logit_w", np.log(w) - np.log1p(-w))
         for arr in (sigma_j, w, self.sigma_j2, self.logit_w):
@@ -203,14 +200,6 @@ class ModelConfig:
     @property
     def k_a(self) -> int:
         return self.sigma_j.size
-
-    def _monitored(self) -> None:
-        """Refuse, by DataError, a config whose sigma_e or sigma_b squares to
-        0, which every fit divides by; the rule ``fit`` and ``engine.init``
-        apply, decided at construction, so a fit pays one attribute test."""
-        if self._faint:
-            scale = getattr(self, self._faint)
-            raise DataError(f"{self._faint} must have a nonzero square to monitor, got {scale!r}")
 
     @classmethod
     def homogeneous(
@@ -768,13 +757,12 @@ def fit(
 
     Non-convergence within ``max_iters``, or a NaN change, returns the last
     iterate with ``converged=False`` rather than raising.  A ``tol`` that is
-    not a positive number (``errors._number``), a ``max_iters`` that is not
-    an integer of at least 1 (a bool is not), or a config that
-    ``ModelConfig._monitored`` refuses, raises a ValueError subclass.
+    not a positive number (``errors._number``), or a ``max_iters`` that is
+    not an integer of at least 1 (a bool is not), raises a ValueError
+    subclass.  The config's scales were checked when it was built.
     """
     tol = _number("tol", tol, 0.0, above=True)
     _count("max_iters", max_iters)
-    cfg._monitored()
     stats = absorb_sample(prev_stats, x_z, z, dictionary, cfg)
     post, converged, iters = _iterate(prev_posterior, stats, cfg, tol, max_iters)
     return FitResult(post, stats, converged, iters)

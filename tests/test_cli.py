@@ -780,6 +780,23 @@ class TestTable1:
         for name in ("table1.csv", "sweep.csv", "thresholds.json"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
+    def test_runs_the_scenarios_sampler_without_the_flag(self, tmp_path):
+        """A scenario's "sampler" was dropped: the table ran Thompson and its
+        manifest recorded both "samplers": "thompson" and "sampler": "oracle"."""
+        path = _write_scenario(tmp_path, tau=5, change=[[0, 1.0]], sampler="oracle")
+        out = tmp_path / "t"
+        assert main(
+            [
+                "table1", "--scenario", str(path), "--out", str(out),
+                "--phis", "2.0", "--ms", "2", "--calib-reps", "15", "--reps", "6",
+                "--tol-rel", "0.3",
+            ]
+        ) == 0
+        lines = (out / "table1.csv").read_text().split("\n")
+        manifest = json.loads(lines[0].removeprefix("# manifest: "))
+        assert lines[1] == "phi,oracle_m2"
+        assert manifest["flags"]["samplers"] == "oracle"
+
     def test_needs_change_point(self, tmp_path, scenario_file, capsys):
         code = main(
             [
@@ -854,6 +871,27 @@ class TestTable1:
         )
         assert code == 1
         assert "--calib-reps" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, least",
+        [("--seed", "-1", 0), ("--reps", "2.5", 1), ("--workers", "0", 1),
+         ("--calib-horizon", "0", 1)],
+    )
+    def test_integer_flags_refused_by_name(self, tmp_path, capsys, flag, value, least):
+        """``--seed -1`` ran to numpy's "expected non-negative integer",
+        which names no flag; each integer flag is now refused by name as it
+        is parsed, before any output directory is made."""
+        path = _write_scenario(tmp_path, tau=5, change=[[0, 1.0]])
+        code = main(
+            [
+                "table1", "--scenario", str(path), "--out", str(tmp_path / "t"),
+                "--phis", "1.0", "--ms", "2", "--calib-reps", "10", flag, value,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"argument {flag}: the value must be an integer of at least {least}, got" in err
         assert not (tmp_path / "t").exists()
 
 

@@ -7,6 +7,7 @@ import concurrent.futures
 import dataclasses
 import math
 import pickle
+import re
 from functools import partial
 from pathlib import Path
 
@@ -143,13 +144,14 @@ class TestInit:
             init(cfg, small_dictionary, h=5.0, seed=0)
 
     @pytest.mark.parametrize("field", ["sigma_e", "sigma_b"])
-    def test_scale_whose_square_underflows_refused(self, small_dictionary, small_config, field):
+    def test_scale_whose_square_underflows_refused(self, small_config, field):
         """At 1e-200 the first step raised "math domain error" (sigma_e) or
-        ZeroDivisionError (sigma_b); the config itself is kept, as it
-        describes a noise-free stream."""
-        cfg = dataclasses.replace(small_config, **{field: 1e-200})
-        with pytest.raises(ValueError, match=f"{field} must have a nonzero square to monitor, got 1e-200"):
-            init(cfg, small_dictionary, h=5.0, seed=0)
+        ZeroDivisionError (sigma_b), and ``evaluate`` built its geometry
+        table, warning of log(0), before ``init`` refused the config.  Such
+        a config is now refused when it is built, so ``init`` never meets it."""
+        message = re.escape(f"{field} must be positive with a finite 1/{field}**2, got 1e-200")
+        with pytest.raises(DataError, match=message):
+            dataclasses.replace(small_config, **{field: 1e-200})
 
 
 class TestStep:

@@ -781,15 +781,13 @@ class TestFit:
                 tol=tol)
 
     @pytest.mark.parametrize("field", ["sigma_e", "sigma_b"])
-    def test_scale_whose_square_underflows_refused_by_fit(
-        self, default_dictionary, default_config, field
-    ):
+    def test_scale_whose_square_underflows_refused_by_fit(self, default_config, field):
         """Called without ``engine.init``, a fit at sigma_e = 1e-200 raised
-        "math domain error"; it now refuses what ``init`` refuses."""
-        cfg = dataclasses.replace(default_config, **{field: 1e-200})
-        x_z, z = np.zeros(5), [0, 1, 2, 3, 4]
-        with pytest.raises(DataError, match=f"{field} must have a nonzero square to monitor, got 1e-200"):
-            fit(x_z, z, SpikeSlabPosterior.prior(cfg), DecayedStats.empty(10), default_dictionary, cfg)
+        "math domain error"; the config it needs is now refused when it is
+        built, so no fit meets it."""
+        message = re.escape(f"{field} must be positive with a finite 1/{field}**2, got 1e-200")
+        with pytest.raises(DataError, match=message):
+            dataclasses.replace(default_config, **{field: 1e-200})
 
     @pytest.mark.parametrize("k_a", [0, 2.5, True], ids=["zero", "fraction", "bool"])
     def test_empty_stats_size_is_a_count(self, k_a):
@@ -871,8 +869,10 @@ class TestTypes:
 
     def test_slab_scale_whose_square_underflows_named(self):
         """sigma_j = 1e-200 squares to 0, which every fit divides by; one
-        such column is refused by name, not by the prior."""
-        with pytest.raises(ValueError, match="sigma_j must have nonzero squares, got 1e-200"):
+        such column is refused by name, not by the prior, in the words
+        every scale's rule uses."""
+        message = re.escape("sigma_j must be positive with a finite 1/sigma_j**2, got 1e-200")
+        with pytest.raises(DataError, match=message):
             ModelConfig(
                 sigma_e=1.0, sigma_b=1.0, sigma_j=[3.0, 1e-200], w=[0.5, 0.5], v=0.5,
                 decay=0.1, m=1,
@@ -894,11 +894,28 @@ class TestTypes:
     def test_slab_scale_whose_reciprocal_square_overflows_named(self):
         """sigma_j = 1e-160 squares to a nonzero 1e-320, but 1/sigma_j^2 is
         inf, and every statistic was then 0.0."""
-        with pytest.raises(DataError, match=re.escape("sigma_j must have a finite 1/sigma_j**2, got 1e-160")):
+        message = re.escape("sigma_j must be positive with a finite 1/sigma_j**2, got 1e-160")
+        with pytest.raises(DataError, match=message):
             ModelConfig(
                 sigma_e=1.0, sigma_b=1.0, sigma_j=[3.0, 1e-160], w=[0.5, 0.5], v=0.5,
                 decay=0.1, m=1,
             )
+
+    @pytest.mark.parametrize("field", ["sigma_e", "sigma_b", "sigma_j"])
+    def test_every_scale_has_one_floor(self, field):
+        """At 1e-160 the square is the subnormal 1e-320, whose reciprocal is
+        inf: a sigma_e or sigma_b there was built and every statistic of a
+        p = 15 engine was 0.0.  Below sqrt(smallest normal), at 0 and below
+        0, each scale is refused by one rule; the floor itself is accepted,
+        with a normal square and a finite reciprocal."""
+        fields = dict(k_a=2, sigma_e=1.0, sigma_b=1.0, sigma_j=1.0, w=0.5, v=0.5, decay=0.1, m=1)
+        for value in (1e-160, 0.0, -1.0):
+            message = re.escape(f"{field} must be positive with a finite 1/{field}**2, got {value!r}")
+            with pytest.raises(DataError, match=message):
+                ModelConfig.homogeneous(**{**fields, field: value})
+        floor = math.sqrt(np.finfo(np.float64).tiny)
+        square = getattr(ModelConfig.homogeneous(**{**fields, field: floor}), field + "2")
+        assert np.all(square >= np.finfo(np.float64).tiny) and np.all(np.isfinite(1.0 / square))
 
     def test_numpy_scalar_and_list_spellings_equal_the_float_config(self):
         """Fields spelled as numpy float64 or int64 scalars, or as lists,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -98,14 +99,17 @@ class TestGenStream:
             np.testing.assert_allclose(row, signal, atol=1e-9)
 
     def test_zero_noise_null_stream_is_zero(self, default_dictionary):
+        """At the smallest scales a config admits, sqrt(smallest normal),
+        a null stream is background and noise of that size alone."""
+        floor = math.sqrt(np.finfo(np.float64).tiny)
         cfg = ModelConfig.homogeneous(
-            k_a=10, sigma_e=1e-300, sigma_b=1e-300, sigma_j=3.0, w=0.1,
+            k_a=10, sigma_e=floor, sigma_b=floor, sigma_j=3.0, w=0.1,
             v=1e-7, decay=0.1, m=5,
         )
         sc = Scenario(
             dictionary=default_dictionary, cfg=cfg, tau=None, horizon=5
         )
-        np.testing.assert_allclose(gen_stream(sc, 3), 0.0, atol=1e-250)
+        np.testing.assert_allclose(gen_stream(sc, 3), 0.0, atol=1e-150)
 
     def test_random_change_basis_draws_uniformly(
         self, default_dictionary, default_config
