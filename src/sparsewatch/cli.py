@@ -445,9 +445,12 @@ def _cmd_monitor(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str, flag: str):
+def _parse_list(text: str, flag: str, kind=float):
+    """The entries of the comma-separated ``text``, blanks dropped, each
+    through ``kind``; CliError naming ``flag`` if ``kind`` refuses one or
+    none is listed."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [kind(v.strip()) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise CliError(f"{flag} expects a comma-separated list of numbers") from exc
     if not values:
@@ -462,17 +465,17 @@ def _cmd_table1(args) -> int:
     target = _require_real(raw, "arl0_target", "scenario")
     if scenario.tau is None:
         raise CliError("the ADD table needs a scenario with a change point")
-    phis = _parse_float_list(args.phis, "--phis")
+    phis = _parse_list(args.phis, "--phis")
     if 0.0 in phis:
         raise CliError("--phis may not list 0: the table's 0 row is the calibrated ARL")
-    budgets = _parse_float_list(args.ms, "--ms")
+    budgets = _parse_list(args.ms, "--ms")
     if not all(v.is_integer() for v in budgets):
         raise CliError("--ms expects whole-number sensing budgets")
     ms = [int(v) for v in budgets]
     p = scenario.dictionary.p
     if not all(1 <= m <= p for m in ms):
         raise CliError(f"--ms budgets must lie in [1, {p}], the number of variables")
-    samplers = [s.strip() for s in args.samplers.split(",") if s.strip()]
+    samplers = _parse_list(args.samplers, "--samplers", str)
     for s in samplers:
         if s not in SAMPLERS:
             raise CliError(f"unknown sampler '{s}' in --samplers")

@@ -7,14 +7,12 @@ routes give the paper's statistic, the log posterior Bayes factor of a
 spike-slab anomaly against none, by enumerating the 2^k_a inclusion
 patterns; they serve small anomaly bases and check the fast route.
 
-Every route takes a ``DetectionInputs``.  Its constructor converts and
-checks the observed values and subset; ``engine.step``, whose observation
-was checked at its boundary, builds one through the trusted
-``DetectionInputs._trusted`` instead.  The routes are public and take
-inputs from any caller, so both constructors stay: of a step's records,
-only this one and ``SpikeSlabPosterior`` have a trusted second one.
-``lambda_stat`` reads the posterior's own ``mu_tilde`` and ``spread``, as
-does its batch form ``_stacked_lambda_stat``, bitwise it per row.
+Every route takes a ``DetectionInputs``, built by its one constructor,
+which converts and checks the observed values and subset; ``engine.step``
+builds one the same way, since the routes are public and take inputs from
+any caller.  ``lambda_stat`` reads the posterior's own ``mu_tilde`` and
+``spread``, as does its batch form ``_stacked_lambda_stat``, bitwise it
+per row.
 
 The statistic reads the observed anomaly rows from the dictionary and the
 subset's shared ``SubsetGeometry``: their column sums of squares and the
@@ -82,12 +80,11 @@ class DetectionInputs:
     the exact routes, which raise DataError without it; ``lambda_stat``
     never reads it.  The constructor converts and checks the two vectors;
     each route checks the subset's range and distinctness, ``lambda_stat``
-    by its geometry lookup, the exact routes by ``checked_subset``.  The
-    checked constructor stays because every route is public.
-    ``engine.step``, which has checked its observation at its boundary,
-    builds its inputs through ``_trusted`` instead, once per step: about
-    0.8 µs against 1.8 µs for the checked one (``timeit`` on one core of a
-    2-vCPU Xeon).
+    by its geometry lookup, the exact routes by ``checked_subset``.  It is
+    the one constructor: ``engine.step`` builds its inputs through it too,
+    once per step, for about 1.2 µs more than an unchecked copy (1.7 against
+    0.5 µs, ``timeit`` minima on one pinned core of a 2-vCPU Xeon, m = 5),
+    about 1% of a p = 15 step.
     """
 
     x_z: np.ndarray
@@ -104,14 +101,6 @@ class DetectionInputs:
             raise DimensionError("detection needs at least one observed variable")
         object.__setattr__(self, "x_z", x_z)
         object.__setattr__(self, "z", z)
-
-    @classmethod
-    def _trusted(cls, x_z, z, post: SpikeSlabPosterior) -> "DetectionInputs":
-        """Inputs from a float64 ``x_z`` and an intp ``z``, both 1-D, of one
-        nonzero length; the values the checked constructor would store."""
-        inp = object.__new__(cls)
-        inp.__dict__.update(x_z=x_z, z=z, post=post, bg=None)
-        return inp
 
 
 def _background(inp: DetectionInputs, dictionary: BasisDictionary):

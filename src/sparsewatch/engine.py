@@ -25,6 +25,8 @@ table its replications read; ``init`` and ``step`` build none.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -246,8 +248,9 @@ def step(state: EngineState, observation) -> StepOutcome:
     subset score) leaves them and the plan as they were; only the
     Generator has advanced.
 
-    The observation is converted and checked once, here, and the statistic
-    takes it through the trusted ``DetectionInputs._trusted``.  The plan's
+    The observation is converted and checked once, here; the statistic
+    takes it through ``DetectionInputs``' one constructor, which converts
+    the float64 values and the subset again at no copy.  The plan's
     subset is checked by the layers that read it, so a plan set by hand is
     refused before any state changes: an index out of range raises
     IndexError, a repeated index or other than m indices DimensionError.
@@ -259,7 +262,7 @@ def step(state: EngineState, observation) -> StepOutcome:
     x_z = _extract_observation(state, observation)
 
     res = fit(x_z, z, state.post, state.stats, state.dictionary, state.cfg)
-    stat = lambda_stat(DetectionInputs._trusted(x_z, z, res.post), state.dictionary, state.cfg)
+    stat = lambda_stat(DetectionInputs(x_z, z, res.post), state.dictionary, state.cfg)
     if not math.isfinite(stat):
         raise NumericalError(
             f"monitoring statistic is {stat} at step {state.step + 1} "
@@ -497,12 +500,14 @@ def search_threshold(
 ) -> tuple[float, float]:
     """Threshold whose replayed average run length meets the target.
 
-    Binary-searches the sorted unique statistic values (the only points
-    where the replayed ARL can change) and returns (h, achieved ARL).
-    Raises what ``_target`` raises, CalibrationError for a set of no null
-    runs or when no candidate lands within ``tol_rel`` relative error of
-    the target, and, through its first replay, DataError naming the first
-    NaN statistic in rep order.
+    Bisects the sorted unique statistic values (the only points where the
+    replayed ARL can change), replaying each candidate at most once, for
+    the first whose ARL meets the target; returns (h, achieved ARL) of the
+    closer of it and its predecessor, the lower on a tie.  Raises what
+    ``_target`` raises, CalibrationError for a set of no null runs or when
+    no candidate lands within ``tol_rel`` relative error of the target,
+    and, through its first replay, DataError naming the first NaN
+    statistic in rep order.
     """
     trajectories = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
     _target(target_arl0, tol_rel, trajectories.shape[1])
@@ -510,35 +515,20 @@ def search_threshold(
         raise CalibrationError("no null runs to calibrate from: trajectories holds no rows")
 
     values = np.unique(trajectories)
-    # The replayed ARL is non-decreasing in h; find the first candidate
-    # meeting the target, then compare with its predecessor.
-    lo, hi = 0, values.size - 1
-    arl_hi = float(replay_run_lengths(trajectories, values[hi]).mean())
-    if arl_hi < target_arl0:
-        raise CalibrationError(
-            f"target ARL {target_arl0} unreachable; even the largest observed "
-            f"statistic achieves only {arl_hi:.2f}"
-        )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if float(replay_run_lengths(trajectories, values[mid]).mean()) >= target_arl0:
-            hi = mid
-        else:
-            lo = mid + 1
-    candidates = [values[lo]] if lo == 0 else [values[lo - 1], values[lo]]
-    best_h, best_arl, best_err = None, None, math.inf
-    for h in candidates:
-        arl = float(replay_run_lengths(trajectories, h).mean())
-        err = abs(arl - target_arl0) / target_arl0
-        if err < best_err:
-            best_h, best_arl, best_err = float(h), arl, err
-    if best_err > tol_rel:
+    # The replayed ARL is non-decreasing in h and is the horizon at the
+    # largest value, so the first candidate meeting the target is at most
+    # the last, which the bisection need not replay.
+    arl = functools.cache(lambda i: float(replay_run_lengths(trajectories, values[i]).mean()))
+    err = lambda i: abs(arl(i) - target_arl0) / target_arl0
+    first = bisect.bisect_left(range(values.size - 1), target_arl0, key=arl)
+    best = min(range(max(first - 1, 0), first + 1), key=err)  # a tie goes to the lower h
+    if err(best) > tol_rel:
         raise CalibrationError(
             f"no threshold lands within {tol_rel:.3g} relative error of "
-            f"ARL {target_arl0}; closest achieves {best_arl:.2f} "
-            f"(error {best_err:.3g}); increase n_reps or horizon"
+            f"ARL {target_arl0}; closest achieves {arl(best):.2f} "
+            f"(error {err(best):.3g}); increase n_reps or horizon"
         )
-    return best_h, best_arl
+    return float(values[best]), arl(best)
 
 
 def calibrate_threshold(

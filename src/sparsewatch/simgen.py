@@ -46,11 +46,13 @@ class Scenario:
         Number of steps to generate, at least 1.  ``tau``, ``horizon``, the
         change indices and the config's budget m (at most p) are checked by
         ``errors._count``, so a fraction or a bool is refused here, not when
-        a stream is cut.
+        a stream is cut; ``tau``, ``horizon`` and the indices are stored as
+        Python ints.
     random_change_basis : bool
         When true, the changed coordinate is drawn uniformly from the
-        anomaly columns per replication, keeping the listed magnitude of the
-        first change entry; its index need only be an integer of at least 0.
+        anomaly columns per replication, keeping the magnitude of the one
+        change entry, which must be the only one; its index need only be an
+        integer of at least 0.
     """
 
     dictionary: BasisDictionary
@@ -69,15 +71,15 @@ class Scenario:
         for j, phi in change:
             if not math.isfinite(phi):
                 raise ValueError(f"change entry ({j}, {phi}) has a non-finite magnitude")
-        horizon = _count("horizon", self.horizon)
+        object.__setattr__(self, "horizon", int(_count("horizon", self.horizon)))
         if self.tau is not None:
-            _count("tau", self.tau, 0, horizon - 1)
+            object.__setattr__(self, "tau", int(_count("tau", self.tau, 0, self.horizon - 1)))
             if not change and not self.random_change_basis:
                 raise ValueError("a change point needs change entries")
         elif change:
             raise ValueError("change entries need a change point: tau is None, so change must be empty")
-        if self.random_change_basis and not change:
-            raise ValueError("random_change_basis needs a magnitude entry")
+        if self.random_change_basis and len(change) != 1:
+            raise ValueError(f"random_change_basis needs exactly one change entry, got {len(change)}")
         if self.cfg.k_a != k_a:
             raise DimensionError("config and dictionary disagree on k_a")
         _count("sensing budget m", self.cfg.m, 1, self.dictionary.p)

@@ -197,6 +197,10 @@ class TestPcaBasis:
             directions.T @ directions, np.eye(4), atol=1e-12
         )
 
+    def test_single_training_sample_refused(self, rng):
+        with pytest.raises(DimensionError, match="need at least two training samples"):
+            pca_basis(rng.normal(size=(5, 1)), 1)
+
     def test_rank_guard(self, rng):
         direction = rng.normal(size=8)
         training = np.outer(direction, rng.normal(size=30))
@@ -237,6 +241,19 @@ class TestBasisDictionary:
     def test_empty_background_allowed(self):
         d = BasisDictionary(b_b=np.zeros((4, 0)), b_a=np.eye(4))
         assert d.k_b == 0
+
+    @pytest.mark.parametrize(
+        "b_b, b_a, message",
+        [
+            (np.zeros((2, 2, 2)), np.eye(2), "basis matrices must be two-dimensional"),
+            (np.zeros((4, 0)), np.zeros((4, 0)), "anomaly basis must have at least one column"),
+            (np.ones((2, 3)), np.eye(2), "background basis has more columns than rows"),
+        ],
+        ids=["three-dimensional", "no-anomaly-column", "wide-background"],
+    )
+    def test_bad_shapes_named(self, b_b, b_a, message):
+        with pytest.raises(DimensionError, match=message):
+            BasisDictionary(b_b=b_b, b_a=b_a)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionError):

@@ -357,6 +357,33 @@ class TestLoadScenario:
         assert err.startswith("error: invalid scenario") and "tau is None" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ({"background": 5, "anomaly": {"type": "identity"}},
+             "background basis spec must be an object"),
+            ({"background": {"type": "none"},
+              "anomaly": {"type": "kron", "factors": [{"type": "identity", "p": 6}]}},
+             "anomaly kron basis needs exactly two factor specs"),
+            ({"background": {"type": "none"}, "anomaly": {"type": "kron", "factors": [
+                {"type": "identity", "p": 2}, {"type": "identity", "p": 2}]}},
+             "anomaly kron basis has 4 rows, scenario says p=6"),
+        ],
+        ids=["spec-number", "one-kron-factor", "kron-rows"],
+    )
+    def test_bad_basis_specs_named(self, tmp_path, basis, message):
+        with pytest.raises(CliError, match=message):
+            load_scenario(_write_scenario(tmp_path, basis=basis))
+
+    def test_unreadable_file_reported(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        with pytest.raises(CliError, match="cannot read scenario file"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert main(["calibrate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read scenario file")
+        assert not out.exists()
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -834,10 +861,14 @@ class TestTable1:
             (["--phis", "1.0", "--ms", "2,0"], "--ms budgets must lie in [1, 6]"),
             (["--phis", "nan", "--ms", "2"], "change entry (0, nan) has a non-finite magnitude"),
             (["--phis", "1.0,inf", "--ms", "2"], "change entry (0, inf) has a non-finite"),
+            (["--phis", ",", "--ms", "2"], "--phis must list at least one value"),
+            (["--phis", "1.0", "--ms", " , "], "--ms must list at least one value"),
+            (["--phis", "1.0", "--ms", "2", "--samplers", ","], "--samplers must list at least one value"),
         ],
         ids=[
             "fraction", "infinite", "repeated-m", "repeated-phi", "zero-phi", "repeated-sampler",
-            "budget-above-p", "zero-budget", "nan-phi", "infinite-phi",
+            "budget-above-p", "zero-budget", "nan-phi", "infinite-phi", "no-phi", "no-budget",
+            "no-sampler",
         ],
     )
     def test_bad_grid_values_rejected(self, tmp_path, capsys, monkeypatch, flags, message):

@@ -472,6 +472,28 @@ class TestValidation:
         with pytest.raises(DataError, match="background covariance"):
             route(DetectionInputs(x_z=x_z, z=z, post=post, bg=bad), d, cfg)
 
+    @pytest.mark.parametrize("route", [lambda_stat, marginal_h0, marginal_h1_exact, log_pbf_exact])
+    def test_posterior_of_another_size_refused(self, rng, route):
+        d, cfg, post, bg, z, x_z = _setup(rng, k_a=2)
+        other = SpikeSlabPosterior(mu_a=np.zeros(3), s2=np.ones(3), alpha=np.full(3, 0.5))
+        with pytest.raises(DimensionError, match="posterior dimensions disagree with the dictionary"):
+            route(DetectionInputs(x_z=x_z, z=z, post=other, bg=bg), d, cfg)
+
+    @pytest.mark.parametrize("route", [marginal_h0, marginal_h1_exact, log_pbf_exact])
+    def test_background_posterior_of_another_size_refused(self, rng, route):
+        d, cfg, post, bg, z, x_z = _setup(rng, k_b=2)
+        other = BackgroundPosterior(theta_n=np.zeros(3), cov_b=np.eye(3))
+        with pytest.raises(DimensionError, match="background posterior disagrees with the dictionary"):
+            route(DetectionInputs(x_z=x_z, z=z, post=post, bg=other), d, cfg)
+
+    @pytest.mark.parametrize("route", [marginal_h1_exact, log_pbf_exact])
+    def test_nan_observation_passes_through_the_exact_routes(self, rng, route):
+        """Every pattern's evidence is NaN, and the log-sum-exp passes a NaN
+        largest term through rather than shifting by it."""
+        d, cfg, post, bg, z, x_z = _setup(rng)
+        x_z[0] = math.nan
+        assert math.isnan(route(DetectionInputs(x_z=x_z, z=z, post=post, bg=bg), d, cfg))
+
     def test_statistic_does_not_read_the_background(self, rng):
         d, cfg, post, bg, z, x_z = _setup(rng)
         without = DetectionInputs(x_z=x_z, z=z, post=post)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import concurrent.futures
 import dataclasses
+import json
 import math
 import pickle
 import re
@@ -141,6 +142,13 @@ class TestInit:
     def test_budget_one_past_p_named(self, small_dictionary, small_config):
         cfg = dataclasses.replace(small_config, m=7)
         with pytest.raises(DimensionError, match=r"sensing budget m must lie in \[1, 6\], got 7"):
+            init(cfg, small_dictionary, h=5.0, seed=0)
+
+    def test_config_of_another_anomaly_size_refused(self, small_dictionary, small_config):
+        cfg = ModelConfig.homogeneous(
+            k_a=5, sigma_e=0.1, sigma_b=0.5, sigma_j=2.0, w=0.2, v=1e-6, decay=0.1, m=3,
+        )
+        with pytest.raises(DimensionError, match="config and dictionary disagree on k_a"):
             init(cfg, small_dictionary, h=5.0, seed=0)
 
     @pytest.mark.parametrize("field", ["sigma_e", "sigma_b"])
@@ -636,6 +644,67 @@ class TestSearchThreshold:
         with pytest.raises(DataError, match=r"NaN in replication 0 at step 6$"):
             search_threshold(traj, target_arl0=200.0, tol_rel=0.1)
 
+    @staticmethod
+    def _every_value(traj, target, tol_rel):
+        """(h, ARL, error) of the closer of the first unique value whose
+        replayed ARL meets ``target`` and its predecessor, the lower on a
+        tie, from a replay of every unique value."""
+        values = np.unique(traj)
+        arls = [float(replay_run_lengths(traj, h).mean()) for h in values]
+        errs = [abs(a - target) / target for a in arls]
+        first = next(i for i, a in enumerate(arls) if a >= target)
+        best = first - 1 if first and errs[first - 1] <= errs[first] else first
+        return float(values[best]), arls[best], errs[best]
+
+    @pytest.mark.parametrize("kind", ["exponential", "integer", "signed-zero"])
+    def test_matches_a_replay_of_every_value(self, kind):
+        """The bisection finds what a replay of every unique value finds:
+        the same h, bit for bit (the sign of a zero included), the same
+        ARL, and the same refusal when the closer candidate misses
+        ``tol_rel``.  Integer-valued trajectories tie many statistics."""
+        rng = np.random.default_rng({"exponential": 11, "integer": 12, "signed-zero": 13}[kind])
+        outcomes = set()
+        for _ in range(150):
+            shape = (int(rng.integers(1, 12)), int(rng.integers(1, 40)))
+            if kind == "exponential":
+                traj = rng.exponential(size=shape)
+            else:
+                traj = rng.integers(-2 if kind == "signed-zero" else 0, 4, size=shape) * 1.0
+            if kind == "signed-zero":
+                traj[traj == 0] = np.copysign(0.0, rng.normal(size=int((traj == 0).sum())))
+            target = float(rng.uniform(1.0, shape[1]))
+            tol_rel = float(rng.choice([0.001, 0.05, 0.3]))
+            h, arl, err = self._every_value(traj, target, tol_rel)
+            if err > tol_rel:
+                message = re.escape(f"closest achieves {arl:.2f} (error {err:.3g})")
+                with pytest.raises(CalibrationError, match=message):
+                    search_threshold(traj, target, tol_rel)
+                outcomes.add("refused")
+            else:
+                got = search_threshold(traj, target, tol_rel)
+                assert got == (h, arl)
+                assert math.copysign(1.0, got[0]) == math.copysign(1.0, h)
+                outcomes.add("returned")
+        assert outcomes == {"refused", "returned"}
+
+    def test_tie_goes_to_the_lower_candidate(self):
+        """h = 0 replays an ARL of 2 and h = 1 one of 3: both miss 2.5 by
+        0.5."""
+        traj = np.array([[0.0, 1.0, 2.0, 3.0]])
+        assert search_threshold(traj, target_arl0=2.5, tol_rel=0.2) == (0.0, 2.0)
+
+    def test_replays_each_candidate_at_most_once(self, monkeypatch, rng):
+        traj = rng.exponential(size=(30, 200))
+        replayed = []
+
+        def counted(trajectories, h):
+            replayed.append(h)
+            return replay_run_lengths(trajectories, h)
+
+        monkeypatch.setattr(engine, "replay_run_lengths", counted)
+        search_threshold(traj, target_arl0=50.0, tol_rel=0.05)
+        assert len(replayed) == len(set(replayed)) <= math.ceil(math.log2(traj.size)) + 2
+
     def test_no_null_runs_refused(self):
         """An empty trajectory set raised a bare IndexError."""
         with pytest.raises(CalibrationError, match="no null runs"):
@@ -680,6 +749,24 @@ class TestCalibrateAndEvaluate:
         np.testing.assert_array_equal(
             [min(rec["T"], 80) for rec in records], replay_run_lengths(traj, h)
         )
+
+    def test_records_of_numpy_integer_scenario_are_json_ints(self, small_dictionary, small_config):
+        """A scenario stores numpy integer tau and horizon as ints, so a
+        censored run's T (horizon + 1) and a delay (T - tau) are ints and
+        the records serialize; they raised "Object of type int64 is not
+        JSON serializable"."""
+        scenario = Scenario(
+            dictionary=small_dictionary, cfg=small_config, tau=np.int64(5),
+            change=((0, 1.0),), horizon=np.int64(30),
+        )
+        _, records = evaluate(
+            small_config, small_dictionary, 0.5, scenario, n_reps=4, seed=1,
+            return_records=True,
+        )
+        assert {rec["T"] for rec in records} > {31} and any(rec["delay"] for rec in records)
+        assert all(type(rec["T"]) is int for rec in records)
+        assert all(type(rec["delay"]) in (int, type(None)) for rec in records)
+        assert json.loads(json.dumps(records)) == records
 
     def test_horizon_guard(self, small_dictionary, small_config):
         with pytest.raises(CalibrationError, match="horizon"):

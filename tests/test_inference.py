@@ -369,6 +369,12 @@ class TestCoordinateSweep:
                 default_config,
             )
 
+    def test_posterior_of_another_size_refused(self, default_dictionary, default_config, rng):
+        stats, _ = _random_stats(default_dictionary, default_config, rng, n_steps=2)
+        other = SpikeSlabPosterior(mu_a=np.zeros(9), s2=np.ones(9), alpha=np.full(9, 0.5))
+        with pytest.raises(DimensionError, match="posterior, stats, and config disagree on k_a"):
+            vb_coordinate_sweep(other, stats, default_config)
+
     def test_reaches_fixed_point(self, default_dictionary, default_config, rng):
         stats, _ = _random_stats(default_dictionary, default_config, rng)
         post = SpikeSlabPosterior.prior(default_config)
@@ -748,6 +754,11 @@ class TestFit:
         assert not res.converged
         assert res.n_iters == 2
 
+    def test_observation_of_another_length_refused(self, default_dictionary, default_config):
+        with pytest.raises(DimensionError, match="x_z length must match the observation subset"):
+            fit(np.zeros(4), [0, 1, 2, 3, 4], SpikeSlabPosterior.prior(default_config),
+                DecayedStats.empty(10), default_dictionary, default_config)
+
     def test_invalid_tol_rejected(self, default_dictionary, default_config):
         with pytest.raises(ValueError):
             fit(
@@ -821,6 +832,23 @@ class TestTypes:
             mu_a=np.zeros(2), s2=np.ones(2), alpha=np.array([0.0, 1.0])
         )
         assert 0.0 < post.alpha[0] < post.alpha[1] < 1.0
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ModelConfig(sigma_e=0.1, sigma_b=0.5, sigma_j=np.ones(3), w=np.full(2, 0.1),
+                                 v=1e-6, decay=0.1, m=1),
+             "sigma_j and w must have one entry per anomaly column"),
+            (lambda: SpikeSlabPosterior(mu_a=np.zeros(3), s2=np.ones(2), alpha=np.full(3, 0.1)),
+             "posterior fields must share one length"),
+            (lambda: inference.BackgroundPosterior(theta_n=np.zeros(2), cov_b=np.eye(3)),
+             "cov_b shape must match theta_n length"),
+        ],
+        ids=["config", "posterior", "background"],
+    )
+    def test_fields_of_unequal_lengths_named(self, build, message):
+        with pytest.raises(DimensionError, match=message):
+            build()
 
     def test_nonpositive_slab_variance_rejected(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,12 @@ class TestScoreVariables:
         with pytest.raises(DimensionError):
             score_variables(np.ones(3), post, d)
 
+    def test_posterior_of_another_size_refused(self, rng):
+        d = BasisDictionary(b_b=np.zeros((4, 0)), b_a=rng.normal(size=(4, 2)))
+        post = SpikeSlabPosterior.prior(_cfg(3, 2))
+        with pytest.raises(DimensionError, match="posterior and dictionary disagree on k_a"):
+            score_variables(np.ones(4), post, d)
+
 
 class TestSelectTopM:
     def test_distinct_scores_pick_exact_top_set(self, rng):

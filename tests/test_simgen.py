@@ -291,6 +291,29 @@ class TestScenario:
             horizon=np.int64(20),
         )
         assert gen_stream(sc, 3).shape == (20, 15)
+        assert type(sc.tau) is int and type(sc.horizon) is int
+        assert (sc.tau, sc.horizon) == (5, 20)
+
+    @pytest.mark.parametrize("change", [(), ((0, 1.0), (1, 5.0))], ids=["none", "two"])
+    def test_random_change_basis_needs_exactly_one_entry(
+        self, default_dictionary, default_config, change
+    ):
+        """The drawn column takes the one entry's magnitude; a second
+        entry's 5.0 was dropped without a word."""
+        with pytest.raises(
+            ValueError, match=f"random_change_basis needs exactly one change entry, got {len(change)}"
+        ):
+            _scenario(
+                default_dictionary, default_config, tau=5, change=change, horizon=20,
+                random_change_basis=True,
+            )
+
+    def test_config_of_another_anomaly_size_refused(self, default_dictionary):
+        cfg = ModelConfig.homogeneous(
+            k_a=9, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7, decay=0.1, m=5,
+        )
+        with pytest.raises(DimensionError, match="config and dictionary disagree on k_a"):
+            _scenario(default_dictionary, cfg)
 
 
 class TestStreamCsv:
@@ -321,4 +344,24 @@ class TestStreamCsv:
         path = tmp_path / "stream.csv"
         path.write_text("t,x1,x2\n1,0.5\n")
         with pytest.raises(DataError):
+            load_stream_csv(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        path.write_text("t,x1,x2\n\n1,0.5,1.5\n  \n2,1.0,2.0\n\n")
+        assert load_stream_csv(path).tolist() == [[0.5, 1.5], [1.0, 2.0]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t\n1\n", "stream file has no variable columns"),
+            ("t,x1,x2\n1,0.5,abc\n", "line 2: could not convert string to float: 'abc'"),
+            ("t,x1,x2\n\n", "stream file has no data rows"),
+        ],
+        ids=["no-columns", "not-a-number", "no-rows"],
+    )
+    def test_malformed_file_named(self, tmp_path, text, message):
+        path = tmp_path / "stream.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
             load_stream_csv(path)
