@@ -325,12 +325,13 @@ def _build_shared(scenario: Scenario, sampler: str) -> None:
     """Build in this process what every replication of the scenario reads:
     the sampler's scorer (``_scorer``, which refuses an unknown sampler
     before anything is built), the geometry table of its dictionary and
-    config and the sweep kernel for its k_a.  Each is kept per process and
-    keyed on content, so a replication finds it built."""
+    config and the sweep kernel: the compiled one, or where it cannot be
+    built or loaded the generated one for its k_a.  Each is kept per
+    process and keyed on content, so a replication finds it built."""
     cfg, dictionary = scenario.cfg, scenario.dictionary
     _scorer(sampler, dictionary, cfg.m)
     build_geometry_table(dictionary, cfg)
-    inference._kernel(cfg.k_a)
+    inference._compiled() or inference._kernel(cfg.k_a)
 
 
 class _Fallback(Exception):
@@ -363,7 +364,7 @@ def _lockstep(scenario: Scenario, seed: int, reps: range, sampler: str):
     for t in range(horizon):
         x_z, b_a_z = streams[t][rows, z], d.b_a[z]
         geo = _stacked_geometry(d, cfg, z)
-        converged, sweeps[:, t] = zip(*fits.fit(x_z, b_a_z, geo))
+        converged, sweeps[:, t] = fits.fit(x_z, b_a_z, geo)
         nonconverged += np.logical_not(converged)
         stats[:, t] = _stacked_lambda_stat(x_z, b_a_z, geo, fits.mu_tilde, fits.spread)
         if not np.isfinite(stats[:, t]).all():

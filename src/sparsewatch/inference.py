@@ -37,23 +37,34 @@ its callers, so the checked constructor stays beside it.  ``DecayedStats``,
 which no caller needs checked, has the dataclass constructor alone.
 
 The coordinate sweeps run in blocks of at most ``_BLOCK`` coordinates.  A
-fit runs all of them in one call of a plain function whose straight-line
-source is generated from k_a alone and compiled on the first fit at that
-k_a (one kernel per k_a a process meets).  The kernel sets the fit up once
-and keeps every operand, the posterior included, as a local float across
-all sweeps, blocks and the stop test.  Every operation and its order are
-those of the interpreted form of the same pass that the tests keep
-(``oracles.blocked_sweep``), so generation changes how the interpreter runs
-the loop and no output bit.  ``_FitStack``, the batch form of ``fit`` for
-``engine``'s lockstep, runs each row's sweeps by the same call, and each
-reduction of its absorb is a stacked ``np.matmul``, which calls per row the
-BLAS routine ``ndarray.dot`` calls here, so its rows are bitwise ``fit``'s.
+fit runs all of them in one call of the sweep kernel, and a batch of fits
+runs all of its rows' in one call (``_sweeps``).  The kernel is C
+(``_sweep.c``), built by the first fit in a process, never at import or
+``engine.init``, against the OpenBLAS numpy bundles, cached in
+``$XDG_CACHE_HOME/sparsewatch`` (``~/.cache`` by default) under a name
+keyed on its source, that library's path and the interpreter's
+``EXT_SUFFIX``, and loaded as an extension module; a later process loads
+the cached file and runs no compiler (``_compiled``).  Where it cannot be
+built or loaded (no compiler, no ``Python.h``, no such BLAS), each fit is
+one call of a plain Python function whose straight-line source is
+generated from k_a alone and compiled on the first fit at that k_a
+(``_kernel``): the fallback, and the reference the tests hold the C kernel
+to.  Both run every operation, in its order, of the interpreted form of
+the same pass that the tests keep (``oracles.blocked_sweep``): each
+block's product by the BLAS routine ``ndarray.dot`` calls, in-block sums
+left to right, libm's ``exp``, no fused multiply-add.  So which kernel runs
+moves no output bit.  ``_FitStack``, the batch form of ``fit`` for
+``engine``'s lockstep, sweeps its rows by one ``_sweeps`` call, and each
+reduction of its absorb is a stacked ``np.matmul``, which calls per row
+the BLAS routine ``ndarray.dot`` calls here, so its rows are bitwise
+``fit``'s.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -142,8 +153,8 @@ class ModelConfig:
     The record owns its arrays: ``sigma_j`` and ``w`` are copied, and they
     and the two arrays derived from them, ``sigma_j2`` and ``logit_w``, are
     read-only, so every fit and ``elbo`` read one prior.  The sweep
-    kernels' per-column factors 1/sigma_j^2, logit w_j and 2·sigma_j^2 are
-    kept only as the float lists ``_sweep_lists``.  Unpickling, as a pool
+    kernel's per-column factors 1/sigma_j^2, logit w_j and 2·sigma_j^2 are
+    the rows of the read-only (3, k_a) ``_sweep_factors``.  Unpickling, as a pool
     worker receives its config, runs the checked constructor again: numpy
     does not pickle the read-only flag.  Equality and the hash read the
     seven fields by value.
@@ -181,12 +192,10 @@ class ModelConfig:
         object.__setattr__(self, "logit_w", np.log(w) - np.log1p(-w))
         for arr in (sigma_j, w, self.sigma_j2, self.logit_w):
             arr.flags.writeable = False
-        # The per-column factors every fit hands its sweep kernels as floats.
-        object.__setattr__(
-            self,
-            "_sweep_lists",
-            ((1.0 / self.sigma_j2).tolist(), self.logit_w.tolist(), (2.0 * self.sigma_j2).tolist()),
-        )
+        # The per-column factors every fit hands its sweep kernel, one row each.
+        factors = np.array([1.0 / self.sigma_j2, self.logit_w, 2.0 * self.sigma_j2])
+        factors.flags.writeable = False
+        object.__setattr__(self, "_sweep_factors", factors)
 
     def __reduce__(self):
         return type(self), (self.sigma_e, self.sigma_b, self.sigma_j, self.w, self.v, self.decay, self.m)
@@ -554,7 +563,9 @@ def _kernel_source(k: int) -> str:
 
 @functools.cache
 def _kernel(k: int):
-    """The sweep kernel for k_a = k, compiled on first use.
+    """The generated sweep kernel for k_a = k, compiled on first use: the
+    reference the compiled kernel is tested against, and the fallback
+    ``_sweeps`` runs where that cannot be built or loaded.
 
     Its ``IDX`` indexes the flattened k×k M at the entries the kernel
     unpacks, in its order: each block's strict lower triangle in row-major
@@ -569,33 +580,134 @@ def _kernel(k: int):
     return namespace["kernel"]
 
 
-def _sweeps(raw_m, off, out, u, mu, alpha, mt, cfg: ModelConfig, tol: float, max_iters: int):
-    """Every sweep of one fit, by one call of the kernel for k_a; returns
-    (converged, sweeps run).
+# The file name numpy's wheels give the OpenBLAS they bundle, whose
+# scipy_cblas_dgemv64_ is the product ndarray.dot calls.
+_BLAS = "libscipy_openblas64_"
 
-    The fit starts from the posterior whose mu, alpha and mu_tilde are the
-    plain-float lists ``mu``, ``alpha`` and ``mt`` at the moments ``raw_m``
-    (k_a×k_a) and ``u`` (a list); ``off`` is ``raw_m`` with its diagonal
-    zeroed.  ``out`` is a float64 vector of the fit's ``_FIELDS``, one
-    after another, whose first k_a already hold ``mt``: it is the
-    mu_tilde array each block's product reads, and the kernel writes the
-    final posterior into it.  ``_iterate`` and the batch ``_FitStack.fit``
-    both run their fits through it, so a batch row's are bitwise a lone fit's.
+
+@functools.cache
+def _compiled():
+    """The compiled sweep kernel's entry, ``sweep`` of ``_sweep.c``, or None
+    where it cannot be built or loaded.
+
+    Built by the first call in a process, never at import, against the
+    OpenBLAS numpy loaded (``_BLAS``, found among the files this process
+    maps), into ``$XDG_CACHE_HOME/sparsewatch`` (``~/.cache`` by default)
+    under a name keyed on the hash of the source, that library's path and
+    the interpreter's ``EXT_SUFFIX``, so a later process loads it and runs
+    no compiler.  A cache that cannot be written gets a build in a private
+    temporary directory instead.  None, and so the generated kernels, when
+    there is no such library, no compiler (the interpreter's ``CC``), no
+    ``Python.h``, or the build does not load.
     """
-    k_a = len(u)
-    return _kernel(k_a)(
-        raw_m, off, out[:k_a], memoryview(out), u, *cfg._sweep_lists, mu, alpha, mt,
-        cfg.sigma_e2, cfg.v, -tol, tol, max_iters,
-    )
+    import hashlib
+    import sysconfig
+    import tempfile
+    from importlib import resources
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            mapped = [line.split(maxsplit=5)[-1].strip() for line in maps]
+        blas = next((path for path in mapped if os.path.basename(path).startswith(_BLAS)), None)
+        if blas is None:
+            return None
+        source = resources.files(__package__).joinpath("_sweep.c").read_bytes()
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        key = hashlib.sha256(b"\0".join([source, os.fsencode(blas), suffix.encode()])).hexdigest()
+        cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+        path = os.path.join(cache, "sparsewatch", f"_sweep-{key[:16]}{suffix}")
+        if not os.path.exists(path):
+            try:
+                _build(source, blas, path)
+            except OSError:  # the cache cannot be written (or there is no compiler)
+                with tempfile.TemporaryDirectory() as private:
+                    return _load(_build(source, blas, os.path.join(private, "_sweep" + suffix)))
+        return _load(path)
+    except (OSError, ImportError):
+        return None
+
+
+def _build(source: bytes, blas: str, path: str) -> str:
+    """Compile ``source`` against the library ``blas`` into ``path``, through
+    a temporary file beside it that ``os.replace`` moves into place, so
+    processes that build at once each load a whole file; returns ``path``.
+    A compiler that fails raises ImportError, one that cannot be run or a
+    file that cannot be written OSError."""
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
+    os.close(fd)
+    command = [
+        *shlex.split(sysconfig.get_config_var("CC") or "cc"), "-shared", "-fPIC", "-O2",
+        "-ffp-contract=off", "-I" + sysconfig.get_paths()["include"], "-x", "c", "-", "-x", "none",
+        blas, "-Wl,-rpath," + os.path.dirname(blas), "-lm", "-o", tmp,
+    ]
+    try:
+        done = subprocess.run(command, input=source, capture_output=True)
+        if done.returncode:
+            raise ImportError(f"the sweep kernel did not build: {done.stderr.decode(errors='replace')}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+def _load(path: str):
+    """The ``sweep`` entry of the extension module file ``path``."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("sparsewatch._sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sweep
+
+
+def _sweeps(raw_m, rows, u, cfg: ModelConfig, tol: float, max_iters: int):
+    """Every sweep of n fits; returns (converged, sweeps run), (n,) bool and
+    int64 arrays.
+
+    Fit i starts from the posterior ``rows[i]``, its ``_FIELDS`` as rows of
+    a (5, k_a) float64 block of which mu_tilde, mu_a and alpha are read, at
+    the moments ``raw_m[i]`` (k_a×k_a) and ``u[i]``, and its final
+    posterior is written over it.  All n run in one call of the compiled
+    kernel (``_compiled``) or, where it cannot be built or loaded, each in
+    one call of the generated kernel for k_a, on the plain floats it
+    unpacks and M with its diagonal zeroed; the two store the same bits.
+    ``_iterate`` and the batch ``_FitStack.fit`` both run their fits
+    through it, so a batch row's are bitwise a lone fit's.
+    """
+    n = len(u)
+    converged, sweeps = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64)
+    compiled = _compiled()
+    if compiled is not None:
+        factors = cfg._sweep_factors
+        compiled(raw_m, rows, u, factors, cfg.sigma_e2, cfg.v, tol, max_iters, converged, sweeps)
+        return converged, sweeps
+    kernel, factors = _kernel(cfg.k_a), cfg._sweep_factors.tolist()
+    off = raw_m.copy()
+    off.reshape(n, -1)[:, :: cfg.k_a + 1] = 0.0  # the diagonals, more cheaply than np.fill_diagonal
+    for i, (out, u_i) in enumerate(zip(rows, u.tolist())):
+        mt, mu, _, alpha, _ = out.tolist()
+        converged[i], sweeps[i] = kernel(
+            raw_m[i], off[i], out[0], memoryview(out.ravel()), u_i, *factors, mu, alpha, mt,
+            cfg.sigma_e2, cfg.v, -tol, tol, max_iters,
+        )
+    return converged, sweeps
 
 
 def _iterate(
     post: SpikeSlabPosterior, stats: DecayedStats, cfg: ModelConfig, tol: float, max_iters: int
 ):
     """Coordinate sweeps at fixed stats until nothing moves by ``tol``, by
-    one ``_sweeps`` call; returns (posterior, converged, sweeps run).
+    one ``_sweeps`` call of one row; returns (posterior, converged, sweeps
+    run).
 
-    The posterior's fields are the rows of the kernel's output array, whose
+    The posterior's fields are the rows of the kernel's output block, whose
     first, mu_tilde, holds mu·alpha of the final iterate bitwise, so the
     posterior takes them without a conversion, as read-only rows.
     """
@@ -603,19 +715,12 @@ def _iterate(
         raise StateError("cannot sweep before any sample has been absorbed")
     if stats.k_a != post.k_a or post.k_a != cfg.k_a:
         raise DimensionError("posterior, stats, and config disagree on k_a")
-    k_a, raw_m = cfg.k_a, stats.raw_M
-    off = raw_m.copy()
-    off.ravel()[:: k_a + 1] = 0.0  # the diagonal, more cheaply than np.fill_diagonal
-    flat = np.empty(len(_FIELDS) * k_a)
-    flat[:k_a] = post.mu_tilde
-    converged, iters = _sweeps(
-        raw_m, off, flat, stats.raw_u.tolist(), post.mu_a.tolist(), post.alpha.tolist(),
-        post.mu_tilde.tolist(), cfg, tol, max_iters,
-    )
-    fields = flat.reshape(len(_FIELDS), k_a)
-    fields.setflags(write=False)  # the kernel wrote through its memoryview
+    rows = np.concatenate([getattr(post, name) for name in _FIELDS]).reshape(1, len(_FIELDS), -1)
+    converged, iters = _sweeps(stats.raw_M[None], rows, stats.raw_u[None], cfg, tol, max_iters)
+    fields = rows[0]
+    fields.setflags(write=False)
     mu_tilde, mu, s2, alpha, spread = fields
-    return SpikeSlabPosterior._trusted(mu, s2, alpha, mu_tilde, spread), converged, iters
+    return SpikeSlabPosterior._trusted(mu, s2, alpha, mu_tilde, spread), bool(converged[0]), int(iters[0])
 
 
 def vb_coordinate_sweep(
@@ -640,9 +745,8 @@ def vb_coordinate_sweep(
     The pass runs in blocks of at most 12 coordinates: one matrix-vector
     product gives every cross term of a block from the posterior at its
     start, and each coordinate adds M_ji·Δ(alpha_i mu_ai) for the earlier
-    coordinates of its block.  It is one sweep of the straight-line kernel
-    generated for k_a and compiled on first use, the kernel ``fit`` runs
-    for all of its sweeps.
+    coordinates of its block.  It is one sweep of the kernel ``fit`` runs
+    for all of its sweeps (see the module docstring).
     """
     return _iterate(post, stats, cfg, math.inf, 1)[0]
 
@@ -752,7 +856,7 @@ def fit(
     background never enters the anomaly iteration (it is integrated out of
     the moments), so the loop is plain coordinate sweeps at fixed stats,
     stopping after the first sweep in which every absolute change of mu_a
-    and alpha is below ``tol``.  The sweeps are one call of the generated
+    and alpha is below ``tol``.  The sweeps are one call of the sweep
     kernel (``_sweeps``), and the posterior is built once, at the end.
 
     Non-convergence within ``max_iters``, or a NaN change, returns the last
@@ -770,24 +874,22 @@ def fit(
 
 class _FitStack:
     """The fits of n replications from ``posts`` and empty moments: M and u
-    as ``raw_m`` (n, k_a, k_a) and ``raw_u`` (n, k_a), ``off`` (M, diagonals
-    zeroed), and ``rows``, the posteriors (n, 5, k_a) in ``_FIELDS`` order
-    with (n, k_a) views named like ``SpikeSlabPosterior``'s fields.  The
-    moments' q, normalization and mass, which nothing reads, are not kept."""
+    as ``raw_m`` (n, k_a, k_a) and ``raw_u`` (n, k_a), and ``rows``, the
+    posteriors (n, 5, k_a) in ``_FIELDS`` order with (n, k_a) views named
+    like ``SpikeSlabPosterior``'s fields.  The moments' q, normalization and
+    mass, which nothing reads, are not kept."""
 
     def __init__(self, posts, cfg: ModelConfig):
         n, k = len(posts), cfg.k_a
         self.cfg = cfg
         self.raw_m, self.raw_u = np.zeros((n, k, k)), np.zeros((n, k))
-        self.off = np.empty_like(self.raw_m)
         self.rows = np.array([[getattr(post, name) for name in _FIELDS] for post in posts])
         self.mu_tilde, self.mu_a, self.s2, self.alpha, self.spread = self.rows.swapaxes(0, 1)
-        self._sweep_args = list(zip(self.raw_m, self.off, self.rows.reshape(n, -1)))
 
-    def fit(self, x_z: np.ndarray, b_a_z: np.ndarray, geo) -> list:
+    def fit(self, x_z: np.ndarray, b_a_z: np.ndarray, geo):
         """Absorb observations ``x_z`` (n, m) with anomaly rows ``b_a_z`` (n, m,
-        k_a) and stacked geometry ``geo``, then sweep each row at ``fit``'s
-        defaults; returns each row's (converged, sweeps)."""
+        k_a) and stacked geometry ``geo``, then sweep every row at ``fit``'s
+        defaults by one ``_sweeps`` call; returns its (converged, sweeps)."""
         # absorb_sample: W·x = x − U·(c ∘ U'x), then u_c = B_aZ'·W·x
         proj = geo.c * np.matmul(x_z[:, None], geo.basis)[:, 0]
         w_x = x_z - np.matmul(geo.basis, proj[:, :, None])[:, :, 0]
@@ -796,12 +898,4 @@ class _FitStack:
         self.raw_m += geo.m_c
         self.raw_u *= keep
         self.raw_u += np.matmul(b_a_z.swapaxes(1, 2), w_x[:, :, None])[:, :, 0]
-
-        np.copyto(self.off, self.raw_m)
-        self.off.reshape(len(x_z), -1)[:, :: self.cfg.k_a + 1] = 0.0
-        sweep = _sweeps  # looked up per call: the seam a test swaps
-        lists = zip(self.raw_u.tolist(), self.mu_a.tolist(), self.alpha.tolist(), self.mu_tilde.tolist())
-        return [
-            sweep(raw_m, off, out, u, mu, alpha, mt, self.cfg, _TOL, _MAX_ITERS)
-            for (raw_m, off, out), (u, mu, alpha, mt) in zip(self._sweep_args, lists)
-        ]
+        return _sweeps(self.raw_m, self.rows, self.raw_u, self.cfg, _TOL, _MAX_ITERS)

@@ -11,7 +11,11 @@ sides' lines and exits with 1 if any line differs:
     PYTHONPATH=src python tests/parity.py --against DIR
 
 It prints one SHA-256 per stage, each followed by its decisions line,
-then one over all stages' full digests:
+then one over all stages' full digests, and last, outside the hashed
+lines, which sweep kernel ran (``inference._compiled``), so ``--against``
+compares the compiled kernel with the generated one a checkout without it
+runs.  A run with no compiler on ``PATH`` and a fresh ``XDG_CACHE_HOME``
+runs the generated fallback:
 
 - ``study-p15``: null trajectories (21 x 401, seed 5), the threshold search
   at ARL0 200, and ``evaluate`` records and summaries at phi = 0.2 and 1.0
@@ -76,7 +80,7 @@ from pathlib import Path
 import numpy as np
 
 import sparsewatch
-from sparsewatch import bases, cli, engine, simgen
+from sparsewatch import bases, cli, engine, inference, simgen
 from sparsewatch.detection import (
     DetectionInputs,
     lambda_stat,
@@ -340,6 +344,22 @@ def bases_stage() -> tuple[str, str]:
     return digest.h.hexdigest(), decisions.h.hexdigest()
 
 
+def sweep_factors(cfg: ModelConfig) -> tuple:
+    """The per-column factors the sweep kernel reads, as a tuple of three
+    float lists: the rows of ``_sweep_factors``, or in a checkout from
+    before the compiled kernel, ``_sweep_lists``."""
+    factors = getattr(cfg, "_sweep_factors", None)
+    return cfg._sweep_lists if factors is None else tuple(factors.tolist())
+
+
+def kernel_line() -> str:
+    """Which sweep kernel this process ran: the compiled one, or the
+    generated one, which a checkout from before the compiled kernel always
+    runs."""
+    compiled = getattr(inference, "_compiled", lambda: None)()
+    return f"sweep kernel: {'compiled' if compiled else 'generated'}"
+
+
 def configs_stage() -> tuple[str, str]:
     digest, decisions = Digest(), Digest()
     f64, i64 = np.float64, np.int64
@@ -376,7 +396,7 @@ def configs_stage() -> tuple[str, str]:
         for cfg in group:
             scalars = [cfg.sigma_e, cfg.sigma_b, cfg.v, cfg.decay, cfg.sigma_e2, cfg.sigma_b2]
             digest.add(np.array(scalars, dtype=np.float64), cfg.m, cfg.sigma_j, cfg.w,
-                       cfg.sigma_j2, cfg.logit_w, cfg._sweep_lists)
+                       cfg.sigma_j2, cfg.logit_w, sweep_factors(cfg))
         decisions.add(
             [cfg == group[0] for cfg in group], [hash(cfg) == hash(group[0]) for cfg in group]
         )
@@ -414,12 +434,16 @@ def compare(against: str) -> int:
         [sys.executable, __file__], env=env, stdout=subprocess.PIPE, text=True
     )
     ours = list(stage_lines())
-    theirs = other.communicate()[0].splitlines()
+    *theirs, their_kernel = other.communicate()[0].splitlines() or [""]
     if other.returncode:
         print(f"the stages failed under {against}/src (exit {other.returncode})")
         return 1
-    for title, lines in ((Path(sparsewatch.__file__).parents[1], ours), (Path(against, "src"), theirs)):
+    for title, kernel, lines in (
+        (Path(sparsewatch.__file__).parents[1], kernel_line(), ours),
+        (Path(against, "src"), their_kernel, theirs),
+    ):
         print(f"== {title}")
+        print(kernel)
         print("\n".join(lines))
     names = [line.split()[0] for line in ours]
     labels = [f"{names[i - 1]} decisions" if n == "decisions" else n for i, n in enumerate(names)]
@@ -441,6 +465,7 @@ def main() -> int:
         return compare(args.against)
     for line in stage_lines():
         print(line, flush=True)
+    print(kernel_line())
     return 0
 
 

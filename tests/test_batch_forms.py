@@ -105,9 +105,9 @@ def test_fit_stack_rows_equal_scalar_fits(case):
     stack = _FitStack([prior] * n, cfg)
     for (z, x), results in zip(steps, history):
         geo = geometry._stacked_geometry(d, cfg, z)
-        done = stack.fit(x, d.b_a[z], geo)
+        converged, sweeps = stack.fit(x, d.b_a[z], geo)
         for i, res in enumerate(results):
-            assert done[i] == (res.converged, res.n_iters)
+            assert (converged[i], sweeps[i]) == (res.converged, res.n_iters)
             assert stack.raw_m[i].tobytes() == res.stats.raw_M.tobytes()
             assert stack.raw_u[i].tobytes() == res.stats.raw_u.tobytes()
             for name in _FIELDS:

@@ -475,12 +475,12 @@ class TestStep:
     def test_outputs_equal_the_interpreted_blocked_sweep(
         self, default_dictionary, default_config, sampler, monkeypatch
     ):
-        """Null trajectories and run-length records through the generated
-        sweep kernels are byte-identical to those through the interpreted
-        blocked loop the kernels replaced (``oracles.blocked_sweep``).
-        Every fit, the lockstep null batch's included, runs its sweeps
-        through ``inference._sweeps``, so the swapped loop runs once per
-        null replication and step."""
+        """Null trajectories and run-length records through the sweep
+        kernel are byte-identical to those through the interpreted blocked
+        loop the kernels replaced (``oracles.blocked_sweep``).  Every fit
+        runs its sweeps through ``inference._sweeps``, and the lockstep null
+        batch runs all its rows' in one call per step, so the swapped loop
+        is called once per null step."""
         n_reps, horizon = 3, 60
         scenario = Scenario(
             dictionary=default_dictionary, cfg=default_config, tau=20,
@@ -501,21 +501,26 @@ class TestStep:
             )
             return traj.tobytes(), repr(records)
 
-        def interpreted(raw_m, off, out, u, mu, alpha, mt, cfg, tol, max_iters):
+        def interpreted(raw_m, rows, u, cfg, tol, max_iters):
             calls.append(None)
-            mu, s2, alpha, sweeps, converged, _ = blocked_sweep(
-                mu, alpha, raw_m, u, cfg, inference.ALPHA_CLAMP, inference._BLOCK, max_iters, tol,
-            )
-            mu, s2, alpha = np.array(mu), np.array(s2), np.array(alpha)
-            out[:] = np.concatenate((mu * alpha, mu, s2, alpha, alpha * (1.0 - alpha) * mu * mu))
-            return converged, sweeps
+            done = []
+            for m_i, out, u_i in zip(raw_m, rows, u):
+                mu, s2, alpha, sweeps, converged, _ = blocked_sweep(
+                    out[1], out[3], m_i, u_i, cfg, inference.ALPHA_CLAMP, inference._BLOCK,
+                    max_iters, tol,
+                )
+                mu, s2, alpha = np.array(mu), np.array(s2), np.array(alpha)
+                out[:] = mu * alpha, mu, s2, alpha, alpha * (1.0 - alpha) * mu * mu
+                done.append((converged, sweeps))
+            converged, sweeps = zip(*done)
+            return np.array(converged), np.array(sweeps)
 
         generated = run()
         calls.clear()
         monkeypatch.setattr(inference, "_sweeps", interpreted)
         assert run() == generated
         null_fits = calls.index("null phase ends")
-        assert null_fits == n_reps * horizon
+        assert null_fits == horizon
         assert len(calls) > null_fits + 1  # the delay cells' fits ran it too
 
     @pytest.mark.parametrize(
@@ -876,13 +881,15 @@ class TestCalibrateAndEvaluate:
     @pytest.fixture()
     def shared_cleared(self, monkeypatch):
         """No geometry table, no shared scorer, and every sweep kernel this
-        process asks for recorded, in order; the cache is cleared again
-        afterwards, since a run at a patched budget leaves its refusal."""
+        process asks for recorded, in order: ``"compiled"`` for the compiled
+        one, k_a for a generated one; the cache is cleared again afterwards,
+        since a run at a patched budget leaves its refusal."""
         geometry.clear_geometry_cache()
         monkeypatch.setattr(OracleScorer, "_shared", None)
         kernels = []
-        kernel = inference._kernel
+        kernel, compiled = inference._kernel, inference._compiled
         monkeypatch.setattr(inference, "_kernel", lambda k: kernels.append(k) or kernel(k))
+        monkeypatch.setattr(inference, "_compiled", lambda: kernels.append("compiled") or compiled())
         yield kernels
         geometry.clear_geometry_cache()
 
@@ -920,7 +927,7 @@ class TestCalibrateAndEvaluate:
             assert scorer[0] == (d.content_key, cfg.m)
         else:
             assert scorer is None
-        assert kernels == [cfg.k_a]
+        assert kernels == ["compiled"] + ([] if inference._compiled() else [cfg.k_a])
         np.testing.assert_array_equal(pooled, inline)
 
     def test_spawning_pool_builds_nothing_first(
@@ -1355,13 +1362,13 @@ class TestBadRequestsBuildNothing:
 class TestEngineLayering:
     def test_engine_reads_only_the_batch_forms_of_the_layers(self):
         """``engine`` reads no private module-level name of a layer but the
-        batch forms, ``geometry._stacked_geometry`` and the kernel it builds
+        batch forms, ``geometry._stacked_geometry`` and the kernels it loads
         before a pool forks, so a layer's formula lives in its own module;
         and ``_lockstep`` does not branch on the sampler's name."""
         tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
         layers = {"inference", "detection", "sampling", "geometry"}
         allowed = {
-            ("inference", "_FitStack"), ("inference", "_kernel"),
+            ("inference", "_FitStack"), ("inference", "_kernel"), ("inference", "_compiled"),
             ("detection", "_stacked_lambda_stat"), ("sampling", "_stacked_subsets"),
             ("geometry", "_stacked_geometry"),
         }

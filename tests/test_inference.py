@@ -432,8 +432,8 @@ class TestSweepKernels:
             np.testing.assert_allclose(one.s2, dense_s2, rtol=1e-12)
             np.testing.assert_allclose(one.alpha, dense_alpha, rtol=1e-12)
 
-    def test_fits_at_every_k_a_up_to_40_hold_one_kernel_per_k_a(self, rng):
-        inference._kernel.cache_clear()
+    @staticmethod
+    def _fit_every_k_a_up_to_40(rng):
         for k_a in range(1, 41):
             dictionary = BasisDictionary(
                 b_b=np.zeros((6, 0)), b_a=rng.normal(size=(6, k_a))
@@ -446,34 +446,54 @@ class TestSweepKernels:
                 rng.normal(size=3), [0, 2, 4], SpikeSlabPosterior.prior(cfg),
                 DecayedStats.empty(k_a), dictionary, cfg,
             )
+
+    def test_fits_at_every_k_a_up_to_40_hold_one_kernel_per_k_a(self, rng, monkeypatch):
+        """On the generated fallback: one kernel per k_a, each held."""
+        monkeypatch.setattr(inference, "_compiled", lambda: None)
+        inference._kernel.cache_clear()
+        self._fit_every_k_a_up_to_40(rng)
         info = inference._kernel.cache_info()
         assert info.currsize == 40
         for k_a in range(1, 41):  # each is held, so none compiles again
             inference._kernel(k_a)
         assert inference._kernel.cache_info().misses == info.misses
 
-    def test_import_and_engine_init_compile_no_kernel(self):
-        """Kernels are compiled by the first sweep, not at import or set-up."""
+    def test_fits_at_every_k_a_up_to_40_load_one_compiled_kernel(self, rng):
+        """The compiled kernel serves every k_a: it is built or loaded once
+        per process, and no generated kernel is compiled."""
+        if inference._compiled() is None:
+            pytest.skip("the compiled kernel cannot be built here")
+        inference._compiled.cache_clear()
+        inference._kernel.cache_clear()
+        self._fit_every_k_a_up_to_40(rng)
+        assert inference._compiled.cache_info().misses == 1
+        assert inference._kernel.cache_info().currsize == 0
+
+    def test_import_and_engine_init_compile_no_kernel(self, tmp_path):
+        """Kernels are built or loaded by the first sweep, not at import or
+        set-up: neither kernel cache holds one and no file is written."""
         code = (
             "import sparsewatch\n"
             "from sparsewatch import inference, engine\n"
-            "assert inference._kernel.cache_info().currsize == 0, 'import'\n"
+            "held = lambda: inference._kernel.cache_info().currsize + inference._compiled.cache_info().currsize\n"
+            "assert held() == 0, 'import'\n"
             "d = sparsewatch.BasisDictionary(\n"
             "    b_b=sparsewatch.fourier_basis(15, 3), b_a=sparsewatch.bspline_basis(15, 4, 14))\n"
             "cfg = sparsewatch.ModelConfig.homogeneous(\n"
             "    k_a=10, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7, decay=0.1, m=5)\n"
             "for sampler in ('thompson', 'oracle'):\n"
             "    engine.init(cfg, d, h=1.0, seed=0, sampler=sampler)\n"
-            "assert inference._kernel.cache_info().currsize == 0, 'init'\n"
+            "assert held() == 0, 'init'\n"
         )
         src = str(Path(inference.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p
         ))
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestElbo:
@@ -982,12 +1002,12 @@ class TestTypes:
         arrays and its sweep factors alone; its own arrays are read-only."""
         sigma_j, w = np.full(3, 2.0), np.full(3, 0.1)
         cfg = ModelConfig(sigma_e=1.0, sigma_b=1.0, sigma_j=sigma_j, w=w, v=0.5, decay=0.1, m=1)
-        derived = [cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), cfg._sweep_lists]
+        derived = [cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), cfg._sweep_factors.tolist()]
         sigma_j[:] = 5.0
         w[:] = 0.9
         assert cfg.sigma_j.tolist() == [2.0] * 3 and cfg.w.tolist() == [0.1] * 3
-        assert [cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), cfg._sweep_lists] == derived
-        for name in ("sigma_j", "w", "sigma_j2", "logit_w"):
+        assert [cfg.sigma_j2.tolist(), cfg.logit_w.tolist(), cfg._sweep_factors.tolist()] == derived
+        for name in ("sigma_j", "w", "sigma_j2", "logit_w", "_sweep_factors"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(cfg, name)[0] = 0.5
 
@@ -1010,8 +1030,7 @@ class TestTypes:
             w=np.array([0.1, 0.2, 0.3]), v=1e-4, decay=0.05, m=2,
         )
         back = pickle.loads(pickle.dumps(cfg))
-        assert back._sweep_lists == cfg._sweep_lists
-        for name in ("sigma_j", "w", "sigma_j2", "logit_w"):
+        for name in ("sigma_j", "w", "sigma_j2", "logit_w", "_sweep_factors"):
             arr = getattr(back, name)
             assert arr.tobytes() == getattr(cfg, name).tobytes()
             with pytest.raises(ValueError, match="read-only"):
