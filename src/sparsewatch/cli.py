@@ -266,6 +266,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _csv_text(manifest: dict, header, rows) -> str:
+    """The manifest as a comment line, the ``header`` names, then one line
+    per row, its fields by ``str`` with None as an empty field."""
+    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in [header, *rows]]
+    return "\n".join(lines) + "\n"
+
+
 def _resolve_threshold(value: str) -> float:
     """A threshold flag is a finite float literal or a path to a
     threshold.json whose ``h`` is a JSON number; checked before any
@@ -350,17 +358,6 @@ def _sweeps_text(histogram) -> str:
     return ", ".join(f"{k}: {n}" for k, n in enumerate(histogram, 1) if n)
 
 
-def _delays_csv(records, manifest: dict) -> str:
-    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
-    lines.append("rep,T,false_alarm,delay")
-    for rec in records:
-        delay = "" if rec["delay"] is None else str(rec["delay"])
-        lines.append(
-            f"{rec['rep']},{rec['T']},{int(rec['false_alarm'])},{delay}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_evaluate(args) -> int:
     scenario, sampler, raw = load_scenario(args.scenario)
     h = _resolve_threshold(args.threshold)
@@ -380,7 +377,8 @@ def _cmd_evaluate(args) -> int:
         return_records=True,
     )
     manifest = _manifest("evaluate", args, raw, {"h": h})
-    _write_text(delays_path, _delays_csv(records, manifest))
+    rows = [(r["rep"], r["T"], int(r["false_alarm"]), r["delay"]) for r in records]
+    _write_text(delays_path, _csv_text(manifest, ("rep", "T", "false_alarm", "delay"), rows))
     doc = {
         key: _num(value) if isinstance(value, float) else value
         for key, value in asdict(summary).items()
@@ -458,6 +456,20 @@ def _parse_list(text: str, flag: str, kind=float):
     return values
 
 
+_SWEEP_HEADER = (
+    "sampler", "m", "phi", "h", "add", "add_stderr", "std_dd",
+    "n_censored", "n_false_alarm", "n_reps", "n_nonconverged",
+)
+
+
+def _cell(summary) -> str:
+    """A ``table1.csv`` cell: "ADD(std of the delays)", or "censored" when
+    no run gave a delay."""
+    if math.isnan(summary.add):
+        return "censored"
+    return f"{summary.add:.2f}({summary.std_dd:.2f})"
+
+
 def _cmd_table1(args) -> int:
     scenario, sampler, raw = load_scenario(args.scenario)
     if args.samplers is None:  # the scenario's sampler, recorded in the manifest as run
@@ -492,10 +504,7 @@ def _cmd_table1(args) -> int:
     thresholds_path = os.path.join(args.out, "thresholds.json")
     _refuse_overwrite([table_path, sweep_path, thresholds_path], args.force)
 
-    columns = []
-    thresholds = {}
-    sweep_rows = []
-    cells = {}
+    results = []  # (sampler, m, h, achieved ARL, summaries), one per column
     for si, samp in enumerate(samplers):
         for mi, cfg_m in enumerate(cfgs):
             h, achieved, summaries = study(
@@ -505,56 +514,30 @@ def _cmd_table1(args) -> int:
                  for pi, phi in enumerate(phis)],
                 workers=args.workers, sampler=samp,
             )
-            name = f"{samp}_m{cfg_m.m}"
-            columns.append(name)
-            thresholds[name] = {"h": h, "achieved_arl": achieved}
-            cells[(0.0, name)] = f"{achieved:.2f}"
+            results.append((samp, cfg_m.m, h, achieved, summaries))
             for phi, summary in zip(phis, summaries):
-                cells[(phi, name)] = (
-                    f"{summary.add:.2f}({summary.std_dd:.2f})"
-                    if not math.isnan(summary.add)
-                    else "censored"
-                )
-                sweep_rows.append(
-                    (
-                        samp,
-                        cfg_m.m,
-                        phi,
-                        h,
-                        _num(summary.add),
-                        _num(summary.add_stderr),
-                        _num(summary.std_dd),
-                        summary.n_censored,
-                        summary.n_false_alarm,
-                        summary.n_reps,
-                        summary.n_nonconverged,
-                    )
-                )
                 print(
-                    f"{name} phi={phi:g}: {cells[(phi, name)]}; steps by fit sweeps: "
+                    f"{samp}_m{cfg_m.m} phi={phi:g}: {_cell(summary)}; steps by fit sweeps: "
                     f"{_sweeps_text(summary.sweep_histogram)}",
                     flush=True,
                 )
 
+    names = [f"{samp}_m{m}" for samp, m, *_ in results]
     manifest = _manifest("table1", args, raw, {"target_arl0": target})
-    mline = "# manifest: " + json.dumps(manifest, sort_keys=True)
-
-    lines = [mline, "phi," + ",".join(columns)]
-    for phi in [0.0] + phis:
-        lines.append(
-            f"{phi:g}," + ",".join(cells[(phi, name)] for name in columns)
-        )
-    _write_text(table_path, "\n".join(lines) + "\n")
-
-    lines = [
-        mline,
-        "sampler,m,phi,h,add,add_stderr,std_dd,n_censored,n_false_alarm,n_reps,"
-        "n_nonconverged",
+    columns = ([f"{achieved:.2f}", *map(_cell, summaries)] for *_, achieved, summaries in results)
+    table = zip([f"{phi:g}" for phi in [0.0, *phis]], *columns)
+    _write_text(table_path, _csv_text(manifest, ["phi", *names], table))
+    sweep = [
+        (samp, m, phi, h, _num(s.add), _num(s.add_stderr), _num(s.std_dd),
+         s.n_censored, s.n_false_alarm, s.n_reps, s.n_nonconverged)
+        for samp, m, h, _, summaries in results
+        for phi, s in zip(phis, summaries)
     ]
-    for row in sweep_rows:
-        lines.append(",".join("" if v is None else str(v) for v in row))
-    _write_text(sweep_path, "\n".join(lines) + "\n")
-
+    _write_text(sweep_path, _csv_text(manifest, _SWEEP_HEADER, sweep))
+    thresholds = {
+        name: {"h": h, "achieved_arl": achieved}
+        for name, (_, _, h, achieved, _) in zip(names, results)
+    }
     _write_text(
         thresholds_path,
         _json_text({"thresholds": thresholds, "manifest": manifest}),
@@ -594,39 +577,32 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers", type=_integer(1), default=1, help="parallel worker processes"
             )
 
+    def calibration(sp, horizon_flag):  # the calibration horizon, then --tol-rel
+        sp.add_argument(
+            horizon_flag, type=_integer(1), default=None,
+            help="calibration horizon (default: scenario horizon)",
+        )
+        sp.add_argument("--tol-rel", type=float, default=0.02, help="relative ARL error tolerance")
+
+    def threshold(sp):
+        sp.add_argument(
+            "--threshold", required=True, help="alarm threshold: a number or a threshold.json path"
+        )
+
     sp = sub.add_parser("calibrate", help="calibrate the alarm threshold")
     common(sp, reps_default=200)
-    sp.add_argument(
-        "--horizon",
-        type=_integer(1),
-        default=None,
-        help="calibration horizon (default: scenario horizon)",
-    )
-    sp.add_argument(
-        "--tol-rel",
-        type=float,
-        default=0.02,
-        help="relative ARL error tolerance",
-    )
+    calibration(sp, "--horizon")
     sp.set_defaults(func=_cmd_calibrate)
 
     sp = sub.add_parser("evaluate", help="replicated run-length evaluation")
     common(sp, reps_default=200)
-    sp.add_argument(
-        "--threshold",
-        required=True,
-        help="alarm threshold: a number or a threshold.json path",
-    )
+    threshold(sp)
     sp.set_defaults(func=_cmd_evaluate)
 
     sp = sub.add_parser("monitor", help="monitor a stream CSV")
     common(sp)
     sp.add_argument("--stream", required=True, help="stream CSV file")
-    sp.add_argument(
-        "--threshold",
-        required=True,
-        help="alarm threshold: a number or a threshold.json path",
-    )
+    threshold(sp)
     sp.set_defaults(func=_cmd_monitor)
 
     sp = sub.add_parser(
@@ -642,18 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--calib-reps", type=_integer(1), default=200, help="calibration replication count"
     )
-    sp.add_argument(
-        "--calib-horizon",
-        type=_integer(1),
-        default=None,
-        help="calibration horizon (default: scenario horizon)",
-    )
-    sp.add_argument(
-        "--tol-rel",
-        type=float,
-        default=0.02,
-        help="relative ARL error tolerance",
-    )
+    calibration(sp, "--calib-horizon")
     sp.set_defaults(func=_cmd_table1)
     return parser
 

@@ -65,6 +65,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -709,14 +710,19 @@ def _iterate(
 
     The posterior's fields are the rows of the kernel's output block, whose
     first, mu_tilde, holds mu·alpha of the final iterate bitwise, so the
-    posterior takes them without a conversion, as read-only rows.
+    posterior takes them without a conversion, as read-only rows.  The
+    kernels get the moments as C-ordered float64 (a copy only of stats
+    built otherwise, which widening leaves exact) and ``max_iters`` capped
+    at ``sys.maxsize``, the compiled kernel's C long, which no fit reaches.
     """
     if stats.n == 0:
         raise StateError("cannot sweep before any sample has been absorbed")
     if stats.k_a != post.k_a or post.k_a != cfg.k_a:
         raise DimensionError("posterior, stats, and config disagree on k_a")
     rows = np.concatenate([getattr(post, name) for name in _FIELDS]).reshape(1, len(_FIELDS), -1)
-    converged, iters = _sweeps(stats.raw_M[None], rows, stats.raw_u[None], cfg, tol, max_iters)
+    raw_m = np.ascontiguousarray(stats.raw_M, dtype=np.float64)[None]
+    raw_u = np.ascontiguousarray(stats.raw_u, dtype=np.float64)[None]
+    converged, iters = _sweeps(raw_m, rows, raw_u, cfg, tol, min(max_iters, sys.maxsize))
     fields = rows[0]
     fields.setflags(write=False)
     mu_tilde, mu, s2, alpha, spread = fields

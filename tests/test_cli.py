@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
@@ -10,7 +11,7 @@ import pytest
 
 import sparsewatch.geometry as geometry
 from sparsewatch import gen_stream, save_basis_csv, save_stream_csv
-from sparsewatch.cli import CliError, load_scenario, main
+from sparsewatch.cli import CliError, build_parser, load_scenario, main
 
 
 def _scenario_doc(**over):
@@ -807,6 +808,23 @@ class TestTable1:
         for name in ("table1.csv", "sweep.csv", "thresholds.json"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
+    def test_a_cell_without_a_delay_reads_censored(self, tmp_path, capsys):
+        """A change too small and too late to be caught before a false
+        alarm: every run alarms first, so the cell has no ADD."""
+        path = _write_scenario(tmp_path, tau=55, horizon=60, change=[[0, 0.001]])
+        out = tmp_path / "t"
+        assert main(
+            [
+                "table1", "--scenario", str(path), "--out", str(out),
+                "--phis", "0.001", "--ms", "2", "--calib-reps", "15", "--reps", "3",
+                "--tol-rel", "0.3",
+            ]
+        ) == 0
+        assert "thompson_m2 phi=0.001: censored; " in capsys.readouterr().out
+        assert (out / "table1.csv").read_text().split("\n")[3] == "0.001,censored"
+        row = (out / "sweep.csv").read_text().split("\n")[2].split(",")
+        assert row[4:] == ["", "", "", "0", "3", "3", "0"]
+
     def test_runs_the_scenarios_sampler_without_the_flag(self, tmp_path):
         """A scenario's "sampler" was dropped: the table ran Thompson and its
         manifest recorded both "samplers": "thompson" and "sampler": "oracle"."""
@@ -940,3 +958,59 @@ class TestEntryPoint:
             main(["--version"])
         assert info.value.code == 0
         assert "sparsewatch" in capsys.readouterr().out
+
+
+COMMON = ["--scenario", "--out", "--seed", "--force"]
+REPLICATED = [*COMMON, "--reps", "--workers"]
+
+
+class TestSharedFlags:
+    """The flags two subcommands share, as ``build_parser`` builds them:
+    each subcommand's options in ``--help`` order, and each shared flag's
+    type, default and help text."""
+
+    OPTIONS = {
+        "calibrate": [*REPLICATED, "--horizon", "--tol-rel"],
+        "evaluate": [*REPLICATED, "--threshold"],
+        "monitor": [*COMMON, "--stream", "--threshold"],
+        "table1": [*REPLICATED, "--phis", "--ms", "--samplers", "--calib-reps",
+                   "--calib-horizon", "--tol-rel"],
+    }
+    HORIZON = (None, False, "calibration horizon (default: scenario horizon)")
+    SHARED = {  # default, required, help
+        "--horizon": HORIZON,
+        "--calib-horizon": HORIZON,
+        "--tol-rel": (0.02, False, "relative ARL error tolerance"),
+        "--threshold": (None, True, "alarm threshold: a number or a threshold.json path"),
+    }
+
+    @staticmethod
+    def subcommands() -> dict:
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_each_subcommand_keeps_its_options_in_order(self):
+        subcommands = self.subcommands()
+        assert list(subcommands) == list(self.OPTIONS)
+        for name, parser in subcommands.items():
+            flags = [a.option_strings[-1] for a in parser._actions]
+            assert flags == ["--help", *self.OPTIONS[name]], name
+
+    def test_each_shared_flag_keeps_its_type_default_and_help(self):
+        seen = []
+        for name, parser in self.subcommands().items():
+            for action in parser._actions:
+                flag = action.option_strings[-1]
+                if flag not in self.SHARED:
+                    continue
+                seen.append(flag)
+                assert (action.default, action.required, action.help) == self.SHARED[flag]
+                if flag == "--tol-rel":
+                    assert action.type is float
+                elif flag == "--threshold":
+                    assert action.type is None
+                else:
+                    assert action.type("1") == 1
+                    with pytest.raises(argparse.ArgumentTypeError, match="at least 1"):
+                        action.type("0")
+        assert sorted(seen) == sorted([*self.SHARED, "--tol-rel", "--threshold"])

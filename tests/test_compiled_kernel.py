@@ -17,6 +17,7 @@ import subprocess
 import sys
 import sysconfig
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -24,7 +25,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sparsewatch import ModelConfig, engine, inference
+from sparsewatch import DecayedStats, ModelConfig, SpikeSlabPosterior, engine, inference
 from sparsewatch.inference import ALPHA_CLAMP
 
 SRC = Path(inference.__file__).resolve().parents[1]
@@ -173,6 +174,82 @@ class TestBitwise:
             sweep(*args[:7], 0, *args[8:])
         with pytest.raises(TypeError):
             sweep(*args[:9])
+
+
+def _fit_bytes(result) -> tuple:
+    """A ``FitResult`` as its posterior's and moments' bytes, flag and count."""
+    post, stats, converged, n_iters = result
+    fields = b"".join(getattr(post, name).tobytes() for name in inference._FIELDS)
+    return fields, stats.raw_M.tobytes(), stats.raw_u.tobytes(), converged, n_iters
+
+
+def _on_both_kernels(run) -> list:
+    """``run()`` with the compiled kernel, then with the generated fallback."""
+    results = []
+    for kernel in (inference._compiled(), None):
+        with mock.patch.object(inference, "_compiled", lambda: kernel):
+            results.append(run())
+    return results
+
+
+@pytest.fixture(scope="module")
+def stream_fit(default_dictionary, default_config):
+    """The next observation, subset, posterior and moments after 12 fits of
+    a stream of the p = 15 model's noise, where fits converge."""
+    rng = np.random.default_rng(7)
+    post, stats = SpikeSlabPosterior.prior(default_config), DecayedStats.empty(10)
+    for _ in range(13):
+        z = np.sort(rng.choice(15, 5, replace=False))
+        x_z = default_config.sigma_e * rng.normal(size=5)
+        if stats.n == 12:
+            return x_z, z, post, stats
+        post, stats, _, _ = inference.fit(x_z, z, post, stats, default_dictionary, default_config)
+
+
+class TestArgumentsBothKernelsTake:
+    @pytest.mark.parametrize("max_iters", [2**63, 10**30], ids=["2**63", "10**30"])
+    def test_a_max_iters_beyond_a_c_long_fits_as_100_does(
+        self, stream_fit, default_dictionary, default_config, max_iters
+    ):
+        """No fit reaches ``sys.maxsize`` sweeps, so the cap moves nothing."""
+        def run(limit):
+            return _fit_bytes(inference.fit(
+                *stream_fit, default_dictionary, default_config, max_iters=limit
+            ))
+
+        compiled, generated = _on_both_kernels(lambda: run(max_iters))
+        assert compiled == generated == run(100)
+        assert compiled[3] and 1 < compiled[4] < 100
+
+    @pytest.mark.parametrize("kind", ["fortran-M", "strided-u", "float32-M", "float32-u"])
+    def test_stats_in_any_float_layout_fit_equally(
+        self, stream_fit, default_dictionary, default_config, kind
+    ):
+        """``DecayedStats``' constructor takes its arrays as they are; both
+        kernels fit and sweep a Fortran-ordered M, a strided u and float32
+        of either, the sweep as on C-ordered float64 copies."""
+        x_z, z, post, stats = stream_fit
+        raw_m, raw_u = stats.raw_M, stats.raw_u
+        raw_m, raw_u = {
+            "fortran-M": (np.asfortranarray(raw_m), raw_u),
+            "strided-u": (raw_m, np.stack([raw_u, -raw_u], axis=1)[:, 0]),
+            "float32-M": (raw_m.astype(np.float32), raw_u),
+            "float32-u": (raw_m, raw_u.astype(np.float32)),
+        }[kind]
+        odd = replace(stats, raw_M=raw_m, raw_u=raw_u)
+        plain = replace(stats, raw_M=np.array(raw_m, dtype=np.float64),
+                        raw_u=np.array(raw_u, dtype=np.float64))
+
+        def sweep(moments):
+            post_1 = inference.vb_coordinate_sweep(post, moments, default_config)
+            return b"".join(getattr(post_1, name).tobytes() for name in inference._FIELDS)
+
+        compiled, generated = _on_both_kernels(lambda: (
+            sweep(odd),
+            _fit_bytes(inference.fit(x_z, z, post, odd, default_dictionary, default_config)),
+        ))
+        assert compiled == generated
+        assert compiled[0] == sweep(plain)
 
 
 # One process's fits and lockstep null run: prints the kernel that ran and
