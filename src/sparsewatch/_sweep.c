@@ -1,13 +1,29 @@
-/* The compiled sweep kernel of sparsewatch.inference: every sweep of n fits
- * in one call.  It runs, operation for operation and in the same order, the
- * Python kernel inference._kernel_source generates, so its output is that
- * kernel's bit for bit: each block's product through numpy's own
- * cblas_dgemv with the arguments ndarray.dot passes it, in-block cross
- * terms summed left to right, libm's exp, and the same clamp and stop
- * tests.  Built with -ffp-contract=off, so no multiply-add is fused. */
+/* The compiled layers of sparsewatch's scalar step, in one extension.
+ *
+ * sweep       every VB sweep of n fits (inference._sweeps), operation for
+ *             operation the Python kernel inference._kernel_source generates;
+ * absorb      absorb_sample's W·x, u_c, q_c and moment update;
+ * statistic   lambda_stat's products and sums;
+ * draw        draw_anomaly_sample's slab/spike draw from given variates;
+ * synthesize  synthesize_anomaly_signal's B_a·theta + sigma_e·noise;
+ * score       score_variables' two products and score;
+ * top         select_top_m's cut at the m-th largest score.
+ *
+ * Each computes what its numpy body computes, in the same order, so its
+ * output is that body's bit for bit: every product goes through numpy's own
+ * cblas_dgemv, cblas_ddot or cblas_daxpy with the arguments ndarray.dot
+ * passes (dot, which also mirrors how ndarray.dot treats a length-1
+ * dimension), and sweep uses libm's exp.  Built with -ffp-contract=off, so
+ * no multiply-add is fused.  An entry other than sweep takes C-contiguous
+ * float64 arrays of the sizes its layer checked; given anything else it
+ * returns NotImplemented and the layer runs its numpy body.  So does an
+ * entry whose numpy operations raise a floating-point exception numpy
+ * reports (invalid, division by zero, overflow, underflow): the numpy body
+ * then warns or raises as np.errstate says. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <fenv.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -21,7 +37,107 @@
 void scipy_cblas_dgemv64_(int order, int trans, int64_t m, int64_t n, double alpha,
                           const double *a, int64_t lda, const double *x, int64_t incx,
                           double beta, double *y, int64_t incy);
-enum { ROW_MAJOR = 101, NO_TRANS = 111 };
+double scipy_cblas_ddot64_(int64_t n, const double *x, int64_t incx, const double *y,
+                           int64_t incy);
+void scipy_cblas_daxpy64_(int64_t n, double alpha, const double *x, int64_t incx, double *y,
+                          int64_t incy);
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112 };
+
+/* An operand of ndarray.dot: one or two dimensions, strides in items. */
+typedef struct {
+    const double *data;
+    int nd;
+    Py_ssize_t dim[2], step[2];
+} operand;
+
+static operand
+vector(const double *data, Py_ssize_t n)
+{
+    return (operand){data, 1, {n, 0}, {1, 0}};
+}
+
+static operand
+matrix(const double *data, Py_ssize_t rows, Py_ssize_t cols)
+{
+    return (operand){data, 2, {rows, cols}, {cols, 1}};
+}
+
+/* The transpose of the C-ordered rows x cols matrix at data. */
+static operand
+transposed(const double *data, Py_ssize_t rows, Py_ssize_t cols)
+{
+    return (operand){data, 2, {cols, rows}, {1, cols}};
+}
+
+/* How ndarray.dot classes an operand: a vector or matrix of one element is
+ * a scalar, a 1 x n matrix a row, an n-vector or n x 1 matrix a column. */
+enum { SCALAR, COLUMN, ROW, MATRIX };
+
+static int
+shape_of(const operand *a)
+{
+    if (a->nd == 1)
+        return a->dim[0] > 1 ? COLUMN : SCALAR;
+    if (a->dim[0] > 1)
+        return a->dim[1] == 1 ? COLUMN : MATRIX;
+    return a->dim[1] == 1 ? SCALAR : ROW;
+}
+
+/* a·x for the matrix a, or a'·x, as ndarray.dot calls cblas_dgemv: row-major
+ * when a is C-contiguous, else column-major. */
+static void
+gemv(const operand *a, int trans, const double *x, Py_ssize_t incx, double *y)
+{
+    int c_order = a->step[1] == 1 && a->step[0] == a->dim[1];
+    Py_ssize_t lda = c_order ? a->dim[1] : a->dim[0];
+    scipy_cblas_dgemv64_(c_order ? ROW_MAJOR : COL_MAJOR, trans, a->dim[0], a->dim[1], 1.0,
+                         a->data, lda > 1 ? lda : 1, x, incx, 0.0, y, 1);
+}
+
+/* a.dot(b) into out, its n_out elements, as numpy's cblas_matrixproduct
+ * computes it for float64 operands of which one at least is 1-D, whatever
+ * their lengths: the output zeroed; nothing more when it is empty or the
+ * summed length is 0; a scalar operand multiplies the other (one product,
+ * or cblas_daxpy into the zeros, which a zero scalar leaves); a row or
+ * vector with a column is 0.0 + cblas_ddot, as numpy's DOUBLE_dot sums it;
+ * and a matrix with a vector is cblas_dgemv.  Every entry's products go
+ * through it. */
+static void
+dot(operand a, operand b, double *out, Py_ssize_t n_out)
+{
+    const operand oa = a, ob = b;
+    int sa = shape_of(&a), sb = shape_of(&b);
+    Py_ssize_t l = a.dim[a.nd - 1], step = 0;
+
+    memset(out, 0, n_out * sizeof(double));
+    if (sa == SCALAR || sb == SCALAR) {
+        if (sa == SCALAR) { /* the scalar goes second */
+            a = ob;
+            b = oa;
+            sa = sb;
+            sb = SCALAR;
+        }
+        step = a.step[sa == ROW];
+        if (a.nd + b.nd == 3)
+            l = oa.nd == 2 ? oa.dim[0] : ob.dim[1];
+        if (oa.dim[oa.nd - 1] == 0)
+            l = 0;
+    }
+    if (n_out == 0 || l == 0)
+        return;
+    if (sb == SCALAR) {
+        if (l == 1)
+            out[0] = b.data[0] * a.data[0];
+        else
+            scipy_cblas_daxpy64_(l, b.data[0], a.data, step, out, 1);
+    }
+    else if (sb == COLUMN && sa != MATRIX)
+        out[0] = 0.0 + scipy_cblas_ddot64_(l, a.data, a.step[sa == ROW], b.data, b.step[0]);
+    else if (sa == MATRIX)
+        gemv(&a, NO_TRANS, b.data, b.step[0], out);
+    else
+        gemv(&b, TRANS, a.data, a.step[sa == ROW], out);
+}
 
 /* The sweeps of one fit at k_a = k.  raw_m is its k x k M and u its k-long
  * u; row holds the fields one after another, mu_tilde, mu_a and alpha of
@@ -188,8 +304,401 @@ done:
     return result;
 }
 
+/* The step layers' entries.  Each takes its arguments' buffers through
+ * array, which reports an argument it does not mirror; the entry then
+ * returns NotImplemented before it writes anything.  An entry clears the
+ * exceptions numpy reports before its numpy operations and returns
+ * NotImplemented if any was raised (raised), before it writes an argument
+ * numpy's body reads. */
+
+#define REPORTED (FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW | FE_UNDERFLOW)
+
+#define MAX_ARRAYS 10
+
+/* What an entry holds: its arguments' buffers and one scratch block. */
+typedef struct {
+    Py_buffer view[MAX_ARRAYS];
+    int n;
+    double *scratch;
+} arrays;
+
+static void
+release(arrays *held)
+{
+    free(held->scratch);
+    held->scratch = NULL;
+    while (held->n > 0)
+        PyBuffer_Release(&held->view[--held->n]);
+}
+
+/* A scratch block of n doubles, or NULL after releasing what the entry
+ * holds and setting MemoryError. */
+static double *
+scratch(arrays *held, Py_ssize_t n)
+{
+    held->scratch = malloc((n + 1) * sizeof(double));
+    if (held->scratch == NULL) {
+        release(held);
+        PyErr_NoMemory();
+    }
+    return held->scratch;
+}
+
+/* Whether the entry's numpy operations since feclearexcept raised an
+ * exception numpy reports; releases what the entry holds either way. */
+static int
+raised(arrays *held)
+{
+    int any = fetestexcept(REPORTED) != 0;
+    release(held);
+    return any;
+}
+
+/* The data of obj if it is a C-contiguous array of native itemsize-byte
+ * items of a format in formats, ndim nd (1 or 2) and shape (d0) or (d0, d1),
+ * a dimension given as -1 taking any length; the actual shape is written to
+ * shape.  NULL, with no error set, for anything else. */
+static void *
+array(arrays *held, PyObject *obj, int writable, const char *formats, Py_ssize_t itemsize, int nd,
+      Py_ssize_t d0, Py_ssize_t d1, Py_ssize_t *shape)
+{
+    Py_buffer *view = &held->view[held->n];
+    int flags = PyBUF_FORMAT | PyBUF_STRIDES | (writable ? PyBUF_WRITABLE : 0);
+
+    if (PyObject_GetBuffer(obj, view, flags) < 0) {
+        PyErr_Clear();
+        return NULL;
+    }
+    held->n++;
+    if (view->ndim != nd || view->itemsize != itemsize || view->format == NULL
+        || view->format[0] == '\0' || view->format[1] != '\0'
+        || strchr(formats, view->format[0]) == NULL || !PyBuffer_IsContiguous(view, 'C')
+        || (d0 >= 0 && view->shape[0] != d0) || (nd == 2 && d1 >= 0 && view->shape[1] != d1))
+        return NULL;
+    if (shape != NULL) {
+        shape[0] = view->shape[0];
+        if (nd == 2)
+            shape[1] = view->shape[1];
+    }
+    return view->buf;
+}
+
+#define DOUBLES(obj, writable, nd, d0, d1, shape) \
+    ((double *)array(&held, obj, writable, "d", sizeof(double), nd, d0, d1, shape))
+
+/* NotImplemented, after releasing what the entry holds. */
+static PyObject *
+not_mirrored(arrays *held)
+{
+    release(held);
+    return Py_NewRef(Py_NotImplemented);
+}
+
+static int
+nargs_is(Py_ssize_t nargs, Py_ssize_t n, const char *name)
+{
+    if (nargs == n)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments", name, n);
+    return 0;
+}
+
+/* The rows z of the C-ordered p x k matrix b_a, into the m x k rows;
+ * whether every index lies in [0, p). */
+static int
+gather(const double *b_a, Py_ssize_t p, Py_ssize_t k, const Py_ssize_t *z, Py_ssize_t m,
+       double *rows)
+{
+    for (Py_ssize_t i = 0; i < m; i++) {
+        if (z[i] < 0 || z[i] >= p)
+            return 0;
+        memcpy(rows + i * k, b_a + z[i] * k, k * sizeof(double));
+    }
+    return 1;
+}
+
+#define INDICES(obj, m) \
+    ((Py_ssize_t *)array(&held, obj, 0, "lqn", sizeof(Py_ssize_t), 1, m, 0, NULL))
+
+/* absorb(x, z, b_a, basis, c, m_c, raw_m, raw_u, keep, out_m, out_u):
+ * absorb_sample's arithmetic for the observation x (m) at the subset z (m,
+ * intp), with the anomaly basis b_a (p, k), the subset's geometry basis (m,
+ * k_b), c (k_b) and m_c (k, k), and the moments raw_m (k, k) and raw_u (k).
+ * W·x = x − basis·(c ∘ x'basis); writes raw_m·keep + m_c into out_m and
+ * keep·raw_u + B_aZ'·W·x into out_u and returns x'·W·x. */
+static PyObject *
+absorb(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays held = {.n = 0, .scratch = NULL};
+    Py_ssize_t xs[2], bs[2], cs[2], m, p, k, kb;
+    const double *x, *b_a, *basis, *c, *m_c, *raw_m, *raw_u;
+    const Py_ssize_t *z;
+    double keep, q, *out_m, *out_u, *rows, *t, *w_x, *u_c;
+
+    (void)self;
+    if (!nargs_is(nargs, 11, "absorb"))
+        return NULL;
+    keep = PyFloat_AsDouble(args[8]);
+    if (keep == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(x = DOUBLES(args[0], 0, 1, -1, 0, xs)) || !(z = INDICES(args[1], m = xs[0]))
+        || !(b_a = DOUBLES(args[2], 0, 2, -1, -1, bs)) || !(c = DOUBLES(args[4], 0, 1, -1, 0, cs))
+        || !(basis = DOUBLES(args[3], 0, 2, m, kb = cs[0], NULL))
+        || !(m_c = DOUBLES(args[5], 0, 2, bs[1], bs[1], NULL))
+        || !(raw_m = DOUBLES(args[6], 0, 2, bs[1], bs[1], NULL))
+        || !(raw_u = DOUBLES(args[7], 0, 1, bs[1], 0, NULL))
+        || !(out_m = DOUBLES(args[9], 1, 2, bs[1], bs[1], NULL))
+        || !(out_u = DOUBLES(args[10], 1, 1, bs[1], 0, NULL)))
+        return not_mirrored(&held);
+    p = bs[0], k = bs[1];
+    if (!(rows = scratch(&held, m * k + kb + m + k)))
+        return NULL;
+    if (!gather(b_a, p, k, z, m, rows))
+        return not_mirrored(&held);
+    t = rows + m * k, w_x = t + kb, u_c = w_x + m;
+    feclearexcept(REPORTED);
+    dot(vector(x, m), matrix(basis, m, kb), t, kb); /* x'basis */
+    for (Py_ssize_t i = 0; i < kb; i++)
+        t[i] = c[i] * t[i];
+    dot(matrix(basis, m, kb), vector(t, kb), w_x, m);
+    for (Py_ssize_t i = 0; i < m; i++)
+        w_x[i] = x[i] - w_x[i];
+    dot(transposed(rows, m, k), vector(w_x, m), u_c, k);
+    dot(vector(x, m), vector(w_x, m), &q, 1);
+    for (Py_ssize_t i = 0; i < k * k; i++)
+        out_m[i] = raw_m[i] * keep + m_c[i];
+    for (Py_ssize_t i = 0; i < k; i++)
+        out_u[i] = keep * raw_u[i] + u_c[i];
+    return raised(&held) ? Py_NewRef(Py_NotImplemented) : PyFloat_FromDouble(q);
+}
+
+/* statistic(x, z, b_a, mu_tilde, basis, col_sq, spread): lambda_stat of the
+ * observation x (m) at the subset z (m, intp), with the anomaly basis b_a
+ * (p, k), the posterior's mu_tilde and spread (k), and the subset's
+ * geometry basis (m, k_b) and col_sq (k). */
+static PyObject *
+statistic(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays held = {.n = 0, .scratch = NULL};
+    Py_ssize_t xs[2], bs[2], gs[2], m, k, kb;
+    const double *x, *b_a, *mu_tilde, *basis, *col_sq, *spread;
+    const Py_ssize_t *z;
+    double *rows, *y, *t, *p_y, yy, cs, yx, pyx, ypy;
+
+    (void)self;
+    if (!nargs_is(nargs, 7, "statistic"))
+        return NULL;
+    if (!(x = DOUBLES(args[0], 0, 1, -1, 0, xs)) || !(z = INDICES(args[1], m = xs[0]))
+        || !(b_a = DOUBLES(args[2], 0, 2, -1, -1, bs))
+        || !(mu_tilde = DOUBLES(args[3], 0, 1, k = bs[1], 0, NULL))
+        || !(basis = DOUBLES(args[4], 0, 2, m, -1, gs))
+        || !(col_sq = DOUBLES(args[5], 0, 1, k, 0, NULL))
+        || !(spread = DOUBLES(args[6], 0, 1, k, 0, NULL)))
+        return not_mirrored(&held);
+    kb = gs[1];
+    if (!(rows = scratch(&held, m * k + 2 * m + kb)))
+        return NULL;
+    if (!gather(b_a, bs[0], k, z, m, rows))
+        return not_mirrored(&held);
+    y = rows + m * k, p_y = y + m, t = p_y + m;
+    feclearexcept(REPORTED);
+    dot(matrix(rows, m, k), vector(mu_tilde, k), y, m);
+    dot(transposed(basis, m, kb), vector(y, m), t, kb);
+    dot(matrix(basis, m, kb), vector(t, kb), p_y, m);
+    dot(vector(y, m), vector(y, m), &yy, 1);
+    dot(vector(col_sq, k), vector(spread, k), &cs, 1);
+    dot(vector(y, m), vector(x, m), &yx, 1);
+    dot(vector(p_y, m), vector(x, m), &pyx, 1);
+    dot(vector(y, m), vector(p_y, m), &ypy, 1);
+    if (raised(&held))
+        return Py_NewRef(Py_NotImplemented);
+    /* on Python floats in the numpy body, which report nothing */
+    return PyFloat_FromDouble(2.0 * (yx - pyx) - (yy + cs) + ypy);
+}
+
+/* A spike variance floor, sampling._VAR_FLOOR. */
+#define VAR_FLOOR 1e-18
+
+/* np.maximum(a, VAR_FLOOR): a NaN propagates. */
+static double
+floored(double a)
+{
+    return a >= VAR_FLOOR || a != a ? a : VAR_FLOOR;
+}
+
+/* draw(uniform, noise, alpha, mu_a, s2, v): draw_anomaly_sample from its k
+ * uniforms and normals, written over noise: mu_a + sqrt(s2)·noise where
+ * uniform < alpha, sqrt(v·s2)·noise elsewhere, each variance floored. */
+static PyObject *
+draw(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays held = {.n = 0, .scratch = NULL};
+    Py_ssize_t us[2], k;
+    const double *uniform, *alpha, *mu_a, *s2;
+    double v, *noise, *out;
+
+    (void)self;
+    if (!nargs_is(nargs, 6, "draw"))
+        return NULL;
+    v = PyFloat_AsDouble(args[5]);
+    if (v == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(uniform = DOUBLES(args[0], 0, 1, -1, 0, us))
+        || !(noise = DOUBLES(args[1], 1, 1, k = us[0], 0, NULL))
+        || !(alpha = DOUBLES(args[2], 0, 1, k, 0, NULL))
+        || !(mu_a = DOUBLES(args[3], 0, 1, k, 0, NULL))
+        || !(s2 = DOUBLES(args[4], 0, 1, k, 0, NULL)))
+        return not_mirrored(&held);
+    if (!(out = scratch(&held, k)))
+        return NULL;
+    feclearexcept(REPORTED);
+    for (Py_ssize_t j = 0; j < k; j++) {
+        double slab = sqrt(floored(1.0 * s2[j])) * noise[j];
+        double spike = sqrt(floored(v * s2[j])) * noise[j];
+        out[j] = uniform[j] < alpha[j] ? mu_a[j] + slab : spike;
+    }
+    if (!fetestexcept(REPORTED))
+        memcpy(noise, out, k * sizeof(double));
+    return Py_NewRef(raised(&held) ? Py_NotImplemented : Py_None);
+}
+
+/* synthesize(b_a, theta, noise, sigma_e): b_a (p, k)·theta (k) +
+ * sigma_e·noise, written over noise (p). */
+static PyObject *
+synthesize(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays held = {.n = 0, .scratch = NULL};
+    Py_ssize_t bs[2], p, k;
+    const double *b_a, *theta;
+    double sigma_e, *noise, *y;
+
+    (void)self;
+    if (!nargs_is(nargs, 4, "synthesize"))
+        return NULL;
+    sigma_e = PyFloat_AsDouble(args[3]);
+    if (sigma_e == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(b_a = DOUBLES(args[0], 0, 2, -1, -1, bs))
+        || !(theta = DOUBLES(args[1], 0, 1, k = bs[1], 0, NULL))
+        || !(noise = DOUBLES(args[2], 1, 1, p = bs[0], 0, NULL)))
+        return not_mirrored(&held);
+    if (!(y = scratch(&held, p)))
+        return NULL;
+    feclearexcept(REPORTED);
+    dot(matrix(b_a, p, k), vector(theta, k), y, p);
+    for (Py_ssize_t i = 0; i < p; i++)
+        y[i] = y[i] + sigma_e * noise[i];
+    if (!fetestexcept(REPORTED))
+        memcpy(noise, y, p * sizeof(double));
+    return Py_NewRef(raised(&held) ? Py_NotImplemented : Py_None);
+}
+
+/* score(x1_hat, b_a, b_a_sq, mu_tilde, spread, out): with y = b_a·mu_tilde,
+ * writes 2·x1_hat·y − (y·y + b_a_sq·spread) into out (p). */
+static PyObject *
+score(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays held = {.n = 0, .scratch = NULL};
+    Py_ssize_t xs[2], bs[2], p, k;
+    const double *x1, *b_a, *b_a_sq, *mu_tilde, *spread;
+    double *out, *y;
+
+    (void)self;
+    if (!nargs_is(nargs, 6, "score"))
+        return NULL;
+    if (!(x1 = DOUBLES(args[0], 0, 1, -1, 0, xs))
+        || !(b_a = DOUBLES(args[1], 0, 2, p = xs[0], -1, bs))
+        || !(b_a_sq = DOUBLES(args[2], 0, 2, p, k = bs[1], NULL))
+        || !(mu_tilde = DOUBLES(args[3], 0, 1, k, 0, NULL))
+        || !(spread = DOUBLES(args[4], 0, 1, k, 0, NULL))
+        || !(out = DOUBLES(args[5], 1, 1, p, 0, NULL)))
+        return not_mirrored(&held);
+    if (!(y = scratch(&held, p)))
+        return NULL;
+    feclearexcept(REPORTED);
+    dot(matrix(b_a, p, k), vector(mu_tilde, k), y, p);
+    dot(matrix(b_a_sq, p, k), vector(spread, k), out, p);
+    for (Py_ssize_t i = 0; i < p; i++)
+        out[i] = 2.0 * x1[i] * y[i] - (y[i] * y[i] + out[i]);
+    return Py_NewRef(raised(&held) ? Py_NotImplemented : Py_None);
+}
+
+/* The k-th smallest of the n numbers at a, none NaN, which it reorders: a
+ * quickselect whose three-way partition takes runs of equal values in
+ * linear time. */
+static double
+kth_smallest(double *a, Py_ssize_t n, Py_ssize_t k)
+{
+    Py_ssize_t lo = 0, hi = n;
+
+    while (hi - lo > 1) {
+        double x = a[lo], y = a[lo + (hi - lo) / 2], z = a[hi - 1], pivot;
+        Py_ssize_t lt = lo, i = lo, gt = hi;
+
+        pivot = x < y ? (y < z ? y : (x < z ? z : x)) : (x < z ? x : (y < z ? z : y));
+        while (i < gt) { /* [lo, lt) < pivot, [lt, i) == pivot, [gt, hi) > pivot */
+            double e = a[i];
+            if (e < pivot) {
+                a[i++] = a[lt];
+                a[lt++] = e;
+            }
+            else if (e > pivot) {
+                a[i] = a[--gt];
+                a[gt] = e;
+            }
+            else
+                i++;
+        }
+        if (k < lt)
+            hi = lt;
+        else if (k >= gt)
+            lo = gt;
+        else
+            return pivot;
+    }
+    return a[lo];
+}
+
+/* top(scores, out): the number of scores at or above the cut, the score at
+ * ascending rank p − m with NaN last as ndarray.partition orders it, where
+ * m is out's length; the first m of their indices, ascending, go into out
+ * (intp).  A NaN cut is reached by no score. */
+static PyObject *
+top(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays held = {.n = 0, .scratch = NULL};
+    Py_ssize_t ss[2], os[2], p, m, n = 0, count = 0;
+    const double *scores;
+    Py_ssize_t *out;
+    double *part, cut;
+
+    (void)self;
+    if (!nargs_is(nargs, 2, "top"))
+        return NULL;
+    if (!(scores = DOUBLES(args[0], 0, 1, -1, 0, ss))
+        || !(out = (Py_ssize_t *)array(&held, args[1], 1, "lqn", sizeof(Py_ssize_t), 1, -1, 0, os))
+        || (m = os[0]) < 1 || m > (p = ss[0]))
+        return not_mirrored(&held);
+    if (!(part = scratch(&held, p)))
+        return NULL;
+    for (Py_ssize_t i = 0; i < p; i++)
+        if (scores[i] == scores[i])
+            part[n++] = scores[i];
+    if (p - m < n) { /* else the cut is NaN */
+        cut = kth_smallest(part, n, p - m);
+        for (Py_ssize_t i = 0; i < p; i++)
+            if (scores[i] >= cut && count++ < m)
+                out[count - 1] = i;
+    }
+    release(&held);
+    return PyLong_FromSsize_t(count);
+}
+
+#define ENTRY(name) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, NULL}
+
 static PyMethodDef methods[] = {
-    {"sweep", (PyCFunction)(void (*)(void))sweep, METH_FASTCALL, NULL},
+    ENTRY(sweep), ENTRY(absorb), ENTRY(statistic), ENTRY(draw), ENTRY(synthesize), ENTRY(score),
+    ENTRY(top),
     {NULL, NULL, 0, NULL},
 };
 

@@ -35,7 +35,7 @@ from .bases import (
     load_basis_csv,
 )
 from .detection import detection_record
-from .engine import SAMPLERS, calibrate_threshold, evaluate, init, step, study
+from .engine import SAMPLERS, _delay_runs, calibrate_threshold, evaluate, init, step
 from .errors import DataError, DimensionError, SparsewatchError, _count, _number
 from .geometry import build_geometry_table
 from .inference import ModelConfig
@@ -504,23 +504,34 @@ def _cmd_table1(args) -> int:
     thresholds_path = os.path.join(args.out, "thresholds.json")
     _refuse_overwrite([table_path, sweep_path, thresholds_path], args.force)
 
+    # Each column's study (``engine.study``, at the same seeds) in three passes:
+    # every cell checked, every column calibrated, then the cells run, so a
+    # column that cannot calibrate is refused before any cell's work is done.
+    d = scenario.dictionary
+    columns = [  # (sampler, config, calibration seed, checked cells)
+        (samp, cfg_m, _child_seed(args.seed, 0, si, mi), _delay_runs(
+            cfg_m, d, scenario.tau, scenario.horizon,
+            [(phi, args.reps, _child_seed(args.seed, 1, si, mi, pi))
+             for pi, phi in enumerate(phis)]))
+        for si, samp in enumerate(samplers) for mi, cfg_m in enumerate(cfgs)
+    ]
+    thresholds = [
+        calibrate_threshold(cfg_m, d, target, args.calib_reps, calib_horizon, args.tol_rel, seed,
+                            workers=args.workers, sampler=samp)
+        for samp, cfg_m, seed, _ in columns
+    ]
     results = []  # (sampler, m, h, achieved ARL, summaries), one per column
-    for si, samp in enumerate(samplers):
-        for mi, cfg_m in enumerate(cfgs):
-            h, achieved, summaries = study(
-                cfg_m, scenario.dictionary, target, args.calib_reps, calib_horizon, args.tol_rel,
-                _child_seed(args.seed, 0, si, mi), scenario.tau, scenario.horizon,
-                [(phi, args.reps, _child_seed(args.seed, 1, si, mi, pi))
-                 for pi, phi in enumerate(phis)],
-                workers=args.workers, sampler=samp,
+    for (samp, cfg_m, _, runs), (h, achieved) in zip(columns, thresholds):
+        summaries = [
+            evaluate(cfg_m, d, h, *run, workers=args.workers, sampler=samp) for run in runs
+        ]
+        results.append((samp, cfg_m.m, h, achieved, summaries))
+        for phi, summary in zip(phis, summaries):
+            print(
+                f"{samp}_m{cfg_m.m} phi={phi:g}: {_cell(summary)}; steps by fit sweeps: "
+                f"{_sweeps_text(summary.sweep_histogram)}",
+                flush=True,
             )
-            results.append((samp, cfg_m.m, h, achieved, summaries))
-            for phi, summary in zip(phis, summaries):
-                print(
-                    f"{samp}_m{cfg_m.m} phi={phi:g}: {_cell(summary)}; steps by fit sweeps: "
-                    f"{_sweeps_text(summary.sweep_histogram)}",
-                    flush=True,
-                )
 
     names = [f"{samp}_m{m}" for samp, m, *_ in results]
     manifest = _manifest("table1", args, raw, {"target_arl0": target})

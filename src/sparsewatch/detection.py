@@ -16,7 +16,10 @@ per row.
 
 The statistic reads the observed anomaly rows from the dictionary and the
 subset's shared ``SubsetGeometry``: their column sums of squares and the
-orthonormal basis of the observed background columns.  The exact routes
+orthonormal basis of the observed background columns.  Its products and
+sums are the ``statistic`` entry of the compiled extension
+(``inference._compiled``), bitwise its numpy body, which runs where the
+extension is not loaded or the entry declines.  The exact routes
 look no geometry up: they check the subset with ``checked_subset``, read
 B_aZ and B_bZ from the dictionary and refit the anomaly-free background by
 the dense k_b×k_b solve that ``update_background`` uses
@@ -46,6 +49,7 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .errors import CapabilityError, DataError, DimensionError
+from . import inference
 from .geometry import checked_subset, subset_geometry, subset_indices
 from .inference import (
     _LOG_2PI, BackgroundPosterior, ModelConfig, SpikeSlabPosterior, _background_fit,
@@ -286,12 +290,24 @@ def lambda_stat(
     those rows are rank-deficient.  The moment term is y'y + col_sq'·spread,
     col_sq the column sums of squares of B_aZ and ``spread`` the
     posterior's own.  Exactly zero when the posterior anomaly mean vanishes.
+
+    After the checks and the geometry lookup, the extension's ``statistic``
+    entry computes it where loaded; the numpy body below runs where it is
+    not, or where the entry declines (arrays it does not mirror, or a
+    floating-point exception numpy would report, as a non-finite x_z gives).
     """
     x = inp.x_z
     if inp.post.k_a != dictionary.k_a:
         raise DimensionError("posterior dimensions disagree with the dictionary")
     geo = subset_geometry(dictionary, cfg, inp.z)
     post = inp.post
+    compiled = inference._compiled()
+    if compiled is not None:
+        stat = compiled.statistic(
+            x, inp.z, dictionary.b_a, post.mu_tilde, geo.basis, geo.col_sq, post.spread
+        )
+        if stat is not NotImplemented:
+            return stat
 
     # ndarray.dot runs the BLAS product @ runs, with less overhead per call.
     y = dictionary.b_a.take(inp.z, 0).dot(post.mu_tilde)  # after the lookup's check

@@ -325,8 +325,9 @@ def _build_shared(scenario: Scenario, sampler: str) -> None:
     """Build in this process what every replication of the scenario reads:
     the sampler's scorer (``_scorer``, which refuses an unknown sampler
     before anything is built), the geometry table of its dictionary and
-    config and the sweep kernel: the compiled one, or where it cannot be
-    built or loaded the generated one for its k_a.  Each is kept per
+    config and the sweep kernel: the compiled extension, which also holds
+    the step layers' entries, or where it cannot be built or loaded the
+    generated kernel for its k_a.  Each is kept per
     process and keyed on content, so a replication finds it built."""
     cfg, dictionary = scenario.cfg, scenario.dictionary
     _scorer(sampler, dictionary, cfg.m)
@@ -641,6 +642,18 @@ def evaluate(
     return summary
 
 
+def _delay_runs(cfg: ModelConfig, dictionary: BasisDictionary, tau: int, horizon: int, cells):
+    """``study``'s cells (phi, n_reps, seed) as (Scenario, n_reps, seed), each
+    checked by the rules ``evaluate`` applies, so a bad one raises before any
+    replication runs."""
+    return [
+        (Scenario(dictionary=dictionary, cfg=cfg, tau=tau, change=((0, phi),),
+                  horizon=horizon, random_change_basis=True),
+         _count("n_reps", n_reps), _count("seed", seed, 0))
+        for phi, n_reps, seed in cells
+    ]
+
+
 def study(
     cfg: ModelConfig,
     dictionary: BasisDictionary,
@@ -667,12 +680,7 @@ def study(
     sampler and ``workers``.  Returns (h, achieved ARL0, one
     RunLengthSummary per cell).
     """
-    runs = [
-        (Scenario(dictionary=dictionary, cfg=cfg, tau=tau, change=((0, phi),),
-                  horizon=horizon, random_change_basis=True),
-         _count("n_reps", n_reps), _count("seed", seed, 0))
-        for phi, n_reps, seed in cells
-    ]
+    runs = _delay_runs(cfg, dictionary, tau, horizon, cells)
     h, achieved = calibrate_threshold(
         cfg, dictionary, target_arl0, calib_reps, calib_horizon, tol_rel, calib_seed,
         workers=workers, sampler=sampler,

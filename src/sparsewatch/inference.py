@@ -38,26 +38,38 @@ which no caller needs checked, has the dataclass constructor alone.
 
 The coordinate sweeps run in blocks of at most ``_BLOCK`` coordinates.  A
 fit runs all of them in one call of the sweep kernel, and a batch of fits
-runs all of its rows' in one call (``_sweeps``).  The kernel is C
-(``_sweep.c``), built by the first fit in a process, never at import or
-``engine.init``, against the OpenBLAS numpy bundles, cached in
-``$XDG_CACHE_HOME/sparsewatch`` (``~/.cache`` by default) under a name
-keyed on its source, that library's path and the interpreter's
-``EXT_SUFFIX``, and loaded as an extension module; a later process loads
-the cached file and runs no compiler (``_compiled``).  Where it cannot be
-built or loaded (no compiler, no ``Python.h``, no such BLAS), each fit is
-one call of a plain Python function whose straight-line source is
-generated from k_a alone and compiled on the first fit at that k_a
-(``_kernel``): the fallback, and the reference the tests hold the C kernel
-to.  Both run every operation, in its order, of the interpreted form of
-the same pass that the tests keep (``oracles.blocked_sweep``): each
-block's product by the BLAS routine ``ndarray.dot`` calls, in-block sums
-left to right, libm's ``exp``, no fused multiply-add.  So which kernel runs
-moves no output bit.  ``_FitStack``, the batch form of ``fit`` for
-``engine``'s lockstep, sweeps its rows by one ``_sweeps`` call, and each
-reduction of its absorb is a stacked ``np.matmul``, which calls per row
-the BLAS routine ``ndarray.dot`` calls here, so its rows are bitwise
-``fit``'s.
+runs all of its rows' in one call (``_sweeps``).  The kernel is C, the
+``sweep`` entry of the extension ``_sweep.c``, built by the first call in
+a process that needs it, never at import or ``engine.init``, against the
+OpenBLAS numpy bundles, cached in ``$XDG_CACHE_HOME/sparsewatch``
+(``~/.cache`` by default) under a name keyed on its source, that
+library's path and the interpreter's ``EXT_SUFFIX``, and loaded as an
+extension module; a later process loads the cached file and runs no
+compiler (``_compiled``).  Where it cannot be built or loaded (no
+compiler, no ``Python.h``, no such BLAS), each fit is one call of a plain
+Python function whose straight-line source is generated from k_a alone
+and compiled on the first fit at that k_a (``_kernel``): the fallback,
+and the reference the tests hold the C kernel to.  Both run every
+operation, in its order, of the interpreted form of the same pass that
+the tests keep (``oracles.blocked_sweep``): each block's product by the
+BLAS routine ``ndarray.dot`` calls, in-block sums left to right, libm's
+``exp``, no fused multiply-add.  So which kernel runs moves no output bit.
+``_FitStack``, the batch form of ``fit`` for ``engine``'s lockstep, sweeps
+its rows by one ``_sweeps`` call, and each reduction of its absorb is a
+stacked ``np.matmul``, which calls per row the BLAS routine ``ndarray.dot``
+calls here, so its rows are bitwise ``fit``'s.
+
+The same extension holds one entry per other numeric layer of the scalar
+step, each computing what the layer's numpy body computes, operation for
+operation and with the BLAS calls ``ndarray.dot`` makes, so bit for bit:
+``absorb`` (here), ``statistic`` (``detection.lambda_stat``), ``draw``,
+``synthesize``, ``score`` and ``top`` (``sampling``).  A layer keeps its
+checks and geometry lookup, makes its Generator draws itself, and runs
+its numpy body where ``_compiled`` is None or its entry returns
+NotImplemented: an argument it does not mirror (another dtype or layout),
+or an operation that raised a floating-point exception numpy reports,
+whose warning or error the numpy body then gives.  The batch forms stay
+numpy.
 """
 
 from __future__ import annotations
@@ -408,7 +420,10 @@ def absorb_sample(
     newest step always enters at weight one).  The subset's B_aZ'·W·B_aZ and
     ln det W come from its shared geometry; the data enter through
     W·x = x − U·(c ∘ U'x), U the geometry's basis and c its weights, so the
-    m×m matrix W is never formed.
+    m×m matrix W is never formed.  The products and the moment update are
+    the extension's ``absorb`` entry, bitwise the numpy body below, which
+    runs where the extension is not loaded or the entry declines (stats
+    that are not C-ordered float64, a floating-point exception).
 
     Returns a new DecayedStats; the input is not modified.
     """
@@ -417,19 +432,25 @@ def absorb_sample(
     if stats.k_a != dictionary.k_a:
         raise DimensionError("stats and dictionary disagree on basis sizes")
 
-    # ndarray.dot runs the BLAS product @ runs, with less overhead per call.
-    w_x = x_z - geo.basis.dot(geo.c * x_z.dot(geo.basis))
-    u_c = dictionary.b_a.take(z, 0).T.dot(w_x)  # after the lookup's check: take wraps z < 0
-    q_c = float(x_z.dot(w_x))
+    keep = 1.0 - cfg.decay
+    compiled = _compiled()
+    if compiled is not None:
+        raw_m, raw_u = np.empty_like(geo.m_c), np.empty(dictionary.k_a)
+        q_c = compiled.absorb(x_z, z, dictionary.b_a, geo.basis, geo.c, geo.m_c, stats.raw_M,
+                              stats.raw_u, keep, raw_m, raw_u)
+    if compiled is None or q_c is NotImplemented:
+        # ndarray.dot runs the BLAS product @ runs, with less overhead per call.
+        w_x = x_z - geo.basis.dot(geo.c * x_z.dot(geo.basis))
+        u_c = dictionary.b_a.take(z, 0).T.dot(w_x)  # after the lookup's check: take wraps z < 0
+        q_c = float(x_z.dot(w_x))
+        raw_m = stats.raw_M * keep
+        raw_m += geo.m_c  # in place: one k_a×k_a temporary fewer, the same sums
+        raw_u = keep * stats.raw_u + u_c
     # ln det of the marginal covariance is m·ln sigma_e^2 − ln det W.
     norm_c = -0.5 * (x_z.size * (_LOG_2PI + math.log(cfg.sigma_e2)) - geo.logdet_w)
-
-    keep = 1.0 - cfg.decay
-    raw_m = stats.raw_M * keep
-    raw_m += geo.m_c  # in place: one k_a×k_a temporary fewer, the same sums
     return _read_only_stats(
         raw_m,
-        keep * stats.raw_u + u_c,
+        raw_u,
         keep * stats.raw_q + q_c,
         keep * stats.raw_norm + norm_c,
         keep * stats.mass + 1.0,
@@ -588,8 +609,9 @@ _BLAS = "libscipy_openblas64_"
 
 @functools.cache
 def _compiled():
-    """The compiled sweep kernel's entry, ``sweep`` of ``_sweep.c``, or None
-    where it cannot be built or loaded.
+    """The compiled extension, ``_sweep.c``, whose entries are the sweep
+    kernel and the step layers', or None where it cannot be built or
+    loaded.
 
     Built by the first call in a process, never at import, against the
     OpenBLAS numpy loaded (``_BLAS``, found among the files this process
@@ -597,9 +619,9 @@ def _compiled():
     under a name keyed on the hash of the source, that library's path and
     the interpreter's ``EXT_SUFFIX``, so a later process loads it and runs
     no compiler.  A cache that cannot be written gets a build in a private
-    temporary directory instead.  None, and so the generated kernels, when
-    there is no such library, no compiler (the interpreter's ``CC``), no
-    ``Python.h``, or the build does not load.
+    temporary directory instead.  None, and so the generated kernels and
+    the layers' numpy bodies, when there is no such library, no compiler
+    (the interpreter's ``CC``), no ``Python.h``, or the build does not load.
     """
     import hashlib
     import sysconfig
@@ -659,13 +681,13 @@ def _build(source: bytes, blas: str, path: str) -> str:
 
 
 def _load(path: str):
-    """The ``sweep`` entry of the extension module file ``path``."""
+    """The extension module in the file ``path``."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location("sparsewatch._sweep", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.sweep
+    return module
 
 
 def _sweeps(raw_m, rows, u, cfg: ModelConfig, tol: float, max_iters: int):
@@ -676,9 +698,9 @@ def _sweeps(raw_m, rows, u, cfg: ModelConfig, tol: float, max_iters: int):
     a (5, k_a) float64 block of which mu_tilde, mu_a and alpha are read, at
     the moments ``raw_m[i]`` (k_a×k_a) and ``u[i]``, and its final
     posterior is written over it.  All n run in one call of the compiled
-    kernel (``_compiled``) or, where it cannot be built or loaded, each in
-    one call of the generated kernel for k_a, on the plain floats it
-    unpacks and M with its diagonal zeroed; the two store the same bits.
+    kernel (``_compiled().sweep``) or, where it cannot be built or loaded,
+    each in one call of the generated kernel for k_a, on the plain floats
+    it unpacks and M with its diagonal zeroed; the two store the same bits.
     ``_iterate`` and the batch ``_FitStack.fit`` both run their fits
     through it, so a batch row's are bitwise a lone fit's.
     """
@@ -687,7 +709,9 @@ def _sweeps(raw_m, rows, u, cfg: ModelConfig, tol: float, max_iters: int):
     compiled = _compiled()
     if compiled is not None:
         factors = cfg._sweep_factors
-        compiled(raw_m, rows, u, factors, cfg.sigma_e2, cfg.v, tol, max_iters, converged, sweeps)
+        compiled.sweep(
+            raw_m, rows, u, factors, cfg.sigma_e2, cfg.v, tol, max_iters, converged, sweeps
+        )
         return converged, sweeps
     kernel, factors = _kernel(cfg.k_a), cfg._sweep_factors.tolist()
     off = raw_m.copy()

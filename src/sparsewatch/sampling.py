@@ -10,6 +10,13 @@ exponential in p choose m and exists for validation and small problems.
 ``_stacked_subsets``, the batch form of both for ``engine``'s lockstep, is
 bitwise ``engine.step``'s sensing per row: each reduction is a stacked
 ``np.matmul``, which calls per row the BLAS routine ``ndarray.dot`` calls.
+
+The four Thompson layers' arithmetic after their checks and draws is the
+compiled extension's ``draw``, ``synthesize``, ``score`` and ``top``
+entries (``inference._compiled``), each bitwise its numpy body, which runs
+where the extension is not loaded or the entry declines: an argument it
+does not mirror, or a floating-point exception numpy would report.  The
+oracle stays numpy.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import numpy as np
 
 from .bases import BasisDictionary
 from .errors import CapabilityError, DimensionError, NumericalError, _count
+from . import inference
 from .geometry import column_bases
 from .inference import ModelConfig, SpikeSlabPosterior
 
@@ -72,13 +80,18 @@ def draw_anomaly_sample(
     slab N(mu_j, s_j^2) when included and from the spike N(0, v·s_j^2)
     otherwise.  Consumes exactly one uniform and one normal vector of length
     k_a, regardless of the inclusion outcome, so downstream randomness does
-    not depend on the tosses.
+    not depend on the tosses.  The extension's ``draw`` entry, where loaded,
+    writes the draw over the normals.
     """
-    include = rng.random(post.k_a) < post.alpha
-    noise = rng.standard_normal(post.k_a)
+    uniform, noise = rng.random(post.k_a), rng.standard_normal(post.k_a)
+    compiled = inference._compiled()
+    if compiled is not None and compiled.draw(
+        uniform, noise, post.alpha, post.mu_a, post.s2, cfg.v
+    ) is None:
+        return noise
     # Row 0 is the slab draw less its mean, row 1 the spike draw.
     draws = np.sqrt(np.maximum(np.multiply.outer((1.0, cfg.v), post.s2), _VAR_FLOOR)) * noise
-    return np.where(include, post.mu_a + draws[0], draws[1])
+    return np.where(uniform < post.alpha, post.mu_a + draws[0], draws[1])
 
 
 def synthesize_anomaly_signal(
@@ -91,12 +104,19 @@ def synthesize_anomaly_signal(
 
     Returns B_a·theta_hat plus fresh N(0, sigma_e^2 I) noise over all p
     variables; the background contribution is deliberately absent, since the
-    monitoring statistic it feeds is background-corrected.
+    monitoring statistic it feeds is background-corrected.  The extension's
+    ``synthesize`` entry, where loaded, writes it over the noise.
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64).ravel()
     if theta_hat.size != dictionary.k_a:
         raise DimensionError("theta_hat length must match the anomaly basis")
-    return dictionary.b_a.dot(theta_hat) + cfg.sigma_e * rng.standard_normal(dictionary.p)
+    noise = rng.standard_normal(dictionary.p)
+    compiled = inference._compiled()
+    if compiled is not None and compiled.synthesize(
+        dictionary.b_a, theta_hat, noise, cfg.sigma_e
+    ) is None:
+        return noise
+    return dictionary.b_a.dot(theta_hat) + cfg.sigma_e * noise
 
 
 def score_variables(
@@ -110,18 +130,28 @@ def score_variables(
         2·x1_hat_i·y_i − (y_i^2 + Σ_j B_a[i,j]^2 · spread_j),
 
     so the statistic of any subset (absent background correction) is the sum
-    of its variables' scores.
+    of its variables' scores.  Computed by the extension's ``score`` entry
+    where loaded.
     """
-    return _variable_scores(x1_hat, post, dictionary)[0]
+    return _variable_scores(x1_hat, post, dictionary, inference._compiled())[0]
 
 
-def _variable_scores(x1_hat, post: SpikeSlabPosterior, dictionary: BasisDictionary):
-    """(``score_variables``, x1_hat as a checked float64 vector, y = B_a·mu_tilde)."""
+def _variable_scores(
+    x1_hat, post: SpikeSlabPosterior, dictionary: BasisDictionary, compiled=None
+):
+    """(``score_variables``, x1_hat as a checked float64 vector, y = B_a·mu_tilde).
+    Given the extension ``compiled``, its ``score`` entry computes the
+    scores, and y is None, unless the entry declines."""
     x1_hat = np.asarray(x1_hat, dtype=np.float64).ravel()
     if x1_hat.size != dictionary.p:
         raise DimensionError("x1_hat must cover all p variables")
     if post.k_a != dictionary.k_a:
         raise DimensionError("posterior and dictionary disagree on k_a")
+    if compiled is not None:
+        scores = np.empty(dictionary.p)
+        b_a, b_a_sq = dictionary.b_a, dictionary.b_a_sq
+        if compiled.score(x1_hat, b_a, b_a_sq, post.mu_tilde, post.spread, scores) is None:
+            return scores, x1_hat, None
     y = dictionary.b_a.dot(post.mu_tilde)
     quad = y * y + dictionary.b_a_sq.dot(post.spread)
     return 2.0 * x1_hat * y - quad, x1_hat, y
@@ -140,16 +170,24 @@ def select_top_m(
     exchangeable random order.  Otherwise one partition of a copy finds the
     score at ascending rank p − m, and when exactly m scores reach it they
     are the subset the sort would give, since every other score is smaller
-    or NaN.
+    or NaN.  Where the extension is loaded, its ``top`` entry finds that
+    score by a quickselect on a copy (expected linear time, runs of equal
+    scores included) and counts and lists the scores that reach it.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     p = scores.size
     _count("sensing budget m", m, 1, p)
     perm = rng.permutation(p)
-    part = scores.copy()
-    part.partition(p - m)  # NaN sorts last; a NaN cut is reached by no score
-    top = (scores >= part[p - m]).nonzero()[0]
-    if top.size == m:
+    compiled = inference._compiled()
+    if compiled is not None:
+        top = np.empty(m, dtype=np.intp)
+        count = compiled.top(scores, top)
+    if compiled is None or count is NotImplemented:
+        part = scores.copy()
+        part.partition(p - m)  # NaN sorts last; a NaN cut is reached by no score
+        top = (scores >= part[p - m]).nonzero()[0]
+        count = top.size
+    if count == m:
         return SensingPlan(top, scores)
     return SensingPlan(_permuted_top(scores, m, perm), scores)
 

@@ -10,8 +10,19 @@ from sparsewatch import (
     ModelConfig,
     bspline_basis,
     fourier_basis,
+    inference,
     kron_basis,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def compiled_extension():
+    """Build or load the compiled extension before the first test.  The
+    first call of a step layer in a process builds it once per machine and
+    source version (0.5–0.8 s with gcc 12), which belongs in no test's timed
+    window, such as criterion 1's; where it cannot be built, this loads
+    nothing, as before."""
+    inference._compiled()
 
 
 @pytest.fixture(scope="session")

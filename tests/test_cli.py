@@ -793,6 +793,35 @@ class TestTable1:
         for entry in thresholds["thresholds"].values():
             assert abs(entry["achieved_arl"] - 12.0) / 12.0 <= 0.3
 
+    def test_a_budget_that_cannot_calibrate_is_refused_before_any_cell_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Every column calibrates before the first cell: on this grid the
+        first budget calibrates and the second cannot within 5%, so no
+        replication of a delay cell runs and nothing is written."""
+        import sparsewatch.cli as cli
+        import sparsewatch.engine as engine
+
+        cells = []
+        real = engine.evaluate
+
+        def evaluate(*args, **kwargs):
+            cells.append(args[2:6])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate", evaluate)
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        path = _write_scenario(tmp_path, tau=5, horizon=60, change=[[0, 1.0]])
+        out = tmp_path / "table"
+        code = main([
+            "table1", "--scenario", str(path), "--out", str(out), "--phis", "2.0", "--ms", "1,2",
+            "--calib-reps", "15", "--reps", "2", "--tol-rel", "0.05", "--samplers", "oracle",
+        ])
+        assert code == 1
+        assert cells == []
+        assert "no threshold lands within 0.05" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_worker_count_leaves_no_trace(self, tmp_path):
         path = _write_scenario(tmp_path, tau=5, horizon=60, change=[[0, 1.0]])
         grid = [

@@ -1,5 +1,6 @@
-"""The compiled sweep kernel against the generated one, bit for bit, and how
-it is built, cached, loaded and replaced by the generated fallback.
+"""The compiled sweep kernel against the generated one, and the compiled
+step layers against their numpy bodies, bit for bit, and how the extension
+holding them is built, cached, loaded and replaced by the fallbacks.
 
 ``inference._sweeps`` runs a batch of fits through the compiled kernel when
 ``inference._compiled`` returns it, and through the generated kernel for
@@ -11,12 +12,14 @@ compiler by giving them a ``PATH`` with nothing on it.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import sysconfig
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -25,8 +28,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sparsewatch import DecayedStats, ModelConfig, SpikeSlabPosterior, engine, inference
+from sparsewatch import (
+    BasisDictionary, DecayedStats, ModelConfig, SpikeSlabPosterior, bspline_basis, detection,
+    engine, fourier_basis, inference, sampling,
+)
+from sparsewatch.detection import DetectionInputs
 from sparsewatch.inference import ALPHA_CLAMP
+from sparsewatch.simgen import Scenario, gen_stream
 
 SRC = Path(inference.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
@@ -163,7 +171,7 @@ class TestBitwise:
                     inference._sweeps(*case)
 
     def test_the_entry_refuses_arguments_of_the_wrong_size(self):
-        sweep, cfg = inference._compiled(), _cfg(3)
+        sweep, cfg = inference._compiled().sweep, _cfg(3)
         args = [np.zeros((2, 3, 3)), np.zeros((2, 5, 3)), np.zeros((2, 3)), cfg._sweep_factors,
                 cfg.sigma_e2, cfg.v, 1e-6, 5, np.zeros(2, dtype=bool), np.zeros(2, dtype=np.int64)]
         for i, bad in ((0, np.zeros((2, 3, 2))), (1, np.zeros((2, 4, 3))), (2, np.zeros(3)),
@@ -252,8 +260,9 @@ class TestArgumentsBothKernelsTake:
         assert compiled[0] == sweep(plain)
 
 
-# One process's fits and lockstep null run: prints the kernel that ran and
-# a digest of every output.
+# One process's fits, lockstep null run and delay cell, whose replications
+# step one at a time through every layer: prints the sweep kernel that ran
+# and a digest of every output.
 DIGEST = """
 import hashlib
 import numpy as np
@@ -272,6 +281,9 @@ for _ in range(30):
     h.update(post.mu_tilde.tobytes() + post.s2.tobytes() + post.alpha.tobytes())
     h.update(repr((converged, sweeps)).encode())
 h.update(engine.collect_h0_trajectories(cfg, d, n_reps=4, horizon=40, seed=1, workers=2).tobytes())
+cell = sparsewatch.Scenario(dictionary=d, cfg=cfg, tau=10, change=((0, 1.0),), horizon=40,
+                            random_change_basis=True)
+h.update(repr(engine.evaluate(cfg, d, 10.0, cell, 3, 2, return_records=True)).encode())
 print("compiled" if inference._compiled() else "generated", h.hexdigest())
 """
 
@@ -333,10 +345,10 @@ class TestBuildAndCache:
         blocker = tmp_path / "file"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        sweep = inference._compiled.__wrapped__()
-        assert sweep is not None and sweep is not inference._compiled()
+        module = inference._compiled.__wrapped__()
+        assert module is not None and module is not inference._compiled()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
-        with mock.patch.object(inference, "_compiled", lambda: sweep):
+        with mock.patch.object(inference, "_compiled", lambda: module):
             case = drawn_cases()[4]
             compiled, generated = run_both(case)
         assert compiled == generated
@@ -368,6 +380,366 @@ class TestBuildAndCache:
         assert inference._compiled.__wrapped__() is None
         assert (tmp_path / "cc.log").read_text() == "run\n"
         assert _cached(tmp_path / "cache") == []
+
+
+# ── The step layers' entries ──────────────────────────────────────────────
+#
+# Each step layer (absorb_sample, lambda_stat, draw_anomaly_sample,
+# synthesize_anomaly_signal, score_variables, select_top_m) runs its
+# extension entry when ``_compiled`` returns the module and its numpy body
+# when it returns None.  A case is (layer, arguments), picklable, with each
+# Generator given as its state, so a case replays in a pool worker and its
+# draws are compared too.
+
+
+def _rng(state) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+def _state(seed: int) -> dict:
+    return np.random.default_rng(seed).bit_generator.state
+
+
+ENTRIES = ("absorb", "statistic", "draw", "synthesize", "score", "top")
+
+LAYERS = {
+    "absorb": lambda stats, x_z, z, d, cfg: inference.absorb_sample(stats, x_z, z, d, cfg),
+    "stat": lambda x_z, z, post, d, cfg: detection.lambda_stat(
+        DetectionInputs(x_z, z, post), d, cfg),
+    "draw": lambda post, cfg, state: _drawn(sampling.draw_anomaly_sample, post, cfg, state),
+    "synthesize": lambda theta, d, cfg, state: _drawn(
+        sampling.synthesize_anomaly_signal, theta, d, cfg, state),
+    "score": lambda x1_hat, post, d: sampling.score_variables(x1_hat, post, d),
+    "top": lambda scores, m, state: _drawn(sampling.select_top_m, scores, m, state),
+}
+
+
+def _drawn(layer, *args):
+    """The layer's output on a Generator at the state ``args[-1]``, and the
+    state it leaves."""
+    rng = _rng(args[-1])
+    return layer(*args[:-1], rng), repr(rng.bit_generator.state)
+
+
+def _described(value):
+    """A layer's output as comparable values: each array as its dtype, shape,
+    C-contiguity and bytes, each float as its bytes."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.flags.c_contiguous, value.tobytes())
+    if isinstance(value, float):
+        return ("float", np.float64(value).tobytes())
+    if isinstance(value, (tuple, list)):
+        return tuple(_described(v) for v in value)
+    if isinstance(value, (DecayedStats, sampling.SensingPlan)):
+        return (type(value).__name__, _described(list(vars(value).values())))
+    return (type(value).__name__, value)
+
+
+def _outcome(case):
+    layer, args = case
+    try:
+        return _described(LAYERS[layer](*args))
+    except Exception as exc:  # both paths must raise alike
+        return ("raised", type(exc).__name__, str(exc))
+
+
+class _Logged:
+    """The extension module, logging (entry, whether it ran) per entry call;
+    an entry that did not run returned NotImplemented."""
+
+    def __init__(self, module, log: list):
+        self.module, self.log = module, log
+
+    def __getattr__(self, name):
+        entry = getattr(self.module, name)
+
+        def call(*args):
+            result = entry(*args)
+            self.log.append((name, result is not NotImplemented))
+            return result
+
+        return call
+
+
+def run_layer_both(case, log=None) -> list:
+    """(compiled, numpy): the case's outcome on either path; the entry calls
+    go into ``log`` where one is given."""
+    results = []
+    for module in (_Logged(inference._compiled(), [] if log is None else log), None):
+        with mock.patch.object(inference, "_compiled", lambda: module):
+            results.append(_outcome(case))
+    return results
+
+
+def _layouts(v: np.ndarray) -> list:
+    """``v`` as given, Fortran-ordered (as a 2-D array where its length is
+    even), strided and float32."""
+    fortran = np.asfortranarray(v.reshape(2, -1) if v.size % 2 == 0 else v[None])
+    return [v, fortran, np.stack([v, -v], axis=1)[:, 0], v.astype(np.float32)]
+
+
+SHAPES = [  # (p, m, k_a, k_b): the study's, then each degenerate one ndarray.dot special-cases
+    (15, 5, 10, 3), (6, 1, 4, 2), (6, 3, 4, 0), (6, 3, 4, 1), (6, 3, 1, 2), (4, 4, 3, 2),
+    (6, 2, 4, 3), (3, 1, 1, 1), (5, 1, 1, 0), (1, 1, 1, 0), (1, 1, 1, 1), (2, 2, 1, 1),
+]
+
+
+def _posteriors(rng, k: int, cfg) -> list:
+    """Posteriors from the checked constructor: drawn, at both clamps, the
+    prior, slab variances under ``_VAR_FLOOR`` and fields given as a list,
+    float32 and strided."""
+    mu, alpha = rng.normal(size=k), rng.uniform(size=k)
+    clamped = alpha.copy()
+    clamped[::2], clamped[1::2] = 0.0, 1.0
+    return [
+        SpikeSlabPosterior(mu_a=mu, s2=rng.uniform(0.01, 1.0, size=k), alpha=alpha),
+        SpikeSlabPosterior(mu_a=mu, s2=rng.uniform(0.01, 1.0, size=k), alpha=clamped),
+        SpikeSlabPosterior.prior(cfg),
+        SpikeSlabPosterior(mu_a=mu, s2=np.full(k, 1e-30), alpha=np.full(k, 0.5)),
+        SpikeSlabPosterior(mu_a=mu.tolist(), s2=np.full(k, 0.5, dtype=np.float32),
+                           alpha=np.stack([alpha, alpha], axis=1)[:, 0]),
+    ]
+
+
+def _specials(v: np.ndarray) -> list:
+    """``v``, zeros, and ``v`` with a NaN, +inf and −inf."""
+    out = [v, np.zeros_like(v)]
+    for bad in (np.nan, np.inf, -np.inf):
+        w = v.copy()
+        w[len(w) // 2] = bad
+        out.append(w)
+    return out
+
+
+def _score_sets(rng, p: int) -> list:
+    """Scores drawn, tied in runs (so ties meet the cut), all equal, signed
+    zeros, with ±inf, and with NaN: one, and all but one."""
+    drawn = rng.normal(size=p)
+    ties = np.round(rng.normal(size=p))
+    zeros = np.where(rng.uniform(size=p) < 0.5, 0.0, -0.0)
+    infs = drawn.copy()
+    infs[::3] = np.inf
+    infs[1::3] = -np.inf
+    one_nan = drawn.copy()
+    one_nan[0] = np.nan
+    nans = np.full(p, np.nan)
+    nans[-1] = 1.0
+    return [drawn, ties, np.full(p, 2.5), zeros, infs, one_nan, nans]
+
+
+def layer_cases(seed: int = 0) -> list:
+    """Drawn cases of every layer at every ``SHAPES`` shape: the special
+    values, layouts and posteriors above, stats of odd layout, and
+    arguments each layer refuses."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for p, m, k_a, k_b in SHAPES:
+        d = BasisDictionary(b_b=rng.normal(size=(p, k_b)), b_a=rng.normal(size=(p, k_a)))
+        cfg = _cfg(k_a)
+        cfg = replace(cfg, m=m)
+        posts = _posteriors(rng, k_a, cfg)
+        z = np.sort(rng.choice(p, m, replace=False))
+        x = 0.05 * rng.normal(size=m)
+        stats = DecayedStats.empty(k_a)
+        with mock.patch.object(inference, "_compiled", lambda: None):
+            for _ in range(3):
+                stats = inference.absorb_sample(stats, 0.05 * rng.normal(size=m), z, d, cfg)
+        odd = [replace(stats, raw_M=np.asfortranarray(stats.raw_M), raw_u=stats.raw_u[::1]),
+               replace(stats, raw_u=stats.raw_u.astype(np.float32))]
+        for x_z in _specials(x) + _layouts(x)[1:]:
+            cases += [("absorb", (stats, x_z, zs, d, cfg)) for zs in (z, z[::-1])]
+            cases += [("stat", (x_z, z, post, d, cfg)) for post in posts]
+        cases += [("absorb", (s, x, z, d, cfg)) for s in odd]
+        for post in posts:
+            cases.append(("draw", (post, cfg, _state(int(rng.integers(2**32))))))
+            x1_hats = _specials(rng.normal(size=p)) + _layouts(rng.normal(size=p))[1:]
+            cases += [("score", (x1_hat, post, d)) for x1_hat in x1_hats]
+        for theta in _specials(rng.normal(size=k_a)) + _layouts(rng.normal(size=k_a))[1:]:
+            cases.append(("synthesize", (theta, d, cfg, _state(int(rng.integers(2**32))))))
+        for scores in _score_sets(rng, p) + _layouts(rng.normal(size=p))[1:]:
+            cases += [("top", (scores, budget, _state(int(rng.integers(2**32)))))
+                      for budget in sorted({1, m, p})]
+        wider = _posteriors(rng, k_a + 1, cfg)[0]
+        cases += [  # refused alike on both paths
+            ("absorb", (stats, x[:-1], z[:-1], d, cfg)),
+            ("absorb", (DecayedStats.empty(k_a + 1), x, z, d, cfg)),
+            ("absorb", (stats, x, np.r_[z[:-1], p], d, cfg)),
+            ("stat", (x, z, wider, d, cfg)),
+            ("score", (np.zeros(p + 1), posts[0], d)),
+            ("synthesize", (np.zeros(k_a + 1), d, cfg, _state(0))),
+            ("top", (np.zeros(p), p + 1, _state(0))),
+            ("top", (np.zeros(p), 0, _state(0))),
+        ]
+    return cases
+
+
+def layer_digest() -> str:
+    """Which path ran, and a digest of every drawn case's outcome on it, with
+    numpy's RuntimeWarnings raised, as this suite raises them."""
+    import hashlib
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        digest = hashlib.sha256(repr([_outcome(case) for case in layer_cases()]).encode())
+    return ("compiled" if inference._compiled() else "numpy") + " " + digest.hexdigest()
+
+
+def _captured_layers(run) -> list:
+    """The cases of every step layer call ``run()`` makes, each Generator
+    taken at its state before the call."""
+    calls = []
+    names = {
+        (inference, "absorb_sample"): lambda stats, x_z, z, d, cfg: (
+            "absorb", (stats, x_z.copy(), z.copy(), d, cfg)),
+        (engine, "lambda_stat"): lambda inp, d, cfg: (
+            "stat", (inp.x_z.copy(), inp.z.copy(), inp.post, d, cfg)),
+        (engine, "draw_anomaly_sample"): lambda post, cfg, rng: (
+            "draw", (post, cfg, rng.bit_generator.state)),
+        (engine, "synthesize_anomaly_signal"): lambda theta, d, cfg, rng: (
+            "synthesize", (theta.copy(), d, cfg, rng.bit_generator.state)),
+        (engine, "score_variables"): lambda x1_hat, post, d: (
+            "score", (x1_hat.copy(), post, d)),
+        (engine, "select_top_m"): lambda scores, m, rng: (
+            "top", (scores.copy(), m, rng.bit_generator.state)),
+    }
+    with ExitStack() as stack:
+        for (owner, name), case in names.items():
+            real = getattr(owner, name)
+
+            def record(*args, _real=real, _case=case):
+                calls.append(_case(*args))
+                return _real(*args)
+
+            stack.enter_context(mock.patch.object(owner, name, record))
+        run()
+    return calls
+
+
+@pytest.fixture(scope="module")
+def study_layers(default_config):
+    """The layer calls of a delay cell of the study's model (p = 15, unit-norm
+    splines, m = 5), whose replications step one at a time."""
+    d = BasisDictionary(
+        b_b=fourier_basis(15, 3), b_a=bspline_basis(15, 4, 14, normalize_columns=True)
+    )
+    scenario = Scenario(dictionary=d, cfg=default_config, tau=20, change=((0, 1.0),), horizon=60,
+                        random_change_basis=True)
+    return _captured_layers(lambda: engine.evaluate(default_config, d, 20.0, scenario, 3, 7))
+
+
+@pytest.fixture(scope="module")
+def kron_layers(kron_dictionary):
+    """The layer calls of 30 steps of a p = 400 stream (m = 20), a change on
+    one anomaly column from step 10."""
+    cfg = ModelConfig.homogeneous(k_a=36, sigma_e=0.05, sigma_b=0.3, sigma_j=3.0, w=0.1, v=1e-7,
+                                  decay=0.1, m=20)
+    scenario = Scenario(dictionary=kron_dictionary, cfg=cfg, tau=10, change=((5, 1.0),), horizon=30)
+    stream = gen_stream(scenario, np.random.default_rng(3))
+
+    def run():
+        state = engine.init(cfg, kron_dictionary, h=math.inf, seed=3)
+        for x in stream:
+            engine.step(state, x)
+
+    return _captured_layers(run)
+
+
+class TestStepLayers:
+    def test_drawn_cases_are_equal(self):
+        """Every layer at every degenerate shape, with NaN and ±inf inputs,
+        ties at the cut, both clamps, variances under the floor, inputs of
+        any layout and the refusals; the cases reach each branch."""
+        cases, log = layer_cases(), []
+        outcomes = [run_layer_both(case, log) for case in cases]
+        assert [case for case, (c, n) in zip(cases, outcomes) if c != n] == []
+        raised = {case[0] for case, (c, _) in zip(cases, outcomes) if c[0] == "raised"}
+        assert raised == set(LAYERS) - {"draw"}
+        # every entry ran; inf inputs raised exceptions that sent these to numpy
+        assert {name for name, ran in log if ran} == set(ENTRIES)
+        assert {name for name, ran in log if not ran} >= {"absorb", "statistic", "score"}
+        # the cut reached by exactly m scores, by more (a tie) and by fewer (NaN)
+        counts = set()
+        for scores, m, _ in (args for layer, args in cases if layer == "top"):
+            if 1 <= m <= np.size(scores):
+                scores = np.ravel(scores).astype(np.float64)
+                counts.add(np.sign(inference._compiled().top(scores, np.empty(m, np.intp)) - m))
+        assert counts == {-1, 0, 1}
+
+    @pytest.mark.parametrize("captured", ["study_layers", "kron_layers"])
+    def test_captured_calls_are_equal_and_each_runs_its_entry(self, captured, request):
+        """From a study cell (p = 15) and a p = 400 stream: no call of a
+        monitoring run declines its entry."""
+        cases, log = request.getfixturevalue(captured), []
+        assert {case[0] for case in cases} == set(LAYERS)
+        for case in cases:
+            compiled, numpy = run_layer_both(case, log)
+            assert compiled == numpy
+        assert set(log) == {(name, True) for name in ENTRIES}
+
+    def test_cases_are_equal_in_a_forked_pool(self, study_layers, kron_layers):
+        """Workers fork from this process, which holds the loaded module."""
+        cases = layer_cases(1)[::3] + study_layers[::10] + kron_layers[::10]
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+            for compiled, numpy in pool.map(run_layer_both, cases, chunksize=16):
+                assert compiled == numpy
+
+    def test_without_a_compiler_the_numpy_bodies_give_the_same_bytes(self, tmp_path):
+        """A subprocess with no compiler on ``PATH`` and a fresh cache runs
+        the numpy bodies; its digest of the drawn cases is this process's
+        on the entries."""
+        bare = tmp_path / "bin"
+        bare.mkdir()
+        env = _env(tmp_path / "cache", str(bare))
+        env["PYTHONPATH"] = os.pathsep.join((str(SRC), str(TESTS)))
+        code = "import test_compiled_kernel as t; print(t.layer_digest())"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        fallback = done.stdout.split()
+        assert fallback[0] == "numpy" and _cached(tmp_path / "cache") == []
+        assert layer_digest().split() == ["compiled", fallback[1]]
+
+    def test_entries_decline_what_they_do_not_mirror(self):
+        """An argument of another size, dtype or layout gets NotImplemented,
+        before anything is written; a wrong argument count, TypeError."""
+        module = inference._compiled()
+        x, b_a, z = np.ones(3), np.ones((6, 4)), np.arange(3)
+        scores, out = np.arange(6.0), np.full(6, -1.0)
+        draws = [np.full(4, 0.5), np.ones(4), np.full(4, 0.5), np.zeros(4), np.ones(4)]
+        entries = {
+            "absorb": [x, z, b_a, np.ones((3, 2)), np.ones(2), np.ones((4, 4)), np.ones((4, 4)),
+                       np.ones(4), 0.9, np.empty((4, 4)), np.empty(4)],
+            "statistic": [x, z, b_a, np.ones(4), np.ones((3, 2)), np.ones(4), np.ones(4)],
+            "draw": [*draws, 1e-7],
+            "synthesize": [b_a, np.ones(4), np.ones(6), 0.05],
+            "score": [np.ones(6), b_a, b_a, np.ones(4), np.ones(4), out],
+            "top": [scores, np.empty(2, dtype=np.intp)],
+        }
+        for name, args in entries.items():
+            entry = getattr(module, name)
+            for i, arg in enumerate(args):
+                if not isinstance(arg, np.ndarray):
+                    continue
+                bads = [arg.astype(np.float32 if arg.dtype == np.float64 else np.int32),
+                        np.stack([arg, arg], axis=-1)[..., 0]]
+                if arg.ndim == 2:
+                    bads.append(np.asfortranarray(arg))
+                if name != "top":  # which takes any p and m it can cut
+                    bads.append(arg[..., :-1])
+                for bad in bads:
+                    before = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+                    assert entry(*args[:i], bad, *args[i + 1:]) is NotImplemented, (name, i)
+                    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(args, before)
+                               if isinstance(a, np.ndarray))
+            assert entry(*args) is not NotImplemented, name
+            with pytest.raises(TypeError, match="arguments"):
+                entry(*args[:-1])
+        assert module.absorb(x, np.array([0, 1, 6]), *entries["absorb"][2:]) is NotImplemented
+        assert module.top(scores, np.empty(7, dtype=np.intp)) is NotImplemented
 
 
 def test_the_c_source_ships_as_package_data():
