@@ -7,19 +7,23 @@
  * draw        draw_anomaly_sample's slab/spike draw from given variates;
  * synthesize  synthesize_anomaly_signal's B_a·theta + sigma_e·noise;
  * score       score_variables' two products and score;
- * top         select_top_m's cut at the m-th largest score.
+ * top         select_top_m's cut at the m-th largest score;
+ * oracle      OracleScorer.subset_scores and the first maximum and tie count
+ *             select reads.
  *
  * Each computes what its numpy body computes, in the same order, so its
  * output is that body's bit for bit: every product goes through numpy's own
  * cblas_dgemv, cblas_ddot or cblas_daxpy with the arguments ndarray.dot
  * passes (dot, which also mirrors how ndarray.dot treats a length-1
- * dimension), and sweep uses libm's exp.  Built with -ffp-contract=off, so
- * no multiply-add is fused.  An entry other than sweep takes C-contiguous
- * float64 arrays of the sizes its layer checked; given anything else it
- * returns NotImplemented and the layer runs its numpy body.  So does an
- * entry whose numpy operations raise a floating-point exception numpy
- * reports (invalid, division by zero, overflow, underflow): the numpy body
- * then warns or raises as np.errstate says. */
+ * dimension), or for oracle's np.matmul, cblas_dgemv, cblas_ddot and
+ * cblas_dgemm with the arguments np.matmul passes; and sweep uses libm's
+ * exp.  Built with -ffp-contract=off, so no multiply-add is fused.  An
+ * entry other than sweep takes C-contiguous float64 arrays of the sizes its
+ * layer checked; given anything else it returns NotImplemented and the
+ * layer runs its numpy body.  So does an entry whose numpy operations raise
+ * a floating-point exception numpy reports (invalid, division by zero,
+ * overflow, underflow): the numpy body then warns or raises as np.errstate
+ * says. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -41,6 +45,9 @@ double scipy_cblas_ddot64_(int64_t n, const double *x, int64_t incx, const doubl
                            int64_t incy);
 void scipy_cblas_daxpy64_(int64_t n, double alpha, const double *x, int64_t incx, double *y,
                           int64_t incy);
+void scipy_cblas_dgemm64_(int order, int trans_a, int trans_b, int64_t m, int64_t n, int64_t k,
+                          double alpha, const double *a, int64_t lda, const double *b, int64_t ldb,
+                          double beta, double *c, int64_t ldc);
 enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112 };
 
 /* An operand of ndarray.dot: one or two dimensions, strides in items. */
@@ -593,8 +600,21 @@ synthesize(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return Py_NewRef(raised(&held) ? Py_NotImplemented : Py_None);
 }
 
-/* score(x1_hat, b_a, b_a_sq, mu_tilde, spread, out): with y = b_a·mu_tilde,
- * writes 2·x1_hat·y − (y·y + b_a_sq·spread) into out (p). */
+/* With y = b_a·mu_tilde into y (p), 2·x1_hat·y − (y·y + b_a_sq·spread)
+ * into out (p): score_variables' arithmetic, which score and oracle run. */
+static void
+variable_scores(const double *x1, const double *b_a, const double *b_a_sq,
+                const double *mu_tilde, const double *spread, Py_ssize_t p, Py_ssize_t k,
+                double *y, double *out)
+{
+    dot(matrix(b_a, p, k), vector(mu_tilde, k), y, p);
+    dot(matrix(b_a_sq, p, k), vector(spread, k), out, p);
+    for (Py_ssize_t i = 0; i < p; i++)
+        out[i] = 2.0 * x1[i] * y[i] - (y[i] * y[i] + out[i]);
+}
+
+/* score(x1_hat, b_a, b_a_sq, mu_tilde, spread, out): variable_scores into
+ * out (p). */
 static PyObject *
 score(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -616,11 +636,114 @@ score(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (!(y = scratch(&held, p)))
         return NULL;
     feclearexcept(REPORTED);
-    dot(matrix(b_a, p, k), vector(mu_tilde, k), y, p);
-    dot(matrix(b_a_sq, p, k), vector(spread, k), out, p);
-    for (Py_ssize_t i = 0; i < p; i++)
-        out[i] = 2.0 * x1[i] * y[i] - (y[i] * y[i] + out[i]);
+    variable_scores(x1, b_a, b_a_sq, mu_tilde, spread, p, k, y, out);
     return Py_NewRef(raised(&held) ? Py_NotImplemented : Py_None);
+}
+
+/* Two doubles, and the lane masks comparing two pairs gives: 16-byte
+ * vectors, which every x86-64 and AArch64 core has.  Their arithmetic goes
+ * lane by lane, so each lane computes what the scalar form computes. */
+typedef double pair __attribute__((vector_size(16)));
+typedef int64_t lanes __attribute__((vector_size(16)));
+
+static pair
+load(const double *a)
+{
+    pair v;
+    memcpy(&v, a, sizeof v);
+    return v;
+}
+
+/* The score of subset i: its product v·incidence plus, block k = 0 …
+ * k_b − 1 in turn, c_y·(c_x·(−2.0) + c_y) of that block's column i. */
+static double
+subset_score(double s, const double *c_y, const double *c_x, Py_ssize_t kb, Py_ssize_t n,
+             Py_ssize_t i)
+{
+    for (Py_ssize_t j = i; j < kb * n; j += n)
+        s = s + c_y[j] * (c_x[j] * -2.0 + c_y[j]);
+    return s;
+}
+
+/* oracle(x1_hat, b_a, b_a_sq, mu_tilde, spread, incidence, bases, out):
+ * OracleScorer.subset_scores into out (n), as its numpy body computes them
+ * with np.matmul.  The variable scores v and y (p) are variable_scores';
+ * out = v·incidence (p, n), 0.0 + cblas_ddot at n = 1 as numpy's dot sums
+ * it, else cblas_dgemv, row-major and transposed.  Where bases (p, k_b·n)
+ * is not None, (c_y, c_x) = (y, x1_hat)·bases is one row-major cblas_dgemm,
+ * neither operand transposed, and subset_score adds its blocks, two
+ * subsets at a time.  At p = 1, and given a bases of one column, it
+ * declines: there np.matmul sums without BLAS.  Returns (the first index
+ * of the maximum score, the number of scores equal to it, −0.0 and 0.0
+ * alike), or (−1, 0) when a score is NaN. */
+static PyObject *
+oracle(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays held = {.n = 0, .scratch = NULL};
+    Py_ssize_t xs[2], bs[2], is[2], gs[2] = {0, 0}, p, k, n, kb, i, first = -1, ties = 0;
+    const double *x1, *b_a, *b_a_sq, *mu_tilde, *spread, *incidence, *bases = NULL;
+    double *out, *variable, *y, *c_y, *c_x, best;
+    const pair minus_two = {-2.0, -2.0};
+    pair top = {-INFINITY, -INFINITY};
+    lanes nan = {0, 0};
+
+    (void)self;
+    if (!nargs_is(nargs, 8, "oracle"))
+        return NULL;
+    if (!(x1 = DOUBLES(args[0], 0, 1, -1, 0, xs))
+        || !(b_a = DOUBLES(args[1], 0, 2, p = xs[0], -1, bs))
+        || !(b_a_sq = DOUBLES(args[2], 0, 2, p, k = bs[1], NULL))
+        || !(mu_tilde = DOUBLES(args[3], 0, 1, k, 0, NULL))
+        || !(spread = DOUBLES(args[4], 0, 1, k, 0, NULL))
+        || !(incidence = DOUBLES(args[5], 0, 2, p, -1, is)) || p < 2 || (n = is[1]) < 1
+        || (args[6] != Py_None && !(bases = DOUBLES(args[6], 0, 2, p, -1, gs)))
+        || gs[1] % n != 0 || gs[1] == 1
+        || !(out = DOUBLES(args[7], 1, 1, n, 0, NULL)))
+        return not_mirrored(&held);
+    kb = gs[1] / n;
+    if (!(variable = scratch(&held, 3 * p + 2 * kb * n)))
+        return NULL;
+    y = variable + p, c_y = y + 2 * p, c_x = c_y + kb * n;
+    feclearexcept(REPORTED);
+    variable_scores(x1, b_a, b_a_sq, mu_tilde, spread, p, k, y, variable);
+    if (n == 1)
+        out[0] = 0.0 + scipy_cblas_ddot64_(p, variable, 1, incidence, 1);
+    else
+        scipy_cblas_dgemv64_(ROW_MAJOR, TRANS, p, n, 1.0, incidence, n, variable, 1, 0.0, out, 1);
+    if (kb > 0) {
+        memcpy(y + p, x1, p * sizeof(double)); /* the rows y, x1_hat */
+        scipy_cblas_dgemm64_(ROW_MAJOR, NO_TRANS, NO_TRANS, 2, kb * n, p, 1.0, y, p, bases,
+                             kb * n, 0.0, c_y, kb * n);
+    }
+    for (i = 0; i + 2 <= n; i += 2) {
+        pair s = load(out + i), kept;
+        lanes bad, up;
+        for (Py_ssize_t j = i; j < kb * n; j += n) {
+            pair cy = load(c_y + j);
+            s = s + cy * (load(c_x + j) * minus_two + cy);
+        }
+        memcpy(out + i, &s, sizeof s);
+        bad = s != s;
+        nan |= bad;
+        kept = (pair)((lanes)s & ~bad); /* a NaN as 0.0, so no comparison raises invalid */
+        up = kept > top;
+        top = (pair)((up & (lanes)kept) | (~up & (lanes)top));
+    }
+    best = top[0] > top[1] ? top[0] : top[1];
+    for (; i < n; i++) {
+        out[i] = subset_score(out[i], c_y, c_x, kb, n, i);
+        if (out[i] != out[i])
+            nan[0] = 1;
+        else if (out[i] > best)
+            best = out[i];
+    }
+    if (!nan[0] && !nan[1])
+        for (i = 0; i < n; i++)
+            if (out[i] == best && ties++ == 0)
+                first = i;
+    if (raised(&held))
+        return Py_NewRef(Py_NotImplemented);
+    return Py_BuildValue("(nn)", first, ties);
 }
 
 /* The k-th smallest of the n numbers at a, none NaN, which it reorders: a
@@ -698,7 +821,7 @@ top(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef methods[] = {
     ENTRY(sweep), ENTRY(absorb), ENTRY(statistic), ENTRY(draw), ENTRY(synthesize), ENTRY(score),
-    ENTRY(top),
+    ENTRY(top), ENTRY(oracle),
     {NULL, NULL, 0, NULL},
 };
 

@@ -84,7 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisDictionary
-from .errors import DimensionError, StateError, _count, _number
+from .errors import DataError, DimensionError, StateError, _count, _number
 from .geometry import checked_subset, subset_geometry, subset_indices
 
 __all__ = [
@@ -240,6 +240,14 @@ class ModelConfig:
                    w=[w] * k_a, v=v, decay=decay, m=m)
 
 
+def _refuse_first(values: np.ndarray, bad: np.ndarray, rule: str) -> None:
+    """DataError stating ``rule`` with the first value where ``bad`` holds
+    and its index, if it holds anywhere."""
+    if bad.any():
+        j = int(bad.argmax())
+        raise DataError(f"{rule}, got {float(values[j])!r} at index {j}")
+
+
 @dataclass(frozen=True)
 class SpikeSlabPosterior:
     """Variational posterior over the anomaly coefficients.
@@ -250,9 +258,10 @@ class SpikeSlabPosterior:
     posterior mean ``mu_tilde = mu_a * alpha`` and the inclusion spread
     ``spread = alpha * (1 - alpha) * mu_a**2``.
 
-    Two constructors.  The checked one copies the fields, clamps alpha
-    to [``ALPHA_CLAMP``, 1 − ``ALPHA_CLAMP``] and checks their lengths and
-    s2 > 0; it stays because ``fit`` takes posteriors from any caller, such
+    Two constructors.  The checked one copies the fields, checks their
+    lengths, refuses a non-finite mu_a or s2, an s2 ≤ 0 and a NaN alpha
+    (DataError naming the field and the first bad index), then clamps alpha
+    to [``ALPHA_CLAMP``, 1 − ``ALPHA_CLAMP``]; it stays because ``fit`` takes posteriors from any caller, such
     as a prior or one set by hand.  Each fit builds its result through
     ``_trusted`` instead, once per step: about 0.7 µs against 13 µs for
     the checked one (``timeit`` on one core of a 2-vCPU Xeon).  Either way
@@ -267,15 +276,14 @@ class SpikeSlabPosterior:
     def __post_init__(self):
         mu = np.array(self.mu_a, dtype=np.float64).ravel()
         s2 = np.array(self.s2, dtype=np.float64).ravel()
-        alpha = np.clip(
-            np.asarray(self.alpha, dtype=np.float64).ravel(),
-            ALPHA_CLAMP,
-            1.0 - ALPHA_CLAMP,
-        )
+        alpha = np.asarray(self.alpha, dtype=np.float64).ravel()
         if not (mu.size == s2.size == alpha.size):
             raise DimensionError("posterior fields must share one length")
-        if not np.all(s2 > 0):
-            raise ValueError("slab variances must be positive")
+        _refuse_first(mu, ~np.isfinite(mu), "posterior mu_a must be finite")
+        _refuse_first(s2, ~np.isfinite(s2), "posterior s2 must be finite")
+        _refuse_first(s2, ~(s2 > 0), "slab variances must be positive")
+        _refuse_first(alpha, np.isnan(alpha), "posterior alpha must not be NaN")
+        alpha = np.clip(alpha, ALPHA_CLAMP, 1.0 - ALPHA_CLAMP)
         fields = (mu, s2, alpha, mu * alpha, alpha * (1.0 - alpha) * mu * mu)
         for arr in fields:
             arr.flags.writeable = False

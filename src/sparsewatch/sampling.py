@@ -13,10 +13,10 @@ bitwise ``engine.step``'s sensing per row: each reduction is a stacked
 
 The four Thompson layers' arithmetic after their checks and draws is the
 compiled extension's ``draw``, ``synthesize``, ``score`` and ``top``
-entries (``inference._compiled``), each bitwise its numpy body, which runs
-where the extension is not loaded or the entry declines: an argument it
-does not mirror, or a floating-point exception numpy would report.  The
-oracle stays numpy.
+entries (``inference._compiled``), and the oracle's scoring is its
+``oracle`` entry; each is bitwise its numpy body, which runs where the
+extension is not loaded or the entry declines: an argument it does not
+mirror, or a floating-point exception numpy would report.
 """
 
 from __future__ import annotations
@@ -142,11 +142,7 @@ def _variable_scores(
     """(``score_variables``, x1_hat as a checked float64 vector, y = B_a·mu_tilde).
     Given the extension ``compiled``, its ``score`` entry computes the
     scores, and y is None, unless the entry declines."""
-    x1_hat = np.asarray(x1_hat, dtype=np.float64).ravel()
-    if x1_hat.size != dictionary.p:
-        raise DimensionError("x1_hat must cover all p variables")
-    if post.k_a != dictionary.k_a:
-        raise DimensionError("posterior and dictionary disagree on k_a")
+    x1_hat = _checked_signal(x1_hat, post, dictionary)
     if compiled is not None:
         scores = np.empty(dictionary.p)
         b_a, b_a_sq = dictionary.b_a, dictionary.b_a_sq
@@ -155,6 +151,17 @@ def _variable_scores(
     y = dictionary.b_a.dot(post.mu_tilde)
     quad = y * y + dictionary.b_a_sq.dot(post.spread)
     return 2.0 * x1_hat * y - quad, x1_hat, y
+
+
+def _checked_signal(x1_hat, post: SpikeSlabPosterior, dictionary: BasisDictionary) -> np.ndarray:
+    """x1_hat as a float64 vector of all p variables, for a posterior of the
+    dictionary's k_a."""
+    x1_hat = np.asarray(x1_hat, dtype=np.float64).ravel()
+    if x1_hat.size != dictionary.p:
+        raise DimensionError("x1_hat must cover all p variables")
+    if post.k_a != dictionary.k_a:
+        raise DimensionError("posterior and dictionary disagree on k_a")
+    return x1_hat
 
 
 def select_top_m(
@@ -262,6 +269,13 @@ class OracleScorer:
     ratio, (k_b+1)·p/m², grows with p at small m.  Construction is meant to
     be reused across steps and streams: ``shared`` hands out one scorer per
     process per (dictionary content, m).
+
+    Where the extension is loaded (``inference._compiled``, which
+    construction neither loads nor builds), its ``oracle`` entry computes
+    every score into a new array, bitwise the numpy body, and finds the
+    first maximum and how many scores equal it in the same pass.  It holds
+    its scratch, 8·(3p + 2·k_b·C) bytes (144 KB at p = 15, m = 5), for the
+    call only, so a scorer is never modified and pickles as it was built.
     """
 
     # ((dictionary content key, m), scorer) of the latest ``shared`` build.
@@ -305,8 +319,24 @@ class OracleScorer:
             self.bases = bases.reshape(p, k_b * n_subsets)
 
     def subset_scores(self, x1_hat: np.ndarray, post: SpikeSlabPosterior) -> np.ndarray:
-        """Monitoring-statistic value of every candidate subset."""
-        variable, x1_hat, y = _variable_scores(x1_hat, post, self.dictionary)
+        """Monitoring-statistic value of every candidate subset, in a new array."""
+        return self._scored(x1_hat, post)[0]
+
+    def _scored(self, x1_hat, post: SpikeSlabPosterior) -> tuple:
+        """(``subset_scores``, the first index of their maximum, how many
+        scores equal it); (scores, −1, 0) where a score is NaN, which makes
+        the maximum NaN.  The extension's ``oracle`` entry computes all
+        three unless it declines; then the numpy body runs."""
+        d, compiled = self.dictionary, inference._compiled()
+        if compiled is not None:
+            signal, scores = _checked_signal(x1_hat, post, d), np.empty(len(self.subsets))
+            found = compiled.oracle(
+                signal, d.b_a, d.b_a_sq, post.mu_tilde, post.spread, self.incidence, self.bases,
+                scores,
+            )
+            if found is not NotImplemented:
+                return (scores, *found)
+        variable, x1_hat, y = _variable_scores(x1_hat, post, d)
         scores = variable @ self.incidence
         if self.bases is not None:
             c_y, c_x = np.array((y, x1_hat)) @ self.bases
@@ -315,7 +345,8 @@ class OracleScorer:
             c_y *= c_x
             for block in c_y.reshape(-1, scores.size):
                 scores += block
-        return scores
+        ties = np.flatnonzero(scores == scores.max())
+        return scores, int(ties[0]) if ties.size else -1, ties.size
 
     def select(
         self, x1_hat: np.ndarray, post: SpikeSlabPosterior, rng: np.random.Generator
@@ -327,16 +358,17 @@ class OracleScorer:
 
         with P_Z the projection onto the subset's background columns.  Exact
         ties, such as the all-zero posterior mean where every subset scores
-        zero, are broken uniformly at random by ``rng``.  A NaN score raises
-        NumericalError naming the subsets whose scores are not finite.
+        zero, are broken uniformly at random by ``rng``, which is drawn only
+        then.  A NaN score raises NumericalError naming the subsets whose
+        scores are not finite.
         """
-        scores = self.subset_scores(x1_hat, post)
-        ties = np.flatnonzero(scores == scores.max())
-        if not ties.size:  # a NaN score makes the maximum NaN
+        scores, first, count = self._scored(x1_hat, post)
+        if not count:
             bad = np.flatnonzero(~np.isfinite(scores))
             raise NumericalError(
                 f"{bad.size} of {scores.size} subset scores are not finite, "
                 f"first {scores[bad[0]]} at subset {self.subsets[bad[0]].tolist()}"
             )
-        pick = int(ties[rng.integers(ties.size)]) if ties.size > 1 else int(ties[0])
-        return SensingPlan(self.subsets[pick].copy(), None)
+        if count > 1:
+            first = int(np.flatnonzero(scores == scores[first])[rng.integers(count)])
+        return SensingPlan(self.subsets[first].copy(), None)

@@ -12,11 +12,11 @@ sides' lines and exits with 1 if any line differs:
 
 It prints one SHA-256 per stage, each followed by its decisions line,
 then one over all stages' full digests, and last, outside the hashed
-lines, which sweep kernel and which step layers ran (``inference._compiled``),
-so ``--against`` compares the compiled kernels with the generated sweep
-kernel and the numpy layers a checkout without them runs.  A run with no
-compiler on ``PATH`` and a fresh ``XDG_CACHE_HOME`` runs the generated
-sweep kernel and the numpy layers:
+lines, which sweep kernel, which step layers and which oracle scoring ran
+(``inference._compiled``), so ``--against`` compares the compiled kernels
+with the generated sweep kernel and the numpy layers a checkout without
+them runs.  A run with no compiler on ``PATH`` and a fresh
+``XDG_CACHE_HOME`` runs the generated sweep kernel and the numpy layers:
 
 - ``study-p15``: null trajectories (21 x 401, seed 5), the threshold search
   at ARL0 200, and ``evaluate`` records and summaries at phi = 0.2 and 1.0
@@ -356,12 +356,16 @@ def sweep_factors(cfg: ModelConfig) -> tuple:
 def kernel_line() -> str:
     """Which kernels this process ran: the compiled sweep kernel or the
     generated one, which a checkout from before the compiled kernel always
-    runs; and the compiled step layers or their numpy bodies, which a
-    checkout whose extension has no step entries always runs."""
+    runs; the compiled step layers or their numpy bodies, which a checkout
+    whose extension has no step entries always runs; and the oracle's
+    compiled scoring or its numpy body, likewise."""
     compiled = getattr(inference, "_compiled", lambda: None)()
-    steps = "compiled" if hasattr(compiled, "absorb") else "numpy"
+
+    def ran(entry):
+        return "compiled" if hasattr(compiled, entry) else "numpy"
+
     return (f"sweep kernel: {'compiled' if compiled else 'generated'}, "
-            f"step kernels: {steps}")
+            f"step kernels: {ran('absorb')}, oracle: {ran('oracle')}")
 
 
 def configs_stage() -> tuple[str, str]:

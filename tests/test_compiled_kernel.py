@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import sysconfig
@@ -260,9 +261,9 @@ class TestArgumentsBothKernelsTake:
         assert compiled[0] == sweep(plain)
 
 
-# One process's fits, lockstep null run and delay cell, whose replications
-# step one at a time through every layer: prints the sweep kernel that ran
-# and a digest of every output.
+# One process's fits, lockstep null run and delay cells, whose replications
+# step one at a time through every layer, the oracle's included: prints the
+# sweep kernel that ran and a digest of every output.
 DIGEST = """
 import hashlib
 import numpy as np
@@ -284,6 +285,8 @@ h.update(engine.collect_h0_trajectories(cfg, d, n_reps=4, horizon=40, seed=1, wo
 cell = sparsewatch.Scenario(dictionary=d, cfg=cfg, tau=10, change=((0, 1.0),), horizon=40,
                             random_change_basis=True)
 h.update(repr(engine.evaluate(cfg, d, 10.0, cell, 3, 2, return_records=True)).encode())
+h.update(repr(engine.evaluate(cfg, d, 10.0, cell, 3, 2, sampler="oracle",
+                              return_records=True)).encode())
 print("compiled" if inference._compiled() else "generated", h.hexdigest())
 """
 
@@ -576,14 +579,17 @@ def layer_cases(seed: int = 0) -> list:
 
 
 def layer_digest() -> str:
-    """Which path ran, and a digest of every drawn case's outcome on it, with
-    numpy's RuntimeWarnings raised, as this suite raises them."""
+    """Which path ran, and a digest of every drawn case's outcome on it, the
+    oracle's included, with numpy's RuntimeWarnings raised, as this suite
+    raises them."""
     import hashlib
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        digest = hashlib.sha256(repr([_outcome(case) for case in layer_cases()]).encode())
+        outcomes = [_outcome(case) for case in layer_cases()]
+        outcomes += [_oracle_outcome(case) for case in oracle_cases()]
+        digest = hashlib.sha256(repr(outcomes).encode())
     return ("compiled" if inference._compiled() else "numpy") + " " + digest.hexdigest()
 
 
@@ -740,6 +746,182 @@ class TestStepLayers:
                 entry(*args[:-1])
         assert module.absorb(x, np.array([0, 1, 6]), *entries["absorb"][2:]) is NotImplemented
         assert module.top(scores, np.empty(7, dtype=np.intp)) is NotImplemented
+
+
+# ── The oracle's entry ────────────────────────────────────────────────────
+#
+# ``OracleScorer.subset_scores`` and ``select`` run the extension's
+# ``oracle`` entry when ``_compiled`` returns the module and the numpy body
+# when it returns None.  A case is (scorer, x1_hat, posterior, Generator
+# state), picklable, so it replays in a pool worker.
+
+
+def _oracle_outcome(case):
+    """The case's subset scores, then its plan and the Generator state
+    ``select`` leaves, as comparable values; or the error either raised."""
+    scorer, x1_hat, post, state = case
+    rng = _rng(state)
+    try:
+        scores = scorer.subset_scores(x1_hat, post)
+        plan = scorer.select(x1_hat, post, rng)
+        return _described((scores, plan)), repr(rng.bit_generator.state)
+    except Exception as exc:  # both paths must raise alike
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def run_oracle_both(case, log=None) -> list:
+    """(compiled, numpy): the case's outcome on either path; the entry calls
+    go into ``log`` where one is given."""
+    results = []
+    for module in (_Logged(inference._compiled(), [] if log is None else log), None):
+        with mock.patch.object(inference, "_compiled", lambda: module):
+            results.append(_oracle_outcome(case))
+    return results
+
+
+def oracle_cases(seed: int = 0) -> list:
+    """Drawn cases at p = 6 and 15, m = 1, a middle m and m = p (one
+    subset), k_b = 0 (no ``bases``) and 3: drawn posteriors and the prior,
+    whose zero mean ties every subset; x1_hat drawn, zero, with a NaN, ±inf
+    or a value whose score overflows, Fortran-ordered, strided and float32;
+    and a dictionary with two equal rows, where some subsets tie at the top."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for p, k_b in ((6, 0), (6, 3), (15, 0), (15, 3)):
+        d = BasisDictionary(b_b=rng.normal(size=(p, k_b)), b_a=rng.normal(size=(p, 4)))
+        posts = _posteriors(rng, 4, _cfg(4))[:3]
+        for m in (1, p // 3, p):
+            scorer = sampling.OracleScorer(d, m)
+            for post in posts:
+                huge = rng.normal(size=p)
+                huge[1] = 1e308
+                x1_hats = _specials(rng.normal(size=p)) + _layouts(rng.normal(size=p))[1:]
+                cases += [(scorer, x1_hat, post, _state(int(rng.integers(2**32))))
+                          for x1_hat in x1_hats + [huge]]
+    for k_b in (0, 3):  # rows 0 and 1 alike, and best: subsets that swap them tie
+        b_b, b_a = rng.normal(size=(6, k_b)), rng.normal(size=(6, 4))
+        b_b[1], b_a[1] = b_b[0], b_a[0]
+        d, post = BasisDictionary(b_b=b_b, b_a=b_a), _posteriors(rng, 4, _cfg(4))[0]
+        x1_hat = np.zeros(6)
+        x1_hat[:2] = 100.0 * np.sign(d.b_a[0] @ post.mu_tilde)
+        cases += [(sampling.OracleScorer(d, m), x1_hat, post, _state(int(rng.integers(2**32))))
+                  for m in (1, 3)]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def oracle_round():
+    """Every ``select`` call of one ``oracle-pool-p15`` benchmark round, run
+    in this process: its lockstep null rows and its delay cells' steps."""
+    sys.path.insert(0, str(SRC.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(SRC.parent / "bench"))
+    spec = workloads.WORKLOADS["oracle-pool-p15"]
+    d = spec.dictionary()
+    cfg = workloads.model_config(d, spec.m)
+    calls = []
+    real = sampling.OracleScorer.select
+
+    def record(self, x1_hat, post, rng):
+        calls.append((self, np.array(x1_hat), post, rng.bit_generator.state))
+        return real(self, x1_hat, post, rng)
+
+    with mock.patch.object(sampling.OracleScorer, "select", record):
+        workloads.run_study_round(
+            spec, d, cfg, workloads.round_seeds(1, 0, 1 + len(spec.cells)), workers=1
+        )
+    return calls
+
+
+class TestOracle:
+    def test_drawn_cases_are_equal(self):
+        """Scores, plans, Generator states and errors; the entry runs on the
+        drawn, tied and NaN cases and declines where a score overflows."""
+        cases, log = oracle_cases(), []
+        outcomes = [run_oracle_both(case, log) for case in cases]
+        assert [case for case, (c, n) in zip(cases, outcomes) if c != n] == []
+        raised = {c[1:] for c, _ in outcomes if c[0] == "raised"}
+        assert {kind for kind, _ in raised} == {"NumericalError", "RuntimeWarning"}
+        assert {ran for _, ran in log} == {True, False}
+        # a unique maximum, every subset tied, and a NaN score
+        module, counts = inference._compiled(), set()
+        for scorer, x1_hat, post, _ in cases:
+            d, scores = scorer.dictionary, np.empty(len(scorer.subsets))
+            signal = np.ravel(x1_hat).astype(np.float64)
+            with np.errstate(all="ignore"):
+                found = module.oracle(signal, d.b_a, d.b_a_sq, post.mu_tilde, post.spread,
+                                      scorer.incidence, scorer.bases, scores)
+            if found is not NotImplemented:
+                counts.add(min(found[1], 2) if found[1] < len(scores) else "all")
+        assert counts == {0, 1, 2, "all"}
+
+    def test_every_select_of_a_benchmark_round_is_equal_and_runs_the_entry(self, oracle_round):
+        cases, log = oracle_round, []
+        assert len(cases) > 10_000
+        for case in cases:
+            compiled, numpy = run_oracle_both(case, log)
+            assert compiled == numpy
+        assert set(log) == {("oracle", True)}
+
+    def test_cases_are_equal_in_a_forked_pool(self, oracle_round):
+        """Workers fork from this process, which holds the loaded module."""
+        cases = oracle_cases(1)[::3] + oracle_round[::200]
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+            for compiled, numpy in pool.map(run_oracle_both, cases, chunksize=16):
+                assert compiled == numpy
+
+    def test_scores_are_a_new_array_each_call(self, default_dictionary):
+        scorer = sampling.OracleScorer(default_dictionary, 5)
+        rng = np.random.default_rng(5)
+        post = SpikeSlabPosterior(mu_a=rng.normal(size=10), s2=np.ones(10), alpha=np.full(10, 0.5))
+        first = scorer.subset_scores(rng.normal(size=15), post)
+        kept = first.copy()
+        second = scorer.subset_scores(rng.normal(size=15), post)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes() != second.tobytes()
+
+    def test_selecting_leaves_a_pickled_engine_state_as_it_was(
+        self, default_dictionary, default_config
+    ):
+        """The entry keeps no scratch on the scorer, which a pickled
+        ``EngineState`` carries."""
+        state = engine.init(default_config, default_dictionary, h=math.inf, seed=2,
+                            sampler="oracle")
+        before = pickle.dumps(state.scorer)
+        for x in np.random.default_rng(6).normal(scale=0.05, size=(5, 15)):
+            engine.step(state, x)
+        assert pickle.dumps(state.scorer) == before
+        assert len(pickle.dumps(state)) < len(before) + 4096
+
+    def test_the_entry_declines_what_it_does_not_mirror(self):
+        """An argument of another size, dtype or layout, p = 1 and a
+        one-column ``bases`` get NotImplemented before anything is written;
+        a wrong argument count, TypeError."""
+        module = inference._compiled()
+        d = BasisDictionary(b_b=fourier_basis(6, 2), b_a=np.ones((6, 4)))
+        scorer = sampling.OracleScorer(d, 3)
+        out = np.full(20, -1.0)
+        args = [np.ones(6), d.b_a, d.b_a_sq, np.ones(4), np.ones(4), scorer.incidence,
+                scorer.bases, out]
+        for i, arg in enumerate(args):
+            bads = [arg.astype(np.float32), np.stack([arg, arg], axis=-1)[..., 0], arg[..., :-1]]
+            if arg.ndim == 2:
+                bads.append(np.asfortranarray(arg))
+            for bad in bads:
+                assert module.oracle(*args[:i], bad, *args[i + 1:]) is NotImplemented, i
+                assert (out == -1.0).all()
+        one = sampling.OracleScorer(BasisDictionary(b_b=np.ones((1, 1)), b_a=np.ones((1, 1))), 1)
+        assert module.oracle(np.ones(1), np.ones((1, 1)), np.ones((1, 1)), np.ones(1), np.ones(1),
+                             one.incidence, one.bases, np.empty(1)) is NotImplemented
+        column = np.ones((6, 1))
+        assert module.oracle(*args[:5], column, column, np.empty(1)) is NotImplemented
+        first, ties = module.oracle(*args)
+        assert (first, ties) == (out.argmax(), 1 + (out[first + 1:] == out[first]).sum())
+        with pytest.raises(TypeError, match="arguments"):
+            module.oracle(*args[:-1])
 
 
 def test_the_c_source_ships_as_package_data():

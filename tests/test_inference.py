@@ -876,6 +876,36 @@ class TestTypes:
                 mu_a=np.zeros(2), s2=np.array([1.0, 0.0]), alpha=np.full(2, 0.5)
             )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(mu_a=[0.0, math.inf], s2=[1, 1], alpha=[math.nan, 0.5]),
+             "posterior mu_a must be finite, got inf at index 1"),
+            (dict(mu_a=[0.0, 0.0], s2=[1.0, -math.inf], alpha=[0.5, 0.5]),
+             "posterior s2 must be finite, got -inf at index 1"),
+            (dict(mu_a=[0.0, 0.0], s2=[1.0, 0.0], alpha=[0.5, 0.5]),
+             "slab variances must be positive, got 0.0 at index 1"),
+            (dict(mu_a=[0.0, 0.0], s2=[1.0, 1.0], alpha=[0.5, math.nan]),
+             "posterior alpha must not be NaN, got nan at index 1"),
+        ],
+        ids=["mu_a", "s2", "s2-zero", "alpha"],
+    )
+    def test_a_field_that_is_not_a_number_in_range_is_named_at_its_first_index(
+        self, fields, message
+    ):
+        """A NaN alpha is refused before the clamp, which passes NaN through."""
+        with pytest.raises(DataError, match=re.escape(message)):
+            SpikeSlabPosterior(**fields)
+
+    def test_a_nan_posterior_does_not_unpickle(self):
+        """Unpickling runs the checked constructor."""
+        post = SpikeSlabPosterior(mu_a=np.zeros(2), s2=np.ones(2), alpha=np.full(2, 0.5))
+        nan = SpikeSlabPosterior._trusted(
+            post.mu_a, post.s2, np.array([0.5, math.nan]), post.mu_tilde, post.spread
+        )
+        with pytest.raises(DataError, match="alpha must not be NaN"):
+            pickle.loads(pickle.dumps(nan))
+
     def test_decay_range_enforced(self):
         for bad in (0.0, 0.11, -0.05, 1.0):
             with pytest.raises(ValueError):
